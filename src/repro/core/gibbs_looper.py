@@ -195,12 +195,23 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
                               start: int, stop: int):
     """Batched candidate deltas for one seed's window — the Gibbs hot loop.
 
-    Element ``[v, b]`` of the returned ``delta_sum``/``delta_count`` is
-    exactly what the scalar reference path computes for version
-    ``first_version + v`` and window slot ``start + b``: the per-tuple
-    accumulation order and every elementwise operation are identical, so
-    the floating-point results (and therefore the accept/reject
-    decisions) match bit for bit.
+    Element ``[v, b]`` of ``delta_sum``/``delta_count`` (broadcast to
+    ``(count, width)``) is exactly what the scalar reference path computes
+    for version ``first_version + v`` and window slot ``start + b``, bit
+    for bit, so the accept/reject decisions match too.  The argument:
+    every intermediate stays at its natural broadcast rank — the
+    perturbed seed's own window slice is ``(width,)``, another seed's
+    per-version cache ``(count, 1)`` — and broadcasting evaluates an
+    elementwise operation on such an operand to the very values it would
+    produce on that operand repeated out to ``(count, width)``; each cell
+    still goes through the same operations in the same per-tuple
+    accumulation order as the dense form, which only repeated them.
+    Nothing is densified before ``contribution - old_contribution``, and
+    the first tuple's difference is the result instead of being added to
+    a zero matrix: ``(c + 0.0) - o`` has the bits of ``0.0 + (c - o)``
+    (both differ from ``c - o`` only for ``c = -0.0, o = +0.0``).
+    ``cand_values``/``cand_present`` are read-only ``(count, width)``
+    broadcast views — the commit only gathers single cells from them.
 
     A *pure* module-level function on purpose: it reads only the Gibbs
     tuples/states passed in (never global looper state), which is what
@@ -208,10 +219,10 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     (shared references) or by process (pickled copies) — and still land
     on the same bits the in-process path produces.
     """
-    width = stop - start
+    shape = (count, stop - start)
+    window = slice(start, stop)
     remaining = slice(first_version, first_version + count)
-    delta_sum = np.zeros((count, width))
-    delta_count = np.zeros((count, width))
+    delta_sum = delta_count = None
     cand_values, cand_present = [], []
     for gibbs_tuple, state in zip(tuples, states):
         columns: dict[str, np.ndarray] = {}
@@ -219,35 +230,39 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
             columns[name] = np.asarray(det_value)
         for name, rand_field in gibbs_tuple.rand.items():
             if rand_field.handle == handle:
-                columns[name] = rand_field.values[start:stop]
+                columns[name] = rand_field.values[window]
             else:
                 columns[name] = state.values[name][remaining, None]
         context = DictContext(columns)
-        if aggregate_expr is None:
-            value = np.ones((count, width))
-        else:
-            value = np.broadcast_to(
-                np.asarray(aggregate_expr.evaluate(context),
-                           dtype=np.float64), (count, width))
-        present = np.ones((count, width), dtype=bool)
+        value = 1.0 if aggregate_expr is None else np.asarray(
+            aggregate_expr.evaluate(context), dtype=np.float64)
+        present = None  # None: present in every cell
         for presence_field, cached in zip(gibbs_tuple.presences,
                                           state.presence):
-            if presence_field.handle == handle:
-                present = present & presence_field.flags[start:stop]
-            else:
-                present = present & cached[remaining, None]
+            flags = (presence_field.flags[window]
+                     if presence_field.handle == handle
+                     else cached[remaining, None])
+            present = flags if present is None else present & flags
         if final_predicate is not None:
-            present = present & np.broadcast_to(
-                np.asarray(final_predicate.evaluate(context),
-                           dtype=bool), (count, width))
+            flags = np.asarray(final_predicate.evaluate(context), dtype=bool)
+            present = flags if present is None else present & flags
+        if present is None:
+            present, contribution, presence_count = np.True_, value, 1.0
+        else:
+            contribution = np.where(present, value, 0.0)
+            presence_count = present.astype(np.float64)
+        old_present = state.present[remaining]
         old_contribution = np.where(
-            state.present[remaining], state.value[remaining], 0.0)[:, None]
-        delta_sum += np.where(present, value, 0.0) - old_contribution
-        delta_count += (present.astype(np.float64)
-                        - state.present[remaining]
-                        .astype(np.float64)[:, None])
-        cand_values.append(value)
-        cand_present.append(present)
+            old_present, state.value[remaining], 0.0)[:, None]
+        old_count = old_present.astype(np.float64)[:, None]
+        if delta_sum is None:
+            delta_sum = (contribution + 0.0) - old_contribution
+            delta_count = presence_count - old_count
+        else:
+            delta_sum = delta_sum + (contribution - old_contribution)
+            delta_count = delta_count + (presence_count - old_count)
+        cand_values.append(np.broadcast_to(value, shape))
+        cand_present.append(np.broadcast_to(present, shape))
     return delta_sum, delta_count, cand_values, cand_present
 
 
@@ -809,6 +824,9 @@ class GibbsLooper:
         self._tuples: list[GibbsTuple] = []
         self._states: list[_TupleState] = []
         self._tuples_of_seed: dict[int, list[int]] = {}
+        # (tuples, versions) caches: the _TupleStates' value/present rows.
+        self._value_matrix: np.ndarray | None = None
+        self._present_matrix: np.ndarray | None = None
         self._sums: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._versions = 0
@@ -921,6 +939,7 @@ class GibbsLooper:
             injected.window_bases = {}
             injected.delta_tracking = True
             injected.delta_mode = True
+            injected.stable_handles = frozenset()
             injected.last_fresh_slots = {}
         plan_runs_before = self._context.plan_runs
         relation = self.plan.execute(self._context)
@@ -1088,7 +1107,9 @@ class GibbsLooper:
         functions of position), so the per-version caches, accumulators,
         states and the tuple/seed index structures all carry over; only
         the materialized window arrays — consulted by future candidate
-        evaluations — and each seed's position list are new.
+        evaluations — and each moved seed's position list are new.
+        Every tuple is re-pointed, stable seed or not: a view left on the
+        previous run's matrix would keep that whole matrix alive.
         """
         rand_items = list(relation.rand_columns.items())
         vacuous = [presence.flags.all(axis=1) for presence in relation.presence]
@@ -1101,21 +1122,16 @@ class GibbsLooper:
                     continue
                 gibbs_tuple.presences[slot].flags = presence.flags[row]
                 slot += 1
+        stable = self._context.stable_handles
         for handle, ts in self._seeds.items():
-            ts.positions = self._context.positions_for(handle)
+            if handle not in stable:
+                ts.positions = self._context.positions_for(handle)
         if self._states:
-            # Re-derive the accumulators exactly as a full rebuild would,
-            # so the replenish invariant check can compare them against
-            # the incrementally updated ones (which _replenish restores
-            # afterwards — the refuel schedule must not leave a rounding
-            # fingerprint on the accumulator trajectory).
-            value_matrix = np.stack([state.value for state in self._states])
-            present_matrix = np.stack(
-                [state.present for state in self._states])
-            self._sums = np.cumsum(
-                np.where(present_matrix, value_matrix, 0.0), axis=0)[-1]
-            self._counts = np.cumsum(present_matrix, axis=0,
-                                     dtype=np.float64)[-1]
+            # Re-derived exactly as a full rebuild would, for _replenish's
+            # invariant check against the running accumulators (which it
+            # restores afterwards: the refuel schedule must not leave a
+            # rounding fingerprint on the accumulator trajectory).
+            self._accumulate_states()
 
     def _validate_columns(self, relation: BundleRelation) -> None:
         known = set(relation.det_columns) | set(relation.rand_columns)
@@ -1200,12 +1216,18 @@ class GibbsLooper:
             state.value = value_matrix[row]
             state.present = present_matrix[row]
             self._states.append(state)
-        # Strict row-order accumulation (cf. MonteCarloExecutor._ordered_sum):
-        # cumsum is sequential, so inserting the tuples one at a time — the
-        # reference behavior — rounds identically.
+        self._value_matrix, self._present_matrix = value_matrix, present_matrix
+        self._accumulate_states()
+
+    def _accumulate_states(self) -> None:
+        """Accumulators from the contribution caches, in strict row order
+        (cf. MonteCarloExecutor._ordered_sum): cumsum is sequential, so
+        inserting the tuples one at a time — the reference behavior —
+        rounds identically."""
         self._sums = np.cumsum(
-            np.where(present_matrix, value_matrix, 0.0), axis=0)[-1]
-        self._counts = np.cumsum(present_matrix, axis=0,
+            np.where(self._present_matrix, self._value_matrix, 0.0),
+            axis=0)[-1]
+        self._counts = np.cumsum(self._present_matrix, axis=0,
                                  dtype=np.float64)[-1]
 
     def _version_count(self) -> int:
@@ -1228,12 +1250,16 @@ class GibbsLooper:
         self._versions = sources.size
         for ts in self._seeds.values():
             ts.clone_versions(sources)
-        for state in self._states:
+        if self._states:
+            self._value_matrix = np.take(self._value_matrix, sources, axis=1)
+            self._present_matrix = np.take(self._present_matrix, sources,
+                                           axis=1)
+        for row, state in enumerate(self._states):
             state.values = {name: values[sources]
                             for name, values in state.values.items()}
             state.presence = [flags[sources] for flags in state.presence]
-            state.value = state.value[sources]
-            state.present = state.present[sources]
+            state.value = self._value_matrix[row]
+            state.present = self._present_matrix[row]
         self._sums = self._sums[sources]
         self._counts = self._counts[sources]
         if self._state_token is not None:
@@ -1503,8 +1529,9 @@ class GibbsLooper:
         """Delta state re-init: splice the refuel into the live shards.
 
         Called right after a structure-preserving delta replenishment
-        (``_refresh_windows`` path) with the pre-refuel position vectors.
-        First drains every uncollected scatter reply and drops every
+        (``_refresh_windows`` path) with the pre-refuel position vectors;
+        ``_replenish`` drained the scatter replies and flushed the
+        buffered commits before the re-run.  Drops every
         prefetched/speculated window — all of them index into the
         pre-refuel window geometry — then ships each owning worker one
         ``state_merge`` with the per-handle splice records built by
@@ -1516,14 +1543,8 @@ class GibbsLooper:
         commits keep notifying the mirrors.
         """
         backend = self._ensure_backend()
-        for shard in sorted(self._scatter_pending):
-            backend.state_collect(self._state_token, shard)  # stale
-        self._scatter_pending = set()
         self._prefetched_windows = {}
         self._invalidate_speculations()
-        # Buffered commits index into the pre-refuel window geometry —
-        # they must land before the merge re-shapes the mirrors.
-        self._flush_casts()
         # The thread transport's state IS the caller's refreshed objects
         # (state_merge is a deliberate no-op there) — building the value
         # payloads would be pure waste, so only the splice *shape* is
@@ -1810,9 +1831,9 @@ class GibbsLooper:
             accepted, consumed, version, proposals_used = self._scan_window(
                 ts, window, version, proposals_used, stats)
             consumed_total += consumed
-            served_total += len(accepted)
-            if accepted:
-                self._apply_acceptances(ts, affected, window, accepted)
+            served_total += len(accepted[0])
+            if accepted[0]:
+                self._apply_acceptances(ts, affected, window, *accepted)
         # Looper-side acceptance-pressure record, mirroring the owners'
         # cursors: candidates consumed per version served in this call.
         # Feeds only the adaptive scatter's hottest-first request
@@ -1827,50 +1848,55 @@ class GibbsLooper:
         Implements the sequential semantics of the reference path —
         versions in ascending order, each taking the first acceptable
         not-yet-consumed candidate, rejected candidates consumed forever,
-        ``max_proposals`` rejections per version before a stall — on top of
-        the precomputed boolean matrix.  Returns the accepted
-        ``(version, window_index)`` pairs, the number of candidates
-        consumed, and the resumption state.
+        ``max_proposals`` rejections per version before a stall — on top
+        of the precomputed boolean matrix.  The walk runs on plain ints
+        over the matrix's bytes (one ``bytes.find`` per step, which reads
+        only the cells the pointer actually passes), and the counters
+        reach ``stats`` once per window.  Returns the accepted versions
+        and their window columns (a pair of parallel lists), the number
+        of candidates consumed, and the resumption state.
         """
-        lo, hi, first_version, acceptable, _, _ = window
-        version_limit = min(self._version_count(),
-                            first_version + acceptable.shape[0])
-        width = hi - lo
-        # next_true[r, j] = first acceptable column >= j in row r (or width):
-        # a reverse running minimum over the acceptable column indices.
-        next_true = np.where(acceptable,
-                             np.arange(width, dtype=np.int32),
-                             np.int32(width))
-        next_true = np.minimum.accumulate(next_true[:, ::-1],
-                                          axis=1)[:, ::-1]
-        pointer = lo
-        accepted: list[tuple[int, int]] = []
-        while version < version_limit and pointer < hi:
-            row = next_true[version - first_version]
-            hit = int(row[pointer - lo])
-            limit = min(hi, pointer + self.max_proposals - proposals_used)
-            if lo + hit < limit:
-                window_index = lo + hit
-                stats.proposals += window_index - pointer + 1
-                stats.acceptances += 1
-                accepted.append((version, window_index))
-                pointer = window_index + 1
-                version += 1
-                proposals_used = 0
+        lo, _, first_version, acceptable, _, _ = window
+        rows, width = acceptable.shape
+        version_limit = min(self._versions, first_version + rows)
+        find = acceptable.tobytes().find
+        max_proposals = self.max_proposals
+        row_base = (version - first_version) * width
+        column = 0  # consumption pointer, relative to ``lo``
+        proposals = stalls = 0
+        accepted_versions: list[int] = []
+        accepted_columns: list[int] = []
+        while version < version_limit and column < width:
+            limit = column + max_proposals - proposals_used
+            if limit > width:
+                limit = width
+            hit = find(b"\x01", row_base + column, row_base + limit)
+            if hit >= 0:
+                hit -= row_base
+                proposals += hit - column + 1
+                accepted_versions.append(version)
+                accepted_columns.append(hit)
+                column = hit + 1
             else:
-                stats.proposals += limit - pointer
-                proposals_used += limit - pointer
-                pointer = limit
-                if proposals_used >= self.max_proposals:
-                    stats.stalls += 1  # keep the current (valid) value
-                    version += 1
-                    proposals_used = 0
-        if pointer > lo:
-            ts.consume_through(int(ts.positions[pointer - 1]))
-        return accepted, pointer - lo, version, proposals_used
+                proposals += limit - column
+                proposals_used += limit - column
+                column = limit
+                if proposals_used < max_proposals:
+                    break  # window exhausted mid-version
+                stalls += 1  # keep the current (valid) value
+            version += 1
+            row_base += width
+            proposals_used = 0
+        stats.proposals += proposals
+        stats.acceptances += len(accepted_versions)
+        stats.stalls += stalls
+        if column:
+            ts.consume_through(int(ts.positions[lo + column - 1]))
+        return ((accepted_versions, accepted_columns), column, version,
+                proposals_used)
 
     def _apply_acceptances(self, ts: TSSeed, affected, window,
-                           accepted: list[tuple[int, int]]) -> None:
+                           accepted_versions, accepted_columns) -> None:
         """Commit a window's accepted proposals in one vectorized pass.
 
         Each version appears at most once, so the scatter updates below
@@ -1878,10 +1904,10 @@ class GibbsLooper:
         path's one-at-a-time commits.
         """
         lo, _, first_version, _, cand_values, cand_present = window
-        version_list = np.array([v for v, _ in accepted], dtype=np.int64)
-        index_list = np.array([w for _, w in accepted], dtype=np.int64)
+        version_list = np.array(accepted_versions, dtype=np.int64)
+        cols = np.array(accepted_columns, dtype=np.int64)
         rows = version_list - first_version
-        cols = index_list - lo
+        index_list = cols + lo
         ts.assignment[version_list] = ts.positions[index_list]
         committed_values = []
         committed_present = []
@@ -1890,13 +1916,13 @@ class GibbsLooper:
             state = self._states[tuple_index]
             new_value = cand_values[list_pos][rows, cols]
             new_present = cand_present[list_pos][rows, cols]
-            old = np.where(state.present[version_list],
-                           state.value[version_list], 0.0)
+            old_present = state.present[version_list]
+            old = np.where(old_present, state.value[version_list], 0.0)
             self._sums[version_list] += (
                 np.where(new_present, new_value, 0.0) - old)
             self._counts[version_list] += (
                 new_present.astype(np.float64)
-                - state.present[version_list].astype(np.float64))
+                - old_present.astype(np.float64))
             state.value[version_list] = new_value
             state.present[version_list] = new_present
             for name, rand_field in gibbs_tuple.rand.items():
@@ -2033,10 +2059,15 @@ class GibbsLooper:
         """
         delta_sum, delta_count, cand_values, cand_present = matrices
         served = slice(first_version, first_version + count)
-        new_totals = self._combine(
-            self._sums[served, None] + delta_sum,
-            self._counts[served, None] + delta_count)
-        return (start, stop, first_version, new_totals >= cutoff,
+        new_totals = self._sums[served, None] + delta_sum
+        if self.aggregate_kind != "sum":  # SUM never reads the counts
+            new_totals = self._combine(
+                new_totals, self._counts[served, None] + delta_count)
+        acceptable = new_totals >= cutoff
+        if acceptable.shape[1] != stop - start:
+            # No candidate-dependent term at all: one verdict per version.
+            acceptable = np.broadcast_to(acceptable, (count, stop - start))
+        return (start, stop, first_version, acceptable,
                 cand_values, cand_present)
 
     def _update_version(self, ts: TSSeed, affected, version: int,
@@ -2185,6 +2216,16 @@ class GibbsLooper:
                       and self.options.replenishment == "delta")
         old_positions = None
         if keep_state:
+            # Quiesce the shards *before* the re-run re-points a window
+            # array: the thread transport's owners read this looper's own
+            # tuples, so a scatter still being served would see them half
+            # re-shaped.  Replies and buffered commits both index the
+            # pre-refuel geometry, so both go now.
+            backend = self._ensure_backend()
+            for shard in sorted(self._scatter_pending):
+                backend.state_collect(self._state_token, shard)
+            self._scatter_pending = set()
+            self._flush_casts()
             old_positions = {handle: ts.positions
                              for handle, ts in self._seeds.items()}
         else:
@@ -2193,10 +2234,17 @@ class GibbsLooper:
                  for handle, ts in self._seeds.items()}
         width = max(len(plan) for plan in plans.values())
         context = self._context
+        previous_plan = context.position_plan
         context.positions = width
         context.position_plan = {
             handle: self._seeds[handle].pad_plan(plan, width)
             for handle, plan in plans.items()}
+        # An untouched seed re-serves its memoized (padded) plan object,
+        # which lets the delta Instantiate and the window refresh skip it
+        # without comparing a single position.
+        context.stable_handles = frozenset(
+            handle for handle, plan in context.position_plan.items()
+            if plan is previous_plan.get(handle))
         context.delta_mode = context.delta_tracking
         context.last_fresh_slots = {}
         delta_before, full_before = context.delta_runs, context.full_runs
@@ -2212,6 +2260,7 @@ class GibbsLooper:
         versions = self._version_count()
         old_sums, old_counts = self._sums, self._counts
         self._ingest(relation, versions, initial=False)
+        context.stable_handles = frozenset()
         if keep_state:
             if self._ingest_refreshed:
                 self._merge_worker_state(old_positions)

@@ -50,8 +50,11 @@ class TSSeed:
         default=None, repr=False, compare=False)
     #: Padded-plan memo: ``(plan_object, width, padded)``.  Keyed on the
     #: plan array's *identity*, so it is only ever served for a memoized
-    #: (untouched) plan — which in turn lets the delta merge recognize an
-    #: unchanged window by object identity instead of comparing contents.
+    #: (untouched) plan.  An untouched seed therefore hands consecutive
+    #: replenishments the very same padded array, and that identity is
+    #: how ``GibbsLooper._replenish`` tells the delta merge which seeds'
+    #: windows cannot have moved (``ExecutionContext.stable_handles``) —
+    #: no position is ever compared for them.
     _pad_memo: tuple | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +118,14 @@ class ExecutionContext:
         #: relation-level view of the same data is
         #: :attr:`~repro.engine.bundles.BundleRelation.fresh_slots`.
         self.last_fresh_slots: dict[int, np.ndarray] = {}
+        #: Delta-run hint from whoever installed ``position_plan``: the
+        #: handles whose plan entry is the *identical array object* the
+        #: previous plan run on this context used.  Their windows are
+        #: exactly what that run materialized, so a delta ``Instantiate``
+        #: carries those rows over without looking at them; every other
+        #: row is matched position by position.  Empty by default, and
+        #: the setter must empty it again once it has consumed the run.
+        self.stable_handles: frozenset[int] = frozenset()
         self.materialized: dict[int, "_Materialization"] = {}
         self.plan_runs = 0
         self.node_executions = 0
@@ -292,6 +300,7 @@ class _Materialization:
     handles: np.ndarray
     positions: dict[int, np.ndarray]
     columns: dict[str, np.ndarray]
+    bases: np.ndarray
     shared_positions: np.ndarray | None = None
 
 
@@ -467,7 +476,7 @@ class Instantiate(PlanNode):
             context.materialized[self.node_id] = _Materialization(
                 handles=handles, positions=positions_by_handle,
                 columns={name: windows[name] for name, _ in self.outputs},
-                shared_positions=shared_positions)
+                bases=bases, shared_positions=shared_positions)
         return out
 
     def _register_seeds(self, context, relation, handles) -> None:
@@ -475,8 +484,14 @@ class Instantiate(PlanNode):
 
         ``validate_params``/``block_arity`` are hoisted out of the row
         loop: one call per *distinct* parameter tuple, however many rows
-        share it.
+        share it.  A re-run that meets only registered handles (every
+        replenishment) has nothing to create or validate and returns
+        before evaluating a single parameter.
         """
+        seeds = context.seeds
+        if len(seeds) >= relation.length and \
+                seeds.keys() >= set(handles.tolist()):
+            return
         param_columns = [
             np.asarray(relation.evaluate_scalar(expr), dtype=np.float64)
             for expr in self.param_exprs]
@@ -493,7 +508,6 @@ class Instantiate(PlanNode):
         for params in signatures:
             self.vg.validate_params(params)
             arities.append(max(base_arity, self.vg.block_arity(params)))
-        seeds = context.seeds
         base_seed = context.base_seed
         for row in range(relation.length):
             handle = int(handles[row])
@@ -570,15 +584,19 @@ class Instantiate(PlanNode):
                      prev_rows):
         """Delta replenishment: copy overlap, gather only new positions.
 
-        For each row, the new window's positions are matched against the
+        Rows whose handle is in ``context.stable_handles`` (see
+        :class:`ExecutionContext`) materialize exactly the window the
+        previous run recorded — their plan entry is the same object — so
+        they carry over in one block copy per output and are never
+        visited.  Each remaining row (every row, when the context names
+        no stable handle) matches its new positions against the
         previously materialized ones with one ``searchsorted``; matched
         values are copied from the recorded windows and only the rest —
-        typically just the seeds that actually consumed candidates since
-        the last run, everything past their ``max_used`` — touch the
-        streams.  Rows past ``prev_rows`` were appended since the
-        baseline run: their window values come from the streams (their
-        handles are fresh, or — under a self-join — copied from the old
-        row carrying the same handle).
+        everything past the seed's ``max_used`` — touch the streams.
+        Rows past ``prev_rows`` were appended since the baseline run:
+        their window values come from the streams (their handles are
+        fresh, or — under a self-join — copied from the old row carrying
+        the same handle).
 
         Also returns the merged-position delta per seed handle: the
         new-window slot indices gathered fresh from the streams.  The
@@ -597,24 +615,32 @@ class Instantiate(PlanNode):
                     shared)
         names = [name for name, _ in self.outputs]
         prev_columns = [previous.columns[name] for name in names]
-        prev_row_of: dict[int, int] = {}
-        for row in range(prev_rows):
-            handle = int(previous.handles[row])
-            if handle not in prev_row_of:
-                prev_row_of[handle] = row
+        stable = context.stable_handles
+        moved = ~np.isin(handles, np.fromiter(stable, dtype=np.int64,
+                                              count=len(stable)))
+        moved[prev_rows:] = True
+        kept = np.flatnonzero(~moved)
         positions_by_handle: dict[int, np.ndarray] = {}
         fresh_slots: dict[int, np.ndarray] = {}
-        unchanged_rows: list[int] = []
-        for row in range(handles.shape[0]):
+        if kept.size:
+            # An unchanged plan entry has the previous run's length, so
+            # the old and new matrices are equally wide: the whole old
+            # block lands with one contiguous copy and the visited rows
+            # below overwrite theirs.
+            for name, prev_values in zip(names, prev_columns):
+                windows[name][:prev_rows] = prev_values
+            bases[kept] = previous.bases[kept]
+            positions_by_handle.update(previous.positions)
+            fresh_slots = dict.fromkeys(handles[kept].tolist(),
+                                        np.empty(0, dtype=np.int64))
+            context.instantiate_rows_reused += int(kept.size)
+        for row in np.flatnonzero(moved).tolist():
             handle = int(handles[row])
-            new_positions = positions_by_handle.get(handle)
-            if new_positions is None:
-                new_positions = context.positions_for(handle)
-                positions_by_handle[handle] = new_positions
+            new_positions = context.positions_for(handle)
+            positions_by_handle[handle] = new_positions
             bases[row] = new_positions[0]
             old_positions = previous.positions.get(handle)
-            source = prev_row_of.get(handle)
-            if old_positions is None or source is None:
+            if old_positions is None:
                 info = context.seeds[handle]
                 fresh_slots[handle] = np.arange(new_positions.size,
                                                 dtype=np.int64)
@@ -623,18 +649,11 @@ class Instantiate(PlanNode):
                     windows[name][row] = info.values_at(
                         new_positions, component)
                 continue
-            if new_positions is old_positions:
-                # Identity: the seed was untouched since the last run and
-                # its memoized padded plan was reused verbatim (see
-                # TSSeed.pad_plan) — the whole window carries over.
-                fresh_slots[handle] = np.empty(0, dtype=np.int64)
-                context.instantiate_rows_reused += 1
-                if source == row:
-                    unchanged_rows.append(row)
-                else:
-                    for name, prev_values in zip(names, prev_columns):
-                        windows[name][row] = prev_values[source]
-                continue
+            # The old rows are a prefix of the new ones (checked by the
+            # caller), so an old row is its own baseline; an appended row
+            # repeating an old handle copies from that handle's row.
+            source = row if row < prev_rows else int(
+                np.flatnonzero(previous.handles == handle)[0])
             overlap = min(old_positions.size, new_positions.size)
             if np.array_equal(new_positions[:overlap],
                               old_positions[:overlap]):
@@ -672,10 +691,6 @@ class Instantiate(PlanNode):
                 if missing.size:
                     target[missing] = context.seeds[handle].values_at(
                         new_positions[missing], component)
-        if unchanged_rows:
-            rows = np.asarray(unchanged_rows, dtype=np.int64)
-            for name, prev_values in zip(names, prev_columns):
-                windows[name][rows] = prev_values[rows]
         return positions_by_handle, fresh_slots, None
 
     def _extend_shared(self, context, handles, windows, bases, previous,

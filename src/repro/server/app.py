@@ -619,6 +619,12 @@ class _Handler(BaseHTTPRequestHandler):
     service: RiskService  # injected via subclass by RiskServer
     protocol_version = "HTTP/1.1"
     quiet = True
+    # A reply leaves in one segment: buffered writer (headers + body go
+    # out with the flush in _reply) and TCP_NODELAY.  Two unbuffered
+    # segments under Nagle make every reply on a kept-alive connection
+    # wait out the client's delayed ACK (~40 ms).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -644,6 +650,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _dispatch(self, method: str) -> None:
         path, _, query_string = self.path.partition("?")

@@ -581,6 +581,55 @@ class TestDeltaMergeEquivalence:
         np.testing.assert_array_equal(merged.rand_columns["val"].bases,
                                       rebuilt.rand_columns["val"].bases)
 
+    def test_stable_handles_are_carried_over_unvisited(self, monkeypatch):
+        """A delta re-run in which one handle's plan moved gathers stream
+        values for that handle only; every stable row comes back exactly
+        as the previous run materialized it."""
+        from repro.engine.seeds import SeedInfo
+        catalog, plan, context = self._prepare()
+        context.delta_mode = True
+        before = plan.execute(context)
+        handles = [int(h) for h in
+                   before.rand_columns["val"].seed_handles]
+        moved, moved_row = handles[2], 2
+        old_plan = context.position_plan[moved]
+        # The moved seed drops one assigned position and refuels past
+        # its old window; everyone else re-serves the same plan object.
+        new_plan = np.concatenate([
+            old_plan[1:], np.arange(old_plan[-1] + 1, old_plan[-1] + 2)])
+        context.position_plan = {**context.position_plan, moved: new_plan}
+        context.stable_handles = frozenset(handles) - {moved}
+        context.last_fresh_slots = {}
+        gathered = []
+        values_at = SeedInfo.values_at
+
+        def spy(self, positions, component=0):
+            gathered.append((self.handle, len(positions)))
+            return values_at(self, positions, component)
+
+        monkeypatch.setattr(SeedInfo, "values_at", spy)
+        reused = context.instantiate_rows_reused
+        after = plan.execute(context)
+        assert gathered == [(moved, 1)]  # just the never-seen position
+        assert context.instantiate_rows_reused == reused + len(handles) - 1
+        stable_rows = [row for row in range(len(handles))
+                       if row != moved_row]
+        np.testing.assert_array_equal(
+            after.rand_columns["val"].values[stable_rows],
+            before.rand_columns["val"].values[stable_rows])
+        np.testing.assert_array_equal(
+            after.rand_columns["val"].bases[stable_rows],
+            before.rand_columns["val"].bases[stable_rows])
+        for handle in handles:
+            expected = [new_plan.size - 1] if handle == moved else []
+            np.testing.assert_array_equal(after.fresh_slots[handle],
+                                          expected)
+        # The moved row equals a from-scratch materialization of its plan.
+        np.testing.assert_array_equal(
+            after.rand_columns["val"].values[moved_row],
+            values_at(context.seeds[moved], new_plan))
+        assert after.rand_columns["val"].bases[moved_row] == new_plan[0]
+
     def test_delta_rejected_when_rows_change(self):
         """A merge baseline with a different row set must be discarded."""
         catalog, plan, context = self._prepare()

@@ -7,6 +7,7 @@ lock), cross-tenant isolation, tenant eviction, the ``Session.options``
 property, and the concurrent-``execute`` bit-identity contract.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -85,6 +86,23 @@ class TestEndpoints:
         assert _call(f"{base}/healthz") == (200, {"ok": True})
         status, payload = _call(f"{base}/no/such/route")
         assert status == 404 and "error" in payload
+
+    def test_keep_alive_replies_do_not_stall(self, server):
+        """Replies on a reused connection must not wait out a delayed
+        ACK: headers and body leave in one write, with Nagle off (two
+        unbuffered segments cost ~40 ms per request)."""
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"ok": True}
+            assert time.perf_counter() - started < 0.4
+        finally:
+            connection.close()
 
     def test_tenant_lifecycle(self, base):
         status, payload = _call(f"{base}/tenants/t-life", "POST")
