@@ -37,7 +37,41 @@ import numpy as np
 from repro.engine.errors import AlignmentError, EngineError
 from repro.engine.expressions import DictContext, Expr
 
-__all__ = ["RandomColumn", "PresenceColumn", "BundleRelation"]
+__all__ = ["RandomColumn", "PresenceColumn", "BundleRelation",
+           "row_key_codes"]
+
+
+def row_key_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 code per row; equal codes <=> equal key tuples.
+
+    "Equal" is what ``tuple(column[row] for column in columns)`` equality
+    — a dict keyed by those tuples — would decide: numbers compare by
+    value across int/float/bool columns, a NaN equals nothing (every NaN
+    row gets a code of its own), and object columns (strings, mixed
+    kinds) are factorized through a dict of their own elements, so a
+    string never equals a number.  This is the array form of the hash
+    keys Join and GROUP BY used to build one row at a time.
+    """
+    codes = None
+    for column in columns:
+        if column.dtype.kind in "biuf":
+            uniq, inverse = np.unique(column, return_inverse=True)
+            inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+            if column.dtype.kind == "f":
+                nan = np.flatnonzero(np.isnan(column))
+                inverse[nan] = uniq.size + np.arange(nan.size)
+        else:
+            values = column.tolist()
+            code_of = {value: code for code, value
+                       in enumerate(dict.fromkeys(values))}
+            inverse = np.fromiter(map(code_of.__getitem__, values),
+                                  dtype=np.int64, count=len(values))
+        if codes is None or not inverse.size:
+            codes = inverse
+        else:  # re-densify so the pair code cannot overflow
+            pair = codes * (int(inverse.max()) + 1) + inverse
+            codes = np.unique(pair, return_inverse=True)[1].reshape(-1)
+    return codes
 
 
 @dataclass
@@ -296,6 +330,15 @@ class BundleRelation:
             raise EngineError(
                 f"row mask must be ({self.length},), got {mask.shape}")
         return self.take(np.nonzero(mask)[0])
+
+    def shallow_copy(self) -> "BundleRelation":
+        """New relation object *sharing* every column with this one.
+
+        Columns are immutable inputs (module docstring), so an operator
+        that only adds a column or a presence array to its child's rows
+        needs a fresh relation to add it to — not a copy of the arrays.
+        """
+        return self.rename({})
 
     def rename(self, mapping: Mapping[str, str]) -> "BundleRelation":
         out = BundleRelation(self.length, self.positions, self.aligned)

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.engine.backends import catalog_share_key, make_backend
-from repro.engine.bundles import BundleRelation
+from repro.engine.bundles import BundleRelation, row_key_codes
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
 from repro.engine.operators import ExecutionContext, PlanNode
@@ -244,8 +244,9 @@ class MonteCarloExecutor:
         for key, rows in group_rows.items():
             by_name: dict[str, ResultDistribution] = {}
             for aggregate in self.aggregates:
-                samples = self._evaluate(relation, presence, rows, aggregate)
-                by_name[aggregate.name] = ResultDistribution(samples)
+                by_name[aggregate.name] = ResultDistribution(self._finalize(
+                    self._fold(relation, presence, rows, aggregate, None),
+                    aggregate, relation.positions))
             groups[key] = by_name
         return MonteCarloResult(self.group_by, groups, repetitions)
 
@@ -257,11 +258,19 @@ class MonteCarloExecutor:
                 raise PlanError(
                     f"GROUP BY column {name!r} is random; Split it first")
         key_columns = [relation.det_columns[name] for name in self.group_by]
-        grouped: dict[tuple, list[int]] = {}
-        for row in range(relation.length):
-            key = tuple(column[row] for column in key_columns)
-            grouped.setdefault(key, []).append(row)
-        return {key: np.asarray(rows) for key, rows in grouped.items()}
+        if not relation.length:
+            return {}
+        # Stable sort by key code: each group's rows stay ascending and
+        # its first row leads its run, which orders the groups by first
+        # appearance — the dict a row-by-row pass would have built.
+        codes = row_key_codes(key_columns)
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_codes[1:] != sorted_codes[:-1])))
+        runs = np.split(order, starts[1:])
+        return {tuple(column[runs[run][0]] for column in key_columns):
+                runs[run] for run in np.argsort(order[starts]).tolist()}
 
     # -- incremental (standing-query) accumulation ---------------------------
 
@@ -304,45 +313,43 @@ class MonteCarloExecutor:
     def _fold(self, relation, presence, rows, aggregate, state):
         """Continue one (group, aggregate) accumulator over new rows.
 
-        Mirrors :meth:`_evaluate` operation for operation: sums continue
-        the sequential cumsum from the recorded fold (bit-identical —
-        the next add starts from the exact float the full run would
-        hold), counts stay exact integers, and min/max fold through the
-        same ±inf masking (order-independent, so partition order cannot
-        change the value).
+        A one-shot :meth:`aggregate` is this fold from an empty state, so
+        the two cannot drift: sums continue the sequential cumsum from
+        the recorded fold (bit-identical — the next add starts from the
+        exact float the full run would hold), counts stay exact integers,
+        and min/max fold through ±inf masking (order-independent, so
+        partition order cannot change the value).
         """
         if rows.size == 0:
             return state
-        width = relation.positions
-        mask = (np.ones((rows.size, width), dtype=bool)
-                if presence is None else presence[rows])
-        if aggregate.kind == "count":
-            counts = mask.sum(axis=0)
-            return {"counts": counts if state is None
-                    else state["counts"] + counts}
+        kind, folded = aggregate.kind, {}
+        if kind in ("count", "avg"):
+            counts = (np.full(relation.positions, rows.size)
+                      if presence is None else presence[rows].sum(axis=0))
+            folded["counts"] = (counts if state is None
+                                else state["counts"] + counts)
+        if kind == "count":
+            return folded
         values = np.broadcast_to(
             np.asarray(relation.evaluate_positional(aggregate.expr),
                        dtype=np.float64),
-            (relation.length, width))[rows]
-        if aggregate.kind == "sum":
-            return {"fold": self._continue_sum(
-                None if state is None else state["fold"],
-                np.where(mask, values, 0.0))}
-        if aggregate.kind == "avg":
-            counts = mask.sum(axis=0)
-            return {
-                "counts": counts if state is None
-                else state["counts"] + counts,
-                "fold": self._continue_sum(
-                    None if state is None else state["fold"],
-                    np.where(mask, values, 0.0))}
-        if aggregate.kind == "min":
-            masked = np.where(mask, values, np.inf).min(axis=0)
-            return {"masked": masked if state is None
-                    else np.minimum(state["masked"], masked)}
-        masked = np.where(mask, values, -np.inf).max(axis=0)
-        return {"masked": masked if state is None
-                else np.maximum(state["masked"], masked)}
+            (relation.length, relation.positions))[rows]
+        if presence is not None:
+            # Without a presence column every tuple is present everywhere
+            # and the gathered rows are the terms as they stand — no
+            # all-true mask, no second copy.
+            absent = {"min": np.inf, "max": -np.inf}.get(kind, 0.0)
+            values = np.where(presence[rows], values, absent)
+        if kind in ("sum", "avg"):
+            folded["fold"] = self._continue_sum(
+                None if state is None else state["fold"], values)
+        else:
+            extreme, merge = ((np.min, np.minimum) if kind == "min"
+                              else (np.max, np.maximum))
+            masked = extreme(values, axis=0)
+            folded["masked"] = (masked if state is None
+                                else merge(state["masked"], masked))
+        return folded
 
     @classmethod
     def _continue_sum(cls, fold: np.ndarray | None,
@@ -380,30 +387,3 @@ class MonteCarloExecutor:
         results bit-identical to serial ones.
         """
         return np.cumsum(matrix, axis=0)[-1]
-
-    def _evaluate(self, relation: BundleRelation, presence: np.ndarray | None,
-                  rows: np.ndarray, aggregate: AggregateSpec) -> np.ndarray:
-        width = relation.positions
-        if rows.size == 0:
-            empty = 0.0 if aggregate.kind in ("sum", "count") else np.nan
-            return np.full(width, empty)
-        mask = (np.ones((rows.size, width), dtype=bool)
-                if presence is None else presence[rows])
-        if aggregate.kind == "count":
-            return mask.sum(axis=0).astype(np.float64)
-        values = np.broadcast_to(
-            np.asarray(relation.evaluate_positional(aggregate.expr),
-                       dtype=np.float64),
-            (relation.length, width))[rows]
-        if aggregate.kind == "sum":
-            return self._ordered_sum(np.where(mask, values, 0.0))
-        if aggregate.kind == "avg":
-            counts = mask.sum(axis=0)
-            totals = self._ordered_sum(np.where(mask, values, 0.0))
-            with np.errstate(invalid="ignore"):
-                return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
-        if aggregate.kind == "min":
-            masked = np.where(mask, values, np.inf).min(axis=0)
-            return np.where(np.isfinite(masked), masked, np.nan)
-        masked = np.where(mask, values, -np.inf).max(axis=0)
-        return np.where(np.isfinite(masked), masked, np.nan)

@@ -35,12 +35,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.bundles import BundleRelation, PresenceColumn, RandomColumn
+from repro.engine.bundles import (
+    BundleRelation, PresenceColumn, RandomColumn, row_key_codes)
 from repro.engine.det_cache import ContextDetCache
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
 from repro.engine.random_table import RandomTableSpec
-from repro.engine.seeds import SeedInfo, derive_prng_seed, label_id_of, seed_handle
+from repro.engine.seeds import (
+    SeedInfo, derive_prng_seeds, label_id_of, seed_handles)
 from repro.engine.table import Catalog
 from repro.vg.streams import gather_stream_windows
 
@@ -366,11 +368,9 @@ class Seed(PlanNode):
     def _run(self, context):
         relation = self.children[0].execute(context)
         label_id = context.register_label(self.label)
-        handles = np.array(
-            [seed_handle(label_id, row) for row in range(relation.length)],
-            dtype=np.int64)
-        out = relation.take(np.arange(relation.length))
-        out.add_det_column(self.handle_column, handles)
+        out = relation.shallow_copy()
+        out.add_det_column(self.handle_column,
+                           seed_handles(label_id, 0, relation.length))
         return out
 
     def _fingerprint_parts(self):
@@ -391,13 +391,11 @@ class Instantiate(PlanNode):
     names to VG output components.  The handle column written by the
     matching :class:`Seed` supplies lineage.
 
-    Rows are processed *by parameter signature*, not one at a time: the
-    distinct parameter tuples are found with one ``np.unique`` over the
-    parameter matrix, each signature is validated once, and — whenever all
-    rows share one position window (every non-replenishment run) — each
-    signature group's windows are filled by a single batched gather
-    (:func:`repro.vg.streams.gather_stream_windows`) instead of one
-    ``values_at`` call per row.
+    Each distinct parameter tuple is validated once, however many rows
+    share it, and — whenever all rows share one position window (every
+    non-replenishment run) — the whole output is filled by a single
+    batched call (:func:`repro.vg.streams.gather_stream_windows`) instead
+    of one ``values_at`` call per row.
 
     Under delta replenishment (``context.delta_mode``) the operator does
     not rebuild its output: it gathers from the streams only positions
@@ -433,9 +431,11 @@ class Instantiate(PlanNode):
         handles = relation.det_columns[self.handle_column].astype(np.int64)
         self._register_seeds(context, relation, handles)
 
-        out = relation.take(np.arange(length))
-        windows = {name: np.empty((length, context.positions))
-                   for name, _ in self.outputs}
+        out = relation.shallow_copy()
+        # One block behind all outputs: windows[i] is output i's (T, W)
+        # matrix, and the batched fill writes every component of a
+        # generated chunk while it is at hand.
+        windows = np.empty((len(self.outputs), length, context.positions))
         bases = np.empty(length, dtype=np.int64)
         previous = (context.materialized.get(self.node_id)
                     if context.delta_mode else None)
@@ -469,100 +469,70 @@ class Instantiate(PlanNode):
                 context, handles, windows, bases)
             context.full_runs += 1
 
-        for name, _ in self.outputs:
+        columns = dict(zip((name for name, _ in self.outputs), windows))
+        for name, values in columns.items():
             out.add_rand_column(name, RandomColumn(
-                windows[name], seed_handles=handles.copy(), bases=bases.copy()))
+                values, seed_handles=handles.copy(), bases=bases.copy()))
         if context.delta_tracking:
             context.materialized[self.node_id] = _Materialization(
                 handles=handles, positions=positions_by_handle,
-                columns={name: windows[name] for name, _ in self.outputs},
-                bases=bases, shared_positions=shared_positions)
+                columns=columns, bases=bases,
+                shared_positions=shared_positions)
         return out
 
     def _register_seeds(self, context, relation, handles) -> None:
         """Create SeedInfo entries, validating once per parameter signature.
 
-        ``validate_params``/``block_arity`` are hoisted out of the row
-        loop: one call per *distinct* parameter tuple, however many rows
-        share it.  A re-run that meets only registered handles (every
-        replenishment) has nothing to create or validate and returns
-        before evaluating a single parameter.
+        ``validate_params``/``block_arity`` run once per *distinct*
+        parameter tuple, however many rows share it, and all PRNG keys
+        come from one vectorized pass.  A re-run that meets only
+        registered handles (every replenishment) has nothing to create or
+        validate and returns before evaluating a single parameter.
         """
         seeds = context.seeds
+        handle_list = handles.tolist()
         if len(seeds) >= relation.length and \
-                seeds.keys() >= set(handles.tolist()):
+                seeds.keys() >= set(handle_list):
             return
         param_columns = [
             np.asarray(relation.evaluate_scalar(expr), dtype=np.float64)
             for expr in self.param_exprs]
-        base_arity = max(component for _, component in self.outputs) + 1
-        if param_columns and relation.length:
-            matrix = np.column_stack(param_columns)
-            uniq, inverse = np.unique(matrix, axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)  # numpy 2.0 returned (n, 1) here
-            signatures = [tuple(row) for row in uniq]
+        if param_columns:
+            row_params = list(map(
+                tuple, np.column_stack(param_columns).tolist()))
         else:
-            signatures = [()] if relation.length else []
-            inverse = np.zeros(relation.length, dtype=np.int64)
-        arities = []
-        for params in signatures:
+            row_params = [()] * relation.length
+        base_arity = max(component for _, component in self.outputs) + 1
+        arity_of = {}
+        for params in dict.fromkeys(row_params):
             self.vg.validate_params(params)
-            arities.append(max(base_arity, self.vg.block_arity(params)))
-        base_seed = context.base_seed
-        for row in range(relation.length):
-            handle = int(handles[row])
+            arity_of[params] = max(base_arity, self.vg.block_arity(params))
+        prng_seeds = derive_prng_seeds(context.base_seed, handles).tolist()
+        for handle, prng_seed, params in zip(
+                handle_list, prng_seeds, row_params):
             if handle not in seeds:
-                group = int(inverse[row])
                 seeds[handle] = SeedInfo(
-                    handle=handle,
-                    prng_seed=derive_prng_seed(base_seed, handle),
-                    vg=self.vg, params=signatures[group],
-                    arity=arities[group])
+                    handle, prng_seed, self.vg, params, arity_of[params])
 
     def _gather_shared(self, context, handles, windows, bases):
         """Full run, no position plan: all seeds share one window.
 
         Every handle materializes the same ascending position vector, so
-        the whole relation is filled with one batched gather per output
-        column — the chunk segmentation is computed once and each stream
-        contributes one sliced copy per chunk.
+        the whole relation is filled by one batched call that generates
+        each (seed, chunk) once and writes every output's slice of it
+        straight into ``windows``.
         """
-        length = handles.shape[0]
-        if not length:
+        handle_list = handles.tolist()
+        if not handle_list:
             return {}
-        context.instantiate_rows_computed += length
-        accessors: dict[int, dict[int, object]] = {
-            component: {} for _, component in self.outputs}
-        shared = context.positions_for(int(handles[0]))
-        row_infos = [context.seeds[int(handle)] for handle in handles]
+        context.instantiate_rows_computed += len(handle_list)
+        shared = context.positions_for(handle_list[0])
         bases[:] = shared[0]
-        for name, component in self.outputs:
-            chunk = None
-            row_accessors = []
-            uniform = True
-            for info in row_infos:
-                info_chunk, accessor = self._accessor_of(
-                    accessors[component], info, component)
-                if chunk is None:
-                    chunk = info_chunk
-                elif info_chunk != chunk:
-                    uniform = False
-                row_accessors.append(accessor)
-            if length and uniform:
-                windows[name][:] = gather_stream_windows(
-                    shared, chunk, row_accessors)
-            else:  # mixed chunk sizes: per-row fallback
-                for row, info in enumerate(row_infos):
-                    windows[name][row] = info.values_at(shared, component)
-        return {int(handle): shared for handle in handles}
-
-    @staticmethod
-    def _accessor_of(cache, info, component):
-        entry = cache.get(info.handle)
-        if entry is None:
-            entry = info.chunk_accessor(component)
-            cache[info.handle] = entry
-        return entry
+        gather_stream_windows(
+            shared, [(info.prng_seed, info.vg, info.params)
+                     for info in map(context.seeds.__getitem__, handle_list)],
+            [component for _, component in self.outputs], out=windows)
+        return dict.fromkeys(handle_list, shared)
 
     def _gather_per_row(self, context, handles, windows, bases):
         """Full run under a position plan: windows differ per seed."""
@@ -576,8 +546,8 @@ class Instantiate(PlanNode):
                 positions = context.positions_for(handle)
                 positions_by_handle[handle] = positions
             bases[row] = positions[0]
-            for name, component in self.outputs:
-                windows[name][row] = info.values_at(positions, component)
+            for slot, (_, component) in enumerate(self.outputs):
+                windows[slot, row] = info.values_at(positions, component)
         return positions_by_handle
 
     def _merge_delta(self, context, handles, windows, bases, previous,
@@ -615,6 +585,7 @@ class Instantiate(PlanNode):
                     shared)
         names = [name for name, _ in self.outputs]
         prev_columns = [previous.columns[name] for name in names]
+        windows = dict(zip(names, windows))
         stable = context.stable_handles
         moved = ~np.isin(handles, np.fromiter(stable, dtype=np.int64,
                                               count=len(stable)))
@@ -706,14 +677,13 @@ class Instantiate(PlanNode):
         """
         length = handles.shape[0]
         bases[:prev_rows] = shared[0]
-        for name, _ in self.outputs:
-            windows[name][:prev_rows] = previous.columns[name]
+        for slot, (name, _) in enumerate(self.outputs):
+            windows[slot, :prev_rows] = previous.columns[name]
         context.instantiate_rows_reused += prev_rows
         if prev_rows < length:
-            # The tail views write through into the full matrices.
-            tail = {name: windows[name][prev_rows:] for name, _ in self.outputs}
-            self._gather_shared(context, handles[prev_rows:], tail,
-                                bases[prev_rows:])
+            # The tail view writes through into the full block.
+            self._gather_shared(context, handles[prev_rows:],
+                                windows[:, prev_rows:], bases[prev_rows:])
         positions_by_handle = {int(handle): shared for handle in handles}
         no_fresh = np.empty(0, dtype=np.int64)
         all_fresh = np.arange(shared.size, dtype=np.int64)
@@ -758,7 +728,7 @@ class Select(PlanNode):
             seed_handles, bases = None, None
         else:
             seed_handles, bases = lineage.seed_handles, lineage.bases
-        out = relation.take(np.arange(relation.length))
+        out = relation.shallow_copy()
         out.add_presence(PresenceColumn(flags, seed_handles, bases))
         alive = flags.any(axis=1)
         return out.filter_rows(alive)
@@ -824,7 +794,7 @@ class Project(PlanNode):
 
 
 class Join(PlanNode):
-    """Inner hash equi-join on deterministic key columns."""
+    """Inner equi-join on deterministic key columns."""
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str]):
@@ -854,28 +824,18 @@ class Join(PlanNode):
 
     def _join(self, left: BundleRelation,
               right: BundleRelation) -> BundleRelation:
-        """Hash-match + combine, left row order preserved.
+        """Match + combine: left row order, then ascending right row.
 
         Factored out of :meth:`_run` so the append-splice refresh can
         join just the appended left rows against the unchanged right
         side — the output rows land exactly where a full re-run would
         put them (after every old left row's matches).
         """
-        index: dict[tuple, list[int]] = {}
-        right_key_columns = [right.det_columns[k] for k in self.right_keys]
-        for row in range(right.length):
-            key = tuple(column[row] for column in right_key_columns)
-            index.setdefault(key, []).append(row)
-        left_rows, right_rows = [], []
-        left_key_columns = [left.det_columns[k] for k in self.left_keys]
-        for row in range(left.length):
-            key = tuple(column[row] for column in left_key_columns)
-            for mate in index.get(key, ()):
-                left_rows.append(row)
-                right_rows.append(mate)
-
-        taken_left = left.take(np.asarray(left_rows, dtype=np.int64))
-        taken_right = right.take(np.asarray(right_rows, dtype=np.int64))
+        left_rows, right_rows = self._match(
+            [left.det_columns[k] for k in self.left_keys],
+            [right.det_columns[k] for k in self.right_keys])
+        taken_left = left.take(left_rows)
+        taken_right = right.take(right_rows)
         out = BundleRelation(len(left_rows), left.positions, left.aligned)
         out.det_columns.update(taken_left.det_columns)
         out.det_columns.update(taken_right.det_columns)
@@ -887,6 +847,30 @@ class Join(PlanNode):
         out.fresh_slots = {**taken_left.fresh_slots,
                            **taken_right.fresh_slots}
         return out
+
+    @staticmethod
+    def _match(left_keys, right_keys) -> tuple[np.ndarray, np.ndarray]:
+        """``(left_rows, right_rows)`` of every pair with equal key tuples.
+
+        Each key column pair is factorized over both sides at once
+        (:func:`~repro.engine.bundles.row_key_codes`), the right codes
+        are stably sorted, and every left code finds its run of mates
+        with two ``searchsorted`` calls.  An int column meeting a float
+        column compares as float64 (exact below 2**53).
+        """
+        n_left = left_keys[0].shape[0]
+        codes = row_key_codes([np.concatenate(pair)
+                               for pair in zip(left_keys, right_keys)])
+        left_codes, right_codes = codes[:n_left], codes[n_left:]
+        order = np.argsort(right_codes, kind="stable")
+        sorted_codes = right_codes[order]
+        first = np.searchsorted(sorted_codes, left_codes, side="left")
+        counts = np.searchsorted(sorted_codes, left_codes, side="right") - first
+        left_rows = np.repeat(np.arange(n_left), counts)
+        # Position of each output row within its left row's run of mates.
+        within = np.arange(left_rows.size) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        return left_rows, order[np.repeat(first, counts) + within]
 
     def _fingerprint_parts(self):
         return (tuple(self.left_keys), tuple(self.right_keys))
@@ -1039,11 +1023,9 @@ def _splice(node, context, appends, stale_of, store_refreshed):
         label_id = context.register_label(node.label)
         # A full run numbers handles by row position; the appended rows
         # sit after the stale prefix, so their handles start at its end.
-        handles = np.array(
-            [seed_handle(label_id, offset + row)
-             for row in range(child_delta.length)], dtype=np.int64)
-        delta = child_delta.take(np.arange(child_delta.length))
-        delta.add_det_column(node.handle_column, handles)
+        delta = child_delta.shallow_copy()
+        delta.add_det_column(node.handle_column, seed_handles(
+            label_id, offset, offset + child_delta.length))
     elif isinstance(node, Select):
         child = _splice(node.children[0], context, appends, stale_of,
                         store_refreshed)

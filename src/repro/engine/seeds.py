@@ -23,7 +23,8 @@ import numpy as np
 from repro.vg.base import BlockStream, VGFunction
 from repro.vg.streams import RandomStream
 
-__all__ = ["seed_handle", "derive_prng_seed", "SeedInfo"]
+__all__ = ["seed_handle", "seed_handles", "derive_prng_seed",
+           "derive_prng_seeds", "SeedInfo"]
 
 # 20 label bits + 40 row bits = 60 bits, comfortably inside int64.
 _LABEL_BITS = 20
@@ -37,6 +38,14 @@ def seed_handle(label_id: int, row_index: int) -> int:
     if not 0 <= row_index < (1 << _ROW_BITS):
         raise ValueError(f"row index out of range: {row_index}")
     return (label_id << _ROW_BITS) | row_index
+
+
+def seed_handles(label_id: int, start: int, stop: int) -> np.ndarray:
+    """:func:`seed_handle` of rows ``[start, stop)`` as one int64 vector."""
+    if stop > start:
+        seed_handle(label_id, start)
+        seed_handle(label_id, stop - 1)
+    return (label_id << _ROW_BITS) | np.arange(start, stop, dtype=np.int64)
 
 
 def label_id_of(label: str) -> int:
@@ -54,6 +63,20 @@ def derive_prng_seed(base_seed: int, handle: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
     return z ^ (z >> 31)
+
+
+def derive_prng_seeds(base_seed: int, handles: np.ndarray) -> np.ndarray:
+    """:func:`derive_prng_seed` over a handle vector, as ``uint64``.
+
+    ``uint64`` array arithmetic wraps modulo 2**64, which is the scalar's
+    ``& (2**64 - 1)`` after every step, so the keys are bit-equal.
+    """
+    gold = 0x9E3779B97F4A7C15
+    z = np.asarray(handles).astype(np.uint64) + np.uint64(
+        (base_seed * gold + gold) & (2**64 - 1))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -91,20 +114,6 @@ class SeedInfo:
             return self._scalar().values_at(np.asarray(positions, dtype=np.int64))
         return self._block().component_values_at(
             np.asarray(positions, dtype=np.int64), component)
-
-    def chunk_accessor(self, component: int = 0):
-        """``(chunk_size, chunk_values_fn)`` for batched window gathers.
-
-        ``chunk_values_fn(chunk_index)`` returns that chunk's value vector
-        for ``component``; feeding many seeds' accessors into
-        :func:`repro.vg.streams.gather_stream_windows` materializes all
-        their windows in one call (the signature-batched Instantiate path).
-        """
-        if self.arity == 1:
-            stream = self._scalar()
-            return stream.chunk, stream.chunk_values
-        block = self._block()
-        return block.chunk, block.component_chunk_values(component)
 
     def _scalar(self) -> RandomStream:
         if self._scalar_stream is None:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.vg.streams import (
-    DEFAULT_CHUNK, RandomStream, gather_stream_values, generator_for_chunk)
+    DEFAULT_CHUNK, RandomStream, borrowed_generator, gather_stream_values)
 
 
 class VGFunction(ABC):
@@ -42,7 +42,14 @@ class VGFunction(ABC):
     @abstractmethod
     def sample_blocks(self, rng: np.random.Generator, params: Sequence[float],
                       size: int) -> np.ndarray:
-        """Draw ``size`` independent blocks; returns shape ``(size, arity)``."""
+        """Draw ``size`` independent blocks; returns shape ``(size, arity)``.
+
+        ``rng`` is *borrowed*: the stream layer hands every call the same
+        per-thread generator, re-seeked to the chunk being drawn (see
+        :func:`repro.vg.streams.borrowed_generator`).  Draw from it and
+        return — do not keep a reference past the call, and do not read
+        another stream's values from inside it.
+        """
 
     def validate_params(self, params: Sequence[float]) -> None:
         """Raise ``ValueError`` for an invalid parameterization."""
@@ -113,26 +120,12 @@ class BlockStream:
     def _chunk_values(self, chunk_index: int) -> np.ndarray:
         blocks = self._cache.get(chunk_index)
         if blocks is None:
-            rng = generator_for_chunk(self.seed, chunk_index)
+            rng = borrowed_generator(self.seed, chunk_index)
             blocks = np.asarray(
                 self.vg.sample_blocks(rng, self.params, self._chunk), dtype=np.float64)
             blocks = blocks.reshape(self._chunk, self.arity)
             self._cache[chunk_index] = blocks
         return blocks
-
-    @property
-    def chunk(self) -> int:
-        """Chunk size — the generation granularity of this stream."""
-        return self._chunk
-
-    def component_chunk_values(self, component: int):
-        """Chunk-vector accessor for one output component.
-
-        Returns a callable ``f(chunk_index) -> (chunk,) values`` usable
-        with :func:`repro.vg.streams.gather_stream_windows` — the batched
-        multi-stream gather path of ``Instantiate``.
-        """
-        return lambda cid: self._chunk_values(cid)[:, component]
 
     def block_at(self, position: int) -> np.ndarray:
         if position < 0:

@@ -22,10 +22,28 @@ We use ``numpy``'s Philox counter-based bit generator: ``Philox(key=seed)``
 jumped to block ``i`` gives O(1) access to any position without generating
 the prefix, which both keeps regeneration cheap and makes position access
 order-independent.
+
+**The seek.**  A Philox generator *is* its state: a 128-bit key, a 256-bit
+block counter and a four-word output buffer.  ``Philox(key=seed)`` sets key
+word 0 to the seed with a zero counter, and ``advance(chunk << 40)`` adds
+that to the counter and discards the buffer — so writing key ``[seed, 0]``,
+counter ``chunk << 40`` (low 64 bits in word 0, the carry in word 1) and an
+empty buffer through the bit generator's ``state`` setter lands on exactly
+the same state, hence the same bits, without constructing anything.
+Construction is what used to dominate: ``Philox(key=...)`` builds a
+throw-away ``SeedSequence`` from OS entropy, one ``urandom`` syscall per
+(seed, chunk), costing twice the 256 normals it precedes.  So every stream
+draws from one generator per thread (:func:`borrowed_generator`) that is
+re-seeked per chunk.  The rule that makes this safe: the generator is
+*borrowed* for one ``sample_blocks`` call and never kept — a sampler that
+stored it, or pulled another stream's values while drawing, would find it
+re-seeked under its feet.  :func:`generator_for_chunk` remains for callers
+that need an object of their own.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +51,12 @@ import numpy as np
 # Values are generated in fixed-size chunks so that regenerating a stream
 # after replenishment touches each chunk at most once.
 DEFAULT_CHUNK = 256
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Each Philox block yields 4 x 64 bits; chunks sit 2**40 blocks apart, far
+# enough that they can never overlap regardless of how many variates one
+# element consumes.
+_CHUNK_SHIFT = 40
 
 
 def gather_stream_values(positions, chunk: int, chunk_values) -> np.ndarray:
@@ -65,22 +89,29 @@ def gather_stream_values(positions, chunk: int, chunk_values) -> np.ndarray:
     return out
 
 
-def gather_stream_windows(positions, chunk: int, row_chunk_values) -> np.ndarray:
-    """One vectorized gather over many streams sharing a position vector.
+def gather_stream_windows(positions, rows, components,
+                          out: np.ndarray | None = None,
+                          chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """Fill many streams' windows over one shared position vector.
 
-    ``row_chunk_values[r](chunk_index)`` must return stream ``r``'s chunk
-    value vector.  This is the batched form of :func:`gather_stream_values`
-    used by the signature-batched ``Instantiate``: the chunk segmentation
-    of ``positions`` is computed *once* and reused for every stream, so
-    the per-row cost collapses to one sliced copy per (row, chunk) pair.
-    Positions must be chunk-ascending (ascending chunk indices; any order
-    within a chunk) — the Instantiate window case.  Callers with
-    arbitrary position order fall back to per-row gathers.
+    ``rows[r]`` is ``(prng_seed, vg, params)`` — the stream of ``vg`` with
+    that parameter tuple fueled by that seed — and ``out[i, r]`` receives
+    component ``components[i]`` of its blocks at ``positions``.  ``out``
+    is the ``(len(components), len(rows), len(positions))`` float64 matrix
+    to write into — ``Instantiate``'s output rows — allocated when
+    ``None``, and is returned either way.  This is the one batched fill of
+    the full-run path: the chunk segmentation of ``positions`` is computed
+    *once*, and each (seed, chunk) pair costs a re-seek of the borrowed
+    generator (:func:`borrowed_generator`), one ``sample_blocks`` call and
+    one sliced copy per component — no stream object, closure or chunk
+    cache per seed.  Positions must be chunk-ascending (ascending chunk
+    indices; any order within a chunk) — the Instantiate window case;
+    callers with arbitrary position order use per-stream ``values_at``.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    rows = len(row_chunk_values)
-    out = np.empty((rows, positions.size), dtype=np.float64)
-    if positions.size == 0 or rows == 0:
+    if out is None:
+        out = np.empty((len(components), len(rows), positions.size))
+    if positions.size == 0 or not len(rows):
         return out
     if np.any(positions < 0):
         raise IndexError("stream positions must be >= 0")
@@ -90,28 +121,63 @@ def gather_stream_windows(positions, chunk: int, row_chunk_values) -> np.ndarray
         raise ValueError("gather_stream_windows requires ascending positions")
     starts = np.concatenate(
         ([0], np.flatnonzero(np.diff(chunk_ids)) + 1, [chunk_ids.size]))
-    segments = [(int(starts[i]), int(starts[i + 1]),
-                 int(chunk_ids[starts[i]]), offsets[starts[i]:starts[i + 1]])
-                for i in range(len(starts) - 1)]
-    for row, chunk_values in enumerate(row_chunk_values):
-        target = out[row]
-        for lo, hi, cid, segment_offsets in segments:
-            target[lo:hi] = chunk_values(cid)[segment_offsets]
+    segments = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        index = offsets[lo:hi]
+        if np.all(np.diff(index) == 1):  # a contiguous run: copy by slice
+            index = slice(int(index[0]), int(index[-1]) + 1)
+        segments.append((lo, hi, int(chunk_ids[lo]), index))
+    targets = list(enumerate(components))
+    for row, (seed, vg, params) in enumerate(rows):
+        for lo, hi, chunk_index, index in segments:
+            blocks = np.asarray(
+                vg.sample_blocks(borrowed_generator(seed, chunk_index),
+                                 params, chunk),
+                dtype=np.float64).reshape(chunk, -1)
+            for slot, component in targets:
+                out[slot, row, lo:hi] = blocks[index, component]
     return out
 
 
 def generator_for_chunk(seed: int, chunk_index: int) -> np.random.Generator:
-    """Return a Generator positioned deterministically for one chunk.
+    """Return a *fresh* Generator positioned deterministically for one chunk.
 
     Philox is counter-based: advancing the counter by a fixed amount per
     chunk yields independent, reproducible sub-streams without generating
-    intermediate values.
+    intermediate values.  Callers may hold several of these at once; the
+    stream classes themselves use :func:`borrowed_generator`, which yields
+    the same bits without constructing anything.
     """
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-    # Each Philox block yields 4 x 64 bits; jump far enough that chunks can
-    # never overlap regardless of how many variates one element consumes.
-    bitgen.advance(chunk_index * (1 << 40))
+    bitgen = np.random.Philox(key=seed & _MASK64)
+    bitgen.advance(chunk_index << _CHUNK_SHIFT)
     return np.random.Generator(bitgen)
+
+
+_pool = threading.local()
+
+
+def borrowed_generator(seed: int, chunk_index: int) -> np.random.Generator:
+    """This thread's pooled Generator, re-seeked to ``(seed, chunk_index)``.
+
+    Bit-equal to :func:`generator_for_chunk` (see the module docstring) at
+    a fraction of the cost.  The generator is *borrowed*: the next call on
+    this thread re-seeks the very same object, so draw what you need and
+    let go of it before anything else can ask for a chunk.
+    """
+    entry = getattr(_pool, "entry", None)
+    if entry is None:
+        bitgen = np.random.Philox(key=0)
+        state = bitgen.state  # counter 0, empty buffer, no cached uint32
+        entry = _pool.entry = (
+            bitgen, np.random.Generator(bitgen), state,
+            state["state"]["counter"], state["state"]["key"])
+    bitgen, generator, state, counter, key = entry
+    shifted = chunk_index << _CHUNK_SHIFT
+    key[0] = seed & _MASK64
+    counter[0] = shifted & _MASK64
+    counter[1] = shifted >> 64  # the carry: chunk_index >= 2**24
+    bitgen.state = state
+    return generator
 
 
 class RandomStream:
@@ -134,22 +200,13 @@ class RandomStream:
     def _chunk_values(self, chunk_index: int) -> np.ndarray:
         values = self._cache.get(chunk_index)
         if values is None:
-            rng = generator_for_chunk(self.seed, chunk_index)
+            rng = borrowed_generator(self.seed, chunk_index)
             values = np.asarray(self._sampler(rng, self._chunk), dtype=np.float64)
             if values.shape != (self._chunk,):
                 raise ValueError(
                     f"sampler returned shape {values.shape}, expected ({self._chunk},)")
             self._cache[chunk_index] = values
         return values
-
-    @property
-    def chunk(self) -> int:
-        """Chunk size — the generation granularity of this stream."""
-        return self._chunk
-
-    def chunk_values(self, chunk_index: int) -> np.ndarray:
-        """The ``(chunk,)`` value vector of one chunk (cached)."""
-        return self._chunk_values(chunk_index)
 
     def value_at(self, position: int) -> float:
         """Return the stream element at ``position`` (0-based)."""

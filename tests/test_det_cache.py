@@ -530,13 +530,14 @@ class TestSignatureBatchedInstantiate:
     def test_gather_stream_windows_rejects_descending_chunks(self):
         with pytest.raises(ValueError, match="ascending"):
             gather_stream_windows(
-                np.array([5, 1]), 4, [lambda cid: np.zeros(4)])
+                np.array([5, 1]), [(7, NORMAL, (0.0, 1.0))], [0], chunk=4)
 
     def test_gather_stream_windows_within_chunk_disorder_ok(self):
         out = gather_stream_windows(
-            np.array([3, 1, 2]), 4,
-            [lambda cid: np.arange(4, dtype=np.float64)])
-        np.testing.assert_array_equal(out, [[3.0, 1.0, 2.0]])
+            np.array([3, 1, 2]), [(7, NORMAL, (0.0, 1.0))], [0], chunk=4)
+        stream = NORMAL.make_stream(7, (0.0, 1.0), chunk=4)
+        assert out.shape == (1, 1, 3)
+        np.testing.assert_array_equal(out[0, 0], stream.values_at([3, 1, 2]))
 
 
 class TestDeltaMergeEquivalence:

@@ -1,12 +1,18 @@
 """Unit and property tests for repro.vg.streams."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vg.builtin import NORMAL, UNIFORM
-from repro.vg.streams import RandomStream, StreamWindow, generator_for_chunk
+from repro.vg.builtin import (
+    DISCRETE_CHOICE, MIXTURE, MULTIVARIATE_NORMAL, NORMAL, UNIFORM)
+from repro.vg.streams import (
+    RandomStream, StreamWindow, borrowed_generator, gather_stream_windows,
+    generator_for_chunk)
 
 
 def _unit_normal_stream(seed=7, chunk=256):
@@ -168,3 +174,136 @@ class TestStreamWindow:
         np.testing.assert_allclose(
             w.values_at([1, 10, 12]),
             [s.value_at(1), s.value_at(10), s.value_at(12)])
+
+
+# (vg, params) the seek is pinned on: continuous, bounded, discrete, and
+# the mixture whose second draw depends on how many bits the first used.
+_SEEK_CASES = [
+    (NORMAL, (0.3, 1.7)),
+    (UNIFORM, (-1.0, 2.0)),
+    (DISCRETE_CHOICE, (20.0, 1.0, 21.0, 3.0, 25.0, 0.5)),
+    (MIXTURE, (0.3, -2.0, 0.5, 0.7, 4.0, 2.0)),
+]
+
+
+def _run_threads(targets):
+    """Run one thread per callable to completion (bounded wait)."""
+    workers = [threading.Thread(target=target) for target in targets]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+
+
+class TestBorrowedGenerator:
+    """The pooled counter-seek generator vs. a freshly constructed one."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+           chunk=st.one_of(st.integers(0, 64),
+                           st.integers(2**24 - 2, 2**24 + 2),  # the carry
+                           st.integers(0, 2**30)),
+           case=st.sampled_from(_SEEK_CASES))
+    @settings(max_examples=120, deadline=None)
+    def test_seek_equals_fresh_generator_bit_for_bit(self, seed, chunk, case):
+        vg, params = case
+        fresh = vg.sample_blocks(generator_for_chunk(seed, chunk), params, 64)
+        # Leave the pooled generator mid-buffer with a cached uint32, the
+        # state a previous borrower hands over.
+        borrowed_generator(seed ^ 1, chunk + 1).integers(
+            0, 9, size=3, dtype=np.uint32)
+        pooled = vg.sample_blocks(borrowed_generator(seed, chunk), params, 64)
+        assert np.asarray(pooled).tobytes() == np.asarray(fresh).tobytes()
+
+    def test_generator_for_chunk_returns_independent_objects(self):
+        first = generator_for_chunk(99, 0)
+        second = generator_for_chunk(99, 1)
+        assert first is not second
+        assert first.bit_generator is not second.bit_generator
+        expected = generator_for_chunk(99, 0).normal(size=4)
+        second.normal(size=4)  # drawing from one does not move the other
+        np.testing.assert_array_equal(first.normal(size=4), expected)
+
+    def test_borrowing_is_one_object_per_thread(self):
+        mine = borrowed_generator(1, 0)
+        assert borrowed_generator(2, 5) is mine
+        theirs = []
+        _run_threads([lambda: theirs.append(borrowed_generator(1, 0))])
+        assert theirs[0] is not mine
+
+    def test_filling_many_streams_constructs_no_bit_generators(
+            self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        positions = np.arange(3 * 256)
+
+        def fill():
+            rows = [(seed, NORMAL, (0.0, 1.0)) for seed in range(200)]
+            gather_stream_windows(positions, rows, [0])
+            for seed in range(200):  # and the per-stream path
+                NORMAL.make_stream(seed, (0.0, 1.0)).values_at(positions)
+
+        _run_threads([fill, fill])
+        # 2 threads x 200 streams x 3 chunks x 2 paths = 2400 chunks drawn.
+        assert len(built) <= 2
+
+    def test_concurrent_fills_equal_the_serial_fill(self):
+        positions = np.arange(100, 700)
+        blocks = [[(seed, NORMAL, (float(seed), 2.0))
+                   for seed in range(lo, lo + 60)] for lo in (0, 60, 120)]
+        serial = [gather_stream_windows(positions, rows, [0])
+                  for rows in blocks]
+        results = [None] * len(blocks)
+
+        def fill(index):
+            for _ in range(5):
+                results[index] = gather_stream_windows(
+                    positions, blocks[index], [0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads([lambda index=index: fill(index)
+                          for index in range(len(blocks))])
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestGatherStreamWindows:
+    def test_matches_per_stream_values_for_every_component(self):
+        params = (1.0, -1.0, 2.0, 0.6, 0.6, 1.0)  # mean(2), cov(2x2)
+        positions = np.array([250, 251, 255, 254, 256, 300, 511, 512])
+        rows = [(seed, MULTIVARIATE_NORMAL, params) for seed in (3, 2**63 + 5)]
+        out = gather_stream_windows(positions, rows, [1, 0])
+        assert out.shape == (2, 2, positions.size)
+        for row, (seed, vg, _) in enumerate(rows):
+            stream = vg.make_block_stream(seed, params)
+            for slot, component in enumerate([1, 0]):
+                np.testing.assert_array_equal(
+                    out[slot, row],
+                    stream.component_values_at(positions, component))
+
+    def test_writes_into_the_given_rows(self):
+        positions = np.arange(10)
+        out = np.full((1, 3, 10), np.nan)
+        returned = gather_stream_windows(
+            positions, [(5, UNIFORM, (0.0, 1.0))], [0], out=out[:, 1:2])
+        assert returned.base is out
+        assert np.isnan(out[0, 0]).all() and np.isnan(out[0, 2]).all()
+        np.testing.assert_array_equal(
+            out[0, 1], UNIFORM.make_stream(5, (0.0, 1.0)).values_at(positions))
+
+    def test_empty_inputs(self):
+        assert gather_stream_windows(np.arange(4), [], [0]).shape == (1, 0, 4)
+        assert gather_stream_windows(
+            [], [(1, NORMAL, (0.0, 1.0))], [0]).shape == (1, 1, 0)
+        with pytest.raises(IndexError):
+            gather_stream_windows([0, -1], [(1, NORMAL, (0.0, 1.0))], [0])
