@@ -1,13 +1,13 @@
-"""Worker-pool amortization + the stateful Gibbs transport.
+"""Worker-pool amortization: persistent ProcessBackend vs per-query pools.
 
-Part 1 — persistent ProcessBackend vs per-query pools.  The seed
-implementation spun up a throwaway ``ProcessPoolExecutor`` per query and
-pickled the whole executor — catalog, plan, det cache — once per shard
-task.  The backend layer (``src/repro/engine/backends.py``) replaces
-that with a session-owned persistent pool, a broadcast-once job payload
-and ``(job_id, lo, hi)`` shard-task triples, with the catalog on a keyed
-shared channel shipped to each worker once per catalog version (the LCG
-MCDB's service-level Monte Carlo production is the model, PAPERS.md).
+The seed implementation spun up a throwaway ``ProcessPoolExecutor`` per
+query and pickled the whole executor — catalog, plan, det cache — once
+per shard task.  The backend layer (``src/repro/engine/backends.py``)
+replaces that with a session-owned persistent pool, a broadcast-once job
+payload and ``(job_id, lo, hi)`` shard-task triples, with the catalog on
+a keyed shared channel shipped to each worker once per catalog version
+(the LCG MCDB's service-level Monte Carlo production is the model,
+PAPERS.md).
 
 This benchmark runs an E1-style portfolio session — one CREATE, then
 ``QUERIES`` Monte Carlo loss queries — at ``n_jobs = 4`` two ways:
@@ -22,73 +22,18 @@ session, and the transport accounting must show broadcast-once behavior
 (catalog pickled once, shard tasks catalog-free — the byte-level
 regression test lives in ``tests/test_backends.py``).
 
-Part 2 — worker-owned Gibbs seed state vs snapshot broadcast.  The
-PR-3 seed-axis sharding re-pickled the mutating tuple/state snapshot
-every sweep (``gibbs_state="broadcast"``); worker-owned state
-(``gibbs_state="worker"``, the default) ships each handle range once at
-``init_state`` and keeps the workers in sync with per-commit
-notifications, serving follow-up windows from the owned state too.
+Tail queries are not measured here: they never use the pool (the Gibbs
+sweep is Gauss–Seidel over TS-seeds and runs in-process).
 
-Gates on a multi-sweep, rejection-heavy Gibbs workload: >= 5x fewer
-per-sweep parent->worker transport bytes than the snapshot broadcast,
-``followup_windows > 0`` (rejection-heavy seeds really are served
-past their first window), bit-identical samples, and a wall-clock
-guard — the stateful transport must never be materially slower than
-the snapshot re-ship it replaces.
-
-Part 3 — delta state re-init + speculative follow-up prefetch.  Under
-``state_reinit="full"`` every replenishment discards the worker-owned
-shards and the next sweep re-ships the whole snapshot;
-``state_reinit="delta"`` (the default) keeps the shards alive and ships
-each owner one ``state_merge`` splice carrying only the
-never-materialized window values.  ``speculate_followups`` lets the
-owners of rejection-heavy seeds pre-compute the sweep's predicted next
-window and piggyback it, so follow-up requests resolve from the
-speculation buffer instead of a blocking state call.
-
-Gates on a replenishment-heavy, skew-rejection workload: >= 5x fewer
-replenishment-path re-init bytes (delta merges vs the full snapshot
-re-ships they replace), at least two survived replenishments, > 0
-speculative follow-up hits with strictly fewer blocking state calls,
-and bit-identical samples across all four state_reinit x
-speculate_followups combinations.
-
-Part 4 — K-deep speculative window chains + adaptive sweep scheduling.
-PR 5's one-window-deep speculation still blocks on a ``state_call``
-every other follow-up once a rejection streak outruns the single
-buffered window.  ``speculate_depth=K`` lets each ``GibbsSeedShard``
-owner speculate a K-deep chain of successor windows
-(successor-of-successor under continued rejection), sized per seed from
-the acceptance-pressure counters, and ``sweep_order="adaptive"`` batches
-commit notifications per sweep segment and serves hot seeds first so
-the chains are warm when the sequential Gauss-Seidel consumer arrives.
-
-The workload is a deep-tail (m=3) run with one extreme-variance hot
-seed: the final conditioning steps reject almost every candidate, so
-the hot seed's versions burn through long full-rejection window streaks
-— exactly the premise a K-deep chain survives on.  Gates: the K-deep
-chained config cuts blocking follow-up ``state_calls`` per sweep >= 2x
-vs the PR 5 baseline (``speculate_depth=1``, natural order), the
-default depth-4 config >= 1.4x, speculated-window waste stays bounded
-(<= 1.5 wasted chain entries per follow-up window), commit batching
-really coalesces casts, and the samples are bit-identical across every
-leg.
+Run:  python benchmarks/bench_scaling.py [--json]
 """
 
 import numpy as np
 
-from repro.core.gibbs_looper import GibbsLooper
-from repro.core.params import TailParams
-from repro.engine.backends import ProcessBackend
-from repro.engine.expressions import col, lit
-from repro.engine.operators import random_table_pipeline
 from repro.engine.options import ExecutionOptions
-from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
-from repro.engine.table import Catalog, Table
 from repro.experiments import (
     format_table, print_experiment, record_metric, run_benchmark_cli, timed)
 from repro.sql import Session
-from repro.vg.builtin import NORMAL
 
 CUSTOMERS = 120
 REPETITIONS = 48
@@ -206,409 +151,5 @@ def test_persistent_pool_amortizes_per_query_overhead():
         f"persistent pool only {speedup:.2f}x faster; need >= 1.5x")
 
 
-#: Gibbs transport workload: many seeds x a wide window x m*k sweeps,
-#: with a tight elite fraction so rejection-heavy versions exhaust their
-#: first candidate windows and pull follow-ups from the workers.  The
-#: window is wide enough that the run never replenishes — the worker
-#: snapshot ships exactly once and every later sweep is notifications.
-GIBBS_CUSTOMERS = 120
-GIBBS_WINDOW = 16000
-GIBBS_VERSIONS = 60
-GIBBS_SAMPLES = 30
-GIBBS_M = 2
-GIBBS_K = 2
-GIBBS_P_STEP = 0.2
-GIBBS_N_JOBS = 2
-GIBBS_ROUNDS = 3
-
-
-def _gibbs_looper(backend, gibbs_state):
-    catalog = Catalog()
-    rng = np.random.default_rng(7)
-    catalog.add_table(Table("means", {
-        "CID": np.arange(GIBBS_CUSTOMERS),
-        "m": rng.uniform(0.5, 3.0, size=GIBBS_CUSTOMERS)}))
-    spec = RandomTableSpec(
-        name="Losses", parameter_table="means", vg=NORMAL,
-        vg_params=(col("m"), lit(1.0)),
-        random_columns=(RandomColumnSpec("val"),),
-        passthrough_columns=("CID",))
-    params = TailParams(p=GIBBS_P_STEP ** GIBBS_M, m=GIBBS_M,
-                        n_steps=(GIBBS_VERSIONS,) * GIBBS_M,
-                        p_steps=(GIBBS_P_STEP,) * GIBBS_M)
-    return GibbsLooper(
-        random_table_pipeline(spec), catalog, params, GIBBS_SAMPLES,
-        aggregate_kind="sum", aggregate_expr=col("val"),
-        window=GIBBS_WINDOW, base_seed=BASE_SEED, k=GIBBS_K,
-        options=ExecutionOptions(n_jobs=GIBBS_N_JOBS, backend="process",
-                                 gibbs_state=gibbs_state),
-        backend=backend)
-
-
-def _run_gibbs(gibbs_state):
-    backend = ProcessBackend(GIBBS_N_JOBS)
-    try:
-        result, seconds = timed(_gibbs_looper(backend, gibbs_state).run)
-        return result, seconds, dict(backend.stats)
-    finally:
-        backend.close()
-
-
-def test_worker_state_cuts_gibbs_sweep_transport():
-    sweeps = GIBBS_M * GIBBS_K
-    results, best, stats = {}, {}, {}
-    for gibbs_state in ("worker", "broadcast"):
-        best[gibbs_state] = np.inf
-        for _ in range(GIBBS_ROUNDS):
-            result, seconds, run_stats = _run_gibbs(gibbs_state)
-            best[gibbs_state] = min(best[gibbs_state], seconds)
-            results[gibbs_state] = result
-            stats[gibbs_state] = run_stats
-
-    worker, broadcast = results["worker"], results["broadcast"]
-    np.testing.assert_array_equal(worker.samples, broadcast.samples)
-    assert worker.assignments == broadcast.assignments
-
-    # Per-sweep parent->worker bytes, with the worker mode's one-off
-    # snapshot init reported separately (broadcast has no init to strip).
-    per_sweep = {
-        mode: (stats[mode]["sent_bytes"] - stats[mode]["state_init_bytes"])
-        / sweeps
-        for mode in stats}
-    reduction = per_sweep["broadcast"] / per_sweep["worker"]
-    body = format_table(
-        ["gibbs_state", "total s", "per-sweep bytes", "init bytes",
-         "snapshot jobs", "notifications", "follow-up windows"],
-        [["worker", f"{best['worker']:.3f}",
-          f"{per_sweep['worker']:,.0f}",
-          f"{stats['worker']['state_init_bytes']:,}",
-          stats["worker"]["jobs"], stats["worker"]["state_casts"],
-          worker.followup_windows],
-         ["broadcast", f"{best['broadcast']:.3f}",
-          f"{per_sweep['broadcast']:,.0f}", 0,
-          stats["broadcast"]["jobs"], 0, broadcast.followup_windows]])
-    body += (f"\n\nper-sweep transport reduction: {reduction:.1f}x "
-             f"(gate: >= 5x) over {sweeps} sweeps")
-    print_experiment(
-        f"Worker-owned Gibbs seed state vs snapshot broadcast "
-        f"(n_jobs={GIBBS_N_JOBS}, {GIBBS_CUSTOMERS} seeds)", body)
-
-    # The stateful protocol's accounting: snapshots ship only when
-    # replenishment invalidated the mirrors (at most once per sweep, at
-    # most once per plan re-run — never routinely per sweep), and the
-    # job-broadcast path is never used at all.  The hard "zero re-ships
-    # after sweep 1" pin on a replenishment-free workload lives in
-    # tests/test_backends.py.
-    record_metric("bench_scaling", "per_sweep_transport_reduction",
-                  round(reduction, 2), gate=">= 5x")
-    record_metric("bench_scaling", "followup_windows",
-                  worker.followup_windows, gate="> 0")
-    record_metric("bench_scaling", "worker_vs_broadcast_wallclock",
-                  round(best["worker"] / best["broadcast"], 3),
-                  gate="<= 1.2x")
-
-    assert 1 <= stats["worker"]["state_inits"] <= worker.plan_runs
-    assert stats["worker"]["jobs"] == 0
-    assert worker.followup_windows > 0
-    assert worker.sharded_windows > worker.followup_windows
-    assert reduction >= 5.0, (
-        f"worker state only cut per-sweep transport {reduction:.1f}x; "
-        "need >= 5x")
-    # Wall-clock guard: replacing snapshot pickling with notifications
-    # must not slow the sweep down (generous bound: CI boxes are noisy).
-    assert best["worker"] <= best["broadcast"] * 1.2, (
-        f"worker state {best['worker']:.3f}s vs broadcast "
-        f"{best['broadcast']:.3f}s; must be <= 1.2x")
-
-
-#: Delta re-init workload: a wide window (the snapshot is megabytes) and
-#: a few extreme-variance "hot" customers whose rejection streaks burn
-#: through it, forcing replenishments that the delta path survives with
-#: splices while the full path re-ships the snapshot — and whose long
-#: zero-accept window chains are what the speculative follow-up prefetch
-#: predicts.  The cold majority barely consumes, so the
-#: never-materialized share per refuel stays far below the snapshot.
-REINIT_CUSTOMERS = 100
-REINIT_HOT = 4
-REINIT_HOT_SIGMA = 30.0
-REINIT_COLD_SIGMA = 0.25
-REINIT_WINDOW = 2500
-REINIT_VERSIONS = 60
-REINIT_SAMPLES = 30
-REINIT_M = 2
-REINIT_K = 2
-REINIT_P_STEP = 0.12
-REINIT_N_JOBS = 2
-
-
-def _reinit_looper(backend, state_reinit, speculate):
-    catalog = Catalog()
-    rng = np.random.default_rng(7)
-    sigma = np.full(REINIT_CUSTOMERS, REINIT_COLD_SIGMA)
-    sigma[:REINIT_HOT] = REINIT_HOT_SIGMA
-    catalog.add_table(Table("means", {
-        "CID": np.arange(REINIT_CUSTOMERS),
-        "m": rng.uniform(0.5, 3.0, size=REINIT_CUSTOMERS),
-        "s": sigma}))
-    spec = RandomTableSpec(
-        name="Losses", parameter_table="means", vg=NORMAL,
-        vg_params=(col("m"), col("s")),
-        random_columns=(RandomColumnSpec("val"),),
-        passthrough_columns=("CID",))
-    params = TailParams(
-        p=REINIT_P_STEP ** REINIT_M, m=REINIT_M,
-        n_steps=(REINIT_VERSIONS,) * REINIT_M,
-        p_steps=(REINIT_P_STEP,) * REINIT_M)
-    return GibbsLooper(
-        random_table_pipeline(spec), catalog, params, REINIT_SAMPLES,
-        aggregate_kind="sum", aggregate_expr=col("val"),
-        window=REINIT_WINDOW, base_seed=BASE_SEED, k=REINIT_K,
-        options=ExecutionOptions(
-            n_jobs=REINIT_N_JOBS, backend="process", gibbs_state="worker",
-            state_reinit=state_reinit, speculate_followups=speculate),
-        backend=backend)
-
-
-def test_delta_reinit_and_speculation_cut_replenishment_transport():
-    results, stats = {}, {}
-    for state_reinit in ("full", "delta"):
-        for speculate in (False, True):
-            backend = ProcessBackend(REINIT_N_JOBS)
-            try:
-                results[(state_reinit, speculate)] = _reinit_looper(
-                    backend, state_reinit, speculate).run()
-                stats[(state_reinit, speculate)] = dict(backend.stats)
-            finally:
-                backend.close()
-
-    baseline = results[("full", False)]
-    for key, result in results.items():
-        np.testing.assert_array_equal(result.samples, baseline.samples)
-        assert result.assignments == baseline.assignments, key
-
-    full, delta = results[("full", True)], results[("delta", True)]
-    full_stats, delta_stats = stats[("full", True)], stats[("delta", True)]
-    # Replenishment-path re-init bytes: every snapshot ship beyond the
-    # first is replenishment-caused in full mode; both modes' first inits
-    # are byte-identical runs, so the difference isolates the re-ships
-    # the delta splices replace.
-    reinit_bytes = (full_stats["state_init_bytes"]
-                    - delta_stats["state_init_bytes"])
-    merge_bytes = delta_stats["state_merge_bytes"]
-    reduction = reinit_bytes / max(merge_bytes, 1)
-    calls_without = stats[("delta", False)]["state_calls"]
-    calls_with = delta_stats["state_calls"]
-
-    body = format_table(
-        ["state_reinit", "speculate", "plan runs", "snapshot inits",
-         "merges", "init bytes", "merge bytes", "state calls",
-         "spec hits", "wasted"],
-        [[reinit, spec, results[(reinit, spec)].plan_runs,
-          results[(reinit, spec)].worker_state_inits,
-          results[(reinit, spec)].worker_state_merges,
-          f"{stats[(reinit, spec)]['state_init_bytes']:,}",
-          f"{stats[(reinit, spec)]['state_merge_bytes']:,}",
-          stats[(reinit, spec)]["state_calls"],
-          results[(reinit, spec)].speculated_windows,
-          results[(reinit, spec)].wasted_speculations]
-         for reinit in ("full", "delta") for spec in (False, True)])
-    body += (f"\n\nreplenishment re-init transport reduction: "
-             f"{reduction:.1f}x (gate: >= 5x) over "
-             f"{delta.worker_state_merges} merges; blocking state calls "
-             f"{calls_without} -> {calls_with} with speculation "
-             f"({delta.speculated_windows} buffer hits)")
-    print_experiment(
-        f"Delta state re-init + speculative follow-up prefetch "
-        f"(n_jobs={REINIT_N_JOBS}, {REINIT_CUSTOMERS} seeds, "
-        f"{REINIT_HOT} hot)", body)
-
-    record_metric("bench_scaling", "reinit_transport_reduction",
-                  round(reduction, 2), gate=">= 5x")
-    record_metric("bench_scaling", "survived_replenishments",
-                  delta.worker_state_merges, gate=">= 2")
-    record_metric("bench_scaling", "speculative_hits",
-                  delta.speculated_windows, gate="> 0")
-    record_metric("bench_scaling", "blocking_calls_with_speculation",
-                  calls_with, gate=f"< {calls_without}")
-    record_metric("bench_scaling", "merged_positions",
-                  delta.merged_positions)
-
-    # The delta path must really have survived the refuels: one snapshot
-    # ship for the whole query, every replenishment a merge.
-    assert delta.plan_runs > 2, "workload must replenish at least twice"
-    assert delta.worker_state_inits == 1
-    assert delta.worker_state_merges == delta.plan_runs - 1
-    assert delta.worker_state_merges >= 2
-    assert full.worker_state_merges == 0
-    assert full.worker_state_inits > 1  # the re-ships delta avoids
-    assert reduction >= 5.0, (
-        f"delta re-init only cut replenishment transport {reduction:.1f}x; "
-        "need >= 5x")
-    # Speculation: strictly fewer blocking state calls, >0 buffer hits,
-    # at unchanged results (asserted bit-identical above).
-    assert delta.speculated_windows > 0
-    assert calls_with < calls_without, (
-        f"speculation did not reduce blocking state calls "
-        f"({calls_without} -> {calls_with})")
-
-
-#: K-deep chain workload: one extreme-variance hot seed in a deep-tail
-#: (m=3) run.  The last conditioning steps accept ~1 candidate in tens
-#: of thousands for the hot seed, so its versions scan long streaks of
-#: entirely-rejected windows — the all-rejected premise a speculated
-#: chain survives on.  The proposal budget bounds each version's burn so
-#: streaks end in stalls (which leave the epoch alone) more often than
-#: in commits (which kill the chain), and the wide window keeps
-#: mid-sweep replenishments — whose merges invalidate every chain —
-#: rare.
-CHAIN_CUSTOMERS = 12
-CHAIN_HOT = 1
-CHAIN_HOT_SIGMA = 80.0
-CHAIN_COLD_SIGMA = 0.25
-CHAIN_WINDOW = 200_000
-CHAIN_VERSIONS = 34
-CHAIN_SAMPLES = 16
-CHAIN_M = 3
-CHAIN_K = 2
-CHAIN_P_STEP = 0.03
-CHAIN_MAX_PROPOSALS = 90_000
-CHAIN_WINDOW_GROWTH = 2.0
-CHAIN_N_JOBS = 2
-#: (label, speculate_depth, sweep_order) legs.  depth=1 + natural order
-#: is byte-for-byte the PR 5 protocol; depth=4 + adaptive is the
-#: shipping default; depth=8 is the deep-chain configuration the >= 2x
-#: gate runs against.
-CHAIN_LEGS = (
-    ("pr5 baseline", 1, "natural"),
-    ("default", 4, "adaptive"),
-    ("deep", 8, "adaptive"),
-)
-
-
-def _chain_looper(backend, speculate_depth, sweep_order):
-    catalog = Catalog()
-    rng = np.random.default_rng(7)
-    sigma = np.full(CHAIN_CUSTOMERS, CHAIN_COLD_SIGMA)
-    sigma[:CHAIN_HOT] = CHAIN_HOT_SIGMA
-    catalog.add_table(Table("means", {
-        "CID": np.arange(CHAIN_CUSTOMERS),
-        "m": rng.uniform(0.5, 3.0, size=CHAIN_CUSTOMERS),
-        "s": sigma}))
-    spec = RandomTableSpec(
-        name="Losses", parameter_table="means", vg=NORMAL,
-        vg_params=(col("m"), col("s")),
-        random_columns=(RandomColumnSpec("val"),),
-        passthrough_columns=("CID",))
-    params = TailParams(
-        p=CHAIN_P_STEP ** CHAIN_M, m=CHAIN_M,
-        n_steps=(CHAIN_VERSIONS,) * CHAIN_M,
-        p_steps=(CHAIN_P_STEP,) * CHAIN_M)
-    return GibbsLooper(
-        random_table_pipeline(spec), catalog, params, CHAIN_SAMPLES,
-        aggregate_kind="sum", aggregate_expr=col("val"),
-        window=CHAIN_WINDOW, base_seed=BASE_SEED, k=CHAIN_K,
-        max_proposals=CHAIN_MAX_PROPOSALS,
-        options=ExecutionOptions(
-            n_jobs=CHAIN_N_JOBS, backend="process", gibbs_state="worker",
-            window_growth=CHAIN_WINDOW_GROWTH,
-            speculate_depth=speculate_depth, sweep_order=sweep_order),
-        backend=backend)
-
-
-def test_chained_speculation_cuts_blocking_calls():
-    sweeps = CHAIN_M * CHAIN_K
-    results, stats = {}, {}
-    for label, depth, order in CHAIN_LEGS:
-        backend = ProcessBackend(CHAIN_N_JOBS)
-        try:
-            results[label] = _chain_looper(backend, depth, order).run()
-            stats[label] = dict(backend.stats)
-        finally:
-            backend.close()
-
-    baseline = results["pr5 baseline"]
-    for label, result in results.items():
-        np.testing.assert_array_equal(result.samples, baseline.samples)
-        assert result.assignments == baseline.assignments, label
-
-    # Blocking follow-up serves: every follow-up window that was NOT
-    # consumed from a speculated chain cost a synchronous state_call.
-    # The counters are transport-independent and exactly deterministic.
-    def blocking(result):
-        return result.followup_windows - result.speculated_windows
-
-    reductions = {
-        label: blocking(baseline) / max(blocking(results[label]), 1)
-        for label, _, _ in CHAIN_LEGS}
-    waste_ratios = {
-        label: results[label].wasted_speculations
-        / max(results[label].followup_windows, 1)
-        for label, _, _ in CHAIN_LEGS}
-
-    body = format_table(
-        ["leg", "depth", "order", "follow-ups", "chain hits", "blocking",
-         "per sweep", "reduction", "wasted", "max chain", "batched",
-         "state calls"],
-        [[label, depth, order, results[label].followup_windows,
-          results[label].speculated_windows, blocking(results[label]),
-          f"{blocking(results[label]) / sweeps:.1f}",
-          f"{reductions[label]:.2f}x",
-          results[label].wasted_speculations,
-          results[label].speculation_chain_depth,
-          results[label].batched_notifications,
-          stats[label]["state_calls"]]
-         for label, depth, order in CHAIN_LEGS])
-    body += (f"\n\nblocking follow-up calls per sweep: "
-             f"{blocking(baseline) / sweeps:.1f} -> "
-             f"{blocking(results['deep']) / sweeps:.1f} "
-             f"({reductions['deep']:.2f}x, gate: >= 2x) over {sweeps} "
-             f"sweeps; samples bit-identical across all legs")
-    print_experiment(
-        f"K-deep speculative window chains + adaptive sweep scheduling "
-        f"(n_jobs={CHAIN_N_JOBS}, {CHAIN_CUSTOMERS} seeds, "
-        f"{CHAIN_HOT} hot, m={CHAIN_M})", body)
-
-    record_metric("bench_scaling", "chain_blocking_reduction_deep",
-                  round(reductions["deep"], 2), gate=">= 2x")
-    record_metric("bench_scaling", "chain_blocking_reduction_default",
-                  round(reductions["default"], 2), gate=">= 1.4x")
-    record_metric("bench_scaling", "chain_waste_per_followup",
-                  round(waste_ratios["deep"], 2), gate="<= 1.5")
-    record_metric("bench_scaling", "chain_batched_notifications",
-                  results["deep"].batched_notifications, gate="> 0")
-    record_metric("bench_scaling", "chain_max_depth",
-                  results["deep"].speculation_chain_depth, gate="== 8")
-
-    # The PR 5 leg must really be the one-deep protocol: no chains past
-    # depth 1, nothing batched.
-    assert baseline.speculation_chain_depth <= 1
-    assert baseline.batched_notifications == 0
-    # The chained legs must reach their configured depth and pay for it:
-    # >= 2x fewer blocking serves at depth 8, >= 1.4x at the default
-    # depth 4, with waste bounded on both.
-    assert results["deep"].speculation_chain_depth == 8
-    assert results["default"].speculation_chain_depth == 4
-    assert reductions["deep"] >= 2.0, (
-        f"deep chains only cut blocking calls {reductions['deep']:.2f}x; "
-        "need >= 2x")
-    assert reductions["default"] >= 1.4, (
-        f"default chains only cut blocking calls "
-        f"{reductions['default']:.2f}x; need >= 1.4x")
-    for label in ("default", "deep"):
-        assert waste_ratios[label] <= 1.5, (
-            f"{label}: {results[label].wasted_speculations} wasted chain "
-            f"entries over {results[label].followup_windows} follow-ups")
-        # Commit batching really coalesced notification casts.  (Total
-        # state_casts is NOT lower than the baseline's: every extra
-        # chain hit sends a consumption note, and those notes buy the
-        # blocking-call reduction gated above.)
-        assert results[label].batched_notifications > 0
-
-
 if __name__ == "__main__":
-    run_benchmark_cli([
-        test_persistent_pool_amortizes_per_query_overhead,
-        test_worker_state_cuts_gibbs_sweep_transport,
-        test_delta_reinit_and_speculation_cut_replenishment_transport,
-        test_chained_speculation_cuts_blocking_calls,
-    ])
+    run_benchmark_cli([test_persistent_pool_amortizes_per_query_overhead])

@@ -1,22 +1,20 @@
 """The zero-copy shared-memory data plane vs whole-payload pickling.
 
-The broadcast-once transport (``bench_scaling`` part 1) stopped the
-catalog from being pickled per *task*, but it still crossed the pipe as
-pickled bytes once per worker — and the worker-owned Gibbs snapshots
-(part 2) still shipped their handle arrays the same way.  The shm data
-plane (``src/repro/engine/shm.py``) places each bulk array in a
-``multiprocessing.shared_memory`` segment exactly once and ships tens of
-bytes of descriptor instead; workers attach zero-copy views over the
-same physical pages.
+The broadcast-once transport (``bench_scaling``) stopped the catalog
+from being pickled per *task*, but it still crossed the pipe as pickled
+bytes once per worker.  The shm data plane (``src/repro/engine/shm.py``)
+places each bulk array in a ``multiprocessing.shared_memory`` segment
+exactly once and ships tens of bytes of descriptor instead; workers
+attach zero-copy views over the same physical pages.
 
 This benchmark runs the bench_scaling session workload — a 120-customer
-uncertain table next to a 120k-row position ledger riding the catalog —
-through one Monte Carlo query and one deep-tail Gibbs query, with the
-data plane on vs ``MCDBR_SHM=off``, and gates on
+uncertain table next to a position ledger riding the catalog — through
+one Monte Carlo query, with the data plane on vs ``MCDBR_SHM=off``, and
+gates on
 
-* **pickled bytes**: catalog-channel + state-snapshot blobs
-  (``shared_wire_bytes + state_init_wire_bytes``) must shrink >= 5x;
-* **bit-identity**: both queries' samples must match exactly — the data
+* **pickled bytes**: catalog-channel blobs (``shared_wire_bytes``) must
+  shrink >= 5x;
+* **bit-identity**: the query's samples must match exactly — the data
   plane is a transport, never a semantics change;
 * **wall clock**: never materially slower than whole-payload pickling
   (best of interleaved ``ROUNDS``; same generous noise bound as the
@@ -53,18 +51,12 @@ MC_QUERY = """
     SELECT SUM(val) AS loss FROM Losses WHERE CID < 120
     WITH RESULTDISTRIBUTION MONTECARLO(48)
 """
-TAIL_QUERY = """
-    SELECT SUM(val) AS loss FROM Losses WHERE CID < 120
-    WITH RESULTDISTRIBUTION MONTECARLO(30)
-    DOMAIN loss >= QUANTILE(0.9)
-"""
 
 
 def _make_session(shm: str) -> Session:
     session = Session(
-        base_seed=BASE_SEED, tail_budget=200, window=2000,
-        options=ExecutionOptions(n_jobs=N_JOBS, backend="process",
-                                 gibbs_state="worker", shm=shm))
+        base_seed=BASE_SEED,
+        options=ExecutionOptions(n_jobs=N_JOBS, backend="process", shm=shm))
     rng = np.random.default_rng(0)
     session.add_table("means", {
         "CID": np.arange(CUSTOMERS),
@@ -87,21 +79,17 @@ def _run(shm: str):
         # Warm-up: forks the pool and ships the catalog's first version,
         # so the timed window below compares transport regimes instead of
         # process-spawn noise.  The version bump then forces the timed
-        # queries to re-ship the whole ledger through whichever data
-        # plane is under test (bit-identity across bumps is pinned in
-        # tests/test_backends.py).
+        # query to re-ship the whole ledger through whichever data plane
+        # is under test.
         session.execute(MC_QUERY)
         session.add_table("epoch", {"k": np.arange(3)})
-        mc, mc_seconds = timed(session.execute, MC_QUERY)
-        tail, tail_seconds = timed(session.execute, TAIL_QUERY)
+        mc, seconds = timed(session.execute, MC_QUERY)
         stats = dict(session.backend.stats)
     finally:
         session.close()
     assert leaked_segments() == [], (
         f"Session.close() leaked /dev/shm segments: {leaked_segments()}")
-    samples = (mc.distributions.distribution("loss").samples,
-               tail.tail.samples)
-    return samples, mc_seconds + tail_seconds, stats
+    return mc.distributions.distribution("loss").samples, seconds, stats
 
 
 def test_shm_data_plane_cuts_pickled_bytes():
@@ -118,16 +106,14 @@ def test_shm_data_plane_cuts_pickled_bytes():
 
     # Bit-identity: the data plane changes how bytes travel, never which
     # bytes the query math sees.
-    for got, want in zip(samples["on"], samples["off"]):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(samples["on"], samples["off"])
 
-    pickled = {shm: stats[shm]["shared_wire_bytes"]
-               + stats[shm]["state_init_wire_bytes"] for shm in stats}
+    pickled = {shm: stats[shm]["shared_wire_bytes"] for shm in stats}
     reduction = pickled["off"] / pickled["on"]
     wallclock = best["on"] / best["off"]
 
     body = format_table(
-        ["data plane", "total s", "pickled catalog+init bytes",
+        ["data plane", "total s", "pickled catalog bytes",
          "segments", "segment bytes", "attached bytes"],
         [["shm on", f"{best['on']:.3f}", f"{pickled['on']:,}",
           stats["on"]["shm_segments"], f"{stats['on']['shm_bytes']:,}",
@@ -151,7 +137,7 @@ def test_shm_data_plane_cuts_pickled_bytes():
     assert stats["on"]["shm_segments"] > 0
     assert stats["off"]["shm_segments"] == 0
     assert reduction >= 5.0, (
-        f"shm data plane only cut pickled catalog+init bytes "
+        f"shm data plane only cut pickled catalog bytes "
         f"{reduction:.1f}x; need >= 5x")
     # Wall-clock guard: replacing bulk pickling with descriptor shipping
     # must not slow the session down (generous bound, matching the

@@ -12,16 +12,13 @@ parsed and validated by ``ExecutionOptions.from_env`` — a typo'd value
 fails fast with an ``EngineError`` naming the variable):
   MCDBR_ENGINE=vectorized|reference       Gibbs perturbation kernel
   MCDBR_REPLENISHMENT=delta|full          window-refuel strategy
-  MCDBR_BACKEND=process|thread|serial     shard transport
+  MCDBR_BACKEND=process|thread|serial     shard transport (Monte Carlo)
   MCDBR_N_JOBS=<n>                        shard workers (1 = no sharding)
-  MCDBR_GIBBS_STATE=worker|broadcast      seed-state placement (stateful
-                                          workers vs snapshot re-ship)
-  MCDBR_STATE_REINIT=delta|full           worker-state fate across a
-                                          replenishment (splice vs re-ship)
-  MCDBR_SPECULATE=1|0                     speculative follow-up prefetch
   MCDBR_SHM=on|off                        zero-copy shared-memory data
                                           plane for the process backend
 Every combination produces bit-identical output for the same base seed.
+The tail query below runs in-process whatever MCDBR_N_JOBS is: the Gibbs
+sweep is Gauss–Seidel over TS-seeds, so only Monte Carlo queries shard.
 """
 
 import numpy as np

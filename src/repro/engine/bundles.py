@@ -168,14 +168,6 @@ class BundleRelation:
         self.det_columns: dict[str, np.ndarray] = {}
         self.rand_columns: dict[str, RandomColumn] = {}
         self.presence: list[PresenceColumn] = []
-        #: Merged-position delta of the delta-replenishment run that
-        #: produced this relation (``{}`` for full runs): per seed
-        #: handle, the window-slot indices whose values were gathered
-        #: fresh from the streams because no earlier run materialized
-        #: them.  Keyed by handle — not by row — so row gathers and
-        #: renames preserve it unchanged; the Gibbs delta state re-init
-        #: ships exactly these slots to the worker owning each handle.
-        self.fresh_slots: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -321,7 +313,6 @@ class BundleRelation:
             out.rand_columns[name] = column.take(indices)
         for presence in self.presence:
             out.presence.append(presence.take(indices))
-        out.fresh_slots = dict(self.fresh_slots)
         return out
 
     def filter_rows(self, mask: np.ndarray) -> "BundleRelation":
@@ -347,7 +338,6 @@ class BundleRelation:
         for name, column in self.rand_columns.items():
             out.rand_columns[mapping.get(name, name)] = column
         out.presence = list(self.presence)
-        out.fresh_slots = dict(self.fresh_slots)
         return out
 
     def __repr__(self):

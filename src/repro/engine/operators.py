@@ -111,15 +111,6 @@ class ExecutionContext:
         #: windows.
         self.delta_tracking = False
         self.delta_mode = False
-        #: The merged-position delta of the most recent delta run, per
-        #: seed handle: indices (into the handle's *new* position vector)
-        #: of the slots whose values were gathered fresh from the streams
-        #: because they were never materialized before.  Everything else
-        #: was copied from the previous windows.  Consumers (the Gibbs
-        #: delta state re-init) reset it before a replenishment run; the
-        #: relation-level view of the same data is
-        #: :attr:`~repro.engine.bundles.BundleRelation.fresh_slots`.
-        self.last_fresh_slots: dict[int, np.ndarray] = {}
         #: Delta-run hint from whoever installed ``position_plan``: the
         #: handles whose plan entry is the *identical array object* the
         #: previous plan run on this context used.  Their windows are
@@ -246,7 +237,7 @@ class PlanNode(ABC):
         table-granular cache checks against per-name catalog versions.
         Covers base tables (``Scan``) and random-table specs (recorded on
         the ``Seed`` a :func:`random_table_pipeline` plants), and unions
-        through every combinator the way ``fresh_slots`` propagates.
+        through every combinator.
         """
         if self._base_tables is None:
             tables = set(self._own_base_tables())
@@ -452,12 +443,9 @@ class Instantiate(PlanNode):
 
         shared_positions = None
         if previous is not None:
-            positions_by_handle, fresh_slots, shared_positions = \
-                self._merge_delta(context, handles, windows, bases,
-                                  previous, prev_rows)
+            positions_by_handle, shared_positions = self._merge_delta(
+                context, handles, windows, bases, previous, prev_rows)
             context.delta_runs += 1
-            context.last_fresh_slots.update(fresh_slots)
-            out.fresh_slots = fresh_slots
         elif not context.position_plan and not context.window_bases:
             positions_by_handle = self._gather_shared(
                 context, handles, windows, bases)
@@ -568,11 +556,7 @@ class Instantiate(PlanNode):
         fresh, or — under a self-join — copied from the old row carrying
         the same handle).
 
-        Also returns the merged-position delta per seed handle: the
-        new-window slot indices gathered fresh from the streams.  The
-        Gibbs delta state re-init ships exactly these slots' values to
-        the worker owning the handle, so the delta computed here IS the
-        wire payload's shape.  The third return is the one shared
+        Returns the per-handle position vectors and the one shared
         position vector when every row materialized it, else ``None``
         (see :class:`_Materialization`).
         """
@@ -592,7 +576,6 @@ class Instantiate(PlanNode):
         moved[prev_rows:] = True
         kept = np.flatnonzero(~moved)
         positions_by_handle: dict[int, np.ndarray] = {}
-        fresh_slots: dict[int, np.ndarray] = {}
         if kept.size:
             # An unchanged plan entry has the previous run's length, so
             # the old and new matrices are equally wide: the whole old
@@ -602,8 +585,6 @@ class Instantiate(PlanNode):
                 windows[name][:prev_rows] = prev_values
             bases[kept] = previous.bases[kept]
             positions_by_handle.update(previous.positions)
-            fresh_slots = dict.fromkeys(handles[kept].tolist(),
-                                        np.empty(0, dtype=np.int64))
             context.instantiate_rows_reused += int(kept.size)
         for row in np.flatnonzero(moved).tolist():
             handle = int(handles[row])
@@ -613,8 +594,6 @@ class Instantiate(PlanNode):
             old_positions = previous.positions.get(handle)
             if old_positions is None:
                 info = context.seeds[handle]
-                fresh_slots[handle] = np.arange(new_positions.size,
-                                                dtype=np.int64)
                 context.instantiate_rows_computed += 1
                 for (name, component) in self.outputs:
                     windows[name][row] = info.values_at(
@@ -632,8 +611,6 @@ class Instantiate(PlanNode):
                 # padding, so the new window is a prefix extension (or
                 # truncation) of the old one — copy the overlap and gather
                 # only the contiguous fresh tail.
-                fresh_slots[handle] = np.arange(
-                    overlap, new_positions.size, dtype=np.int64)
                 if overlap < new_positions.size:
                     context.instantiate_rows_computed += 1
                 else:
@@ -650,7 +627,6 @@ class Instantiate(PlanNode):
             index[index == old_positions.size] = 0  # clamp; masked below
             found = old_positions[index] == new_positions
             missing = np.nonzero(~found)[0]
-            fresh_slots[handle] = missing
             if missing.size:
                 context.instantiate_rows_computed += 1
             else:
@@ -662,7 +638,7 @@ class Instantiate(PlanNode):
                 if missing.size:
                     target[missing] = context.seeds[handle].values_at(
                         new_positions[missing], component)
-        return positions_by_handle, fresh_slots, None
+        return positions_by_handle, None
 
     def _extend_shared(self, context, handles, windows, bases, previous,
                        prev_rows, shared):
@@ -684,15 +660,7 @@ class Instantiate(PlanNode):
             # The tail view writes through into the full block.
             self._gather_shared(context, handles[prev_rows:],
                                 windows[:, prev_rows:], bases[prev_rows:])
-        positions_by_handle = {int(handle): shared for handle in handles}
-        no_fresh = np.empty(0, dtype=np.int64)
-        all_fresh = np.arange(shared.size, dtype=np.int64)
-        fresh_slots: dict[int, np.ndarray] = {}
-        for row in range(prev_rows):
-            fresh_slots[int(handles[row])] = no_fresh
-        for row in range(prev_rows, length):
-            fresh_slots.setdefault(int(handles[row]), all_fresh)
-        return positions_by_handle, fresh_slots, shared
+        return {int(handle): shared for handle in handles}, shared
 
     def _describe_line(self):
         names = ", ".join(name for name, _ in self.outputs)
@@ -768,7 +736,6 @@ class Project(PlanNode):
             else:
                 raise PlanError(f"Project keeps unknown column {name!r}")
         out.presence = list(relation.presence)
-        out.fresh_slots = dict(relation.fresh_slots)
 
         for name, expr in self.outputs:
             rand_names = relation.random_columns_in(expr)
@@ -842,10 +809,6 @@ class Join(PlanNode):
         out.rand_columns.update(taken_left.rand_columns)
         out.rand_columns.update(taken_right.rand_columns)
         out.presence = taken_left.presence + taken_right.presence
-        # Handle-keyed, and the two sides' handle sets are disjoint (or
-        # identical for a self-join) — a plain union is the right merge.
-        out.fresh_slots = {**taken_left.fresh_slots,
-                           **taken_right.fresh_slots}
         return out
 
     @staticmethod
@@ -921,7 +884,6 @@ class Split(PlanNode):
             if name != self.column:
                 out.rand_columns[name] = column
         out.presence = list(gathered.presence)
-        out.fresh_slots = dict(gathered.fresh_slots)
         split_array = np.asarray(split_values)
         out.add_det_column(self.column, split_array)
         flags = gathered.rand_columns[self.column].values == split_array[:, None]

@@ -1,37 +1,30 @@
-"""Execution policy shared by both executors.
+"""Execution policy: how a query runs, never what it computes.
 
 :class:`ExecutionOptions` is the single knob object the SQL layer threads
 down into :class:`~repro.engine.mcdb.MonteCarloExecutor` and
-:class:`~repro.core.gibbs_looper.GibbsLooper`.  It controls *how* a query
-runs, never *what* it computes: every engine/n_jobs combination is required
-to produce bit-identical results for the same session seed, a contract
-enforced by ``tests/test_engine_equivalence.py``.
+:class:`~repro.core.gibbs_looper.GibbsLooper`; :class:`ServerOptions`
+does the same for the risk-service front end.  Every combination of
+execution knobs must produce bit-identical results for the same session
+seed — the contract ``tests/test_engine_equivalence.py`` enforces and the
+MC/tail goldens pin across commits.  The knobs fall in three groups:
 
-* ``engine`` selects the Gibbs perturbation kernel.  ``"vectorized"``
-  (default) batches the database-version axis of Algorithm 3 into dense
-  NumPy kernels — the Sec. 7 loop inversion pushed one level further, so
-  one rejection round evaluates candidate deltas for *every* version of a
-  TS-seed at once.  ``"reference"`` is the scalar per-version path kept for
-  verification.
+* **Kernel** — ``engine`` picks the Gibbs perturbation kernel
+  (``"vectorized"`` batches the database-version axis of Algorithm 3;
+  ``"reference"`` is the scalar per-version path kept for verification)
+  and ``window_growth`` the refuel-window schedule.
+* **Monte Carlo sharding** — ``n_jobs``, ``backend``, ``shard_size``,
+  ``shm`` and ``join_timeout`` shape the stateless ``run_job`` sharding
+  of the repetition axis (:mod:`repro.engine.backends`): every worker
+  re-derives the same per-seed PRNG keys and materializes disjoint
+  windows of the same streams, so merging shards in order reproduces the
+  serial run.  Tail (``DOMAIN``) queries ignore this group: the Gibbs
+  sweep is Gauss–Seidel over TS-seeds and always runs in-process.
+* **Reuse** — ``replenishment`` (Sec. 9 delta vs full refuels),
+  ``det_cache`` and ``det_cache_keying`` decide how much earlier work a
+  run may splice in instead of recomputing.
 
-* ``n_jobs`` shards independent work across workers: Monte Carlo
-  repetitions as contiguous slices of the repetition (stream-position)
-  axis — every worker re-derives the same per-seed PRNG keys via
-  :func:`repro.engine.seeds.derive_prng_seed` and materializes disjoint
-  windows of the same streams, so merging shard results in order
-  reproduces the serial run exactly — and, in tail mode, the TS-seed
-  handle axis of the GibbsLooper's candidate-window evaluation.
-
-* ``backend`` selects *where* shards run
-  (:mod:`repro.engine.backends`): ``"process"`` (persistent worker pool,
-  broadcast-once job transport), ``"thread"``, or ``"serial"`` (the
-  sharded code paths without any concurrency).
-
-* ``gibbs_state`` selects where the tail path's seed state *lives*:
-  ``"worker"`` (default) pins each handle range's tuples/states on its
-  owning worker across sweeps — commit notifications instead of per-sweep
-  snapshot re-ships, follow-up windows served by the owner — while
-  ``"broadcast"`` keeps the stateless snapshot-per-sweep transport.
+Every knob also reads from an ``MCDBR_*`` environment variable through
+:meth:`ExecutionOptions.from_env`, which rejects unknown names.
 """
 
 from __future__ import annotations
@@ -42,9 +35,8 @@ from dataclasses import dataclass, fields
 from repro.engine.errors import EngineError
 
 __all__ = ["ENGINES", "BACKENDS", "REPLENISHMENT_MODES", "DET_CACHE_MODES",
-           "DET_CACHE_KEYINGS", "GIBBS_STATE_MODES", "STATE_REINIT_MODES",
-           "SHM_MODES", "SWEEP_ORDERS", "ExecutionOptions", "ServerOptions",
-           "env_choice", "env_int", "env_float", "env_bool"]
+           "DET_CACHE_KEYINGS", "SHM_MODES", "ExecutionOptions",
+           "ServerOptions", "env_choice", "env_int", "env_float", "env_bool"]
 
 #: Supported Gibbs perturbation kernels.
 ENGINES = ("vectorized", "reference")
@@ -77,43 +69,13 @@ DET_CACHE_MODES = ("session", "context", "off")
 #: coarse protocol bit-for-bit: any catalog mutation drops every entry.
 DET_CACHE_KEYINGS = ("table", "catalog")
 
-#: Gibbs seed-axis state placement.  ``"worker"`` (default) makes backend
-#: workers *stateful*: each owns the tuples/states of its TS-seed handle
-#: range across sweeps, receives only per-commit notifications, and
-#: serves follow-up windows for rejection-heavy seeds.  ``"broadcast"``
-#: keeps the stateless PR-3 transport (the pre-sweep snapshot shipped
-#: whole, first windows only), retained as the comparison baseline.
-GIBBS_STATE_MODES = ("worker", "broadcast")
-
-#: Worker-state re-initialization after a replenishment (tail path,
-#: ``gibbs_state="worker"`` only).  ``"delta"`` keeps the worker-owned
-#: shards alive across a structure-preserving delta replenishment and
-#: ships each owner only the merged never-materialized window values (a
-#: ``state_merge`` splice); ``"full"`` discards the state and re-ships
-#: the whole shard snapshot on the next sweep (the PR-4 behavior, kept
-#: as the comparison baseline).  Bit-identical either way.
-STATE_REINIT_MODES = ("delta", "full")
-
-#: Sweep scheduling for worker-owned Gibbs state (tail path,
-#: ``gibbs_state="worker"`` only).  ``"adaptive"`` (default) batches
-#: commit/note notifications per sweep segment — buffered per shard and
-#: flushed as one message right before any send that depends on them —
-#: and orders each shard's sweep-start scatter hottest-seed-first, so
-#: owners build the rejection-heavy seeds' speculation chains while the
-#: sequential Gauss–Seidel consumer is still sweeping earlier seeds.
-#: ``"natural"`` casts every notification immediately and scatters in
-#: ascending handle order (the PR-5 behavior).  The *commit sequence*
-#: per seed is identical either way (flush-before-dependent-send keeps
-#: every mirror current before it serves), so results are bit-identical.
-SWEEP_ORDERS = ("adaptive", "natural")
-
 #: Zero-copy shared-memory data plane for ``backend="process"``
 #: (:mod:`repro.engine.shm`).  ``"on"`` (default) places bulk payload
-#: arrays — catalog columns, Gibbs state snapshots, delta-merge fresh
-#: values — in parent-owned ``/dev/shm`` segments and ships tens-of-byte
-#: descriptors that workers attach as zero-copy views; ``"off"`` pickles
-#: every payload whole (for hosts without POSIX shared memory, though
-#: the store also degrades to this by itself if allocation fails).
+#: arrays — the catalog columns on the shared channel — in parent-owned
+#: ``/dev/shm`` segments and ships tens-of-byte descriptors that workers
+#: attach as read-only zero-copy views; ``"off"`` pickles every payload
+#: whole (for hosts without POSIX shared memory, though the store also
+#: degrades to this by itself if allocation fails).
 #: Bit-identical either way; inert on the serial/thread backends.
 SHM_MODES = ("on", "off")
 
@@ -126,9 +88,7 @@ _ENV_FALSE = ("0", "false", "no", "off")
 _ENV_KNOBS = frozenset((
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_GIBBS_STATE", "MCDBR_STATE_REINIT", "MCDBR_SPECULATE",
-    "MCDBR_SPECULATE_DEPTH", "MCDBR_SWEEP_ORDER", "MCDBR_JOIN_TIMEOUT",
-    "MCDBR_SHM", "MCDBR_DET_CACHE_KEYING",
+    "MCDBR_JOIN_TIMEOUT", "MCDBR_SHM", "MCDBR_DET_CACHE_KEYING",
     # Risk-service front-end knobs (repro.server), parsed by
     # ServerOptions.from_env — registered here so ExecutionOptions.from_env
     # running inside the server process doesn't reject them as typos.
@@ -197,20 +157,11 @@ def env_bool(name: str, default: bool) -> bool:
         f"{'|'.join(_ENV_TRUE + _ENV_FALSE)}")
 
 
-#: Env-overridable defaults so CI can run whole suites under either
-#: placement (``MCDBR_GIBBS_STATE=worker|broadcast``), re-init strategy
-#: (``MCDBR_STATE_REINIT=delta|full``) or speculation setting
-#: (``MCDBR_SPECULATE=1|0``) without threading the knobs through every
-#: construction site.  Read once at import — options constructed at
-#: different times inside one process can never silently disagree.
-_DEFAULT_GIBBS_STATE = env_choice("MCDBR_GIBBS_STATE", "worker",
-                                  GIBBS_STATE_MODES)
-_DEFAULT_STATE_REINIT = env_choice("MCDBR_STATE_REINIT", "delta",
-                                   STATE_REINIT_MODES)
-_DEFAULT_SPECULATE = env_bool("MCDBR_SPECULATE", True)
-_DEFAULT_SPECULATE_DEPTH = env_int("MCDBR_SPECULATE_DEPTH", 4, minimum=0)
-_DEFAULT_SWEEP_ORDER = env_choice("MCDBR_SWEEP_ORDER", "adaptive",
-                                  SWEEP_ORDERS)
+#: Env-overridable defaults so CI can run whole suites under either data
+#: plane (``MCDBR_SHM=on|off``) or det-cache keying without threading the
+#: knobs through every construction site.  Read once at import — options
+#: constructed at different times inside one process can never silently
+#: disagree.
 _DEFAULT_SHM = env_choice("MCDBR_SHM", "on", SHM_MODES)
 _DEFAULT_DET_CACHE_KEYING = env_choice("MCDBR_DET_CACHE_KEYING", "table",
                                        DET_CACHE_KEYINGS)
@@ -227,18 +178,17 @@ class ExecutionOptions:
         (the paper-literal scalar path).  Both produce identical results
         for identical seeds.
     n_jobs:
-        Workers for shard execution — Monte Carlo repetition slices and
-        tail-mode seed-axis candidate windows; ``1`` runs serially
-        in-process.  Results are independent of ``n_jobs``.
+        Workers for Monte Carlo repetition slices; ``1`` runs serially
+        in-process.  Results are independent of ``n_jobs``.  Tail
+        queries always run in-process, whatever ``n_jobs`` is.
     backend:
         Shard transport: ``"process"`` (persistent worker pool owned by
         the session, job broadcast once, ``(job_id, lo, hi)`` shard
         tasks), ``"thread"`` or ``"serial"``.  Inert while
         ``n_jobs == 1``.
     shard_size:
-        Optional maximum repetitions (or seeds, on the tail path) per
-        shard.  ``None`` splits the work evenly across ``n_jobs``
-        workers.
+        Optional maximum repetitions per shard.  ``None`` splits the
+        work evenly across ``n_jobs`` workers.
     replenishment:
         ``"delta"`` (default) re-runs the plan in incremental mode when a
         Gibbs window runs dry: ``Instantiate`` gathers only stream
@@ -274,62 +224,6 @@ class ExecutionOptions:
         (the consumption pointer walks the same stream either way), so
         results stay bit-identical — only the replenishment schedule,
         and therefore ``plan_runs``, shrinks.
-    gibbs_state:
-        Seed-axis state placement for sharded Gibbs sweeps.
-        ``"worker"`` (default; env override ``MCDBR_GIBBS_STATE``) pins
-        each TS-seed handle range's tuples/states on its owning backend
-        worker for the life of the query: the snapshot ships once, every
-        sweep thereafter sends only commit/clone notifications, and the
-        owning worker serves follow-up windows too.  ``"broadcast"``
-        re-ships the pre-sweep snapshot every sweep (the stateless
-        transport, kept for comparison).  Bit-identical either way.
-    state_reinit:
-        How worker-owned seed state survives a replenishment.
-        ``"delta"`` (default; env ``MCDBR_STATE_REINIT``) keeps the
-        worker shards alive when the refuel preserved the tuple
-        structure: each owner receives one ``state_merge`` splice
-        carrying only the never-materialized window values for its
-        handle range, and its per-version caches carry over — the
-        worker-side mirror of the parent's ``replenishment="delta"``
-        fast path.  ``"full"`` discards the state on every refuel and
-        re-ships the whole snapshot (the baseline).  Inert under
-        ``gibbs_state="broadcast"``.  Bit-identical either way.
-    speculate_followups:
-        Speculative follow-up prefetch for rejection-heavy seeds
-        (default on; env ``MCDBR_SPECULATE``).  Every worker-served
-        window request carries the exact parameters of the *next*
-        request assuming the window is fully rejected; owners of
-        low-acceptance seeds pre-compute that window and piggyback it
-        on the reply, so the sweep's next ``_next_window`` resolves
-        from the speculation buffer instead of a blocking state call.
-        A per-seed epoch invalidates speculations the moment a commit,
-        clone or merge touches the seed — results stay bit-identical,
-        only the number of blocking round-trips drops.
-    speculate_depth:
-        Maximum speculation-chain length per seed (default ``4``; env
-        ``MCDBR_SPECULATE_DEPTH``).  Owners speculate a K-deep chain of
-        successor windows — successor-of-successor under continued
-        rejection — so a fully rejected streak consumes K buffered
-        windows per blocking round-trip instead of alternating call/hit.
-        The *effective* depth per seed is adaptive: sized from the
-        seed's acceptance-pressure counters, deepest for hot
-        low-acceptance seeds, zero for seeds above the 1/8 acceptance
-        threshold.  ``1`` reproduces the one-window-deep PR-5 behavior;
-        ``0`` disables speculation entirely (like
-        ``speculate_followups=False``).  Every chain entry is guarded
-        by the same ``(params, epoch)`` exact-match rule, so results
-        are bit-identical at any depth.
-    sweep_order:
-        Sweep scheduling under ``gibbs_state="worker"`` (default
-        ``"adaptive"``; env ``MCDBR_SWEEP_ORDER``).  ``"adaptive"``
-        batches commit/note notifications per sweep segment (one
-        ``apply_batch`` cast at each flush point instead of a message
-        per event) and orders each shard's sweep-start scatter
-        hottest-seed-first so owners warm the rejection-heavy seeds'
-        chains before the sequential consumer arrives; ``"natural"``
-        keeps immediate casts and ascending-handle scatters.  Commits
-        always flush before any message that reads the seed's mirror,
-        so both orders are bit-identical.
     join_timeout:
         Seconds :meth:`ProcessBackend.close` waits at each shutdown
         escalation step (stop message -> SIGTERM -> SIGKILL); ``None``
@@ -339,11 +233,11 @@ class ExecutionOptions:
     shm:
         Zero-copy shared-memory data plane for the process backend
         (default ``"on"``; env ``MCDBR_SHM``).  Bulk payload arrays —
-        catalog/bundle columns in the shared channel, worker-owned
-        Gibbs snapshots, delta-merge fresh values — are placed once in
-        parent-owned shared-memory segments and shipped as descriptors
-        that workers attach as zero-copy NumPy views, instead of being
-        pickled and re-materialized per worker.  ``"off"`` keeps the
+        catalog/bundle columns in the shared channel — are placed once
+        in parent-owned shared-memory segments and shipped as
+        descriptors that workers attach as read-only zero-copy NumPy
+        views, instead of being pickled and re-materialized per
+        worker.  ``"off"`` keeps the
         pure pickle transport (for ``/dev/shm``-less hosts; the store
         also falls back by itself if allocation fails).  Inert on the
         serial/thread backends.  Bit-identical either way.
@@ -357,11 +251,6 @@ class ExecutionOptions:
     det_cache: str = "session"
     det_cache_keying: str = _DEFAULT_DET_CACHE_KEYING
     window_growth: float = 1.0
-    gibbs_state: str = _DEFAULT_GIBBS_STATE
-    state_reinit: str = _DEFAULT_STATE_REINIT
-    speculate_followups: bool = _DEFAULT_SPECULATE
-    speculate_depth: int = _DEFAULT_SPECULATE_DEPTH
-    sweep_order: str = _DEFAULT_SWEEP_ORDER
     join_timeout: float | None = None
     shm: str = _DEFAULT_SHM
 
@@ -392,28 +281,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"unknown det_cache_keying mode {self.det_cache_keying!r}; "
                 f"supported: {DET_CACHE_KEYINGS}")
-        if self.gibbs_state not in GIBBS_STATE_MODES:
-            raise ValueError(
-                f"unknown gibbs_state mode {self.gibbs_state!r}; "
-                f"supported: {GIBBS_STATE_MODES}")
-        if self.state_reinit not in STATE_REINIT_MODES:
-            raise ValueError(
-                f"unknown state_reinit mode {self.state_reinit!r}; "
-                f"supported: {STATE_REINIT_MODES}")
-        if not isinstance(self.speculate_followups, bool):
-            raise ValueError(
-                f"speculate_followups must be a bool, got "
-                f"{self.speculate_followups!r}")
-        if not isinstance(self.speculate_depth, int) \
-                or isinstance(self.speculate_depth, bool) \
-                or self.speculate_depth < 0:
-            raise ValueError(
-                f"speculate_depth must be an integer >= 0, got "
-                f"{self.speculate_depth!r}")
-        if self.sweep_order not in SWEEP_ORDERS:
-            raise ValueError(
-                f"unknown sweep_order mode {self.sweep_order!r}; "
-                f"supported: {SWEEP_ORDERS}")
         if self.join_timeout is not None and not self.join_timeout > 0:
             raise ValueError(
                 f"join_timeout must be > 0 or None, got "
@@ -444,11 +311,6 @@ class ExecutionOptions:
         ``MCDBR_DET_CACHE``         ``session|context|off``
         ``MCDBR_DET_CACHE_KEYING``  ``table|catalog``
         ``MCDBR_WINDOW_GROWTH``     number >= 1.0
-        ``MCDBR_GIBBS_STATE``       ``worker|broadcast``
-        ``MCDBR_STATE_REINIT``      ``delta|full``
-        ``MCDBR_SPECULATE``         ``1|0|true|false|yes|no|on|off``
-        ``MCDBR_SPECULATE_DEPTH``   integer >= 0 (max chain length)
-        ``MCDBR_SWEEP_ORDER``       ``adaptive|natural``
         ``MCDBR_JOIN_TIMEOUT``      number > 0 seconds (unset = 5s)
         ``MCDBR_SHM``               ``on|off``
         ==========================  =====================================
@@ -477,14 +339,6 @@ class ExecutionOptions:
             det_cache_keying=env_choice("MCDBR_DET_CACHE_KEYING", "table",
                                         DET_CACHE_KEYINGS),
             window_growth=env_float("MCDBR_WINDOW_GROWTH", 1.0, 1.0),
-            gibbs_state=env_choice("MCDBR_GIBBS_STATE", "worker",
-                                   GIBBS_STATE_MODES),
-            state_reinit=env_choice("MCDBR_STATE_REINIT", "delta",
-                                    STATE_REINIT_MODES),
-            speculate_followups=env_bool("MCDBR_SPECULATE", True),
-            speculate_depth=env_int("MCDBR_SPECULATE_DEPTH", 4, minimum=0),
-            sweep_order=env_choice("MCDBR_SWEEP_ORDER", "adaptive",
-                                   SWEEP_ORDERS),
             join_timeout=(env_float("MCDBR_JOIN_TIMEOUT", 5.0, 1e-3)
                           if "MCDBR_JOIN_TIMEOUT" in os.environ else None),
             shm=env_choice("MCDBR_SHM", "on", SHM_MODES),

@@ -2,15 +2,15 @@
 
 The broadcast-once transport of :mod:`repro.engine.backends` got the
 *control* traffic down to constant-size tuples, but the bulk payloads —
-catalog relations, bundle columns, ``GibbsSeedShard`` snapshots, delta
-re-init fresh values — still crossed the pipe as pickled bytes that every
-worker re-materialized into a private copy.  This module is the
-share-one-resident-dataset-across-many-consumers move (cf. the LCG MCDB's
-generator-level event samples, PAPERS.md): the parent places each large
-NumPy array in a ``multiprocessing.shared_memory`` segment exactly once
-and ships a :class:`ShmDescriptor` — ``(segment, dtype, shape, offset)``,
-tens of bytes pickled — in its place; workers attach the segment and
-rebuild a zero-copy ``np.ndarray`` view over the same physical pages.
+catalog relations and their bundle columns — still crossed the pipe as
+pickled bytes that every worker re-materialized into a private copy.
+This module is the share-one-resident-dataset-across-many-consumers
+move (cf. the LCG MCDB's generator-level event samples, PAPERS.md): the
+parent places each large NumPy array in a ``multiprocessing.shared_memory``
+segment exactly once and ships a :class:`ShmDescriptor` — ``(segment,
+dtype, shape, offset)``, tens of bytes pickled — in its place; workers
+attach the segment and rebuild a read-only zero-copy ``np.ndarray`` view
+over the same physical pages.
 
 Mechanically this is a ``persistent_id`` / ``persistent_load`` pair:
 
@@ -30,12 +30,11 @@ and must *unregister* the mapping from their ``resource_tracker`` —
 otherwise Python 3.11's tracker double-registers the segment and the
 first worker to exit unlinks it from under everyone (bpo-39959).
 Unlink-while-mapped is safe on POSIX: the pages live until the last
-mapping dies, so the parent may release a segment as soon as every
-recipient is known to have attached (the acked ``discard_state`` drain,
-or pool teardown).  A ``weakref.finalize`` backstop — which also runs at
-interpreter ``atexit`` — unlinks anything still registered if a store is
-dropped without :meth:`ShmBlockStore.close`, guarded by PID so a forked
-child can never reap its parent's segments.
+mapping dies, so the parent unlinks every segment at pool teardown.  A
+``weakref.finalize`` backstop — which also runs at interpreter
+``atexit`` — unlinks anything still registered if a store is dropped
+without :meth:`ShmBlockStore.close`, guarded by PID so a forked child can
+never reap its parent's segments.
 """
 
 from __future__ import annotations
@@ -92,18 +91,14 @@ class ShmDescriptor(NamedTuple):
     """Wire stand-in for one hoisted array: attach ``segment``, view
     ``shape``/``dtype`` bytes at ``offset``.
 
-    ``writeable`` is a *contract*, not a permission bit: snapshot views
-    (worker-owned Gibbs state mutated in place by commit notifications)
-    attach writable, broadcast views (catalog columns, merge deltas)
-    attach read-only so any worker-side write raises instead of silently
-    diverging from the other attachments.
+    Views attach read-only, so any worker-side write raises instead of
+    silently diverging from the other attachments.
     """
 
     segment: str
     dtype: str
     shape: tuple
     offset: int
-    writeable: bool
 
 
 class _BlockPickler(pickle.Pickler):
@@ -115,10 +110,9 @@ class _BlockPickler(pickle.Pickler):
     nothing.
     """
 
-    def __init__(self, file, segment_name: str, writeable: bool):
+    def __init__(self, file, segment_name: str):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._segment_name = segment_name
-        self._writeable = writeable
         self._descriptors: dict[int, ShmDescriptor] = {}
         self._keepalive: list[np.ndarray] = []  # pins id() keys
         self.blocks: list[tuple[np.ndarray, int]] = []
@@ -138,8 +132,7 @@ class _BlockPickler(pickle.Pickler):
         self.total_bytes = offset + array.nbytes
         self.blocks.append((array, offset))
         descriptor = ShmDescriptor(
-            self._segment_name, array.dtype.str, array.shape, offset,
-            self._writeable)
+            self._segment_name, array.dtype.str, array.shape, offset)
         self._descriptors[id(obj)] = descriptor
         self._keepalive.append(obj)
         return descriptor
@@ -149,11 +142,11 @@ class ShmBlockStore:
     """Parent-owned pool of shared-memory segments holding hoisted arrays.
 
     One store per :class:`~repro.engine.backends.ProcessBackend`; it owns
-    every segment it creates until :meth:`release`/:meth:`close` unlinks
-    them.  If the host cannot allocate POSIX shared memory at all (no
-    ``/dev/shm``), the store flips itself unavailable on the first
-    failure and every later :meth:`dumps` degrades to plain pickling —
-    same bytes on the wire as ``MCDBR_SHM=off``, no caller involvement.
+    every segment it creates until :meth:`close` unlinks them.  If the
+    host cannot allocate POSIX shared memory at all (no ``/dev/shm``),
+    the store flips itself unavailable on the first failure and every
+    later :meth:`dumps` degrades to plain pickling — same bytes on the
+    wire as ``MCDBR_SHM=off``, no caller involvement.
     """
 
     def __init__(self) -> None:
@@ -173,20 +166,20 @@ class ShmBlockStore:
         self._sequence += 1
         return name
 
-    def dumps(self, obj, writeable: bool = False) -> tuple[bytes, str | None, int]:
+    def dumps(self, obj) -> tuple[bytes, str | None, int]:
         """Pickle ``obj``, hoisting large arrays into one new segment.
 
         Returns ``(blob, segment_name, array_bytes)`` — ``segment_name``
         is ``None`` (and ``array_bytes`` 0) when nothing was hoisted or
-        shared memory is unavailable.  The caller owns the segment's
-        lifetime via :meth:`release`.
+        shared memory is unavailable.  The segment lives until
+        :meth:`close`.
         """
         if not self.available:
             return (pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
                     None, 0)
         name = self._next_name()
         buffer = io.BytesIO()
-        pickler = _BlockPickler(buffer, name, writeable)
+        pickler = _BlockPickler(buffer, name)
         pickler.dump(obj)
         blob = buffer.getvalue()
         if not pickler.blocks:
@@ -215,19 +208,6 @@ class ShmBlockStore:
     @property
     def live_segments(self) -> int:
         return len(self._segments)
-
-    def release(self, name: str | None) -> None:
-        """Unlink one segment (idempotent; ``None`` is a no-op).
-
-        Safe while workers still hold mappings: POSIX keeps the pages
-        until the last attachment closes, only the name goes away.
-        """
-        if name is None:
-            return
-        segment = self._segments.pop(name, None)
-        if segment is None:
-            return
-        _unlink(segment)
 
     def close(self) -> None:
         """Unlink every live segment; the store stays usable after."""
@@ -299,8 +279,7 @@ class ShmAttachCache:
         array = np.ndarray(descriptor.shape,
                            dtype=np.dtype(descriptor.dtype),
                            buffer=segment.buf, offset=descriptor.offset)
-        if not descriptor.writeable:
-            array.flags.writeable = False
+        array.flags.writeable = False
         self.attached_bytes += array.nbytes
         return array
 

@@ -12,8 +12,8 @@ own session), never across tenants.  Plan fingerprints are structural,
 so two tenants issuing the same SQL over same-named tables produce equal
 fingerprints — which is exactly why the caches are per-session objects:
 equal keys in disjoint caches cannot collide.  The shared pool is safe
-to multiplex because shard jobs are self-contained (the executor pickles
-its own catalog snapshot) and worker-owned state is token-scoped — see
+to multiplex because shard jobs are self-contained and stateless (the
+executor pickles its own catalog snapshot) — see
 :class:`~repro.engine.backends.SharedBackend`.
 
 Eviction frees a tenant's resources *now*: ``close()`` detaches the

@@ -105,8 +105,6 @@ def _tail_to_wire(result) -> dict:
         "plan_runs": int(result.plan_runs),
         "num_seeds": int(result.num_seeds),
         "num_tuples": int(result.num_tuples),
-        "sharded_windows": int(result.sharded_windows),
-        "followup_windows": int(result.followup_windows),
     }
 
 

@@ -325,13 +325,14 @@ def monte_carlo_executor(compiled: CompiledSelect, catalog: Catalog, *,
 def tail_looper(compiled: CompiledSelect, catalog: Catalog, spec, *,
                 tail_budget: int, window: int, gibbs_steps: int = 1,
                 base_seed: int = 0, options=None, det_cache=None,
-                backend=None, context=None) -> GibbsLooper:
+                context=None) -> GibbsLooper:
     """Bind a compiled tail SELECT to a GibbsLooper.
 
     Validates the tail-mode shape, runs the Appendix C parameter chooser
     for the requested quantile, and threads the execution policy (options
-    + det cache + shard backend) down — mirroring
-    :func:`monte_carlo_executor` for the MCDB-R side of the system.
+    + det cache) down — mirroring :func:`monte_carlo_executor` for the
+    MCDB-R side of the system.  No backend: the Gibbs sweep always runs
+    in-process.
     """
     aggregate = validate_tail_select(compiled, spec)
     p = 1.0 - spec.domain.quantile
@@ -345,7 +346,7 @@ def tail_looper(compiled: CompiledSelect, catalog: Catalog, spec, *,
         k=gibbs_steps,
         window=max(window, max(params.n_steps)),
         base_seed=base_seed, options=options, det_cache=det_cache,
-        backend=backend, context=context)
+        context=context)
 
 
 def describe_compiled(compiled: CompiledSelect, tail_mode: bool,

@@ -215,7 +215,6 @@ class StandingQuery:
         computed = context.instantiate_rows_computed
         reused = context.instantiate_rows_reused
         context.delta_mode = start_row > 0
-        context.last_fresh_slots = {}
         try:
             relation = self._compiled.plan.execute(context)
         finally:
@@ -258,7 +257,6 @@ class StandingQuery:
             base_seed=session.base_seed,
             options=session.options,
             det_cache=session._det_cache_for_run(),
-            backend=session._backend_for_run(),
             context=context)
         result = looper.run()
         self.last_rows_computed = context.instantiate_rows_computed - computed
@@ -284,10 +282,10 @@ class Session:
         :class:`~repro.engine.options.ExecutionOptions` threaded into both
         executors: ``engine`` picks the Gibbs kernel
         (``"vectorized"``/``"reference"``), ``n_jobs``/``backend`` shard
-        Monte Carlo repetitions and tail-mode candidate windows across
-        workers.  Results are identical for every setting; only speed
-        changes.  Assignable after construction — see the
-        :attr:`options` property for what follows the change.
+        Monte Carlo repetitions across workers.  Results are identical
+        for every setting; only speed changes.  Assignable after
+        construction — see the :attr:`options` property for what follows
+        the change.
     shared_backend:
         A server-owned :class:`~repro.engine.backends.SharedBackend`
         this session should run its sharded work on instead of spawning
@@ -296,24 +294,11 @@ class Session:
 
     With ``n_jobs > 1`` the session owns a persistent shard backend —
     under ``backend="process"`` a pool of worker processes spawned on the
-    first sharded query and reused by every later one, with the catalog
-    broadcast to each worker once per
-    :attr:`~repro.engine.table.Catalog.version`.  Tail queries
-    additionally pin per-query *worker-owned Gibbs seed state* on the
-    pool (``gibbs_state="worker"``, the default): each worker keeps its
-    TS-seed handle range's tuples/states across sweeps and is kept in
-    sync by commit notifications; under ``state_reinit="delta"`` (the
-    default) that state even survives replenishments — each owner
-    receives a ``state_merge`` splice carrying only the
-    never-materialized window values, so the snapshot ships once per
-    *query*, not once per refuel — and with ``speculate_followups`` the
-    owners of rejection-heavy seeds pre-compute the sweep's next
-    candidate window so follow-ups resolve from a speculation buffer
-    instead of a blocking state call.  That state is scoped strictly to
-    one query — the looper discards it (a drain barrier) before
-    returning, so the persistent pool never carries stale seed state or
-    in-flight replies across queries, catalog mutations
-    (``Catalog.version`` bumps), or a :meth:`close`/respawn cycle.  Call
+    first Monte Carlo query and reused by every later one, with the
+    catalog broadcast to each worker once per
+    :attr:`~repro.engine.table.Catalog.version`.  Tail (``DOMAIN``)
+    queries never touch the pool, whatever ``n_jobs`` is: the Gibbs sweep
+    is Gauss–Seidel over TS-seeds, so it runs in this process.  Call
     :meth:`close` (or use the session as a context manager) to release
     the pool::
 
@@ -429,12 +414,10 @@ class Session:
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent; the session stays usable —
-        a later sharded query simply spawns a fresh pool).  Any
-        worker-owned Gibbs state dies with the workers: state tokens from
-        before the close can never resolve against the respawned pool.
-        On the process backend this also unlinks every shared-memory
-        segment of the zero-copy data plane — exiting the session's
-        ``with`` block leaves ``/dev/shm`` clean even on an exception.
+        a later sharded query simply spawns a fresh pool).  On the process
+        backend this also unlinks every shared-memory segment of the
+        zero-copy data plane — exiting the session's ``with`` block leaves
+        ``/dev/shm`` clean even on an exception.
 
         A session handed a *shared* backend detaches from it without
         closing it: the owning server decides when the pool dies.
@@ -696,8 +679,7 @@ class Session:
             gibbs_steps=self.gibbs_steps,
             base_seed=self.base_seed,
             options=self.options,
-            det_cache=self._det_cache_for_run(),
-            backend=self._backend_for_run())
+            det_cache=self._det_cache_for_run())
         result = looper.run()
         if spec.frequency_table:
             self._register_ftable(spec.frequency_table,

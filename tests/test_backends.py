@@ -1,6 +1,6 @@
 """The execution-backend layer: transports, pool lifecycle, payloads.
 
-Four contracts pinned down here:
+Five contracts pinned down here:
 
 * **Results transparency** — ``run_job(job, bounds)`` returns exactly
   ``[job.run_shard(lo, hi) for lo, hi in bounds]`` on every backend (the
@@ -14,14 +14,11 @@ Four contracts pinned down here:
 * **Det-cache shard semantics** — workers are pre-warmed with a snapshot
   of the session cache at broadcast time; worker-local fills never flow
   back to the session.
-* **Worker-owned state** — the stateful Gibbs protocol: state ships once
-  at ``init_state`` and evolves only through notifications; per-sweep
-  traffic is commit messages, never snapshot re-ships; any worker death
-  or in-state error tears the pool down into a clean ``EngineError``
-  carrying the worker traceback, discarding is a stale-reply drain
-  barrier, and no state survives ``close()`` or a ``Catalog.version``
-  bump — a fresh query on the same session respawns workers with fresh
-  state (no hang, no stale replies).
+* **Tail queries stay in-process** — a tail query never builds, spawns
+  or sends to a pool, whatever ``n_jobs`` is.
+* **Faults** — a worker killed inside a real query surfaces as a clean
+  ``EngineError``, leaves no shm segment or child process behind, and
+  the next query respawns the pool with bit-identical results.
 """
 
 import multiprocessing
@@ -32,8 +29,6 @@ import signal
 import numpy as np
 import pytest
 
-from repro.core.gibbs_looper import GibbsLooper
-from repro.core.params import TailParams
 from repro.engine.backends import (
     ProcessBackend, SerialBackend, ThreadBackend, catalog_share_key,
     make_backend)
@@ -63,54 +58,6 @@ class FailingJob:
         raise ValueError(f"boom at {lo}")
 
 
-class LedgerState:
-    """Stateful payload for the worker-owned-state protocol tests."""
-
-    def __init__(self, label, entries):
-        self.label = label
-        self.entries = list(entries)
-
-    def record(self, *values):          # notification target
-        self.entries.extend(values)
-
-    def total(self):                    # synchronous-call target
-        return (self.label, sum(self.entries))
-
-    def span(self, lo, hi):             # scatter target
-        return (self.label, list(self.entries[lo:hi]))
-
-
-class ExplodingState:
-    def boom(self):
-        raise ValueError("state op exploded")
-
-    def ok(self):
-        return "fine"
-
-
-class SuicidalState:
-    """Simulates a worker lost to the OS (OOM kill, crash) mid-operation."""
-
-    def die(self):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def ok(self):
-        return "alive"
-
-
-class UnpicklableState:
-    """Pickles fine parent-side, explodes when the worker unpickles it."""
-
-    def __init__(self):
-        self.payload = "present"  # non-empty state so __setstate__ runs
-
-    def __setstate__(self, state):
-        raise RuntimeError("worker-side unpickle exploded")
-
-    def ok(self):
-        return "fine"
-
-
 class SharedArrayJob:
     """Exercises the keyed shared channel the catalog rides in production."""
 
@@ -131,6 +78,32 @@ class SharedArrayJob:
 
     def run_shard(self, lo, hi):
         return float(self.array[lo:hi].sum())
+
+
+class UnpicklableJob:
+    """Pickles fine in the parent, explodes when a worker unpickles it."""
+
+    def __init__(self):
+        self.tag = "job"
+
+    def __setstate__(self, state):
+        raise RuntimeError("worker-side unpickle exploded")
+
+    def run_shard(self, lo, hi):
+        return lo
+
+
+class UnpicklablePayload(UnpicklableJob):
+    """A shared-channel object whose worker-side unpickle fails."""
+
+
+class SuicidalJob:
+    """SIGKILLs the worker running its second shard."""
+
+    def run_shard(self, lo, hi):
+        if lo == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lo
 
 
 def _make_backend(name, n_workers=2):
@@ -331,6 +304,57 @@ class TestProcessPoolLifecycle:
             assert backend.run_job(SpanJob(), [(0, 2), (2, 3)]) == [[0, 1], [2]]
         finally:
             backend.close()
+
+    def test_job_unpickle_failure_carries_worker_traceback(self):
+        """The job broadcast is unpickled inside the worker's handler, so
+        a failure there comes back as a traceback — not a silent worker
+        death — and resets the pool."""
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(EngineError,
+                               match="worker-side unpickle exploded"):
+                backend.run_job(UnpicklableJob(), [(0, 1), (1, 2)])
+            assert backend.workers_alive == 0
+            assert backend.run_job(SpanJob(), [(0, 1), (1, 2)]) == [[0], [1]]
+        finally:
+            backend.close()
+
+    def test_shared_payload_unpickle_failure_resets_pool(self):
+        backend = ProcessBackend(2)
+        try:
+            job = SharedArrayJob(("payload", 1), UnpicklablePayload())
+            with pytest.raises(EngineError,
+                               match="worker-side unpickle exploded"):
+                backend.run_job(job, [(0, 1), (1, 2)])
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+            assert backend.run_job(SpanJob(), [(0, 1), (1, 2)]) == [[0], [1]]
+        finally:
+            backend.close()
+
+    def test_worker_killed_mid_shard(self):
+        """A worker SIGKILLed while it runs a shard: clean EngineError, no
+        hang, pool and segments reaped, next job respawns."""
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(EngineError, match="died"):
+                backend.run_job(SuicidalJob(), [(0, 1), (1, 2), (2, 3)])
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+            assert backend.run_job(SpanJob(), [(0, 1), (1, 2)]) == [[0], [1]]
+            assert backend.stats["spawns"] == 4
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
+    def test_in_process_backends_close_is_idempotent_and_reusable(
+            self, backend_name):
+        backend = _make_backend(backend_name)
+        assert backend.run_job(SpanJob(), [(0, 1), (1, 3)]) == [[0], [1, 2]]
+        backend.close()
+        backend.close()
+        assert backend.run_job(SpanJob(), [(0, 2), (2, 3)]) == [[0, 1], [2]]
+        backend.close()
 
 
 class TestSharedChannel:
@@ -571,463 +595,147 @@ class TestSessionPoolLifecycle:
         session.close()
 
 
-def _tail_looper(backend=None, n_jobs=2, gibbs_state="worker",
-                 customers=24, window=4000, versions=40, num_samples=20,
-                 m=2, k=2, p_step=0.2, base_seed=9, backend_name="process",
-                 state_reinit="delta", speculate_followups=True):
-    """A rejection-heavy, replenishment-free Gibbs workload.
-
-    ``window`` far exceeds what ``m * k`` sweeps consume, so the run has
-    ``plan_runs == 1`` — under worker state the snapshot therefore ships
-    exactly once and everything after sweep 1 is pure notifications,
-    which is what the transport regression pins.
-    """
-    catalog = Catalog()
-    catalog.add_table(Table("means", {
-        "CID": np.arange(customers),
-        "m": np.linspace(0.8, 3.5, customers)}))
-    spec = RandomTableSpec(
-        name="Losses", parameter_table="means", vg=NORMAL,
-        vg_params=(col("m"), lit(1.0)),
-        random_columns=(RandomColumnSpec("val"),),
-        passthrough_columns=("CID",))
-    params = TailParams(p=p_step ** m, m=m, n_steps=(versions,) * m,
-                        p_steps=(p_step,) * m)
-    return GibbsLooper(
-        random_table_pipeline(spec), catalog, params, num_samples,
-        aggregate_kind="sum", aggregate_expr=col("val"),
-        window=window, base_seed=base_seed, k=k,
-        options=ExecutionOptions(n_jobs=n_jobs, backend=backend_name,
-                                 gibbs_state=gibbs_state,
-                                 state_reinit=state_reinit,
-                                 speculate_followups=speculate_followups),
-        backend=backend)
+def _new_children(before: set) -> list:
+    """Live child processes of this test process not in ``before``."""
+    return [child.pid for child in multiprocessing.active_children()
+            if child.pid not in before]
 
 
-class TestWorkerStateProtocol:
-    """init_state / call / cast / scatter / collect / discard round-trips."""
-
-    def test_process_roundtrip_and_ownership(self):
-        backend = ProcessBackend(2)
-        try:
-            # Three shards on two workers: shard 2 shares worker 0.
-            token = backend.init_state([
-                LedgerState("a", [1, 2]), LedgerState("b", [3]),
-                LedgerState("c", [4])])
-            assert backend.state_call(token, 0, "total") == ("a", 3)
-            assert backend.state_call(token, 2, "total") == ("c", 4)
-            backend.state_cast(token, 1, "record", 10, 20)
-            assert backend.state_call(token, 1, "total") == ("b", 33)
-            backend.state_cast_all(token, "record", 100)
-            assert backend.state_call(token, 0, "total") == ("a", 103)
-            assert backend.state_call(token, 2, "total") == ("c", 104)
-            backend.discard_state(token)
-            with pytest.raises(EngineError, match="unknown worker state"):
-                backend.state_call(token, 0, "total")
-        finally:
-            backend.close()
-
-    def test_process_scatter_collects_in_any_order(self):
-        """Out-of-order collection across shards co-located on one worker
-        must not cross replies (the ticket stash)."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([
-                LedgerState(str(shard), range(shard, shard + 4))
-                for shard in range(4)])
-            backend.state_scatter(token, "span",
-                                  [(0, 2), (1, 3), (0, 4), (2, 4)])
-            assert backend.state_collect(token, 3) == ("3", [5, 6])
-            assert backend.state_collect(token, 0) == ("0", [0, 1])
-            assert backend.state_collect(token, 2) == ("2", [2, 3, 4, 5])
-            assert backend.state_collect(token, 1) == ("1", [2, 3])
-        finally:
-            backend.close()
-
-    def test_discard_drains_uncollected_scatter_replies(self):
-        """A state discarded with replies still in flight must not leak
-        them into later traffic (the drain barrier)."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([LedgerState("x", [1]),
-                                        LedgerState("y", [2])])
-            backend.state_scatter(token, "total", [(), ()])
-            backend.discard_state(token)  # never collected
-            with pytest.raises(EngineError, match="no scattered reply"):
-                backend.state_collect(token, 0)
-            fresh = backend.init_state([LedgerState("f", [7]),
-                                        LedgerState("g", [8])])
-            backend.state_scatter(fresh, "total", [(), ()])
-            assert backend.state_collect(fresh, 0) == ("f", 7)
-            assert backend.state_collect(fresh, 1) == ("g", 8)
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_double_scatter_is_a_protocol_error(self, backend_name):
-        """Re-scattering over an uncollected reply would orphan it (and
-        its stash slot, on the process transport) — every backend must
-        refuse, leaving the first reply collectable."""
-        backend = _make_backend(backend_name)
-        try:
-            token = backend.init_state([LedgerState("a", [1])])
-            backend.state_scatter(token, "total", [()])
-            with pytest.raises(EngineError, match="already has a scattered"):
-                backend.state_scatter(token, "total", [()])
-            assert backend.state_collect(token, 0) == ("a", 1)
-        finally:
-            backend.close()
-
-    def test_serial_state_is_a_pickled_mirror(self):
-        """The serial backend must mirror, not alias: casts apply to the
-        pickled copy and never to the caller's live object — that is
-        what makes it the replay reference implementation."""
-        payload = LedgerState("m", [1])
-        backend = SerialBackend()
-        token = backend.init_state([payload])
-        backend.state_cast(token, 0, "record", 41)
-        assert backend.state_call(token, 0, "total") == ("m", 42)
-        assert payload.entries == [1]  # caller's object untouched
-        payload.entries.append(999)    # …and mirror blind to caller edits
-        assert backend.state_call(token, 0, "total") == ("m", 42)
-
-    def test_state_merge_semantics_per_backend(self):
-        """``state_merge`` is a splice verb: the serial mirror applies it
-        (the replayable reference), the thread transport must NOT
-        re-apply it to the caller's shared objects (the caller's own
-        refresh already did), and the process transport accounts its
-        bytes as re-init rather than notification traffic."""
-        payload = LedgerState("m", [1])
-        serial = SerialBackend()
-        token = serial.init_state([payload])
-        serial.state_merge(token, 0, "record", 10)
-        assert serial.state_call(token, 0, "total") == ("m", 11)
-        assert payload.entries == [1]  # caller's object untouched
-
-        shared = LedgerState("t", [1])
-        thread = ThreadBackend(2)
-        try:
-            token = thread.init_state([shared])
-            shared.record(10)  # the caller's refresh IS the merge
-            thread.state_merge(token, 0, "record", 10)
-            assert thread.state_call(token, 0, "total") == ("t", 11)
-            with pytest.raises(EngineError, match="unknown worker state"):
-                thread.state_merge(99, 0, "record", 1)
-        finally:
-            thread.close()
-
-        process = ProcessBackend(2)
-        try:
-            token = process.init_state([LedgerState("p", [1])])
-            process.state_merge(token, 0, "record", 29)
-            assert process.stats["state_merges"] == 1
-            assert process.stats["state_merge_bytes"] > 0
-            # Merge bytes are re-init traffic, not notifications.
-            assert process.stats["state_msg_bytes"] == 0
-            assert process.state_call(token, 0, "total") == ("p", 30)
-            with pytest.raises(EngineError, match="unknown worker state"):
-                process.state_merge(token + 1, 0, "record", 1)
-        finally:
-            process.close()
-
-    def test_thread_state_is_shared_by_reference(self):
-        """The thread backend holds the live object: the caller's own
-        mutations are the state, and casts are deliberate no-ops (they
-        would double-apply)."""
-        payload = LedgerState("t", [1])
-        backend = ThreadBackend(2)
-        try:
-            token = backend.init_state([payload])
-            payload.record(41)  # caller applies; cast must not re-apply
-            backend.state_cast(token, 0, "record", 41)
-            assert backend.state_call(token, 0, "total") == ("t", 42)
-            backend.state_scatter(token, "span", [(0, 2)])
-            assert backend.state_collect(token, 0) == ("t", [1, 41])
-        finally:
-            backend.close()
-
-
-class TestWorkerStateFaults:
-    """Fault injection: every failure is a clean EngineError + pool reset."""
-
-    def test_state_error_carries_traceback_and_resets_pool(self):
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([ExplodingState(), ExplodingState()])
-            assert backend.state_call(token, 0, "ok") == "fine"
-            with pytest.raises(EngineError, match="state op exploded"):
-                backend.state_call(token, 1, "boom")
-            assert backend.workers_alive == 0  # pool reset, no stale replies
-            assert leaked_segments() == []  # reset reaped its segments too
-            fresh = backend.init_state([ExplodingState()])  # respawns
-            assert backend.state_call(fresh, 0, "ok") == "fine"
-        finally:
-            backend.close()
-
-    def test_cast_error_surfaces_on_next_reply(self):
-        """A failed notification has no reply slot of its own; its error
-        must surface on the next synchronous operation instead of being
-        silently swallowed (a diverged mirror must never serve)."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([ExplodingState()])
-            backend.state_cast(token, 0, "boom")
-            with pytest.raises(EngineError, match="state op exploded"):
-                backend.state_call(token, 0, "ok")
-            assert backend.workers_alive == 0
-        finally:
-            backend.close()
-
-    def test_init_unpickle_failure_carries_worker_traceback(self):
-        """The sinit payload rides as a nested blob so a worker-side
-        unpickling failure is caught in the worker's handler and comes
-        back as a traceback — not a silent worker death."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([UnpicklableState()])
-            with pytest.raises(EngineError,
-                               match="worker-side unpickle exploded"):
-                backend.state_call(token, 0, "ok")
-            assert backend.workers_alive == 0
-        finally:
-            backend.close()
-
-    def test_discard_surfaces_drained_cast_error(self):
-        """A cast that fails with NO later synchronous operation must not
-        vanish: the discard barrier drains its error reply and re-raises
-        it — a diverged mirror is never silent, even at query end."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([ExplodingState()])
-            backend.state_cast(token, 0, "boom")
-            with pytest.raises(EngineError, match="state op exploded"):
-                backend.discard_state(token)
-            assert backend.workers_alive == 0
-            fresh = backend.init_state([ExplodingState()])
-            assert backend.state_call(fresh, 0, "ok") == "fine"
-        finally:
-            backend.close()
-
-    def test_worker_killed_mid_call(self):
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([SuicidalState(), SuicidalState()])
-            assert backend.state_call(token, 0, "ok") == "alive"
-            with pytest.raises(EngineError, match="died"):
-                backend.state_call(token, 1, "die")
-            assert backend.workers_alive == 0
-            # The killed worker can't unmap gracefully, but the parent
-            # owns every segment name: the reset must unlink them all.
-            assert leaked_segments() == []
-            fresh = backend.init_state([SuicidalState()])
-            assert backend.state_call(fresh, 0, "ok") == "alive"
-        finally:
-            backend.close()
-
-    def test_worker_killed_between_calls(self):
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([LedgerState("a", [1]),
-                                        LedgerState("b", [2])])
-            assert backend.state_call(token, 0, "total") == ("a", 1)
-            backend._workers[0].process.terminate()
-            backend._workers[0].process.join()
-            with pytest.raises(EngineError, match="died"):
-                for _ in range(3):  # first send may land in the dead pipe
-                    backend.state_call(token, 0, "total")
-            assert backend.workers_alive == 0
-        finally:
-            backend.close()
-
-    def test_state_dies_with_close_and_respawn_is_explicit(self):
-        """The respawn-after-close contract: a closed pool's state tokens
-        are dead — state calls raise immediately instead of lazily
-        spawning workers that never held the state — and only a fresh
-        init_state repopulates the respawned pool."""
-        backend = ProcessBackend(2)
-        try:
-            token = backend.init_state([LedgerState("a", [5])])
-            assert backend.state_call(token, 0, "total") == ("a", 5)
-            backend.close()
-            backend.close()  # idempotent
-            assert backend.workers_alive == 0
-            assert backend.shm_live_segments == 0  # close unlinks everything
-            with pytest.raises(EngineError, match="unknown worker state"):
-                backend.state_call(token, 0, "total")
-            assert backend.workers_alive == 0  # no silent lazy respawn
-            fresh = backend.init_state([LedgerState("z", [6])])
-            assert backend.state_call(fresh, 0, "total") == ("z", 6)
-            assert backend.stats["spawns"] == 4  # 2 original + 2 respawned
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
-    def test_in_process_backends_drop_state_on_close(self, backend_name):
-        """The stale-state leak fix: in-process backends must not keep
-        payload references alive across close() — a token from before
-        the close can never resolve again."""
-        backend = _make_backend(backend_name)
-        token = backend.init_state([LedgerState("a", [1]),
-                                    LedgerState("b", [2])])
-        assert backend.state_call(token, 1, "total") == ("b", 2)
-        backend.close()
-        assert backend._states == {}
-        with pytest.raises(EngineError, match="unknown worker state"):
-            backend.state_call(token, 0, "total")
-        fresh = backend.init_state([LedgerState("c", [3])])
-        assert backend.state_call(fresh, 0, "total") == ("c", 3)
-        assert fresh != token  # tokens never alias across close()
-        backend.close()
-
-
-class TestWorkerStateQueryFaults:
-    """Worker death inside a real sharded tail query, session-level."""
+class TestTailRunsInProcess:
+    """A tail query runs the serial looper whatever ``n_jobs`` is: the
+    Gibbs sweep is Gauss–Seidel over TS-seeds, so it never touches, let
+    alone spawns, the session's pool."""
 
     CREATE = TestDetCacheShardSemantics.CREATE
-    TAIL_QUERY = """
-        SELECT SUM(val) AS loss FROM Losses WHERE CID < 12
-        WITH RESULTDISTRIBUTION MONTECARLO(30)
-        DOMAIN loss >= QUANTILE(0.9)
-    """
+    MC_QUERY = TestDetCacheShardSemantics.MC_QUERY
+    TAIL_QUERIES = [
+        TestDetCacheShardSemantics.TAIL_QUERY,
+        """
+        SELECT SUM(val) AS loss FROM Losses WHERE CID < 9
+        WITH RESULTDISTRIBUTION MONTECARLO(20)
+        DOMAIN loss >= QUANTILE(0.95)
+        """,
+    ]
 
-    def _session(self):
-        session = Session(base_seed=11, tail_budget=200, window=2000,
+    def _session(self, backend="process"):
+        session = Session(base_seed=11, tail_budget=200, window=150,
                           options=ExecutionOptions(n_jobs=2,
-                                                   gibbs_state="worker"))
+                                                   backend=backend))
         session.add_table("means", {
             "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
         session.execute(self.CREATE)
         return session
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tail_only_session_spawns_nothing(self, backend):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with self._session(backend) as session:
+            for sql in self.TAIL_QUERIES:
+                assert session.execute(sql).tail.samples.size > 0
+            assert session.backend is None
+            assert _new_children(before) == []
+            assert leaked_segments() == []
+
+    def test_standing_tail_refresh_after_append_spawns_nothing(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with self._session() as session:
+            handle = session.standing_query(self.TAIL_QUERIES[1])
+            session.append("means", {"CID": [15, 16], "m": [2.5, 3.5]})
+            assert handle.refresh().tail.samples.size > 0
+            assert session.backend is None
+            assert _new_children(before) == []
+
+    def test_tail_query_sends_nothing_to_a_live_pool(self):
+        with self._session() as session:
+            session.execute(self.MC_QUERY)
+            backend = session.backend
+            sent, jobs = backend.stats["sent_bytes"], backend.stats["jobs"]
+            session.execute(self.TAIL_QUERIES[0])
+            assert session.backend is backend
+            assert backend.stats["sent_bytes"] == sent
+            assert backend.stats["jobs"] == jobs
+
+
+class TestRunJobQueryFaults:
+    """Worker death inside a real sharded Monte Carlo query."""
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="kill injection relies on fork inheriting the patched class")
-    @pytest.mark.parametrize("method", ["serve_windows", "apply_clone"])
-    def test_kill_mid_sweep_and_between_sweeps(self, method, monkeypatch):
-        """``serve_windows`` dies mid-sweep (inside the scatter), while
-        ``apply_clone`` dies between bootstrap steps.  Both must tear the
-        pool down into a clean EngineError — no hang — and a fresh query
-        on the same session must respawn workers with correct state."""
-        from repro.core import gibbs_looper as gl
-        with self._session() as healthy:
-            expected = healthy.execute(self.TAIL_QUERY)
-        with self._session() as session:
+    @pytest.mark.parametrize("query", ["join_group", "presence"])
+    def test_kill_inside_run_shard_then_recover(self, monkeypatch, query):
+        """A worker SIGKILLed inside ``run_shard`` must tear the pool down
+        into a clean EngineError — no hang, no leaked segment, no orphan
+        child — and the next query on the same session must respawn the
+        pool and reproduce the MC golden bytes."""
+        import test_mc_goldens as goldens
+        sql = goldens.QUERIES[query][0]
+        parent = os.getpid()
+        run_shard = MonteCarloExecutor.run_shard
 
-            def killer(self, *args):
+        def killer(self, lo, hi):
+            if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
+            return run_shard(self, lo, hi)
 
+        before = {child.pid for child in multiprocessing.active_children()}
+        options = ExecutionOptions(n_jobs=2, backend="process")
+        with goldens.WORKLOAD.build_session(
+                base_seed=goldens.BASE_SEED, options=options) as session:
             # Workers fork at first use, inheriting the patched class.
-            monkeypatch.setattr(gl.GibbsSeedShard, method, killer)
-            with pytest.raises(EngineError):
-                session.execute(self.TAIL_QUERY)
-            assert session.backend.workers_alive == 0  # pool torn down
+            monkeypatch.setattr(MonteCarloExecutor, "run_shard", killer)
+            with pytest.raises(EngineError, match="died"):
+                session.execute(sql)
+            backend = session.backend
+            assert backend.workers_alive == 0  # pool torn down
             assert leaked_segments() == []  # ...with its shm segments
+            assert _new_children(before) == []
             monkeypatch.undo()  # fresh workers fork from healthy code
-            recovered = session.execute(self.TAIL_QUERY)
-            np.testing.assert_array_equal(recovered.tail.samples,
-                                          expected.tail.samples)
-            assert recovered.tail.assignments == expected.tail.assignments
+            recovered = session.execute(sql).distributions
+            assert session.backend is backend
+            assert backend.workers_alive == 2  # respawned
+            assert backend.stats["spawns"] == 4
+        goldens.assert_equals_goldens(
+            query, goldens.samples_of(query, recovered))
 
-    def test_worker_state_never_survives_catalog_bumps(self):
-        """Seed state is per-query; a Catalog.version bump between
-        queries must meet a fresh init, never a stale mirror."""
-        with self._session() as session:
-            first = session.execute(self.TAIL_QUERY)
-            inits = session.backend.stats["state_inits"]
-            assert inits > 0
+    def test_kill_between_queries_then_recover(self):
+        """A worker killed while the pool idles between two queries (OOM
+        killer, operator): the next query fails typed and clean, the one
+        after respawns the pool and reproduces the MC golden bytes."""
+        import test_mc_goldens as goldens
+        before = {child.pid for child in multiprocessing.active_children()}
+        options = ExecutionOptions(n_jobs=2, backend="process")
+        with goldens.WORKLOAD.build_session(
+                base_seed=goldens.BASE_SEED, options=options) as session:
+            session.execute(goldens.JOIN_GROUP)
+            backend = session.backend
+            victim = backend._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            with pytest.raises(EngineError, match="died"):
+                session.execute(goldens.JOIN_GROUP)
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+            assert _new_children(before) == []
+            recovered = session.execute(goldens.JOIN_GROUP).distributions
+            assert backend.workers_alive == 2
+        goldens.assert_equals_goldens(
+            "join_group", goldens.samples_of("join_group", recovered))
+
+    def test_catalog_bump_rebroadcasts_the_catalog(self):
+        """Workers keep only the keyed shared channel between queries; a
+        catalog version bump must meet a fresh broadcast, never a stale
+        worker-side copy, and leave the results unchanged."""
+        import test_mc_goldens as goldens
+        options = ExecutionOptions(n_jobs=2, backend="process")
+        with goldens.WORKLOAD.build_session(
+                base_seed=goldens.BASE_SEED, options=options) as session:
+            first = session.execute(goldens.JOIN_GROUP).distributions
+            pickles = session.backend.stats["shared_pickles"]
             session.add_table("extra", {"k": np.arange(3)})  # version bump
-            second = session.execute(self.TAIL_QUERY)
-            assert session.backend.stats["state_inits"] > inits
-            np.testing.assert_array_equal(first.tail.samples,
-                                          second.tail.samples)
-
-
-class TestWorkerStateTransport:
-    """Per-sweep bytes under gibbs_state="worker": notifications only.
-
-    The broadcast transport re-pickles the whole tuple/state snapshot
-    every sweep; worker-owned state ships it once at init and then sends
-    commit notifications a few hundred bytes each.  These tests pin the
-    shape (one init, zero job broadcasts, no re-ship after sweep 1); the
-    >= 5x per-sweep byte gate on a bigger workload lives in
-    ``benchmarks/bench_scaling.py``.
-    """
-
-    def test_zero_snapshot_reships_after_sweep_one(self):
-        backend = ProcessBackend(2)
-        try:
-            result = _tail_looper(backend=backend).run()
-            stats = backend.stats
-            assert result.plan_runs == 1  # workload never replenished
-            assert result.followup_windows > 0  # …yet follow-ups served
-            assert stats["state_inits"] == 1  # snapshot shipped exactly once
-            assert stats["jobs"] == 0  # and never broadcast as a job
-            # Everything after sweep 1 is notifications: all four sweeps'
-            # messages together stay well under one snapshot ship.
-            assert stats["state_msg_bytes"] < stats["state_init_bytes"] / 3
-            traffic = stats["state_calls"] + stats["state_casts"]
-            assert stats["state_msg_bytes"] / traffic < 4096
-        finally:
-            backend.close()
-
-    def test_delta_reinit_merges_instead_of_reshipping(self):
-        """A replenishing workload under ``state_reinit="delta"`` must
-        ship the snapshot exactly once and survive every refuel with a
-        ``state_merge`` splice strictly smaller than the snapshot."""
-        backend = ProcessBackend(2)
-        try:
-            result = _tail_looper(backend=backend, window=500,
-                                  versions=30, p_step=0.15).run()
-            stats = backend.stats
-            assert result.plan_runs > 1  # workload really replenished
-            assert result.worker_state_inits == 1
-            assert result.worker_state_merges == result.plan_runs - 1
-            assert result.merged_positions > 0
-            assert stats["state_inits"] == 1
-            assert stats["state_merges"] >= result.worker_state_merges
-            # The whole point: all splices together stay well under the
-            # one snapshot ship each of them replaced.
-            assert stats["state_merge_bytes"] < stats["state_init_bytes"]
-        finally:
-            backend.close()
-
-    def test_full_reinit_reships_snapshot_after_each_refuel(self):
-        backend = ProcessBackend(2)
-        try:
-            result = _tail_looper(backend=backend, window=500,
-                                  versions=30, p_step=0.15,
-                                  state_reinit="full").run()
-            assert result.plan_runs > 1
-            assert result.worker_state_merges == 0
-            assert result.worker_state_inits > 1
-            assert backend.stats["state_merges"] == 0
-            assert backend.stats["state_inits"] == \
-                result.worker_state_inits
-        finally:
-            backend.close()
-
-    def test_broadcast_reships_every_sweep(self):
-        backend = ProcessBackend(2)
-        try:
-            result = _tail_looper(backend=backend,
-                                  gibbs_state="broadcast").run()
-            stats = backend.stats
-            assert result.plan_runs == 1
-            assert stats["jobs"] == 4  # one snapshot job per sweep (m*k)
-            assert stats["state_inits"] == 0
-        finally:
-            backend.close()
-
-    def test_worker_mode_per_sweep_bytes_beat_broadcast(self):
-        per_sweep = {}
-        for mode in ("worker", "broadcast"):
-            backend = ProcessBackend(2)
-            try:
-                _tail_looper(backend=backend, gibbs_state=mode).run()
-                sweeps = 4  # m * k
-                bytes_after_init = (backend.stats["sent_bytes"]
-                                    - backend.stats["state_init_bytes"])
-                per_sweep[mode] = bytes_after_init / sweeps
-            finally:
-                backend.close()
-        assert per_sweep["broadcast"] >= 5 * per_sweep["worker"]
+            second = session.execute(goldens.JOIN_GROUP).distributions
+            assert session.backend.stats["shared_pickles"] == pickles + 1
+        assert goldens.samples_of("join_group", first).keys() == \
+            goldens.samples_of("join_group", second).keys()
+        goldens.assert_equals_goldens(
+            "join_group", goldens.samples_of("join_group", second))

@@ -600,7 +600,6 @@ class TestDeltaMergeEquivalence:
             old_plan[1:], np.arange(old_plan[-1] + 1, old_plan[-1] + 2)])
         context.position_plan = {**context.position_plan, moved: new_plan}
         context.stable_handles = frozenset(handles) - {moved}
-        context.last_fresh_slots = {}
         gathered = []
         values_at = SeedInfo.values_at
 
@@ -621,10 +620,6 @@ class TestDeltaMergeEquivalence:
         np.testing.assert_array_equal(
             after.rand_columns["val"].bases[stable_rows],
             before.rand_columns["val"].bases[stable_rows])
-        for handle in handles:
-            expected = [new_plan.size - 1] if handle == moved else []
-            np.testing.assert_array_equal(after.fresh_slots[handle],
-                                          expected)
         # The moved row equals a from-scratch materialization of its plan.
         np.testing.assert_array_equal(
             after.rand_columns["val"].values[moved_row],

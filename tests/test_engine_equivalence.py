@@ -5,12 +5,10 @@ results — same tail samples, same (handle -> position) assignments, same
 acceptance statistics, same replenishment schedule — for the same session
 seed, on randomized plans and seeds.  Likewise the sharded Monte Carlo
 executor must be invariant to ``n_jobs`` and shard geometry, and every
-``backend × n_jobs × engine × replenishment × window_growth ×
-gibbs_state × shm`` combination — including seed-axis-sharded GibbsLooper
-runs with worker-owned state replaying commit notifications, with and
-without the zero-copy shared-memory data plane — must be bit-identical to
-the serial reference.  Nothing here is approximate:
-every comparison is exact.
+``backend × n_jobs × engine × replenishment × window_growth × shm``
+combination must be bit-identical to the serial reference — a tail query
+with ``n_jobs > 1`` included, which runs the serial looper in-process.
+Nothing here is approximate: every comparison is exact.
 """
 
 import numpy as np
@@ -73,9 +71,7 @@ class TestLooperEquivalence:
              aggregate_kind="sum", k=1, num_samples=25, m=2, p_step=0.3,
              versions=40, predicate=None, max_proposals=100_000,
              replenishment="delta", n_jobs=1, backend="process",
-             shard_size=None, window_growth=1.0, gibbs_state="worker",
-             state_reinit="delta", speculate_followups=True, shm="on",
-             speculate_depth=4, sweep_order="adaptive"):
+             shard_size=None, window_growth=1.0, shm="on"):
         catalog, spec = _losses_catalog(customers)
         plan = random_table_pipeline(spec)
         if predicate is not None:
@@ -93,13 +89,7 @@ class TestLooperEquivalence:
                                      n_jobs=n_jobs, backend=backend,
                                      shard_size=shard_size,
                                      window_growth=window_growth,
-                                     gibbs_state=gibbs_state,
-                                     state_reinit=state_reinit,
-                                     speculate_followups=
-                                     speculate_followups,
-                                     shm=shm,
-                                     speculate_depth=speculate_depth,
-                                     sweep_order=sweep_order)).run()
+                                     shm=shm)).run()
 
     @given(customers=st.integers(3, 15),
            window=st.integers(60, 300),
@@ -466,15 +456,14 @@ class TestSessionLevelEquivalence:
 
 class TestBackendMatrix:
     """The backend axis: every backend × n_jobs × engine × replenishment
-    combination must be bit-identical to the serial reference run —
-    including seed-axis-sharded GibbsLooper runs, where workers evaluate
-    candidate windows for disjoint handle ranges and the sweep merges
-    them in handle order.
+    combination must be bit-identical to the serial reference run.  Tail
+    queries take the axis too and must come back with the serial bits:
+    the looper runs in-process whatever the backend.
     """
 
     _runner = TestLooperEquivalence()
     #: Replenishment-heavy Gibbs workload: the window barely covers the
-    #: population, so sharded sweeps also cross refuel boundaries.
+    #: population, so every sweep crosses refuel boundaries.
     GIBBS = dict(customers=12, window=60, versions=30, num_samples=15,
                  m=2, base_seed=9)
 
@@ -486,51 +475,46 @@ class TestBackendMatrix:
             ExecutionOptions(n_jobs=n_jobs, backend=backend)).run(120)
         TestMonteCarloSharding._assert_results_equal(serial, sharded)
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_jobs", [2, 3])
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
-    def test_gibbs_seed_sharding_equals_serial(self, backend, replenishment,
-                                               gibbs_state):
+    def test_tail_backends_equal_serial(self, replenishment, backend,
+                                        n_jobs):
         serial = self._runner._run("vectorized", replenishment=replenishment,
                                    **self.GIBBS)
-        sharded = self._runner._run("vectorized", replenishment=replenishment,
-                                    n_jobs=2, backend=backend,
-                                    gibbs_state=gibbs_state, **self.GIBBS)
-        _assert_identical(serial, sharded)
-        assert serial.sharded_windows == 0
-        assert sharded.sharded_windows > 0  # the shard path actually ran
-        assert serial.plan_runs > 1  # …and crossed replenishments
-        if gibbs_state == "broadcast":
-            assert sharded.followup_windows == 0  # stateless workers
+        other = self._runner._run("vectorized", replenishment=replenishment,
+                                  n_jobs=n_jobs, backend=backend,
+                                  **self.GIBBS)
+        _assert_identical(serial, other)
+        assert serial.plan_runs > 1  # the scenario crosses replenishments
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_jobs", [2, 3])
     def test_gibbs_engine_axis_under_process_backend(self, engine, n_jobs):
-        """Both engines, sharded, must still match the scalar reference
-        (the reference engine ignores seed sharding by design)."""
+        """Both engines, with a process pool configured, must still match
+        the scalar reference run."""
         reference = self._runner._run("reference", **self.GIBBS)
-        sharded = self._runner._run(engine, n_jobs=n_jobs,
-                                    backend="process", **self.GIBBS)
-        _assert_identical(reference, sharded)
+        pooled = self._runner._run(engine, n_jobs=n_jobs,
+                                   backend="process", **self.GIBBS)
+        _assert_identical(reference, pooled)
 
     @pytest.mark.parametrize("n_jobs", [2, 5])
     def test_gibbs_shard_size_geometry_invariance(self, n_jobs):
-        """Seed-axis shard geometry (shard_size cuts the handle list) must
-        not matter, down to one-seed shards."""
+        """``shard_size`` cuts Monte Carlo repetitions, never the tail
+        sweep: any geometry, down to one-repetition shards, must leave
+        the tail bits alone."""
         serial = self._runner._run("vectorized", **self.GIBBS)
         for shard_size in (1, 3):
-            sharded = self._runner._run(
+            other = self._runner._run(
                 "vectorized", n_jobs=n_jobs, backend="serial",
                 shard_size=shard_size, **self.GIBBS)
-            _assert_identical(serial, sharded)
-            assert sharded.sharded_windows > 0
+            _assert_identical(serial, other)
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    def test_multi_seed_plans_fall_back_to_serial_sweeps(self, gibbs_state):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multi_seed_plans_fall_back_to_serial_sweeps(self, backend):
         """Tuples carrying several handles couple seeds through shared
-        state; sharding must detect that and stay serial (bit-identity
-        the easy way), serving zero prefetched windows — in both state
-        placements."""
+        state; a sharded configuration must come back with the serial
+        sweep's bits."""
         runner = TestMultiSeedPlans()
         serial = runner._run("vectorized", base_seed=7)
         catalog, plan = TestMultiSeedPlans._salary_plan()
@@ -540,11 +524,8 @@ class TestBackendMatrix:
             aggregate_expr=col("e2.sal") - col("e1.sal"),
             final_predicate=col("e2.sal") > col("e1.sal"),
             window=500, base_seed=7,
-            options=ExecutionOptions(n_jobs=2, backend="process",
-                                     gibbs_state=gibbs_state)).run()
+            options=ExecutionOptions(n_jobs=2, backend=backend)).run()
         _assert_identical(serial, sharded)
-        assert sharded.sharded_windows == 0
-        assert sharded.followup_windows == 0
 
     _sql = TestSessionLevelEquivalence()
 
@@ -592,21 +573,19 @@ class TestBackendMatrix:
 class TestZeroCopyEquivalence:
     """The ``shm`` axis: payloads delivered as shared-memory descriptors
     must be bit-identical to pickled copies.  The data plane moves bytes
-    between transports, never values — catalog columns attach read-only,
-    worker-state snapshots attach writable and evolve through the same
-    notification replay, merge deltas splice the same fresh values."""
+    between transports, never values — catalog columns attach read-only.
+    A tail query takes the axis too and must come back with the serial
+    bits either way."""
 
     _runner = TestLooperEquivalence()
     GIBBS = TestBackendMatrix.GIBBS
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
-    def test_gibbs_tail_shm_on_equals_off(self, gibbs_state, state_reinit):
+    @pytest.mark.parametrize("replenishment", ["delta", "full"])
+    def test_gibbs_tail_shm_on_equals_off(self, replenishment):
         serial = self._runner._run("vectorized", backend="serial",
-                                   **self.GIBBS)
+                                   replenishment=replenishment, **self.GIBBS)
         runs = [self._runner._run("vectorized", n_jobs=2, backend="process",
-                                  gibbs_state=gibbs_state,
-                                  state_reinit=state_reinit, shm=shm,
+                                  replenishment=replenishment, shm=shm,
                                   **self.GIBBS)
                 for shm in ("on", "off")]
         _assert_identical(serial, runs[0])
@@ -619,515 +598,6 @@ class TestZeroCopyEquivalence:
                 ExecutionOptions(n_jobs=2, backend="process",
                                  shm=shm)).run(120)
             TestMonteCarloSharding._assert_results_equal(serial, sharded)
-
-
-class TestWorkerStateReplay:
-    """The worker-owned-state replay gate (``gibbs_state="worker"``).
-
-    Stateful workers never see a fresh snapshot after ``init_state``:
-    their mirrors evolve solely through commit/clone notifications, and
-    every window they serve — first *and* follow-up — is computed from
-    the mirror.  The serial backend applies exactly that replay to a
-    **pickled** mirror, so an under-specified notification stream
-    diverges the mirror and breaks bit-identity right here, in-process,
-    with no worker pool in the loop; the process-backend cases then hold
-    the real pipe transport to the same bits.
-    """
-
-    _runner = TestLooperEquivalence()
-    #: Rejection-heavy: a tight elite fraction makes versions burn many
-    #: candidates, exhausting first windows and forcing worker-served
-    #: follow-ups; the wide window keeps replenishment mostly out of the
-    #: way so the mirrors live across all ``m * k`` sweeps.
-    REJECTION_HEAVY = dict(customers=24, window=4000, versions=60,
-                           num_samples=30, m=2, p_step=0.05, k=2,
-                           base_seed=13)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_followup_windows_replay_identically(self, backend):
-        serial = self._runner._run("vectorized", **self.REJECTION_HEAVY)
-        worker = self._runner._run("vectorized", n_jobs=2, backend=backend,
-                                   gibbs_state="worker",
-                                   **self.REJECTION_HEAVY)
-        _assert_identical(serial, worker)
-        assert worker.followup_windows > 0  # rejection forced follow-ups…
-        # …and they are counted on top of the per-sweep first windows.
-        assert worker.sharded_windows > worker.followup_windows
-
-    def test_worker_and_broadcast_land_on_the_same_bits(self):
-        worker = self._runner._run("vectorized", n_jobs=2, backend="serial",
-                                   gibbs_state="worker",
-                                   **self.REJECTION_HEAVY)
-        broadcast = self._runner._run("vectorized", n_jobs=2,
-                                      backend="serial",
-                                      gibbs_state="broadcast",
-                                      **self.REJECTION_HEAVY)
-        _assert_identical(worker, broadcast)
-        assert worker.followup_windows > 0
-        assert broadcast.followup_windows == 0
-
-    def test_process_shard_size_one_is_capped_and_identical(self):
-        """``shard_size=1`` on the process transport must not pin many
-        one-seed shards on one worker — that geometry can wedge a worker
-        blocked on a large uncollected reply against the parent's commit
-        casts (see ``ExecutionBackend.state_shard_limit``).  Ownership is
-        repartitioned to one shard per worker, and since windows are
-        computed per seed, the bits cannot move."""
-        serial = self._runner._run("vectorized", **self.REJECTION_HEAVY)
-        worker = self._runner._run("vectorized", n_jobs=2, backend="process",
-                                   shard_size=1, gibbs_state="worker",
-                                   **self.REJECTION_HEAVY)
-        _assert_identical(serial, worker)
-        assert worker.followup_windows > 0
-
-    def test_replay_across_replenishments(self):
-        """Replenishment invalidates the mirrors mid-run; the re-init +
-        continued replay must still land on the serial bits."""
-        kwargs = dict(customers=10, window=45, versions=40, m=2,
-                      base_seed=5, k=2)
-        serial = self._runner._run("vectorized", **kwargs)
-        worker = self._runner._run("vectorized", n_jobs=2, backend="process",
-                                   gibbs_state="worker", **kwargs)
-        _assert_identical(serial, worker)
-        assert worker.plan_runs > 1  # the mirrors were really re-initialized
-
-    def test_notifications_actually_flow(self, monkeypatch):
-        """White-box: the bits must come from the replay protocol — the
-        mirror receives commit and clone notifications and serves the
-        windows — not from a silent fallback to local evaluation."""
-        from repro.core import gibbs_looper as gl
-        counts = {"commit": 0, "clone": 0, "serve": 0}
-        for name, key in (("apply_commit", "commit"),
-                          ("apply_clone", "clone"),
-                          ("serve_window", "serve")):
-            original = getattr(gl.GibbsSeedShard, name)
-
-            def wrapped(self, *args, _original=original, _key=key):
-                counts[_key] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(gl.GibbsSeedShard, name, wrapped)
-        result = self._runner._run("vectorized", n_jobs=2, backend="serial",
-                                   gibbs_state="worker",
-                                   **self.REJECTION_HEAVY)
-        assert counts["commit"] > 0
-        assert counts["clone"] > 0  # the between-step elite overwrite
-        assert counts["serve"] >= result.sharded_windows > 0
-
-    @given(base_seed=st.integers(0, 10_000),
-           n_jobs=st.integers(2, 4),
-           shard_size=st.sampled_from([None, 1, 3]),
-           aggregate_kind=st.sampled_from(["sum", "count", "avg"]),
-           window=st.integers(60, 400))
-    @settings(max_examples=10, deadline=None)
-    def test_property_replay_bit_identical(self, base_seed, n_jobs,
-                                           shard_size, aggregate_kind,
-                                           window):
-        """Random plans x random commit interleavings: every seed draws a
-        different accept/reject/replenish path through the sweep, so the
-        mirrors replay a different notification stream each example —
-        all of them must land on the serial sweep's exact bits, for any
-        shard geometry (down to one-seed shards)."""
-        kwargs = dict(customers=10, window=window, versions=25,
-                      num_samples=12, m=2, k=2, base_seed=base_seed,
-                      aggregate_kind=aggregate_kind)
-        if aggregate_kind == "count":
-            kwargs["predicate"] = col("val") > lit(1.0)
-        _assert_identical(
-            self._runner._run("vectorized", **kwargs),
-            self._runner._run("vectorized", n_jobs=n_jobs, backend="serial",
-                              shard_size=shard_size, gibbs_state="worker",
-                              **kwargs))
-
-
-class TestDeltaStateReinit:
-    """``state_reinit`` x ``speculate_followups``: the worker-owned state
-    must survive delta replenishments through ``state_merge`` splices —
-    per-version caches kept, only never-materialized window values
-    shipped — and speculative follow-up prefetch must resolve windows
-    from the speculation buffer, all at the serial sweep's exact bits.
-    """
-
-    _runner = TestLooperEquivalence()
-    #: Replenishment-heavy: every sweep crosses several refuels, so a
-    #: delta run exercises the splice path many times per query.
-    HEAVY = dict(customers=12, window=60, versions=30, num_samples=15,
-                 m=2, base_seed=9)
-
-    @staticmethod
-    def _run_skewed(n_jobs=1, backend="serial", state_reinit="delta",
-                    speculate_followups=True, speculate_depth=4,
-                    sweep_order="adaptive"):
-        """Skew-rejection workload: a few extreme-variance seeds.
-
-        Their versions burn thousands of candidates — long zero-accept
-        window chains, exactly what the speculative prefetch predicts —
-        while the cold majority keeps the plan replenishing normally.
-        """
-        catalog = Catalog()
-        sigma = np.full(40, 0.25)
-        sigma[:3] = 25.0
-        catalog.add_table(Table("means", {
-            "CID": np.arange(40),
-            "m": np.linspace(0.8, 3.5, 40),
-            "s": sigma}))
-        spec = RandomTableSpec(
-            name="Losses", parameter_table="means", vg=NORMAL,
-            vg_params=(col("m"), col("s")),
-            random_columns=(RandomColumnSpec("val"),),
-            passthrough_columns=("CID",))
-        params = TailParams(p=0.12 ** 2, m=2, n_steps=(40, 40),
-                            p_steps=(0.12, 0.12))
-        return GibbsLooper(
-            random_table_pipeline(spec), catalog, params, 20,
-            aggregate_kind="sum", aggregate_expr=col("val"),
-            window=1200, base_seed=13, k=2,
-            options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend, gibbs_state="worker",
-                state_reinit=state_reinit,
-                speculate_followups=speculate_followups,
-                speculate_depth=speculate_depth,
-                sweep_order=sweep_order)).run()
-
-    @pytest.mark.parametrize("speculate", [False, True])
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reinit_matrix_equals_serial(self, backend, state_reinit,
-                                         speculate):
-        serial = self._runner._run("vectorized", **self.HEAVY)
-        sharded = self._runner._run(
-            "vectorized", n_jobs=2, backend=backend, gibbs_state="worker",
-            state_reinit=state_reinit, speculate_followups=speculate,
-            **self.HEAVY)
-        _assert_identical(serial, sharded)
-        assert sharded.plan_runs > 1  # the scenario must replenish
-        if state_reinit == "delta":
-            # The state survived every refuel: one snapshot ship for the
-            # whole query, one splice per replenishment.
-            assert sharded.worker_state_inits == 1
-            assert sharded.worker_state_merges == sharded.plan_runs - 1
-            assert sharded.merged_positions > 0
-        else:
-            assert sharded.worker_state_merges == 0
-            assert sharded.worker_state_inits > 1
-
-    def test_full_replenishment_mode_disables_merging(self):
-        """``replenishment="full"`` rebuilds the tuples, so even
-        ``state_reinit="delta"`` must fall back to discard + re-init."""
-        result = self._runner._run(
-            "vectorized", n_jobs=2, backend="serial", gibbs_state="worker",
-            replenishment="full", state_reinit="delta", **self.HEAVY)
-        _assert_identical(
-            self._runner._run("vectorized", replenishment="full",
-                              **self.HEAVY), result)
-        assert result.worker_state_merges == 0
-        assert result.worker_state_inits > 1
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_speculation_serves_windows_bit_identically(self, backend):
-        serial = self._run_skewed()
-        plain = self._run_skewed(n_jobs=2, backend=backend,
-                                 speculate_followups=False)
-        speculated = self._run_skewed(n_jobs=2, backend=backend,
-                                      speculate_followups=True)
-        _assert_identical(serial, plain)
-        _assert_identical(serial, speculated)
-        assert plain.speculated_windows == 0
-        assert speculated.speculated_windows > 0  # buffer really served
-        assert speculated.followup_windows >= \
-            speculated.speculated_windows
-
-    def test_thread_backend_never_speculates(self):
-        """The thread transport elides casts, so the owners never see
-        the notification stream speculation depends on — it must be
-        disabled there (results identical regardless)."""
-        serial = self._run_skewed()
-        threaded = self._run_skewed(n_jobs=2, backend="thread",
-                                    speculate_followups=True)
-        _assert_identical(serial, threaded)
-        assert threaded.speculated_windows == 0
-        assert threaded.wasted_speculations == 0
-
-    def test_merge_and_speculation_notifications_flow(self, monkeypatch):
-        """White-box: the delta re-init and speculation paths must run —
-        mirrors receive ``apply_merge`` splices, speculations are built
-        by the owners, and consumed ones are acknowledged by notes."""
-        from repro.core import gibbs_looper as gl
-        counts = {"merge": 0, "speculate": 0, "note": 0}
-        for name, key in (("apply_merge", "merge"),
-                          ("_speculate", "speculate"),
-                          ("note_speculation", "note")):
-            original = getattr(gl.GibbsSeedShard, name)
-
-            def wrapped(self, *args, _original=original, _key=key):
-                counts[_key] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(gl.GibbsSeedShard, name, wrapped)
-        result = self._run_skewed(n_jobs=2, backend="serial")
-        assert result.worker_state_merges > 0
-        # apply_merge fires once per shard per survived replenishment.
-        assert counts["merge"] >= result.worker_state_merges
-        assert counts["speculate"] > 0
-        assert counts["note"] == result.speculated_windows > 0
-
-    def test_instantiate_exposes_merged_position_delta(self):
-        """The relation/context-level ``fresh_slots`` must name exactly
-        the slots whose positions were never materialized before."""
-        from repro.engine.operators import ExecutionContext
-        catalog, spec = _losses_catalog(6)
-        plan = random_table_pipeline(spec)
-        context = ExecutionContext(catalog, positions=40, aligned=False,
-                                   base_seed=3)
-        context.delta_tracking = True
-        first = plan.execute(context)
-        assert first.fresh_slots == {}  # full run: no delta to expose
-        handles = sorted(
-            int(h) for h in
-            next(iter(first.rand_columns.values())).seed_handles)
-        old = {h: context.positions_for(h) for h in handles}
-        # Replenishment-style re-run: keep a few "assigned" positions,
-        # extend past the old window.
-        context.positions = 50
-        context.position_plan = {
-            h: np.concatenate([np.arange(3, dtype=np.int64),
-                               np.arange(35, 82, dtype=np.int64)])
-            for h in handles}
-        context.delta_mode = True
-        context.last_fresh_slots = {}
-        merged = plan.execute(context)
-        context.delta_mode = False
-        assert set(merged.fresh_slots) == set(handles)
-        for h in handles:
-            new = context.positions_for(h)
-            expected = np.nonzero(~np.isin(new, old[h]))[0]
-            np.testing.assert_array_equal(merged.fresh_slots[h], expected)
-            np.testing.assert_array_equal(
-                context.last_fresh_slots[h], expected)
-
-    @given(base_seed=st.integers(0, 10_000),
-           n_jobs=st.integers(2, 4),
-           shard_size=st.sampled_from([None, 1, 3]),
-           speculate=st.booleans(),
-           window=st.integers(60, 400))
-    @settings(max_examples=10, deadline=None)
-    def test_property_delta_reinit_bit_identical(self, base_seed, n_jobs,
-                                                 shard_size, speculate,
-                                                 window):
-        """Random refuel/commit interleavings: every example splices a
-        different never-materialized set into the mirrors (and draws a
-        different speculation pattern) — all must land on the serial
-        sweep's exact bits, for any shard geometry."""
-        kwargs = dict(customers=10, window=window, versions=25,
-                      num_samples=12, m=2, k=2, base_seed=base_seed)
-        _assert_identical(
-            self._runner._run("vectorized", **kwargs),
-            self._runner._run("vectorized", n_jobs=n_jobs, backend="serial",
-                              shard_size=shard_size, gibbs_state="worker",
-                              state_reinit="delta",
-                              speculate_followups=speculate, **kwargs))
-
-
-class TestSpeculationChains:
-    """``speculate_depth`` x ``sweep_order``: K-deep speculative window
-    chains and adaptive sweep scheduling are pure transport — chain
-    entries are consumed only on an exact ``(params, epoch)`` match, hot
-    seeds are served first only within the bit-identity rules, and
-    commit notifications are batched but never reordered within a seed's
-    dependency chain — so every combination must land on the serial
-    sweep's exact bits.
-    """
-
-    _runner = TestLooperEquivalence()
-    HEAVY = TestBackendMatrix.GIBBS
-
-    @staticmethod
-    def _run_chain(n_jobs=1, backend="serial", speculate_depth=4,
-                   sweep_order="adaptive", state_reinit="delta",
-                   base_seed=2026, shard_size=None):
-        """Deep-tail (m=3) workload with one extreme-variance hot seed.
-
-        The final conditioning step accepts ~1 candidate in tens of
-        thousands for the hot seed, so its versions scan long streaks of
-        entirely-rejected windows — pressure builds past the adaptive
-        gate and the owner's chain really deepens past one entry.
-        """
-        catalog = Catalog()
-        sigma = np.full(8, 0.25)
-        sigma[0] = 80.0
-        catalog.add_table(Table("means", {
-            "CID": np.arange(8),
-            "m": np.linspace(0.8, 3.5, 8),
-            "s": sigma}))
-        spec = RandomTableSpec(
-            name="Losses", parameter_table="means", vg=NORMAL,
-            vg_params=(col("m"), col("s")),
-            random_columns=(RandomColumnSpec("val"),),
-            passthrough_columns=("CID",))
-        params = TailParams(p=0.03 ** 3, m=3, n_steps=(34,) * 3,
-                            p_steps=(0.03,) * 3)
-        return GibbsLooper(
-            random_table_pipeline(spec), catalog, params, 8,
-            aggregate_kind="sum", aggregate_expr=col("val"),
-            window=30000, base_seed=base_seed, k=1, max_proposals=30000,
-            options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend, gibbs_state="worker",
-                state_reinit=state_reinit, window_growth=2.0,
-                speculate_depth=speculate_depth, sweep_order=sweep_order,
-                shard_size=shard_size)).run()
-
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("speculate_depth,sweep_order",
-                             [(0, "natural"), (0, "adaptive"),
-                              (4, "natural"), (4, "adaptive")])
-    def test_chain_matrix_equals_serial(self, speculate_depth, sweep_order,
-                                        backend, state_reinit):
-        """The full knob matrix on the replenishment-heavy workload."""
-        serial = self._runner._run("vectorized", **self.HEAVY)
-        sharded = self._runner._run(
-            "vectorized", n_jobs=2, backend=backend, gibbs_state="worker",
-            state_reinit=state_reinit, speculate_depth=speculate_depth,
-            sweep_order=sweep_order, **self.HEAVY)
-        _assert_identical(serial, sharded)
-        assert sharded.plan_runs > 1  # the scenario must replenish
-        if speculate_depth == 0:
-            assert sharded.speculated_windows == 0
-            assert sharded.speculation_chain_depth == 0
-
-    def test_pr5_protocol_is_depth_one_natural(self):
-        """``speculate_depth=1`` + ``sweep_order="natural"`` is exactly
-        the PR 5 wire protocol: one-deep chains, nothing batched."""
-        result = TestDeltaStateReinit._run_skewed(
-            n_jobs=2, backend="serial", speculate_depth=1,
-            sweep_order="natural")
-        _assert_identical(TestDeltaStateReinit._run_skewed(), result)
-        assert result.speculated_windows > 0
-        assert result.speculation_chain_depth == 1
-        assert result.batched_notifications == 0
-
-    def test_depth_zero_disables_speculation(self):
-        result = TestDeltaStateReinit._run_skewed(
-            n_jobs=2, backend="serial", speculate_depth=0)
-        _assert_identical(TestDeltaStateReinit._run_skewed(), result)
-        assert result.speculated_windows == 0
-        assert result.wasted_speculations == 0
-        assert result.speculation_chain_depth == 0
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_deep_chains_flow_bit_identically(self, backend):
-        serial = self._run_chain()
-        deep = self._run_chain(n_jobs=2, backend=backend,
-                               speculate_depth=4, sweep_order="adaptive")
-        np.testing.assert_array_equal(serial.samples, deep.samples)
-        assert serial.assignments == deep.assignments
-        assert deep.speculation_chain_depth >= 2  # chains really deepen
-        assert deep.speculated_windows > 0
-        assert deep.batched_notifications > 0
-
-    @pytest.mark.slow
-    @given(speculate_depth=st.integers(0, 8),
-           sweep_order=st.sampled_from(["natural", "adaptive"]),
-           base_seed=st.integers(0, 10_000),
-           shard_size=st.sampled_from([None, 1, 3]))
-    @settings(max_examples=10, deadline=None)
-    def test_property_chain_replay_bit_identical(self, speculate_depth,
-                                                 sweep_order, base_seed,
-                                                 shard_size):
-        """Random depths x orders x seeds over the serial backend's
-        pickled mirror: every example draws a different rejection path,
-        so the owners build, partially consume, and invalidate different
-        chains — chain prefixes serve only while the all-rejected
-        premise holds, epoch bumps kill whole chains — and every replay
-        must land on the unsharded sweep's exact bits."""
-        reference = self._run_chain(base_seed=base_seed)
-        replayed = self._run_chain(
-            n_jobs=2, backend="serial", base_seed=base_seed,
-            speculate_depth=speculate_depth, sweep_order=sweep_order,
-            shard_size=shard_size)
-        np.testing.assert_array_equal(reference.samples, replayed.samples)
-        assert reference.assignments == replayed.assignments
-        assert reference.plan_runs == replayed.plan_runs
-
-    def test_chain_prefix_serves_and_epoch_bump_kills(self, monkeypatch):
-        """White-box on the owner: a follow-up that matches the chain
-        head is served the buffered matrices (the prefix premise held);
-        any mismatch — or a commit's epoch bump — leaves no stale-epoch
-        entry behind, ever."""
-        from repro.core import gibbs_looper as gl
-        hits = []
-        orig_serve = gl.GibbsSeedShard.serve_followup
-
-        def serve(self, handle, first_version, count, start, stop, epoch,
-                  first=False):
-            before = list(self._speculation.get(handle, ()))
-            out = orig_serve(self, handle, first_version, count, start,
-                             stop, epoch, first=first)
-            if before and not first:
-                key = (first_version, count, start, stop)
-                if before[0][0] == key and before[0][1] == epoch:
-                    hits.append(len(before))
-                    # the chain head's buffered matrices were served
-                    assert out[0] is before[0][2]
-            # hit, miss, or re-speculation: whatever survives carries
-            # the request's epoch — stale entries never linger
-            assert all(entry[1] == epoch
-                       for entry in self._speculation.get(handle, ()))
-            return out
-
-        orig_commit = gl.GibbsSeedShard.apply_commit
-
-        def commit(self, handle, versions, indices, values, present,
-                   epoch=0):
-            orig_commit(self, handle, versions, indices, values, present,
-                        epoch)
-            # the bump killed every pre-commit entry; any rebuilt chain
-            # is anchored on the committed epoch
-            assert all(entry[1] == epoch
-                       for entry in self._speculation.get(handle, ()))
-
-        monkeypatch.setattr(gl.GibbsSeedShard, "serve_followup", serve)
-        monkeypatch.setattr(gl.GibbsSeedShard, "apply_commit", commit)
-        result = self._run_chain(n_jobs=2, backend="serial",
-                                 speculate_depth=4)
-        assert result.speculated_windows > 0
-        assert hits  # the chain-head fast path really served windows
-        assert max(hits) >= 2  # ...from a chain deeper than one entry
-
-    def test_adaptive_never_reorders_commits_within_a_seed(
-            self, monkeypatch):
-        """White-box: hot-seed-first scatter ordering and per-segment
-        commit batching may interleave *different* seeds' notifications
-        differently, but each seed's commit stream — its Gauss-Seidel
-        dependency chain — must reach the owner in exactly the natural
-        order, with strictly increasing epochs."""
-        from repro.core import gibbs_looper as gl
-        streams = {}
-        orig_commit = gl.GibbsSeedShard.apply_commit
-
-        def commit(self, handle, versions, indices, values, present,
-                   epoch=0):
-            streams.setdefault(handle, []).append(
-                (epoch, versions.tobytes(), indices.tobytes(),
-                 values.tobytes(), present.tobytes()))
-            orig_commit(self, handle, versions, indices, values, present,
-                        epoch)
-
-        monkeypatch.setattr(gl.GibbsSeedShard, "apply_commit", commit)
-        observed = {}
-        for sweep_order in ("natural", "adaptive"):
-            streams.clear()
-            TestDeltaStateReinit._run_skewed(n_jobs=2, backend="serial",
-                                             sweep_order=sweep_order)
-            observed[sweep_order] = {
-                handle: list(stream) for handle, stream in streams.items()}
-            assert observed[sweep_order]  # commits really flowed
-            for stream in observed[sweep_order].values():
-                epochs = [entry[0] for entry in stream]
-                assert epochs == sorted(epochs)
-                assert len(set(epochs)) == len(epochs)
-        # Batching and hot-first serving moved nothing within a seed.
-        assert observed["adaptive"] == observed["natural"]
 
 
 class TestWindowGrowth:
@@ -1161,12 +631,11 @@ class TestWindowGrowth:
         assert flat.plan_runs > 2  # the scenario must refuel repeatedly
         assert grown.plan_runs < flat.plan_runs
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    def test_growth_composes_with_seed_sharding(self, gibbs_state):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_growth_composes_with_seed_sharding(self, backend):
         flat = self._runner._run("vectorized", **self.HEAVY)
         grown = self._runner._run("vectorized", window_growth=1.5,
-                                  n_jobs=2, backend="process",
-                                  gibbs_state=gibbs_state, **self.HEAVY)
+                                  n_jobs=2, backend=backend, **self.HEAVY)
         self._assert_same_samples(flat, grown)
         assert grown.plan_runs < flat.plan_runs
 

@@ -7,7 +7,7 @@ from repro.engine.errors import PlanError
 from repro.engine.expressions import col, lit
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
-    ExecutionContext, Instantiate, Join, Project, Scan, Seed, Select, Split,
+    ExecutionContext, Join, Project, Scan, Seed, Select, Split,
     random_table_pipeline)
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
 from repro.engine.table import Catalog, Table

@@ -6,6 +6,8 @@ value fails with a clear :class:`EngineError` naming the variable, never
 a late ``ValueError`` from some construction site deep in a query.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.engine.errors import EngineError
@@ -16,9 +18,30 @@ from repro.engine.options import (
 ALL_KNOBS = (
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_GIBBS_STATE", "MCDBR_STATE_REINIT", "MCDBR_SPECULATE",
-    "MCDBR_SHM", "MCDBR_SPECULATE_DEPTH", "MCDBR_SWEEP_ORDER",
-    "MCDBR_JOIN_TIMEOUT", "MCDBR_DET_CACHE_KEYING")
+    "MCDBR_SHM", "MCDBR_JOIN_TIMEOUT", "MCDBR_DET_CACHE_KEYING")
+
+#: Knobs of the deleted seed-axis distributed Gibbs path.
+REMOVED_KNOBS = {
+    "gibbs_state": "MCDBR_GIBBS_STATE",
+    "state_reinit": "MCDBR_STATE_REINIT",
+    "speculate_followups": "MCDBR_SPECULATE",
+    "speculate_depth": "MCDBR_SPECULATE_DEPTH",
+    "sweep_order": "MCDBR_SWEEP_ORDER",
+}
+#: Settings the removed knobs used to accept, as (field, value,
+#: environment spelling): none of them may fall back silently.
+REMOVED_SETTINGS = [
+    ("gibbs_state", "worker", "worker"),
+    ("gibbs_state", "broadcast", "broadcast"),
+    ("state_reinit", "delta", "delta"),
+    ("state_reinit", "full", "full"),
+    ("speculate_followups", True, "1"),
+    ("speculate_followups", False, "0"),
+    ("speculate_depth", 0, "0"),
+    ("speculate_depth", 8, "8"),
+    ("sweep_order", "natural", "natural"),
+    ("sweep_order", "adaptive", "adaptive"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -33,9 +56,7 @@ class TestFromEnvDefaults:
         assert options == ExecutionOptions(
             engine="vectorized", n_jobs=1, backend="process",
             shard_size=None, replenishment="delta", det_cache="session",
-            det_cache_keying="table", window_growth=1.0, gibbs_state="worker", state_reinit="delta",
-            speculate_followups=True, speculate_depth=4,
-            sweep_order="adaptive", join_timeout=None)
+            det_cache_keying="table", window_growth=1.0, join_timeout=None)
 
     def test_overrides_win_over_environment(self, monkeypatch):
         monkeypatch.setenv("MCDBR_N_JOBS", "4")
@@ -56,23 +77,55 @@ class TestFromEnvDefaults:
             ExecutionOptions.from_env()
 
 
+class TestRemovedKnobs:
+    """The distributed-Gibbs knobs are gone, and fail loudly: as a
+    constructor argument (``TypeError``) and as an environment variable
+    (``EngineError`` naming it) — never a silent fallback."""
+
+    def test_option_count(self):
+        assert len(fields(ExecutionOptions)) == 10
+
+    @pytest.mark.parametrize("field, value, spelling", REMOVED_SETTINGS)
+    def test_constructor_rejects_removed_field(self, field, value, spelling):
+        with pytest.raises(TypeError, match=field):
+            ExecutionOptions(**{field: value})
+
+    @pytest.mark.parametrize("field, value, spelling", REMOVED_SETTINGS)
+    def test_from_env_rejects_removed_variable(self, monkeypatch, field,
+                                               value, spelling):
+        name = REMOVED_KNOBS[field]
+        monkeypatch.setenv(name, spelling)
+        with pytest.raises(EngineError, match=name):
+            ExecutionOptions.from_env()
+
+    @pytest.mark.parametrize("field", sorted(REMOVED_KNOBS))
+    def test_removed_field_is_not_an_override(self, field):
+        with pytest.raises(EngineError, match=field):
+            ExecutionOptions.from_env(**{field: "worker"})
+
+
 class TestFromEnvValues:
     @pytest.mark.parametrize("name, value, field, expected", [
         ("MCDBR_ENGINE", "reference", "engine", "reference"),
+        ("MCDBR_ENGINE", "vectorized", "engine", "vectorized"),
         ("MCDBR_N_JOBS", "3", "n_jobs", 3),
+        ("MCDBR_N_JOBS", "1", "n_jobs", 1),
         ("MCDBR_BACKEND", "serial", "backend", "serial"),
+        ("MCDBR_BACKEND", "thread", "backend", "thread"),
+        ("MCDBR_BACKEND", "process", "backend", "process"),
         ("MCDBR_SHARD_SIZE", "7", "shard_size", 7),
+        ("MCDBR_SHARD_SIZE", "1", "shard_size", 1),
         ("MCDBR_REPLENISHMENT", "full", "replenishment", "full"),
+        ("MCDBR_REPLENISHMENT", "delta", "replenishment", "delta"),
         ("MCDBR_DET_CACHE", "off", "det_cache", "off"),
+        ("MCDBR_DET_CACHE", "context", "det_cache", "context"),
+        ("MCDBR_DET_CACHE", "session", "det_cache", "session"),
         ("MCDBR_DET_CACHE_KEYING", "catalog", "det_cache_keying", "catalog"),
+        ("MCDBR_DET_CACHE_KEYING", "table", "det_cache_keying", "table"),
         ("MCDBR_WINDOW_GROWTH", "2.5", "window_growth", 2.5),
-        ("MCDBR_GIBBS_STATE", "broadcast", "gibbs_state", "broadcast"),
-        ("MCDBR_STATE_REINIT", "full", "state_reinit", "full"),
-        ("MCDBR_SPECULATE", "0", "speculate_followups", False),
+        ("MCDBR_WINDOW_GROWTH", "1", "window_growth", 1.0),
         ("MCDBR_SHM", "off", "shm", "off"),
-        ("MCDBR_SPECULATE_DEPTH", "8", "speculate_depth", 8),
-        ("MCDBR_SPECULATE_DEPTH", "0", "speculate_depth", 0),
-        ("MCDBR_SWEEP_ORDER", "natural", "sweep_order", "natural"),
+        ("MCDBR_SHM", "on", "shm", "on"),
         ("MCDBR_JOIN_TIMEOUT", "2.5", "join_timeout", 2.5),
     ])
     def test_each_knob_flows_through(self, monkeypatch, name, value,
@@ -85,21 +138,21 @@ class TestFromEnvValues:
         ("0", False), ("false", False), ("No", False), ("OFF", False),
     ])
     def test_boolean_spellings(self, monkeypatch, spelling, expected):
-        monkeypatch.setenv("MCDBR_SPECULATE", spelling)
-        assert ExecutionOptions.from_env().speculate_followups is expected
+        monkeypatch.setenv("MCDBR_SERVER_STANDING_AUTOREFRESH", spelling)
+        assert ServerOptions.from_env().standing_autorefresh is expected
 
 
 class TestFromEnvRejections:
     @pytest.mark.parametrize("name, value", [
         ("MCDBR_ENGINE", "warp-drive"),
+        ("MCDBR_ENGINE", "Vectorized"),
         ("MCDBR_BACKEND", "fork"),
+        ("MCDBR_BACKEND", ""),
         ("MCDBR_REPLENISHMENT", "partial"),
         ("MCDBR_DET_CACHE", "disk"),
         ("MCDBR_DET_CACHE_KEYING", "row"),
-        ("MCDBR_GIBBS_STATE", "parent"),
-        ("MCDBR_STATE_REINIT", "incremental"),
         ("MCDBR_SHM", "auto"),
-        ("MCDBR_SWEEP_ORDER", "random"),
+        ("MCDBR_SHM", "1"),
     ])
     def test_invalid_choice_names_the_variable(self, monkeypatch, name,
                                                value):
@@ -131,15 +184,10 @@ class TestFromEnvRejections:
 
     @pytest.mark.parametrize("value", ["maybe", "2", ""])
     def test_invalid_boolean(self, monkeypatch, value):
-        monkeypatch.setenv("MCDBR_SPECULATE", value)
-        with pytest.raises(EngineError, match="MCDBR_SPECULATE"):
-            ExecutionOptions.from_env()
-
-    @pytest.mark.parametrize("value", ["-1", "four", "2.5", ""])
-    def test_invalid_speculate_depth(self, monkeypatch, value):
-        monkeypatch.setenv("MCDBR_SPECULATE_DEPTH", value)
-        with pytest.raises(EngineError, match="MCDBR_SPECULATE_DEPTH"):
-            ExecutionOptions.from_env()
+        monkeypatch.setenv("MCDBR_SERVER_STANDING_AUTOREFRESH", value)
+        with pytest.raises(EngineError,
+                           match="MCDBR_SERVER_STANDING_AUTOREFRESH"):
+            ServerOptions.from_env()
 
     @pytest.mark.parametrize("value", ["0", "-2", "soon", ""])
     def test_invalid_join_timeout(self, monkeypatch, value):
@@ -152,17 +200,14 @@ class TestEnvHelpers:
     """The parsing primitives the import-time defaults also go through."""
 
     def test_env_choice_default_and_value(self, monkeypatch):
-        assert env_choice("MCDBR_GIBBS_STATE", "worker",
-                          ("worker", "broadcast")) == "worker"
-        monkeypatch.setenv("MCDBR_GIBBS_STATE", "broadcast")
-        assert env_choice("MCDBR_GIBBS_STATE", "worker",
-                          ("worker", "broadcast")) == "broadcast"
+        assert env_choice("K_CHOICE", "left", ("left", "right")) == "left"
+        monkeypatch.setenv("K_CHOICE", "right")
+        assert env_choice("K_CHOICE", "left", ("left", "right")) == "right"
 
     def test_env_choice_lists_supported_values(self, monkeypatch):
-        monkeypatch.setenv("MCDBR_GIBBS_STATE", "nowhere")
-        with pytest.raises(EngineError, match="worker|broadcast"):
-            env_choice("MCDBR_GIBBS_STATE", "worker",
-                       ("worker", "broadcast"))
+        monkeypatch.setenv("K_CHOICE", "nowhere")
+        with pytest.raises(EngineError, match="left|right"):
+            env_choice("K_CHOICE", "left", ("left", "right"))
 
     def test_env_int_and_float_and_bool(self, monkeypatch):
         monkeypatch.setenv("K_INT", "5")
@@ -178,16 +223,10 @@ class TestEnvHelpers:
     def test_direct_construction_still_raises_value_error(self):
         # The constructor keeps its ValueError contract for programmatic
         # misuse; EngineError is specifically the env-parsing surface.
-        with pytest.raises(ValueError, match="state_reinit"):
-            ExecutionOptions(state_reinit="bogus")
         with pytest.raises(ValueError, match="det_cache_keying"):
             ExecutionOptions(det_cache_keying="row")
-        with pytest.raises(ValueError, match="speculate_followups"):
-            ExecutionOptions(speculate_followups="yes")
-        with pytest.raises(ValueError, match="speculate_depth"):
-            ExecutionOptions(speculate_depth=-1)
-        with pytest.raises(ValueError, match="sweep_order"):
-            ExecutionOptions(sweep_order="random")
+        with pytest.raises(ValueError, match="shm"):
+            ExecutionOptions(shm="auto")
         with pytest.raises(ValueError, match="join_timeout"):
             ExecutionOptions(join_timeout=0.0)
 

@@ -1,6 +1,6 @@
 """Repository hygiene: the bugfix-sweep regressions, pinned.
 
-Three classes of rot this PR cleaned out stay out:
+Four classes of rot stay out:
 
 * **Tracked bytecode** — 84 ``__pycache__/*.pyc`` files were committed
   alongside the sources; interpreter-specific, diff-noisy, and a stale
@@ -13,11 +13,17 @@ Three classes of rot this PR cleaned out stay out:
 * **Process + segment leaks in practice** — an example run as a real
   subprocess exits cleanly, leaves no ``mcdbr-*`` segment behind, and no
   orphaned worker process scavenging CPU after the parent is gone.
+* **Dead imports** — a stdlib-``ast`` stand-in for pyflakes' unused-import
+  (F401) and undefined-``__all__`` (F822) rules over ``src/`` and
+  ``tests/``, so "lint clean" is a tier-1 fact even where ``ruff`` is not
+  installed.  Deletions leave imports behind; this catches them.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +120,160 @@ def _processes_running(script: str) -> list[int]:
         if script in cmdline:
             found.append(int(entry))
     return found
+
+
+def _annotation_names(node) -> set[str]:
+    """Names inside a quoted annotation (``"Span | None"``)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return {sub.id for sub in ast.walk(ast.parse(node.value,
+                                                         mode="eval"))
+                    if isinstance(sub, ast.Name)}
+        except SyntaxError:
+            return set()
+    return set()
+
+
+def lint_imports(path) -> list[str]:
+    """``path:line: message`` for every unused import and every
+    ``__all__`` entry that names nothing in the module.
+
+    An import counts as used when its bound name is read anywhere in the
+    module (quoted annotations included), listed in ``__all__``, or the
+    file is a package ``__init__`` (imports there are re-exports).  A
+    ``# noqa`` on any line of the import statement silences it.
+    """
+    path = Path(path)
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used: set[str] = set()
+    defined: set[str] = set()
+    exported: list[tuple[str, int]] = []
+    imports: list[tuple[str, int, ast.stmt]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotated = [arg.annotation for arg in
+                         node.args.args + node.args.kwonlyargs
+                         + node.args.posonlyargs] + [node.returns]
+            for annotation in annotated:
+                used |= _annotation_names(annotation)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                imports.append((bound, node.lineno, node))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                defined |= {sub.id for sub in ast.walk(target)
+                            if isinstance(sub, ast.Name)}
+            if any(isinstance(target, ast.Name) and target.id == "__all__"
+                   for target in targets) and isinstance(
+                       node.value, (ast.List, ast.Tuple)):
+                exported = [(element.value, element.lineno)
+                            for element in node.value.elts
+                            if isinstance(element, ast.Constant)]
+    problems = []
+    names = {name for name, _ in exported}
+    reexports = path.name == "__init__.py"
+    for bound, lineno, node in imports:
+        defined.add(bound)
+        statement = lines[node.lineno - 1:node.end_lineno]
+        if bound in used or bound in names or reexports or \
+                any("# noqa" in line for line in statement):
+            continue
+        problems.append(f"{path}:{lineno}: {bound!r} imported but unused")
+    for name, lineno in exported:
+        if name not in defined:
+            problems.append(
+                f"{path}:{lineno}: __all__ names undefined {name!r}")
+    return problems
+
+
+class TestImportLint:
+
+    def test_src_and_tests_have_no_dead_imports(self):
+        problems = []
+        for tree in ("src", "tests"):
+            for path in sorted(Path(REPO_ROOT, tree).rglob("*.py")):
+                problems += lint_imports(path)
+        assert problems == []
+
+    def test_lint_catches_planted_problems(self, tmp_path):
+        planted = tmp_path / "planted.py"
+        planted.write_text(
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import json  # noqa: F401\n"
+            "import os.path as osp\n"
+            "from typing import (\n"
+            "    Mapping, Sequence)\n"
+            "from collections import OrderedDict\n"
+            "__all__ = ['OrderedDict', 'ghost', 'helper']\n"
+            "def helper(x: 'Sequence[int]') -> int:\n"
+            "    return len(x)\n")
+        problems = lint_imports(planted)
+        messages = sorted(problem.split(": ", 1)[1] for problem in problems)
+        assert messages == [
+            "'Mapping' imported but unused",
+            "'os' imported but unused",
+            "'osp' imported but unused",
+            "__all__ names undefined 'ghost'",
+        ]
+
+    @pytest.mark.parametrize("source, expected", [
+        ("import os\n", ["'os' imported but unused"]),
+        ("from os import path\n", ["'path' imported but unused"]),
+        ("import os.path as osp\n", ["'osp' imported but unused"]),
+        ("import os.path\n", ["'os' imported but unused"]),
+        ("def f():\n    import os\n", ["'os' imported but unused"]),
+        ("import os\nos.getcwd()\n", []),
+        ("import os.path\nos.path.join('a')\n", []),
+        ("from os import path\n__all__ = ['path']\n", []),
+        ("import json  # noqa: F401\n", []),
+        ("from typing import (\n    Mapping)  # noqa\n", []),
+        ("from typing import Mapping\ndef f(x: 'Mapping'): pass\n", []),
+        ("from typing import Mapping\ndef f() -> 'Mapping': pass\n", []),
+        ("from typing import Mapping\nx: 'Mapping' = {}\n", []),
+        ("import functools\n@functools.cache\ndef f(): pass\n", []),
+        ("from __future__ import annotations\n", []),
+        ("from os import *\n", []),
+        ("__all__ = ['ghost']\n", ["__all__ names undefined 'ghost'"]),
+        ("def f(): pass\nclass C: pass\nX = 1\n"
+         "__all__ = ['f', 'C', 'X']\n", []),
+    ], ids=[
+        "unused-import", "unused-from-import", "unused-alias",
+        "unused-dotted", "unused-in-function", "used", "used-dotted",
+        "reexported-via-all", "noqa", "noqa-on-continuation",
+        "quoted-argument-annotation", "quoted-return-annotation",
+        "quoted-variable-annotation", "decorator", "future", "star",
+        "all-names-nothing", "all-names-definitions",
+    ])
+    def test_lint_rule(self, tmp_path, source, expected):
+        planted = tmp_path / "planted.py"
+        planted.write_text(source)
+        assert [problem.split(": ", 1)[1]
+                for problem in lint_imports(planted)] == expected
+
+    def test_package_init_imports_are_reexports(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        init = package / "__init__.py"
+        init.write_text("from os import path\n__all__ = ['nothing']\n")
+        assert [problem.split(": ", 1)[1]
+                for problem in lint_imports(init)] == [
+            "__all__ names undefined 'nothing'"]

@@ -6,14 +6,12 @@ Three families of guarantees:
   and come back as views bit-equal to the originals; small arrays,
   object-dtype columns and non-array state stay inline; the wire blob
   shrinks to descriptor size.
-* **Mutation contract** — snapshot views attach writable (worker-owned
-  Gibbs state mutates in place), broadcast views attach read-only (a
-  worker write raises instead of silently diverging the other
-  attachments).
-* **Lifecycle** — every segment is unlinked on ``discard_state``,
-  ``close()``, pool reset after a worker death/error, and via the
-  finalizer backstop.  ``/dev/shm`` is the oracle: no test may leave an
-  ``mcdbr-*`` entry behind.
+* **Read-only views** — every attached view is read-only: a worker
+  write raises instead of silently diverging the other attachments.
+* **Lifecycle** — every segment is unlinked on ``close()``, on the pool
+  reset after a worker death/error, and via the finalizer backstop.
+  ``/dev/shm`` is the oracle: no test may leave an ``mcdbr-*`` entry
+  behind.
 """
 
 import mmap
@@ -47,28 +45,6 @@ def _no_leaks():
     assert leaked_segments() == []
 
 
-class BigState:
-    """Worker-owned payload whose bulk is a hoistable array."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def bump(self, index, amount):    # notification target (in-place)
-        self.values[index] += amount
-
-    def splice(self, fresh):          # merge target (copies out)
-        self.values = self.values + fresh
-
-    def checksum(self):               # synchronous-call target
-        return float(self.values.sum())
-
-    def is_view(self):
-        # Attached views sit over the segment's mapping; plain-unpickled
-        # arrays sit over an in-heap buffer (and may still have
-        # ``owndata`` False, so the mapping type is the discriminator).
-        return isinstance(self.values.base, mmap.mmap)
-
-
 class SharedArrayJob:
     """The catalog pattern: bulk array rides the keyed shared channel."""
 
@@ -90,6 +66,12 @@ class SharedArrayJob:
     def run_shard(self, lo, hi):
         return float(self.array[lo:hi].sum())
 
+    def is_view(self):
+        # Attached views sit over the segment's mapping; plain-unpickled
+        # arrays sit over an in-heap buffer (and may still have
+        # ``owndata`` False, so the mapping type is the discriminator).
+        return isinstance(self.array.base, mmap.mmap)
+
 
 class SharedWriteJob(SharedArrayJob):
     """Tries to mutate a broadcast view — must raise in the worker."""
@@ -99,15 +81,24 @@ class SharedWriteJob(SharedArrayJob):
         return 0.0
 
 
-class StuckState:
+class ViewCheckJob(SharedArrayJob):
+    """Reports whether the worker's array is an attached segment view."""
+
+    def run_shard(self, lo, hi):
+        return self.is_view()
+
+
+class FailingSharedJob(SharedArrayJob):
+    def run_shard(self, lo, hi):
+        raise ValueError("shard exploded")
+
+
+class StuckJob(SharedArrayJob):
     """Wedges its worker: ignores SIGTERM, then blocks far past the
-    (shrunken, see test) close() join timeouts.  Carries a bulk array so
-    the wedged worker really does hold an attached segment."""
+    (shrunken, see test) close() join timeouts.  Rides the shared channel
+    so the wedged worker really does hold an attached segment."""
 
-    def __init__(self):
-        self.values = np.ones(20_000, dtype=np.float64)
-
-    def wedge(self):
+    def run_shard(self, lo, hi):
         import time
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         time.sleep(600)
@@ -196,30 +187,23 @@ class TestBlockStore:
         finally:
             store.close()
 
-    def test_writeable_contract(self):
+    def test_views_are_read_only(self):
         store = ShmBlockStore()
         try:
             data = np.arange(2_048, dtype=np.float64)
             cache = ShmAttachCache()
-            frozen = shm_loads(store.dumps(data, writeable=False)[0], cache)
+            frozen = shm_loads(store.dumps(data)[0], cache)
             with pytest.raises(ValueError, match="read-only"):
                 frozen[0] = 1.0
-            live = shm_loads(store.dumps(data, writeable=True)[0], cache)
-            live[0] = 42.0
-            assert live[0] == 42.0
             cache.close()
         finally:
             store.close()
 
-    def test_release_is_idempotent_and_close_reaps_everything(self):
+    def test_close_reaps_everything(self):
         store = ShmBlockStore()
-        _, first, _ = store.dumps(np.arange(2_048, dtype=np.float64))
-        _, second, _ = store.dumps(np.arange(2_048, dtype=np.float64))
+        store.dumps(np.arange(2_048, dtype=np.float64))
+        store.dumps(np.arange(2_048, dtype=np.float64))
         assert store.live_segments == 2
-        store.release(first)
-        store.release(first)   # idempotent
-        store.release(None)    # no-op
-        assert store.live_segments == 1
         store.close()
         assert store.live_segments == 0
         assert leaked_segments() == []
@@ -254,7 +238,7 @@ class TestBlockStore:
             store.close()
 
     def test_descriptor_pickles_in_tens_of_bytes(self):
-        descriptor = ShmDescriptor("mcdbr-1-0", "<f8", (1000, 40), 64, False)
+        descriptor = ShmDescriptor("mcdbr-1-0", "<f8", (1000, 40), 64)
         assert len(pickle.dumps(descriptor,
                                 protocol=pickle.HIGHEST_PROTOCOL)) < 120
 
@@ -291,46 +275,6 @@ class TestProcessBackendDataPlane:
         finally:
             backend.close()
 
-    def test_state_snapshot_views_are_writable_and_private(self):
-        """Workers mutate attached snapshot arrays in place; the parent's
-        originals never move (the segment holds a private copy)."""
-        backend = ProcessBackend(2)
-        values = np.ones(30_000, dtype=np.float64)
-        try:
-            token = backend.init_state([BigState(values),
-                                        BigState(values * 2)])
-            assert backend.state_call(token, 0, "is_view") is True
-            backend.state_cast(token, 0, "bump", 7, 41.0)
-            assert backend.state_call(token, 0, "checksum") == \
-                float(values.sum()) + 41.0
-            assert backend.state_call(token, 1, "checksum") == \
-                float(values.sum()) * 2
-            assert values[7] == 1.0  # parent copy untouched
-            assert backend.stats["state_init_wire_bytes"] < \
-                backend.stats["state_init_bytes"] / 50
-            backend.discard_state(token)
-            # The drain barrier retires the snapshot segments eagerly.
-            assert backend.shm_live_segments == 0
-        finally:
-            backend.close()
-
-    def test_state_merge_rides_shared_memory(self):
-        backend = ProcessBackend(1)
-        values = np.ones(20_000, dtype=np.float64)
-        fresh = np.full(20_000, 3.0)
-        try:
-            token = backend.init_state([BigState(values)])
-            merges_before = backend.stats["shm_segments"]
-            backend.state_merge(token, 0, "splice", fresh)
-            assert backend.stats["shm_segments"] == merges_before + 1
-            assert backend.stats["state_merge_bytes"] >= fresh.nbytes
-            assert backend.state_call(token, 0, "checksum") == \
-                float((values + fresh).sum())
-            backend.discard_state(token)
-            assert backend.shm_live_segments == 0
-        finally:
-            backend.close()
-
     def test_shm_off_ships_plain_pickles(self):
         backend = ProcessBackend(2, use_shm=False)
         array = np.arange(50_000, dtype=np.float64)
@@ -339,9 +283,8 @@ class TestProcessBackendDataPlane:
             results = backend.run_job(job, [(0, 25_000), (25_000, 50_000)])
             assert results == [float(array[:25_000].sum()),
                                float(array[25_000:].sum())]
-            token = backend.init_state([BigState(array)])
-            assert backend.state_call(token, 0, "is_view") is False
-            backend.discard_state(token)
+            assert backend.run_job(ViewCheckJob(("table", 3), array),
+                                   [(0, 1), (1, 2)]) == [False, False]
             assert not backend.shm_enabled
             assert backend.stats["shm_segments"] == 0
             assert backend.stats["shm_attached_bytes"] == 0
@@ -372,18 +315,19 @@ class TestSegmentLifecycle:
         array = np.arange(30_000, dtype=np.float64)
         backend.run_job(SharedArrayJob(("t", 1), array),
                         [(0, 15_000), (15_000, 30_000)])
-        backend.init_state([BigState(array), BigState(array)])
+        assert backend.run_job(ViewCheckJob(("t", 1), array),
+                               [(0, 1), (1, 2)]) == [True, True]
         assert backend.shm_live_segments > 0
-        backend.close()  # token never discarded: close must reap it
+        backend.close()
         assert backend.shm_live_segments == 0
         assert leaked_segments() == []
 
     def test_worker_error_reset_unlinks_everything(self):
         backend = ProcessBackend(2)
         try:
-            token = backend.init_state([BigState(np.ones(20_000))])
-            with pytest.raises(EngineError):
-                backend.state_call(token, 0, "no_such_method")
+            with pytest.raises(EngineError, match="shard exploded"):
+                backend.run_job(FailingSharedJob(("t", 2), np.ones(20_000)),
+                                [(0, 1), (1, 2)])
             # The in-worker failure reset the pool; its segments must have
             # gone with it, before any explicit close().
             assert backend.workers_alive == 0
@@ -393,13 +337,16 @@ class TestSegmentLifecycle:
 
     def test_worker_kill_reset_unlinks_everything(self):
         backend = ProcessBackend(2)
+        array = np.ones(20_000)
         try:
-            token = backend.init_state([BigState(np.ones(20_000)),
-                                        BigState(np.ones(20_000))])
+            backend.run_job(SharedArrayJob(("t", 3), array),
+                            [(0, 1), (1, 2)])
+            assert backend.shm_live_segments == 1
             backend._workers[0].process.kill()
             backend._workers[0].process.join()
             with pytest.raises(EngineError, match="died"):
-                backend.state_call(token, 0, "checksum")
+                backend.run_job(SharedArrayJob(("t", 3), array),
+                                [(0, 1), (1, 2)])
             assert backend.workers_alive == 0
             assert leaked_segments() == []
         finally:
@@ -415,10 +362,17 @@ class TestSegmentLifecycle:
         escalate to SIGKILL and still unlink everything."""
         from repro.engine import backends as backends_module
         monkeypatch.setattr(backends_module, "_JOIN_TIMEOUT", 0.2)
-        backend = ProcessBackend(1)
+        backend = ProcessBackend(2)
+        array = np.ones(20_000)
         try:
-            token = backend.init_state([StuckState()])
-            backend.state_cast(token, 0, "wedge")  # fire-and-forget
+            backend.run_job(SharedArrayJob(("t", 4), array),
+                            [(0, 1), (1, 2)])
+            # Fire-and-forget: hand worker 0 a wedging shard without
+            # waiting for the reply run_job would block on.
+            victim_conn = backend._workers[0].conn
+            victim_conn.send(("job", 99, pickle.dumps(
+                StuckJob(("t", 4), None), pickle.HIGHEST_PROTOCOL)))
+            victim_conn.send(ProcessBackend.task_message(99, 0, 0, 1))
             victim = backend._workers[0].process
             backend.close()
             assert not victim.is_alive()
@@ -429,10 +383,11 @@ class TestSegmentLifecycle:
 
     def test_session_close_unlinks_everything(self):
         from repro.sql import Session
-        with Session(base_seed=11, tail_budget=200, window=2000,
-                     options=ExecutionOptions(n_jobs=2)) as session:
+        with Session(base_seed=11, options=ExecutionOptions(
+                n_jobs=2, backend="process", shm="on")) as session:
+            # Wide enough that the catalog columns clear MIN_BLOCK_BYTES.
             session.add_table("means", {
-                "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
+                "CID": np.arange(500), "m": np.linspace(1.0, 3.0, 500)})
             session.execute("""
                 CREATE TABLE Losses (CID, val) AS
                 FOR EACH CID IN means
@@ -440,8 +395,8 @@ class TestSegmentLifecycle:
                 SELECT CID, myVal.* FROM myVal
             """)
             session.execute("""
-                SELECT SUM(val) AS loss FROM Losses WHERE CID < 12
+                SELECT SUM(val) AS loss FROM Losses
                 WITH RESULTDISTRIBUTION MONTECARLO(30)
-                DOMAIN loss >= QUANTILE(0.9)
             """)
+            assert session.backend.shm_live_segments > 0
         assert leaked_segments() == []
