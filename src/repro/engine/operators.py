@@ -191,6 +191,9 @@ class PlanNode(ABC):
         if not self.contains_random:
             cached = context.det_cache.lookup(self, context)
             if cached is not None:
+                # The hit skips the Seeds below: arm their labels' guard
+                # anyway, or a colliding later Seed would share handles.
+                self._register_labels(context)
                 if (cached.positions != context.positions
                         or cached.aligned != context.aligned):
                     # Replenishment may widen the window, and a cross-query
@@ -249,6 +252,10 @@ class PlanNode(ABC):
     def _own_base_tables(self) -> tuple[str, ...]:
         """Names this node itself reads (beyond its children's)."""
         return ()
+
+    def _register_labels(self, context: ExecutionContext) -> None:
+        for child in self.children:
+            child._register_labels(context)
 
     @abstractmethod
     def _run(self, context: ExecutionContext) -> BundleRelation:
@@ -348,13 +355,9 @@ class Seed(PlanNode):
     def handle_column(self) -> str:
         return self._column_name or f"{self.label}#seed"
 
-    def execute(self, context: ExecutionContext) -> BundleRelation:
-        # Register the label even when the subtree is served from a
-        # cross-query cache: the hash-collision guard lives in the
-        # context, and a cached hit would otherwise skip it — letting a
-        # later Seed whose label collides share handles silently.
+    def _register_labels(self, context: ExecutionContext) -> None:
         context.register_label(self.label)
-        return super().execute(context)
+        super()._register_labels(context)
 
     def _run(self, context):
         relation = self.children[0].execute(context)
@@ -471,33 +474,34 @@ class Instantiate(PlanNode):
     def _register_seeds(self, context, relation, handles) -> None:
         """Create SeedInfo entries, validating once per parameter signature.
 
+        Only rows with an unregistered handle are evaluated (an append
+        validates just the appended rows; a replenishment, nothing), and
         ``validate_params``/``block_arity`` run once per *distinct*
-        parameter tuple, however many rows share it, and all PRNG keys
-        come from one vectorized pass.  A re-run that meets only
-        registered handles (every replenishment) has nothing to create or
-        validate and returns before evaluating a single parameter.
+        parameter tuple among them, with all PRNG keys from one
+        vectorized pass.
         """
         seeds = context.seeds
-        handle_list = handles.tolist()
-        if len(seeds) >= relation.length and \
-                seeds.keys() >= set(handle_list):
+        fresh = ~np.isin(handles, np.fromiter(seeds, dtype=np.int64,
+                                              count=len(seeds)))
+        if not fresh.any():
             return
         param_columns = [
-            np.asarray(relation.evaluate_scalar(expr), dtype=np.float64)
+            np.asarray(relation.evaluate_scalar(expr), dtype=np.float64)[fresh]
             for expr in self.param_exprs]
         if param_columns:
             row_params = list(map(
                 tuple, np.column_stack(param_columns).tolist()))
         else:
-            row_params = [()] * relation.length
+            row_params = [()] * int(fresh.sum())
         base_arity = max(component for _, component in self.outputs) + 1
         arity_of = {}
         for params in dict.fromkeys(row_params):
             self.vg.validate_params(params)
             arity_of[params] = max(base_arity, self.vg.block_arity(params))
+        handles = handles[fresh]
         prng_seeds = derive_prng_seeds(context.base_seed, handles).tolist()
         for handle, prng_seed, params in zip(
-                handle_list, prng_seeds, row_params):
+                handles.tolist(), prng_seeds, row_params):
             if handle not in seeds:
                 seeds[handle] = SeedInfo(
                     handle, prng_seed, self.vg, params, arity_of[params])
@@ -1044,7 +1048,8 @@ def _concat_det(stale, delta, positions: int, aligned: bool):
 
 
 def random_table_pipeline(spec: RandomTableSpec, prefix: str = "",
-                          occurrence: str = "") -> PlanNode:
+                          occurrence: str = "",
+                          predicates: Sequence[Expr] = ()) -> PlanNode:
     """Expand a random-table spec into ``Scan -> Seed -> Instantiate``.
 
     ``prefix`` namespaces output columns (aliasing, e.g. ``emp1.``/``emp2.``
@@ -1053,6 +1058,10 @@ def random_table_pipeline(spec: RandomTableSpec, prefix: str = "",
     *self-join* semantics where both occurrences see the same possible
     world of the uncertain table — while distinct occurrences denote
     independent uncertain relations.
+
+    ``predicates`` filter on (prefixed) parameter columns between ``Seed``
+    and ``Instantiate``: only kept rows get stream windows, and each keeps
+    the handle — hence the stream — it has unfiltered.
     """
     label = f"{spec.name}{occurrence}"
     scan = Scan(spec.parameter_table, prefix=prefix)
@@ -1064,7 +1073,10 @@ def random_table_pipeline(spec: RandomTableSpec, prefix: str = "",
                 depends_on=(spec.name,))
     outputs = [(prefix + column.name, column.component)
                for column in spec.random_columns]
-    instantiate = Instantiate(seed, spec.vg, params, outputs, seed.handle_column)
+    rows: PlanNode = seed
+    for predicate in predicates:
+        rows = Select(rows, predicate)
+    instantiate = Instantiate(rows, spec.vg, params, outputs, seed.handle_column)
     keep = [prefix + name for name in spec.passthrough_columns]
     keep.append(seed.handle_column)
     keep.extend(prefix + column.name for column in spec.random_columns)

@@ -501,9 +501,10 @@ class RiskService:
                 self._run_standing(record)
             except Exception as exc:  # the drainer must not die
                 with self._qlock:
-                    record.status = "error"
-                    record.last_error = f"{exc}"
-                    self.counters["standing_errors"] += 1
+                    if self._registered(record):
+                        record.status = "error"
+                        record.last_error = f"{exc}"
+                        self.counters["standing_errors"] += 1
             finally:
                 with self._qlock:
                     record.running = False
@@ -513,6 +514,15 @@ class RiskService:
                         record.queued = True
             if requeue:
                 self._standing_queue.put(record.standing_id)
+
+    def _registered(self, record: StandingRecord) -> bool:
+        """Whether ``record`` is still live; caller holds ``_qlock``.
+
+        A refresh runs outside the lock, so the registration may have
+        been dropped or its tenant evicted meanwhile — the result must
+        then leave no trace: no journal version, no counter, no status.
+        """
+        return self._standing.get(record.standing_id) is record
 
     def _run_standing(self, record: StandingRecord) -> None:
         state = self.registry.get(record.tenant)
@@ -526,8 +536,9 @@ class RiskService:
                 # Nothing moved under the query: no new journal version,
                 # the previous one is still exact.
                 with self._qlock:
-                    record.status = "live"
-                    record.last_mode = "noop"
+                    if self._registered(record):
+                        record.status = "live"
+                        record.last_mode = "noop"
                 return
         wire = output_to_wire(output)
         versions = state.table_versions()
@@ -535,6 +546,8 @@ class RiskService:
         # record's visible progress land together, so a long-poller woken
         # by the journal never reads a half-updated registration.
         with self._qlock:
+            if not self._registered(record):
+                return
             entry = state.journal.record(
                 record.analysis_name, record.standing_id, record.sql,
                 output.kind, wire, versions)

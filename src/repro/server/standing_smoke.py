@@ -6,7 +6,8 @@ journaled version, append rows over HTTP, long-poll the *refreshed*
 version — then replays the same catalog history in a fresh in-process
 :class:`~repro.sql.session.Session` and asserts the long-polled payload
 is byte-identical to the fresh-session run on the grown table (the
-bit-identity contract of the incremental refresh path).
+bit-identity contract of the incremental refresh path).  A filtered tail
+standing query rides along; the append cannot move it.
 
 Run against a live server::
 
@@ -35,6 +36,10 @@ _DDL = """
 """
 _STANDING_SQL = ("SELECT SUM(val) AS total FROM Losses "
                  "WITH RESULTDISTRIBUTION MONTECARLO(25)")
+#: Its filter rejects every appended row: refreshing must not move it.
+_FILTERED_TAIL_SQL = ("SELECT SUM(val) AS total FROM Losses WHERE CID < 3 "
+                      "WITH RESULTDISTRIBUTION MONTECARLO(25) "
+                      "DOMAIN total >= QUANTILE(0.9)")
 _INITIAL = {"CID": [0, 1, 2, 3], "m": [1.0, 2.0, 3.0, 4.0]}
 _APPENDED = {"CID": [4, 5], "m": [9.0, 9.0]}
 
@@ -66,7 +71,7 @@ def _wait_version(base: str, tenant: str, standing_id: str,
         f"{standing_id} (last: {reply})")
 
 
-def _fresh_session_payload(appended: bool) -> dict:
+def _fresh_session_payload(appended: bool, sql: str = _STANDING_SQL) -> dict:
     """The wire payload a fresh session produces on the (grown) table."""
     from repro.server.wire import output_to_wire
     from repro.sql.session import Session
@@ -78,7 +83,7 @@ def _fresh_session_payload(appended: bool) -> dict:
                 columns[name] = columns[name] + list(values)
         session.add_table("means", columns)
         session.execute(_DDL)
-        return output_to_wire(session.execute(_STANDING_SQL))
+        return output_to_wire(session.execute(sql))
 
 
 def run(base: str) -> None:
@@ -99,6 +104,9 @@ def run(base: str) -> None:
     assert first["version"] == 1, first
     assert first["result"] == _fresh_session_payload(appended=False), \
         "initial standing result != fresh-session run"
+    tail_id = _call(f"{base}/tenants/{tenant}/standing", "POST",
+                    {"sql": _FILTERED_TAIL_SQL})["standing_id"]
+    tail_first = _wait_version(base, tenant, tail_id, after=0)
 
     appended = _call(f"{base}/tenants/{tenant}/tables/means/rows", "POST",
                      {"columns": _APPENDED})
@@ -111,6 +119,10 @@ def run(base: str) -> None:
         "refreshed standing result != fresh-session run on the grown table"
     assert second["result"] != first["result"], \
         "append did not change the estimate at all"
+    tail_second = _wait_version(base, tenant, tail_id, after=1)
+    assert tail_second["result"] == tail_first["result"] == \
+        _fresh_session_payload(appended=True, sql=_FILTERED_TAIL_SQL), \
+        "filtered tail moved, or != fresh-session run on the grown table"
 
     status = _call(f"{base}/tenants/{tenant}/standing/{standing_id}")
     assert status["standing"]["status"] == "live", status

@@ -5,8 +5,12 @@ Implements the planning rules the paper states:
 * random tables expand to ``Scan -> Seed -> Instantiate`` pipelines, with
   occurrences of the same uncertain table sharing seeds (self-join
   consistency, Sec. 5);
-* single-relation predicates push down below the joins; predicates on a
-  random attribute become presence arrays inside the pipeline;
+* single-relation predicates push down below the joins.  One that reads
+  no random column of a random table goes *between* ``Seed`` and
+  ``Instantiate``, so only kept rows get (and refuel) stream windows;
+  ``Seed`` numbers handles by row position, so every sample is unchanged.
+  Predicates on a random attribute become presence arrays above the
+  pipeline;
 * equi-join predicates drive a greedy left-deep join tree; a join key that
   is a random attribute gets a ``Split`` inserted first (Sec. 8);
 * in tail mode, any residual predicate that touches random attributes is
@@ -52,10 +56,29 @@ class CompiledSelect:
 @dataclass
 class _Source:
     item: FromItem
-    plan: PlanNode
+    spec: RandomTableSpec | None  # None for a deterministic base table
     columns: list[str]          # canonical (prefixed) names
     random_columns: set[str]    # canonical names of uncertain attributes
     predicates: list[Expr] = field(default_factory=list)
+
+    def plan(self) -> PlanNode:
+        """The source's access path with its predicates pushed down."""
+        above = self.predicates
+        if self.spec is None:
+            plan = Scan(self.item.table, prefix=self.item.prefix)
+        else:
+            above = [predicate for predicate in self.predicates
+                     if predicate.columns() & self.random_columns]
+            pushed = [predicate for predicate in self.predicates
+                      if not predicate.columns() & self.random_columns]
+            # Same uncertain table, any alias: occurrence "" means shared
+            # seeds — both references see the same possible world.
+            plan = random_table_pipeline(
+                self.spec, prefix=self.item.prefix, occurrence="",
+                predicates=pushed)
+        for predicate in above:
+            plan = Select(plan, predicate)
+        return plan
 
 
 class _NameResolver:
@@ -113,19 +136,16 @@ def _build_sources(from_items, catalog: Catalog) -> list[_Source]:
     for item in from_items:
         prefix = item.prefix
         if catalog.is_random(item.table):
-            spec: RandomTableSpec = catalog.random_table(item.table)
-            # Same uncertain table, any alias: occurrence "" means shared
-            # seeds — both references see the same possible world.
-            plan = random_table_pipeline(spec, prefix=prefix, occurrence="")
+            spec = catalog.random_table(item.table)
             columns = [prefix + name for name in spec.column_names]
             random_columns = {
                 prefix + column.name for column in spec.random_columns}
         else:
+            spec = None
             table = catalog.table(item.table)
-            plan = Scan(item.table, prefix=prefix)
             columns = [prefix + name for name in table.column_names]
             random_columns = set()
-        sources.append(_Source(item=item, plan=plan, columns=columns,
+        sources.append(_Source(item=item, spec=spec, columns=columns,
                                random_columns=random_columns))
     return sources
 
@@ -168,14 +188,9 @@ def compile_select(statement: SelectStmt, catalog: Catalog,
             residual.append(conjunct)
 
     # Push single-source predicates down (random ones become presence
-    # arrays inside the pipeline; in tail mode Select enforces the
+    # arrays above the pipeline; in tail mode Select enforces the
     # single-seed rule itself).
-    plans: list[PlanNode] = []
-    for source in sources:
-        plan = source.plan
-        for predicate in source.predicates:
-            plan = Select(plan, predicate)
-        plans.append(plan)
+    plans = [source.plan() for source in sources]
 
     # Greedy left-deep join tree over the equi-join edges, inserting Split
     # for random join keys (Sec. 8).

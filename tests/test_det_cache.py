@@ -110,6 +110,26 @@ class TestRestampOnWidening:
         assert second.node_executions == executions  # served from cache
         assert label_id_of("L") in second._labels    # guard still armed
 
+    def test_seed_label_registered_when_a_filter_above_it_hits(self):
+        """A pushed-down filter makes ``Select(Seed(Scan))`` the cached
+        root: the hit never reaches the Seed, yet its label must still
+        be registered."""
+        from repro.engine.seeds import label_id_of
+
+        catalog = _catalog()
+        cache = SessionDetCache()
+        plan = random_table_pipeline(_losses_spec(),
+                                     predicates=[col("CID") < lit(3)])
+        plan.execute(ExecutionContext(catalog, positions=4, aligned=True,
+                                      det_cache=cache))
+        second = ExecutionContext(catalog, positions=4, aligned=True,
+                                  det_cache=cache)
+        relation = plan.execute(second)
+        assert relation.length == 3
+        # Only the random operators re-ran: Instantiate and its Project.
+        assert second.node_executions == 2
+        assert label_id_of("Losses") in second._labels
+
 
 class TestSessionDetCache:
     def _session(self, **opts):
@@ -497,6 +517,26 @@ class TestSignatureBatchedInstantiate:
         node.execute(ExecutionContext(catalog, positions=6, aligned=True))
         # 9 rows but only 3 distinct (m, 1.0) signatures.
         assert vg.validate_calls == 3
+
+    def test_rerun_validates_only_unregistered_handles(self):
+        """An append-only re-run on a retained context (a standing
+        refresh) validates the appended rows' parameters, not every
+        row's again."""
+        catalog = _catalog(rows=6)
+        vg = _CountingNormal()
+        seed = Seed(Scan("means"), label="L")
+        node = Instantiate(seed, vg, [col("m"), lit(1.0)], [("val", 0)],
+                           seed.handle_column)
+        context = ExecutionContext(catalog, positions=4, aligned=True)
+        node.execute(context)
+        assert vg.validate_calls == 6
+        catalog.append("means", {"CID": [6, 7], "m": [7.0, 8.0]})
+        context.det_cache = ContextDetCache()
+        relation = node.execute(context)
+        assert vg.validate_calls == 6 + 2
+        assert relation.length == 8 and len(context.seeds) == 8
+        node.execute(context)  # every handle registered: nothing to check
+        assert vg.validate_calls == 8
 
     def test_batched_gather_matches_per_row(self):
         catalog = _catalog(rows=8)

@@ -21,7 +21,9 @@ from repro.engine.backends import SharedBackend, make_backend
 from repro.engine.errors import EngineError
 from repro.engine.options import ExecutionOptions, ServerOptions
 from repro.server import RiskServer, RiskService
+from repro.server.wire import ApiError
 from repro.sql import Session
+from repro.sql.session import StandingQuery
 
 CREATE_LOSSES = """
     CREATE TABLE Losses (CID, val) AS
@@ -355,6 +357,72 @@ class TestEviction:
         assert len(registry.get("survivor").session.det_cache) > 0
         assert _call(f"{base}/tenants/evict-me/queries", "POST",
                      {"sql": "SELECT SUM(m) FROM means"})[0] == 404
+
+    def test_evict_racing_a_standing_refresh_leaves_no_trace(
+            self, monkeypatch):
+        """Fault drill: a standing refresh that finishes after its tenant
+        was evicted must not journal a version, count a refresh or
+        revive the dropped record — and the drainer keeps draining."""
+        threads_before = set(threading.enumerate())
+        service = RiskService(options=ExecutionOptions(),
+                              server_options=ServerOptions(concurrency=1))
+        service.start()
+        try:
+            for tenant in ("doomed", "other"):
+                state, _ = service.registry.create(tenant)
+                state.session.add_table("means", {"CID": [0, 1, 2],
+                                                  "m": [1.0, 2.0, 3.0]})
+                state.session.execute(CREATE_LOSSES)
+            doomed = service.registry.get("doomed")
+            record = service.register_standing(
+                "doomed", {"sql": MC_QUERY, "analysis": "loss"})
+            assert doomed.journal.wait_version("loss", 0, 30) is not None
+            _wait_idle(record)
+            refreshes = service.counters["standing_refreshes"]
+            seen = (record.status, record.refreshes, record.versions)
+
+            entered, release = threading.Event(), threading.Event()
+            refresh = StandingQuery.refresh
+
+            def parked(query):
+                entered.set()
+                assert release.wait(30)
+                return refresh(query)
+
+            monkeypatch.setattr(StandingQuery, "refresh", parked)
+            doomed.session.append("means", {"CID": [3], "m": [4.0]})
+            assert service.notify_append("doomed") == 1
+            assert entered.wait(30)
+            service.evict_tenant("doomed")
+            release.set()
+            _wait_idle(record)
+
+            assert len(doomed.journal.versions("loss")) == 1
+            assert service.counters["standing_refreshes"] == refreshes
+            assert service.counters["standing_errors"] == 0
+            assert (record.status, record.refreshes, record.versions) == seen
+            with pytest.raises(ApiError):
+                service.standing(record.standing_id)
+
+            other = service.registry.get("other")
+            service.register_standing(
+                "other", {"sql": MC_QUERY, "analysis": "loss"})
+            assert other.journal.wait_version("loss", 0, 30) is not None
+        finally:
+            service.stop()
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - threads_before \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not set(threading.enumerate()) - threads_before
+
+
+def _wait_idle(record, deadline=30.0):
+    """Until the standing drainer is neither running nor queued for it."""
+    end = time.monotonic() + deadline
+    while (record.running or record.queued) and time.monotonic() < end:
+        time.sleep(0.01)
+    assert not (record.running or record.queued)
 
 
 def _loss_session(**kwargs):

@@ -82,14 +82,16 @@ class TestDetMarkers:
             WITH RESULTDISTRIBUTION MONTECARLO(10)
             DOMAIN t >= QUANTILE(0.99)
         """, det_markers=True)
-        # The Seed subtree (Scan -> Seed) is deterministic and served from
-        # the det cache on every replenishment re-run; the random operators
-        # above it are not.
-        assert "Seed(Losses)  [det-cached]" in text
+        # The filtered Seed subtree (Scan -> Seed -> Select) is
+        # deterministic and served from the det cache on every
+        # replenishment re-run; the random operators above it are not.
+        assert ("Select((Col('Losses.CID') < Lit(3)))  [det-cached] "
+                "[deps: losses, means]") in text
         assert "Instantiate" in text
         assert "Instantiate(Normal -> Losses.val)  [det-cached]" not in text
         # Children of a marked root are folded into it.
-        assert "Scan(means)" not in text
+        assert "Seed(Losses)" not in text
+        assert "Scan(means" not in text
 
     def test_default_explain_unchanged(self, session):
         text = session.explain("""

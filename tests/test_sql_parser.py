@@ -202,13 +202,51 @@ class TestGoldenPlans:
             WITH RESULTDISTRIBUTION MONTECARLO(10)
             DOMAIN t >= QUANTILE(0.99)
         """, tail_mode=True)
+        # The deterministic filter runs between Seed and Instantiate: only
+        # the rows it keeps get stream windows.
         assert text == (
             "GibbsLooper(sum(Col('Losses.val')))\n"
-            "  Select((Col('Losses.CID') < Lit(3)))\n"
-            "    Project\n"
-            "      Instantiate(Normal -> Losses.val)\n"
+            "  Project\n"
+            "    Instantiate(Normal -> Losses.val)\n"
+            "      Select((Col('Losses.CID') < Lit(3)))\n"
             "        Seed(Losses)\n"
             "          Scan(means AS Losses)")
+
+    def test_mc_query_plan_golden_det_below_random_above(self):
+        text = self._explain("""
+            SELECT SUM(val) AS t FROM Losses
+            WHERE CID >= 1 AND val > 1.5 AND val > CID
+            WITH RESULTDISTRIBUTION MONTECARLO(10)
+        """, tail_mode=False)
+        # Conjuncts reading a random column — alone or mixed with a
+        # deterministic one — stay above as presence Selects.
+        assert text == (
+            "Aggregate(sum(Col('Losses.val')))\n"
+            "  Select((Col('Losses.val') > Col('Losses.CID')))\n"
+            "    Select((Col('Losses.val') > Lit(1.5)))\n"
+            "      Project\n"
+            "        Instantiate(Normal -> Losses.val)\n"
+            "          Select((Col('Losses.CID') >= Lit(1)))\n"
+            "            Seed(Losses)\n"
+            "              Scan(means AS Losses)")
+
+    def test_join_plan_golden_det_predicate_on_random_side(self):
+        text = self._explain("""
+            SELECT SUM(val) AS t FROM Losses, segments
+            WHERE CID = CID2 AND seg = 'b' AND CID < 4 AND val > 0
+            WITH RESULTDISTRIBUTION MONTECARLO(10)
+        """, tail_mode=False)
+        assert text == (
+            "Aggregate(sum(Col('Losses.val')))\n"
+            "  Join(Losses.CID=segments.CID2)\n"
+            "    Select((Col('Losses.val') > Lit(0)))\n"
+            "      Project\n"
+            "        Instantiate(Normal -> Losses.val)\n"
+            "          Select((Col('Losses.CID') < Lit(4)))\n"
+            "            Seed(Losses)\n"
+            "              Scan(means AS Losses)\n"
+            "    Select((Col('segments.seg') = Lit('b')))\n"
+            "      Scan(segments AS segments)")
 
     def test_group_by_aggregate_plan_golden(self):
         text = self._explain(

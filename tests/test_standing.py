@@ -99,6 +99,38 @@ def test_tail_delta_refresh_is_bit_identical():
     assert plan_runs == fresh.tail.plan_runs
 
 
+def _tail_refreshes(sql, appended):
+    """Register ``sql``, append, refresh; the handle's counters + result."""
+    with _session() as session:
+        handle = session.standing_query(sql)
+        session.append("means", appended)
+        handle.refresh()
+        tail = handle.result.tail
+        return (handle.last_mode, handle.last_rows_computed,
+                tail.full_replenish_runs + tail.delta_replenish_runs,
+                np.asarray(tail.samples))
+
+
+def test_tail_refresh_gathers_only_rows_its_filter_keeps():
+    # The filter runs below Instantiate, so neither the rejected appended
+    # rows nor the filtered-out old ones get windows: each plan run — the
+    # initial one and every replenishment — gathers at most k rows.
+    k = 3
+    sql = TAIL_QUERY.replace("CID < 6", f"CID < {k}")
+    mode, computed, replenishments, samples = _tail_refreshes(sql, APPEND)
+    assert mode == "delta"
+    assert computed <= k * (replenishments + 1)
+    np.testing.assert_array_equal(samples, _fresh_samples(sql, APPEND))
+
+
+def test_tail_refresh_with_appends_passing_the_filter_stays_delta():
+    sql = TAIL_QUERY.replace("CID < 6", "CID >= 4")
+    mode, computed, _, samples = _tail_refreshes(sql, APPEND)
+    assert mode == "delta"
+    assert computed >= len(APPEND["CID"])  # the appended rows' windows
+    np.testing.assert_array_equal(samples, _fresh_samples(sql, APPEND))
+
+
 def test_second_append_refreshes_incrementally_again():
     extra = {"CID": [10], "m": [6.0]}
     with _session() as session:
