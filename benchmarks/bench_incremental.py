@@ -1,107 +1,24 @@
-"""Table-granular det-cache invalidation + append-only incremental refresh.
+"""Append-only incremental det-cache refresh: bit-identity across backends.
 
-The seed protocol kept one version number for the whole catalog: any
-mutation — even a scratch table no query reads — dropped every cached
-deterministic subtree, and the next query re-ran each det pipeline from
-scratch.  ``det_cache_keying="table"`` keys each entry by the per-table
-versions of its plan's base tables, so unrelated mutations leave entries
-untouched, and append-only growth (``Catalog.append``) splices just the
-new rows through Scan/Seed/Select/Project/Join instead of recomputing.
+The session det-cache keys each entry by the per-table versions of its
+plan's base tables, so unrelated mutations leave entries untouched, and
+append-only growth (``Catalog.append``) splices just the new rows through
+Scan/Seed/Select/Project/Join instead of recomputing.
 
-Part 1 drives a mutation-heavy workload over a hot ledger⋈accounts det
-pipeline (the hash join's Python row loop is the recomputation cost the
-cache exists to avoid): every round rewrites an unrelated scratch table,
-every other round appends a small ledger delta.  Gates:
-
-* **recomputations**: det-subtree recomputations (cache misses) must
-  shrink >= 5x under table keying vs the coarse catalog protocol;
-* **wall clock**: the mutation path must run >= 2x faster (best of
-  interleaved ``REPS``; both keyings see identical mutation schedules);
-* **append splices**: at least one append-refresh must actually happen
-  — otherwise the wall-clock win would just be measuring cache hits.
-
-Part 2 pins the correctness contract: MC and deep-tail samples across
-keying x backend x replenishment — with a mid-session append on every
-leg — must be bit-identical to the coarse-keyed serial reference.
+This pins the correctness contract: MC and deep-tail samples on every
+backend — with a mid-session append on every leg that the cache must
+splice — are bit-identical to a fresh serial session built directly on
+the grown table.
 
 Run:  python benchmarks/bench_incremental.py [--json]
 """
 
 import numpy as np
 
-from repro.engine.det_cache import SessionDetCache
-from repro.engine.expressions import col, lit
-from repro.engine.operators import (
-    ExecutionContext, Join, Project, Scan, Select)
 from repro.engine.options import ExecutionOptions
-from repro.engine.table import Catalog, Table
 from repro.experiments import (
-    format_table, print_experiment, record_metric, run_benchmark_cli, timed)
+    print_experiment, record_metric, run_benchmark_cli)
 from repro.sql import Session
-
-LEDGER_ROWS = 40_000
-ACCOUNTS = 400
-APPEND_ROWS = 200
-ROUNDS = 8
-REPS = 3
-BASE_SEED = 2026
-
-
-def _catalog():
-    rng = np.random.default_rng(BASE_SEED)
-    catalog = Catalog()
-    catalog.add_table(Table("ledger", {
-        "acct": rng.integers(0, ACCOUNTS, size=LEDGER_ROWS),
-        "amount": rng.uniform(0.0, 100.0, size=LEDGER_ROWS)}))
-    catalog.add_table(Table("accounts", {
-        "acct2": np.arange(ACCOUNTS),
-        "region": np.arange(ACCOUNTS) % 7}))
-    catalog.add_table(Table("scratch", {"k": np.arange(1)}))
-    return catalog
-
-
-def _pipeline():
-    join = Join(Scan("ledger"), Scan("accounts"), ["acct"], ["acct2"])
-    select = Select(join, col("region") < lit(3))
-    return Project(select,
-                   outputs=(("double", col("amount") + col("amount")),),
-                   keep=["acct", "amount"])
-
-
-def _mutation_path(keying):
-    """One warm query, then ROUNDS of mutate-and-requery.
-
-    Every round rewrites the unrelated scratch table; every other round
-    also appends APPEND_ROWS fresh ledger rows.  Both keyings see the
-    exact same schedule and must produce the exact same checksums.
-    """
-    catalog = _catalog()
-    cache = SessionDetCache(keying=keying)
-    plan = _pipeline()
-    rng = np.random.default_rng(BASE_SEED + 1)
-
-    def execute():
-        context = ExecutionContext(catalog, positions=4, aligned=True,
-                                   det_cache=cache)
-        return plan.execute(context)
-
-    execute()  # warm: populate the cache before the timed mutation loop
-
-    def loop():
-        checksums = []
-        for round_index in range(ROUNDS):
-            catalog.add_table(Table("scratch", {
-                "k": np.arange(round_index + 2)}))
-            if round_index % 2 == 1:
-                catalog.append("ledger", {
-                    "acct": rng.integers(0, ACCOUNTS, size=APPEND_ROWS),
-                    "amount": rng.uniform(0.0, 100.0, size=APPEND_ROWS)})
-            checksums.append(float(execute().det_columns["double"].sum()))
-        return checksums
-
-    checksums, seconds = timed(loop)
-    return cache.stats(), seconds, checksums
-
 
 CREATE = """
     CREATE TABLE Losses (CID, val) AS
@@ -118,115 +35,65 @@ TAIL_QUERY = """
     WITH RESULTDISTRIBUTION MONTECARLO(24)
     DOMAIN loss >= QUANTILE(0.9)
 """
+MEANS = {"CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)}
+APPEND = {"CID": [15, 16], "m": [3.2, 3.4]}
 
 
-def _session_leg(keying, backend, replenishment):
-    """MC + tail -> append -> MC + tail, returning every sample array."""
+def _loaded(session, means):
+    session.add_table("means", means)
+    session.execute(CREATE)
+    return session
+
+
+def _session_leg(backend):
+    """MC + tail -> append -> MC + tail, returning the post-append samples."""
     n_jobs = 2 if backend != "serial" else 1
-    session = Session(
-        base_seed=11, tail_budget=200, window=150,
-        options=ExecutionOptions(det_cache_keying=keying, backend=backend,
-                                 n_jobs=n_jobs,
-                                 replenishment=replenishment))
-    try:
-        session.add_table("means", {
-            "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
-        session.execute(CREATE)
-        before_mc = session.execute(MC_QUERY)
-        before_tail = session.execute(TAIL_QUERY)
-        session.append("means", {"CID": [15, 16], "m": [3.2, 3.4]})
+    with _loaded(Session(base_seed=11, tail_budget=200, window=150,
+                         options=ExecutionOptions(backend=backend,
+                                                  n_jobs=n_jobs)),
+                 MEANS) as session:
+        session.execute(MC_QUERY)
+        session.execute(TAIL_QUERY)
+        session.append("means", APPEND)
         after_mc = session.execute(MC_QUERY)
         after_tail = session.execute(TAIL_QUERY)
         stats = session.cache_stats()
-    finally:
-        session.close()
-    return (before_mc.distributions.distribution("loss").samples,
-            before_tail.tail.samples,
-            after_mc.distributions.distribution("loss").samples,
+    return (after_mc.distributions.distribution("loss").samples,
             after_tail.tail.samples), stats
 
 
-def test_table_keying_cuts_recomputations_and_wallclock():
-    stats, checksums = {}, {}
-    best = {"table": np.inf, "catalog": np.inf}
-    # Interleaved reps: host background-load drift hits both keyings
-    # alike instead of biasing whichever ran first.
-    for _ in range(REPS):
-        for keying in ("table", "catalog"):
-            run_stats, seconds, run_checksums = _mutation_path(keying)
-            best[keying] = min(best[keying], seconds)
-            stats[keying] = run_stats
-            checksums[keying] = run_checksums
-
-    # Same mutation schedule, same query math — the keyings may only
-    # differ in what they recompute, never in what they return.
-    assert checksums["table"] == checksums["catalog"]
-
-    reduction = stats["catalog"]["misses"] / stats["table"]["misses"]
-    speedup = best["catalog"] / best["table"]
-    refreshes = stats["table"]["append_refreshes"]
-
-    body = format_table(
-        ["keying", "mutation-loop s", "misses", "hits",
-         "partial invalidations", "append refreshes"],
-        [[keying, f"{best[keying]:.3f}", stats[keying]["misses"],
-          stats[keying]["hits"], stats[keying]["partial_invalidations"],
-          stats[keying]["append_refreshes"]]
-         for keying in ("table", "catalog")])
-    body += (f"\n\ndet-subtree recomputation reduction: {reduction:.1f}x "
-             f"(gate: >= 5x)"
-             f"\nmutation-path wall-clock speedup: {speedup:.2f}x "
-             f"(gate: >= 2x)")
-    print_experiment(
-        f"Table-granular det-cache keying vs catalog keying "
-        f"({LEDGER_ROWS:,}-row ledger join, {ROUNDS} mutation rounds)",
-        body)
-
-    record_metric("bench_incremental", "recompute_reduction",
-                  round(reduction, 2), gate=">= 5x")
-    record_metric("bench_incremental", "mutation_wallclock_speedup",
-                  round(speedup, 3), gate=">= 2x")
-    record_metric("bench_incremental", "append_refreshes",
-                  refreshes, gate=">= 1")
-
-    assert refreshes >= 1, (
-        "the mutation path never exercised an append-splice refresh")
-    assert reduction >= 5.0, (
-        f"table keying only cut det-subtree recomputations "
-        f"{reduction:.1f}x; need >= 5x")
-    assert speedup >= 2.0, (
-        f"table keying only ran the mutation path {speedup:.2f}x faster "
-        f"than catalog keying; need >= 2x")
+def _fresh_reference():
+    """What a fresh serial session says about the already-grown table."""
+    grown = {name: np.concatenate([MEANS[name], APPEND[name]])
+             for name in MEANS}
+    with _loaded(Session(base_seed=11, tail_budget=200, window=150),
+                 grown) as session:
+        mc = session.execute(MC_QUERY)
+        tail = session.execute(TAIL_QUERY)
+    return (mc.distributions.distribution("loss").samples, tail.tail.samples)
 
 
-def test_keying_matrix_is_bit_identical():
-    reference, _ = _session_leg("catalog", "serial", "full")
+def test_append_splice_is_bit_identical():
+    reference = _fresh_reference()
+    legs = ("serial", "process")
     identical = 0
-    legs = [(keying, backend, replenishment)
-            for keying in ("table", "catalog")
-            for backend in ("serial", "process")
-            for replenishment in ("delta", "full")]
-    for keying, backend, replenishment in legs:
-        samples, run_stats = _session_leg(keying, backend, replenishment)
+    for backend in legs:
+        samples, run_stats = _session_leg(backend)
         for got, want in zip(samples, reference):
-            np.testing.assert_array_equal(got, want, err_msg=(
-                f"keying={keying} backend={backend} "
-                f"replenishment={replenishment}"))
-        if keying == "table":
-            assert run_stats["append_refreshes"] >= 1, (
-                f"backend={backend} replenishment={replenishment} never "
-                f"spliced the mid-session append")
+            np.testing.assert_array_equal(got, want,
+                                          err_msg=f"backend={backend}")
+        assert run_stats["append_refreshes"] >= 1, (
+            f"backend={backend} never spliced the mid-session append")
         identical += 1
 
     print_experiment(
-        "Bit-identity across keying x backend x replenishment",
-        f"{identical}/{len(legs)} legs bit-identical to the coarse-keyed "
-        f"serial reference (each leg spans a mid-session append)")
+        "Append-splice bit-identity across backends",
+        f"{identical}/{len(legs)} legs bit-identical to a fresh serial "
+        f"session on the grown table (each leg spans a mid-session append)")
     record_metric("bench_incremental", "bit_identical_legs",
                   identical, gate=f"== {len(legs)}")
     assert identical == len(legs)
 
 
 if __name__ == "__main__":
-    run_benchmark_cli([test_table_keying_cuts_recomputations_and_wallclock,
-                       test_keying_matrix_is_bit_identical])
+    run_benchmark_cli([test_append_splice_is_bit_identical])

@@ -7,13 +7,13 @@ computes value-at-risk and expected shortfall — including via the paper's
 
 Run:  python examples/quickstart.py
 
-Environment knobs (exercised by CI under both engines and all backends;
-parsed and validated by ``ExecutionOptions.from_env`` — a typo'd value
-fails fast with an ``EngineError`` naming the variable):
-  MCDBR_ENGINE=vectorized|reference       Gibbs perturbation kernel
-  MCDBR_REPLENISHMENT=delta|full          window-refuel strategy
+Environment knobs (exercised by CI under all backends; parsed and
+validated by ``ExecutionOptions.from_env`` — a typo'd value fails fast
+with an ``EngineError`` naming the variable):
   MCDBR_BACKEND=process|thread|serial     shard transport (Monte Carlo)
   MCDBR_N_JOBS=<n>                        shard workers (1 = no sharding)
+  MCDBR_SHARD_SIZE=<n>                    max repetitions per shard
+  MCDBR_DET_CACHE=session|off             cross-query det-cache
   MCDBR_SHM=on|off                        zero-copy shared-memory data
                                           plane for the process backend
 Every combination produces bit-identical output for the same base seed.

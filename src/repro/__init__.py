@@ -32,19 +32,15 @@ Both executors accept an :class:`~repro.engine.options.ExecutionOptions`
     from repro import ExecutionOptions
     from repro.sql import Session
 
-    session = Session(base_seed=42,
-                      options=ExecutionOptions(engine="vectorized", n_jobs=4))
+    session = Session(base_seed=42, options=ExecutionOptions(n_jobs=4))
 
-``engine`` selects the Gibbs perturbation kernel — ``"vectorized"``
-(default) batches the database-version axis of Algorithm 3 into dense
-NumPy kernels, ``"reference"`` keeps the paper-literal scalar loop — and
 ``n_jobs`` shards independent Monte Carlo repetitions across worker
-processes.  Every combination produces bit-identical results for the same
+processes.  Every setting produces bit-identical results for the same
 ``base_seed``; ``tests/test_engine_equivalence.py`` enforces the contract.
 """
 
-from repro.engine.options import ENGINES, ExecutionOptions
+from repro.engine.options import ExecutionOptions
 
 __version__ = "1.1.0"
 
-__all__ = ["ENGINES", "ExecutionOptions", "__version__"]
+__all__ = ["ExecutionOptions", "__version__"]

@@ -56,7 +56,6 @@ __all__ = ["LooperStepTrace", "LooperResult", "GibbsLooper",
            "candidate_window_matrices"]
 
 _SUPPORTED_AGGREGATES = ("sum", "count", "avg")
-_PROPOSAL_BATCH = 64
 #: Vectorized-kernel window sizing.  Purely vectorization knobs: window
 #: boundaries never change which candidate is accepted, only how many are
 #: evaluated per NumPy call.  Width grows with the observed rejection rate
@@ -65,10 +64,6 @@ _PROPOSAL_BATCH = 64
 _VECTOR_BATCH = 128
 _WINDOW_MAX_WIDTH = 4096
 _WINDOW_TARGET_VERSIONS = 32
-#: Upper bound for adaptive window growth (``options.window_growth``):
-#: past a megaposition window, replenishment cost is gather-dominated and
-#: growing further only inflates the bundle matrices.
-_WINDOW_GROWTH_CAP = 1 << 20
 _INFINITY_KEY = (1 << 62)
 
 
@@ -232,19 +227,22 @@ class GibbsLooper:
         Algorithm 3 parameters (Appendix C) and the Gibbs step count.
     window:
         Stream values materialized per TS-seed per plan run (the paper uses
-        1000 in Appendix D); also the replenishment granularity.
+        1000 in Appendix D); also the replenishment granularity.  Results
+        do not depend on it — only the refuel schedule (``plan_runs``)
+        does.
     options:
-        :class:`~repro.engine.options.ExecutionOptions`; ``engine``
-        selects between the batched NumPy perturbation kernel
-        (``"vectorized"``, default) and the scalar per-version path
-        (``"reference"``); ``window_growth > 1`` grows the refuel window
-        geometrically after each replenishment.  Every combination
-        produces bit-identical samples for the same ``base_seed`` — the
-        contract tested by ``tests/test_engine_equivalence.py``.  The
-        sweep always runs in this process, whatever ``n_jobs`` is: it is
-        Gauss–Seidel over the seeds (each acceptance test reads the
-        running totals every earlier commit moved), so there is no
-        independent work to shard.
+        :class:`~repro.engine.options.ExecutionOptions`.  None of its
+        knobs reaches the sweep: it always runs in this process, whatever
+        ``n_jobs`` is, because it is Gauss–Seidel over the seeds (each
+        acceptance test reads the running totals every earlier commit
+        moved), so there is no independent work to shard.
+
+    The perturbation kernel is the batched one (:meth:`_perturb_seed`)
+    and every refuel is a delta refuel (:meth:`_replenish`).  The scalar
+    per-version kernel and the full-rebuild refuel it replaced are kept
+    in ``tests/looper_oracles.py`` as subclasses, and
+    ``tests/test_engine_equivalence.py`` holds this class bit-identical
+    to them.
     """
 
     def __init__(self, plan: PlanNode, catalog: Catalog, params: TailParams,
@@ -319,8 +317,7 @@ class GibbsLooper:
             self._context = ExecutionContext(
                 self.catalog, positions=self.window, aligned=False,
                 base_seed=self.base_seed, det_cache=self.det_cache)
-            self._context.delta_tracking = (
-                self.options.replenishment == "delta")
+            self._context.delta_tracking = True
         else:
             # Standing-query refresh: reuse the retained context so the
             # initial plan run extends the previous refresh's
@@ -344,8 +341,6 @@ class GibbsLooper:
         initial_materialized = None
         if injected is not None:
             injected.delta_mode = False
-            injected.delta_tracking = (
-                self.options.replenishment == "delta")
             # The initial-window materializations (full shared windows,
             # not replenishment position plans) are the baseline the
             # *next* refresh extends; snapshot them before replenishment
@@ -400,17 +395,16 @@ class GibbsLooper:
                 initial: bool) -> None:
         """(Re)build tuples, TS-seeds and per-version caches from a plan run.
 
-        Under delta replenishment, a re-run whose output has the same
-        tuple structure (rows, lineage, presence pattern) as the last one
-        takes a fast path: the per-version value/presence caches and the
+        A replenishment re-run whose output has the same tuple structure
+        (rows, lineage, presence pattern) as the last one takes a fast
+        path: the per-version value/presence caches and the
         accumulators are *kept* — replenishment never changes any
         version's assigned values, only widens the windows — and only the
         window views inside the Gibbs tuples are swapped for the merged
         ones.
         """
         signature = self._relation_signature(relation)
-        if (not initial and self.options.replenishment == "delta"
-                and self._signatures_match(signature)):
+        if not initial and self._signatures_match(signature):
             self._refresh_windows(relation)
             self._window_signature = signature
             return
@@ -685,20 +679,6 @@ class GibbsLooper:
                     (next_handle if next_handle is not None else _INFINITY_KEY,
                      index))
 
-    def _perturb_seed(self, handle: int, cutoff: float,
-                      stats: GibbsStats) -> None:
-        """Gibbs-update every version's value for one TS-seed."""
-        if self.options.engine == "vectorized":
-            self._perturb_seed_vectorized(handle, cutoff, stats)
-            return
-        ts = self._seeds[handle]
-        for version in range(self._version_count()):
-            # Re-fetch per version: a replenishment rebuilds the tuple list.
-            affected = self._tuples_of_seed.get(handle, ())
-            if not affected:
-                return
-            self._update_version(ts, affected, version, cutoff, stats)
-
     @staticmethod
     def _window_geometry(fresh: int, consumed_total: int,
                          served_total: int) -> tuple[int, int]:
@@ -718,8 +698,8 @@ class GibbsLooper:
         max_rows = int(min(width, max(8.0, 2.0 * width / rate + 1.0)))
         return width, max_rows
 
-    def _perturb_seed_vectorized(self, handle: int, cutoff: float,
-                                 stats: GibbsStats) -> None:
+    def _perturb_seed(self, handle: int, cutoff: float,
+                      stats: GibbsStats) -> None:
         """Batched rejection sampling over the whole version axis of a seed.
 
         Semantically identical to the reference path: stream positions are
@@ -902,46 +882,6 @@ class GibbsLooper:
         return (start, stop, first_version, acceptable,
                 cand_values, cand_present)
 
-    def _update_version(self, ts: TSSeed, affected, version: int,
-                        cutoff: float, stats: GibbsStats) -> None:
-        """Rejection-sample a new stream position for one (seed, version)."""
-        proposals_used = 0
-        while proposals_used < self.max_proposals:
-            start, stop = ts.fresh_index_range()
-            if start >= stop:
-                self._replenish()
-                affected = self._tuples_of_seed.get(ts.handle, ())
-                if not affected:
-                    return
-                start, stop = ts.fresh_index_range()
-                if start >= stop:
-                    raise EngineError(
-                        f"replenishment produced no fresh values for seed "
-                        f"{ts.handle}")
-            batch = min(_PROPOSAL_BATCH, stop - start,
-                        self.max_proposals - proposals_used)
-            delta_sum, delta_count, cand_values, cand_present = \
-                self._candidate_deltas(ts, affected, version, start,
-                                       start + batch)
-            new_sums = self._sums[version] + delta_sum
-            new_counts = self._counts[version] + delta_count
-            new_totals = self._combine(new_sums, new_counts)
-            acceptable = np.nonzero(new_totals >= cutoff)[0]
-            if acceptable.size:
-                hit = int(acceptable[0])
-                stats.proposals += hit + 1
-                stats.acceptances += 1
-                position = int(ts.positions[start + hit])
-                ts.consume_through(position)
-                ts.assign(version, position)
-                self._apply_acceptance(ts, affected, version, start + hit,
-                                       cand_values, cand_present, hit)
-                return
-            stats.proposals += batch
-            proposals_used += batch
-            ts.consume_through(int(ts.positions[start + batch - 1]))
-        stats.stalls += 1  # keep the current (valid) value
-
     def _combine(self, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
         if self.aggregate_kind == "sum":
             return sums
@@ -950,88 +890,15 @@ class GibbsLooper:
         with np.errstate(invalid="ignore"):
             return np.where(counts > 0, sums / np.maximum(counts, 1), -np.inf)
 
-    def _candidate_deltas(self, ts: TSSeed, affected, version: int,
-                          start: int, stop: int):
-        """Aggregate deltas if seed ``ts`` moved to window slots [start, stop).
-
-        Returns ``(delta_sum (B,), delta_count (B,), per-tuple candidate
-        values, per-tuple candidate presence)`` where the per-tuple lists
-        align with ``affected``.
-        """
-        width = stop - start
-        delta_sum = np.zeros(width)
-        delta_count = np.zeros(width)
-        cand_values, cand_present = [], []
-        for index in affected:
-            gibbs_tuple = self._tuples[index]
-            state = self._states[index]
-            columns: dict[str, np.ndarray] = {}
-            for name, det_value in gibbs_tuple.det.items():
-                columns[name] = np.asarray(det_value)
-            for name, rand_field in gibbs_tuple.rand.items():
-                if rand_field.handle == ts.handle:
-                    columns[name] = rand_field.values[start:stop]
-                else:
-                    columns[name] = np.asarray(state.values[name][version])
-            context = DictContext(columns)
-            if self.aggregate_expr is None:
-                value = np.ones(width)
-            else:
-                value = np.broadcast_to(
-                    np.asarray(self.aggregate_expr.evaluate(context),
-                               dtype=np.float64), (width,))
-            present = np.ones(width, dtype=bool)
-            for presence_field, cached in zip(gibbs_tuple.presences,
-                                              state.presence):
-                if presence_field.handle == ts.handle:
-                    present = present & presence_field.flags[start:stop]
-                else:
-                    present = present & bool(cached[version])
-            if self.final_predicate is not None:
-                present = present & np.broadcast_to(
-                    np.asarray(self.final_predicate.evaluate(context),
-                               dtype=bool), (width,))
-            old_contribution = (state.value[version]
-                                if state.present[version] else 0.0)
-            delta_sum += np.where(present, value, 0.0) - old_contribution
-            delta_count += present.astype(np.float64) - float(
-                state.present[version])
-            cand_values.append(value)
-            cand_present.append(present)
-        return delta_sum, delta_count, cand_values, cand_present
-
-    def _apply_acceptance(self, ts: TSSeed, affected, version: int,
-                          window_index: int, cand_values, cand_present,
-                          hit: int) -> None:
-        """Commit an accepted proposal: caches, accumulators, assignments."""
-        for list_pos, index in enumerate(affected):
-            gibbs_tuple = self._tuples[index]
-            state = self._states[index]
-            old = state.value[version] if state.present[version] else 0.0
-            new_value = float(cand_values[list_pos][hit])
-            new_present = bool(cand_present[list_pos][hit])
-            self._sums[version] += (new_value if new_present else 0.0) - old
-            self._counts[version] += float(new_present) - float(
-                state.present[version])
-            state.value[version] = new_value
-            state.present[version] = new_present
-            for name, rand_field in gibbs_tuple.rand.items():
-                if rand_field.handle == ts.handle:
-                    state.values[name][version] = rand_field.values[window_index]
-            for presence_field, cached in zip(gibbs_tuple.presences,
-                                              state.presence):
-                if presence_field.handle == ts.handle:
-                    cached[version] = presence_field.flags[window_index]
-
     # -- replenishment ------------------------------------------------------------
 
     def _replenish(self) -> None:
         """Sec. 9: re-run the plan to refuel every seed's stream window.
 
-        With ``options.replenishment == "delta"`` the run executes in
-        incremental mode: ``Instantiate`` merges never-before-materialized
-        positions into its previous output instead of regenerating every
-        window (the context tracks which refuels were full vs. delta).
+        The run executes in incremental mode: ``Instantiate`` merges
+        never-before-materialized positions into its previous output
+        instead of regenerating every window (the context tracks which
+        refuels were full vs. delta).
         """
         started = time.perf_counter()
         plans = {handle: ts.replenish_plan(self.window)
@@ -1074,18 +941,7 @@ class GibbsLooper:
         # Keep the *pre-replenish* accumulators: the re-derived sums are
         # equal up to summation rounding, but adopting them would tie the
         # accumulator trajectory to WHERE refuels happen — and the refuel
-        # schedule is exactly what knobs like ``window_growth`` change.
-        # Restoring makes every downstream bit independent of it.
+        # schedule is exactly what the window size changes.  Restoring
+        # makes every downstream bit independent of it.
         self._sums, self._counts = old_sums, old_counts
-        if self.options.window_growth > 1.0 and self.window < _WINDOW_GROWTH_CAP:
-            # Adaptive refuel sizing: each refuel grows the next window
-            # geometrically, making the refuel count logarithmic in the
-            # stream depth rejection-heavy seeds burn through.  Window
-            # boundaries never change which candidate is accepted (the
-            # consumption pointer resumes across refuels), so everything
-            # except the replenishment schedule stays bit-identical.
-            self.window = min(
-                max(int(self.window * self.options.window_growth),
-                    self.window + 1),
-                _WINDOW_GROWTH_CAP)
         self._replenish_seconds += time.perf_counter() - started

@@ -24,7 +24,7 @@ from repro.engine.expressions import (
     col,
     lit,
 )
-from repro.engine.options import BACKENDS, ENGINES, ExecutionOptions
+from repro.engine.options import BACKENDS, ExecutionOptions
 from repro.engine.backends import (
     ExecutionBackend,
     ProcessBackend,
@@ -37,7 +37,6 @@ from repro.engine.mcdb import MonteCarloExecutor, MonteCarloResult
 
 __all__ = [
     "BACKENDS",
-    "ENGINES",
     "ExecutionOptions",
     "ExecutionBackend",
     "SerialBackend",

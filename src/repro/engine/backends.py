@@ -68,9 +68,7 @@ __all__ = [
 _SHARED_CACHE_LIMIT = 8
 
 #: Seconds :meth:`ProcessBackend.close` waits at each escalation step
-#: (stop message -> SIGTERM -> SIGKILL) when the backend was built
-#: without an explicit ``join_timeout``
-#: (``ExecutionOptions.join_timeout`` / ``MCDBR_JOIN_TIMEOUT``).
+#: (stop message -> SIGTERM -> SIGKILL), read at ``close()`` time.
 #: Module-level so the zombie escalation test can shrink it instead of
 #: wedging a worker for 10s.
 _JOIN_TIMEOUT = 5
@@ -235,19 +233,10 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, n_workers: int, use_shm: bool = True,
-                 join_timeout: float | None = None):
+    def __init__(self, n_workers: int, use_shm: bool = True):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if join_timeout is not None and not join_timeout > 0:
-            raise ValueError(
-                f"join_timeout must be > 0 or None, got {join_timeout}")
         self.n_workers = n_workers
-        # Per-escalation-step shutdown patience (stop -> SIGTERM ->
-        # SIGKILL).  None defers to the module-level _JOIN_TIMEOUT *at
-        # close() time*, so suites that monkeypatch the module global
-        # keep their grip on backends built before the patch.
-        self._join_timeout = join_timeout
         self._workers: list[_WorkerHandle] = []
         self._next_job_id = 0
         # key -> (obj, blob, segment name | None, hoisted array bytes)
@@ -319,20 +308,18 @@ class ProcessBackend(ExecutionBackend):
                 worker.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        join_timeout = self._join_timeout if self._join_timeout is not None \
-            else _JOIN_TIMEOUT
         for worker in self._workers:
-            worker.process.join(timeout=join_timeout)
+            worker.process.join(timeout=_JOIN_TIMEOUT)
             if worker.process.is_alive():
                 worker.process.terminate()
-                worker.process.join(timeout=join_timeout)
+                worker.process.join(timeout=_JOIN_TIMEOUT)
             if worker.process.is_alive():
                 # terminate() is SIGTERM, which a worker wedged in
                 # uninterruptible I/O (or with the signal masked) can
                 # outlive; without this escalation close() would silently
                 # leave a zombie holding every attached segment's pages.
                 worker.process.kill()
-                worker.process.join(timeout=join_timeout)
+                worker.process.join(timeout=_JOIN_TIMEOUT)
             worker.conn.close()
         self._workers = []
         self._shared_cache = {}
@@ -561,7 +548,5 @@ def make_backend(options) -> ExecutionBackend:
         return ThreadBackend(options.n_jobs)
     if options.backend == "process":
         return ProcessBackend(
-            options.n_jobs,
-            use_shm=getattr(options, "shm", "on") == "on",
-            join_timeout=getattr(options, "join_timeout", None))
+            options.n_jobs, use_shm=getattr(options, "shm", "on") == "on")
     raise ValueError(f"unknown backend {options.backend!r}")

@@ -6,22 +6,17 @@ down into :class:`~repro.engine.mcdb.MonteCarloExecutor` and
 does the same for the risk-service front end.  Every combination of
 execution knobs must produce bit-identical results for the same session
 seed — the contract ``tests/test_engine_equivalence.py`` enforces and the
-MC/tail goldens pin across commits.  The knobs fall in three groups:
+MC/tail goldens pin across commits.
 
-* **Kernel** — ``engine`` picks the Gibbs perturbation kernel
-  (``"vectorized"`` batches the database-version axis of Algorithm 3;
-  ``"reference"`` is the scalar per-version path kept for verification)
-  and ``window_growth`` the refuel-window schedule.
-* **Monte Carlo sharding** — ``n_jobs``, ``backend``, ``shard_size``,
-  ``shm`` and ``join_timeout`` shape the stateless ``run_job`` sharding
-  of the repetition axis (:mod:`repro.engine.backends`): every worker
-  re-derives the same per-seed PRNG keys and materializes disjoint
-  windows of the same streams, so merging shards in order reproduces the
-  serial run.  Tail (``DOMAIN``) queries ignore this group: the Gibbs
-  sweep is Gauss–Seidel over TS-seeds and always runs in-process.
-* **Reuse** — ``replenishment`` (Sec. 9 delta vs full refuels),
-  ``det_cache`` and ``det_cache_keying`` decide how much earlier work a
-  run may splice in instead of recomputing.
+``n_jobs``, ``backend``, ``shard_size`` and ``shm`` shape the stateless
+``run_job`` sharding of the Monte Carlo repetition axis
+(:mod:`repro.engine.backends`): every worker re-derives the same per-seed
+PRNG keys and materializes disjoint windows of the same streams, so
+merging shards in order reproduces the serial run.  Tail (``DOMAIN``)
+queries ignore them: the Gibbs sweep is Gauss–Seidel over TS-seeds and
+always runs in-process, with one kernel and delta refuels.  ``det_cache``
+decides whether deterministic sub-plan results are shared across a
+session's queries.
 
 Every knob also reads from an ``MCDBR_*`` environment variable through
 :meth:`ExecutionOptions.from_env`, which rejects unknown names.
@@ -34,12 +29,8 @@ from dataclasses import dataclass, fields
 
 from repro.engine.errors import EngineError
 
-__all__ = ["ENGINES", "BACKENDS", "REPLENISHMENT_MODES", "DET_CACHE_MODES",
-           "DET_CACHE_KEYINGS", "SHM_MODES", "ExecutionOptions",
+__all__ = ["BACKENDS", "DET_CACHE_MODES", "SHM_MODES", "ExecutionOptions",
            "ServerOptions", "env_choice", "env_int", "env_float", "env_bool"]
-
-#: Supported Gibbs perturbation kernels.
-ENGINES = ("vectorized", "reference")
 
 #: Shard transports (see :mod:`repro.engine.backends`).  ``"process"``
 #: (default) is a persistent worker pool reused across a session's
@@ -47,27 +38,11 @@ ENGINES = ("vectorized", "reference")
 #: sharded code paths in-process, in order.
 BACKENDS = ("process", "thread", "serial")
 
-#: Replenishment strategies (Sec. 9).  ``"delta"`` materializes only stream
-#: positions that were never produced before and merges them into the
-#: previous tuple bundles; ``"full"`` rebuilds every window from scratch
-#: (the paper-literal behavior, kept for verification).
-REPLENISHMENT_MODES = ("delta", "full")
-
 #: Deterministic sub-plan cache tiers.  ``"session"`` shares materialized
 #: deterministic relations across queries (keyed by structural plan
-#: fingerprint, invalidated on catalog mutation); ``"context"`` scopes the
-#: cache to one plan execution context (the seed behavior); ``"off"``
-#: disables caching entirely.
-DET_CACHE_MODES = ("session", "context", "off")
-
-#: Session det-cache invalidation granularity.  ``"table"`` (default)
-#: keys each entry by the base/random tables its subtree actually scans
-#: (``PlanNode.base_tables()``) and their per-name catalog versions:
-#: mutating table A leaves entries scanning only B untouched, and
-#: append-only growth (``Catalog.append``) splices the new rows into the
-#: cached relation instead of recomputing.  ``"catalog"`` reproduces the
-#: coarse protocol bit-for-bit: any catalog mutation drops every entry.
-DET_CACHE_KEYINGS = ("table", "catalog")
+#: fingerprint and the per-table catalog versions each entry depends
+#: on); ``"off"`` disables caching entirely.
+DET_CACHE_MODES = ("session", "off")
 
 #: Zero-copy shared-memory data plane for ``backend="process"``
 #: (:mod:`repro.engine.shm`).  ``"on"`` (default) places bulk payload
@@ -86,12 +61,10 @@ _ENV_FALSE = ("0", "false", "no", "off")
 #: Every environment knob ``from_env`` recognizes — the whole MCDBR_*
 #: namespace is reserved, so misspelled *names* fail fast too.
 _ENV_KNOBS = frozenset((
-    "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
-    "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_JOIN_TIMEOUT", "MCDBR_SHM", "MCDBR_DET_CACHE_KEYING",
-    # Risk-service front-end knobs (repro.server), parsed by
-    # ServerOptions.from_env — registered here so ExecutionOptions.from_env
-    # running inside the server process doesn't reject them as typos.
+    "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE", "MCDBR_DET_CACHE",
+    "MCDBR_SHM",
+    # ServerOptions.from_env's knobs, so ExecutionOptions.from_env in the
+    # server process doesn't reject them as typos.
     "MCDBR_SERVER_CONCURRENCY", "MCDBR_SERVER_QUEUE_DEPTH",
     "MCDBR_SERVER_QUERY_TIMEOUT", "MCDBR_SERVER_STANDING_AUTOREFRESH"))
 
@@ -157,134 +130,62 @@ def env_bool(name: str, default: bool) -> bool:
         f"{'|'.join(_ENV_TRUE + _ENV_FALSE)}")
 
 
-#: Env-overridable defaults so CI can run whole suites under either data
-#: plane (``MCDBR_SHM=on|off``) or det-cache keying without threading the
-#: knobs through every construction site.  Read once at import — options
-#: constructed at different times inside one process can never silently
-#: disagree.
+#: Env-overridable default so CI can run whole suites under either data
+#: plane (``MCDBR_SHM=on|off``).  Read once at import, so options built
+#: at different times inside one process can never silently disagree.
 _DEFAULT_SHM = env_choice("MCDBR_SHM", "on", SHM_MODES)
-_DEFAULT_DET_CACHE_KEYING = env_choice("MCDBR_DET_CACHE_KEYING", "table",
-                                       DET_CACHE_KEYINGS)
 
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """How to execute a query: kernel selection + repetition sharding.
+    """How to execute a query: Monte Carlo sharding + det-cache reuse.
 
     Parameters
     ----------
-    engine:
-        ``"vectorized"`` (batched NumPy kernel, default) or ``"reference"``
-        (the paper-literal scalar path).  Both produce identical results
-        for identical seeds.
     n_jobs:
         Workers for Monte Carlo repetition slices; ``1`` runs serially
         in-process.  Results are independent of ``n_jobs``.  Tail
         queries always run in-process, whatever ``n_jobs`` is.
     backend:
-        Shard transport: ``"process"`` (persistent worker pool owned by
-        the session, job broadcast once, ``(job_id, lo, hi)`` shard
-        tasks), ``"thread"`` or ``"serial"``.  Inert while
-        ``n_jobs == 1``.
+        Shard transport (see :data:`BACKENDS`): ``"process"``,
+        ``"thread"`` or ``"serial"``.  Inert while ``n_jobs == 1``.
     shard_size:
         Optional maximum repetitions per shard.  ``None`` splits the
         work evenly across ``n_jobs`` workers.
-    replenishment:
-        ``"delta"`` (default) re-runs the plan in incremental mode when a
-        Gibbs window runs dry: ``Instantiate`` gathers only stream
-        positions never materialized before and merges them into its
-        previous output.  ``"full"`` rebuilds every window from the
-        streams each time.  Both are bit-identical (the streams are pure
-        functions of position), only speed differs.
     det_cache:
         Cache tier for deterministic sub-plan results: ``"session"``
-        (cross-query, the default under :class:`repro.sql.Session`),
-        ``"context"`` (per plan execution) or ``"off"``.  Executors used
-        directly fall back to ``"context"`` scoping unless a session cache
-        object is handed to them.
-    det_cache_keying:
-        Invalidation granularity of the session det-cache (default
-        ``"table"``; env ``MCDBR_DET_CACHE_KEYING``).  ``"table"`` keys
-        every entry by the catalog names its subtree scans
-        (``PlanNode.base_tables()``) and the per-name versions they were
-        filled under: a mutation invalidates only entries that depend on
-        the touched name, and an append-only mutation
-        (``Catalog.append``) *refreshes* dependent entries by splicing
-        the new rows into the cached relation (full recompute only for
-        non-splicable shapes, e.g. a join whose build side also moved).
-        ``"catalog"`` reproduces the coarse whole-cache drop on any
-        mutation.  Bit-identical either way — only the amount of
-        recomputation after catalog mutations differs.
-    window_growth:
-        Geometric growth factor applied to the GibbsLooper's window after
-        each replenishment (``1.0`` — the default — disables growth).
-        Rejection-heavy seeds refuel dozens of times at a fixed window;
-        growing it makes the refuel count logarithmic in the consumption
-        depth.  Window sizing never changes which candidate is accepted
-        (the consumption pointer walks the same stream either way), so
-        results stay bit-identical — only the replenishment schedule,
-        and therefore ``plan_runs``, shrinks.
-    join_timeout:
-        Seconds :meth:`ProcessBackend.close` waits at each shutdown
-        escalation step (stop message -> SIGTERM -> SIGKILL); ``None``
-        (default) uses the library default of 5 seconds.  Env
-        ``MCDBR_JOIN_TIMEOUT``; useful to shrink teardown latency in
-        fault-injection tests or supervised deployments.
+        (the default) or ``"off"``.  Under :class:`repro.sql.Session`,
+        ``"session"`` is the session's cross-query cache, whose entries
+        a mutation invalidates only when it touches a table they scan,
+        and an append (``Catalog.append``) refreshes by splicing in the
+        new rows.  Executors used directly scope their cache to one plan
+        execution unless a session cache object is handed to them.
+        Bit-identical either way — only recomputation differs.
     shm:
         Zero-copy shared-memory data plane for the process backend
-        (default ``"on"``; env ``MCDBR_SHM``).  Bulk payload arrays —
-        catalog/bundle columns in the shared channel — are placed once
-        in parent-owned shared-memory segments and shipped as
-        descriptors that workers attach as read-only zero-copy NumPy
-        views, instead of being pickled and re-materialized per
-        worker.  ``"off"`` keeps the
-        pure pickle transport (for ``/dev/shm``-less hosts; the store
-        also falls back by itself if allocation fails).  Inert on the
-        serial/thread backends.  Bit-identical either way.
+        (default ``"on"``; env ``MCDBR_SHM``; see :data:`SHM_MODES`).
+        ``"off"`` pickles every payload whole.  Bit-identical either way.
     """
 
-    engine: str = "vectorized"
     n_jobs: int = 1
     backend: str = "process"
     shard_size: int | None = None
-    replenishment: str = "delta"
     det_cache: str = "session"
-    det_cache_keying: str = _DEFAULT_DET_CACHE_KEYING
-    window_growth: float = 1.0
-    join_timeout: float | None = None
     shm: str = _DEFAULT_SHM
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; supported: {ENGINES}")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; supported: {BACKENDS}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if not self.window_growth >= 1.0:
-            raise ValueError(
-                f"window_growth must be >= 1.0, got {self.window_growth}")
         if self.shard_size is not None and self.shard_size < 1:
             raise ValueError(
                 f"shard_size must be >= 1 or None, got {self.shard_size}")
-        if self.replenishment not in REPLENISHMENT_MODES:
-            raise ValueError(
-                f"unknown replenishment mode {self.replenishment!r}; "
-                f"supported: {REPLENISHMENT_MODES}")
         if self.det_cache not in DET_CACHE_MODES:
             raise ValueError(
                 f"unknown det_cache mode {self.det_cache!r}; "
                 f"supported: {DET_CACHE_MODES}")
-        if self.det_cache_keying not in DET_CACHE_KEYINGS:
-            raise ValueError(
-                f"unknown det_cache_keying mode {self.det_cache_keying!r}; "
-                f"supported: {DET_CACHE_KEYINGS}")
-        if self.join_timeout is not None and not self.join_timeout > 0:
-            raise ValueError(
-                f"join_timeout must be > 0 or None, got "
-                f"{self.join_timeout}")
         if self.shm not in SHM_MODES:
             raise ValueError(
                 f"unknown shm mode {self.shm!r}; supported: {SHM_MODES}")
@@ -300,20 +201,15 @@ class ExecutionOptions:
         variable, instead of a ``ValueError`` from deep inside options
         construction.  Explicit ``overrides`` win over the environment.
 
-        ==========================  =====================================
-        variable                    values
-        ==========================  =====================================
-        ``MCDBR_ENGINE``            ``vectorized|reference``
-        ``MCDBR_N_JOBS``            integer >= 1
-        ``MCDBR_BACKEND``           ``process|thread|serial``
-        ``MCDBR_SHARD_SIZE``        integer >= 1 (unset = even split)
-        ``MCDBR_REPLENISHMENT``     ``delta|full``
-        ``MCDBR_DET_CACHE``         ``session|context|off``
-        ``MCDBR_DET_CACHE_KEYING``  ``table|catalog``
-        ``MCDBR_WINDOW_GROWTH``     number >= 1.0
-        ``MCDBR_JOIN_TIMEOUT``      number > 0 seconds (unset = 5s)
-        ``MCDBR_SHM``               ``on|off``
-        ==========================  =====================================
+        ====================  ===========================================
+        variable              values
+        ====================  ===========================================
+        ``MCDBR_N_JOBS``      integer >= 1
+        ``MCDBR_BACKEND``     ``process|thread|serial``
+        ``MCDBR_SHARD_SIZE``  integer >= 1 (unset = even split)
+        ``MCDBR_DET_CACHE``   ``session|off``
+        ``MCDBR_SHM``         ``on|off``
+        ====================  ===========================================
 
         Unrecognized ``MCDBR_*`` variables are rejected too: a
         misspelled *name* would otherwise silently leave its knob at the
@@ -327,20 +223,12 @@ class ExecutionOptions:
                 f"unrecognized environment knobs {unknown_vars}; "
                 f"supported: {sorted(_ENV_KNOBS)}")
         values = dict(
-            engine=env_choice("MCDBR_ENGINE", "vectorized", ENGINES),
             n_jobs=env_int("MCDBR_N_JOBS", 1),
             backend=env_choice("MCDBR_BACKEND", "process", BACKENDS),
             shard_size=(env_int("MCDBR_SHARD_SIZE", 1)
                         if "MCDBR_SHARD_SIZE" in os.environ else None),
-            replenishment=env_choice("MCDBR_REPLENISHMENT", "delta",
-                                     REPLENISHMENT_MODES),
             det_cache=env_choice("MCDBR_DET_CACHE", "session",
                                  DET_CACHE_MODES),
-            det_cache_keying=env_choice("MCDBR_DET_CACHE_KEYING", "table",
-                                        DET_CACHE_KEYINGS),
-            window_growth=env_float("MCDBR_WINDOW_GROWTH", 1.0, 1.0),
-            join_timeout=(env_float("MCDBR_JOIN_TIMEOUT", 5.0, 1e-3)
-                          if "MCDBR_JOIN_TIMEOUT" in os.environ else None),
             shm=env_choice("MCDBR_SHM", "on", SHM_MODES),
         )
         known = {field.name for field in fields(cls)}

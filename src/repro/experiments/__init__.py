@@ -8,7 +8,6 @@ and series the paper reports, in plain ASCII so that ``pytest benchmarks/
 from repro.experiments.harness import (
     NullBenchmark,
     ascii_series,
-    engine_comparison_table,
     format_table,
     print_experiment,
     record_metric,
@@ -18,5 +17,5 @@ from repro.experiments.harness import (
 )
 
 __all__ = ["format_table", "print_experiment", "ascii_series", "timed",
-           "engine_comparison_table", "record_metric", "write_metrics",
-           "run_benchmark_cli", "NullBenchmark"]
+           "record_metric", "write_metrics", "run_benchmark_cli",
+           "NullBenchmark"]

@@ -19,11 +19,11 @@ import argparse
 import json
 import numbers
 import time
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 __all__ = ["format_table", "print_experiment", "ascii_series", "timed",
-           "engine_comparison_table", "record_metric", "write_metrics",
-           "run_benchmark_cli", "NullBenchmark"]
+           "record_metric", "write_metrics", "run_benchmark_cli",
+           "NullBenchmark"]
 
 
 class NullBenchmark:
@@ -139,27 +139,6 @@ def timed(fn: Callable, *args, **kwargs) -> tuple[object, float]:
     started = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - started
-
-
-def engine_comparison_table(timings: Mapping[str, float],
-                            baseline: str | None = None) -> str:
-    """Seconds + speedup-vs-baseline table for an engine comparison.
-
-    ``baseline`` defaults to the slowest entry, so every speedup is >= 1
-    for the winners (used by ``benchmarks/bench_e8_vectorized.py`` to
-    report the vectorized-kernel speedup over ``engine="reference"``).
-    """
-    if not timings:
-        raise ValueError("need at least one timing")
-    if baseline is None:
-        baseline = max(timings, key=timings.get)
-    if baseline not in timings:
-        raise KeyError(f"baseline {baseline!r} not in {sorted(timings)}")
-    base_seconds = timings[baseline]
-    rows = [[label, f"{seconds:.3f}",
-             f"{base_seconds / seconds:.2f}x" if seconds > 0 else "inf"]
-            for label, seconds in timings.items()]
-    return format_table(["engine", "seconds", f"speedup vs {baseline}"], rows)
 
 
 def print_experiment(title: str, body: str) -> None:

@@ -587,6 +587,10 @@ class RiskService:
 
 # -- HTTP layer -------------------------------------------------------------
 
+#: Largest request body the server reads (bytes); a longer one is refused
+#: with 413 before any of it is read.
+_MAX_BODY_BYTES = 64 << 20
+
 _TENANT = r"(?P<tenant>[A-Za-z0-9_-]{1,64})"
 _NAME = r"(?P<name>[^/]{1,200})"
 
@@ -645,22 +649,46 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(format, *args)
 
-    def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> dict | None:
+        """The request's JSON object, or ``None`` for an empty body.
+
+        A malformed or negative ``Content-Length`` is a 400 and one past
+        :data:`_MAX_BODY_BYTES` a 413, both answered without reading the
+        body; since the unread bytes would be parsed as the next request,
+        those replies also close the connection.  A body that is not
+        UTF-8 JSON, or JSON that is not an object, is a 400.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ApiError(400, f"invalid Content-Length {header!r}")
+        if length > _MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ApiError(413, f"request body of {length} bytes exceeds "
+                                f"the {_MAX_BODY_BYTES}-byte limit")
         if length == 0:
             return None
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw.decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ApiError(400, f"request body is not valid JSON: {exc}") \
                 from None
+        if not isinstance(body, dict):
+            raise ApiError(400, "request body must be a JSON object")
+        return body
 
     def _reply(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.wfile.flush()

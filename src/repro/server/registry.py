@@ -97,14 +97,25 @@ class TenantRegistry:
         return tenant_id
 
     def _build_session(self, config: dict | None) -> Session:
+        """A tenant session from a client config, validated up front: a
+        bad value must fail the create with 400, not every later query."""
+        if config is None:
+            config = {}
+        if not isinstance(config, dict):
+            raise ApiError(400, "tenant config must be a JSON object")
         knobs = {"base_seed": self._base_seed}
-        for key in (config or {}):
+        for key, value in config.items():
             if key not in _SESSION_KNOBS:
                 raise ApiError(
                     400, f"unknown tenant config key {key!r}; "
                          f"allowed: {', '.join(_SESSION_KNOBS)}")
-        if config:
-            knobs.update(config)
+            minimum = 0 if key == "base_seed" else 1
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < minimum:
+                raise ApiError(
+                    400, f"tenant config {key!r} must be an integer >= "
+                         f"{minimum}, got {value!r}")
+            knobs[key] = value
         return Session(options=self._options,
                        shared_backend=self._shared_backend, **knobs)
 

@@ -374,9 +374,9 @@ def describe_compiled(compiled: CompiledSelect, tail_mode: bool,
     golden surface the planner tests lock down.
 
     ``det_markers`` annotates the roots of deterministic subtrees — the
-    units the det-cache tiers (context/session) materialize and serve, so
-    a replenishment re-run or a structurally overlapping later query
-    executes only the unmarked nodes.
+    units the det-caches materialize and serve, so a replenishment re-run
+    or a structurally overlapping later query executes only the unmarked
+    nodes.
     """
     lines = []
     if tail_mode:
@@ -405,8 +405,7 @@ def _describe_with_det_markers(node: PlanNode, indent: int) -> str:
 
     Each marker also lists the subtree's dependency set
     (``PlanNode.base_tables()``) — the names whose per-table catalog
-    versions the session cache's ``keying="table"`` mode validates the
-    entry against.
+    versions the session cache validates the entry against.
     """
     line = "  " * indent + node._describe_line()
     if not node.contains_random:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.gibbs_looper import LooperResult
 from repro.engine.backends import make_backend
 from repro.engine.det_cache import (
-    ContextDetCache, NullDetCache, SessionDetCache, classify_moves)
+    NullDetCache, SessionDetCache, classify_moves)
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Col
 from repro.engine.mcdb import MonteCarloResult
@@ -189,15 +189,9 @@ class StandingQuery:
                           for name in self._compiled.plan.base_tables()}
 
     def _reset_det_cache(self, context: ExecutionContext) -> None:
-        """Re-point a retained context at a current det-cache tier.
-
-        The session tier validates its entries per lookup, so it can be
-        kept; ``"context"``/``"off"`` tiers have no version validation
-        and must not serve pre-append deterministic relations, so they
-        are rebuilt fresh for every refresh.
-        """
-        fresh = self._session._det_cache_for_run()
-        context.det_cache = fresh if fresh is not None else ContextDetCache()
+        """Re-point a retained context at the session's current det-cache
+        tier (which may have changed with ``Session.options``)."""
+        context.det_cache = self._session._det_cache_for_run()
 
     def _run_mc(self) -> QueryOutput:
         session = self._session
@@ -280,12 +274,11 @@ class Session:
         ``k``, Gibbs sweeps per bootstrapping iteration.
     options:
         :class:`~repro.engine.options.ExecutionOptions` threaded into both
-        executors: ``engine`` picks the Gibbs kernel
-        (``"vectorized"``/``"reference"``), ``n_jobs``/``backend`` shard
-        Monte Carlo repetitions across workers.  Results are identical
-        for every setting; only speed changes.  Assignable after
-        construction — see the :attr:`options` property for what follows
-        the change.
+        executors: ``n_jobs``/``backend`` shard Monte Carlo repetitions
+        across workers, ``det_cache`` turns the cross-query det-cache on
+        or off.  Results are identical for every setting; only speed
+        changes.  Assignable after construction — see the :attr:`options`
+        property for what follows the change.
     shared_backend:
         A server-owned :class:`~repro.engine.backends.SharedBackend`
         this session should run its sharded work on instead of spawning
@@ -310,7 +303,7 @@ class Session:
     #: of them through the :attr:`options` setter while a session-owned
     #: pool is live closes that pool so the next sharded query respawns
     #: it under the new configuration.
-    _BACKEND_KNOBS = ("backend", "n_jobs", "shm", "join_timeout")
+    _BACKEND_KNOBS = ("backend", "n_jobs", "shm")
 
     def __init__(self, base_seed: int = 0, registry: VGRegistry | None = None,
                  tail_budget: int = 1000, window: int = 1000,
@@ -326,14 +319,11 @@ class Session:
         self._options = options or ExecutionOptions()
         #: Cross-query deterministic sub-plan cache (``det_cache="session"``,
         #: the default): materialized deterministic relations keyed by
-        #: structural plan fingerprint.  Under
-        #: ``det_cache_keying="table"`` (default) entries are additionally
-        #: keyed by the per-name catalog versions of the tables their
-        #: subtree scans — a mutation invalidates only dependent entries,
-        #: and :meth:`append` refreshes them by splicing the new rows in;
-        #: ``"catalog"`` drops everything on any mutation.
-        self.det_cache = SessionDetCache(
-            keying=self._options.det_cache_keying)
+        #: structural plan fingerprint and by the per-name catalog versions
+        #: of the tables their subtree scans — a mutation invalidates only
+        #: dependent entries, and :meth:`append` refreshes them by splicing
+        #: the new rows in.
+        self.det_cache = SessionDetCache()
         #: Persistent shard backend (``n_jobs > 1``).  Session-owned by
         #: default (built lazily on the first sharded query, kept until
         #: :meth:`close`); a server injects a *shared* backend instead —
@@ -358,12 +348,10 @@ class Session:
         """The session's :class:`~repro.engine.options.ExecutionOptions`.
 
         Assignable: dependent state follows the change instead of
-        silently staying frozen at first use.  Switching
-        ``det_cache_keying`` rebuilds (and therefore flushes) the session
-        det-cache under the new keying; changing any pool knob
-        (``backend``/``n_jobs``/``shm``/``join_timeout``) closes a live
-        session-owned pool so the next sharded query respawns it with the
-        new configuration.  A session running on a *shared* backend (a
+        silently staying frozen at first use.  Changing any pool knob
+        (``backend``/``n_jobs``/``shm``) closes a live session-owned pool
+        so the next sharded query respawns it with the new
+        configuration.  A session running on a *shared* backend (a
         server-owned pool) refuses pool-knob changes with
         :class:`~repro.engine.errors.EngineError` — it must not
         reconfigure a pool other tenants are using.
@@ -378,10 +366,6 @@ class Session:
                 f"{type(new).__name__}")
         with self._execute_lock:
             old = self._options
-            if new.det_cache_keying != old.det_cache_keying:
-                # Rebuild rather than re-key: entries recorded under the
-                # other keying's validity rules cannot be trusted.
-                self.det_cache = SessionDetCache(keying=new.det_cache_keying)
             pool_moved = any(
                 getattr(new, knob) != getattr(old, knob)
                 for knob in self._BACKEND_KNOBS)
@@ -454,17 +438,10 @@ class Session:
         return False
 
     def _det_cache_for_run(self):
-        """The cache object handed to executors under the current options.
-
-        ``None`` tells the execution context to build its own per-context
-        cache (mode ``"context"``, the seed behavior).
-        """
-        mode = self.options.det_cache
-        if mode == "session":
+        """The cache object handed to executors under the current options."""
+        if self.options.det_cache == "session":
             return self.det_cache
-        if mode == "off":
-            return NullDetCache()
-        return None
+        return NullDetCache()
 
     # -- data definition -------------------------------------------------------
 
@@ -481,15 +458,14 @@ class Session:
     def append(self, name: str, rows) -> tuple[int, int]:
         """Append rows to a base table (column mapping or row dicts).
 
-        The append is journaled in the catalog, so under the default
-        ``det_cache_keying="table"`` cached deterministic subtrees over
-        the table are *refreshed* — the new rows spliced into the cached
-        relations — rather than recomputed, and entries over other
-        tables are untouched.  Returns ``(old_row_count, new_row_count)``.
-        Rejections are typed and transactional
-        (:class:`~repro.engine.errors.CatalogError`, nothing mutated);
-        like :meth:`add_table`, the append serializes against running
-        statements.
+        The append is journaled in the catalog, so cached deterministic
+        subtrees over the table are *refreshed* — the new rows spliced
+        into the cached relations — rather than recomputed, and entries
+        over other tables are untouched.  Returns
+        ``(old_row_count, new_row_count)``.  Rejections are typed and
+        transactional (:class:`~repro.engine.errors.CatalogError`,
+        nothing mutated); like :meth:`add_table`, the append serializes
+        against running statements.
 
         After journaling, append-journal links every consumer has already
         refreshed past are compacted away, so a long-lived session
@@ -586,7 +562,7 @@ class Session:
                                  det_markers=det_markers)
         if det_markers:
             stats = self.cache_stats()
-            text += ("\ndet-cache: keying={keying} entries={entries} "
+            text += ("\ndet-cache: entries={entries} "
                      "hits={hits} misses={misses} "
                      "invalidations={invalidations} "
                      "partial-invalidations={partial_invalidations} "
@@ -594,8 +570,8 @@ class Session:
         return text
 
     def cache_stats(self) -> dict:
-        """Session det-cache counters: ``keying``, ``entries``, ``hits``,
-        ``misses``, ``invalidations`` (whole-cache drops),
+        """Session det-cache counters: ``entries``, ``hits``, ``misses``,
+        ``invalidations`` (whole-cache drops on a catalog swap),
         ``partial_invalidations`` (single entries whose dependencies moved
         non-append-only) and ``append_refreshes`` (entries refreshed in
         place by splicing appended rows)."""

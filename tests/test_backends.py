@@ -163,42 +163,30 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutionOptions(backend="quantum")
 
-    def test_window_growth_below_one(self):
-        with pytest.raises(ValueError, match="window_growth"):
-            ExecutionOptions(window_growth=0.5)
-
-    def test_window_growth_nan(self):
-        with pytest.raises(ValueError, match="window_growth"):
-            ExecutionOptions(window_growth=float("nan"))
-
     def test_make_backend_dispatch(self):
         assert isinstance(_make_backend("serial"), SerialBackend)
         assert isinstance(_make_backend("thread"), ThreadBackend)
         assert isinstance(_make_backend("process"), ProcessBackend)
 
-    @pytest.mark.parametrize("bad", [0, -1.0, float("nan")])
-    def test_join_timeout_must_be_positive(self, bad):
-        with pytest.raises(ValueError, match="join_timeout"):
-            ProcessBackend(1, join_timeout=bad)
-        with pytest.raises(ValueError, match="join_timeout"):
-            ExecutionOptions(join_timeout=bad)
-
-    def test_join_timeout_flows_from_options_to_backend(self):
-        backend = make_backend(
-            ExecutionOptions(backend="process", join_timeout=2.5))
+    def test_join_timeout_defaults_to_module_global(self, monkeypatch):
+        """close() reads backends._JOIN_TIMEOUT when it runs, so a suite
+        that shrinks the global keeps its grip on pools built earlier."""
+        from repro.engine import backends as backends_module
+        backend = make_backend(ExecutionOptions(backend="process", n_jobs=2))
+        timeouts = []
         try:
-            assert backend._join_timeout == 2.5
+            backend.run_job(SpanJob(), [(0, 1), (1, 2)])
+            monkeypatch.setattr(backends_module, "_JOIN_TIMEOUT", 7.5)
+            for worker in backend._workers:
+                join = worker.process.join
+
+                def spy(timeout=None, join=join):
+                    timeouts.append(timeout)
+                    join(timeout)
+                worker.process.join = spy
         finally:
             backend.close()
-
-    def test_join_timeout_defaults_to_module_global(self):
-        # None defers to backends._JOIN_TIMEOUT at close() time so test
-        # suites that monkeypatch the global keep their grip.
-        backend = make_backend(ExecutionOptions(backend="process"))
-        try:
-            assert backend._join_timeout is None
-        finally:
-            backend.close()
+        assert timeouts and set(timeouts) == {7.5}
 
 
 class TestResultsTransparency:

@@ -132,9 +132,6 @@ class TestThreeWayAgreement:
     def test_expected_shortfall_agreement(self):
         z = stats.norm.ppf(1 - PARAMS.p)
         analytic = MEANS.sum() + np.sqrt(R) * stats.norm.pdf(z) / PARAMS.p
-        pure = np.mean([
-            s for seed in range(3)
-            for s in _cloner_estimates([seed])])  # quantiles, not needed
         catalog, plan = _catalog_and_plan()
         shortfalls = [
             GibbsLooper(plan, catalog, PARAMS, 50, aggregate_kind="sum",

@@ -18,8 +18,7 @@ Covers the incremental materialization pipeline's engine-level contracts:
 import numpy as np
 import pytest
 
-from repro.engine.det_cache import (
-    ContextDetCache, NullDetCache, SessionDetCache, make_det_cache)
+from repro.engine.det_cache import ContextDetCache, SessionDetCache
 from repro.engine.errors import EngineError
 from repro.engine.expressions import col, lit
 from repro.engine.operators import (
@@ -171,8 +170,8 @@ class TestSessionDetCache:
 
     def test_dependent_mutation_invalidates(self):
         """Rewriting a table a cached subtree scans drops exactly the
-        dependent entries (table keying, the default)."""
-        session = self._session(det_cache_keying="table")
+        dependent entries."""
+        session = self._session()
         session.execute(self.QUERY)
         assert len(session.det_cache) > 0
         session.add_table("means", {
@@ -183,7 +182,7 @@ class TestSessionDetCache:
     def test_unrelated_mutation_survives_table_keying(self):
         """The point of table-granular keying: DDL on a disjoint table
         leaves cached entries — and their arrays — untouched."""
-        session = self._session(det_cache_keying="table")
+        session = self._session()
         session.execute(self.QUERY)
         entries = len(session.det_cache)
         misses = session.det_cache.misses
@@ -193,16 +192,6 @@ class TestSessionDetCache:
         assert session.det_cache.invalidations == 0
         assert session.det_cache.partial_invalidations == 0
         assert len(session.det_cache) == entries
-
-    def test_catalog_keying_drops_everything(self):
-        """keying="catalog" reproduces the coarse protocol: any mutation
-        (even of an unrelated table) clears the whole cache."""
-        session = self._session(det_cache_keying="catalog")
-        session.execute(self.QUERY)
-        assert len(session.det_cache) > 0
-        session.add_table("extra", {"x": [1.0]})
-        session.execute(self.QUERY)
-        assert session.det_cache.invalidations >= 1
 
     def test_ftable_registration_invalidates(self):
         session = self._session()
@@ -224,12 +213,7 @@ class TestSessionDetCache:
         session.execute(self.QUERY)
         assert len(session.det_cache) == 0
 
-    def test_det_cache_context_mode(self):
-        session = self._session(det_cache="context")
-        session.execute(self.QUERY)
-        assert len(session.det_cache) == 0  # session cache never consulted
-
-    @pytest.mark.parametrize("mode", ["session", "context", "off"])
+    @pytest.mark.parametrize("mode", ["session", "off"])
     def test_modes_bit_identical(self, mode):
         baseline = self._session().execute(self.QUERY)
         other = self._session(det_cache=mode).execute(self.QUERY)
@@ -237,17 +221,9 @@ class TestSessionDetCache:
             baseline.distributions.distribution("loss").samples,
             other.distributions.distribution("loss").samples)
 
-    def test_make_det_cache(self):
-        assert isinstance(make_det_cache("context"), ContextDetCache)
-        assert isinstance(make_det_cache("off"), NullDetCache)
-        with pytest.raises(ValueError):
-            make_det_cache("session")
-
     def test_option_validation(self):
         with pytest.raises(ValueError, match="det_cache"):
             ExecutionOptions(det_cache="warp")
-        with pytest.raises(ValueError, match="replenishment"):
-            ExecutionOptions(replenishment="sometimes")
 
 
 class TestBaseTables:
@@ -431,7 +407,7 @@ class TestAppendSpliceRefresh:
         """End to end: MC samples after Session.append equal a fresh
         session built directly on the grown table."""
         query = TestSessionDetCache.QUERY
-        session = TestSessionDetCache()._session(det_cache_keying="table")
+        session = TestSessionDetCache()._session()
         session.execute(query)
         session.append("means", {"CID": [12, 13], "m": [3.2, 3.4]})
         grown = session.execute(query)
@@ -464,7 +440,6 @@ class TestFingerprints:
         assert first.plan.fingerprint() == second.plan.fingerprint()
 
     def test_structurally_different_plans_differ(self):
-        catalog = _catalog()
         scan_a = Select(Scan("means"), col("CID") < lit(3))
         scan_b = Select(Scan("means"), col("CID") < lit(4))
         assert scan_a.fingerprint() != scan_b.fingerprint()

@@ -1,20 +1,25 @@
 """The gate for the vectorized execution layer.
 
-``engine="vectorized"`` and ``engine="reference"`` must produce *identical*
-results — same tail samples, same (handle -> position) assignments, same
-acceptance statistics, same replenishment schedule — for the same session
-seed, on randomized plans and seeds.  Likewise the sharded Monte Carlo
-executor must be invariant to ``n_jobs`` and shard geometry, and every
-``backend × n_jobs × engine × replenishment × window_growth × shm``
-combination must be bit-identical to the serial reference — a tail query
-with ``n_jobs > 1`` included, which runs the serial looper in-process.
-Nothing here is approximate: every comparison is exact.
+``GibbsLooper``'s batched kernel and the scalar per-version kernel of
+``tests/looper_oracles.py`` (the ``engine="reference"`` axis below) must
+produce *identical* results — same tail samples, same (handle -> position)
+assignments, same acceptance statistics, same replenishment schedule —
+for the same session seed, on randomized plans and seeds; so must its
+delta refuels and the oracle's full rebuilds (the ``replenishment``
+axis).  Likewise the sharded Monte Carlo executor must be invariant to
+``n_jobs`` and shard geometry, and every ``backend × n_jobs × engine ×
+replenishment × shm`` combination must be bit-identical to the serial
+reference — a tail query with ``n_jobs > 1`` included, which runs the
+serial looper in-process.  Nothing here is approximate: every comparison
+is exact.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from looper_oracles import (
+    FullRefuelLooper, ScalarKernelLooper, looper_class, planner_looper)
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
@@ -71,7 +76,7 @@ class TestLooperEquivalence:
              aggregate_kind="sum", k=1, num_samples=25, m=2, p_step=0.3,
              versions=40, predicate=None, max_proposals=100_000,
              replenishment="delta", n_jobs=1, backend="process",
-             shard_size=None, window_growth=1.0, shm="on"):
+             shard_size=None, shm="on"):
         catalog, spec = _losses_catalog(customers)
         plan = random_table_pipeline(spec)
         if predicate is not None:
@@ -79,16 +84,13 @@ class TestLooperEquivalence:
         params = TailParams(p=p_step ** m, m=m, n_steps=(versions,) * m,
                             p_steps=(p_step,) * m)
         expr = None if aggregate_kind == "count" else col("val")
-        return GibbsLooper(
+        return looper_class(engine, replenishment)(
             plan, catalog, params, num_samples,
             aggregate_kind=aggregate_kind, aggregate_expr=expr,
             window=window, base_seed=base_seed, k=k,
             max_proposals=max_proposals,
-            options=ExecutionOptions(engine=engine,
-                                     replenishment=replenishment,
-                                     n_jobs=n_jobs, backend=backend,
+            options=ExecutionOptions(n_jobs=n_jobs, backend=backend,
                                      shard_size=shard_size,
-                                     window_growth=window_growth,
                                      shm=shm)).run()
 
     @given(customers=st.integers(3, 15),
@@ -142,13 +144,13 @@ class TestLooperEquivalence:
 
 
 class TestDeltaReplenishmentEquivalence:
-    """``replenishment="delta"`` must be bit-identical to full re-runs.
+    """Delta refuels must be bit-identical to the full-rebuild oracle.
 
     The delta path merges never-materialized stream positions into the
     previous bundles and keeps the looper's per-version caches; streams
     are pure functions of position, so nothing observable may change —
     samples, assignments, acceptance statistics and the replenishment
-    schedule itself all stay exact, for both engines.
+    schedule itself all stay exact, for both kernels.
     """
 
     _runner = TestLooperEquivalence()
@@ -192,16 +194,15 @@ class TestDeltaReplenishmentEquivalence:
 
     def test_multi_seed_delta_equals_full(self):
         results = {}
-        for replenishment in ("full", "delta"):
+        for replenishment, looper in (("full", FullRefuelLooper),
+                                      ("delta", GibbsLooper)):
             catalog, plan = TestMultiSeedPlans._salary_plan()
             params = TailParams(p=0.1, m=1, n_steps=(60,), p_steps=(0.1,))
-            results[replenishment] = GibbsLooper(
+            results[replenishment] = looper(
                 plan, catalog, params, 30, aggregate_kind="sum",
                 aggregate_expr=col("e2.sal") - col("e1.sal"),
                 final_predicate=col("e2.sal") > col("e1.sal"),
-                window=70, base_seed=3,
-                options=ExecutionOptions(
-                    replenishment=replenishment)).run()
+                window=70, base_seed=3).run()
         _assert_identical(results["full"], results["delta"])
         assert results["full"].plan_runs > 1
 
@@ -217,14 +218,14 @@ class TestDeltaReplenishmentEquivalence:
             passthrough_columns=("pid",))
         params = TailParams(p=0.2, m=1, n_steps=(50,), p_steps=(0.2,))
         results = {}
-        for replenishment in ("full", "delta"):
+        for replenishment, looper in (("full", FullRefuelLooper),
+                                      ("delta", GibbsLooper)):
             plan = Join(Split(random_table_pipeline(spec), "age"),
                         Scan("bonus"), ["age"], ["bage"])
-            results[replenishment] = GibbsLooper(
+            results[replenishment] = looper(
                 plan, catalog, params, 25, aggregate_kind="sum",
-                aggregate_expr=col("amount"), window=60, base_seed=5,
-                options=ExecutionOptions(
-                    replenishment=replenishment)).run()
+                aggregate_expr=col("amount"), window=60,
+                base_seed=5).run()
         _assert_identical(results["full"], results["delta"])
         assert results["full"].plan_runs > 1
 
@@ -254,12 +255,11 @@ class TestMultiSeedPlans:
     def _run(self, engine, base_seed):
         catalog, plan = self._salary_plan()
         params = TailParams(p=0.1, m=1, n_steps=(60,), p_steps=(0.1,))
-        return GibbsLooper(
+        return looper_class(engine)(
             plan, catalog, params, 30, aggregate_kind="sum",
             aggregate_expr=col("e2.sal") - col("e1.sal"),
             final_predicate=col("e2.sal") > col("e1.sal"),
-            window=500, base_seed=base_seed,
-            options=ExecutionOptions(engine=engine)).run()
+            window=500, base_seed=base_seed).run()
 
     @pytest.mark.parametrize("base_seed", [0, 7, 101])
     def test_salary_inversion_pulled_up_predicate(self, base_seed):
@@ -278,13 +278,13 @@ class TestMultiSeedPlans:
             passthrough_columns=("pid",))
         params = TailParams(p=0.2, m=1, n_steps=(50,), p_steps=(0.2,))
         results = []
-        for engine in ENGINES:
+        for looper in (ScalarKernelLooper, GibbsLooper):
             plan = Join(Split(random_table_pipeline(spec), "age"),
                         Scan("bonus"), ["age"], ["bage"])
-            results.append(GibbsLooper(
+            results.append(looper(
                 plan, catalog, params, 25, aggregate_kind="sum",
-                aggregate_expr=col("amount"), window=300, base_seed=5,
-                options=ExecutionOptions(engine=engine)).run())
+                aggregate_expr=col("amount"), window=300,
+                base_seed=5).run())
         _assert_identical(*results)
 
 
@@ -346,8 +346,6 @@ class TestMonteCarloSharding:
                    in zip(bounds, bounds[1:]))
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExecutionOptions(engine="warp-drive")
         with pytest.raises(ValueError, match="n_jobs"):
             ExecutionOptions(n_jobs=0)
         with pytest.raises(ValueError, match="shard_size"):
@@ -378,10 +376,10 @@ class TestSessionLevelEquivalence:
             WITH RESULTDISTRIBUTION MONTECARLO(40)
             DOMAIN loss >= QUANTILE(0.95)
         """
-        outputs = [
-            self._session(ExecutionOptions(engine=engine)).execute(query)
-            for engine in ENGINES]
-        _assert_identical(outputs[0].tail, outputs[1].tail)
+        with planner_looper(ScalarKernelLooper):
+            reference = self._session().execute(query)
+        vectorized = self._session().execute(query)
+        _assert_identical(reference.tail, vectorized.tail)
 
     def test_montecarlo_query_same_result_under_sharding(self):
         query = """
@@ -400,16 +398,16 @@ class TestSessionLevelEquivalence:
         DOMAIN loss >= QUANTILE(0.95)
     """
 
-    @pytest.mark.parametrize("det_cache", ["session", "context", "off"])
+    @pytest.mark.parametrize("det_cache", ["session", "off"])
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
     def test_tail_query_invariant_to_cache_and_replenishment(
             self, det_cache, replenishment):
         """The full mode matrix: every (det_cache, replenishment) pair must
         reproduce the default configuration's tail result exactly."""
         baseline = self._session().execute(self.TAIL_QUERY)
-        other = self._session(ExecutionOptions(
-            det_cache=det_cache, replenishment=replenishment)
-        ).execute(self.TAIL_QUERY)
+        with planner_looper(looper_class(replenishment=replenishment)):
+            other = self._session(ExecutionOptions(
+                det_cache=det_cache)).execute(self.TAIL_QUERY)
         _assert_identical(baseline.tail, other.tail)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -535,24 +533,28 @@ class TestBackendMatrix:
                                                 det_cache_keying):
         """Table-granular cache keying — including an append-splice refresh
         mid-session — must reproduce the coarse catalog protocol's tail
-        samples bit-for-bit, on every backend."""
-        def run(options):
+        samples bit-for-bit, on every backend.  The coarse protocol (drop
+        every entry on any mutation) is a ``reset_cache()`` after the
+        append."""
+        def run(options, coarse):
             with self._sql._session(options) as session:
                 before = session.execute(self._sql.TAIL_QUERY)
                 session.append("means", {"CID": [15, 16], "m": [3.2, 3.4]})
+                if coarse:
+                    session.reset_cache()
                 after = session.execute(self._sql.TAIL_QUERY)
                 stats = session.cache_stats()
             return before, after, stats
 
-        baseline = run(ExecutionOptions(det_cache_keying="catalog"))
-        keyed = run(ExecutionOptions(det_cache_keying=det_cache_keying,
-                                     n_jobs=2, backend=backend))
+        baseline = run(ExecutionOptions(), coarse=True)
+        keyed = run(ExecutionOptions(n_jobs=2, backend=backend),
+                    coarse=det_cache_keying == "catalog")
         _assert_identical(baseline[0].tail, keyed[0].tail)
         _assert_identical(baseline[1].tail, keyed[1].tail)
         if det_cache_keying == "table":
             assert keyed[2]["append_refreshes"] >= 1
         else:
-            assert keyed[2]["invalidations"] >= 1
+            assert keyed[2]["append_refreshes"] == 0
 
     @given(base_seed=st.integers(0, 10_000),
            n_jobs=st.integers(2, 4),
@@ -598,53 +600,3 @@ class TestZeroCopyEquivalence:
                 ExecutionOptions(n_jobs=2, backend="process",
                                  shm=shm)).run(120)
             TestMonteCarloSharding._assert_results_equal(serial, sharded)
-
-
-class TestWindowGrowth:
-    """``window_growth`` must change only the replenishment schedule.
-
-    Window sizing never changes which candidate is accepted — the
-    consumption pointer resumes across refuels — so samples, assignments
-    and acceptance statistics stay bit-identical while the refuel count
-    drops.
-    """
-
-    _runner = TestLooperEquivalence()
-    #: ROADMAP's lever: a window barely above the population refuels
-    #: dozens of times at fixed size.
-    HEAVY = dict(customers=10, window=45, versions=40, m=2, base_seed=5)
-
-    @staticmethod
-    def _assert_same_samples(a, b):
-        assert a.quantile_estimate == b.quantile_estimate
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.assignments == b.assignments
-        stats_a, stats_b = a.total_stats, b.total_stats
-        assert (stats_a.proposals, stats_a.acceptances, stats_a.stalls) == \
-            (stats_b.proposals, stats_b.acceptances, stats_b.stalls)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_growth_preserves_results_and_cuts_refuels(self, engine):
-        flat = self._runner._run(engine, **self.HEAVY)
-        grown = self._runner._run(engine, window_growth=2.0, **self.HEAVY)
-        self._assert_same_samples(flat, grown)
-        assert flat.plan_runs > 2  # the scenario must refuel repeatedly
-        assert grown.plan_runs < flat.plan_runs
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_growth_composes_with_seed_sharding(self, backend):
-        flat = self._runner._run("vectorized", **self.HEAVY)
-        grown = self._runner._run("vectorized", window_growth=1.5,
-                                  n_jobs=2, backend=backend, **self.HEAVY)
-        self._assert_same_samples(flat, grown)
-        assert grown.plan_runs < flat.plan_runs
-
-    @given(growth=st.sampled_from([1.3, 2.0, 3.0]),
-           base_seed=st.integers(0, 1_000))
-    @settings(max_examples=6, deadline=None)
-    def test_property_growth_invariance(self, growth, base_seed):
-        kwargs = dict(customers=10, window=50, versions=30, num_samples=15,
-                      m=2, base_seed=base_seed)
-        self._assert_same_samples(
-            self._runner._run("vectorized", **kwargs),
-            self._runner._run("vectorized", window_growth=growth, **kwargs))

@@ -15,19 +15,23 @@ from repro.engine.options import (
     ExecutionOptions, ServerOptions, env_bool, env_choice, env_float,
     env_int)
 
-ALL_KNOBS = (
-    "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
-    "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_SHM", "MCDBR_JOIN_TIMEOUT", "MCDBR_DET_CACHE_KEYING")
-
-#: Knobs of the deleted seed-axis distributed Gibbs path.
+#: Knobs of the deleted seed-axis distributed Gibbs path, the kernel and
+#: refuel selectors (now oracles in tests/looper_oracles.py) and the
+#: deleted window-growth, shutdown-timeout and cache-keying knobs.
 REMOVED_KNOBS = {
     "gibbs_state": "MCDBR_GIBBS_STATE",
     "state_reinit": "MCDBR_STATE_REINIT",
     "speculate_followups": "MCDBR_SPECULATE",
     "speculate_depth": "MCDBR_SPECULATE_DEPTH",
     "sweep_order": "MCDBR_SWEEP_ORDER",
+    "engine": "MCDBR_ENGINE",
+    "replenishment": "MCDBR_REPLENISHMENT",
+    "det_cache_keying": "MCDBR_DET_CACHE_KEYING",
+    "window_growth": "MCDBR_WINDOW_GROWTH",
+    "join_timeout": "MCDBR_JOIN_TIMEOUT",
 }
+ALL_KNOBS = ("MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
+             "MCDBR_DET_CACHE", "MCDBR_SHM", *REMOVED_KNOBS.values())
 #: Settings the removed knobs used to accept, as (field, value,
 #: environment spelling): none of them may fall back silently.
 REMOVED_SETTINGS = [
@@ -41,6 +45,15 @@ REMOVED_SETTINGS = [
     ("speculate_depth", 8, "8"),
     ("sweep_order", "natural", "natural"),
     ("sweep_order", "adaptive", "adaptive"),
+    ("engine", "vectorized", "vectorized"),
+    ("engine", "reference", "reference"),
+    ("replenishment", "delta", "delta"),
+    ("replenishment", "full", "full"),
+    ("det_cache_keying", "table", "table"),
+    ("det_cache_keying", "catalog", "catalog"),
+    ("window_growth", 1.0, "1"),
+    ("window_growth", 2.5, "2.5"),
+    ("join_timeout", 2.5, "2.5"),
 ]
 
 
@@ -54,9 +67,8 @@ class TestFromEnvDefaults:
     def test_empty_environment_gives_defaults(self):
         options = ExecutionOptions.from_env()
         assert options == ExecutionOptions(
-            engine="vectorized", n_jobs=1, backend="process",
-            shard_size=None, replenishment="delta", det_cache="session",
-            det_cache_keying="table", window_growth=1.0, join_timeout=None)
+            n_jobs=1, backend="process", shard_size=None,
+            det_cache="session", shm="on")
 
     def test_overrides_win_over_environment(self, monkeypatch):
         monkeypatch.setenv("MCDBR_N_JOBS", "4")
@@ -78,12 +90,13 @@ class TestFromEnvDefaults:
 
 
 class TestRemovedKnobs:
-    """The distributed-Gibbs knobs are gone, and fail loudly: as a
-    constructor argument (``TypeError``) and as an environment variable
-    (``EngineError`` naming it) — never a silent fallback."""
+    """Removed knobs are gone, and fail loudly: as a constructor argument
+    (``TypeError``) and as an environment variable (``EngineError``
+    naming it) — never a silent fallback."""
 
     def test_option_count(self):
-        assert len(fields(ExecutionOptions)) == 10
+        assert [field.name for field in fields(ExecutionOptions)] == [
+            "n_jobs", "backend", "shard_size", "det_cache", "shm"]
 
     @pytest.mark.parametrize("field, value, spelling", REMOVED_SETTINGS)
     def test_constructor_rejects_removed_field(self, field, value, spelling):
@@ -103,11 +116,18 @@ class TestRemovedKnobs:
         with pytest.raises(EngineError, match=field):
             ExecutionOptions.from_env(**{field: "worker"})
 
+    def test_context_det_cache_is_rejected(self, monkeypatch):
+        """``det_cache`` keeps ``"session"`` and ``"off"``; the per-context
+        tier is no longer selectable."""
+        with pytest.raises(ValueError, match="det_cache"):
+            ExecutionOptions(det_cache="context")
+        monkeypatch.setenv("MCDBR_DET_CACHE", "context")
+        with pytest.raises(EngineError, match="MCDBR_DET_CACHE"):
+            ExecutionOptions.from_env()
+
 
 class TestFromEnvValues:
     @pytest.mark.parametrize("name, value, field, expected", [
-        ("MCDBR_ENGINE", "reference", "engine", "reference"),
-        ("MCDBR_ENGINE", "vectorized", "engine", "vectorized"),
         ("MCDBR_N_JOBS", "3", "n_jobs", 3),
         ("MCDBR_N_JOBS", "1", "n_jobs", 1),
         ("MCDBR_BACKEND", "serial", "backend", "serial"),
@@ -115,18 +135,10 @@ class TestFromEnvValues:
         ("MCDBR_BACKEND", "process", "backend", "process"),
         ("MCDBR_SHARD_SIZE", "7", "shard_size", 7),
         ("MCDBR_SHARD_SIZE", "1", "shard_size", 1),
-        ("MCDBR_REPLENISHMENT", "full", "replenishment", "full"),
-        ("MCDBR_REPLENISHMENT", "delta", "replenishment", "delta"),
         ("MCDBR_DET_CACHE", "off", "det_cache", "off"),
-        ("MCDBR_DET_CACHE", "context", "det_cache", "context"),
         ("MCDBR_DET_CACHE", "session", "det_cache", "session"),
-        ("MCDBR_DET_CACHE_KEYING", "catalog", "det_cache_keying", "catalog"),
-        ("MCDBR_DET_CACHE_KEYING", "table", "det_cache_keying", "table"),
-        ("MCDBR_WINDOW_GROWTH", "2.5", "window_growth", 2.5),
-        ("MCDBR_WINDOW_GROWTH", "1", "window_growth", 1.0),
         ("MCDBR_SHM", "off", "shm", "off"),
         ("MCDBR_SHM", "on", "shm", "on"),
-        ("MCDBR_JOIN_TIMEOUT", "2.5", "join_timeout", 2.5),
     ])
     def test_each_knob_flows_through(self, monkeypatch, name, value,
                                      field, expected):
@@ -176,10 +188,18 @@ class TestFromEnvRejections:
         with pytest.raises(EngineError, match="MCDBR_SHARD_SIZE"):
             ExecutionOptions.from_env()
 
+    # The window-growth and join-timeout knobs are removed: every value of
+    # their variables is rejected, naming the variable.
     @pytest.mark.parametrize("value", ["fast", "0.5"])
     def test_invalid_window_growth(self, monkeypatch, value):
         monkeypatch.setenv("MCDBR_WINDOW_GROWTH", value)
         with pytest.raises(EngineError, match="MCDBR_WINDOW_GROWTH"):
+            ExecutionOptions.from_env()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "soon", ""])
+    def test_invalid_join_timeout(self, monkeypatch, value):
+        monkeypatch.setenv("MCDBR_JOIN_TIMEOUT", value)
+        with pytest.raises(EngineError, match="MCDBR_JOIN_TIMEOUT"):
             ExecutionOptions.from_env()
 
     @pytest.mark.parametrize("value", ["maybe", "2", ""])
@@ -188,12 +208,6 @@ class TestFromEnvRejections:
         with pytest.raises(EngineError,
                            match="MCDBR_SERVER_STANDING_AUTOREFRESH"):
             ServerOptions.from_env()
-
-    @pytest.mark.parametrize("value", ["0", "-2", "soon", ""])
-    def test_invalid_join_timeout(self, monkeypatch, value):
-        monkeypatch.setenv("MCDBR_JOIN_TIMEOUT", value)
-        with pytest.raises(EngineError, match="MCDBR_JOIN_TIMEOUT"):
-            ExecutionOptions.from_env()
 
 
 class TestEnvHelpers:
@@ -223,12 +237,10 @@ class TestEnvHelpers:
     def test_direct_construction_still_raises_value_error(self):
         # The constructor keeps its ValueError contract for programmatic
         # misuse; EngineError is specifically the env-parsing surface.
-        with pytest.raises(ValueError, match="det_cache_keying"):
-            ExecutionOptions(det_cache_keying="row")
+        with pytest.raises(ValueError, match="det_cache"):
+            ExecutionOptions(det_cache="disk")
         with pytest.raises(ValueError, match="shm"):
             ExecutionOptions(shm="auto")
-        with pytest.raises(ValueError, match="join_timeout"):
-            ExecutionOptions(join_timeout=0.0)
 
 
 SERVER_KNOBS = ("MCDBR_SERVER_CONCURRENCY", "MCDBR_SERVER_QUEUE_DEPTH",

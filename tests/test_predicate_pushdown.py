@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from looper_oracles import looper_class, planner_looper
 
 from repro.engine.expressions import col, lit
 from repro.engine.operators import (
@@ -173,14 +174,15 @@ class TestTail:
     @example(cutoff=CUSTOMERS)         # filters nothing
     @settings(max_examples=6, deadline=None)
     def test_cutoffs_match_oracle(self, engine, replenishment, cutoff):
-        session = _session(engine=engine, replenishment=replenishment)
-        new, old = _tail_pair(session, _tail_sql(f"CID < {cutoff}"))
+        with planner_looper(looper_class(engine, replenishment)):
+            new, old = _tail_pair(_session(), _tail_sql(f"CID < {cutoff}"))
         _assert_identical(new, old)
 
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
     def test_refuelling_run_matches_oracle(self, replenishment):
-        session = _session(replenishment=replenishment)
-        new, old = _tail_pair(session, _tail_sql("CID >= 3 AND val > 0.5"))
+        with planner_looper(looper_class(replenishment=replenishment)):
+            new, old = _tail_pair(_session(),
+                                  _tail_sql("CID >= 3 AND val > 0.5"))
         assert sum(step.replenish_runs for step in new.trace) > 0
         _assert_identical(new, old)
 

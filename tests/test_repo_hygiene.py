@@ -13,13 +13,16 @@ Four classes of rot stay out:
 * **Process + segment leaks in practice** — an example run as a real
   subprocess exits cleanly, leaves no ``mcdbr-*`` segment behind, and no
   orphaned worker process scavenging CPU after the parent is gone.
-* **Dead imports** — a stdlib-``ast`` stand-in for pyflakes' unused-import
-  (F401) and undefined-``__all__`` (F822) rules over ``src/`` and
-  ``tests/``, so "lint clean" is a tier-1 fact even where ``ruff`` is not
-  installed.  Deletions leave imports behind; this catches them.
+* **Dead names** — a stdlib-``ast`` stand-in for pyflakes' unused-import
+  (F401), undefined-``__all__`` (F822), unused-local (F841) and
+  undefined-name (F821) rules over ``src/`` and ``tests/``, so "lint
+  clean" is a tier-1 fact even where ``ruff`` is not installed.
+  Deletions leave imports, locals and references behind; this catches
+  them.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -134,40 +137,131 @@ def _annotation_names(node) -> set[str]:
     return set()
 
 
-def lint_imports(path) -> list[str]:
-    """``path:line: message`` for every unused import and every
-    ``__all__`` entry that names nothing in the module.
+#: Names every module may read without binding them.
+_IMPLICIT_NAMES = frozenset(dir(builtins)) | {
+    "__file__", "__name__", "__doc__", "__spec__", "__loader__",
+    "__package__", "__path__", "__builtins__", "__class__"}
+#: Nodes that open a new scope: a function's locals stop at them.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _noqa(lines, node) -> bool:
+    return any("# noqa" in line
+               for line in lines[node.lineno - 1:node.end_lineno])
+
+
+def _own_scope(function):
+    """The nodes of ``function``'s body, not descending into nested
+    function, lambda or class scopes."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(function, lines) -> list[tuple[str, int]]:
+    """``(name, line)`` of every plain ``name = ...`` (or ``except ... as
+    name``) in ``function`` whose name is never read in it or in the
+    scopes it encloses.  Tuple targets, ``_``, ``global``/``nonlocal``
+    names and ``# noqa`` lines are exempt."""
+    reads = {node.id for node in ast.walk(function)
+             if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Store)}
+    if "locals" in reads:
+        return []
+    declared, assigned = set(), {}
+    for node in _own_scope(function):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            assigned.setdefault(node.name, node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                getattr(node, "value", None) is not None:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, node)
+    return [(name, node.lineno) for name, node in assigned.items()
+            if name != "_" and name not in reads | declared
+            and not _noqa(lines, node)]
+
+
+def _bound_names(tree) -> set[str]:
+    """Every name some scope of the module binds."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs,
+                               ast.MatchStar)) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            bound.add(node.rest)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+    return bound
+
+
+def lint(path) -> list[str]:
+    """``path:line: message`` for every unused import, every ``__all__``
+    entry that names nothing in the module, every unused local and
+    every undefined name.
 
     An import counts as used when its bound name is read anywhere in the
     module (quoted annotations included), listed in ``__all__``, or the
     file is a package ``__init__`` (imports there are re-exports).  A
-    ``# noqa`` on any line of the import statement silences it.
+    ``# noqa`` on any line of the statement silences an import or a
+    local.  A name is undefined when it is read (quoted annotations
+    included) but no scope of the module binds it and it is not a
+    builtin; a star import turns that rule off.
     """
     path = Path(path)
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
     used: set[str] = set()
+    read: list[tuple[str, int]] = []
     defined: set[str] = set()
     exported: list[tuple[str, int]] = []
     imports: list[tuple[str, int, ast.stmt]] = []
+    locals_unused: list[tuple[str, int]] = []
+    star_import = False
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
+            if isinstance(node.ctx, ast.Load):
+                read.append((node.id, node.lineno))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotated = [arg.annotation for arg in
                          node.args.args + node.args.kwonlyargs
                          + node.args.posonlyargs] + [node.returns]
             for annotation in annotated:
-                used |= _annotation_names(annotation)
+                names = _annotation_names(annotation)
+                used |= names
+                read += [(name, annotation.lineno) for name in names]
+            locals_unused += _unused_locals(node, lines)
         elif isinstance(node, ast.AnnAssign):
-            used |= _annotation_names(node.annotation)
+            names = _annotation_names(node.annotation)
+            used |= names
+            read += [(name, node.lineno) for name in names]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and \
                     node.module == "__future__":
                 continue
             for alias in node.names:
                 if alias.name == "*":
+                    star_import = True
                     continue
                 bound = alias.asname or alias.name.split(".")[0]
                 imports.append((bound, node.lineno, node))
@@ -201,6 +295,16 @@ def lint_imports(path) -> list[str]:
         if name not in defined:
             problems.append(
                 f"{path}:{lineno}: __all__ names undefined {name!r}")
+    for name, lineno in sorted(locals_unused, key=lambda item: item[1]):
+        problems.append(f"{path}:{lineno}: local variable {name!r} is "
+                        "assigned to but never used")
+    if not star_import:
+        bound = _bound_names(tree) | _IMPLICIT_NAMES
+        reported = set()
+        for name, lineno in sorted(read, key=lambda item: item[1]):
+            if name not in bound and name not in reported:
+                reported.add(name)
+                problems.append(f"{path}:{lineno}: undefined name {name!r}")
     return problems
 
 
@@ -210,7 +314,7 @@ class TestImportLint:
         problems = []
         for tree in ("src", "tests"):
             for path in sorted(Path(REPO_ROOT, tree).rglob("*.py")):
-                problems += lint_imports(path)
+                problems += lint(path)
         assert problems == []
 
     def test_lint_catches_planted_problems(self, tmp_path):
@@ -226,7 +330,7 @@ class TestImportLint:
             "__all__ = ['OrderedDict', 'ghost', 'helper']\n"
             "def helper(x: 'Sequence[int]') -> int:\n"
             "    return len(x)\n")
-        problems = lint_imports(planted)
+        problems = lint(planted)
         messages = sorted(problem.split(": ", 1)[1] for problem in problems)
         assert messages == [
             "'Mapping' imported but unused",
@@ -255,6 +359,33 @@ class TestImportLint:
         ("__all__ = ['ghost']\n", ["__all__ names undefined 'ghost'"]),
         ("def f(): pass\nclass C: pass\nX = 1\n"
          "__all__ = ['f', 'C', 'X']\n", []),
+        ("def f():\n    x = 1\n",
+         ["local variable 'x' is assigned to but never used"]),
+        ("def f():\n    x: int = 1\n",
+         ["local variable 'x' is assigned to but never used"]),
+        ("def f():\n    try:\n        pass\n"
+         "    except ValueError as exc:\n        pass\n",
+         ["local variable 'exc' is assigned to but never used"]),
+        ("def f():\n    x = 1\n    return x\n", []),
+        ("def f():\n    _ = 1\n", []),
+        ("def f():\n    a, b = 1, 2\n", []),
+        ("def f():\n    x = 1  # noqa: F841\n", []),
+        ("def f():\n    x = 1\n    def g():\n        return x\n"
+         "    return g\n", []),
+        ("def f():\n    global X\n    X = 1\n", []),
+        ("def f():\n    x = 1\n    return locals()\n", []),
+        ("x = 1\n", []),
+        ("class C:\n    x = 1\n", []),
+        ("print(ghost)\n", ["undefined name 'ghost'"]),
+        ("def f():\n    return ghost + ghost\n",
+         ["undefined name 'ghost'"]),
+        ("def f(x: 'Ghost'): pass\n", ["undefined name 'Ghost'"]),
+        ("def f():\n    return later\nlater = 1\n", []),
+        ("def f(*args, **kwargs):\n    return args, kwargs\n", []),
+        ("print([y for y in range(3)], len, __file__)\n", []),
+        ("import os.path\nos.getcwd()\n", []),
+        ("try:\n    pass\nexcept ValueError as exc:\n    print(exc)\n", []),
+        ("from os import *\nprint(getcwd())\n", []),
     ], ids=[
         "unused-import", "unused-from-import", "unused-alias",
         "unused-dotted", "unused-in-function", "used", "used-dotted",
@@ -262,12 +393,21 @@ class TestImportLint:
         "quoted-argument-annotation", "quoted-return-annotation",
         "quoted-variable-annotation", "decorator", "future", "star",
         "all-names-nothing", "all-names-definitions",
+        "unused-local", "unused-annotated-local", "unused-except-name",
+        "local-read", "local-underscore", "local-tuple-unpacking",
+        "local-noqa", "local-read-in-closure", "local-global",
+        "local-locals-call", "module-assignment", "class-attribute",
+        "undefined-name", "undefined-reported-once",
+        "undefined-in-quoted-annotation", "bound-later-in-module",
+        "bound-as-parameters", "builtins-and-comprehension",
+        "bound-by-dotted-import", "bound-by-except",
+        "star-import-disables-undefined",
     ])
     def test_lint_rule(self, tmp_path, source, expected):
         planted = tmp_path / "planted.py"
         planted.write_text(source)
         assert [problem.split(": ", 1)[1]
-                for problem in lint_imports(planted)] == expected
+                for problem in lint(planted)] == expected
 
     def test_package_init_imports_are_reexports(self, tmp_path):
         package = tmp_path / "pkg"
@@ -275,5 +415,5 @@ class TestImportLint:
         init = package / "__init__.py"
         init.write_text("from os import path\n__all__ = ['nothing']\n")
         assert [problem.split(": ", 1)[1]
-                for problem in lint_imports(init)] == [
+                for problem in lint(init)] == [
             "__all__ names undefined 'nothing'"]

@@ -21,6 +21,7 @@ from repro.engine.backends import SharedBackend, make_backend
 from repro.engine.errors import EngineError
 from repro.engine.options import ExecutionOptions, ServerOptions
 from repro.server import RiskServer, RiskService
+from repro.server.app import _MAX_BODY_BYTES
 from repro.server.wire import ApiError
 from repro.sql import Session
 from repro.sql.session import StandingQuery
@@ -417,6 +418,86 @@ class TestEviction:
         assert not set(threading.enumerate()) - threads_before
 
 
+def _raw_post(server, path, body=b"", headers=None):
+    """POST ``body`` with hand-set headers (a lying ``Content-Length``
+    included); returns ``(status, payload, Connection header)``.  The
+    socket timeout turns a handler that hangs into a failure."""
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=10)
+    try:
+        connection.putrequest("POST", path)
+        fields = {"Content-Type": "application/json",
+                  "Content-Length": str(len(body)), **(headers or {})}
+        for name, value in fields.items():
+            connection.putheader(name, value)
+        connection.endheaders(body or None)
+        response = connection.getresponse()
+        return (response.status, json.loads(response.read()),
+                response.getheader("Connection"))
+    finally:
+        connection.close()
+
+
+class TestMalformedBodies:
+    """Fault drill: garbage, wrong-type and oversize request bodies get a
+    typed 4xx — never a 500, a hung handler thread or a half-built
+    tenant — and the standing drainer keeps draining afterwards."""
+
+    @pytest.mark.parametrize("path, body, headers, status", [
+        ("/tenants/t", b"", {"Content-Length": "abc"}, 400),
+        ("/tenants/t", b"", {"Content-Length": "-1"}, 400),
+        ("/tenants/t", b"", {"Content-Length": str(_MAX_BODY_BYTES + 1)},
+         413),
+        ("/tenants/t", b"{not json", None, 400),
+        ("/tenants/t", b"\xff\xfe", None, 400),
+        ("/tenants/t", b"[1, 2]", None, 400),
+        ("/tenants/live/tables", b"[1, 2]", None, 400),
+        ("/tenants/live/queries", b'"SELECT 1"', None, 400),
+        ("/tenants/live/standing", b"[]", None, 400),
+        ("/tenants/t", b'{"window": "abc"}', None, 400),
+        ("/tenants/t", b'{"window": 0}', None, 400),
+        ("/tenants/t", b'{"tail_budget": 1.5}', None, 400),
+        ("/tenants/t", b'{"gibbs_steps": true}', None, 400),
+        ("/tenants/t", b'{"base_seed": -1}', None, 400),
+    ], ids=[
+        "non-integer-length", "negative-length", "oversize",
+        "garbage-json", "not-utf8", "array-tenant-config",
+        "array-table-body", "string-query-body", "array-standing-body",
+        "string-window", "zero-window", "float-tail-budget",
+        "bool-gibbs-steps", "negative-base-seed",
+    ])
+    def test_bad_body_is_a_typed_4xx(self, path, body, headers, status):
+        threads_before = set(threading.enumerate())
+        server = RiskServer(options=ExecutionOptions(),
+                            server_options=ServerOptions(concurrency=1))
+        server.start()
+        try:
+            state, _ = server.service.registry.create("live")
+            state.session.add_table("means", {"CID": [0, 1, 2],
+                                              "m": [1.0, 2.0, 3.0]})
+            state.session.execute(CREATE_LOSSES)
+
+            got, payload, connection = _raw_post(server, path, body,
+                                                 headers)
+            assert (got, payload["status"]) == (status, status)
+            if headers:  # the unread body must not become a request
+                assert connection == "close"
+            assert _call(f"{server.url}/tenants")[1]["tenants"] == ["live"]
+
+            record = server.service.register_standing(
+                "live", {"sql": MC_QUERY, "analysis": "loss"})
+            assert state.journal.wait_version("loss", 0, 30) is not None
+            _wait_idle(record)
+            assert record.status == "live"
+        finally:
+            server.stop()
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - threads_before \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not set(threading.enumerate()) - threads_before
+
+
 def _wait_idle(record, deadline=30.0):
     """Until the standing drainer is neither running nor queued for it."""
     end = time.monotonic() + deadline
@@ -485,15 +566,6 @@ class TestOptionsProperty:
             with pytest.raises(EngineError, match="ExecutionOptions"):
                 session.options = {"n_jobs": 2}
 
-    def test_keying_change_flushes_det_cache(self):
-        with _loss_session() as session:
-            session.execute("SELECT SUM(m) FROM means")
-            session.execute("SELECT SUM(m) FROM means")
-            assert len(session.det_cache) > 0
-            session.options = ExecutionOptions(det_cache_keying="catalog")
-            assert len(session.det_cache) == 0
-            assert session.det_cache.keying == "catalog"
-
     def test_pool_knob_change_closes_owned_pool(self):
         with _loss_session(
                 options=ExecutionOptions(n_jobs=2,
@@ -517,7 +589,7 @@ class TestOptionsProperty:
             session.execute(MC_QUERY)
             pool = session.backend
             session.options = ExecutionOptions(
-                n_jobs=2, backend="thread", engine="reference")
+                n_jobs=2, backend="thread", det_cache="off")
             assert session.backend is pool
 
     def test_shared_backend_refuses_pool_knob_change(self):
@@ -531,7 +603,7 @@ class TestOptionsProperty:
                                                        backend="thread")
                 # Non-pool knobs are still assignable.
                 session.options = ExecutionOptions(
-                    n_jobs=2, backend="thread", engine="reference")
+                    n_jobs=2, backend="thread", det_cache="off")
         finally:
             pool.close()
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from looper_oracles import ScalarKernelLooper, planner_looper
 from scipy import stats
 
 from repro.engine.errors import PlanError
@@ -293,7 +294,6 @@ class TestSessionOptions:
 
     def test_default_options_vectorized_serial(self):
         session = self._session()
-        assert session.options.engine == "vectorized"
         assert session.options.n_jobs == 1
         assert not session.options.sharded
 
@@ -303,8 +303,9 @@ class TestSessionOptions:
             WITH RESULTDISTRIBUTION MONTECARLO(30)
             DOMAIN loss >= QUANTILE(0.9)
         """
-        reference = self._session(engine="reference").execute(query)
-        vectorized = self._session(engine="vectorized").execute(query)
+        with planner_looper(ScalarKernelLooper):
+            reference = self._session().execute(query)
+        vectorized = self._session().execute(query)
         assert (reference.tail.quantile_estimate
                 == vectorized.tail.quantile_estimate)
         np.testing.assert_array_equal(reference.tail.samples,

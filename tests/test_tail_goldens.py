@@ -12,13 +12,14 @@ replenishment path or the plan operators must reproduce every byte.
 
 The queries cover the ``tail_*`` portfolio shape, refuel-heavy looper
 runs (SUM, COUNT and AVG, one to three bootstrap steps, multi-sweep,
-proposal-budget stalls, window growth), a join on a random attribute,
-the multi-seed salary inversion, a presence predicate and a standing
-refresh after an append.  Runs that differ from a stored query only in
-an execution knob — sharded ``n_jobs`` on the thread, process and serial
-backends, ``shard_size``, ``shm``, the reference kernel, full
-replenishment, cache tiers — have no arrays of their own: they are
-compared against the entry named in :data:`STORED_AS`.
+proposal-budget stalls), a join on a random attribute, the multi-seed
+salary inversion, a presence predicate and a standing refresh after an
+append.  Runs that differ from a stored query only in an execution knob
+— sharded ``n_jobs`` on the thread, process and serial backends,
+``shard_size``, ``shm``, cache tiers — or that run on an oracle of
+``tests/looper_oracles.py`` (``*_reference``: the scalar kernel;
+``*_full``: full refuels) have no arrays of their own: they are compared
+against the entry named in :data:`STORED_AS`.
 
 Regenerate (only when a change of values is intended and explained)::
 
@@ -30,8 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from looper_oracles import looper_class, planner_looper
+
 from repro import ExecutionOptions
-from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
 from repro.engine.expressions import col, lit
 from repro.engine.operators import (
@@ -67,13 +69,16 @@ def _portfolio(options=None, budget=300, window=300):
         options=options or ExecutionOptions())
 
 
-def _query(sql, **session_kwargs):
-    with _portfolio(**session_kwargs) as session:
+def _query(sql, engine="vectorized", replenishment="delta",
+           **session_kwargs):
+    with planner_looper(looper_class(engine, replenishment)), \
+            _portfolio(**session_kwargs) as session:
         return session.execute(sql).tail
 
 
 def _looper(aggregate_kind="sum", predicate=None, m=2, k=1,
-            max_proposals=100_000, **options):
+            max_proposals=100_000, window=45, engine="vectorized",
+            replenishment="delta", **options):
     """A window barely above the version count: every sweep refuels."""
     catalog = Catalog()
     catalog.add_table(Table("means", {
@@ -88,14 +93,14 @@ def _looper(aggregate_kind="sum", predicate=None, m=2, k=1,
         plan = Select(plan, predicate)
     params = TailParams(p=0.3 ** m, m=m, n_steps=(40,) * m,
                         p_steps=(0.3,) * m)
-    return GibbsLooper(
+    return looper_class(engine, replenishment)(
         plan, catalog, params, 25, aggregate_kind=aggregate_kind,
         aggregate_expr=None if aggregate_kind == "count" else col("val"),
-        window=45, base_seed=5, k=k, max_proposals=max_proposals,
+        window=window, base_seed=5, k=k, max_proposals=max_proposals,
         options=ExecutionOptions(**options)).run()
 
 
-def _split_join(**options):
+def _split_join(replenishment="delta"):
     """A join on a random attribute: Split fans each seed out per value."""
     catalog = Catalog()
     catalog.add_table(Table("people", {"pid": np.arange(8)}))
@@ -109,24 +114,25 @@ def _split_join(**options):
     plan = Join(Split(random_table_pipeline(spec), "age"),
                 Scan("bonus"), ["age"], ["bage"])
     params = TailParams(p=0.2, m=1, n_steps=(50,), p_steps=(0.2,))
-    return GibbsLooper(
+    return looper_class(replenishment=replenishment)(
         plan, catalog, params, 25, aggregate_kind="sum",
-        aggregate_expr=col("amount"), window=60, base_seed=5,
-        options=ExecutionOptions(**options)).run()
+        aggregate_expr=col("amount"), window=60, base_seed=5).run()
 
 
-def _salary_inversion(options=None):
+def _salary_inversion(options=None, engine="vectorized"):
     """Fig. 2: a self-join whose ``emp2.sal > emp1.sal`` predicate spans
     two seeds and is pulled up into the looper."""
     workload = SalaryWorkload(employees=14, supervision_edges=18, seed=3)
-    with workload.build_session(base_seed=BASE_SEED, tail_budget=200,
-                                window=300, options=options) as session:
+    with planner_looper(looper_class(engine)), workload.build_session(
+            base_seed=BASE_SEED, tail_budget=200, window=300,
+            options=options) as session:
         return session.execute(
             workload.inversion_query(samples=20, quantile=0.9)).tail
 
 
-def _standing_after_append(options=None):
-    with _portfolio(options, budget=200, window=200) as session:
+def _standing_after_append(options=None, replenishment="delta"):
+    with planner_looper(looper_class(replenishment=replenishment)), \
+            _portfolio(options, budget=200, window=200) as session:
         handle = session.standing_query(STANDING_SQL)
         session.append("means", {"CID": [40, 41, 42],
                                  "m": [4.2, 1.3, 3.3]})
@@ -147,14 +153,10 @@ QUERIES = {
     "portfolio_shm_off": lambda: _query(
         PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=2, backend="process",
                                         shm="off")),
-    "portfolio_reference": lambda: _query(
-        PORTFOLIO_SQL, options=ExecutionOptions(engine="reference")),
-    "portfolio_full": lambda: _query(
-        PORTFOLIO_SQL, options=ExecutionOptions(replenishment="full")),
+    "portfolio_reference": lambda: _query(PORTFOLIO_SQL, engine="reference"),
+    "portfolio_full": lambda: _query(PORTFOLIO_SQL, replenishment="full"),
     "portfolio_det_cache_off": lambda: _query(
         PORTFOLIO_SQL, options=ExecutionOptions(det_cache="off")),
-    "portfolio_catalog_keying": lambda: _query(
-        PORTFOLIO_SQL, options=ExecutionOptions(det_cache_keying="catalog")),
     "refuel_delta": lambda: _looper(replenishment="delta"),
     "refuel_full": lambda: _looper(replenishment="full"),
     "refuel_process2": lambda: _looper(n_jobs=2, backend="process"),
@@ -162,9 +164,6 @@ QUERIES = {
     "refuel_full_process2": lambda: _looper(
         replenishment="full", n_jobs=2, backend="process"),
     "refuel_reference": lambda: _looper(engine="reference"),
-    "refuel_growth": lambda: _looper(window_growth=2.0),
-    "refuel_growth_process2": lambda: _looper(
-        window_growth=2.0, n_jobs=2, backend="process"),
     "count_predicate": lambda: _looper("count", col("val") > lit(1.0)),
     "count_predicate_reference": lambda: _looper(
         "count", col("val") > lit(1.0), engine="reference"),
@@ -182,26 +181,23 @@ QUERIES = {
     "salary_inversion_process2": lambda: _salary_inversion(
         ExecutionOptions(n_jobs=2, backend="process")),
     "salary_inversion_reference": lambda: _salary_inversion(
-        ExecutionOptions(engine="reference")),
+        engine="reference"),
     "presence": lambda: _query(PRESENCE_SQL),
     "presence_process2": lambda: _query(
         PRESENCE_SQL, options=ExecutionOptions(n_jobs=2, backend="process")),
-    "presence_reference": lambda: _query(
-        PRESENCE_SQL, options=ExecutionOptions(engine="reference")),
-    "presence_full": lambda: _query(
-        PRESENCE_SQL, options=ExecutionOptions(replenishment="full")),
+    "presence_reference": lambda: _query(PRESENCE_SQL, engine="reference"),
+    "presence_full": lambda: _query(PRESENCE_SQL, replenishment="full"),
     "standing_append": _standing_after_append,
     "standing_append_process2": lambda: _standing_after_append(
         ExecutionOptions(n_jobs=2, backend="process")),
     "standing_append_full": lambda: _standing_after_append(
-        ExecutionOptions(replenishment="full")),
+        replenishment="full"),
 }
 
 #: Which stored entry each run is compared against: a run that differs
 #: from a stored one only in an execution knob — sharding, transport,
-#: kernel, replenishment mode, cache tier — must reproduce its bytes.
-#: (``window_growth`` changes ``plan_runs``, so growth runs store their
-#: own entry.)
+#: cache tier — or in running on a kernel or refuel oracle must reproduce
+#: its bytes.
 STORED_AS = {
     "portfolio": "portfolio", "portfolio_thread2": "portfolio",
     "portfolio_process2": "portfolio",
@@ -209,13 +205,10 @@ STORED_AS = {
     "portfolio_serial2": "portfolio", "portfolio_shm_off": "portfolio",
     "portfolio_reference": "portfolio", "portfolio_full": "portfolio",
     "portfolio_det_cache_off": "portfolio",
-    "portfolio_catalog_keying": "portfolio",
     "refuel_delta": "refuel_delta", "refuel_full": "refuel_delta",
     "refuel_process2": "refuel_delta", "refuel_thread2": "refuel_delta",
     "refuel_full_process2": "refuel_delta",
     "refuel_reference": "refuel_delta",
-    "refuel_growth": "refuel_growth",
-    "refuel_growth_process2": "refuel_growth",
     "count_predicate": "count_predicate",
     "count_predicate_reference": "count_predicate",
     "avg_predicate": "avg_predicate",
@@ -273,17 +266,39 @@ def test_tail_result_equals_parent_commit_bytes(name):
         assert array.tobytes() == expected[key].tobytes(), key
 
 
+def test_refuel_schedule_changes_nothing_but_plan_runs():
+    """The window size decides only *when* refuels happen.  The
+    consumption pointer resumes across refuels and ``_replenish`` keeps
+    the pre-refuel accumulators, so a wider window reproduces every
+    ``refuel_delta`` array byte for byte except ``plan_runs``, which must
+    fall as the window grows."""
+    with np.load(GOLDENS) as goldens:
+        expected = {key.split("/")[1]: goldens[key] for key in goldens.files
+                    if key.startswith("refuel_delta/")}
+    plan_runs = []
+    for window in (45, 60, 90, 200):
+        actual = pinned(_looper(window=window))
+        plan_runs.append(int(actual.pop("plan_runs")))
+        assert sorted(actual) == sorted(set(expected) - {"plan_runs"})
+        for field, array in actual.items():
+            assert array.dtype == expected[field].dtype, (window, field)
+            assert array.shape == expected[field].shape, (window, field)
+            assert array.tobytes() == expected[field].tobytes(), \
+                (window, field)
+    assert plan_runs[0] == int(expected["plan_runs"])
+    assert all(wide < narrow
+               for narrow, wide in zip(plan_runs, plan_runs[1:])), plan_runs
+
+
 def test_goldens_exercise_what_they_claim():
-    """The scenarios are not vacuous: refuels happen (fewer under window
-    growth), the salary plan is multi-seed, the presence predicate drops
-    tuples, the standing refresh sees the appended rows, the tight budget
-    stalls, and the step and sweep counts are what the names say."""
+    """The scenarios are not vacuous: refuels happen, the salary plan is
+    multi-seed, the presence predicate drops tuples, the standing refresh
+    sees the appended rows, the tight budget stalls, and the step and
+    sweep counts are what the names say."""
     with np.load(GOLDENS) as goldens:
         assert sorted({key.split("/")[0] for key in goldens.files}) == \
             sorted(set(STORED_AS.values()))
         assert int(goldens["refuel_delta/plan_runs"]) > 3
-        assert 1 < int(goldens["refuel_growth/plan_runs"]) < \
-            int(goldens["refuel_delta/plan_runs"])
         assert goldens["portfolio/handles"].size == 37
         assert goldens["standing_append/handles"].size == 43
         assert goldens["presence/samples"].size == 25
