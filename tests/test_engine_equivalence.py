@@ -600,3 +600,53 @@ class TestZeroCopyEquivalence:
                 ExecutionOptions(n_jobs=2, backend="process",
                                  shm=shm)).run(120)
             TestMonteCarloSharding._assert_results_equal(serial, sharded)
+
+
+class TestWindowGrowth:
+    """Growing the window must change only the replenishment schedule.
+
+    Window sizing never changes which candidate is accepted — the
+    consumption pointer resumes across refuels — so samples, assignments
+    and acceptance statistics stay bit-identical while the refuel count
+    drops.
+    """
+
+    _runner = TestLooperEquivalence()
+    #: A window barely above the population refuels dozens of times.
+    HEAVY = dict(customers=10, versions=40, m=2, base_seed=5)
+
+    @staticmethod
+    def _assert_same_samples(a, b):
+        assert a.quantile_estimate == b.quantile_estimate
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.assignments == b.assignments
+        stats_a, stats_b = a.total_stats, b.total_stats
+        assert (stats_a.proposals, stats_a.acceptances, stats_a.stalls) == \
+            (stats_b.proposals, stats_b.acceptances, stats_b.stalls)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_growth_preserves_results_and_cuts_refuels(self, engine):
+        narrow = self._runner._run(engine, window=45, **self.HEAVY)
+        wide = self._runner._run(engine, window=180, **self.HEAVY)
+        self._assert_same_samples(narrow, wide)
+        assert narrow.plan_runs > 2  # the scenario must refuel repeatedly
+        assert wide.plan_runs < narrow.plan_runs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_growth_composes_with_seed_sharding(self, backend):
+        narrow = self._runner._run("vectorized", window=45, **self.HEAVY)
+        wide = self._runner._run("vectorized", window=100, n_jobs=2,
+                                 backend=backend, **self.HEAVY)
+        self._assert_same_samples(narrow, wide)
+        assert wide.plan_runs < narrow.plan_runs
+
+    @given(growth=st.sampled_from([1.3, 2.0, 3.0]),
+           base_seed=st.integers(0, 1_000))
+    @settings(max_examples=6, deadline=None)
+    def test_property_growth_invariance(self, growth, base_seed):
+        kwargs = dict(customers=10, versions=30, num_samples=15, m=2,
+                      base_seed=base_seed)
+        self._assert_same_samples(
+            self._runner._run("vectorized", window=50, **kwargs),
+            self._runner._run("vectorized", window=int(50 * growth),
+                              **kwargs))

@@ -12,9 +12,11 @@ replenishment path or the plan operators must reproduce every byte.
 
 The queries cover the ``tail_*`` portfolio shape, refuel-heavy looper
 runs (SUM, COUNT and AVG, one to three bootstrap steps, multi-sweep,
-proposal-budget stalls), a join on a random attribute, the multi-seed
-salary inversion, a presence predicate and a standing refresh after an
-append.  Runs that differ from a stored query only in an execution knob
+proposal-budget stalls, a grown window), a join on a random attribute,
+the multi-seed salary inversion, a presence predicate and a standing
+refresh after an append.  (``refuel_growth`` was stored from a window
+that doubled at each refuel, 45 -> 90 -> 180; a fixed window of 180
+refuels as often and reproduces it.)  Runs that differ from a stored query only in an execution knob
 — sharded ``n_jobs`` on the thread, process and serial backends,
 ``shard_size``, ``shm``, cache tiers — or that run on an oracle of
 ``tests/looper_oracles.py`` (``*_reference``: the scalar kernel;
@@ -164,7 +166,10 @@ QUERIES = {
     "refuel_full_process2": lambda: _looper(
         replenishment="full", n_jobs=2, backend="process"),
     "refuel_reference": lambda: _looper(engine="reference"),
-    "count_predicate": lambda: _looper("count", col("val") > lit(1.0)),
+    "refuel_growth": lambda: _looper(window=180),
+    "refuel_growth_process2": lambda: _looper(
+        window=180, n_jobs=2, backend="process"),
+    "count_predicate":lambda: _looper("count", col("val") > lit(1.0)),
     "count_predicate_reference": lambda: _looper(
         "count", col("val") > lit(1.0), engine="reference"),
     "avg_predicate": lambda: _looper("avg", col("val") > lit(0.5)),
@@ -197,7 +202,8 @@ QUERIES = {
 #: Which stored entry each run is compared against: a run that differs
 #: from a stored one only in an execution knob — sharding, transport,
 #: cache tier — or in running on a kernel or refuel oracle must reproduce
-#: its bytes.
+#: its bytes.  (The window changes ``plan_runs``, so the grown-window
+#: runs store their own entry.)
 STORED_AS = {
     "portfolio": "portfolio", "portfolio_thread2": "portfolio",
     "portfolio_process2": "portfolio",
@@ -209,6 +215,8 @@ STORED_AS = {
     "refuel_process2": "refuel_delta", "refuel_thread2": "refuel_delta",
     "refuel_full_process2": "refuel_delta",
     "refuel_reference": "refuel_delta",
+    "refuel_growth": "refuel_growth",
+    "refuel_growth_process2": "refuel_growth",
     "count_predicate": "count_predicate",
     "count_predicate_reference": "count_predicate",
     "avg_predicate": "avg_predicate",
@@ -291,14 +299,16 @@ def test_refuel_schedule_changes_nothing_but_plan_runs():
 
 
 def test_goldens_exercise_what_they_claim():
-    """The scenarios are not vacuous: refuels happen, the salary plan is
-    multi-seed, the presence predicate drops tuples, the standing refresh
-    sees the appended rows, the tight budget stalls, and the step and
-    sweep counts are what the names say."""
+    """The scenarios are not vacuous: refuels happen (fewer in a grown
+    window), the salary plan is multi-seed, the presence predicate drops
+    tuples, the standing refresh sees the appended rows, the tight budget
+    stalls, and the step and sweep counts are what the names say."""
     with np.load(GOLDENS) as goldens:
         assert sorted({key.split("/")[0] for key in goldens.files}) == \
             sorted(set(STORED_AS.values()))
         assert int(goldens["refuel_delta/plan_runs"]) > 3
+        assert 1 < int(goldens["refuel_growth/plan_runs"]) < \
+            int(goldens["refuel_delta/plan_runs"])
         assert goldens["portfolio/handles"].size == 37
         assert goldens["standing_append/handles"].size == 43
         assert goldens["presence/samples"].size == 25
