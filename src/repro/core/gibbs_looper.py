@@ -9,10 +9,12 @@ Key fidelity points, each mapped to the paper:
   Algorithm 3 ... perturbs data values one at a time, looping through the
   DB versions, thereby amortizing expensive data scans" (Sec. 7).  The
   outer loop here runs over TS-seed handles in ascending order.
-* **Priority queue** — Gibbs tuples live in a priority queue keyed by their
-  smallest unprocessed TS-seed handle; after a seed is processed its tuples
-  are reinserted keyed by their next-largest handle, or pushed to the tail
-  (``infinity``) when no handles remain (Appendix A.2, Fig. 3).
+* **Priority queue** — Appendix A.2 (Fig. 3) keeps the Gibbs tuples in a
+  priority queue keyed by their smallest unprocessed TS-seed handle and
+  reinserts a processed tuple under its next-largest handle.  That queue
+  pops the ascending union of all tuples' handles, so the looper walks
+  that sorted list directly (the queue itself is the scalar oracle's, in
+  ``tests/looper_oracles.py``).
 * **Global consumption pointer** — rejection proposals always take the next
   *unused* stream value for the seed; rejected values are consumed and
   never reconsidered (TS-seed item 4; the 3.24 in Fig. 1 and the 21K in
@@ -34,7 +36,7 @@ validated against it in the test suite.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import time
 from dataclasses import dataclass
 
@@ -53,6 +55,7 @@ from repro.engine.options import ExecutionOptions
 from repro.engine.table import Catalog
 
 __all__ = ["LooperStepTrace", "LooperResult", "GibbsLooper",
+           "WindowCandidates", "window_candidates", "single_seed_rows",
            "candidate_window_matrices"]
 
 _SUPPORTED_AGGREGATES = ("sum", "count", "avg")
@@ -64,7 +67,6 @@ _SUPPORTED_AGGREGATES = ("sum", "count", "avg")
 _VECTOR_BATCH = 128
 _WINDOW_MAX_WIDTH = 4096
 _WINDOW_TARGET_VERSIONS = 32
-_INFINITY_KEY = (1 << 62)
 
 
 @dataclass
@@ -119,17 +121,114 @@ class _TupleState:
     """Per-version cached state for one Gibbs tuple.
 
     ``values[col]`` and ``presence[j]`` hold the tuple's current attribute
-    values / isPres bits under each version's assignment; ``value``/
-    ``present`` are the resulting aggregate-argument contribution.
+    values / isPres bits under each version's assignment;
+    ``contribution`` and ``presence_count`` are what the tuple adds to the
+    accumulators (its aggregate argument where present, else ``0.0``;
+    ``1.0`` where present, else ``0.0``) — rows of the looper's
+    ``(tuples, versions)`` matrices.
+
+    ``candidate`` is the tuple's row in the looper's
+    :class:`WindowCandidates` when every random field and presence field
+    belongs to one seed, else ``None``.  Only a *multi-seed* tuple ever
+    reads ``values``/``presence`` (another seed's candidates combine with
+    this seed's current values), so the batched commit keeps them current
+    for those tuples only; a single-seed tuple's candidates come whole
+    from the per-refuel arrays.
     """
 
-    __slots__ = ("values", "presence", "value", "present")
+    __slots__ = ("values", "presence", "contribution", "presence_count",
+                 "candidate")
 
     def __init__(self):
         self.values: dict[str, np.ndarray] = {}
         self.presence: list[np.ndarray] = []
-        self.value: np.ndarray | None = None
-        self.present: np.ndarray | None = None
+        self.contribution: np.ndarray | None = None
+        self.presence_count: np.ndarray | None = None
+        self.candidate: int | None = None
+
+
+@dataclass
+class WindowCandidates:
+    """One refuel's candidates for the single-seed Gibbs tuples.
+
+    Row ``i`` belongs to the ``i``-th single-seed tuple, column ``b`` to
+    window slot ``b``: what that tuple would add to the accumulators
+    (``contribution``, ``presence_count``) if its seed moved to slot
+    ``b``.  Such a tuple reads no other seed, so a candidate is the same
+    for every DB version — these are computed once per refuel, not once
+    per window.  ``always_present`` says no presence field or final
+    predicate can drop a row: then ``contribution`` is the aggregate
+    argument itself and every count is 1.
+    """
+
+    contribution: np.ndarray
+    presence_count: np.ndarray
+    always_present: bool
+
+
+def single_seed_rows(relation: BundleRelation) -> np.ndarray:
+    """Rows of ``relation`` whose Gibbs tuple depends on exactly one seed.
+
+    A tuple's seeds are its random columns' handles plus the handles of
+    its non-vacuous presence arrays (vacuous ones are dropped from the
+    Gibbs tuple, cf. :func:`~repro.core.gibbs_tuple.tuples_from_relation`).
+    """
+    rows = relation.length
+    lowest = np.full(rows, np.iinfo(np.int64).max)
+    highest = np.full(rows, -1, dtype=np.int64)
+    for column in relation.rand_columns.values():
+        np.minimum(lowest, column.seed_handles, out=lowest)
+        np.maximum(highest, column.seed_handles, out=highest)
+    for presence in relation.presence:
+        counted = ~presence.flags.all(axis=1)
+        handles = presence.seed_handles
+        lowest = np.where(counted, np.minimum(lowest, handles), lowest)
+        highest = np.where(counted, np.maximum(highest, handles), highest)
+    return np.flatnonzero((lowest == highest) & (highest >= 0))
+
+
+def window_candidates(relation: BundleRelation, rows: np.ndarray,
+                      aggregate_expr: Expr | None,
+                      final_predicate: Expr | None) -> WindowCandidates:
+    """Every candidate of the single-seed tuples ``rows``, in one pass.
+
+    The aggregate expression and predicates are evaluated once over the
+    ``(rows, window)`` matrices.  Evaluation is elementwise, so cell
+    ``[i, b]`` has the bits the per-window evaluation would give slot
+    ``b`` of tuple ``rows[i]``; AND-ing a presence array that is vacuous
+    for some row is an exact no-op there.  A bare column with no presence
+    and no predicate costs nothing: ``contribution`` is then a view of
+    the relation's own window matrix.
+    """
+    shape = (rows.size, relation.positions)
+    every = rows.size == relation.length
+
+    def take(matrix):
+        return matrix if every else matrix[rows]
+
+    columns = {name: take(column.values)
+               for name, column in relation.rand_columns.items()}
+    for name, det_values in relation.det_columns.items():
+        columns[name] = take(det_values).reshape(rows.size, 1)
+    context = DictContext(columns)
+    value = 1.0 if aggregate_expr is None else np.asarray(
+        aggregate_expr.evaluate(context), dtype=np.float64)
+    present = None  # None: present in every cell
+    for presence in relation.presence:
+        flags = take(presence.flags)
+        if not flags.all():
+            present = flags if present is None else present & flags
+    if final_predicate is not None:
+        flags = np.asarray(final_predicate.evaluate(context), dtype=bool)
+        present = flags if present is None else present & flags
+    if present is None:
+        return WindowCandidates(np.broadcast_to(value, shape),
+                                np.broadcast_to(1.0, shape),
+                                always_present=True)
+    return WindowCandidates(
+        np.broadcast_to(np.where(present, value, 0.0), shape),
+        np.broadcast_to(present.astype(np.float64), shape),
+        always_present=False)
 
 
 def candidate_window_matrices(tuples: list[GibbsTuple],
@@ -137,7 +236,8 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
                               aggregate_expr: Expr | None,
                               final_predicate: Expr | None,
                               first_version: int, count: int,
-                              start: int, stop: int):
+                              start: int, stop: int,
+                              candidates: WindowCandidates):
     """Batched candidate deltas for one seed's window — the Gibbs hot loop.
 
     Element ``[v, b]`` of ``delta_sum``/``delta_count`` (broadcast to
@@ -155,12 +255,19 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     the first tuple's difference is the result instead of being added to
     a zero matrix: ``(c + 0.0) - o`` has the bits of ``0.0 + (c - o)``
     (both differ from ``c - o`` only for ``c = -0.0, o = +0.0``).
-    ``cand_values``/``cand_present`` are read-only ``(count, width)``
-    broadcast views — the commit only gathers single cells from them.
 
-    A *pure* function: it reads only the Gibbs tuples/states passed in,
-    never looper state, so the kernel tests can hold it against a dense
-    reference on hand-built inputs.
+    A single-seed tuple (``state.candidate`` set) is not evaluated here
+    at all: its contributions are a slice of ``candidates``, computed
+    once per refuel by :func:`window_candidates`, and its entries of
+    ``cand_values``/``cand_present`` are ``None`` — the commit gathers
+    from ``candidates`` directly.  A multi-seed tuple is evaluated per
+    window, and its ``cand_values``/``cand_present`` are read-only
+    ``(count, width)`` broadcast views — the commit only gathers single
+    cells from them.
+
+    A *pure* function: it reads only the Gibbs tuples/states and
+    candidates passed in, never looper state, so the kernel tests can
+    hold it against a dense reference on hand-built inputs.
     """
     shape = (count, stop - start)
     window = slice(start, stop)
@@ -168,44 +275,51 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     delta_sum = delta_count = None
     cand_values, cand_present = [], []
     for gibbs_tuple, state in zip(tuples, states):
-        columns: dict[str, np.ndarray] = {}
-        for name, det_value in gibbs_tuple.det.items():
-            columns[name] = np.asarray(det_value)
-        for name, rand_field in gibbs_tuple.rand.items():
-            if rand_field.handle == handle:
-                columns[name] = rand_field.values[window]
-            else:
-                columns[name] = state.values[name][remaining, None]
-        context = DictContext(columns)
-        value = 1.0 if aggregate_expr is None else np.asarray(
-            aggregate_expr.evaluate(context), dtype=np.float64)
-        present = None  # None: present in every cell
-        for presence_field, cached in zip(gibbs_tuple.presences,
-                                          state.presence):
-            flags = (presence_field.flags[window]
-                     if presence_field.handle == handle
-                     else cached[remaining, None])
-            present = flags if present is None else present & flags
-        if final_predicate is not None:
-            flags = np.asarray(final_predicate.evaluate(context), dtype=bool)
-            present = flags if present is None else present & flags
-        if present is None:
-            present, contribution, presence_count = np.True_, value, 1.0
+        row = state.candidate
+        if row is not None:
+            contribution = candidates.contribution[row, window]
+            presence_count = candidates.presence_count[row, window]
+            value = present = None
         else:
-            contribution = np.where(present, value, 0.0)
-            presence_count = present.astype(np.float64)
-        old_present = state.present[remaining]
-        old_contribution = np.where(
-            old_present, state.value[remaining], 0.0)[:, None]
-        old_count = old_present.astype(np.float64)[:, None]
+            columns: dict[str, np.ndarray] = {}
+            for name, det_value in gibbs_tuple.det.items():
+                columns[name] = np.asarray(det_value)
+            for name, rand_field in gibbs_tuple.rand.items():
+                if rand_field.handle == handle:
+                    columns[name] = rand_field.values[window]
+                else:
+                    columns[name] = state.values[name][remaining, None]
+            context = DictContext(columns)
+            value = 1.0 if aggregate_expr is None else np.asarray(
+                aggregate_expr.evaluate(context), dtype=np.float64)
+            present = None  # None: present in every cell
+            for presence_field, cached in zip(gibbs_tuple.presences,
+                                              state.presence):
+                flags = (presence_field.flags[window]
+                         if presence_field.handle == handle
+                         else cached[remaining, None])
+                present = flags if present is None else present & flags
+            if final_predicate is not None:
+                flags = np.asarray(final_predicate.evaluate(context),
+                                   dtype=bool)
+                present = flags if present is None else present & flags
+            if present is None:
+                present, contribution, presence_count = np.True_, value, 1.0
+            else:
+                contribution = np.where(present, value, 0.0)
+                presence_count = present.astype(np.float64)
+            value = np.broadcast_to(value, shape)
+            present = np.broadcast_to(present, shape)
+        old_contribution = state.contribution[remaining, None]
+        old_count = state.presence_count[remaining, None]
         if delta_sum is None:
             delta_sum = (contribution + 0.0) - old_contribution
             delta_count = presence_count - old_count
         else:
             delta_sum = delta_sum + (contribution - old_contribution)
             delta_count = delta_count + (presence_count - old_count)
-        cand_values.append(np.broadcast_to(value, shape))
-        cand_present.append(np.broadcast_to(present, shape))
+        cand_values.append(value)
+        cand_present.append(present)
     return delta_sum, delta_count, cand_values, cand_present
 
 
@@ -294,9 +408,23 @@ class GibbsLooper:
         self._tuples: list[GibbsTuple] = []
         self._states: list[_TupleState] = []
         self._tuples_of_seed: dict[int, list[int]] = {}
-        # (tuples, versions) caches: the _TupleStates' value/present rows.
-        self._value_matrix: np.ndarray | None = None
-        self._present_matrix: np.ndarray | None = None
+        #: Seed handles in sweep order: every handle some tuple reads,
+        #: ascending (see _perturb_all_seeds).
+        self._visit_order: list[int] = []
+        # (tuples, versions) caches: the _TupleStates' contribution/
+        # presence_count rows.
+        self._contribution_matrix: np.ndarray | None = None
+        self._count_matrix: np.ndarray | None = None
+        #: Relation rows of the single-seed tuples, and their candidates
+        #: over the current windows (rebuilt on every refuel).
+        self._single_rows: np.ndarray | None = None
+        self._candidates: WindowCandidates | None = None
+        #: Seeds whose replenish plan may have changed since the last
+        #: refuel (perturbed, cloned or new); every other seed's plan is
+        #: its memo, so a refuel only revisits these.
+        self._touched: set[int] = set()
+        #: Replenish-plan length per seed, for the shared refuel width.
+        self._plan_lengths: dict[int, int] = {}
         self._sums: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._versions = 0
@@ -374,9 +502,7 @@ class GibbsLooper:
                 seconds=time.perf_counter() - started))
 
         samples = self._totals()
-        assignments = [
-            {handle: int(ts.assignment[v]) for handle, ts in self._seeds.items()}
-            for v in range(samples.size)]
+        assignments = self._assignment_dicts(samples.size)
         if initial_materialized is not None:
             self._context.materialized = initial_materialized
         return LooperResult(
@@ -388,6 +514,16 @@ class GibbsLooper:
             full_replenish_runs=self._full_replenish_runs,
             delta_replenish_runs=self._delta_replenish_runs,
             replenish_seconds=self._replenish_seconds)
+
+    def _assignment_dicts(self, versions: int) -> list[dict[int, int]]:
+        """``LooperResult.assignments``: one ``handle -> position`` dict
+        per version, from one ``(versions, seeds)`` matrix."""
+        if not self._seeds:
+            return [{} for _ in range(versions)]
+        handles = list(self._seeds)
+        matrix = np.stack([ts.assignment for ts in self._seeds.values()],
+                          axis=1)
+        return [dict(zip(handles, row)) for row in matrix.tolist()]
 
     # -- ingestion and caches ---------------------------------------------------
 
@@ -417,26 +553,27 @@ class GibbsLooper:
 
         if initial:
             self._seeds = {}
-            for handle in sorted(handles_in_play):
+            self._plan_lengths = {}
+            self._touched = set()
+        for handle in sorted(handles_in_play):
+            if handle not in self._seeds:
+                # Initial run, or (replenishment) a tuple resurfaced whose
+                # seed never mattered before.
                 info = self._context.seed_info(handle)
                 self._seeds[handle] = TSSeed.initial(
                     info, self._context.positions_for(handle), versions)
-        else:
-            # Replenishment: seeds persist; refresh their materialized lists.
-            for handle in sorted(handles_in_play):
-                if handle not in self._seeds:
-                    # A tuple resurfaced whose seed never mattered before.
-                    info = self._context.seed_info(handle)
-                    self._seeds[handle] = TSSeed.initial(
-                        info, self._context.positions_for(handle), versions)
-                else:
-                    self._seeds[handle].positions = (
-                        self._context.positions_for(handle))
+                self._touched.add(handle)
+            else:
+                # Replenishment: seeds persist; refresh their
+                # materialized lists.
+                self._seeds[handle].positions = (
+                    self._context.positions_for(handle))
 
         self._tuples_of_seed = {}
         for index, gibbs_tuple in enumerate(self._tuples):
             for handle in gibbs_tuple.handles:
                 self._tuples_of_seed.setdefault(handle, []).append(index)
+        self._visit_order = sorted(self._tuples_of_seed)
 
         self._rebuild_states(relation)
         self._window_signature = signature
@@ -482,7 +619,8 @@ class GibbsLooper:
         functions of position), so the per-version caches, accumulators,
         states and the tuple/seed index structures all carry over; only
         the materialized window arrays — consulted by future candidate
-        evaluations — and each moved seed's position list are new.
+        evaluations — each moved seed's position list and the single-seed
+        tuples' :class:`WindowCandidates` over the new windows are new.
         Every tuple is re-pointed, stable seed or not: a view left on the
         previous run's matrix would keep that whole matrix alive.
         """
@@ -497,10 +635,12 @@ class GibbsLooper:
                     continue
                 gibbs_tuple.presences[slot].flags = presence.flags[row]
                 slot += 1
-        stable = self._context.stable_handles
-        for handle, ts in self._seeds.items():
-            if handle not in stable:
-                ts.positions = self._context.positions_for(handle)
+        for handle in self._seeds.keys() - self._context.stable_handles:
+            self._seeds[handle].positions = self._context.positions_for(
+                handle)
+        self._candidates = window_candidates(
+            relation, self._single_rows, self.aggregate_expr,
+            self.final_predicate)
         if self._states:
             # Re-derived exactly as a full rebuild would, for _replenish's
             # invariant check against the running accumulators (which it
@@ -538,6 +678,10 @@ class GibbsLooper:
             handle: np.searchsorted(ts.positions, ts.assignment)
             for handle, ts in self._seeds.items()}
         self._states = []
+        self._single_rows = single_seed_rows(relation)
+        self._candidates = window_candidates(
+            relation, self._single_rows, self.aggregate_expr,
+            self.final_predicate)
         if not count:
             self._sums = np.zeros(versions)
             self._counts = np.zeros(versions)
@@ -555,14 +699,8 @@ class GibbsLooper:
             columns[name] = det_values.reshape(count, 1)
         context = DictContext(columns)
 
-        if self.aggregate_expr is None:
-            value_matrix = np.ones((count, versions))
-        else:
-            value_matrix = np.broadcast_to(
-                np.asarray(self.aggregate_expr.evaluate(context),
-                           dtype=np.float64), (count, versions))
-            if not value_matrix.flags.writeable:
-                value_matrix = value_matrix.copy()
+        value = 1.0 if self.aggregate_expr is None else np.asarray(
+            self.aggregate_expr.evaluate(context), dtype=np.float64)
         present_matrix = np.ones((count, versions), dtype=bool)
         gathered_presence = []
         vacuous_rows = []
@@ -581,6 +719,11 @@ class GibbsLooper:
                 np.asarray(self.final_predicate.evaluate(context),
                            dtype=bool), (count, versions))
 
+        self._contribution_matrix = np.where(present_matrix, value, 0.0)
+        self._count_matrix = present_matrix.astype(np.float64)
+        candidate_of = dict.fromkeys(range(count))
+        candidate_of.update(
+            zip(self._single_rows.tolist(), range(self._single_rows.size)))
         for row, gibbs_tuple in enumerate(self._tuples):
             state = _TupleState()
             for name in gibbs_tuple.rand:
@@ -588,22 +731,26 @@ class GibbsLooper:
             for flags, vacuous in zip(gathered_presence, vacuous_rows):
                 if not vacuous[row]:
                     state.presence.append(flags[row])
-            state.value = value_matrix[row]
-            state.present = present_matrix[row]
+            state.candidate = candidate_of[row]
             self._states.append(state)
-        self._value_matrix, self._present_matrix = value_matrix, present_matrix
+        self._point_state_rows()
         self._accumulate_states()
+
+    def _point_state_rows(self) -> None:
+        """Re-point every state at its rows of the (tuples, versions)
+        matrices."""
+        for state, contribution, presence_count in zip(
+                self._states, self._contribution_matrix, self._count_matrix):
+            state.contribution = contribution
+            state.presence_count = presence_count
 
     def _accumulate_states(self) -> None:
         """Accumulators from the contribution caches, in strict row order
         (cf. MonteCarloExecutor._ordered_sum): cumsum is sequential, so
         inserting the tuples one at a time — the reference behavior —
         rounds identically."""
-        self._sums = np.cumsum(
-            np.where(self._present_matrix, self._value_matrix, 0.0),
-            axis=0)[-1]
-        self._counts = np.cumsum(self._present_matrix, axis=0,
-                                 dtype=np.float64)[-1]
+        self._sums = np.cumsum(self._contribution_matrix, axis=0)[-1]
+        self._counts = np.cumsum(self._count_matrix, axis=0)[-1]
 
     def _version_count(self) -> int:
         return self._versions
@@ -625,59 +772,45 @@ class GibbsLooper:
         self._versions = sources.size
         for ts in self._seeds.values():
             ts.clone_versions(sources)
+        self._touched.update(self._seeds)
         if self._states:
-            self._value_matrix = np.take(self._value_matrix, sources, axis=1)
-            self._present_matrix = np.take(self._present_matrix, sources,
-                                           axis=1)
-        for row, state in enumerate(self._states):
+            self._contribution_matrix = np.take(self._contribution_matrix,
+                                                sources, axis=1)
+            self._count_matrix = np.take(self._count_matrix, sources,
+                                         axis=1)
+            self._point_state_rows()
+        for state in self._states:
             state.values = {name: values[sources]
                             for name, values in state.values.items()}
             state.presence = [flags[sources] for flags in state.presence]
-            state.value = self._value_matrix[row]
-            state.present = self._present_matrix[row]
         self._sums = self._sums[sources]
         self._counts = self._counts[sources]
 
     # -- perturbation ------------------------------------------------------------
 
-    def _build_queue(self, resume_after: int | None) -> list[tuple[int, int]]:
-        """Priority queue of (smallest unprocessed handle, tuple id).
-
-        ``resume_after`` skips handles already processed in the current
-        sweep — used when the queue is rebuilt after a replenishment
-        discarded all Gibbs tuples mid-sweep (Sec. 9).
-        """
-        queue: list[tuple[int, int]] = []
-        for index, gibbs_tuple in enumerate(self._tuples):
-            key = _INFINITY_KEY
-            for handle in gibbs_tuple.handles:
-                if resume_after is None or handle > resume_after:
-                    key = handle
-                    break
-            heapq.heappush(queue, (key, index))
-        return queue
-
     def _perturb_all_seeds(self, cutoff: float, stats: GibbsStats) -> None:
-        """One systematic Gibbs step over every seed, seed-major (Sec. 7)."""
-        queue = self._build_queue(resume_after=None)
-        while queue and queue[0][0] != _INFINITY_KEY:
-            handle = queue[0][0]
-            members = []
-            while queue and queue[0][0] == handle:
-                members.append(heapq.heappop(queue)[1])
+        """One systematic Gibbs step over every seed, seed-major (Sec. 7).
+
+        Appendix A keeps the Gibbs tuples in a priority queue keyed by
+        their smallest unprocessed handle and reinserts each processed
+        tuple under its next-largest one.  Every tuple's key is then
+        always its smallest handle above the last seed processed, so the
+        queue pops exactly the ascending union of all tuples' handles —
+        ``_visit_order``, fixed between ingests.  A replenishment may
+        rebuild the tuples mid-sweep (Sec. 9); the sweep then resumes in
+        the new order past the seed it was on.
+        """
+        order = self._visit_order
+        at = 0
+        while at < len(order):
+            handle = order[at]
             self._replenished_flag = False
             self._perturb_seed(handle, cutoff, stats)
             if self._replenished_flag:
-                # The Gibbs tuples were rebuilt or re-windowed; empty the
-                # queue and rebuild it for the remaining handles (Sec. 9).
-                queue = self._build_queue(resume_after=handle)
-                continue
-            for index in members:
-                next_handle = self._tuples[index].next_handle_after(handle)
-                heapq.heappush(
-                    queue,
-                    (next_handle if next_handle is not None else _INFINITY_KEY,
-                     index))
+                order = self._visit_order
+                at = bisect.bisect_right(order, handle)
+            else:
+                at += 1
 
     @staticmethod
     def _window_geometry(fresh: int, consumed_total: int,
@@ -733,13 +866,26 @@ class GibbsLooper:
                     raise EngineError(
                         f"replenishment produced no fresh values for seed "
                         f"{ts.handle}")
-            width, max_rows = self._window_geometry(
-                stop - start, consumed_total, served_total)
-            window = self._build_window(
-                ts, affected, version, cutoff, start, start + width,
-                max_rows)
-            accepted, consumed, version, proposals_used = self._scan_window(
-                ts, window, version, proposals_used, stats)
+            state = self._states[affected[0]]
+            if len(affected) == 1 and state.candidate is not None:
+                # One single-seed tuple: walk its candidates directly;
+                # the commit reads them from the WindowCandidates.
+                window = (start, stop, None, None, None, None)
+                accepted, consumed, version, proposals_used = \
+                    self._scan_candidates(ts, state, version,
+                                          proposals_used, start, stop,
+                                          cutoff, stats)
+            else:
+                width, max_rows = self._window_geometry(
+                    stop - start, consumed_total, served_total)
+                window = self._build_window(
+                    ts, affected, version, cutoff, start, start + width,
+                    max_rows)
+                accepted, consumed, version, proposals_used = \
+                    self._scan_window(ts, window, version, proposals_used,
+                                      stats)
+            if consumed:
+                self._touched.add(handle)
             consumed_total += consumed
             served_total += len(accepted[0])
             if accepted[0]:
@@ -799,42 +945,135 @@ class GibbsLooper:
         return ((accepted_versions, accepted_columns), column, version,
                 proposals_used)
 
+    def _scan_candidates(self, ts: TSSeed, state: _TupleState, version: int,
+                         proposals_used: int, start: int, stop: int,
+                         cutoff: float, stats: GibbsStats):
+        """:meth:`_scan_window` for a seed read by one single-seed tuple.
+
+        Such a seed's candidates are a row of the refuel's
+        :class:`WindowCandidates`, the same for every version, so there
+        is no matrix to build: the walk evaluates each candidate as the
+        consumption pointer reaches it — about ``proposals / versions``
+        cells per version instead of a ``(rows, width)`` matrix of them.
+        The arithmetic is the matrix kernel's, cell for cell: Python
+        floats are IEEE binary64 like NumPy's, and each verdict applies
+        the same operations in the same order (``sums[v] + ((c + 0.0) -
+        old[v])``, then the aggregate's combine), so every acceptance is
+        the matrix path's bit for bit.  The window is the whole fresh
+        range ``[start, stop)``.
+        """
+        candidates, row = self._candidates, state.candidate
+        new_sum = candidates.contribution[row, start:stop].tolist()
+        old_sum = state.contribution.tolist()
+        sums = self._sums.tolist()
+        kind = self.aggregate_kind
+        if kind != "sum":
+            new_count = candidates.presence_count[row, start:stop].tolist()
+            old_count = state.presence_count.tolist()
+            counts = self._counts.tolist()
+        width = stop - start
+        versions = self._versions
+        max_proposals = self.max_proposals
+        column = 0  # consumption pointer, relative to ``start``
+        proposals = stalls = 0
+        accepted_versions: list[int] = []
+        accepted_columns: list[int] = []
+        while version < versions and column < width:
+            limit = column + max_proposals - proposals_used
+            if limit > width:
+                limit = width
+            hit, total, old = column, sums[version], old_sum[version]
+            if kind == "sum":
+                while hit < limit and not (
+                        total + ((new_sum[hit] + 0.0) - old) >= cutoff):
+                    hit += 1
+            else:  # _combine, cell by cell
+                count, old_n = counts[version], old_count[version]
+                while hit < limit:
+                    n = count + (new_count[hit] - old_n)
+                    if kind == "count":
+                        candidate = n
+                    elif n > 0:
+                        candidate = (total + ((new_sum[hit] + 0.0) - old)) \
+                            / (n if n >= 1.0 else 1.0)
+                    else:
+                        candidate = -np.inf
+                    if candidate >= cutoff:
+                        break
+                    hit += 1
+            if hit < limit:
+                proposals += hit - column + 1
+                accepted_versions.append(version)
+                accepted_columns.append(hit)
+                column = hit + 1
+            else:
+                proposals += limit - column
+                proposals_used += limit - column
+                column = limit
+                if proposals_used < max_proposals:
+                    break  # fresh range exhausted mid-version
+                stalls += 1  # keep the current (valid) value
+            version += 1
+            proposals_used = 0
+        stats.proposals += proposals
+        stats.acceptances += len(accepted_versions)
+        stats.stalls += stalls
+        if column:
+            ts.consume_through(int(ts.positions[start + column - 1]))
+        return ((accepted_versions, accepted_columns), column, version,
+                proposals_used)
+
     def _apply_acceptances(self, ts: TSSeed, affected, window,
                            accepted_versions, accepted_columns) -> None:
         """Commit a window's accepted proposals in one vectorized pass.
 
         Each version appears at most once, so the scatter updates below
         touch disjoint entries and are elementwise identical to the scalar
-        path's one-at-a-time commits.
+        path's one-at-a-time commits.  A single-seed tuple's new state is
+        a 1-D gather from the refuel's :class:`WindowCandidates` at the
+        accepted window slots; a multi-seed tuple's comes from its
+        window's candidate matrices.
         """
         lo, _, first_version, _, cand_values, cand_present = window
         version_list = np.array(accepted_versions, dtype=np.int64)
         cols = np.array(accepted_columns, dtype=np.int64)
-        rows = version_list - first_version
         index_list = cols + lo
         ts.assignment[version_list] = ts.positions[index_list]
+        candidates = self._candidates
         for list_pos, tuple_index in enumerate(affected):
-            gibbs_tuple = self._tuples[tuple_index]
             state = self._states[tuple_index]
-            new_value = cand_values[list_pos][rows, cols]
-            new_present = cand_present[list_pos][rows, cols]
-            old_present = state.present[version_list]
-            old = np.where(old_present, state.value[version_list], 0.0)
+            row = state.candidate
+            if row is not None:
+                new_contribution = candidates.contribution[row, index_list]
+                if candidates.always_present:
+                    # Present before and after: the count cannot move.
+                    self._sums[version_list] += (
+                        new_contribution - state.contribution[version_list])
+                    state.contribution[version_list] = new_contribution
+                    continue
+                new_count = candidates.presence_count[row, index_list]
+            else:
+                rows = version_list - first_version
+                new_present = cand_present[list_pos][rows, cols]
+                new_contribution = np.where(
+                    new_present, cand_values[list_pos][rows, cols], 0.0)
+                new_count = new_present.astype(np.float64)
+                gibbs_tuple = self._tuples[tuple_index]
+                for name, rand_field in gibbs_tuple.rand.items():
+                    if rand_field.handle == ts.handle:
+                        state.values[name][version_list] = \
+                            rand_field.values[index_list]
+                for presence_field, cached in zip(gibbs_tuple.presences,
+                                                  state.presence):
+                    if presence_field.handle == ts.handle:
+                        cached[version_list] = \
+                            presence_field.flags[index_list]
             self._sums[version_list] += (
-                np.where(new_present, new_value, 0.0) - old)
+                new_contribution - state.contribution[version_list])
             self._counts[version_list] += (
-                new_present.astype(np.float64)
-                - old_present.astype(np.float64))
-            state.value[version_list] = new_value
-            state.present[version_list] = new_present
-            for name, rand_field in gibbs_tuple.rand.items():
-                if rand_field.handle == ts.handle:
-                    state.values[name][version_list] = \
-                        rand_field.values[index_list]
-            for presence_field, cached in zip(gibbs_tuple.presences,
-                                              state.presence):
-                if presence_field.handle == ts.handle:
-                    cached[version_list] = presence_field.flags[index_list]
+                new_count - state.presence_count[version_list])
+            state.contribution[version_list] = new_contribution
+            state.presence_count[version_list] = new_count
 
     def _build_window(self, ts: TSSeed, affected, first_version: int,
                       cutoff: float, start: int, stop: int,
@@ -857,7 +1096,7 @@ class GibbsLooper:
             [self._tuples[index] for index in affected],
             [self._states[index] for index in affected],
             ts.handle, self.aggregate_expr, self.final_predicate,
-            first_version, count, start, stop)
+            first_version, count, start, stop, self._candidates)
         return self._window_from_matrices(first_version, start, stop, count,
                                           matrices, cutoff)
 
@@ -901,21 +1140,28 @@ class GibbsLooper:
         refuels were full vs. delta).
         """
         started = time.perf_counter()
-        plans = {handle: ts.replenish_plan(self.window)
-                 for handle, ts in self._seeds.items()}
-        width = max(len(plan) for plan in plans.values())
-        context = self._context
-        previous_plan = context.position_plan
+        seeds, context = self._seeds, self._context
+        touched = self._touched
+        plan_lengths = self._plan_lengths
+        for handle in touched:
+            plan_lengths[handle] = len(seeds[handle].replenish_plan(
+                self.window))
+        width = max(plan_lengths.values())
+        if width != context.positions or not context.position_plan:
+            touched = seeds.keys()  # every pad moves
+            context.position_plan = {}
         context.positions = width
-        context.position_plan = {
-            handle: self._seeds[handle].pad_plan(plan, width)
-            for handle, plan in plans.items()}
-        # An untouched seed re-serves its memoized (padded) plan object,
-        # which lets the delta Instantiate and the window refresh skip it
-        # without comparing a single position.
-        context.stable_handles = frozenset(
-            handle for handle, plan in context.position_plan.items()
-            if plan is previous_plan.get(handle))
+        position_plan = context.position_plan
+        for handle in touched:
+            ts = seeds[handle]
+            position_plan[handle] = ts.pad_plan(
+                ts.replenish_plan(self.window), width)
+        # An untouched seed re-serves its memoized (padded) plan object —
+        # the very array the previous run materialized — which lets the
+        # delta Instantiate and the window refresh skip it without
+        # comparing a single position.
+        context.stable_handles = frozenset(seeds.keys() - touched)
+        self._touched = set()
         context.delta_mode = context.delta_tracking
         delta_before, full_before = context.delta_runs, context.full_runs
         relation = self.plan.execute(context)

@@ -44,7 +44,12 @@ from repro.engine.random_table import RandomTableSpec
 from repro.engine.seeds import (
     SeedInfo, derive_prng_seeds, label_id_of, seed_handles)
 from repro.engine.table import Catalog
-from repro.vg.streams import gather_stream_windows
+from repro.vg.streams import gather_stream_points, gather_stream_windows
+
+#: Missing window slots a delta merge gathers per batched stream fill:
+#: large enough to amortize the fill's set-up over many rows, small
+#: enough that its index temporaries stay well under a window matrix.
+_FILL_BATCH = 8192
 
 __all__ = [
     "ExecutionContext", "PlanNode", "Scan", "Seed", "Instantiate",
@@ -550,15 +555,8 @@ class Instantiate(PlanNode):
         :class:`ExecutionContext`) materialize exactly the window the
         previous run recorded — their plan entry is the same object — so
         they carry over in one block copy per output and are never
-        visited.  Each remaining row (every row, when the context names
-        no stable handle) matches its new positions against the
-        previously materialized ones with one ``searchsorted``; matched
-        values are copied from the recorded windows and only the rest —
-        everything past the seed's ``max_used`` — touch the streams.
-        Rows past ``prev_rows`` were appended since the baseline run:
-        their window values come from the streams (their handles are
-        fresh, or — under a self-join — copied from the old row carrying
-        the same handle).
+        visited.  The remaining rows (every row, when the context names
+        no stable handle) are merged together by :meth:`_merge_moved`.
 
         Returns the per-handle position vectors and the one shared
         position vector when every row materialized it, else ``None``
@@ -571,9 +569,6 @@ class Instantiate(PlanNode):
                 return self._extend_shared(
                     context, handles, windows, bases, previous, prev_rows,
                     shared)
-        names = [name for name, _ in self.outputs]
-        prev_columns = [previous.columns[name] for name in names]
-        windows = dict(zip(names, windows))
         stable = context.stable_handles
         moved = ~np.isin(handles, np.fromiter(stable, dtype=np.int64,
                                               count=len(stable)))
@@ -583,66 +578,95 @@ class Instantiate(PlanNode):
         if kept.size:
             # An unchanged plan entry has the previous run's length, so
             # the old and new matrices are equally wide: the whole old
-            # block lands with one contiguous copy and the visited rows
-            # below overwrite theirs.
-            for name, prev_values in zip(names, prev_columns):
-                windows[name][:prev_rows] = prev_values
+            # block lands with one contiguous copy and the moved rows
+            # overwrite theirs.
+            for slot, (name, _) in enumerate(self.outputs):
+                windows[slot, :prev_rows] = previous.columns[name]
             bases[kept] = previous.bases[kept]
             positions_by_handle.update(previous.positions)
             context.instantiate_rows_reused += int(kept.size)
-        for row in np.flatnonzero(moved).tolist():
-            handle = int(handles[row])
-            new_positions = context.positions_for(handle)
-            positions_by_handle[handle] = new_positions
-            bases[row] = new_positions[0]
-            old_positions = previous.positions.get(handle)
-            if old_positions is None:
-                info = context.seeds[handle]
-                context.instantiate_rows_computed += 1
-                for (name, component) in self.outputs:
-                    windows[name][row] = info.values_at(
-                        new_positions, component)
-                continue
-            # The old rows are a prefix of the new ones (checked by the
-            # caller), so an old row is its own baseline; an appended row
-            # repeating an old handle copies from that handle's row.
-            source = row if row < prev_rows else int(
-                np.flatnonzero(previous.handles == handle)[0])
-            overlap = min(old_positions.size, new_positions.size)
-            if np.array_equal(new_positions[:overlap],
-                              old_positions[:overlap]):
-                # Untouched seed: its plan is unchanged except for width
-                # padding, so the new window is a prefix extension (or
-                # truncation) of the old one — copy the overlap and gather
-                # only the contiguous fresh tail.
-                if overlap < new_positions.size:
-                    context.instantiate_rows_computed += 1
-                else:
-                    context.instantiate_rows_reused += 1
-                for (name, component), prev_values in zip(self.outputs,
-                                                          prev_columns):
-                    target = windows[name][row]
-                    target[:overlap] = prev_values[source][:overlap]
-                    if overlap < new_positions.size:
-                        target[overlap:] = context.seeds[handle].values_at(
-                            new_positions[overlap:], component)
-                continue
-            index = np.searchsorted(old_positions, new_positions)
-            index[index == old_positions.size] = 0  # clamp; masked below
-            found = old_positions[index] == new_positions
-            missing = np.nonzero(~found)[0]
-            if missing.size:
-                context.instantiate_rows_computed += 1
-            else:
-                context.instantiate_rows_reused += 1
-            for (name, component), prev_values in zip(self.outputs,
-                                                      prev_columns):
-                target = windows[name][row]
-                target[found] = prev_values[source][index[found]]
-                if missing.size:
-                    target[missing] = context.seeds[handle].values_at(
-                        new_positions[missing], component)
+        rows = np.flatnonzero(moved)
+        if rows.size:
+            positions_by_handle.update(self._merge_moved(
+                context, handles, rows, windows, bases, previous,
+                prev_rows))
         return positions_by_handle, None
+
+    def _merge_moved(self, context, handles, rows, windows, bases,
+                     previous, prev_rows) -> dict[int, np.ndarray]:
+        """Merge every moved row's new window into ``windows``.
+
+        Each row's new positions are matched against the positions its
+        *source* row materialized last run — the row itself for an old
+        row, the first old row carrying the same handle for an appended
+        one (a self-join repeats handles), none for a fresh handle — by
+        :func:`_match_window`: the overlap of the two windows' final
+        contiguous runs (a refuel's fresh range) lands as one slice copy,
+        and only the positions before it are searched.  The positions
+        the old windows lack come from batched stream fills over many
+        rows (:meth:`_fill_missing`, every :data:`_FILL_BATCH` slots),
+        one generated chunk per (seed, chunk).  A row counts as computed
+        when it touched the streams at all, else as reused.
+        """
+        width = windows.shape[2]
+        row_handles = handles[rows].tolist()
+        new_of = {handle: context.positions_for(handle)
+                  for handle in dict.fromkeys(row_handles)}
+        source = rows.copy()
+        appended = rows >= prev_rows
+        if appended.any():
+            source[appended] = -1
+            old_handles, first_row = np.unique(previous.handles[:prev_rows],
+                                               return_index=True)
+            if old_handles.size:
+                wanted = handles[rows[appended]]
+                at = np.minimum(np.searchsorted(old_handles, wanted),
+                                old_handles.size - 1)
+                source[appended] = np.where(old_handles[at] == wanted,
+                                            first_row[at], -1)
+        prev_columns = [previous.columns[name] for name, _ in self.outputs]
+        pending, pending_cells, computed = [], 0, 0
+        for row, handle, src in zip(rows.tolist(), row_handles,
+                                    source.tolist()):
+            new = new_of[handle]
+            bases[row] = new[0]
+            if src < 0:
+                missing = np.arange(width)
+            else:
+                old = previous.positions[handle]
+                (run_new, run_old), head, index, missing = _match_window(
+                    new, old)
+                for slot, prev_values in enumerate(prev_columns):
+                    target, origin = windows[slot, row], prev_values[src]
+                    target[run_new] = origin[run_old]
+                    target[head] = origin[index]
+            if missing.size:
+                computed += 1
+                pending.append((row, handle, missing))
+                pending_cells += missing.size
+                if pending_cells >= _FILL_BATCH:
+                    self._fill_missing(context, windows, new_of, pending)
+                    pending, pending_cells = [], 0
+        if pending:
+            self._fill_missing(context, windows, new_of, pending)
+        context.instantiate_rows_computed += computed
+        context.instantiate_rows_reused += rows.size - computed
+        return new_of
+
+    def _fill_missing(self, context, windows, new_of, pending) -> None:
+        """One batched stream fill of the ``(row, handle, slots)`` in
+        ``pending``: window slots the previous run never materialized."""
+        sizes = [slots.size for _, _, slots in pending]
+        values = gather_stream_points(
+            [context.seeds[handle].chunk_blocks for _, handle, _ in pending],
+            np.repeat(np.arange(len(pending)), sizes),
+            np.concatenate([new_of[handle][slots]
+                            for _, handle, slots in pending]),
+            [component for _, component in self.outputs])
+        rows = np.repeat([row for row, _, _ in pending], sizes)
+        cols = np.concatenate([slots for _, _, slots in pending])
+        for slot, slot_values in enumerate(values):
+            windows[slot, rows, cols] = slot_values
 
     def _extend_shared(self, context, handles, windows, bases, previous,
                        prev_rows, shared):
@@ -669,6 +693,59 @@ class Instantiate(PlanNode):
     def _describe_line(self):
         names = ", ".join(name for name, _ in self.outputs)
         return f"Instantiate({self.vg.name} -> {names})"
+
+
+def _final_run(positions: np.ndarray) -> int:
+    """Index where the ascending, duplicate-free ``positions`` start
+    their last contiguous run: ``positions[j] - j`` is non-decreasing and
+    constant exactly along a run, so a bisection finds where it reaches
+    its last value (a refuel window is its assigned positions, then one
+    long fresh run)."""
+    last = int(positions[-1]) - (positions.size - 1)
+    low, high = 0, positions.size - 1
+    while low < high:
+        mid = (low + high) // 2
+        if int(positions[mid]) - mid == last:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def _match_window(new: np.ndarray, old: np.ndarray):
+    """Where a refueled window's positions sit in the previous window.
+
+    Both are ascending and duplicate-free.  Returns ``((run_new,
+    run_old), head, index, missing)``: slot slice ``run_new`` of the new
+    window is slice ``run_old`` of the old one (the overlap of their
+    final contiguous runs — a refuel keeps most of its fresh range);
+    slots ``head`` are old slots ``index``; slots ``missing`` were never
+    materialized.  Only the slots before the run overlap — a refuel's
+    assigned positions — are searched; slots after it lie past the old
+    window's last position.
+    """
+    width = new.size
+    run_start, old_start = _final_run(new), _final_run(old)
+    low = max(int(new[run_start]), int(old[old_start]))
+    high = min(int(new[-1]), int(old[-1]))
+    if low <= high:
+        first = run_start + low - int(new[run_start])
+        stop = first + high - low + 1
+        origin = old_start + low - int(old[old_start])
+        run_new, run_old = slice(first, stop), slice(origin,
+                                                     origin + stop - first)
+    else:
+        first = stop = int(np.searchsorted(new, old[-1], side="right"))
+        run_new = run_old = slice(0, 0)
+    missing = np.arange(stop, width)
+    index = np.searchsorted(old, new[:first])
+    np.minimum(index, old.size - 1, out=index)
+    found = old[index] == new[:first]
+    if found.all():  # the usual refuel: every assigned position was held
+        return (run_new, run_old), slice(0, first), index, missing
+    head = np.flatnonzero(found)
+    missing = np.concatenate([np.flatnonzero(~found), missing])
+    return (run_new, run_old), head, index[head], missing
 
 
 class Select(PlanNode):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.vg.base import BlockStream, VGFunction
-from repro.vg.streams import RandomStream
+from repro.vg.streams import RandomStream, draw_chunk
 
 __all__ = ["seed_handle", "seed_handles", "derive_prng_seed",
            "derive_prng_seeds", "SeedInfo"]
@@ -96,6 +96,8 @@ class SeedInfo:
     arity: int = 1
     _scalar_stream: RandomStream | None = field(default=None, repr=False)
     _block_stream: BlockStream | None = field(default=None, repr=False)
+    _chunk_memo: tuple[int, np.ndarray] | None = field(default=None,
+                                                       repr=False)
 
     def value(self, position: int, component: int = 0) -> float:
         if self.arity == 1:
@@ -114,6 +116,21 @@ class SeedInfo:
             return self._scalar().values_at(np.asarray(positions, dtype=np.int64))
         return self._block().component_values_at(
             np.asarray(positions, dtype=np.int64), component)
+
+    def chunk_blocks(self, chunk_index: int) -> np.ndarray:
+        """One stream chunk as a ``(chunk, arity)`` block matrix.
+
+        The chunk drawn last is kept: a refuel's missing positions start
+        in the chunk the previous refuel's window ended in, which that
+        refuel drew already.
+        """
+        memo = self._chunk_memo
+        if memo is not None and memo[0] == chunk_index:
+            return memo[1]
+        blocks = draw_chunk(self.prng_seed, self.vg, self.params,
+                            chunk_index)
+        self._chunk_memo = (chunk_index, blocks)
+        return blocks
 
     def _scalar(self) -> RandomStream:
         if self._scalar_stream is None:

@@ -36,7 +36,9 @@ Lifecycle of one query::
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import queue
 import re
 import threading
@@ -694,6 +696,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
     def _dispatch(self, method: str) -> None:
+        try:
+            self._route(method)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up (e.g. mid-long-poll): nobody is left to
+            # answer, so drop the connection instead of writing an error
+            # reply onto the dead socket.  The unsent reply stays in the
+            # buffered writer, whose every later flush (the request loop
+            # and ``finish`` each do one) would fail again: close the
+            # socket stream under it — closing a writer whose stream is
+            # closed is a no-op — and hand the request loop a sink.
+            self.close_connection = True
+            self.wfile.raw.close()
+            self.wfile = io.BytesIO()
+
+    def _route(self, method: str) -> None:
         path, _, query_string = self.path.partition("?")
         self.query_params = dict(urllib.parse.parse_qsl(query_string))
         try:
@@ -703,21 +720,42 @@ class _Handler(BaseHTTPRequestHandler):
                 if match and route_method == method:
                     status, payload = getattr(self, handler_name)(
                         **match.groupdict())
-                    self._reply(status, payload)
-                    return
+                    break
                 path_known = path_known or match is not None
-            if path_known:
-                raise ApiError(405, f"{method} not allowed on {path}")
-            raise ApiError(404, f"no such endpoint: {method} {path}")
+            else:
+                if path_known:
+                    raise ApiError(405, f"{method} not allowed on {path}")
+                raise ApiError(404, f"no such endpoint: {method} {path}")
         except ApiError as exc:
-            self._reply(exc.status, exc.to_wire())
+            status, payload = exc.status, exc.to_wire()
         except UnknownAnalysisError as exc:
-            self._reply(404, {"error": str(exc.args[0]), "status": 404})
+            status, payload = 404, {"error": str(exc.args[0]), "status": 404}
         except (SqlSyntaxError, CatalogError, EngineError) as exc:
-            self._reply(400, {"error": str(exc), "status": 400})
+            status, payload = 400, {"error": str(exc), "status": 400}
         except Exception as exc:  # don't leak tracebacks onto the wire
-            self._reply(500, {"error": f"internal error: {exc!r}",
-                              "status": 500})
+            status, payload = 500, {"error": f"internal error: {exc!r}",
+                                    "status": 500}
+        self._reply(status, payload)
+
+    def _wait_seconds(self) -> float | None:
+        """The ``?wait=`` long-poll budget in seconds, ``None`` if absent.
+
+        ``float()`` also parses ``nan`` and ``inf``; neither is a
+        duration (``nan`` passes every comparison check and then makes
+        ``Condition.wait`` return at once), so both are a 400.
+        """
+        wait = self.query_params.get("wait")
+        if wait is None:
+            return None
+        try:
+            seconds = float(wait)
+        except ValueError:
+            seconds = math.nan
+        if not math.isfinite(seconds):
+            raise ApiError(
+                400, f"'wait' must be a finite number of seconds, "
+                     f"got {wait!r}")
+        return seconds
 
     def do_GET(self):
         self._dispatch("GET")
@@ -787,20 +825,13 @@ class _Handler(BaseHTTPRequestHandler):
                      "analysis": {"name": record.analysis_name}}
 
     def get_query(self, query_id):
+        seconds = self._wait_seconds()
         record = self.service.query(query_id)
-        wait = self.query_params.get("wait")
-        if wait is not None:
+        if seconds is not None and seconds > 0:
             # Long-poll: block (capped) until the query settles instead
             # of making clients spin — the reply carries whatever state
             # the record is in when the wait ends.
-            try:
-                seconds = float(wait)
-            except ValueError:
-                raise ApiError(
-                    400, f"'wait' must be a number of seconds, "
-                         f"got {wait!r}") from None
-            if seconds > 0:
-                record.settled.wait(timeout=min(seconds, 30.0))
+            record.settled.wait(timeout=min(seconds, 30.0))
         return 200, record.to_wire()
 
     def register_standing(self, tenant):
@@ -825,22 +856,20 @@ class _Handler(BaseHTTPRequestHandler):
     def get_standing(self, tenant, standing_id):
         """Registration state; with ``?wait=s[&after=v]`` long-polls the
         journal for the first version past ``after`` (default 0: any)."""
+        seconds = self._wait_seconds()
         record = self._tenant_standing(tenant, standing_id)
         state = self.service.registry.get(tenant)
-        wait = self.query_params.get("wait")
-        if wait is None:
+        if seconds is None:
             payload = {"standing": standing_to_wire(record)}
             if record.versions:
                 payload["record"] = state.journal.to_wire(
                     record.analysis_name, record.versions)
             return 200, payload
         try:
-            seconds = float(wait)
             after = int(self.query_params.get("after", 0))
         except ValueError:
             raise ApiError(
-                400, "'wait' must be a number of seconds and 'after' an "
-                     "integer journal version") from None
+                400, "'after' must be an integer journal version") from None
         if seconds < 0 or after < 0:
             raise ApiError(400, "'wait' and 'after' must be >= 0")
         entry = state.journal.wait_version(

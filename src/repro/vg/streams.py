@@ -130,12 +130,59 @@ def gather_stream_windows(positions, rows, components,
     targets = list(enumerate(components))
     for row, (seed, vg, params) in enumerate(rows):
         for lo, hi, chunk_index, index in segments:
-            blocks = np.asarray(
-                vg.sample_blocks(borrowed_generator(seed, chunk_index),
-                                 params, chunk),
-                dtype=np.float64).reshape(chunk, -1)
+            blocks = draw_chunk(seed, vg, params, chunk_index, chunk)
             for slot, component in targets:
                 out[slot, row, lo:hi] = blocks[index, component]
+    return out
+
+
+def draw_chunk(seed: int, vg, params, chunk_index: int,
+               chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """Chunk ``chunk_index`` of the stream of ``vg`` with ``params``
+    fueled by ``seed``, as a ``(chunk, arity)`` float64 block matrix."""
+    return np.asarray(
+        vg.sample_blocks(borrowed_generator(seed, chunk_index), params,
+                         chunk),
+        dtype=np.float64).reshape(chunk, -1)
+
+
+def gather_stream_points(chunk_blocks, row_of, positions,
+                         components) -> np.ndarray:
+    """Fill many streams' values at per-stream positions.
+
+    Request ``i`` asks row ``row_of[i]``'s stream for position
+    ``positions[i]``; ``out[c, i]`` (returned) receives component
+    ``components[c]`` of that block.  ``chunk_blocks[r](chunk_index)``
+    returns row ``r``'s stream chunk as a ``(DEFAULT_CHUNK, arity)``
+    block matrix (e.g. :meth:`repro.engine.seeds.SeedInfo.chunk_blocks`,
+    which keeps the last chunk it drew).  Requests must be grouped by row
+    and chunk-ascending within a row: the refuel case, where each row
+    asks for the positions its window is missing, in window order.  Each
+    (row, chunk) pair costs one ``chunk_blocks`` call and one gathered
+    copy per component.
+    """
+    row_of = np.asarray(row_of, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
+    out = np.empty((len(components), positions.size))
+    if positions.size == 0:
+        return out
+    if np.any(positions < 0):
+        raise IndexError("stream positions must be >= 0")
+    chunk_ids, offsets = np.divmod(positions, DEFAULT_CHUNK)
+    row_steps, chunk_steps = np.diff(row_of), np.diff(chunk_ids)
+    if np.any(row_steps < 0) or np.any((row_steps == 0) & (chunk_steps < 0)):
+        raise ValueError("gather_stream_points requires requests grouped "
+                         "by row, chunk-ascending within a row")
+    starts = np.concatenate(
+        ([0], np.flatnonzero(row_steps | chunk_steps) + 1, [positions.size]))
+    targets = list(enumerate(components))
+    for lo, hi, row, chunk_index in zip(
+            starts[:-1].tolist(), starts[1:].tolist(),
+            row_of[starts[:-1]].tolist(), chunk_ids[starts[:-1]].tolist()):
+        blocks = chunk_blocks[row](chunk_index)
+        index = offsets[lo:hi]
+        for slot, component in targets:
+            out[slot, lo:hi] = blocks[index, component]
     return out
 
 

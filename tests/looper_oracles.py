@@ -11,7 +11,8 @@ can still compare against them:
 
 * :class:`ScalarKernelLooper` — Algorithm 3 literally: one version at a
   time, ``_PROPOSAL_BATCH`` candidates per step, each acceptance
-  committed on its own.
+  committed on its own, and seeds visited through Appendix A's priority
+  queue of Gibbs tuples.
 * :class:`FullRefuelLooper` — every refuel rebuilds every window from the
   streams and re-derives every cache from the assignments.
 * :class:`ScalarFullLooper` — both at once.
@@ -22,6 +23,7 @@ on it.
 """
 
 import contextlib
+import heapq
 from unittest import mock
 
 import numpy as np
@@ -34,10 +36,50 @@ from repro.engine.expressions import DictContext
 from repro.sql import planner
 
 _PROPOSAL_BATCH = 64
+_INFINITY_KEY = (1 << 62)
 
 
 class ScalarKernelLooper(GibbsLooper):
     """The scalar per-version perturbation kernel."""
+
+    def _build_queue(self, resume_after: int | None) -> list[tuple[int, int]]:
+        """Priority queue of (smallest unprocessed handle, tuple id).
+
+        ``resume_after`` skips handles already processed in the current
+        sweep — used when the queue is rebuilt after a replenishment
+        discarded all Gibbs tuples mid-sweep (Sec. 9).
+        """
+        queue: list[tuple[int, int]] = []
+        for index, gibbs_tuple in enumerate(self._tuples):
+            key = _INFINITY_KEY
+            for handle in gibbs_tuple.handles:
+                if resume_after is None or handle > resume_after:
+                    key = handle
+                    break
+            heapq.heappush(queue, (key, index))
+        return queue
+
+    def _perturb_all_seeds(self, cutoff: float, stats: GibbsStats) -> None:
+        """One systematic Gibbs step over every seed, seed-major (Sec. 7)."""
+        queue = self._build_queue(resume_after=None)
+        while queue and queue[0][0] != _INFINITY_KEY:
+            handle = queue[0][0]
+            members = []
+            while queue and queue[0][0] == handle:
+                members.append(heapq.heappop(queue)[1])
+            self._replenished_flag = False
+            self._perturb_seed(handle, cutoff, stats)
+            if self._replenished_flag:
+                # The Gibbs tuples were rebuilt or re-windowed; empty the
+                # queue and rebuild it for the remaining handles (Sec. 9).
+                queue = self._build_queue(resume_after=handle)
+                continue
+            for index in members:
+                next_handle = self._tuples[index].next_handle_after(handle)
+                heapq.heappush(
+                    queue,
+                    (next_handle if next_handle is not None else _INFINITY_KEY,
+                     index))
 
     def _perturb_seed(self, handle: int, cutoff: float,
                       stats: GibbsStats) -> None:
@@ -68,6 +110,7 @@ class ScalarKernelLooper(GibbsLooper):
                         f"{ts.handle}")
             batch = min(_PROPOSAL_BATCH, stop - start,
                         self.max_proposals - proposals_used)
+            self._touched.add(ts.handle)  # its replenish plan moves
             delta_sum, delta_count, cand_values, cand_present = \
                 self._candidate_deltas(ts, affected, version, start,
                                        start + batch)
@@ -131,11 +174,10 @@ class ScalarKernelLooper(GibbsLooper):
                 present = present & np.broadcast_to(
                     np.asarray(self.final_predicate.evaluate(context),
                                dtype=bool), (width,))
-            old_contribution = (state.value[version]
-                                if state.present[version] else 0.0)
-            delta_sum += np.where(present, value, 0.0) - old_contribution
-            delta_count += present.astype(np.float64) - float(
-                state.present[version])
+            delta_sum += (np.where(present, value, 0.0)
+                          - state.contribution[version])
+            delta_count += (present.astype(np.float64)
+                            - state.presence_count[version])
             cand_values.append(value)
             cand_present.append(present)
         return delta_sum, delta_count, cand_values, cand_present
@@ -147,14 +189,14 @@ class ScalarKernelLooper(GibbsLooper):
         for list_pos, index in enumerate(affected):
             gibbs_tuple = self._tuples[index]
             state = self._states[index]
-            old = state.value[version] if state.present[version] else 0.0
             new_value = float(cand_values[list_pos][hit])
             new_present = bool(cand_present[list_pos][hit])
-            self._sums[version] += (new_value if new_present else 0.0) - old
-            self._counts[version] += float(new_present) - float(
-                state.present[version])
-            state.value[version] = new_value
-            state.present[version] = new_present
+            contribution = new_value if new_present else 0.0
+            self._sums[version] += contribution - state.contribution[version]
+            self._counts[version] += (float(new_present)
+                                      - state.presence_count[version])
+            state.contribution[version] = contribution
+            state.presence_count[version] = float(new_present)
             for name, rand_field in gibbs_tuple.rand.items():
                 if rand_field.handle == ts.handle:
                     state.values[name][version] = rand_field.values[window_index]

@@ -77,6 +77,26 @@ class TestSumQuery:
                 for handle, position in assignment.items())
             assert total == pytest.approx(result.samples[version], rel=1e-9)
 
+    def test_assignments_equal_the_per_version_comprehension(self):
+        """``assignments`` is built from one (versions x seeds) matrix;
+        it must be the per-version, per-seed ``int()`` comprehension it
+        replaced — same dicts, key order and Python ``int`` types."""
+        catalog, spec, _ = _losses_catalog()
+        looper = GibbsLooper(
+            random_table_pipeline(spec), catalog, PARAMS_5, 30,
+            aggregate_kind="sum", aggregate_expr=col("val"),
+            window=400, base_seed=11)
+        result = looper.run()
+        expected = [
+            {handle: int(ts.assignment[v])
+             for handle, ts in looper._seeds.items()}
+            for v in range(result.samples.size)]
+        assert result.assignments == expected
+        for got, want in zip(result.assignments, expected):
+            assert list(got.items()) == list(want.items())
+            assert all(type(key) is int and type(value) is int
+                       for key, value in got.items())
+
     def test_deterministic_given_base_seed(self):
         a, _ = self._run(42)
         b, _ = self._run(42)

@@ -18,6 +18,7 @@ Covers the incremental materialization pipeline's engine-level contracts:
 import numpy as np
 import pytest
 
+from repro.engine import operators
 from repro.engine.det_cache import ContextDetCache, SessionDetCache
 from repro.engine.errors import EngineError
 from repro.engine.expressions import col, lit
@@ -617,12 +618,22 @@ class TestDeltaMergeEquivalence:
         context.stable_handles = frozenset(handles) - {moved}
         gathered = []
         values_at = SeedInfo.values_at
+        gather_points = operators.gather_stream_points
+        handle_of = {info.chunk_blocks: handle
+                     for handle, info in context.seeds.items()}
 
         def spy(self, positions, component=0):
             gathered.append((self.handle, len(positions)))
             return values_at(self, positions, component)
 
+        def points_spy(rows, row_of, positions, components, **kwargs):
+            for row, count in zip(*np.unique(row_of, return_counts=True)):
+                gathered.append((handle_of[rows[row]], int(count)))
+            return gather_points(rows, row_of, positions, components,
+                                 **kwargs)
+
         monkeypatch.setattr(SeedInfo, "values_at", spy)
+        monkeypatch.setattr(operators, "gather_stream_points", points_spy)
         reused = context.instantiate_rows_reused
         after = plan.execute(context)
         assert gathered == [(moved, 1)]  # just the never-seen position

@@ -1,13 +1,20 @@
 """The Gibbs window kernel and scan against straightforward references.
 
 ``candidate_window_matrices`` keeps every intermediate at its natural
-broadcast rank; ``_dense_reference`` below is the plain dense form — every
-operand expanded to ``(count, width)`` up front, accumulators seeded with
-zero matrices — and the two must agree *bit for bit* (signed zeros
-included).  ``_scan_window`` walks the acceptability matrix on plain
-ints; ``_scalar_scan`` is the one-candidate-at-a-time walk it must
-reproduce.  Both references live only here.
+broadcast rank and takes single-seed tuples' contributions from the
+refuel's ``WindowCandidates``; ``_dense_reference`` below is the plain
+dense form — every tuple evaluated per window, every operand expanded to
+``(count, width)`` up front, accumulators seeded with zero matrices — and
+the two must agree *bit for bit* (signed zeros included).  The
+per-refuel candidate arrays themselves are pinned against the same
+per-window evaluation.  ``_scan_window`` walks the acceptability matrix on
+plain ints; ``_scalar_scan`` is the one-candidate-at-a-time walk it must
+reproduce, and ``_scan_candidates`` — the matrix-free walk for a seed read
+by one single-seed tuple — must reproduce the matrix path.  The
+references live only here.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro.core.gibbs import GibbsStats
 from repro.core.gibbs_looper import (
-    GibbsLooper, _TupleState, candidate_window_matrices)
-from repro.core.gibbs_tuple import GibbsTuple, PresenceField, RandField
+    GibbsLooper, _TupleState, candidate_window_matrices, single_seed_rows,
+    window_candidates)
+from repro.core.gibbs_tuple import tuples_from_relation
 from repro.core.ts_seed import TSSeed
+from repro.engine.bundles import BundleRelation, PresenceColumn, RandomColumn
 from repro.engine.expressions import DictContext, col, lit
 
 OWN, FOREIGN = 7, 9  # the perturbed seed's handle, and another seed's
@@ -60,11 +69,10 @@ def _dense_reference(tuples, states, handle, aggregate_expr, final_predicate,
             present = present & np.broadcast_to(
                 np.asarray(final_predicate.evaluate(context), dtype=bool),
                 (count, width))
-        old = np.where(state.present[remaining], state.value[remaining],
-                       0.0)[:, None]
-        delta_sum += np.where(present, value, 0.0) - old
+        delta_sum += (np.where(present, value, 0.0)
+                      - state.contribution[remaining, None])
         delta_count += (present.astype(np.float64)
-                        - state.present[remaining].astype(np.float64)[:, None])
+                        - state.presence_count[remaining, None])
         cand_values.append(value)
         cand_present.append(present)
     return delta_sum, delta_count, cand_values, cand_present
@@ -85,44 +93,74 @@ def _flags(draw, size):
                                   max_size=size)), dtype=bool)
 
 
+def _relation(draw, rows):
+    """``rows`` Gibbs-tuple rows over one window: column ``x`` on the
+    perturbed seed, ``y`` on it or on another seed, det ``d``, and 0-2
+    presence arrays, each row's on either seed (all-true flags: vacuous,
+    dropped from the Gibbs tuple)."""
+    def handles():
+        return np.array(draw(st.lists(st.sampled_from([OWN, FOREIGN]),
+                                      min_size=rows, max_size=rows)))
+
+    def matrix():
+        return _floats(draw, rows * WINDOW).reshape(rows, WINDOW)
+
+    relation = BundleRelation(rows, WINDOW, aligned=False)
+    relation.add_det_column("d", _floats(draw, rows))
+    relation.add_rand_column("x", RandomColumn(matrix(),
+                                               np.full(rows, OWN)))
+    relation.add_rand_column("y", RandomColumn(matrix(), handles()))
+    for _ in range(draw(st.integers(0, 2))):
+        flags = _flags(draw, rows * WINDOW).reshape(rows, WINDOW)
+        flags[_flags(draw, rows)] = True
+        relation.add_presence(PresenceColumn(flags, handles()))
+    return relation
+
+
+def _states(draw, tuples, single):
+    """Random per-version state; single-seed tuples read their candidates
+    from the per-refuel arrays when ``single`` is given."""
+    states = []
+    for row, gibbs_tuple in enumerate(tuples):
+        state = _TupleState()
+        for name in gibbs_tuple.rand:
+            state.values[name] = _floats(draw, VERSIONS)
+        for _ in gibbs_tuple.presences:
+            state.presence.append(_flags(draw, VERSIONS))
+        present = _flags(draw, VERSIONS)
+        state.contribution = np.where(present, _floats(draw, VERSIONS), 0.0)
+        state.presence_count = present.astype(np.float64)
+        if single is not None and row in single:
+            state.candidate = single.index(row)
+        states.append(state)
+    return states
+
+
+_AGGREGATES = [None, col("x"), col("x") * col("d"), col("d"),
+               col("x") - col("y"), col("y")]
+_PREDICATES = [None, col("x") > lit(0.0), col("d") > lit(0.0),
+               col("x") > col("y")]
+
+
 @st.composite
 def _window_cases(draw):
-    """1-3 tuples of the perturbed seed, each optionally carrying a
-    foreign-seed random column and presence fields on either seed."""
-    any_foreign_column = False
-    tuples, states = [], []
-    for tuple_id in range(draw(st.integers(1, 3))):
-        rand = {"x": RandField("x", OWN, _floats(draw, WINDOW))}
-        state = _TupleState()
-        state.values["x"] = _floats(draw, VERSIONS)
-        if draw(st.booleans()):
-            any_foreign_column = True
-            rand["y"] = RandField("y", FOREIGN, _floats(draw, WINDOW))
-            state.values["y"] = _floats(draw, VERSIONS)
-        presences = []
-        for handle in (OWN, FOREIGN):
-            if draw(st.booleans()):
-                presences.append(PresenceField(handle, _flags(draw, WINDOW)))
-                state.presence.append(_flags(draw, VERSIONS))
-        state.value = _floats(draw, VERSIONS)
-        state.present = _flags(draw, VERSIONS)
-        tuples.append(GibbsTuple(
-            tuple_id, {"d": np.float64(draw(_VALUES))}, rand, presences))
-        states.append(state)
-    # Expressions may only name "y" when every tuple has it.
-    every_y = all("y" in gibbs_tuple.rand for gibbs_tuple in tuples)
-    aggregates = [None, col("x"), col("x") * col("d"), col("d")]
-    predicates = [None, col("x") > lit(0.0), col("d") > lit(0.0)]
-    if every_y and any_foreign_column:
-        aggregates += [col("x") - col("y"), col("y")]
-        predicates += [col("x") > col("y")]
+    """1-3 tuples of the perturbed seed over one window — single- or
+    multi-seed, with presence fields on either seed — their candidates,
+    and a window."""
+    relation = _relation(draw, draw(st.integers(1, 3)))
+    aggregate = draw(st.sampled_from(_AGGREGATES))
+    predicate = draw(st.sampled_from(_PREDICATES))
+    tuples = tuples_from_relation(relation)
+    single = single_seed_rows(relation)
+    candidates = window_candidates(relation, single, aggregate, predicate)
+    states = _states(draw, tuples,
+                     single.tolist() if draw(st.booleans()) else None)
     first_version = draw(st.integers(0, VERSIONS - 1))
     count = draw(st.integers(1, VERSIONS - first_version))
     start = draw(st.integers(0, WINDOW - 1))
     stop = draw(st.integers(start + 1, WINDOW))
-    return (tuples, states, OWN, draw(st.sampled_from(aggregates)),
-            draw(st.sampled_from(predicates)), first_version, count, start,
-            stop)
+    return (tuples, states, OWN, aggregate, predicate, first_version, count,
+            start, stop, candidates)
 
 
 def _same_bits(actual, expected):
@@ -137,12 +175,21 @@ class TestKernelAgainstDenseReference:
     def test_matrices_bit_identical(self, case):
         delta_sum, delta_count, values, present = \
             candidate_window_matrices(*case)
-        ref_sum, ref_count, ref_values, ref_present = _dense_reference(*case)
+        ref_sum, ref_count, ref_values, ref_present = \
+            _dense_reference(*case[:9])
         _same_bits(delta_sum, ref_sum)
         _same_bits(delta_count, ref_count)
-        for got, want in zip(values + present, ref_values + ref_present):
-            assert got.shape == want.shape  # the commit indexes [row, col]
-            _same_bits(got, want)
+        for state, got_value, got_present, want_value, want_present in zip(
+                case[1], values, present, ref_values, ref_present):
+            if state.candidate is not None:
+                # The commit gathers a single-seed tuple's new state from
+                # the candidates (pinned in TestWindowCandidates).
+                assert got_value is None and got_present is None
+                continue
+            for got, want in ((got_value, want_value),
+                              (got_present, want_present)):
+                assert got.shape == want.shape  # the commit indexes [row, col]
+                _same_bits(got, want)
 
     @given(case=_window_cases(),
            kind=st.sampled_from(["sum", "count", "avg"]),
@@ -153,7 +200,7 @@ class TestKernelAgainstDenseReference:
         """SUM skips the count matrix, COUNT and AVG read it: the mask
         must equal ``combine(sums + dsum, counts + dcount) >= cutoff``
         over the dense deltas either way."""
-        first_version, count, start, stop = case[5:]
+        first_version, count, start, stop = case[5:9]
         looper = object.__new__(GibbsLooper)
         looper.aggregate_kind = kind
         looper._sums = _floats(totals.draw, VERSIONS)
@@ -163,7 +210,7 @@ class TestKernelAgainstDenseReference:
         window = looper._window_from_matrices(
             first_version, start, stop, count,
             candidate_window_matrices(*case), cutoff)
-        ref_sum, ref_count, _, _ = _dense_reference(*case)
+        ref_sum, ref_count, _, _ = _dense_reference(*case[:9])
         served = slice(first_version, first_version + count)
         expected = looper._combine(
             looper._sums[served, None] + ref_sum,
@@ -171,6 +218,117 @@ class TestKernelAgainstDenseReference:
         assert window[:3] == (start, stop, first_version)
         assert window[3].shape == (count, stop - start)
         np.testing.assert_array_equal(window[3], expected)
+
+
+class TestWindowCandidates:
+    """The per-refuel candidate arrays against per-window evaluation."""
+
+    @given(data=st.data(), rows=st.integers(1, 4),
+           aggregate=st.sampled_from(_AGGREGATES),
+           predicate=st.sampled_from(_PREDICATES))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_window_evaluation(self, data, rows, aggregate,
+                                              predicate):
+        relation = _relation(data.draw, rows)
+        tuples = tuples_from_relation(relation)
+        single = single_seed_rows(relation)
+        assert single.tolist() == [
+            row for row, gibbs_tuple in enumerate(tuples)
+            if len(gibbs_tuple.handles) == 1]
+        candidates = window_candidates(relation, single, aggregate,
+                                       predicate)
+        states = _states(data.draw, tuples, None)
+        start = data.draw(st.integers(0, WINDOW - 1))
+        stop = data.draw(st.integers(start + 1, WINDOW))
+        for index, row in enumerate(single.tolist()):
+            _, _, (value,), (present,) = _dense_reference(
+                [tuples[row]], [states[row]], OWN, aggregate, predicate,
+                0, 1, start, stop)
+            window = (index, slice(start, stop))
+            _same_bits(candidates.contribution[window],
+                       np.where(present[0], value[0], 0.0))
+            _same_bits(candidates.presence_count[window],
+                       present[0].astype(np.float64))
+            if candidates.always_present:
+                assert present.all()
+                _same_bits(candidates.contribution[window], value[0])
+
+    def test_bare_column_sum_is_a_view(self):
+        relation = BundleRelation(2, WINDOW, aligned=False)
+        values = np.arange(2.0 * WINDOW).reshape(2, WINDOW)
+        relation.add_rand_column("x", RandomColumn(values, [OWN, FOREIGN]))
+        candidates = window_candidates(relation, np.arange(2), col("x"),
+                                       None)
+        assert candidates.always_present
+        assert np.shares_memory(candidates.contribution, values)
+
+
+def _walk_looper(relation, aggregate, kind, predicate, max_proposals,
+                 draw):
+    """A looper holding ``relation``'s one single-seed tuple, with random
+    accumulators and per-version state."""
+    looper = object.__new__(GibbsLooper)
+    looper.aggregate_kind = kind
+    looper.aggregate_expr = aggregate
+    looper.final_predicate = predicate
+    looper.max_proposals = max_proposals
+    looper._versions = VERSIONS
+    looper._tuples = tuples_from_relation(relation)
+    single = single_seed_rows(relation)
+    looper._states = _states(draw, looper._tuples, single.tolist())
+    looper._candidates = window_candidates(relation, single, aggregate,
+                                           predicate)
+    looper._sums = _floats(draw, VERSIONS)
+    looper._counts = np.array(draw(st.lists(
+        st.integers(0, 3), min_size=VERSIONS, max_size=VERSIONS)),
+        dtype=np.float64)
+    return looper
+
+
+class TestCandidateWalkAgainstMatrixScan:
+    """``_scan_candidates`` evaluates a single-seed tuple's candidates as
+    the pointer passes them; the matrix path (``_build_window`` then
+    ``_scan_window``) evaluates the whole window first.  Same verdicts,
+    same walk."""
+
+    @given(data=st.data(), kind=st.sampled_from(["sum", "count", "avg"]),
+           predicate=st.sampled_from([None, col("x") > lit(0.0),
+                                      col("d") > lit(0.0)]),
+           max_proposals=st.integers(1, 6), cutoff=_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_same_walk(self, data, kind, predicate, max_proposals, cutoff):
+        relation = BundleRelation(1, WINDOW, aligned=False)
+        relation.add_det_column("d", _floats(data.draw, 1))
+        relation.add_rand_column("x", RandomColumn(
+            _floats(data.draw, WINDOW).reshape(1, WINDOW), [OWN]))
+        if data.draw(st.booleans()):
+            relation.add_presence(PresenceColumn(
+                _flags(data.draw, WINDOW).reshape(1, WINDOW), [OWN]))
+        aggregate = None if kind == "count" else col("x")
+        start = data.draw(st.integers(0, WINDOW - 1))
+        stop = data.draw(st.integers(start + 1, WINDOW))
+        version = data.draw(st.integers(0, VERSIONS - 1))
+        used = data.draw(st.integers(0, max_proposals - 1))
+        looper = _walk_looper(relation, aggregate, kind, predicate,
+                              max_proposals, data.draw)
+        positions = np.arange(100, 100 + WINDOW, dtype=np.int64)
+        outcomes = []
+        for walk in ("matrix", "candidates"):
+            ts = TSSeed(info=SimpleNamespace(handle=OWN), positions=positions,
+                        max_used=int(positions[start]) - 1,
+                        assignment=positions[:VERSIONS].copy())
+            stats = GibbsStats()
+            if walk == "matrix":
+                window = looper._build_window(
+                    ts, [0], version, cutoff, start, stop, WINDOW)
+                got = looper._scan_window(ts, window, version, used, stats)
+            else:
+                got = looper._scan_candidates(
+                    ts, looper._states[0], version, used, start, stop,
+                    cutoff, stats)
+            outcomes.append((got, ts.max_used, stats.proposals,
+                             stats.acceptances, stats.stalls))
+        assert outcomes[0] == outcomes[1]
 
 
 def _scalar_scan(acceptable, first_version, version, proposals_used,

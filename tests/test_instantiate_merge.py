@@ -1,0 +1,178 @@
+"""The batched delta merge against the per-row one it replaced.
+
+A delta refuel re-runs ``Instantiate`` with a new position plan and
+merges: rows of stable handles carry over, every other row copies the
+positions its previous window already held and draws the rest from its
+stream.  ``Instantiate._merge_delta`` does the moved rows together — run
+overlap by slice, the rest by search, one batched stream fill;
+``PerRowMergeInstantiate`` (``tests/instantiate_oracles.py``) is the old
+row-at-a-time loop.  Both run the same baseline and refuel on their own
+context, and must agree on the windows (bit for bit), the bases, the
+recorded per-handle positions and the computed/reused row counters.
+
+Cases mix stable and moved rows, rows appended since the baseline (fresh
+handles or repeats of old ones), handles repeated within a run (a
+self-join), a one- and a two-output VG, and new windows narrower, as
+wide as and wider than the old ones — refuel-shaped plans (assigned
+positions plus a contiguous fresh run) and arbitrary ones.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from instantiate_oracles import PerRowMergeInstantiate
+from repro.engine.bundles import BundleRelation
+from repro.engine.expressions import col, lit
+from repro.engine.operators import ExecutionContext, Instantiate, PlanNode
+from repro.engine.table import Catalog
+from repro.vg.builtin import MULTIVARIATE_NORMAL, NORMAL
+
+#: Two correlated outputs per block: means (m, -m), covariance [[1, .5],
+#: [.5, 2]].
+_MVN_PARAMS = [col("m"), lit(0.0) - col("m"), lit(1.0), lit(0.5), lit(0.5),
+               lit(2.0)]
+
+
+class _Rows(PlanNode):
+    """A fixed relation: handle column ``h`` and VG mean ``m``.  Counts as
+    random so no det cache holds it across runs (the test grows it)."""
+
+    def __init__(self):
+        super().__init__([])
+        self.handles: list[int] = []
+
+    @property
+    def contains_random(self) -> bool:
+        return True
+
+    def _run(self, context):
+        relation = BundleRelation(len(self.handles), context.positions,
+                                  aligned=False)
+        relation.add_det_column("h", np.array(self.handles, dtype=np.int64))
+        relation.add_det_column(
+            "m", np.array(self.handles, dtype=np.float64) % 7)
+        return relation
+
+
+def _positions(draw, width, low=0):
+    """A refuel-shaped window (sorted assigned positions, then a
+    contiguous fresh run) or an arbitrary ascending one."""
+    if draw(st.booleans()):
+        assigned = sorted(draw(st.sets(st.integers(low, low + 30),
+                                       max_size=width - 1)))
+        start = (assigned[-1] + 1 if assigned else low) + draw(
+            st.integers(0, 3))
+        run = list(range(start, start + width - len(assigned)))
+        return np.array(assigned + run, dtype=np.int64)
+    return np.array(sorted(draw(st.sets(
+        st.integers(low, low + 60), min_size=width, max_size=width))),
+        dtype=np.int64)
+
+
+@st.composite
+def _merge_cases(draw):
+    old_handles = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    appended = draw(st.lists(st.integers(1, 8), max_size=3))
+    old_width = draw(st.integers(2, 9))
+    baseline = None
+    if draw(st.booleans()):  # else one shared window: arange(old_width)
+        baseline = {handle: _positions(draw, old_width)
+                    for handle in set(old_handles)}
+    new_width = draw(st.sampled_from(
+        [old_width, max(2, old_width - 2), old_width + 3]))
+    refuel, stable = {}, set()
+    for handle in sorted(set(old_handles + appended)):
+        if baseline is not None and handle in baseline \
+                and new_width == old_width and draw(st.booleans()):
+            refuel[handle] = baseline[handle]  # same object: stable
+            stable.add(handle)
+        elif draw(st.integers(0, 4)):  # else the default window
+            refuel[handle] = _positions(draw, new_width,
+                                        low=draw(st.integers(0, 20)))
+    return (old_handles, appended, old_width, baseline, new_width, refuel,
+            frozenset(stable), draw(st.booleans()))
+
+
+def _merge(node_class, case):
+    """Baseline run, then the delta refuel; what the refuel produced."""
+    (old_handles, appended, old_width, baseline, new_width, refuel,
+     stable, two_outputs) = case
+    rows = _Rows()
+    if two_outputs:
+        node = node_class(rows, MULTIVARIATE_NORMAL, _MVN_PARAMS,
+                          [("a", 0), ("b", 1)], "h")
+    else:
+        node = node_class(rows, NORMAL, [col("m"), lit(1.0)], [("v", 0)],
+                          "h")
+    context = ExecutionContext(Catalog(), positions=old_width,
+                               aligned=False, base_seed=7)
+    context.delta_tracking = True
+    rows.handles = list(old_handles)
+    if baseline is not None:
+        context.position_plan = dict(baseline)
+    node.execute(context)
+    rows.handles = list(old_handles) + list(appended)
+    context.positions = new_width
+    context.position_plan = dict(refuel)
+    context.stable_handles = stable
+    context.delta_mode = True
+    computed, reused = (context.instantiate_rows_computed,
+                        context.instantiate_rows_reused)
+    relation = node.execute(context)
+    materialized = context.materialized[node.node_id]
+    return {
+        "windows": {name: column.values
+                    for name, column in relation.rand_columns.items()},
+        "bases": {name: column.bases
+                  for name, column in relation.rand_columns.items()},
+        "positions": materialized.positions,
+        "counters": (context.instantiate_rows_computed - computed,
+                     context.instantiate_rows_reused - reused,
+                     context.delta_runs),
+    }
+
+
+class TestBatchedMergeAgainstPerRow:
+    @given(case=_merge_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_same_refuel(self, case):
+        got, want = _merge(Instantiate, case), _merge(
+            PerRowMergeInstantiate, case)
+        assert got["counters"] == want["counters"]
+        assert got["windows"].keys() == want["windows"].keys()
+        for name, values in want["windows"].items():
+            assert got["windows"][name].tobytes() == values.tobytes()
+            np.testing.assert_array_equal(got["bases"][name],
+                                          want["bases"][name])
+        assert got["positions"].keys() == want["positions"].keys()
+        for handle, positions in want["positions"].items():
+            np.testing.assert_array_equal(got["positions"][handle],
+                                          positions)
+
+    def test_refuel_merges_moved_rows_in_one_stream_fill(self, monkeypatch):
+        """Every position a refuel lacks, across all moved rows, comes
+        from one batched fill — never from a per-row stream call."""
+        from repro.engine import operators
+        from repro.engine.seeds import SeedInfo
+        fills = []
+        batched = operators.gather_stream_points
+
+        def spy(*args, **kwargs):
+            fills.append(len(args[2]))
+            return batched(*args, **kwargs)
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("per-row stream call in a delta refuel")
+
+        monkeypatch.setattr(operators, "gather_stream_points", spy)
+        monkeypatch.setattr(SeedInfo, "values_at", per_row)
+        # Baseline: one shared window 0..3 (a batched full fill).
+        case = ([1, 2, 3], [4], 4, None, 4,
+                {1: np.arange(4), 2: np.array([1, 3, 4, 5]),
+                 3: np.array([0, 4, 5, 6]), 4: np.arange(4)},
+                frozenset({1}), False)
+        got = _merge(Instantiate, case)
+        # Row 2 lacks 4 and 5, row 3 lacks 4-6, appended row 4 all four.
+        assert fills == [9]
+        assert got["counters"] == (3, 1, 1)

@@ -9,6 +9,8 @@ property, and the concurrent-``execute`` bit-identity contract.
 
 import http.client
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -418,14 +420,14 @@ class TestEviction:
         assert not set(threading.enumerate()) - threads_before
 
 
-def _raw_post(server, path, body=b"", headers=None):
-    """POST ``body`` with hand-set headers (a lying ``Content-Length``
+def _raw_request(server, path, body=b"", headers=None, method="POST"):
+    """Send ``body`` with hand-set headers (a lying ``Content-Length``
     included); returns ``(status, payload, Connection header)``.  The
     socket timeout turns a handler that hangs into a failure."""
     connection = http.client.HTTPConnection(server.host, server.port,
                                             timeout=10)
     try:
-        connection.putrequest("POST", path)
+        connection.putrequest(method, path)
         fields = {"Content-Type": "application/json",
                   "Content-Length": str(len(body)), **(headers or {})}
         for name, value in fields.items():
@@ -438,10 +440,14 @@ def _raw_post(server, path, body=b"", headers=None):
         connection.close()
 
 
+_NO_ID = "0" * 32  # well-formed but unknown query/standing id
+
+
 class TestMalformedBodies:
-    """Fault drill: garbage, wrong-type and oversize request bodies get a
-    typed 4xx — never a 500, a hung handler thread or a half-built
-    tenant — and the standing drainer keeps draining afterwards."""
+    """Fault drill: garbage, wrong-type and oversize request bodies — and
+    non-finite long-poll budgets — get a typed 4xx — never a 500, a hung
+    handler thread or a half-built tenant — and the standing drainer
+    keeps draining afterwards."""
 
     @pytest.mark.parametrize("path, body, headers, status", [
         ("/tenants/t", b"", {"Content-Length": "abc"}, 400),
@@ -459,14 +465,22 @@ class TestMalformedBodies:
         ("/tenants/t", b'{"tail_budget": 1.5}', None, 400),
         ("/tenants/t", b'{"gibbs_steps": true}', None, 400),
         ("/tenants/t", b'{"base_seed": -1}', None, 400),
+        (f"GET /queries/{_NO_ID}?wait=nan", b"", None, 400),
+        (f"GET /queries/{_NO_ID}?wait=inf", b"", None, 400),
+        (f"GET /tenants/live/standing/{_NO_ID}?wait=nan", b"", None, 400),
+        (f"GET /tenants/live/standing/{_NO_ID}?wait=-inf", b"", None,
+         400),
     ], ids=[
         "non-integer-length", "negative-length", "oversize",
         "garbage-json", "not-utf8", "array-tenant-config",
         "array-table-body", "string-query-body", "array-standing-body",
         "string-window", "zero-window", "float-tail-budget",
         "bool-gibbs-steps", "negative-base-seed",
+        "nan-query-wait", "inf-query-wait", "nan-standing-wait",
+        "minus-inf-standing-wait",
     ])
     def test_bad_body_is_a_typed_4xx(self, path, body, headers, status):
+        method, _, path = path.rpartition(" ")
         threads_before = set(threading.enumerate())
         server = RiskServer(options=ExecutionOptions(),
                             server_options=ServerOptions(concurrency=1))
@@ -477,8 +491,8 @@ class TestMalformedBodies:
                                               "m": [1.0, 2.0, 3.0]})
             state.session.execute(CREATE_LOSSES)
 
-            got, payload, connection = _raw_post(server, path, body,
-                                                 headers)
+            got, payload, connection = _raw_request(
+                server, path, body, headers, method or "POST")
             assert (got, payload["status"]) == (status, status)
             if headers:  # the unread body must not become a request
                 assert connection == "close"
@@ -496,6 +510,63 @@ class TestMalformedBodies:
                 and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not set(threading.enumerate()) - threads_before
+
+
+class TestClientHangsUpMidLongPoll:
+    """Fault drill: a client closes its socket while its long-poll is
+    parked.  When the wait ends nobody is left to answer, so the handler
+    drops the connection — no traceback reaches stderr, no handler
+    thread outlives the server, and the standing drainer and the next
+    connection are served."""
+
+    @pytest.mark.parametrize("endpoint", ["query", "standing"])
+    def test_hang_up_drops_the_connection(self, endpoint, capfd):
+        threads_before = set(threading.enumerate())
+        server = RiskServer(options=ExecutionOptions(),
+                            server_options=ServerOptions(concurrency=1))
+        server.start()
+        try:
+            state, _ = server.service.registry.create("live")
+            state.session.add_table("means", {"CID": [0, 1, 2],
+                                              "m": [1.0, 2.0, 3.0]})
+            state.session.execute(CREATE_LOSSES)
+            standing = server.service.register_standing(
+                "live", {"sql": MC_QUERY, "analysis": "loss"})
+            assert state.journal.wait_version("loss", 0, 30) is not None
+            _wait_idle(standing)
+            with state.session._execute_lock:
+                if endpoint == "query":
+                    # Held lock: the query cannot settle during the wait.
+                    record = server.service.submit("live",
+                                                   {"sql": MC_QUERY})
+                    path = f"/queries/{record.query_id}?wait=0.5"
+                else:  # no version past 1 arrives during the wait
+                    path = (f"/tenants/live/standing/"
+                            f"{standing.standing_id}?wait=0.5&after=1")
+                client = socket.create_connection((server.host,
+                                                   server.port))
+                client.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n"
+                               "\r\n".encode())
+                time.sleep(0.1)  # the handler parks in its wait
+                # Linger 0: close() resets the connection, so the
+                # handler's reply meets a dead socket.
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                  struct.pack("ii", 1, 0))
+                client.close()
+                time.sleep(1.0)  # the wait ends and the reply fails
+            assert _call(f"{server.url}/healthz") == (200, {"ok": True})
+            after = server.service.register_standing(
+                "live", {"sql": MC_QUERY, "analysis": "after"})
+            assert state.journal.wait_version("after", 0, 30) is not None
+            _wait_idle(after)
+        finally:
+            server.stop()
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - threads_before \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not set(threading.enumerate()) - threads_before
+        assert "Traceback" not in capfd.readouterr().err
 
 
 def _wait_idle(record, deadline=30.0):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.vg.builtin import (
     DISCRETE_CHOICE, MIXTURE, MULTIVARIATE_NORMAL, NORMAL, UNIFORM)
 from repro.vg.streams import (
-    RandomStream, StreamWindow, borrowed_generator, gather_stream_windows,
-    generator_for_chunk)
+    RandomStream, StreamWindow, borrowed_generator, draw_chunk,
+    gather_stream_points, gather_stream_windows, generator_for_chunk)
 
 
 def _unit_normal_stream(seed=7, chunk=256):
@@ -275,6 +275,46 @@ class TestBorrowedGenerator:
             sys.setswitchinterval(interval)
         for got, want in zip(results, serial):
             assert got.tobytes() == want.tobytes()
+
+
+class TestGatherStreamPoints:
+    """The refuel fill: per-row positions, one draw per (row, chunk)."""
+
+    def test_matches_per_stream_values_for_every_component(self):
+        params = (1.0, -1.0, 2.0, 0.6, 0.6, 1.0)  # mean(2), cov(2x2)
+        seeds = (3, 2**63 + 5)
+        wanted = [np.array([5, 255, 256, 900]), np.array([0, 1, 511, 512])]
+        drawn = []
+
+        def source(seed):
+            def chunk_blocks(chunk_index):
+                drawn.append((seed, chunk_index))
+                return draw_chunk(seed, MULTIVARIATE_NORMAL, params,
+                                  chunk_index)
+            return chunk_blocks
+
+        out = gather_stream_points(
+            [source(seed) for seed in seeds], np.repeat([0, 1], 4),
+            np.concatenate(wanted), [1, 0])
+        assert out.shape == (2, 8)
+        for row, seed in enumerate(seeds):
+            stream = MULTIVARIATE_NORMAL.make_block_stream(seed, params)
+            for slot, component in enumerate([1, 0]):
+                np.testing.assert_array_equal(
+                    out[slot, 4 * row:4 * row + 4],
+                    stream.component_values_at(wanted[row], component))
+        assert drawn == [(3, 0), (3, 1), (3, 3), (2**63 + 5, 0),
+                         (2**63 + 5, 1), (2**63 + 5, 2)]
+
+    @pytest.mark.parametrize("row_of, positions", [
+        ([0, 0], [300, 10]),   # chunk order reversed within a row
+        ([1, 0], [10, 20]),    # rows not grouped
+    ])
+    def test_rejects_unordered_requests(self, row_of, positions):
+        def chunk_blocks(chunk_index):
+            return draw_chunk(1, NORMAL, (0.0, 1.0), chunk_index)
+        with pytest.raises(ValueError):
+            gather_stream_points([chunk_blocks] * 2, row_of, positions, [0])
 
 
 class TestGatherStreamWindows:
