@@ -131,9 +131,9 @@ class _TupleState:
     :class:`WindowCandidates` when every random field and presence field
     belongs to one seed, else ``None``.  Only a *multi-seed* tuple ever
     reads ``values``/``presence`` (another seed's candidates combine with
-    this seed's current values), so the batched commit keeps them current
-    for those tuples only; a single-seed tuple's candidates come whole
-    from the per-refuel arrays.
+    this seed's current values), so only such a tuple has them; a
+    single-seed tuple's are left empty, and its commit gathers from the
+    per-refuel arrays.
     """
 
     __slots__ = ("values", "presence", "contribution", "presence_count",
@@ -236,8 +236,7 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
                               aggregate_expr: Expr | None,
                               final_predicate: Expr | None,
                               first_version: int, count: int,
-                              start: int, stop: int,
-                              candidates: WindowCandidates):
+                              start: int, stop: int):
     """Batched candidate deltas for one seed's window — the Gibbs hot loop.
 
     Element ``[v, b]`` of ``delta_sum``/``delta_count`` (broadcast to
@@ -255,19 +254,14 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     the first tuple's difference is the result instead of being added to
     a zero matrix: ``(c + 0.0) - o`` has the bits of ``0.0 + (c - o)``
     (both differ from ``c - o`` only for ``c = -0.0, o = +0.0``).
+    ``cand_values``/``cand_present`` are read-only ``(count, width)``
+    broadcast views — the commit only gathers single cells from them.
+    A state's per-version caches are read only for fields of another
+    seed, so a single-seed tuple needs none.
 
-    A single-seed tuple (``state.candidate`` set) is not evaluated here
-    at all: its contributions are a slice of ``candidates``, computed
-    once per refuel by :func:`window_candidates`, and its entries of
-    ``cand_values``/``cand_present`` are ``None`` — the commit gathers
-    from ``candidates`` directly.  A multi-seed tuple is evaluated per
-    window, and its ``cand_values``/``cand_present`` are read-only
-    ``(count, width)`` broadcast views — the commit only gathers single
-    cells from them.
-
-    A *pure* function: it reads only the Gibbs tuples/states and
-    candidates passed in, never looper state, so the kernel tests can
-    hold it against a dense reference on hand-built inputs.
+    A *pure* function: it reads only the Gibbs tuples/states passed in,
+    never looper state, so the kernel tests can hold it against a dense
+    reference on hand-built inputs.
     """
     shape = (count, stop - start)
     window = slice(start, stop)
@@ -275,41 +269,31 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     delta_sum = delta_count = None
     cand_values, cand_present = [], []
     for gibbs_tuple, state in zip(tuples, states):
-        row = state.candidate
-        if row is not None:
-            contribution = candidates.contribution[row, window]
-            presence_count = candidates.presence_count[row, window]
-            value = present = None
-        else:
-            columns: dict[str, np.ndarray] = {}
-            for name, det_value in gibbs_tuple.det.items():
-                columns[name] = np.asarray(det_value)
-            for name, rand_field in gibbs_tuple.rand.items():
-                if rand_field.handle == handle:
-                    columns[name] = rand_field.values[window]
-                else:
-                    columns[name] = state.values[name][remaining, None]
-            context = DictContext(columns)
-            value = 1.0 if aggregate_expr is None else np.asarray(
-                aggregate_expr.evaluate(context), dtype=np.float64)
-            present = None  # None: present in every cell
-            for presence_field, cached in zip(gibbs_tuple.presences,
-                                              state.presence):
-                flags = (presence_field.flags[window]
-                         if presence_field.handle == handle
-                         else cached[remaining, None])
-                present = flags if present is None else present & flags
-            if final_predicate is not None:
-                flags = np.asarray(final_predicate.evaluate(context),
-                                   dtype=bool)
-                present = flags if present is None else present & flags
-            if present is None:
-                present, contribution, presence_count = np.True_, value, 1.0
+        columns: dict[str, np.ndarray] = {}
+        for name, det_value in gibbs_tuple.det.items():
+            columns[name] = np.asarray(det_value)
+        for name, rand_field in gibbs_tuple.rand.items():
+            if rand_field.handle == handle:
+                columns[name] = rand_field.values[window]
             else:
-                contribution = np.where(present, value, 0.0)
-                presence_count = present.astype(np.float64)
-            value = np.broadcast_to(value, shape)
-            present = np.broadcast_to(present, shape)
+                columns[name] = state.values[name][remaining, None]
+        context = DictContext(columns)
+        value = 1.0 if aggregate_expr is None else np.asarray(
+            aggregate_expr.evaluate(context), dtype=np.float64)
+        present = None  # None: present in every cell
+        for slot, presence_field in enumerate(gibbs_tuple.presences):
+            flags = (presence_field.flags[window]
+                     if presence_field.handle == handle
+                     else state.presence[slot][remaining, None])
+            present = flags if present is None else present & flags
+        if final_predicate is not None:
+            flags = np.asarray(final_predicate.evaluate(context), dtype=bool)
+            present = flags if present is None else present & flags
+        if present is None:
+            present, contribution, presence_count = np.True_, value, 1.0
+        else:
+            contribution = np.where(present, value, 0.0)
+            presence_count = present.astype(np.float64)
         old_contribution = state.contribution[remaining, None]
         old_count = state.presence_count[remaining, None]
         if delta_sum is None:
@@ -318,8 +302,8 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
         else:
             delta_sum = delta_sum + (contribution - old_contribution)
             delta_count = delta_count + (presence_count - old_count)
-        cand_values.append(value)
-        cand_present.append(present)
+        cand_values.append(np.broadcast_to(value, shape))
+        cand_present.append(np.broadcast_to(present, shape))
     return delta_sum, delta_count, cand_values, cand_present
 
 
@@ -420,8 +404,9 @@ class GibbsLooper:
         self._single_rows: np.ndarray | None = None
         self._candidates: WindowCandidates | None = None
         #: Seeds whose replenish plan may have changed since the last
-        #: refuel (perturbed, cloned or new); every other seed's plan is
-        #: its memo, so a refuel only revisits these.
+        #: refuel (perturbed, cloned or new).  A refuel recomputes only
+        #: these seeds' plans; every other seed keeps its plan entry and
+        #: is one of the run's ``stable_handles``.
         self._touched: set[int] = set()
         #: Replenish-plan length per seed, for the shared refuel width.
         self._plan_lengths: dict[int, int] = {}
@@ -726,12 +711,13 @@ class GibbsLooper:
             zip(self._single_rows.tolist(), range(self._single_rows.size)))
         for row, gibbs_tuple in enumerate(self._tuples):
             state = _TupleState()
-            for name in gibbs_tuple.rand:
-                state.values[name] = gathered[name][row]
-            for flags, vacuous in zip(gathered_presence, vacuous_rows):
-                if not vacuous[row]:
-                    state.presence.append(flags[row])
             state.candidate = candidate_of[row]
+            if state.candidate is None:
+                for name in gibbs_tuple.rand:
+                    state.values[name] = gathered[name][row]
+                for flags, vacuous in zip(gathered_presence, vacuous_rows):
+                    if not vacuous[row]:
+                        state.presence.append(flags[row])
             self._states.append(state)
         self._point_state_rows()
         self._accumulate_states()
@@ -780,9 +766,10 @@ class GibbsLooper:
                                          axis=1)
             self._point_state_rows()
         for state in self._states:
-            state.values = {name: values[sources]
-                            for name, values in state.values.items()}
-            state.presence = [flags[sources] for flags in state.presence]
+            if state.candidate is None:
+                state.values = {name: values[sources]
+                                for name, values in state.values.items()}
+                state.presence = [flags[sources] for flags in state.presence]
         self._sums = self._sums[sources]
         self._counts = self._counts[sources]
 
@@ -893,62 +880,29 @@ class GibbsLooper:
 
     def _scan_window(self, ts: TSSeed, window, version: int,
                      proposals_used: int, stats: GibbsStats):
-        """Walk the consumption pointer through one acceptability window.
+        """:meth:`_walk` over a built window's acceptability matrix.
 
-        Implements the sequential semantics of the reference path —
-        versions in ascending order, each taking the first acceptable
-        not-yet-consumed candidate, rejected candidates consumed forever,
-        ``max_proposals`` rejections per version before a stall — on top
-        of the precomputed boolean matrix.  The walk runs on plain ints
-        over the matrix's bytes (one ``bytes.find`` per step, which reads
-        only the cells the pointer actually passes), and the counters
-        reach ``stats`` once per window.  Returns the accepted versions
-        and their window columns (a pair of parallel lists), the number
-        of candidates consumed, and the resumption state.
+        A version's hit is one ``bytes.find`` over its row of the
+        matrix's bytes, which reads only the cells the pointer actually
+        passes.
         """
         lo, _, first_version, acceptable, _, _ = window
         rows, width = acceptable.shape
-        version_limit = min(self._versions, first_version + rows)
-        find = acceptable.tobytes().find
-        max_proposals = self.max_proposals
-        row_base = (version - first_version) * width
-        column = 0  # consumption pointer, relative to ``lo``
-        proposals = stalls = 0
-        accepted_versions: list[int] = []
-        accepted_columns: list[int] = []
-        while version < version_limit and column < width:
-            limit = column + max_proposals - proposals_used
-            if limit > width:
-                limit = width
-            hit = find(b"\x01", row_base + column, row_base + limit)
-            if hit >= 0:
-                hit -= row_base
-                proposals += hit - column + 1
-                accepted_versions.append(version)
-                accepted_columns.append(hit)
-                column = hit + 1
-            else:
-                proposals += limit - column
-                proposals_used += limit - column
-                column = limit
-                if proposals_used < max_proposals:
-                    break  # window exhausted mid-version
-                stalls += 1  # keep the current (valid) value
-            version += 1
-            row_base += width
-            proposals_used = 0
-        stats.proposals += proposals
-        stats.acceptances += len(accepted_versions)
-        stats.stalls += stalls
-        if column:
-            ts.consume_through(int(ts.positions[lo + column - 1]))
-        return ((accepted_versions, accepted_columns), column, version,
-                proposals_used)
+        data = acceptable.tobytes().find
+
+        def find(version: int, column: int, limit: int) -> int:
+            base = (version - first_version) * width
+            hit = data(b"\x01", base + column, base + limit)
+            return hit - base if hit >= 0 else -1
+
+        return self._walk(ts, lo, width, version,
+                          min(self._versions, first_version + rows),
+                          proposals_used, find, stats)
 
     def _scan_candidates(self, ts: TSSeed, state: _TupleState, version: int,
                          proposals_used: int, start: int, stop: int,
                          cutoff: float, stats: GibbsStats):
-        """:meth:`_scan_window` for a seed read by one single-seed tuple.
+        """:meth:`_walk` for a seed read by one single-seed tuple.
 
         Such a seed's candidates are a row of the refuel's
         :class:`WindowCandidates`, the same for every version, so there
@@ -967,29 +921,23 @@ class GibbsLooper:
         old_sum = state.contribution.tolist()
         sums = self._sums.tolist()
         kind = self.aggregate_kind
-        if kind != "sum":
+        if kind == "sum":
+            def find(version: int, hit: int, limit: int) -> int:
+                total, old = sums[version], old_sum[version]
+                while hit < limit:
+                    if total + ((new_sum[hit] + 0.0) - old) >= cutoff:
+                        return hit
+                    hit += 1
+                return -1
+        else:
             new_count = candidates.presence_count[row, start:stop].tolist()
             old_count = state.presence_count.tolist()
             counts = self._counts.tolist()
-        width = stop - start
-        versions = self._versions
-        max_proposals = self.max_proposals
-        column = 0  # consumption pointer, relative to ``start``
-        proposals = stalls = 0
-        accepted_versions: list[int] = []
-        accepted_columns: list[int] = []
-        while version < versions and column < width:
-            limit = column + max_proposals - proposals_used
-            if limit > width:
-                limit = width
-            hit, total, old = column, sums[version], old_sum[version]
-            if kind == "sum":
-                while hit < limit and not (
-                        total + ((new_sum[hit] + 0.0) - old) >= cutoff):
-                    hit += 1
-            else:  # _combine, cell by cell
+
+            def find(version: int, hit: int, limit: int) -> int:
+                total, old = sums[version], old_sum[version]
                 count, old_n = counts[version], old_count[version]
-                while hit < limit:
+                while hit < limit:  # _combine, cell by cell
                     n = count + (new_count[hit] - old_n)
                     if kind == "count":
                         candidate = n
@@ -999,9 +947,41 @@ class GibbsLooper:
                     else:
                         candidate = -np.inf
                     if candidate >= cutoff:
-                        break
+                        return hit
                     hit += 1
-            if hit < limit:
+                return -1
+
+        return self._walk(ts, start, stop - start, version, self._versions,
+                          proposals_used, find, stats)
+
+    def _walk(self, ts: TSSeed, lo: int, width: int, version: int,
+              version_limit: int, proposals_used: int, find,
+              stats: GibbsStats):
+        """Walk the consumption pointer through window slots
+        ``[lo, lo + width)``.
+
+        Implements the sequential semantics of the reference path —
+        versions in ascending order, each taking the first acceptable
+        not-yet-consumed candidate, rejected candidates consumed forever,
+        ``max_proposals`` rejections per version before a stall — on
+        plain ints.  ``find(version, column, limit)`` is the first
+        acceptable column of ``version`` in ``[column, limit)`` (relative
+        to ``lo``), or ``-1``; the counters reach ``stats`` once per
+        window.  Returns the accepted versions and their window columns
+        (a pair of parallel lists), the number of candidates consumed,
+        and the resumption state.
+        """
+        max_proposals = self.max_proposals
+        column = 0  # consumption pointer, relative to ``lo``
+        proposals = stalls = 0
+        accepted_versions: list[int] = []
+        accepted_columns: list[int] = []
+        while version < version_limit and column < width:
+            limit = column + max_proposals - proposals_used
+            if limit > width:
+                limit = width
+            hit = find(version, column, limit)
+            if hit >= 0:
                 proposals += hit - column + 1
                 accepted_versions.append(version)
                 accepted_columns.append(hit)
@@ -1011,7 +991,7 @@ class GibbsLooper:
                 proposals_used += limit - column
                 column = limit
                 if proposals_used < max_proposals:
-                    break  # fresh range exhausted mid-version
+                    break  # window exhausted mid-version
                 stalls += 1  # keep the current (valid) value
             version += 1
             proposals_used = 0
@@ -1019,7 +999,7 @@ class GibbsLooper:
         stats.acceptances += len(accepted_versions)
         stats.stalls += stalls
         if column:
-            ts.consume_through(int(ts.positions[start + column - 1]))
+            ts.consume_through(int(ts.positions[lo + column - 1]))
         return ((accepted_versions, accepted_columns), column, version,
                 proposals_used)
 
@@ -1096,7 +1076,7 @@ class GibbsLooper:
             [self._tuples[index] for index in affected],
             [self._states[index] for index in affected],
             ts.handle, self.aggregate_expr, self.final_predicate,
-            first_version, count, start, stop, self._candidates)
+            first_version, count, start, stop)
         return self._window_from_matrices(first_version, start, stop, count,
                                           matrices, cutoff)
 
@@ -1156,10 +1136,9 @@ class GibbsLooper:
             ts = seeds[handle]
             position_plan[handle] = ts.pad_plan(
                 ts.replenish_plan(self.window), width)
-        # An untouched seed re-serves its memoized (padded) plan object —
-        # the very array the previous run materialized — which lets the
-        # delta Instantiate and the window refresh skip it without
-        # comparing a single position.
+        # An untouched seed keeps its plan entry — the very array the
+        # previous run materialized — so the delta Instantiate and the
+        # window refresh skip it without comparing a single position.
         context.stable_handles = frozenset(seeds.keys() - touched)
         self._touched = set()
         context.delta_mode = context.delta_tracking

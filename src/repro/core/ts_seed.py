@@ -48,14 +48,6 @@ class TSSeed:
     #: so recomputing them each time is pure waste.
     _plan_memo: tuple[int, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
-    #: Padded-plan memo: ``(plan_object, width, padded)``.  Keyed on the
-    #: plan array's *identity*, so it is only ever served for a memoized
-    #: (untouched) plan.  An untouched seed therefore hands consecutive
-    #: replenishments the very same padded array, and that identity is
-    #: how ``GibbsLooper._replenish`` tells the delta merge which seeds'
-    #: windows cannot have moved (``ExecutionContext.stable_handles``) —
-    #: no position is ever compared for them.
-    _pad_memo: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def handle(self) -> int:
@@ -151,13 +143,8 @@ class TSSeed:
             raise ValueError(f"plan already wider than {width}")
         if extra == 0:
             return plan
-        if (self._pad_memo is not None and self._pad_memo[0] is plan
-                and self._pad_memo[1] == width):
-            return self._pad_memo[2]
         tail = np.arange(plan[-1] + 1, plan[-1] + 1 + extra, dtype=np.int64)
-        padded = np.concatenate([plan, tail])
-        self._pad_memo = (plan, width, padded)
-        return padded
+        return np.concatenate([plan, tail])
 
     def index_of_position(self, position: int) -> int:
         """Index of ``position`` within the materialized list (or raise)."""

@@ -164,12 +164,11 @@ class ScalarKernelLooper(GibbsLooper):
                     np.asarray(self.aggregate_expr.evaluate(context),
                                dtype=np.float64), (width,))
             present = np.ones(width, dtype=bool)
-            for presence_field, cached in zip(gibbs_tuple.presences,
-                                              state.presence):
+            for slot, presence_field in enumerate(gibbs_tuple.presences):
                 if presence_field.handle == ts.handle:
                     present = present & presence_field.flags[start:stop]
                 else:
-                    present = present & bool(cached[version])
+                    present = present & bool(state.presence[slot][version])
             if self.final_predicate is not None:
                 present = present & np.broadcast_to(
                     np.asarray(self.final_predicate.evaluate(context),
@@ -197,9 +196,11 @@ class ScalarKernelLooper(GibbsLooper):
                                       - state.presence_count[version])
             state.contribution[version] = contribution
             state.presence_count[version] = float(new_present)
-            for name, rand_field in gibbs_tuple.rand.items():
+            # Only a multi-seed tuple holds per-version caches.
+            for name, cached in state.values.items():
+                rand_field = gibbs_tuple.rand[name]
                 if rand_field.handle == ts.handle:
-                    state.values[name][version] = rand_field.values[window_index]
+                    cached[version] = rand_field.values[window_index]
             for presence_field, cached in zip(gibbs_tuple.presences,
                                               state.presence):
                 if presence_field.handle == ts.handle:

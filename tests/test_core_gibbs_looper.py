@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from looper_oracles import ScalarKernelLooper
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
 from repro.engine.errors import PlanError
@@ -197,14 +198,15 @@ class TestSalaryInversion:
     a pulled-up multi-seed predicate."""
 
     @staticmethod
-    def _build(catalog_seed=0):
+    def _build(catalog_seed=0, boss=("Sue", "Jim", "Sue"),
+               peon=("Joe", "Ann", "Sid")):
         catalog = Catalog()
         employees = ["Joe", "Sue", "Jim", "Ann", "Sid"]
         mean_salaries = [26.0, 24.0, 77.0, 45.0, 50.0]
         catalog.add_table(Table("emp", {
             "eid": employees, "msal": mean_salaries}))
         catalog.add_table(Table("sup", {
-            "boss": ["Sue", "Jim", "Sue"], "peon": ["Joe", "Ann", "Sid"]}))
+            "boss": list(boss), "peon": list(peon)}))
         spec = RandomTableSpec(
             name="salaries", parameter_table="emp", vg=NORMAL,
             vg_params=(col("msal"), lit(4.0)),
@@ -291,6 +293,35 @@ class TestSalaryInversion:
         for gibbs_tuple in looper._tuples:
             assert len(gibbs_tuple.handles) == 2
         assert result.num_seeds == 5  # one per employee... (Sid, Ann, Joe, Sue, Jim)
+
+    def test_self_supervisor_rows_mix_one_and_two_seed_tuples(self):
+        """A row where X supervises X reads one seed, which two-seed rows
+        read too: that seed's windows go through the candidate matrices,
+        and the commit takes the one-seed row from the refuel's
+        candidates.  Bit-identical to the scalar oracle; only two-seed
+        tuples hold per-version caches."""
+        catalog, plan = self._build(boss=("Sue", "Jim", "Sue", "Sue", "Ann"),
+                                    peon=("Joe", "Ann", "Sid", "Sue", "Ann"))
+        kwargs = dict(aggregate_kind="avg",
+                      aggregate_expr=col("e2.sal") * lit(2.0)
+                      - col("e1.sal"),
+                      final_predicate=col("e2.sal") * lit(2.0)
+                      > col("e1.sal") + lit(45.0),
+                      window=120, base_seed=5)
+        params = TailParams(p=P_STEP ** 3, m=3, n_steps=(60,) * 3,
+                            p_steps=(P_STEP,) * 3)
+        looper = GibbsLooper(plan, catalog, params, 30, **kwargs)
+        result = looper.run()
+        oracle = ScalarKernelLooper(plan, catalog, params, 30,
+                                    **kwargs).run()
+        assert result.samples.tobytes() == oracle.samples.tobytes()
+        assert result.assignments == oracle.assignments
+        assert result.plan_runs == oracle.plan_runs > 1
+        single = [len(t.handles) == 1 for t in looper._tuples]
+        assert sum(single) == 2 and not all(single)
+        for one_seed, state in zip(single, looper._states):
+            assert (state.candidate is not None) == one_seed
+            assert bool(state.values) != one_seed
 
 
 class TestJoinOnRandomAttribute:

@@ -1,12 +1,11 @@
 """The Gibbs window kernel and scan against straightforward references.
 
 ``candidate_window_matrices`` keeps every intermediate at its natural
-broadcast rank and takes single-seed tuples' contributions from the
-refuel's ``WindowCandidates``; ``_dense_reference`` below is the plain
-dense form — every tuple evaluated per window, every operand expanded to
-``(count, width)`` up front, accumulators seeded with zero matrices — and
-the two must agree *bit for bit* (signed zeros included).  The
-per-refuel candidate arrays themselves are pinned against the same
+broadcast rank; ``_dense_reference`` below is the plain dense form —
+every operand expanded to ``(count, width)`` up front, accumulators
+seeded with zero matrices — and the two must agree *bit for bit* (signed
+zeros included).  The refuel's ``WindowCandidates``, from which the
+commit takes single-seed tuples' new state, are pinned against the same
 per-window evaluation.  ``_scan_window`` walks the acceptability matrix on
 plain ints; ``_scalar_scan`` is the one-candidate-at-a-time walk it must
 reproduce, and ``_scan_candidates`` — the matrix-free walk for a seed read
@@ -59,12 +58,11 @@ def _dense_reference(tuples, states, handle, aggregate_expr, final_predicate,
                 np.asarray(aggregate_expr.evaluate(context),
                            dtype=np.float64), (count, width))
         present = np.ones((count, width), dtype=bool)
-        for presence_field, cached in zip(gibbs_tuple.presences,
-                                          state.presence):
+        for slot, presence_field in enumerate(gibbs_tuple.presences):
             if presence_field.handle == handle:
                 present = present & presence_field.flags[start:stop]
             else:
-                present = present & cached[remaining, None]
+                present = present & state.presence[slot][remaining, None]
         if final_predicate is not None:
             present = present & np.broadcast_to(
                 np.asarray(final_predicate.evaluate(context), dtype=bool),
@@ -118,20 +116,22 @@ def _relation(draw, rows):
 
 
 def _states(draw, tuples, single):
-    """Random per-version state; single-seed tuples read their candidates
-    from the per-refuel arrays when ``single`` is given."""
+    """Random per-version state.  When ``single`` is given, its tuples are
+    set up as the looper sets up single-seed ones: a row of the per-refuel
+    candidates and no per-version caches."""
     states = []
     for row, gibbs_tuple in enumerate(tuples):
         state = _TupleState()
-        for name in gibbs_tuple.rand:
-            state.values[name] = _floats(draw, VERSIONS)
-        for _ in gibbs_tuple.presences:
-            state.presence.append(_flags(draw, VERSIONS))
+        if single is not None and row in single:
+            state.candidate = single.index(row)
+        else:
+            for name in gibbs_tuple.rand:
+                state.values[name] = _floats(draw, VERSIONS)
+            for _ in gibbs_tuple.presences:
+                state.presence.append(_flags(draw, VERSIONS))
         present = _flags(draw, VERSIONS)
         state.contribution = np.where(present, _floats(draw, VERSIONS), 0.0)
         state.presence_count = present.astype(np.float64)
-        if single is not None and row in single:
-            state.candidate = single.index(row)
         states.append(state)
     return states
 
@@ -145,14 +145,12 @@ _PREDICATES = [None, col("x") > lit(0.0), col("d") > lit(0.0),
 @st.composite
 def _window_cases(draw):
     """1-3 tuples of the perturbed seed over one window — single- or
-    multi-seed, with presence fields on either seed — their candidates,
-    and a window."""
+    multi-seed, with presence fields on either seed — and a window."""
     relation = _relation(draw, draw(st.integers(1, 3)))
     aggregate = draw(st.sampled_from(_AGGREGATES))
     predicate = draw(st.sampled_from(_PREDICATES))
     tuples = tuples_from_relation(relation)
     single = single_seed_rows(relation)
-    candidates = window_candidates(relation, single, aggregate, predicate)
     states = _states(draw, tuples,
                      single.tolist() if draw(st.booleans()) else None)
     first_version = draw(st.integers(0, VERSIONS - 1))
@@ -160,7 +158,7 @@ def _window_cases(draw):
     start = draw(st.integers(0, WINDOW - 1))
     stop = draw(st.integers(start + 1, WINDOW))
     return (tuples, states, OWN, aggregate, predicate, first_version, count,
-            start, stop, candidates)
+            start, stop)
 
 
 def _same_bits(actual, expected):
@@ -176,16 +174,11 @@ class TestKernelAgainstDenseReference:
         delta_sum, delta_count, values, present = \
             candidate_window_matrices(*case)
         ref_sum, ref_count, ref_values, ref_present = \
-            _dense_reference(*case[:9])
+            _dense_reference(*case)
         _same_bits(delta_sum, ref_sum)
         _same_bits(delta_count, ref_count)
-        for state, got_value, got_present, want_value, want_present in zip(
-                case[1], values, present, ref_values, ref_present):
-            if state.candidate is not None:
-                # The commit gathers a single-seed tuple's new state from
-                # the candidates (pinned in TestWindowCandidates).
-                assert got_value is None and got_present is None
-                continue
+        for got_value, got_present, want_value, want_present in zip(
+                values, present, ref_values, ref_present):
             for got, want in ((got_value, want_value),
                               (got_present, want_present)):
                 assert got.shape == want.shape  # the commit indexes [row, col]
@@ -210,7 +203,7 @@ class TestKernelAgainstDenseReference:
         window = looper._window_from_matrices(
             first_version, start, stop, count,
             candidate_window_matrices(*case), cutoff)
-        ref_sum, ref_count, _, _ = _dense_reference(*case[:9])
+        ref_sum, ref_count, _, _ = _dense_reference(*case)
         served = slice(first_version, first_version + count)
         expected = looper._combine(
             looper._sums[served, None] + ref_sum,
