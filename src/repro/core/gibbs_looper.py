@@ -24,7 +24,9 @@ Key fidelity points, each mapped to the paper:
 * **Replenishment** — when a seed's window runs dry mid-perturbation, all
   Gibbs tuples are discarded and the plan re-runs, materializing only new
   or currently assigned positions; deterministic sub-plans come from cache
-  (Sec. 9).
+  (Sec. 9).  Each seed's window is as deep as its own demand
+  (:func:`~repro.core.ts_seed.plan_refuel`), and a refuel re-plans only
+  the seeds about to run low.
 
 One deliberate implementation difference: per-version *current* attribute
 values and presence bits are cached in dense arrays instead of being looked
@@ -46,8 +48,8 @@ from repro.core.cloner import clone_indices
 from repro.core.gibbs import GibbsStats
 from repro.core.gibbs_tuple import GibbsTuple, tuples_from_relation
 from repro.core.params import TailParams
-from repro.core.ts_seed import TSSeed
-from repro.engine.bundles import BundleRelation
+from repro.core.ts_seed import TSSeed, plan_refuel
+from repro.engine.bundles import BundleRelation, take_runs
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import DictContext, Expr
 from repro.engine.operators import ExecutionContext, PlanNode
@@ -151,19 +153,21 @@ class _TupleState:
 class WindowCandidates:
     """One refuel's candidates for the single-seed Gibbs tuples.
 
-    Row ``i`` belongs to the ``i``-th single-seed tuple, column ``b`` to
-    window slot ``b``: what that tuple would add to the accumulators
-    (``contribution``, ``presence_count``) if its seed moved to slot
-    ``b``.  Such a tuple reads no other seed, so a candidate is the same
-    for every DB version — these are computed once per refuel, not once
-    per window.  ``always_present`` says no presence field or final
-    predicate can drop a row: then ``contribution`` is the aggregate
-    argument itself and every count is 1.
+    Run ``i`` (``[offsets[i], offsets[i + 1])`` of the flat arrays)
+    belongs to the ``i``-th single-seed tuple, its element ``b`` to window
+    slot ``b`` of the tuple's seed: what that tuple would add to the
+    accumulators (``contribution``, ``presence_count``) if its seed moved
+    to slot ``b``.  Such a tuple reads no other seed, so a candidate is
+    the same for every DB version — these are computed once per refuel,
+    not once per window.  ``always_present`` says no presence field or
+    final predicate can drop a row: then ``contribution`` is the
+    aggregate argument itself and every count is 1.
     """
 
     contribution: np.ndarray
     presence_count: np.ndarray
     always_present: bool
+    offsets: np.ndarray
 
 
 def single_seed_rows(relation: BundleRelation) -> np.ndarray:
@@ -180,7 +184,7 @@ def single_seed_rows(relation: BundleRelation) -> np.ndarray:
         np.minimum(lowest, column.seed_handles, out=lowest)
         np.maximum(highest, column.seed_handles, out=highest)
     for presence in relation.presence:
-        counted = ~presence.flags.all(axis=1)
+        counted = ~presence.vacuous()
         handles = presence.seed_handles
         lowest = np.where(counted, np.minimum(lowest, handles), lowest)
         highest = np.where(counted, np.maximum(highest, handles), highest)
@@ -193,42 +197,57 @@ def window_candidates(relation: BundleRelation, rows: np.ndarray,
     """Every candidate of the single-seed tuples ``rows``, in one pass.
 
     The aggregate expression and predicates are evaluated once over the
-    ``(rows, window)`` matrices.  Evaluation is elementwise, so cell
-    ``[i, b]`` has the bits the per-window evaluation would give slot
-    ``b`` of tuple ``rows[i]``; AND-ing a presence array that is vacuous
-    for some row is an exact no-op there.  A bare column with no presence
-    and no predicate costs nothing: ``contribution`` is then a view of
-    the relation's own window matrix.
+    runs of ``rows`` (a single-seed row's columns all share its seed's
+    window, hence one run length).  Evaluation is elementwise, so element
+    ``b`` of run ``i`` has the bits the per-window evaluation would give
+    slot ``b`` of tuple ``rows[i]``; AND-ing a presence array that is
+    vacuous for some row is an exact no-op there.  A bare column with no
+    presence and no predicate costs nothing: ``contribution`` is then the
+    relation's own run array.
     """
-    shape = (rows.size, relation.positions)
     every = rows.size == relation.length
 
-    def take(matrix):
-        return matrix if every else matrix[rows]
+    def take(column):
+        elements, offsets = column.runs()
+        if every:
+            return elements, offsets
+        return take_runs(elements, offsets, rows)
 
-    columns = {name: take(column.values)
-               for name, column in relation.rand_columns.items()}
+    columns, flags = {}, []
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    for name, column in relation.rand_columns.items():
+        columns[name], offsets = take(column)
+    for presence in relation.presence:
+        cells, offsets = take(presence)
+        flags.append(cells)
+    wanted = set()
+    for expr in (aggregate_expr, final_predicate):
+        if expr is not None:
+            wanted |= expr.columns()
+    lengths = np.diff(offsets)
     for name, det_values in relation.det_columns.items():
-        columns[name] = take(det_values).reshape(rows.size, 1)
+        if name in wanted:
+            columns[name] = np.repeat(
+                det_values if every else det_values[rows], lengths)
     context = DictContext(columns)
+    shape = (int(offsets[-1]),)
     value = 1.0 if aggregate_expr is None else np.asarray(
         aggregate_expr.evaluate(context), dtype=np.float64)
     present = None  # None: present in every cell
-    for presence in relation.presence:
-        flags = take(presence.flags)
-        if not flags.all():
-            present = flags if present is None else present & flags
+    for cells in flags:
+        if not cells.all():
+            present = cells if present is None else present & cells
     if final_predicate is not None:
-        flags = np.asarray(final_predicate.evaluate(context), dtype=bool)
-        present = flags if present is None else present & flags
+        cells = np.asarray(final_predicate.evaluate(context), dtype=bool)
+        present = cells if present is None else present & cells
     if present is None:
         return WindowCandidates(np.broadcast_to(value, shape),
                                 np.broadcast_to(1.0, shape),
-                                always_present=True)
+                                always_present=True, offsets=offsets)
     return WindowCandidates(
         np.broadcast_to(np.where(present, value, 0.0), shape),
         np.broadcast_to(present.astype(np.float64), shape),
-        always_present=False)
+        always_present=False, offsets=offsets)
 
 
 def candidate_window_matrices(tuples: list[GibbsTuple],
@@ -324,10 +343,12 @@ class GibbsLooper:
     params / num_samples / k:
         Algorithm 3 parameters (Appendix C) and the Gibbs step count.
     window:
-        Stream values materialized per TS-seed per plan run (the paper uses
-        1000 in Appendix D); also the replenishment granularity.  Results
-        do not depend on it — only the refuel schedule (``plan_runs``)
-        does.
+        Stream values materialized per TS-seed by the first plan run (the
+        paper uses 1000 in Appendix D), and the least number of fresh
+        positions a refuel gives a seed; a seed whose demand is higher
+        gets a deeper window (:func:`~repro.core.ts_seed.plan_refuel`).
+        Results do not depend on it — only the refuel schedule
+        (``plan_runs``) does.
     options:
         :class:`~repro.engine.options.ExecutionOptions`.  None of its
         knobs reaches the sweep: it always runs in this process, whatever
@@ -336,7 +357,8 @@ class GibbsLooper:
         moved), so there is no independent work to shard.
 
     The perturbation kernel is the batched one (:meth:`_perturb_seed`)
-    and every refuel is a delta refuel (:meth:`_replenish`).  The scalar
+    and every refuel is a delta refuel of the seeds running low
+    (:meth:`_replenish`).  The scalar
     per-version kernel and the full-rebuild refuel it replaced are kept
     in ``tests/looper_oracles.py`` as subclasses, and
     ``tests/test_engine_equivalence.py`` holds this class bit-identical
@@ -403,13 +425,10 @@ class GibbsLooper:
         #: over the current windows (rebuilt on every refuel).
         self._single_rows: np.ndarray | None = None
         self._candidates: WindowCandidates | None = None
-        #: Seeds whose replenish plan may have changed since the last
-        #: refuel (perturbed, cloned or new).  A refuel recomputes only
-        #: these seeds' plans; every other seed keeps its plan entry and
-        #: is one of the run's ``stable_handles``.
-        self._touched: set[int] = set()
-        #: Replenish-plan length per seed, for the shared refuel width.
-        self._plan_lengths: dict[int, int] = {}
+        #: Gibbs sweeps completed in this run, out of ``_sweeps`` — the
+        #: refuel policy's clock.
+        self._sweep = 0
+        self._sweeps = len(params.p_steps) * k
         self._sums: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._versions = 0
@@ -447,7 +466,7 @@ class GibbsLooper:
             injected.window_bases = {}
             injected.delta_tracking = True
             injected.delta_mode = True
-            injected.stable_handles = frozenset()
+            injected.refuel_handles = None
         plan_runs_before = self._context.plan_runs
         relation = self.plan.execute(self._context)
         self._context.plan_runs += 1
@@ -480,6 +499,9 @@ class GibbsLooper:
             stats = GibbsStats()
             for _ in range(self.k):
                 self._perturb_all_seeds(cutoff, stats)
+                self._sweep += 1
+                for ts in self._seeds.values():
+                    ts.visit_used = ts.max_used
             trace.append(LooperStepTrace(
                 step=step, cutoff=cutoff, elite_count=int(keep.size),
                 cloned_to=next_n, stats=stats,
@@ -538,8 +560,7 @@ class GibbsLooper:
 
         if initial:
             self._seeds = {}
-            self._plan_lengths = {}
-            self._touched = set()
+            self._sweep = 0
         for handle in sorted(handles_in_play):
             if handle not in self._seeds:
                 # Initial run, or (replenishment) a tuple resurfaced whose
@@ -547,7 +568,6 @@ class GibbsLooper:
                 info = self._context.seed_info(handle)
                 self._seeds[handle] = TSSeed.initial(
                     info, self._context.positions_for(handle), versions)
-                self._touched.add(handle)
             else:
                 # Replenishment: seeds persist; refresh their
                 # materialized lists.
@@ -575,7 +595,7 @@ class GibbsLooper:
         """
         rand = tuple((name, column.seed_handles)
                      for name, column in relation.rand_columns.items())
-        presence = tuple((presence.seed_handles, presence.flags.all(axis=1))
+        presence = tuple((presence.seed_handles, presence.vacuous())
                          for presence in relation.presence)
         return (relation.length, rand, presence)
 
@@ -604,34 +624,45 @@ class GibbsLooper:
         functions of position), so the per-version caches, accumulators,
         states and the tuple/seed index structures all carry over; only
         the materialized window arrays — consulted by future candidate
-        evaluations — each moved seed's position list and the single-seed
-        tuples' :class:`WindowCandidates` over the new windows are new.
-        Every tuple is re-pointed, stable seed or not: a view left on the
-        previous run's matrix would keep that whole matrix alive.
+        evaluations — each re-planned seed's position list and the
+        single-seed tuples' :class:`WindowCandidates` over the new windows
+        are new.  Every tuple is re-pointed, re-planned seed or not: a
+        view left on the previous run's arrays would keep them alive.
         """
-        rand_items = list(relation.rand_columns.items())
-        vacuous = [presence.flags.all(axis=1) for presence in relation.presence]
+        def runs(column):
+            elements, offsets = column.runs()
+            return elements, offsets.tolist()
+
+        rand_runs = [(name, *runs(column))
+                     for name, column in relation.rand_columns.items()]
+        presence_runs = [(*runs(presence), presence.vacuous().tolist())
+                         for presence in relation.presence]
         for row, gibbs_tuple in enumerate(self._tuples):
-            for name, column in rand_items:
-                gibbs_tuple.rand[name].values = column.values[row]
+            for name, values, offsets in rand_runs:
+                gibbs_tuple.rand[name].values = \
+                    values[offsets[row]:offsets[row + 1]]
             slot = 0
-            for p_index, presence in enumerate(relation.presence):
-                if vacuous[p_index][row]:
+            for flags, offsets, vacuous in presence_runs:
+                if vacuous[row]:
                     continue
-                gibbs_tuple.presences[slot].flags = presence.flags[row]
+                gibbs_tuple.presences[slot].flags = \
+                    flags[offsets[row]:offsets[row + 1]]
                 slot += 1
-        for handle in self._seeds.keys() - self._context.stable_handles:
+        refueled = self._context.refuel_handles
+        for handle in self._seeds if refueled is None else refueled:
             self._seeds[handle].positions = self._context.positions_for(
                 handle)
         self._candidates = window_candidates(
             relation, self._single_rows, self.aggregate_expr,
             self.final_predicate)
         if self._states:
-            # Re-derived exactly as a full rebuild would, for _replenish's
-            # invariant check against the running accumulators (which it
-            # restores afterwards: the refuel schedule must not leave a
-            # rounding fingerprint on the accumulator trajectory).
-            self._accumulate_states()
+            # Re-derived from the caches for _replenish's invariant check
+            # against the running accumulators, which it restores
+            # afterwards (the refuel schedule must not leave a rounding
+            # fingerprint on the accumulator trajectory).  The check
+            # compares within a tolerance, so any summation order does.
+            self._sums = self._contribution_matrix.sum(axis=0)
+            self._counts = self._count_matrix.sum(axis=0)
 
     def _validate_columns(self, relation: BundleRelation) -> None:
         known = set(relation.det_columns) | set(relation.rand_columns)
@@ -672,13 +703,18 @@ class GibbsLooper:
             self._counts = np.zeros(versions)
             return
 
+        def gather(column):
+            """Each row's elements at its seed's assigned positions."""
+            elements, offsets = column.runs()
+            index_matrix = np.stack(
+                [index_of[int(handle)] for handle in column.seed_handles])
+            index_matrix += offsets[:-1, None]
+            return elements[index_matrix]
+
         columns: dict[str, np.ndarray] = {}
         gathered: dict[str, np.ndarray] = {}
         for name, column in relation.rand_columns.items():
-            index_matrix = np.stack(
-                [index_of[int(handle)] for handle in column.seed_handles])
-            gathered[name] = np.take_along_axis(
-                column.values, index_matrix, axis=1)
+            gathered[name] = gather(column)
             columns[name] = gathered[name]
         for name, det_values in relation.det_columns.items():
             columns[name] = det_values.reshape(count, 1)
@@ -690,15 +726,13 @@ class GibbsLooper:
         gathered_presence = []
         vacuous_rows = []
         for presence in relation.presence:
-            index_matrix = np.stack(
-                [index_of[int(handle)] for handle in presence.seed_handles])
-            flags = np.take_along_axis(presence.flags, index_matrix, axis=1)
+            flags = gather(presence)
             # Vacuous (all-true) rows were dropped from the Gibbs tuples;
             # AND-ing them here is an exact no-op, so the combined
             # presence matches the per-tuple loop.
             present_matrix &= flags
             gathered_presence.append(flags)
-            vacuous_rows.append(presence.flags.all(axis=1))
+            vacuous_rows.append(presence.vacuous())
         if self.final_predicate is not None:
             present_matrix &= np.broadcast_to(
                 np.asarray(self.final_predicate.evaluate(context),
@@ -758,7 +792,6 @@ class GibbsLooper:
         self._versions = sources.size
         for ts in self._seeds.values():
             ts.clone_versions(sources)
-        self._touched.update(self._seeds)
         if self._states:
             self._contribution_matrix = np.take(self._contribution_matrix,
                                                 sources, axis=1)
@@ -843,7 +876,7 @@ class GibbsLooper:
                 return
             start, stop = ts.fresh_index_range()
             if start >= stop:
-                self._replenish()
+                self._replenish(handle)
                 ts = self._seeds[handle]
                 affected = self._tuples_of_seed.get(handle, ())
                 if not affected:
@@ -856,7 +889,10 @@ class GibbsLooper:
             state = self._states[affected[0]]
             if len(affected) == 1 and state.candidate is not None:
                 # One single-seed tuple: walk its candidates directly;
-                # the commit reads them from the WindowCandidates.
+                # the commit reads them from the WindowCandidates.  A
+                # deep window is walked in slices of at most
+                # _WINDOW_MAX_WIDTH candidates, each unpacked to floats.
+                stop = min(stop, start + _WINDOW_MAX_WIDTH)
                 window = (start, stop, None, None, None, None)
                 accepted, consumed, version, proposals_used = \
                     self._scan_candidates(ts, state, version,
@@ -871,8 +907,6 @@ class GibbsLooper:
                 accepted, consumed, version, proposals_used = \
                     self._scan_window(ts, window, version, proposals_used,
                                       stats)
-            if consumed:
-                self._touched.add(handle)
             consumed_total += consumed
             served_total += len(accepted[0])
             if accepted[0]:
@@ -913,11 +947,12 @@ class GibbsLooper:
         floats are IEEE binary64 like NumPy's, and each verdict applies
         the same operations in the same order (``sums[v] + ((c + 0.0) -
         old[v])``, then the aggregate's combine), so every acceptance is
-        the matrix path's bit for bit.  The window is the whole fresh
-        range ``[start, stop)``.
+        the matrix path's bit for bit.  The window is the slice
+        ``[start, stop)`` of the fresh range.
         """
-        candidates, row = self._candidates, state.candidate
-        new_sum = candidates.contribution[row, start:stop].tolist()
+        candidates = self._candidates
+        base = int(candidates.offsets[state.candidate])
+        new_sum = candidates.contribution[base + start:base + stop].tolist()
         old_sum = state.contribution.tolist()
         sums = self._sums.tolist()
         kind = self.aggregate_kind
@@ -930,7 +965,8 @@ class GibbsLooper:
                     hit += 1
                 return -1
         else:
-            new_count = candidates.presence_count[row, start:stop].tolist()
+            new_count = candidates.presence_count[
+                base + start:base + stop].tolist()
             old_count = state.presence_count.tolist()
             counts = self._counts.tolist()
 
@@ -1024,14 +1060,15 @@ class GibbsLooper:
             state = self._states[tuple_index]
             row = state.candidate
             if row is not None:
-                new_contribution = candidates.contribution[row, index_list]
+                cells = index_list + candidates.offsets[row]
+                new_contribution = candidates.contribution[cells]
                 if candidates.always_present:
                     # Present before and after: the count cannot move.
                     self._sums[version_list] += (
                         new_contribution - state.contribution[version_list])
                     state.contribution[version_list] = new_contribution
                     continue
-                new_count = candidates.presence_count[row, index_list]
+                new_count = candidates.presence_count[cells]
             else:
                 rows = version_list - first_version
                 new_present = cand_present[list_pos][rows, cols]
@@ -1111,36 +1148,24 @@ class GibbsLooper:
 
     # -- replenishment ------------------------------------------------------------
 
-    def _replenish(self) -> None:
-        """Sec. 9: re-run the plan to refuel every seed's stream window.
+    def _replenish(self, dry: int) -> None:
+        """Sec. 9: re-run the plan to refuel the seeds running low.
 
-        The run executes in incremental mode: ``Instantiate`` merges
-        never-before-materialized positions into its previous output
-        instead of regenerating every window (the context tracks which
-        refuels were full vs. delta).
+        Seed ``dry`` ran out of fresh positions; :func:`plan_refuel`
+        picks the seeds the run re-plans and how deep, and every other
+        seed's window carries over untouched.  The run executes in
+        incremental mode: ``Instantiate`` merges never-before-materialized
+        positions into its previous output instead of regenerating every
+        window (the context tracks which refuels were full vs. delta).
         """
         started = time.perf_counter()
         seeds, context = self._seeds, self._context
-        touched = self._touched
-        plan_lengths = self._plan_lengths
-        for handle in touched:
-            plan_lengths[handle] = len(seeds[handle].replenish_plan(
-                self.window))
-        width = max(plan_lengths.values())
-        if width != context.positions or not context.position_plan:
-            touched = seeds.keys()  # every pad moves
-            context.position_plan = {}
-        context.positions = width
-        position_plan = context.position_plan
-        for handle in touched:
-            ts = seeds[handle]
-            position_plan[handle] = ts.pad_plan(
-                ts.replenish_plan(self.window), width)
-        # An untouched seed keeps its plan entry — the very array the
-        # previous run materialized — so the delta Instantiate and the
-        # window refresh skip it without comparing a single position.
-        context.stable_handles = frozenset(seeds.keys() - touched)
-        self._touched = set()
+        plans = plan_refuel(seeds, dry, self._sweep, self._sweeps,
+                            self.window)
+        context.position_plan = {handle: ts.positions
+                                 for handle, ts in seeds.items()}
+        context.position_plan.update(plans)
+        context.refuel_handles = frozenset(plans)
         context.delta_mode = context.delta_tracking
         delta_before, full_before = context.delta_runs, context.full_runs
         relation = self.plan.execute(context)
@@ -1155,7 +1180,7 @@ class GibbsLooper:
         versions = self._version_count()
         old_sums, old_counts = self._sums, self._counts
         self._ingest(relation, versions, initial=False)
-        context.stable_handles = frozenset()
+        context.refuel_handles = None
         # Invariant: rebuilding from assignments must reproduce the same
         # query results — the caches and the streams cannot disagree.
         if not (np.allclose(old_sums, self._sums, atol=1e-9)

@@ -32,7 +32,7 @@ class RandField:
 
     column: str
     handle: int
-    values: np.ndarray  # (W,) — aligned with the owning seed's position list
+    values: np.ndarray  # aligned with the owning seed's position list
 
 
 @dataclass
@@ -40,7 +40,7 @@ class PresenceField:
     """One ``isPres`` array of one tuple, tied to the seed indexing it."""
 
     handle: int
-    flags: np.ndarray  # (W,) bool
+    flags: np.ndarray  # bool, aligned like RandField.values
 
 
 @dataclass
@@ -96,7 +96,7 @@ def tuples_from_relation(relation: BundleRelation) -> list[GibbsTuple]:
         rand = {
             name: RandField(column=name,
                             handle=int(column.seed_handles[row]),
-                            values=column.values[row])
+                            values=column.row(row))
             for name, column in rand_items
         }
         presences = []
@@ -105,7 +105,7 @@ def tuples_from_relation(relation: BundleRelation) -> list[GibbsTuple]:
                 raise PlanError(
                     "aligned presence arrays cannot enter the GibbsLooper; "
                     "the planner must keep tail-mode predicates single-seed")
-            flags = presence.flags[row]
+            flags = presence.row(row)
             if flags.all():
                 continue  # vacuous presence: tuple present everywhere
             presences.append(PresenceField(

@@ -1,4 +1,4 @@
-"""TS-seeds: the bookkeeping data structure of Sec. 6.
+"""TS-seeds: the bookkeeping data structure of Sec. 6, and the refuel policy.
 
 A tail-sampling seed augments a PRNG seed with everything the Gibbs Looper
 needs to map database versions onto stream positions.  Quoting the paper, a
@@ -14,17 +14,34 @@ Items (1)-(2) live in :class:`repro.engine.seeds.SeedInfo`; this class adds
 consumption pointer that rejection sampling advances (rejected candidates
 are consumed and never reconsidered, cf. the Fig. 1/Fig. 3 walk-throughs) —
 and (5) the per-version ``assignment`` array.
+
+:func:`plan_refuel` decides, when a seed's window runs dry, which seeds
+the refuel re-plans and how deep (Sec. 9).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from repro.engine.seeds import SeedInfo
 
-__all__ = ["TSSeed"]
+__all__ = ["TSSeed", "plan_refuel"]
+
+#: A seed joins a refuel when its fresh range would not last this many
+#: of its expected next visits: a refuel costs as much as drawing a few
+#: thousand stream values, so it is cheaper to refuel a seed early, with
+#: one that runs dry anyway, than to let it run dry on its own.
+_HEADROOM = 2
+#: The rest of a visit is projected at most this many times what the
+#: visit consumed so far: a version stuck on an extreme value can reject
+#: thousands of candidates, and extrapolating from it alone would
+#: materialize millions.  Repeated refuels still grow the window
+#: geometrically.
+_PROJECTION_CAP = 4
 
 
 @dataclass
@@ -33,7 +50,8 @@ class TSSeed:
 
     info: SeedInfo
     #: Stream positions currently materialized inside the Gibbs tuples,
-    #: ascending.  Fresh (never-used) positions are the suffix after
+    #: ascending: the seed's own window, as long as its last refuel made
+    #: it.  Fresh (never-used) positions are the suffix after
     #: ``max_used``.
     positions: np.ndarray
     #: Highest stream position consumed by any version (assigned *or*
@@ -41,13 +59,22 @@ class TSSeed:
     max_used: int
     #: ``assignment[v]`` = stream position currently held by DB version v.
     assignment: np.ndarray
-    #: Replenish-plan memo: ``(fresh, plan)`` valid while the seed is
-    #: untouched.  A replenishment refuels *every* seed, but between two
-    #: replenishments only the seeds actually perturbed change state — the
-    #: others' plans (``unique(assignment)`` + fresh range) are identical,
-    #: so recomputing them each time is pure waste.
-    _plan_memo: tuple[int, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    #: Refuel-policy state (:func:`plan_refuel`): ``max_used`` when the
+    #: looper took the seed up and when its current or next visit began
+    #: (the looper snapshots it after every sweep), the fresh depth of the
+    #: seed's last window, the visit that window was planned for, and
+    #: whether it was guessed before the seed's first visit.
+    first_used: int | None = None
+    visit_used: int | None = None
+    depth: int = 0
+    planned_for: int = -1
+    guessed: bool = False
+
+    def __post_init__(self):
+        if self.first_used is None:
+            self.first_used = self.max_used
+        if self.visit_used is None:
+            self.visit_used = self.max_used
 
     @property
     def handle(self) -> int:
@@ -64,7 +91,8 @@ class TSSeed:
                 f"{versions} versions")
         return cls(info=info, positions=positions,
                    max_used=int(positions[versions - 1]),
-                   assignment=positions[:versions].copy())
+                   assignment=positions[:versions].copy(),
+                   depth=len(positions) - versions)
 
     # -- proposals ----------------------------------------------------------
 
@@ -84,11 +112,9 @@ class TSSeed:
                 f"stream position {position} already consumed "
                 f"(max_used={self.max_used})")
         self.max_used = int(position)
-        self._plan_memo = None
 
     def assign(self, version: int, position: int) -> None:
         self.assignment[version] = position
-        self._plan_memo = None
 
     # -- cloning and resizing ------------------------------------------------
 
@@ -101,7 +127,6 @@ class TSSeed:
         elite-to-version mapping, possibly changing the version count.
         """
         self.assignment = self.assignment[np.asarray(source_indices, dtype=np.int64)]
-        self._plan_memo = None
 
     # -- replenishment --------------------------------------------------------
 
@@ -114,8 +139,6 @@ class TSSeed:
         """
         if fresh < 1:
             raise ValueError(f"fresh count must be >= 1, got {fresh}")
-        if self._plan_memo is not None and self._plan_memo[0] == fresh:
-            return self._plan_memo[1]
         # np.unique, by sort and neighbour compare: NumPy's hash-based
         # unique costs ~5x more on a few hundred positions.
         assigned = np.sort(self.assignment)
@@ -127,24 +150,7 @@ class TSSeed:
                         dtype=np.int64)
         # Assigned positions are all <= max_used < new[0] and both parts are
         # sorted and duplicate-free, so the concatenation already is too.
-        plan = np.concatenate([assigned, new])
-        self._plan_memo = (fresh, plan)
-        return plan
-
-    def pad_plan(self, plan: np.ndarray, width: int) -> np.ndarray:
-        """Extend a replenish plan with further fresh positions to ``width``.
-
-        All seeds share one materialization width (the bundle matrix is
-        rectangular); seeds with fewer assigned positions simply carry more
-        fresh values, which they would consume eventually anyway.
-        """
-        extra = width - len(plan)
-        if extra < 0:
-            raise ValueError(f"plan already wider than {width}")
-        if extra == 0:
-            return plan
-        tail = np.arange(plan[-1] + 1, plan[-1] + 1 + extra, dtype=np.int64)
-        return np.concatenate([plan, tail])
+        return np.concatenate([assigned, new])
 
     def index_of_position(self, position: int) -> int:
         """Index of ``position`` within the materialized list (or raise)."""
@@ -157,3 +163,85 @@ class TSSeed:
     def value_at(self, position: int, component: int = 0) -> float:
         """Stream value at an absolute position (via the deterministic PRNG)."""
         return self.info.value(position, component)
+
+
+def plan_refuel(seeds: Mapping[int, TSSeed], dry: int, sweep: int,
+                sweeps: int, floor: int) -> dict[int, np.ndarray]:
+    """Which seeds a refuel re-plans, and each one's new window.
+
+    Seed ``dry`` ran out of fresh positions during sweep ``sweep``
+    (0-based) of ``sweeps``.  A sweep visits the seeds in ascending handle
+    order, so each seed below ``dry`` has made ``sweep + 1`` visits and
+    each seed above it ``sweep``.  A seed's demand is how far its
+    consumption pointer advances; it is expected to demand, per visit,
+    what it demanded per visit so far.  ``dry``'s unfinished visit is
+    projected from the versions it has moved in it (those now assigned
+    past where the visit began): the rest of the visit costs what those
+    versions cost each, counting one more position and one more version
+    than seen, and at most :data:`_PROJECTION_CAP` times what the visit
+    consumed so far.
+
+    The refuel set is ``dry`` plus every seed whose fresh range would not
+    last :data:`_HEADROOM` of its expected next visits (or all the visits
+    it has left, when fewer); every other seed's window carries over
+    untouched.  A re-planned seed keeps its assigned positions and gets
+    ``depth`` fresh ones: its expected demand for the rest of the run plus
+    half a ``floor``, and at least ``floor``.  ``dry`` gets at least twice
+    its last depth when it ran dry during the visit that depth was planned
+    for.  A seed that has made no visit yet is expected to demand the
+    median rate of those that have; if its fresh range falls short of
+    that, its depth is a guess: ``floor`` — or, once a guessed seed has run
+    dry, that seed's projected first visit plus half a ``floor``.
+
+    Reads only TS-seed state and the sweep position, so every looper
+    refuels at the same moments; the results do not depend on it, since
+    the consumption pointer resumes wherever a refuel leaves it.  Returns
+    ``{handle: new positions}`` and records each re-planned seed's depth.
+    """
+    states = list(seeds.values())
+    count = len(states)
+    handles = np.fromiter(seeds, dtype=np.int64, count=count)
+    used = np.fromiter((ts.max_used for ts in states), dtype=np.float64,
+                       count=count)
+    first = np.fromiter((ts.first_used for ts in states), dtype=np.float64,
+                        count=count)
+    # Past ``max_used`` a window holds one contiguous fresh run.
+    fresh = np.fromiter((ts.positions[-1] for ts in states),
+                        dtype=np.float64, count=count) - used
+    visits = sweep + (handles < dry)  # made, or (dry) being made
+    rates = np.full(count, np.nan)
+    made = visits > 0
+    rates[made] = (used[made] - first[made]) / visits[made]
+    at = int(np.flatnonzero(handles == dry)[0])
+    ts = states[at]
+    spent = ts.max_used - ts.visit_used + 1
+    moved = int(np.count_nonzero(ts.assignment > ts.visit_used))
+    rest = min(spent * (ts.assignment.size - moved) / (moved + 1),
+               spent * _PROJECTION_CAP)
+    rates[at] = (used[at] - first[at] + 1 + rest) / (visits[at] + 1)
+    known = ~np.isnan(rates)
+    expected = np.where(known, rates, np.median(rates[known]))
+    ahead = sweeps - visits - 1  # visits left after the current or next
+    join = (ahead >= 0) & (
+        fresh < np.minimum(_HEADROOM, ahead + 1) * expected)
+    join[at] = True
+    # A guessed window ran dry: the other guesses were short too.
+    guess = max(floor, floor // 2 + math.ceil(rates[at])) if ts.guessed \
+        else floor
+    plans = {}
+    for index in np.flatnonzero(join).tolist():
+        ts, handle = states[index], int(handles[index])
+        if index == at:
+            depth = max(floor, floor // 2 + math.ceil(
+                rest + rates[at] * ahead[at]))
+            if ts.planned_for == visits[at]:
+                depth = max(depth, 2 * ts.depth)
+        elif known[index]:
+            depth = max(floor, floor // 2 + math.ceil(
+                rates[index] * (ahead[index] + 1)))
+        else:
+            depth = guess
+        ts.depth, ts.planned_for = depth, int(visits[index])
+        ts.guessed = not known[index]
+        plans[handle] = ts.replenish_plan(depth)
+    return plans

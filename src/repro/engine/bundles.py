@@ -4,27 +4,36 @@ A :class:`BundleRelation` generalizes MCDB's tuple bundles (Sec. 1) and
 MCDB-R's Gibbs tuples (Sec. 5) into one column-oriented structure:
 
 * deterministic columns are ``(T,)`` arrays;
-* random columns are ``(T, W)`` matrices — row ``t`` holds ``W``
-  materialized elements of tuple ``t``'s random-value stream — plus the
-  per-tuple TS-seed handle and window base position (the "lineage" that
-  links each random value to the stream that produced it, Sec. 5);
-* presence columns (the paper's ``isPres`` arrays) are ``(T, W)`` boolean
-  matrices, likewise tied to the seed whose stream positions index them.
+* random columns hold, for each tuple ``t``, the materialized elements of
+  its random-value stream — plus the per-tuple TS-seed handle and window
+  base position (the "lineage" that links each random value to the stream
+  that produced it, Sec. 5);
+* presence columns (the paper's ``isPres`` arrays) hold one boolean per
+  materialized element, likewise tied to the seed whose stream positions
+  index them.
+
+Random and presence columns store their elements in one of two layouts.
+A *block* is a ``(T, W)`` matrix: every row materializes ``W`` positions.
+*Runs* are one flat ``(N,)`` array plus ``offsets`` ``(T + 1,)``: row
+``t`` is ``values[offsets[t]:offsets[t + 1]]``, and each row is as long
+as its own seed's window.
 
 ``aligned`` distinguishes the two execution modes.  In Monte Carlo mode
 (``aligned=True``) position ``w`` of *every* stream belongs to repetition
 ``w``, so cross-seed positional arithmetic is valid — this is how original
-MCDB computes per-repetition query results.  In tail mode positions are
-assigned to database versions per seed by the Gibbs sampler, so any
-cross-seed combination must be deferred to the GibbsLooper.
+MCDB computes per-repetition query results, on blocks.  In tail mode
+positions are assigned to database versions per seed by the Gibbs
+sampler, so any cross-seed combination must be deferred to the
+GibbsLooper; ``Instantiate`` emits runs there, because a refuel gives
+each seed a window of its own depth (Sec. 9).
 
-These ``(T,)``/``(T, W)`` arrays are exactly the bulk the process
-backend's zero-copy data plane (``repro.engine.shm``) hoists into shared
-memory when relations cross to workers on the catalog channel: a column
-arriving in a worker may therefore be a *read-only* view over a
-parent-owned segment.  Bundle code treats shipped columns as immutable
-inputs everywhere (new arrays are built per evaluation, never written
-back into a source column), which is what makes the shared mapping safe.
+These arrays are exactly the bulk the process backend's zero-copy data
+plane (``repro.engine.shm``) hoists into shared memory when relations
+cross to workers on the catalog channel: a column arriving in a worker
+may therefore be a *read-only* view over a parent-owned segment.
+Bundle code treats shipped columns as immutable inputs everywhere (new
+arrays are built per evaluation, never written back into a source
+column), which is what makes the shared mapping safe.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from repro.engine.errors import AlignmentError, EngineError
 from repro.engine.expressions import DictContext, Expr
 
 __all__ = ["RandomColumn", "PresenceColumn", "BundleRelation",
-           "row_key_codes"]
+           "row_key_codes", "run_counts", "take_runs"]
 
 
 def row_key_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -74,13 +83,99 @@ def row_key_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
     return codes
 
 
+def take_runs(values: np.ndarray, offsets: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of a run-stored column: their runs, concatenated in
+    that order, and the new offsets."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    new_offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    index = np.repeat(starts - new_offsets[:-1], lengths)
+    index += np.arange(new_offsets[-1])
+    return values[index], new_offsets
+
+
+def run_counts(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """How many elements of each run of ``flags`` are true."""
+    ends = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=ends[1:])
+    return ends[offsets[1:]] - ends[offsets[:-1]]
+
+
+def _check_layout(what: str, array: np.ndarray, offsets) -> int:
+    """Row count of a block or of runs (see the module docstring)."""
+    if offsets is None:
+        if array.ndim != 2:
+            raise EngineError(f"{what} must be (T, W), got {array.shape}")
+        return array.shape[0]
+    if array.ndim != 1 or offsets.ndim != 1 or offsets.size < 1 \
+            or offsets[0] != 0 or offsets[-1] != array.size:
+        raise EngineError(
+            f"{what} runs must be (N,) with offsets 0..N, got "
+            f"{array.shape} and {offsets.shape}")
+    return offsets.size - 1
+
+
+def _check_lineage(column, count: int, what: str) -> None:
+    if column.seed_handles is not None:
+        column.seed_handles = np.asarray(column.seed_handles, dtype=np.int64)
+        if column.seed_handles.shape != (count,):
+            raise EngineError(f"{what}seed_handles must be (T,)")
+        if column.bases is None:
+            column.bases = np.zeros(count, dtype=np.int64)
+        else:
+            column.bases = np.asarray(column.bases, dtype=np.int64)
+            if column.bases.shape != (count,):
+                raise EngineError(f"{what}bases must be (T,)")
+
+
+class _Elements:
+    """What random and presence columns share: a block or runs of
+    per-position elements, with per-row lineage."""
+
+    def _elements(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _rebuilt(self, elements, seed_handles, bases, offsets):
+        raise NotImplementedError
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat elements, offsets)``; a block reads as equal runs."""
+        elements = self._elements()
+        if self.offsets is not None:
+            return elements, self.offsets
+        rows, width = elements.shape
+        return (elements.reshape(-1),
+                np.arange(0, (rows + 1) * width, width, dtype=np.int64))
+
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index``'s elements, as a view."""
+        elements = self._elements()
+        if self.offsets is None:
+            return elements[index]
+        return elements[self.offsets[index]:self.offsets[index + 1]]
+
+    def take(self, indices: np.ndarray):
+        elements, offsets = self._elements(), self.offsets
+        if offsets is None:
+            elements = elements[indices]
+        else:
+            elements, offsets = take_runs(elements, offsets, indices)
+        return self._rebuilt(
+            elements,
+            None if self.seed_handles is None else self.seed_handles[indices],
+            None if self.bases is None else self.bases[indices], offsets)
+
+
 @dataclass
-class RandomColumn:
-    """An uncertain column: ``(T, W)`` values with per-tuple stream lineage.
+class RandomColumn(_Elements):
+    """An uncertain column: a block or runs of values, with per-tuple
+    stream lineage (see the module docstring for the two layouts).
 
     ``seed_handles[t]`` is the TS-seed handle whose stream produced row
-    ``t``'s values; ``bases[t]`` is the stream position of column 0 of the
-    window (always 0 in Monte Carlo mode, advanced by replenishment in tail
+    ``t``'s values; ``bases[t]`` is the stream position of the row's first
+    value (always 0 in Monte Carlo mode, advanced by replenishment in tail
     mode).  ``seed_handles is None`` marks a *derived* column (e.g.
     ``sal2 - sal1``) that mixes seeds and is only meaningful when aligned.
     """
@@ -88,71 +183,64 @@ class RandomColumn:
     values: np.ndarray
     seed_handles: np.ndarray | None
     bases: np.ndarray | None = None
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.ndim != 2:
-            raise EngineError(
-                f"random column values must be (T, W), got {self.values.shape}")
-        count = self.values.shape[0]
-        if self.seed_handles is not None:
-            self.seed_handles = np.asarray(self.seed_handles, dtype=np.int64)
-            if self.seed_handles.shape != (count,):
-                raise EngineError("seed_handles must be (T,)")
-            if self.bases is None:
-                self.bases = np.zeros(count, dtype=np.int64)
-            else:
-                self.bases = np.asarray(self.bases, dtype=np.int64)
-                if self.bases.shape != (count,):
-                    raise EngineError("bases must be (T,)")
-        elif self.bases is not None:
+        if self.offsets is not None:
+            self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        count = _check_layout("random column values", self.values,
+                              self.offsets)
+        if self.seed_handles is None and self.bases is not None:
             raise EngineError("derived columns cannot carry window bases")
+        _check_lineage(self, count, "")
 
     @property
     def is_derived(self) -> bool:
         return self.seed_handles is None
 
-    def take(self, indices: np.ndarray) -> "RandomColumn":
-        return RandomColumn(
-            self.values[indices],
-            None if self.seed_handles is None else self.seed_handles[indices],
-            None if self.bases is None else self.bases[indices])
+    def _elements(self):
+        return self.values
+
+    def _rebuilt(self, elements, seed_handles, bases, offsets):
+        return RandomColumn(elements, seed_handles, bases, offsets)
 
 
 @dataclass
-class PresenceColumn:
+class PresenceColumn(_Elements):
     """An ``isPres`` array: per-position tuple-presence flags.
 
     Created when a selection predicate touches a random attribute (Sec. 5);
-    tied to the seed whose positions index ``flags``.  ``seed_handles is
-    None`` marks an aligned (multi-seed) presence usable only in MC mode.
+    tied to the seed whose positions index ``flags``, and laid out like
+    the random column it was computed from.  ``seed_handles is None``
+    marks an aligned (multi-seed) presence usable only in MC mode.
     """
 
     flags: np.ndarray
     seed_handles: np.ndarray | None
     bases: np.ndarray | None = None
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=bool)
-        if self.flags.ndim != 2:
-            raise EngineError(f"presence flags must be (T, W), got {self.flags.shape}")
-        count = self.flags.shape[0]
-        if self.seed_handles is not None:
-            self.seed_handles = np.asarray(self.seed_handles, dtype=np.int64)
-            if self.seed_handles.shape != (count,):
-                raise EngineError("presence seed_handles must be (T,)")
-            if self.bases is None:
-                self.bases = np.zeros(count, dtype=np.int64)
-            else:
-                self.bases = np.asarray(self.bases, dtype=np.int64)
-        elif self.bases is not None:
+        if self.offsets is not None:
+            self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        count = _check_layout("presence flags", self.flags, self.offsets)
+        if self.seed_handles is None and self.bases is not None:
             raise EngineError("aligned presence cannot carry window bases")
+        _check_lineage(self, count, "presence ")
 
-    def take(self, indices: np.ndarray) -> "PresenceColumn":
-        return PresenceColumn(
-            self.flags[indices],
-            None if self.seed_handles is None else self.seed_handles[indices],
-            None if self.bases is None else self.bases[indices])
+    def _elements(self):
+        return self.flags
+
+    def _rebuilt(self, elements, seed_handles, bases, offsets):
+        return PresenceColumn(elements, seed_handles, bases, offsets)
+
+    def vacuous(self) -> np.ndarray:
+        """Per row: present at every materialized position."""
+        if self.offsets is None:
+            return self.flags.all(axis=1)
+        return run_counts(self.flags, self.offsets) == np.diff(self.offsets)
 
 
 class BundleRelation:
@@ -191,18 +279,23 @@ class BundleRelation:
 
     def add_rand_column(self, name: str, column: RandomColumn) -> None:
         self._check_new_name(name)
-        if column.values.shape != (self.length, self.positions):
-            raise EngineError(
-                f"column {name!r}: expected shape ({self.length}, "
-                f"{self.positions}), got {column.values.shape}")
+        self._check_elements(f"column {name!r}", column.values, column.offsets)
         self.rand_columns[name] = column
 
     def add_presence(self, presence: PresenceColumn) -> None:
-        if presence.flags.shape != (self.length, self.positions):
-            raise EngineError(
-                f"presence: expected shape ({self.length}, {self.positions}), "
-                f"got {presence.flags.shape}")
+        self._check_elements("presence", presence.flags, presence.offsets)
         self.presence.append(presence)
+
+    def _check_elements(self, what: str, elements, offsets) -> None:
+        if offsets is None:
+            if elements.shape != (self.length, self.positions):
+                raise EngineError(
+                    f"{what}: expected shape ({self.length}, "
+                    f"{self.positions}), got {elements.shape}")
+        elif offsets.shape != (self.length + 1,):
+            raise EngineError(
+                f"{what}: expected {self.length + 1} run offsets, got "
+                f"{offsets.shape}")
 
     def _check_new_name(self, name: str) -> None:
         if name in self.det_columns or name in self.rand_columns:
@@ -256,7 +349,9 @@ class BundleRelation:
 
     def evaluate_positional(self, expr: Expr, check_single_seed: bool = False
                             ) -> np.ndarray:
-        """Evaluate to a ``(T, W)`` array, broadcasting deterministic columns.
+        """Evaluate per materialized position, broadcasting deterministic
+        columns: a ``(T, W)`` array over blocks, a flat ``(N,)`` one laid
+        out like the referenced columns' runs over runs.
 
         With ``check_single_seed`` (tail mode), expressions mixing several
         seeds raise :class:`AlignmentError` — the Appendix A pull-up rule.
@@ -267,6 +362,15 @@ class BundleRelation:
                 raise AlignmentError(
                     f"expression {expr!r} combines random values from "
                     "multiple seeds; it must be pulled up into the GibbsLooper")
+        offsets = self._runs_of(rand_names)
+        if offsets is not None:
+            lengths = np.diff(offsets)
+            columns = {name: np.repeat(self.det_columns[name], lengths)
+                       for name in expr.columns() if name in self.det_columns}
+            for name in rand_names:
+                columns[name] = self.rand_columns[name].values
+            result = np.asarray(expr.evaluate(DictContext(columns)))
+            return np.broadcast_to(result, (int(offsets[-1]),))
         columns: dict[str, np.ndarray] = {}
         for name, values in self.det_columns.items():
             columns[name] = values.reshape(self.length, 1)
@@ -274,6 +378,23 @@ class BundleRelation:
             columns[name] = column.values
         result = np.asarray(expr.evaluate(DictContext(columns)))
         return np.broadcast_to(result, (self.length, self.positions))
+
+    def _runs_of(self, rand_names: list[str]) -> np.ndarray | None:
+        """The run offsets the named random columns share, or ``None``
+        when they are blocks.  Columns combined position by position
+        belong to one seed per row, hence to equally long runs."""
+        layouts = [self.rand_columns[name].offsets for name in rand_names]
+        if not layouts or layouts[0] is None:
+            if any(offsets is not None for offsets in layouts):
+                raise EngineError("cannot combine a block with runs")
+            return None
+        first = layouts[0]
+        for offsets in layouts[1:]:
+            if offsets is not first and (
+                    offsets is None or not np.array_equal(offsets, first)):
+                raise EngineError(
+                    "random columns of one expression have different runs")
+        return first
 
     def _mixes_seeds(self, rand_names: list[str]) -> bool:
         """True if any tuple sees values from two different seeds."""

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.bundles import (
-    BundleRelation, PresenceColumn, RandomColumn, row_key_codes)
+    BundleRelation, PresenceColumn, RandomColumn, row_key_codes, run_counts)
 from repro.engine.det_cache import ContextDetCache
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
@@ -48,7 +48,7 @@ from repro.vg.streams import gather_stream_points, gather_stream_windows
 
 #: Missing window slots a delta merge gathers per batched stream fill:
 #: large enough to amortize the fill's set-up over many rows, small
-#: enough that its index temporaries stay well under a window matrix.
+#: enough that its index temporaries stay a fraction of the runs filled.
 _FILL_BATCH = 8192
 
 __all__ = [
@@ -64,10 +64,12 @@ class ExecutionContext:
     Parameters
     ----------
     positions:
-        ``W`` — how many stream positions each random column materializes.
-        In Monte Carlo mode this is the repetition count ``n``; in tail
-        mode it is the Gibbs window size ("the number of stream elements to
-        instantiate in a Gibbs tuple", Sec. 5).
+        ``W`` — how many stream positions a random column materializes per
+        tuple when no position plan names the tuple's seed.  In Monte Carlo
+        mode this is the repetition count ``n``; in tail mode it is the
+        initial Gibbs window ("the number of stream elements to instantiate
+        in a Gibbs tuple", Sec. 5) — a refuel's plan gives each seed a
+        window of its own length.
     aligned:
         Monte Carlo mode flag (position = repetition index).
     base_seed:
@@ -117,13 +119,14 @@ class ExecutionContext:
         self.delta_tracking = False
         self.delta_mode = False
         #: Delta-run hint from whoever installed ``position_plan``: the
-        #: handles whose plan entry is the *identical array object* the
-        #: previous plan run on this context used.  Their windows are
-        #: exactly what that run materialized, so a delta ``Instantiate``
-        #: carries those rows over without looking at them; every other
-        #: row is matched position by position.  Empty by default, and
-        #: the setter must empty it again once it has consumed the run.
-        self.stable_handles: frozenset[int] = frozenset()
+        #: refuel set, i.e. the handles whose plan entry changed since the
+        #: previous plan run on this context.  Every other handle's window
+        #: is exactly what that run materialized, so a delta
+        #: ``Instantiate`` carries those rows over without looking at
+        #: them.  ``None`` (the default) means any handle may have moved:
+        #: every row is matched position by position.  The setter must
+        #: reset it once it has consumed the run.
+        self.refuel_handles: frozenset[int] | None = None
         self.materialized: dict[int, "_Materialization"] = {}
         self.plan_runs = 0
         self.node_executions = 0
@@ -162,10 +165,10 @@ class ExecutionContext:
         explicit = self.position_plan.get(handle)
         if explicit is not None:
             explicit = np.asarray(explicit, dtype=np.int64)
-            if explicit.shape != (self.positions,):
+            if explicit.ndim != 1 or not explicit.size:
                 raise EngineError(
                     f"position plan for seed {handle} has shape "
-                    f"{explicit.shape}, expected ({self.positions},)")
+                    f"{explicit.shape}, expected a non-empty vector")
             return explicit
         base = self.window_base(handle) + self.position_offset
         return np.arange(base, base + self.positions, dtype=np.int64)
@@ -201,9 +204,9 @@ class PlanNode(ABC):
                 self._register_labels(context)
                 if (cached.positions != context.positions
                         or cached.aligned != context.aligned):
-                    # Replenishment may widen the window, and a cross-query
-                    # cache may serve a tail-mode plan from a Monte Carlo
-                    # run (or vice versa); deterministic relations hold no
+                    # A cross-query cache may serve a tail-mode plan from a
+                    # Monte Carlo run (or vice versa), or a run with
+                    # another window; deterministic relations hold no
                     # positional arrays, so re-stamping the metadata is
                     # sufficient.
                     cached = _restamp(cached, context.positions,
@@ -287,24 +290,26 @@ def _restamp(relation: BundleRelation, positions: int,
 
 @dataclass
 class _Materialization:
-    """What an Instantiate produced last run (the delta-merge baseline).
+    """What an Instantiate produced (and, under delta tracking, the
+    baseline the next delta run merges into).
 
-    ``positions[handle]`` is the ascending stream-position vector whose
-    values fill that handle's row in every ``columns[name]`` matrix; a
-    delta run copies the overlap from ``columns`` and gathers only
-    positions outside it from the streams.
+    ``columns[i]`` holds output ``i``'s values as runs: row ``t`` is
+    ``columns[i, offsets[t]:offsets[t + 1]]``, the stream values at the
+    ascending positions ``positions[handles[t]]``.  A delta run copies
+    the overlap from ``columns`` and gathers only positions outside it
+    from the streams.
 
     ``shared_positions`` is set when every row materialized one common
     window (the no-plan full run and the append fast path): a later
     append-only delta run whose window is still that vector can then
-    carry the whole row prefix over as one block copy per output and
-    gather only the appended rows — without any per-row position
-    matching.
+    carry the whole row prefix over as one block copy and gather only
+    the appended rows — without any per-row position matching.
     """
 
     handles: np.ndarray
     positions: dict[int, np.ndarray]
-    columns: dict[str, np.ndarray]
+    columns: np.ndarray
+    offsets: np.ndarray
     bases: np.ndarray
     shared_positions: np.ndarray | None = None
 
@@ -430,12 +435,6 @@ class Instantiate(PlanNode):
         handles = relation.det_columns[self.handle_column].astype(np.int64)
         self._register_seeds(context, relation, handles)
 
-        out = relation.shallow_copy()
-        # One block behind all outputs: windows[i] is output i's (T, W)
-        # matrix, and the batched fill writes every component of a
-        # generated chunk while it is at hand.
-        windows = np.empty((len(self.outputs), length, context.positions))
-        bases = np.empty(length, dtype=np.int64)
         previous = (context.materialized.get(self.node_id)
                     if context.delta_mode else None)
         prev_rows = 0 if previous is None else previous.handles.shape[0]
@@ -449,31 +448,31 @@ class Instantiate(PlanNode):
             previous = None
             prev_rows = 0
 
-        shared_positions = None
         if previous is not None:
-            positions_by_handle, shared_positions = self._merge_delta(
-                context, handles, windows, bases, previous, prev_rows)
+            runs = self._merge_delta(context, handles, previous, prev_rows)
             context.delta_runs += 1
         elif not context.position_plan and not context.window_bases:
-            positions_by_handle = self._gather_shared(
-                context, handles, windows, bases)
-            if length:
-                shared_positions = positions_by_handle[int(handles[0])]
+            runs = self._gather_shared(context, handles)
             context.full_runs += 1
         else:
-            positions_by_handle = self._gather_per_row(
-                context, handles, windows, bases)
+            runs = self._gather_per_row(context, handles)
             context.full_runs += 1
 
-        columns = dict(zip((name for name, _ in self.outputs), windows))
-        for name, values in columns.items():
-            out.add_rand_column(name, RandomColumn(
-                values, seed_handles=handles.copy(), bases=bases.copy()))
+        # Monte Carlo reads every output as a (T, W) block, tail mode as
+        # runs (see repro.engine.bundles).
+        out = relation.shallow_copy()
+        for (name, _), values in zip(self.outputs, runs.columns):
+            if context.aligned:
+                column = RandomColumn(
+                    values.reshape(length, context.positions),
+                    seed_handles=handles.copy(), bases=runs.bases.copy())
+            else:
+                column = RandomColumn(
+                    values, seed_handles=handles.copy(),
+                    bases=runs.bases.copy(), offsets=runs.offsets)
+            out.add_rand_column(name, column)
         if context.delta_tracking:
-            context.materialized[self.node_id] = _Materialization(
-                handles=handles, positions=positions_by_handle,
-                columns=columns, bases=bases,
-                shared_positions=shared_positions)
+            context.materialized[self.node_id] = runs
         return out
 
     def _register_seeds(self, context, relation, handles) -> None:
@@ -486,8 +485,8 @@ class Instantiate(PlanNode):
         vectorized pass.
         """
         seeds = context.seeds
-        fresh = ~np.isin(handles, np.fromiter(seeds, dtype=np.int64,
-                                              count=len(seeds)))
+        fresh = ~np.fromiter(map(seeds.__contains__, handles.tolist()),
+                             dtype=bool, count=handles.shape[0])
         if not fresh.any():
             return
         param_columns = [
@@ -511,107 +510,123 @@ class Instantiate(PlanNode):
                 seeds[handle] = SeedInfo(
                     handle, prng_seed, self.vg, params, arity_of[params])
 
-    def _gather_shared(self, context, handles, windows, bases):
+    def _gather_shared(self, context, handles) -> _Materialization:
         """Full run, no position plan: all seeds share one window.
 
         Every handle materializes the same ascending position vector, so
         the whole relation is filled by one batched call that generates
         each (seed, chunk) once and writes every output's slice of it
-        straight into ``windows``.
+        straight into the block behind the runs.
         """
+        count, width = handles.shape[0], context.positions
+        columns = np.empty((len(self.outputs), count * width))
+        offsets = np.arange(0, (count + 1) * width, width, dtype=np.int64)
+        if not count:
+            return _Materialization(handles, {}, columns, offsets,
+                                    np.empty(0, dtype=np.int64))
         handle_list = handles.tolist()
-        if not handle_list:
-            return {}
-        context.instantiate_rows_computed += len(handle_list)
+        context.instantiate_rows_computed += count
         shared = context.positions_for(handle_list[0])
-        bases[:] = shared[0]
         gather_stream_windows(
             shared, [(info.prng_seed, info.vg, info.params)
                      for info in map(context.seeds.__getitem__, handle_list)],
-            [component for _, component in self.outputs], out=windows)
-        return dict.fromkeys(handle_list, shared)
+            [component for _, component in self.outputs],
+            out=columns.reshape(len(self.outputs), count, width))
+        return _Materialization(
+            handles, dict.fromkeys(handle_list, shared), columns, offsets,
+            np.full(count, shared[0], dtype=np.int64), shared)
 
-    def _gather_per_row(self, context, handles, windows, bases):
-        """Full run under a position plan: windows differ per seed."""
+    def _gather_per_row(self, context, handles) -> _Materialization:
+        """Full run under a position plan: each row's window is its seed's
+        own, drawn with one stream call per row and output."""
         context.instantiate_rows_computed += handles.shape[0]
-        positions_by_handle: dict[int, np.ndarray] = {}
-        for row in range(handles.shape[0]):
-            handle = int(handles[row])
+        handle_list = handles.tolist()
+        positions_by_handle = {handle: context.positions_for(handle)
+                               for handle in dict.fromkeys(handle_list)}
+        windows = [positions_by_handle[handle] for handle in handle_list]
+        offsets = _offsets_of([window.size for window in windows])
+        columns = np.empty((len(self.outputs), int(offsets[-1])))
+        bases = np.array([window[0] for window in windows], dtype=np.int64)
+        for row, (handle, window) in enumerate(zip(handle_list, windows)):
             info = context.seeds[handle]
-            positions = positions_by_handle.get(handle)
-            if positions is None:
-                positions = context.positions_for(handle)
-                positions_by_handle[handle] = positions
-            bases[row] = positions[0]
+            target = columns[:, offsets[row]:offsets[row + 1]]
             for slot, (_, component) in enumerate(self.outputs):
-                windows[slot, row] = info.values_at(positions, component)
-        return positions_by_handle
+                target[slot] = info.values_at(window, component)
+        return _Materialization(handles, positions_by_handle, columns,
+                                offsets, bases)
 
-    def _merge_delta(self, context, handles, windows, bases, previous,
-                     prev_rows):
+    def _merge_delta(self, context, handles, previous,
+                     prev_rows) -> _Materialization:
         """Delta replenishment: copy overlap, gather only new positions.
 
-        Rows whose handle is in ``context.stable_handles`` (see
-        :class:`ExecutionContext`) materialize exactly the window the
-        previous run recorded — their plan entry is the same object — so
-        they carry over in one block copy per output and are never
-        visited.  The remaining rows (every row, when the context names
-        no stable handle) are merged together by :meth:`_merge_moved`.
-
-        Returns the per-handle position vectors and the one shared
-        position vector when every row materialized it, else ``None``
-        (see :class:`_Materialization`).
+        Rows of handles outside ``context.refuel_handles`` (see
+        :class:`ExecutionContext`) materialize exactly the run the
+        previous run recorded, so they carry over untouched: each stretch
+        of consecutive such rows is one slice copy.  The remaining rows
+        (every row, when the context names no refuel set) are merged
+        together by :meth:`_merge_moved`.
         """
         if prev_rows and previous.shared_positions is not None \
                 and not context.position_plan and not context.window_bases:
             shared = context.positions_for(int(handles[0]))
             if np.array_equal(shared, previous.shared_positions):
-                return self._extend_shared(
-                    context, handles, windows, bases, previous, prev_rows,
-                    shared)
-        stable = context.stable_handles
-        moved = ~np.isin(handles, np.fromiter(stable, dtype=np.int64,
-                                              count=len(stable)))
-        moved[prev_rows:] = True
+                return self._extend_shared(context, handles, previous,
+                                           prev_rows, shared)
+        count = handles.shape[0]
+        moved = np.ones(count, dtype=bool)
+        refuel = context.refuel_handles
+        if refuel is not None:
+            moved[:prev_rows] = np.fromiter(
+                map(refuel.__contains__, handles[:prev_rows].tolist()),
+                dtype=bool, count=prev_rows)
+        rows = np.flatnonzero(moved)
         kept = np.flatnonzero(~moved)
+        new_of = {handle: context.positions_for(handle)
+                  for handle in dict.fromkeys(handles[rows].tolist())}
+        lengths = np.empty(count, dtype=np.int64)
+        lengths[:prev_rows] = np.diff(previous.offsets)
+        lengths[rows] = [new_of[handle].size
+                         for handle in handles[rows].tolist()]
+        offsets = _offsets_of(lengths)
+        columns = np.empty((len(self.outputs), int(offsets[-1])))
+        bases = np.empty(count, dtype=np.int64)
         positions_by_handle: dict[int, np.ndarray] = {}
         if kept.size:
-            # An unchanged plan entry has the previous run's length, so
-            # the old and new matrices are equally wide: the whole old
-            # block lands with one contiguous copy and the moved rows
-            # overwrite theirs.
-            for slot, (name, _) in enumerate(self.outputs):
-                windows[slot, :prev_rows] = previous.columns[name]
+            breaks = np.flatnonzero(np.diff(kept) != 1) + 1
+            firsts = kept[np.concatenate(([0], breaks))].tolist()
+            lasts = (kept[np.concatenate((breaks - 1, [kept.size - 1]))]
+                     + 1).tolist()
+            old = previous.offsets
+            for first, last in zip(firsts, lasts):
+                columns[:, offsets[first]:offsets[last]] = \
+                    previous.columns[:, old[first]:old[last]]
             bases[kept] = previous.bases[kept]
             positions_by_handle.update(previous.positions)
             context.instantiate_rows_reused += int(kept.size)
-        rows = np.flatnonzero(moved)
         if rows.size:
-            positions_by_handle.update(self._merge_moved(
-                context, handles, rows, windows, bases, previous,
-                prev_rows))
-        return positions_by_handle, None
+            self._merge_moved(context, handles, rows, columns, offsets,
+                              bases, previous, prev_rows, new_of)
+            positions_by_handle.update(new_of)
+        return _Materialization(handles, positions_by_handle, columns,
+                                offsets, bases)
 
-    def _merge_moved(self, context, handles, rows, windows, bases,
-                     previous, prev_rows) -> dict[int, np.ndarray]:
-        """Merge every moved row's new window into ``windows``.
+    def _merge_moved(self, context, handles, rows, columns, offsets, bases,
+                     previous, prev_rows, new_of) -> None:
+        """Merge every moved row's new run into ``columns``.
 
-        Each row's new positions are matched against the positions its
-        *source* row materialized last run — the row itself for an old
-        row, the first old row carrying the same handle for an appended
-        one (a self-join repeats handles), none for a fresh handle — by
-        :func:`_match_window`: the overlap of the two windows' final
-        contiguous runs (a refuel's fresh range) lands as one slice copy,
-        and only the positions before it are searched.  The positions
-        the old windows lack come from batched stream fills over many
-        rows (:meth:`_fill_missing`, every :data:`_FILL_BATCH` slots),
-        one generated chunk per (seed, chunk).  A row counts as computed
-        when it touched the streams at all, else as reused.
+        Each row's new positions ``new_of[handle]`` are matched against
+        the positions its *source* row materialized last run — the row
+        itself for an old row, the first old row carrying the same handle
+        for an appended one (a self-join repeats handles), none for a
+        fresh handle — by :func:`_match_window`: the overlap of the two
+        windows' final contiguous runs (a refuel's fresh range) lands as
+        one slice copy, and only the positions before it are searched.
+        The positions the old runs lack come from batched stream fills
+        over many rows (:meth:`_fill_missing`, every :data:`_FILL_BATCH`
+        slots), one generated chunk per (seed, chunk).  A row counts as
+        computed when it touched the streams at all, else as reused.
         """
-        width = windows.shape[2]
         row_handles = handles[rows].tolist()
-        new_of = {handle: context.positions_for(handle)
-                  for handle in dict.fromkeys(row_handles)}
         source = rows.copy()
         appended = rows >= prev_rows
         if appended.any():
@@ -624,38 +639,40 @@ class Instantiate(PlanNode):
                                 old_handles.size - 1)
                 source[appended] = np.where(old_handles[at] == wanted,
                                             first_row[at], -1)
-        prev_columns = [previous.columns[name] for name, _ in self.outputs]
+        old_offsets = previous.offsets.tolist()
+        starts = offsets.tolist()
         pending, pending_cells, computed = [], 0, 0
         for row, handle, src in zip(rows.tolist(), row_handles,
                                     source.tolist()):
             new = new_of[handle]
             bases[row] = new[0]
+            start = starts[row]
             if src < 0:
-                missing = np.arange(width)
+                missing = np.arange(new.size)
             else:
-                old = previous.positions[handle]
                 (run_new, run_old), head, index, missing = _match_window(
-                    new, old)
-                for slot, prev_values in enumerate(prev_columns):
-                    target, origin = windows[slot, row], prev_values[src]
-                    target[run_new] = origin[run_old]
-                    target[head] = origin[index]
+                    new, previous.positions[handle])
+                target = columns[:, start:start + new.size]
+                origin = previous.columns[:, old_offsets[src]:
+                                          old_offsets[src + 1]]
+                target[:, run_new] = origin[:, run_old]
+                target[:, head] = origin[:, index]
             if missing.size:
                 computed += 1
-                pending.append((row, handle, missing))
+                pending.append((start, handle, missing))
                 pending_cells += missing.size
                 if pending_cells >= _FILL_BATCH:
-                    self._fill_missing(context, windows, new_of, pending)
+                    self._fill_missing(context, columns, new_of, pending)
                     pending, pending_cells = [], 0
         if pending:
-            self._fill_missing(context, windows, new_of, pending)
+            self._fill_missing(context, columns, new_of, pending)
         context.instantiate_rows_computed += computed
         context.instantiate_rows_reused += rows.size - computed
-        return new_of
 
-    def _fill_missing(self, context, windows, new_of, pending) -> None:
-        """One batched stream fill of the ``(row, handle, slots)`` in
-        ``pending``: window slots the previous run never materialized."""
+    def _fill_missing(self, context, columns, new_of, pending) -> None:
+        """One batched stream fill of the ``(start, handle, slots)`` in
+        ``pending``: slots of the run starting at ``start`` that the
+        previous run never materialized."""
         sizes = [slots.size for _, _, slots in pending]
         values = gather_stream_points(
             [context.seeds[handle].chunk_blocks for _, handle, _ in pending],
@@ -663,36 +680,41 @@ class Instantiate(PlanNode):
             np.concatenate([new_of[handle][slots]
                             for _, handle, slots in pending]),
             [component for _, component in self.outputs])
-        rows = np.repeat([row for row, _, _ in pending], sizes)
-        cols = np.concatenate([slots for _, _, slots in pending])
-        for slot, slot_values in enumerate(values):
-            windows[slot, rows, cols] = slot_values
+        cells = np.concatenate([slots + start for start, _, slots in pending])
+        columns[:, cells] = values
 
-    def _extend_shared(self, context, handles, windows, bases, previous,
-                       prev_rows, shared):
+    def _extend_shared(self, context, handles, previous, prev_rows,
+                       shared) -> _Materialization:
         """Append fast path: same shared window, grown row prefix.
 
         Every pre-existing row still materializes exactly the recorded
         shared position vector, so the whole prefix carries over as one
-        block copy per output and only the appended rows — which carry
-        fresh handles, since :class:`Seed` numbers handles by row
-        position — touch the streams, via the same batched gather a full
-        run would use on just those rows.
+        block copy and only the appended rows — which carry fresh
+        handles, since :class:`Seed` numbers handles by row position —
+        touch the streams, via the same batched gather a full run would
+        use on just those rows.
         """
-        length = handles.shape[0]
-        bases[:prev_rows] = shared[0]
-        for slot, (name, _) in enumerate(self.outputs):
-            windows[slot, :prev_rows] = previous.columns[name]
+        count, width = handles.shape[0], shared.size
         context.instantiate_rows_reused += prev_rows
-        if prev_rows < length:
-            # The tail view writes through into the full block.
-            self._gather_shared(context, handles[prev_rows:],
-                                windows[:, prev_rows:], bases[prev_rows:])
-        return {int(handle): shared for handle in handles}, shared
+        appended = self._gather_shared(context, handles[prev_rows:])
+        columns = np.concatenate(
+            [previous.columns[:, :prev_rows * width], appended.columns],
+            axis=1)
+        return _Materialization(
+            handles, dict.fromkeys(handles.tolist(), shared), columns,
+            np.arange(0, (count + 1) * width, width, dtype=np.int64),
+            np.full(count, shared[0], dtype=np.int64), shared)
 
     def _describe_line(self):
         names = ", ".join(name for name, _ in self.outputs)
         return f"Instantiate({self.vg.name} -> {names})"
+
+
+def _offsets_of(lengths) -> np.ndarray:
+    """Run offsets ``(T + 1,)`` of runs with the given lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
 
 
 def _final_run(positions: np.ndarray) -> int:
@@ -778,8 +800,12 @@ class Select(PlanNode):
         else:
             seed_handles, bases = lineage.seed_handles, lineage.bases
         out = relation.shallow_copy()
-        out.add_presence(PresenceColumn(flags, seed_handles, bases))
-        alive = flags.any(axis=1)
+        out.add_presence(PresenceColumn(flags, seed_handles, bases,
+                                        lineage.offsets))
+        if lineage.offsets is None:
+            alive = flags.any(axis=1)
+        else:
+            alive = run_counts(flags, lineage.offsets) > 0
         return out.filter_rows(alive)
 
     def _fingerprint_parts(self):
@@ -826,9 +852,11 @@ class Project(PlanNode):
             values = relation.evaluate_positional(expr, check_single_seed=True)
             lineage = relation.rand_columns[rand_names[0]]
             if relation._mixes_seeds(rand_names) or lineage.is_derived:
-                column = RandomColumn(values, seed_handles=None)
+                column = RandomColumn(values, seed_handles=None,
+                                      offsets=lineage.offsets)
             else:
-                column = RandomColumn(values, lineage.seed_handles, lineage.bases)
+                column = RandomColumn(values, lineage.seed_handles,
+                                      lineage.bases, lineage.offsets)
             out.add_rand_column(name, column)
         return out
 
@@ -953,7 +981,7 @@ class Split(PlanNode):
         indices: list[int] = []
         split_values: list[float] = []
         for row in range(relation.length):
-            for value in np.unique(source.values[row]):
+            for value in np.unique(source.row(row)):
                 indices.append(row)
                 split_values.append(value)
         gathered = relation.take(np.asarray(indices, dtype=np.int64))
@@ -967,11 +995,14 @@ class Split(PlanNode):
         out.presence = list(gathered.presence)
         split_array = np.asarray(split_values)
         out.add_det_column(self.column, split_array)
-        flags = gathered.rand_columns[self.column].values == split_array[:, None]
+        split = gathered.rand_columns[self.column]
+        if split.offsets is None:
+            flags = split.values == split_array[:, None]
+        else:
+            flags = split.values == np.repeat(split_array,
+                                              np.diff(split.offsets))
         out.add_presence(PresenceColumn(
-            flags,
-            gathered.rand_columns[self.column].seed_handles,
-            gathered.rand_columns[self.column].bases))
+            flags, split.seed_handles, split.bases, split.offsets))
         return out
 
     def _fingerprint_parts(self):

@@ -528,6 +528,20 @@ class RiskService:
 
     def _run_standing(self, record: StandingRecord) -> None:
         state = self.registry.get(record.tenant)
+        try:
+            self._refresh_standing(state, record)
+        finally:
+            try:
+                live = self.registry.get(record.tenant) is state
+            except ApiError:
+                live = False
+            if not live:
+                # The tenant was evicted while this run held its session:
+                # a sharded refresh that started after the eviction closed
+                # the session spawned a pool of its own.  Close it too.
+                state.session.close()
+
+    def _refresh_standing(self, state, record: StandingRecord) -> None:
         if record.query is None:
             query = state.session.standing_query(record.sql)
             record.query = query

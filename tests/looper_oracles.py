@@ -99,7 +99,7 @@ class ScalarKernelLooper(GibbsLooper):
         while proposals_used < self.max_proposals:
             start, stop = ts.fresh_index_range()
             if start >= stop:
-                self._replenish()
+                self._replenish(ts.handle)
                 affected = self._tuples_of_seed.get(ts.handle, ())
                 if not affected:
                     return
@@ -110,7 +110,6 @@ class ScalarKernelLooper(GibbsLooper):
                         f"{ts.handle}")
             batch = min(_PROPOSAL_BATCH, stop - start,
                         self.max_proposals - proposals_used)
-            self._touched.add(ts.handle)  # its replenish plan moves
             delta_sum, delta_count, cand_values, cand_present = \
                 self._candidate_deltas(ts, affected, version, start,
                                        start + batch)
@@ -216,9 +215,9 @@ class FullRefuelLooper(GibbsLooper):
     ``_ingest`` rebuild every per-version cache from the assignments.
     """
 
-    def _replenish(self) -> None:
+    def _replenish(self, dry: int) -> None:
         self._context.delta_tracking = False
-        super()._replenish()
+        super()._replenish(dry)
 
     def _signatures_match(self, signature: tuple) -> bool:
         return False

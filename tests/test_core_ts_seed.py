@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.gibbs_tuple import GibbsTuple, PresenceField, RandField, \
     tuples_from_relation
-from repro.core.ts_seed import TSSeed
+from repro.core.ts_seed import TSSeed, plan_refuel
 from repro.engine.bundles import BundleRelation, PresenceColumn, RandomColumn
 from repro.engine.errors import PlanError
 from repro.engine.seeds import SeedInfo, derive_prng_seed, label_id_of, \
@@ -107,13 +107,33 @@ class TestTSSeed:
         with pytest.raises(ValueError):
             self._seed().replenish_plan(0)
 
-    def test_pad_plan(self):
-        ts = self._seed()
-        plan = np.array([1, 5, 9])
-        padded = ts.pad_plan(plan, 6)
-        np.testing.assert_array_equal(padded, [1, 5, 9, 10, 11, 12])
-        with pytest.raises(ValueError):
-            ts.pad_plan(padded, 3)
+    def test_plan_refuel(self):
+        """Sweep 1 of 3, seed 2 ran dry: it and seed 1, whose fresh range
+        would not last two of its visits, are re-planned to their demand
+        for the rest of the run plus half the window; seed 3 carries
+        over.  A seed dry again within the visit its window was planned
+        for gets at least twice that window."""
+        def seed(handle, positions, max_used, assignment):
+            return TSSeed(info=_info(handle), positions=np.arange(positions),
+                          max_used=max_used, assignment=np.array(assignment),
+                          first_used=3, visit_used=13)
+
+        seeds = {1: seed(1, 31, 23, [0, 21, 2, 23]),   # 10 per visit, 7 fresh
+                 2: seed(2, 21, 20, [15, 1, 2, 3]),    # dry, 1 version moved
+                 3: seed(3, 41, 8, [0, 1, 8, 3])}      # 5 per visit, 32 fresh
+        plans = plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
+        assert sorted(plans) == [1, 2]
+        # Seed 1: its last visit, 10 positions, plus half the window.
+        np.testing.assert_array_equal(
+            plans[1], [0, 2, 21, 23, *range(24, 36)])
+        # Seed 2: 8 positions moved 1 of 4 versions, so the visit's rest
+        # is 12; it consumed 18 (+12) over its 2 visits, 15 per visit.
+        assert seeds[2].depth == 2 + 12 + 15
+        assert plans[2][-1] == 20 + 29
+        seeds[2].positions = plans[2]
+        seeds[2].max_used = int(plans[2][-1])
+        plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
+        assert seeds[2].depth >= 2 * 29
 
     def test_index_of_position(self):
         ts = TSSeed.initial(_info(), np.array([2, 5, 9, 11]), 2)

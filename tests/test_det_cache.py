@@ -615,7 +615,7 @@ class TestDeltaMergeEquivalence:
         new_plan = np.concatenate([
             old_plan[1:], np.arange(old_plan[-1] + 1, old_plan[-1] + 2)])
         context.position_plan = {**context.position_plan, moved: new_plan}
-        context.stable_handles = frozenset(handles) - {moved}
+        context.refuel_handles = frozenset({moved})
         gathered = []
         values_at = SeedInfo.values_at
         gather_points = operators.gather_stream_points
@@ -640,15 +640,16 @@ class TestDeltaMergeEquivalence:
         assert context.instantiate_rows_reused == reused + len(handles) - 1
         stable_rows = [row for row in range(len(handles))
                        if row != moved_row]
-        np.testing.assert_array_equal(
-            after.rand_columns["val"].values[stable_rows],
-            before.rand_columns["val"].values[stable_rows])
+        for row in stable_rows:
+            np.testing.assert_array_equal(
+                after.rand_columns["val"].row(row),
+                before.rand_columns["val"].row(row))
         np.testing.assert_array_equal(
             after.rand_columns["val"].bases[stable_rows],
             before.rand_columns["val"].bases[stable_rows])
         # The moved row equals a from-scratch materialization of its plan.
         np.testing.assert_array_equal(
-            after.rand_columns["val"].values[moved_row],
+            after.rand_columns["val"].row(moved_row),
             values_at(context.seeds[moved], new_plan))
         assert after.rand_columns["val"].bases[moved_row] == new_plan[0]
 

@@ -650,3 +650,56 @@ class TestWindowGrowth:
             self._runner._run("vectorized", window=50, **kwargs),
             self._runner._run("vectorized", window=int(50 * growth),
                               **kwargs))
+
+
+class TestHeavySeed:
+    """One customer's loss dominates the total's variance, so in the tail
+    most proposals for its seed are rejected and it runs dry again and
+    again: the case demand-scheduled refuels serve with deep windows of
+    its own.  Every looper must still agree bit for bit, and with a window
+    wide enough to need fewer refuels."""
+
+    #: ``plan_runs`` of this scenario when every refuel gave every
+    #: perturbed seed one fixed window, padded to a common width.
+    FIXED_WINDOW_PLAN_RUNS = 40
+
+    @staticmethod
+    def _run(looper, window):
+        customers, heavy = 10, 3
+        variances = np.ones(customers)
+        variances[heavy] = 25.0
+        catalog = Catalog()
+        catalog.add_table(Table("means", {
+            "CID": np.arange(customers),
+            "m": np.linspace(0.8, 3.5, customers), "v": variances}))
+        spec = RandomTableSpec(
+            name="Losses", parameter_table="means", vg=NORMAL,
+            vg_params=(col("m"), col("v")),
+            random_columns=(RandomColumnSpec("val"),),
+            passthrough_columns=("CID",))
+        params = TailParams(p=0.09, m=2, n_steps=(40, 40),
+                            p_steps=(0.3, 0.3))
+        return looper(random_table_pipeline(spec), catalog, params, 25,
+                      aggregate_kind="sum", aggregate_expr=col("val"),
+                      window=window, base_seed=5).run()
+
+    def test_heavy_seed_matches_oracles_and_a_wide_window(self, monkeypatch):
+        from repro.core import gibbs_looper
+        dry_runs = []
+        plan_refuel = gibbs_looper.plan_refuel
+
+        def spy(seeds, dry, sweep, *args):
+            dry_runs.append((dry, sweep))
+            return plan_refuel(seeds, dry, sweep, *args)
+
+        monkeypatch.setattr(gibbs_looper, "plan_refuel", spy)
+        result = self._run(GibbsLooper, window=45)
+        # The heavy seed runs dry more than once within one sweep, so
+        # its window deepens by doubling.
+        assert max(dry_runs.count(run) for run in dry_runs) >= 2
+        assert result.plan_runs < self.FIXED_WINDOW_PLAN_RUNS
+        for oracle in (ScalarKernelLooper, FullRefuelLooper):
+            _assert_identical(result, self._run(oracle, window=45))
+        wide = self._run(GibbsLooper, window=2000)
+        TestWindowGrowth._assert_same_samples(result, wide)
+        assert wide.plan_runs < result.plan_runs

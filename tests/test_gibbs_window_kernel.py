@@ -237,7 +237,8 @@ class TestWindowCandidates:
             _, _, (value,), (present,) = _dense_reference(
                 [tuples[row]], [states[row]], OWN, aggregate, predicate,
                 0, 1, start, stop)
-            window = (index, slice(start, stop))
+            base = int(candidates.offsets[index])
+            window = slice(base + start, base + stop)
             _same_bits(candidates.contribution[window],
                        np.where(present[0], value[0], 0.0))
             _same_bits(candidates.presence_count[window],

@@ -1,20 +1,23 @@
 """The batched delta merge against the per-row one it replaced.
 
 A delta refuel re-runs ``Instantiate`` with a new position plan and
-merges: rows of stable handles carry over, every other row copies the
-positions its previous window already held and draws the rest from its
-stream.  ``Instantiate._merge_delta`` does the moved rows together — run
-overlap by slice, the rest by search, one batched stream fill;
-``PerRowMergeInstantiate`` (``tests/instantiate_oracles.py``) is the old
-row-at-a-time loop.  Both run the same baseline and refuel on their own
-context, and must agree on the windows (bit for bit), the bases, the
-recorded per-handle positions and the computed/reused row counters.
+merges: rows of handles outside the refuel set carry their previous run
+over, every other row copies the positions its previous window already
+held and draws the rest from its stream.  ``Instantiate._merge_delta``
+does the moved rows together — run overlap by slice, the rest by search,
+one batched stream fill; ``PerRowMergeInstantiate``
+(``tests/instantiate_oracles.py``) is the row-at-a-time loop.  Both run
+the same baseline and refuel on their own context, and must agree on the
+runs (bit for bit), the offsets, the bases, the recorded per-handle
+positions and the computed/reused row counters.
 
-Cases mix stable and moved rows, rows appended since the baseline (fresh
-handles or repeats of old ones), handles repeated within a run (a
-self-join), a one- and a two-output VG, and new windows narrower, as
-wide as and wider than the old ones — refuel-shaped plans (assigned
-positions plus a contiguous fresh run) and arbitrary ones.
+Cases are ragged: every handle's window has its own length, in the
+baseline and in the refuel.  They mix carried-over and re-planned rows
+(or no refuel set at all: every row matched), rows appended since the
+baseline (fresh handles or repeats of old ones), handles repeated within
+a run (a self-join), a one- and a two-output VG, and refuel-shaped plans
+(assigned positions plus a contiguous fresh run) as well as arbitrary
+ones.
 """
 
 import numpy as np
@@ -77,27 +80,28 @@ def _merge_cases(draw):
     old_width = draw(st.integers(2, 9))
     baseline = None
     if draw(st.booleans()):  # else one shared window: arange(old_width)
-        baseline = {handle: _positions(draw, old_width)
+        baseline = {handle: _positions(draw, draw(st.integers(2, 9)))
                     for handle in set(old_handles)}
-    new_width = draw(st.sampled_from(
-        [old_width, max(2, old_width - 2), old_width + 3]))
-    refuel, stable = {}, set()
+    refuel, replanned = {}, set()
     for handle in sorted(set(old_handles + appended)):
-        if baseline is not None and handle in baseline \
-                and new_width == old_width and draw(st.booleans()):
-            refuel[handle] = baseline[handle]  # same object: stable
-            stable.add(handle)
-        elif draw(st.integers(0, 4)):  # else the default window
-            refuel[handle] = _positions(draw, new_width,
+        if handle in old_handles and draw(st.booleans()):
+            # Carried over: the plan entry the baseline run used.
+            if baseline is not None:
+                refuel[handle] = baseline[handle]
+            continue
+        replanned.add(handle)
+        if draw(st.integers(0, 4)):  # else the default window
+            refuel[handle] = _positions(draw, draw(st.integers(2, 12)),
                                         low=draw(st.integers(0, 20)))
-    return (old_handles, appended, old_width, baseline, new_width, refuel,
-            frozenset(stable), draw(st.booleans()))
+    refuel_handles = frozenset(replanned) if draw(st.booleans()) else None
+    return (old_handles, appended, old_width, baseline, refuel,
+            refuel_handles, draw(st.booleans()))
 
 
 def _merge(node_class, case):
     """Baseline run, then the delta refuel; what the refuel produced."""
-    (old_handles, appended, old_width, baseline, new_width, refuel,
-     stable, two_outputs) = case
+    (old_handles, appended, old_width, baseline, refuel, refuel_handles,
+     two_outputs) = case
     rows = _Rows()
     if two_outputs:
         node = node_class(rows, MULTIVARIATE_NORMAL, _MVN_PARAMS,
@@ -113,19 +117,16 @@ def _merge(node_class, case):
         context.position_plan = dict(baseline)
     node.execute(context)
     rows.handles = list(old_handles) + list(appended)
-    context.positions = new_width
     context.position_plan = dict(refuel)
-    context.stable_handles = stable
+    context.refuel_handles = refuel_handles
     context.delta_mode = True
     computed, reused = (context.instantiate_rows_computed,
                         context.instantiate_rows_reused)
     relation = node.execute(context)
     materialized = context.materialized[node.node_id]
     return {
-        "windows": {name: column.values
-                    for name, column in relation.rand_columns.items()},
-        "bases": {name: column.bases
-                  for name, column in relation.rand_columns.items()},
+        "runs": {name: (column.values, column.offsets, column.bases)
+                 for name, column in relation.rand_columns.items()},
         "positions": materialized.positions,
         "counters": (context.instantiate_rows_computed - computed,
                      context.instantiate_rows_reused - reused,
@@ -140,11 +141,12 @@ class TestBatchedMergeAgainstPerRow:
         got, want = _merge(Instantiate, case), _merge(
             PerRowMergeInstantiate, case)
         assert got["counters"] == want["counters"]
-        assert got["windows"].keys() == want["windows"].keys()
-        for name, values in want["windows"].items():
-            assert got["windows"][name].tobytes() == values.tobytes()
-            np.testing.assert_array_equal(got["bases"][name],
-                                          want["bases"][name])
+        assert got["runs"].keys() == want["runs"].keys()
+        for name, (values, offsets, bases) in want["runs"].items():
+            got_values, got_offsets, got_bases = got["runs"][name]
+            assert got_values.tobytes() == values.tobytes()
+            np.testing.assert_array_equal(got_offsets, offsets)
+            np.testing.assert_array_equal(got_bases, bases)
         assert got["positions"].keys() == want["positions"].keys()
         for handle, positions in want["positions"].items():
             np.testing.assert_array_equal(got["positions"][handle],
@@ -167,12 +169,15 @@ class TestBatchedMergeAgainstPerRow:
 
         monkeypatch.setattr(operators, "gather_stream_points", spy)
         monkeypatch.setattr(SeedInfo, "values_at", per_row)
-        # Baseline: one shared window 0..3 (a batched full fill).
-        case = ([1, 2, 3], [4], 4, None, 4,
-                {1: np.arange(4), 2: np.array([1, 3, 4, 5]),
-                 3: np.array([0, 4, 5, 6]), 4: np.arange(4)},
-                frozenset({1}), False)
+        # Baseline: one shared window 0..3 (a batched full fill).  Handle
+        # 1 carries over; 2 and 3 refuel to windows of their own depths.
+        case = ([1, 2, 3], [4], 4, None,
+                {2: np.array([1, 3, 4, 5]), 3: np.array([0, 4, 5, 6, 7]),
+                 4: np.arange(4)},
+                frozenset({2, 3, 4}), False)
         got = _merge(Instantiate, case)
-        # Row 2 lacks 4 and 5, row 3 lacks 4-6, appended row 4 all four.
-        assert fills == [9]
+        # Row 2 lacks 4 and 5, row 3 lacks 4-7, appended row 4 all four.
+        assert fills == [10]
         assert got["counters"] == (3, 1, 1)
+        np.testing.assert_array_equal(got["runs"]["v"][1],
+                                      [0, 4, 8, 13, 17])

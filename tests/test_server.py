@@ -420,6 +420,85 @@ class TestEviction:
         assert not set(threading.enumerate()) - threads_before
 
 
+class TestAppendRacingEvict:
+    """Fault drill: appends keep arriving while their tenant is evicted.
+
+    Each reply is a 200 (the append landed before the eviction) or a 404
+    (the tenant is gone), never a 500.  Afterwards the evicted tenant
+    answers 404, its journal gains no version, no ``/dev/shm`` segment or
+    worker process outlives the server, and the standing drainer keeps
+    serving the other tenant."""
+
+    def test_append_racing_an_evict_is_200_or_404(self):
+        from multiprocessing import active_children
+        from repro.engine.shm import leaked_segments
+        segments_before = set(leaked_segments())
+        children_before = set(active_children())
+        with RiskServer(options=ExecutionOptions(n_jobs=2,
+                                                 backend="process"),
+                        server_options=ServerOptions(concurrency=2)) as live:
+            base, service = live.url, live.service
+            standing = {}
+            for tenant in ("racer", "bystander"):
+                _load_tenant(base, tenant, [1.0, 2.0, 3.0])
+                status, wire = _call(f"{base}/tenants/{tenant}/standing",
+                                     "POST", {"sql": MC_QUERY,
+                                              "analysis": "loss"})
+                assert status == 202
+                standing[tenant] = wire["standing_id"]
+                _, polled = _call(f"{base}/tenants/{tenant}/standing/"
+                                  f"{wire['standing_id']}?wait=30")
+                assert polled["record"]["version"] == 1
+            racer = service.registry.get("racer")
+
+            statuses, landed = [], threading.Event()
+
+            def append_until_gone(worker):
+                for row in range(200):
+                    status, _ = _call(
+                        f"{base}/tenants/racer/tables/means/rows", "POST",
+                        {"columns": {"CID": [100 * worker + row + 3],
+                                     "m": [1.5]}})
+                    statuses.append(status)
+                    if status == 200:
+                        landed.set()
+                    if status == 404:
+                        return
+
+            appenders = [threading.Thread(target=append_until_gone,
+                                          args=(worker,))
+                         for worker in range(2)]
+            for thread in appenders:
+                thread.start()
+            assert landed.wait(30)
+            assert _call(f"{base}/tenants/racer", "DELETE")[0] == 200
+            versions_at_evict = len(racer.journal.versions("loss"))
+            for thread in appenders:
+                thread.join(60)
+
+            assert set(statuses) <= {200, 404}, statuses
+            assert statuses.count(404) == 2  # each appender saw it go
+            assert _call(f"{base}/tenants/racer/analyses")[0] == 404
+            assert _call(f"{base}/tenants/racer/standing/"
+                         f"{standing['racer']}")[0] == 404
+            # One drainer serves every tenant in order: once the
+            # bystander's refresh has landed, every racer refresh queued
+            # before it has run (or been skipped) too.
+            status, _ = _call(f"{base}/tenants/bystander/tables/means/rows",
+                              "POST", {"columns": {"CID": [3], "m": [4.0]}})
+            assert status == 200
+            _, polled = _call(f"{base}/tenants/bystander/standing/"
+                              f"{standing['bystander']}?wait=30&after=1")
+            assert polled["record"]["version"] == 2
+            assert len(racer.journal.versions("loss")) == versions_at_evict
+        assert set(leaked_segments()) <= segments_before
+        deadline = time.monotonic() + 10
+        while set(active_children()) - children_before \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not set(active_children()) - children_before
+
+
 def _raw_request(server, path, body=b"", headers=None, method="POST"):
     """Send ``body`` with hand-set headers (a lying ``Content-Length``
     included); returns ``(status, payload, Connection header)``.  The
