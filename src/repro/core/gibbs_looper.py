@@ -170,8 +170,8 @@ class WindowCandidates:
     offsets: np.ndarray
 
 
-def single_seed_rows(relation: BundleRelation) -> np.ndarray:
-    """Rows of ``relation`` whose Gibbs tuple depends on exactly one seed.
+def _row_seeds(relation: BundleRelation) -> np.ndarray:
+    """Per row: the one seed its Gibbs tuple depends on, or ``-1``.
 
     A tuple's seeds are its random columns' handles plus the handles of
     its non-vacuous presence arrays (vacuous ones are dropped from the
@@ -188,7 +188,13 @@ def single_seed_rows(relation: BundleRelation) -> np.ndarray:
         handles = presence.seed_handles
         lowest = np.where(counted, np.minimum(lowest, handles), lowest)
         highest = np.where(counted, np.maximum(highest, handles), highest)
-    return np.flatnonzero((lowest == highest) & (highest >= 0))
+    return np.where(lowest == highest, highest, -1)
+
+
+def single_seed_rows(relation: BundleRelation) -> np.ndarray:
+    """Rows of ``relation`` whose Gibbs tuple depends on exactly one seed
+    (see :func:`_row_seeds`)."""
+    return np.flatnonzero(_row_seeds(relation) >= 0)
 
 
 def window_candidates(relation: BundleRelation, rows: np.ndarray,
@@ -197,34 +203,62 @@ def window_candidates(relation: BundleRelation, rows: np.ndarray,
     """Every candidate of the single-seed tuples ``rows``, in one pass.
 
     The aggregate expression and predicates are evaluated once over the
-    runs of ``rows`` (a single-seed row's columns all share its seed's
-    window, hence one run length).  Evaluation is elementwise, so element
-    ``b`` of run ``i`` has the bits the per-window evaluation would give
-    slot ``b`` of tuple ``rows[i]``; AND-ing a presence array that is
-    vacuous for some row is an exact no-op there.  A bare column with no
-    presence and no predicate costs nothing: ``contribution`` is then the
-    relation's own run array.
+    runs of ``rows``, each as long as its row's seed's window.  A random
+    column of such a row, and a presence array of its seed, has that
+    run; a presence array of another seed is vacuous for the row (else
+    the row would not be single-seed) but may be of another length, so
+    it is read as all-true over the row's run instead.  Evaluation is
+    elementwise, so element ``b`` of run ``i`` has the bits the
+    per-window evaluation would give slot ``b`` of tuple ``rows[i]``.  A
+    bare column with no presence and no predicate costs nothing:
+    ``contribution`` is then the relation's own run array.
     """
     every = rows.size == relation.length
+    seeds = _row_seeds(relation)[rows] if relation.presence else None
+
+    def own_rows(column):
+        """Which of ``rows`` read ``column`` at their own seed."""
+        if seeds is None or column.seed_handles is None:
+            return None
+        own = column.seed_handles[rows] == seeds
+        return None if own.all() else own
+
+    lengths = np.full(rows.size, -1, dtype=np.int64)  # -1: not yet seen
+    for column in (*relation.rand_columns.values(), *relation.presence):
+        _, column_offsets = column.runs()
+        found = column_offsets[rows + 1] - column_offsets[rows]
+        own = own_rows(column)
+        if own is not None:
+            found = np.where(own, found, -1)
+        if np.any((lengths >= 0) & (found >= 0) & (lengths != found)):
+            raise EngineError("columns of one seed have different runs")
+        np.maximum(lengths, found, out=lengths)
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
 
     def take(column):
-        elements, offsets = column.runs()
+        elements, column_offsets = column.runs()
         if every:
-            return elements, offsets
-        return take_runs(elements, offsets, rows)
+            return elements
+        return take_runs(elements, column_offsets, rows)[0]
 
     columns, flags = {}, []
-    offsets = np.zeros(rows.size + 1, dtype=np.int64)
     for name, column in relation.rand_columns.items():
-        columns[name], offsets = take(column)
+        columns[name] = take(column)
     for presence in relation.presence:
-        cells, offsets = take(presence)
+        own = own_rows(presence)
+        if own is None:
+            flags.append(take(presence))
+            continue
+        cells = np.ones(int(offsets[-1]), dtype=bool)
+        elements, column_offsets = presence.runs()
+        cells[np.repeat(own, lengths)] = take_runs(
+            elements, column_offsets, rows[own])[0]
         flags.append(cells)
     wanted = set()
     for expr in (aggregate_expr, final_predicate):
         if expr is not None:
             wanted |= expr.columns()
-    lengths = np.diff(offsets)
     for name, det_values in relation.det_columns.items():
         if name in wanted:
             columns[name] = np.repeat(
@@ -468,7 +502,7 @@ class GibbsLooper:
             injected.delta_mode = True
             injected.refuel_handles = None
         plan_runs_before = self._context.plan_runs
-        relation = self.plan.execute(self._context)
+        initial_relation = self.plan.execute(self._context)
         self._context.plan_runs += 1
         initial_materialized = None
         if injected is not None:
@@ -478,7 +512,11 @@ class GibbsLooper:
             # *next* refresh extends; snapshot them before replenishment
             # overwrites the entries.
             initial_materialized = dict(injected.materialized)
-        self._ingest(relation, versions, initial=True)
+        # Not kept past ingestion: the looper re-points every tuple at
+        # each refuel's windows, and a reference held here would keep the
+        # initial windows alive through the whole run.
+        self._ingest(initial_relation, versions, initial=True)
+        del initial_relation
 
         next_sizes = list(self.params.n_steps[1:]) + [self.num_samples]
         clone_rng = np.random.default_rng(

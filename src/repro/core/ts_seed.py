@@ -42,6 +42,10 @@ _HEADROOM = 2
 #: materialize millions.  Repeated refuels still grow the window
 #: geometrically.
 _PROJECTION_CAP = 4
+#: A re-planned window holds ``floor // _SLACK`` fresh positions beyond
+#: the demand it expects, so a seed whose estimate falls just short does
+#: not refuel again for its last few positions.
+_SLACK = 4
 
 
 @dataclass
@@ -186,12 +190,12 @@ def plan_refuel(seeds: Mapping[int, TSSeed], dry: int, sweep: int,
     it has left, when fewer); every other seed's window carries over
     untouched.  A re-planned seed keeps its assigned positions and gets
     ``depth`` fresh ones: its expected demand for the rest of the run plus
-    half a ``floor``, and at least ``floor``.  ``dry`` gets at least twice
+    ``floor // _SLACK``, and at least ``floor``.  ``dry`` gets at least twice
     its last depth when it ran dry during the visit that depth was planned
     for.  A seed that has made no visit yet is expected to demand the
     median rate of those that have; if its fresh range falls short of
     that, its depth is a guess: ``floor`` — or, once a guessed seed has run
-    dry, that seed's projected first visit plus half a ``floor``.
+    dry, that seed's projected first visit plus ``floor // _SLACK``.
 
     Reads only TS-seed state and the sweep position, so every looper
     refuels at the same moments; the results do not depend on it, since
@@ -225,19 +229,20 @@ def plan_refuel(seeds: Mapping[int, TSSeed], dry: int, sweep: int,
     join = (ahead >= 0) & (
         fresh < np.minimum(_HEADROOM, ahead + 1) * expected)
     join[at] = True
+    slack = floor // _SLACK
     # A guessed window ran dry: the other guesses were short too.
-    guess = max(floor, floor // 2 + math.ceil(rates[at])) if ts.guessed \
+    guess = max(floor, slack + math.ceil(rates[at])) if ts.guessed \
         else floor
     plans = {}
     for index in np.flatnonzero(join).tolist():
         ts, handle = states[index], int(handles[index])
         if index == at:
-            depth = max(floor, floor // 2 + math.ceil(
+            depth = max(floor, slack + math.ceil(
                 rest + rates[at] * ahead[at]))
             if ts.planned_for == visits[at]:
                 depth = max(depth, 2 * ts.depth)
         elif known[index]:
-            depth = max(floor, floor // 2 + math.ceil(
+            depth = max(floor, slack + math.ceil(
                 rates[index] * (ahead[index] + 1)))
         else:
             depth = guess

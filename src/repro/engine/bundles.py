@@ -238,9 +238,8 @@ class PresenceColumn(_Elements):
 
     def vacuous(self) -> np.ndarray:
         """Per row: present at every materialized position."""
-        if self.offsets is None:
-            return self.flags.all(axis=1)
-        return run_counts(self.flags, self.offsets) == np.diff(self.offsets)
+        flags, offsets = self.runs()
+        return run_counts(flags, offsets) == np.diff(offsets)
 
 
 class BundleRelation:

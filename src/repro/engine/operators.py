@@ -799,14 +799,11 @@ class Select(PlanNode):
             seed_handles, bases = None, None
         else:
             seed_handles, bases = lineage.seed_handles, lineage.bases
+        presence = PresenceColumn(flags, seed_handles, bases,
+                                  lineage.offsets)
         out = relation.shallow_copy()
-        out.add_presence(PresenceColumn(flags, seed_handles, bases,
-                                        lineage.offsets))
-        if lineage.offsets is None:
-            alive = flags.any(axis=1)
-        else:
-            alive = run_counts(flags, lineage.offsets) > 0
-        return out.filter_rows(alive)
+        out.add_presence(presence)
+        return out.filter_rows(run_counts(*presence.runs()) > 0)
 
     def _fingerprint_parts(self):
         return (repr(self.predicate),)

@@ -176,17 +176,13 @@ def gather_stream_points(chunk_blocks, row_of, positions,
     starts = np.concatenate(
         ([0], np.flatnonzero(row_steps | chunk_steps) + 1, [positions.size]))
     targets = list(enumerate(components))
-    for lo, hi, row, chunk_index, first, last in zip(
+    for lo, hi, row, chunk_index in zip(
             starts[:-1].tolist(), starts[1:].tolist(),
-            row_of[starts[:-1]].tolist(), chunk_ids[starts[:-1]].tolist(),
-            offsets[starts[:-1]].tolist(), offsets[starts[1:] - 1].tolist()):
+            row_of[starts[:-1]].tolist(), chunk_ids[starts[:-1]].tolist()):
         blocks = chunk_blocks[row](chunk_index)
-        if last - first == hi - lo - 1:  # a run of positions: one slice
-            picked = blocks[first:last + 1]
-        else:
-            picked = blocks[offsets[lo:hi]]
+        index = offsets[lo:hi]
         for slot, component in targets:
-            out[slot, lo:hi] = picked[:, component]
+            out[slot, lo:hi] = blocks[index, component]
     return out
 
 

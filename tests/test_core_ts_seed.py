@@ -110,7 +110,7 @@ class TestTSSeed:
     def test_plan_refuel(self):
         """Sweep 1 of 3, seed 2 ran dry: it and seed 1, whose fresh range
         would not last two of its visits, are re-planned to their demand
-        for the rest of the run plus half the window; seed 3 carries
+        for the rest of the run plus a quarter window; seed 3 carries
         over.  A seed dry again within the visit its window was planned
         for gets at least twice that window."""
         def seed(handle, positions, max_used, assignment):
@@ -123,17 +123,17 @@ class TestTSSeed:
                  3: seed(3, 41, 8, [0, 1, 8, 3])}      # 5 per visit, 32 fresh
         plans = plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
         assert sorted(plans) == [1, 2]
-        # Seed 1: its last visit, 10 positions, plus half the window.
+        # Seed 1: its last visit, 10 positions, plus a quarter window.
         np.testing.assert_array_equal(
-            plans[1], [0, 2, 21, 23, *range(24, 36)])
+            plans[1], [0, 2, 21, 23, *range(24, 35)])
         # Seed 2: 8 positions moved 1 of 4 versions, so the visit's rest
         # is 12; it consumed 18 (+12) over its 2 visits, 15 per visit.
-        assert seeds[2].depth == 2 + 12 + 15
-        assert plans[2][-1] == 20 + 29
+        assert seeds[2].depth == 1 + 12 + 15
+        assert plans[2][-1] == 20 + 28
         seeds[2].positions = plans[2]
         seeds[2].max_used = int(plans[2][-1])
         plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
-        assert seeds[2].depth >= 2 * 29
+        assert seeds[2].depth >= 2 * 28
 
     def test_index_of_position(self):
         ts = TSSeed.initial(_info(), np.array([2, 5, 9, 11]), 2)

@@ -115,6 +115,34 @@ def _relation(draw, rows):
     return relation
 
 
+def _ragged_relation(draw, rows, depth):
+    """Like :func:`_relation`, but stored as runs: each row's run of a
+    column is as deep as its seed's window, ``depth[handle]``."""
+    def handles():
+        return np.array(draw(st.lists(st.sampled_from([OWN, FOREIGN]),
+                                      min_size=rows, max_size=rows)))
+
+    def offsets(row_handles):
+        return np.concatenate(
+            [[0], np.cumsum([depth[int(h)] for h in row_handles])])
+
+    relation = BundleRelation(rows, WINDOW, aligned=False)
+    relation.add_det_column("d", _floats(draw, rows))
+    for name, row_handles in (("x", np.full(rows, OWN)), ("y", handles())):
+        bounds = offsets(row_handles)
+        relation.add_rand_column(name, RandomColumn(
+            _floats(draw, int(bounds[-1])), row_handles, offsets=bounds))
+    for _ in range(draw(st.integers(0, 2))):
+        row_handles = handles()
+        bounds = offsets(row_handles)
+        flags = _flags(draw, int(bounds[-1]))
+        for row in np.flatnonzero(_flags(draw, rows)):
+            flags[bounds[row]:bounds[row + 1]] = True
+        relation.add_presence(PresenceColumn(flags, row_handles,
+                                             offsets=bounds))
+    return relation
+
+
 def _states(draw, tuples, single):
     """Random per-version state.  When ``single`` is given, its tuples are
     set up as the looper sets up single-seed ones: a row of the per-refuel
@@ -246,6 +274,37 @@ class TestWindowCandidates:
             if candidates.always_present:
                 assert present.all()
                 _same_bits(candidates.contribution[window], value[0])
+
+    @given(data=st.data(), rows=st.integers(1, 4),
+           aggregate=st.sampled_from(_AGGREGATES),
+           predicate=st.sampled_from(_PREDICATES))
+    @settings(max_examples=150, deadline=None)
+    def test_ragged_runs_with_foreign_vacuous_presence(
+            self, data, rows, aggregate, predicate):
+        """Runs as a refuel leaves them: each seed's window has its own
+        depth, and a presence array vacuous for a row may belong to
+        another seed, hence be of another length than the row's run."""
+        own_depth = data.draw(st.integers(1, WINDOW + 4))
+        depth = {OWN: own_depth, FOREIGN: data.draw(
+            st.integers(1, WINDOW + 4).filter(lambda d: d != own_depth))}
+        relation = _ragged_relation(data.draw, rows, depth)
+        tuples = tuples_from_relation(relation)
+        single = single_seed_rows(relation)
+        candidates = window_candidates(relation, single, aggregate,
+                                       predicate)
+        states = _states(data.draw, tuples, None)
+        assert candidates.offsets.tolist() == [
+            own_depth * index for index in range(single.size + 1)]
+        for index, row in enumerate(single.tolist()):
+            _, _, (value,), (present,) = _dense_reference(
+                [tuples[row]], [states[row]], OWN, aggregate, predicate,
+                0, 1, 0, own_depth)
+            run = slice(int(candidates.offsets[index]),
+                        int(candidates.offsets[index + 1]))
+            _same_bits(candidates.contribution[run],
+                       np.where(present[0], value[0], 0.0))
+            _same_bits(candidates.presence_count[run],
+                       present[0].astype(np.float64))
 
     def test_bare_column_sum_is_a_view(self):
         relation = BundleRelation(2, WINDOW, aligned=False)

@@ -306,6 +306,23 @@ class TestGatherStreamPoints:
         assert drawn == [(3, 0), (3, 1), (3, 3), (2**63 + 5, 0),
                          (2**63 + 5, 1), (2**63 + 5, 2)]
 
+    @pytest.mark.parametrize("positions", [
+        [5, 9, 7],    # out of order within one chunk
+        [5, 5, 7],    # a repeated position
+        [7, 6, 5],    # descending within one chunk
+    ])
+    def test_any_order_within_a_chunk(self, positions):
+        """Only chunks must ascend: within one, positions come in any
+        order, repeats included, and each gets its own value."""
+        params = (0.0, 1.0)
+
+        def chunk_blocks(chunk_index):
+            return draw_chunk(4, NORMAL, params, chunk_index)
+        out = gather_stream_points([chunk_blocks], [0, 0, 0], positions, [0])
+        stream = NORMAL.make_block_stream(4, params)
+        np.testing.assert_array_equal(
+            out[0], stream.component_values_at(np.array(positions), 0))
+
     @pytest.mark.parametrize("row_of, positions", [
         ([0, 0], [300, 10]),   # chunk order reversed within a row
         ([1, 0], [10, 20]),    # rows not grouped
