@@ -12,10 +12,7 @@ validated by ``ExecutionOptions.from_env`` — a typo'd value fails fast
 with an ``EngineError`` naming the variable):
   MCDBR_BACKEND=process|thread|serial     shard transport (Monte Carlo)
   MCDBR_N_JOBS=<n>                        shard workers (1 = no sharding)
-  MCDBR_SHARD_SIZE=<n>                    max repetitions per shard
   MCDBR_DET_CACHE=session|off             cross-query det-cache
-  MCDBR_SHM=on|off                        zero-copy shared-memory data
-                                          plane for the process backend
 Every combination produces bit-identical output for the same base seed.
 The tail query below runs in-process whatever MCDBR_N_JOBS is: the Gibbs
 sweep is Gauss–Seidel over TS-seeds, so only Monte Carlo queries shard.
@@ -28,10 +25,9 @@ from repro.risk import expected_shortfall, value_at_risk
 from repro.sql import Session
 
 # 1. A session and an ordinary parameter table: per-customer mean losses.
-#    The ``with`` block releases the session's worker pool — and, under
-#    the process backend, every shared-memory segment of the zero-copy
-#    data plane — when the analysis ends, even on an exception (with
-#    MCDBR_N_JOBS=1 there is no pool and close is a no-op).
+#    The ``with`` block releases the session's worker pool when the
+#    analysis ends, even on an exception (with MCDBR_N_JOBS=1 there is
+#    no pool and close is a no-op).
 options = ExecutionOptions.from_env()
 with Session(base_seed=2026, tail_budget=1000, window=1000,
              options=options) as session:

@@ -24,8 +24,10 @@ bounds, and hands the pair to a backend's ``run_job``:
   ``shared_payload()`` and they are pickled once per ``(object,
   version)`` key and re-sent to a worker only when the key changes, so a
   session running many queries against the same catalog ships it to each
-  worker exactly once.  Bulk arrays on that channel ride the zero-copy
-  shared-memory data plane (:mod:`repro.engine.shm`) as read-only views.
+  worker exactly once.  The channel pickles with protocol 5: array
+  buffers travel out of band as raw byte frames, and the worker rebuilds
+  each array over its immutable ``bytes`` frame, so catalog columns are
+  read-only there without an extra copy.
 
 Shard-job transport contract (only :class:`ProcessBackend` exercises it):
 
@@ -56,7 +58,6 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait
 
 from repro.engine.errors import EngineError
-from repro.engine.shm import ShmAttachCache, ShmBlockStore, shm_loads
 
 __all__ = [
     "ExecutionBackend", "SerialBackend", "ThreadBackend", "ProcessBackend",
@@ -173,19 +174,17 @@ def _worker_main(conn) -> None:
     """Worker loop: install broadcast payloads, run ``(job_id, lo, hi)``.
 
     ``jobs`` holds the per-query broadcast payloads, ``shared`` the keyed
-    cross-query channel (catalogs).  Shard results — or a formatted
-    traceback on failure — go back on the same pipe tagged with the task
-    index so the parent can merge out-of-order completions.  A failure
-    outside a task has no reply slot and goes back tagged ``None``; the
-    parent treats any error reply as fatal and resets the pool.
+    cross-query channel (catalogs).  A ``share`` message announces how
+    many out-of-band buffer frames follow it on the pipe; they are read
+    before unpickling, so a failed unpickle never desynchronizes the
+    stream.  Shard results — or a formatted traceback on failure — go
+    back on the same pipe tagged with the task index so the parent can
+    merge out-of-order completions.  A failure outside a task has no
+    reply slot and goes back tagged ``None``; the parent treats any error
+    reply as fatal and resets the pool.
     """
     jobs: dict[int, object] = {}
     shared: dict[tuple, object] = {}
-    # Zero-copy receive side: "share" blobs may carry ShmDescriptor
-    # persistent ids; the cache attaches each named segment once and
-    # resolves descriptors to array views.  Plain blobs decode through the
-    # same path unchanged.
-    attach_cache = ShmAttachCache()
     while True:
         try:
             message = conn.recv()
@@ -196,7 +195,9 @@ def _worker_main(conn) -> None:
             break
         try:
             if kind == "share":
-                shared[message[1]] = shm_loads(message[2], attach_cache)
+                _, key, blob, frames = message
+                buffers = [conn.recv_bytes() for _ in range(frames)]
+                shared[key] = pickle.loads(blob, buffers=buffers)
             elif kind == "unshare":
                 shared.pop(message[1], None)
             elif kind == "job":
@@ -216,7 +217,6 @@ def _worker_main(conn) -> None:
                 conn.send(("error", reply_slot, traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 break
-    attach_cache.close()
     conn.close()
 
 
@@ -233,19 +233,15 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, n_workers: int, use_shm: bool = True):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
         self._workers: list[_WorkerHandle] = []
         self._next_job_id = 0
-        # key -> (obj, blob, segment name | None, hoisted array bytes)
+        # key -> (obj, blob, buffers): the protocol-5 in-band pickle and
+        # its out-of-band PickleBuffers, which view obj's arrays in place.
         self._shared_cache: dict[tuple, tuple] = {}
-        # Zero-copy data plane: bulk arrays in shared-channel payloads are
-        # placed in parent-owned shared memory and shipped as descriptors
-        # (repro.engine.shm).  None = opted out (MCDBR_SHM=off) — every
-        # payload pickles whole.
-        self._shm: ShmBlockStore | None = ShmBlockStore() if use_shm else None
         #: Transport accounting, exposed for the benchmarks and the
         #: payload regression tests: ``jobs``/``tasks`` count dispatches,
         #: ``job_bytes`` is the last broadcast blob size, ``task_bytes``
@@ -253,21 +249,9 @@ class ProcessBackend(ExecutionBackend):
         #: count keyed-channel work (pickles happen once per key).
         #: ``sent_bytes`` accumulates every parent->worker payload byte
         #: (job broadcasts x recipients, shared-channel sends, run tasks).
-        #:
-        #: Zero-copy accounting.  ``sent_bytes`` means *payload bytes
-        #: delivered to a worker* — with the shm data plane on, a hoisted
-        #: array is delivered by reference, so its bytes still count while
-        #: the pipe carries only a descriptor.  ``shm_segments``/
-        #: ``shm_bytes`` count segments created and array bytes placed in
-        #: them (once, however many workers attach);
-        #: ``shm_attached_bytes`` is the per-recipient share of the
-        #: delivered bytes that rode as descriptors instead of pickled
-        #: copies; ``shared_wire_bytes`` is the actual pickled blob size
-        #: of the catalog channel.
         self.stats = {"jobs": 0, "tasks": 0, "job_bytes": 0, "task_bytes": 0,
                       "shared_pickles": 0, "shared_sends": 0, "spawns": 0,
-                      "sent_bytes": 0, "shm_segments": 0, "shm_bytes": 0,
-                      "shm_attached_bytes": 0, "shared_wire_bytes": 0}
+                      "sent_bytes": 0}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -275,16 +259,6 @@ class ProcessBackend(ExecutionBackend):
     def workers_alive(self) -> int:
         return sum(1 for worker in self._workers
                    if worker.process.is_alive())
-
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether the zero-copy data plane is on *and* usable here."""
-        return self._shm is not None and self._shm.available
-
-    @property
-    def shm_live_segments(self) -> int:
-        """Live (not yet unlinked) segments owned by this backend."""
-        return 0 if self._shm is None else self._shm.live_segments
 
     def worker_pids(self) -> list[int]:
         return [worker.process.pid for worker in self._workers]
@@ -317,20 +291,12 @@ class ProcessBackend(ExecutionBackend):
                 # terminate() is SIGTERM, which a worker wedged in
                 # uninterruptible I/O (or with the signal masked) can
                 # outlive; without this escalation close() would silently
-                # leave a zombie holding every attached segment's pages.
+                # leave a zombie holding its copy of the catalog.
                 worker.process.kill()
                 worker.process.join(timeout=_JOIN_TIMEOUT)
             worker.conn.close()
         self._workers = []
         self._shared_cache = {}
-        # Unlink every shared-memory segment with the pool that attached
-        # it — including shared-channel entries evicted earlier (retired,
-        # not unlinked, because an eviction cannot know the worker already
-        # processed the original "share").  The dead workers' mappings are
-        # gone, so the pages free immediately; the store itself stays
-        # usable for a lazily respawned pool.
-        if self._shm is not None:
-            self._shm.close()
 
     # -- transport -----------------------------------------------------------
 
@@ -342,23 +308,6 @@ class ProcessBackend(ExecutionBackend):
         shard tasks must never regrow a catalog/plan payload.
         """
         return ("run", job_id, index, lo, hi)
-
-    def _shm_dumps(self, obj) -> tuple:
-        """Pickle a bulk payload, hoisting large arrays into shared memory.
-
-        Returns ``(blob, segment_name, array_bytes)``; the segment is
-        ``None`` (plain pickle, zero hoisted bytes) when the data plane
-        is opted out, unavailable on this host, or the payload holds no
-        array worth a segment.
-        """
-        if self._shm is None:
-            return (pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-                    None, 0)
-        blob, segment, array_bytes = self._shm.dumps(obj)
-        if segment is not None:
-            self.stats["shm_segments"] += 1
-            self.stats["shm_bytes"] += array_bytes
-        return blob, segment, array_bytes
 
     def _send_shared(self, worker: _WorkerHandle, key: tuple,
                      obj: object) -> None:
@@ -380,15 +329,13 @@ class ProcessBackend(ExecutionBackend):
                         if stale in other.shared_keys:
                             other.shared_keys.discard(stale)
                             other.conn.send(("unshare", stale))
-            blob, segment, array_bytes = self._shm_dumps(obj)
-            self._shared_cache[key] = (obj, blob, segment, array_bytes)
+            buffers: list = []
+            blob = pickle.dumps(obj, protocol=5,
+                                buffer_callback=buffers.append)
+            self._shared_cache[key] = (obj, blob, buffers)
             self.stats["shared_pickles"] += 1
             while len(self._shared_cache) > _SHARED_CACHE_LIMIT:
                 evicted = next(iter(self._shared_cache))
-                # The evicted entry's segment is retired, not unlinked:
-                # a lagging worker may not have processed the original
-                # "share" yet, and unlinking would strand its attach.
-                # close() reaps every retired segment with the pool.
                 del self._shared_cache[evicted]
                 for other in self._workers:
                     if evicted in other.shared_keys:
@@ -396,13 +343,16 @@ class ProcessBackend(ExecutionBackend):
                         other.conn.send(("unshare", evicted))
         if key in worker.shared_keys:
             return
-        _, blob, _, array_bytes = self._shared_cache[key]
-        worker.conn.send(("share", key, blob))
+        _, blob, buffers = self._shared_cache[key]
+        worker.conn.send(("share", key, blob, len(buffers)))
+        sent = len(blob)
+        for buffer in buffers:
+            frame = buffer.raw()
+            worker.conn.send_bytes(frame)
+            sent += frame.nbytes
         worker.shared_keys.add(key)
         self.stats["shared_sends"] += 1
-        self.stats["sent_bytes"] += len(blob) + array_bytes
-        self.stats["shared_wire_bytes"] += len(blob)
-        self.stats["shm_attached_bytes"] += array_bytes
+        self.stats["sent_bytes"] += sent
 
     def run_job(self, job, bounds) -> list:
         bounds = list(bounds)
@@ -547,6 +497,5 @@ def make_backend(options) -> ExecutionBackend:
     if options.backend == "thread":
         return ThreadBackend(options.n_jobs)
     if options.backend == "process":
-        return ProcessBackend(
-            options.n_jobs, use_shm=getattr(options, "shm", "on") == "on")
+        return ProcessBackend(options.n_jobs)
     raise ValueError(f"unknown backend {options.backend!r}")

@@ -27,13 +27,13 @@ sampler, so any cross-seed combination must be deferred to the
 GibbsLooper; ``Instantiate`` emits runs there, because a refuel gives
 each seed a window of its own depth (Sec. 9).
 
-These arrays are exactly the bulk the process backend's zero-copy data
-plane (``repro.engine.shm``) hoists into shared memory when relations
-cross to workers on the catalog channel: a column arriving in a worker
-may therefore be a *read-only* view over a parent-owned segment.
-Bundle code treats shipped columns as immutable inputs everywhere (new
-arrays are built per evaluation, never written back into a source
-column), which is what makes the shared mapping safe.
+These arrays are exactly the bulk the process backend ships out of band
+when relations cross to workers on the catalog channel (protocol-5
+pickling, :mod:`repro.engine.backends`): a column arriving in a worker
+is therefore a *read-only* array over the received bytes.  Bundle code
+treats shipped columns as immutable inputs everywhere (new arrays are
+built per evaluation, never written back into a source column), which
+is what makes that safe.
 """
 
 from __future__ import annotations

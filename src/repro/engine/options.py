@@ -8,15 +8,15 @@ execution knobs must produce bit-identical results for the same session
 seed — the contract ``tests/test_engine_equivalence.py`` enforces and the
 MC/tail goldens pin across commits.
 
-``n_jobs``, ``backend``, ``shard_size`` and ``shm`` shape the stateless
-``run_job`` sharding of the Monte Carlo repetition axis
-(:mod:`repro.engine.backends`): every worker re-derives the same per-seed
-PRNG keys and materializes disjoint windows of the same streams, so
-merging shards in order reproduces the serial run.  Tail (``DOMAIN``)
-queries ignore them: the Gibbs sweep is Gauss–Seidel over TS-seeds and
-always runs in-process, with one kernel and delta refuels.  ``det_cache``
-decides whether deterministic sub-plan results are shared across a
-session's queries.
+``n_jobs`` and ``backend`` shape the stateless ``run_job`` sharding of
+the Monte Carlo repetition axis (:mod:`repro.engine.backends`): the
+repetitions split evenly over ``n_jobs`` contiguous slices, every worker
+re-derives the same per-seed PRNG keys and materializes disjoint windows
+of the same streams, so merging shards in order reproduces the serial
+run.  Tail (``DOMAIN``) queries ignore them: the Gibbs sweep is
+Gauss–Seidel over TS-seeds and always runs in-process, with one kernel
+and delta refuels.  ``det_cache`` decides whether deterministic sub-plan
+results are shared across a session's queries.
 
 Every knob also reads from an ``MCDBR_*`` environment variable through
 :meth:`ExecutionOptions.from_env`, which rejects unknown names.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 from repro.engine.errors import EngineError
 
-__all__ = ["BACKENDS", "DET_CACHE_MODES", "SHM_MODES", "ExecutionOptions",
+__all__ = ["BACKENDS", "DET_CACHE_MODES", "ExecutionOptions",
            "ServerOptions", "env_choice", "env_int", "env_float", "env_bool"]
 
 #: Shard transports (see :mod:`repro.engine.backends`).  ``"process"``
@@ -44,16 +44,6 @@ BACKENDS = ("process", "thread", "serial")
 #: on); ``"off"`` disables caching entirely.
 DET_CACHE_MODES = ("session", "off")
 
-#: Zero-copy shared-memory data plane for ``backend="process"``
-#: (:mod:`repro.engine.shm`).  ``"on"`` (default) places bulk payload
-#: arrays — the catalog columns on the shared channel — in parent-owned
-#: ``/dev/shm`` segments and ships tens-of-byte descriptors that workers
-#: attach as read-only zero-copy views; ``"off"`` pickles every payload
-#: whole (for hosts without POSIX shared memory, though the store also
-#: degrades to this by itself if allocation fails).
-#: Bit-identical either way; inert on the serial/thread backends.
-SHM_MODES = ("on", "off")
-
 #: Truthy/falsy spellings accepted by boolean env knobs.
 _ENV_TRUE = ("1", "true", "yes", "on")
 _ENV_FALSE = ("0", "false", "no", "off")
@@ -61,8 +51,7 @@ _ENV_FALSE = ("0", "false", "no", "off")
 #: Every environment knob ``from_env`` recognizes — the whole MCDBR_*
 #: namespace is reserved, so misspelled *names* fail fast too.
 _ENV_KNOBS = frozenset((
-    "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE", "MCDBR_DET_CACHE",
-    "MCDBR_SHM",
+    "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_DET_CACHE",
     # ServerOptions.from_env's knobs, so ExecutionOptions.from_env in the
     # server process doesn't reject them as typos.
     "MCDBR_SERVER_CONCURRENCY", "MCDBR_SERVER_QUEUE_DEPTH",
@@ -130,12 +119,6 @@ def env_bool(name: str, default: bool) -> bool:
         f"{'|'.join(_ENV_TRUE + _ENV_FALSE)}")
 
 
-#: Env-overridable default so CI can run whole suites under either data
-#: plane (``MCDBR_SHM=on|off``).  Read once at import, so options built
-#: at different times inside one process can never silently disagree.
-_DEFAULT_SHM = env_choice("MCDBR_SHM", "on", SHM_MODES)
-
-
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How to execute a query: Monte Carlo sharding + det-cache reuse.
@@ -149,9 +132,6 @@ class ExecutionOptions:
     backend:
         Shard transport (see :data:`BACKENDS`): ``"process"``,
         ``"thread"`` or ``"serial"``.  Inert while ``n_jobs == 1``.
-    shard_size:
-        Optional maximum repetitions per shard.  ``None`` splits the
-        work evenly across ``n_jobs`` workers.
     det_cache:
         Cache tier for deterministic sub-plan results: ``"session"``
         (the default) or ``"off"``.  Under :class:`repro.sql.Session`,
@@ -161,34 +141,24 @@ class ExecutionOptions:
         new rows.  Executors used directly scope their cache to one plan
         execution unless a session cache object is handed to them.
         Bit-identical either way — only recomputation differs.
-    shm:
-        Zero-copy shared-memory data plane for the process backend
-        (default ``"on"``; env ``MCDBR_SHM``; see :data:`SHM_MODES`).
-        ``"off"`` pickles every payload whole.  Bit-identical either way.
     """
 
     n_jobs: int = 1
     backend: str = "process"
-    shard_size: int | None = None
     det_cache: str = "session"
-    shm: str = _DEFAULT_SHM
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; supported: {BACKENDS}")
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.shard_size is not None and self.shard_size < 1:
+        if not isinstance(self.n_jobs, int) \
+                or isinstance(self.n_jobs, bool) or self.n_jobs < 1:
             raise ValueError(
-                f"shard_size must be >= 1 or None, got {self.shard_size}")
+                f"n_jobs must be an integer >= 1, got {self.n_jobs!r}")
         if self.det_cache not in DET_CACHE_MODES:
             raise ValueError(
                 f"unknown det_cache mode {self.det_cache!r}; "
                 f"supported: {DET_CACHE_MODES}")
-        if self.shm not in SHM_MODES:
-            raise ValueError(
-                f"unknown shm mode {self.shm!r}; supported: {SHM_MODES}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ExecutionOptions":
@@ -201,15 +171,13 @@ class ExecutionOptions:
         variable, instead of a ``ValueError`` from deep inside options
         construction.  Explicit ``overrides`` win over the environment.
 
-        ====================  ===========================================
-        variable              values
-        ====================  ===========================================
-        ``MCDBR_N_JOBS``      integer >= 1
-        ``MCDBR_BACKEND``     ``process|thread|serial``
-        ``MCDBR_SHARD_SIZE``  integer >= 1 (unset = even split)
-        ``MCDBR_DET_CACHE``   ``session|off``
-        ``MCDBR_SHM``         ``on|off``
-        ====================  ===========================================
+        ===================  ============================================
+        variable             values
+        ===================  ============================================
+        ``MCDBR_N_JOBS``     integer >= 1
+        ``MCDBR_BACKEND``    ``process|thread|serial``
+        ``MCDBR_DET_CACHE``  ``session|off``
+        ===================  ============================================
 
         Unrecognized ``MCDBR_*`` variables are rejected too: a
         misspelled *name* would otherwise silently leave its knob at the
@@ -225,11 +193,8 @@ class ExecutionOptions:
         values = dict(
             n_jobs=env_int("MCDBR_N_JOBS", 1),
             backend=env_choice("MCDBR_BACKEND", "process", BACKENDS),
-            shard_size=(env_int("MCDBR_SHARD_SIZE", 1)
-                        if "MCDBR_SHARD_SIZE" in os.environ else None),
             det_cache=env_choice("MCDBR_DET_CACHE", "session",
                                  DET_CACHE_MODES),
-            shm=env_choice("MCDBR_SHM", "on", SHM_MODES),
         )
         known = {field.name for field in fields(cls)}
         unknown = set(overrides) - known
@@ -246,16 +211,15 @@ class ExecutionOptions:
     def shard_bounds(self, repetitions: int) -> list[tuple[int, int]]:
         """Contiguous ``[lo, hi)`` repetition slices for the workers.
 
-        The split is a pure function of ``repetitions`` and the options, so
-        a sharded run is reproducible; and because shards are slices of the
-        position axis of deterministic streams, the *merged* result is the
-        same for every split (including the trivial one).
+        The split is a pure function of ``repetitions`` and ``n_jobs``
+        (an even ceiling split), so a sharded run is reproducible; and
+        because shards are slices of the position axis of deterministic
+        streams, the *merged* result is the same for every split
+        (including the trivial one).
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        size = self.shard_size
-        if size is None:
-            size = -(-repetitions // self.n_jobs)  # ceil division
+        size = -(-repetitions // self.n_jobs)  # ceil division
         bounds = []
         lo = 0
         while lo < repetitions:

@@ -303,7 +303,7 @@ class Session:
     #: of them through the :attr:`options` setter while a session-owned
     #: pool is live closes that pool so the next sharded query respawns
     #: it under the new configuration.
-    _BACKEND_KNOBS = ("backend", "n_jobs", "shm")
+    _BACKEND_KNOBS = ("backend", "n_jobs")
 
     def __init__(self, base_seed: int = 0, registry: VGRegistry | None = None,
                  tail_budget: int = 1000, window: int = 1000,
@@ -349,7 +349,7 @@ class Session:
 
         Assignable: dependent state follows the change instead of
         silently staying frozen at first use.  Changing any pool knob
-        (``backend``/``n_jobs``/``shm``) closes a live session-owned pool
+        (``backend``/``n_jobs``) closes a live session-owned pool
         so the next sharded query respawns it with the new
         configuration.  A session running on a *shared* backend (a
         server-owned pool) refuses pool-knob changes with
@@ -399,9 +399,9 @@ class Session:
     def close(self) -> None:
         """Shut down the worker pool (idempotent; the session stays usable —
         a later sharded query simply spawns a fresh pool).  On the process
-        backend this also unlinks every shared-memory segment of the
-        zero-copy data plane — exiting the session's ``with`` block leaves
-        ``/dev/shm`` clean even on an exception.
+        backend every worker exits (escalating to SIGKILL if it must), so
+        leaving the session's ``with`` block leaves no child process
+        behind, even on an exception.
 
         A session handed a *shared* backend detaches from it without
         closing it: the owning server decides when the pool dies.

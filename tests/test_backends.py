@@ -1,6 +1,6 @@
 """The execution-backend layer: transports, pool lifecycle, payloads.
 
-Five contracts pinned down here:
+Six contracts pinned down here:
 
 * **Results transparency** — ``run_job(job, bounds)`` returns exactly
   ``[job.run_shard(lo, hi) for lo, hi in bounds]`` on every backend (the
@@ -11,14 +11,18 @@ Five contracts pinned down here:
   once per query and the catalog once per ``(catalog, version)`` key.
   The payload regression tests keep the catalog from ever creeping back
   into per-task pickling.
+* **Read-only shared arrays** — shared-channel arrays travel as
+  protocol-5 out-of-band buffers and arrive read-only: a worker write
+  raises instead of silently diverging from the parent's copy.
 * **Det-cache shard semantics** — workers are pre-warmed with a snapshot
   of the session cache at broadcast time; worker-local fills never flow
   back to the session.
 * **Tail queries stay in-process** — a tail query never builds, spawns
   or sends to a pool, whatever ``n_jobs`` is.
 * **Faults** — a worker killed inside a real query surfaces as a clean
-  ``EngineError``, leaves no shm segment or child process behind, and
-  the next query respawns the pool with bit-identical results.
+  ``EngineError``, leaves no ``/dev/shm`` segment or child process
+  behind, and the next query respawns the pool with bit-identical
+  results; ``close()`` escalates SIGTERM to SIGKILL for a wedged worker.
 """
 
 import multiprocessing
@@ -80,6 +84,74 @@ class SharedArrayJob:
         return float(self.array[lo:hi].sum())
 
 
+class SharedWriteJob(SharedArrayJob):
+    """Tries to mutate a shared-channel array — must raise in the worker."""
+
+    def run_shard(self, lo, hi):
+        self.array[lo] = -1.0
+        return 0.0
+
+
+class ArrayEchoJob(SharedArrayJob):
+    """Returns the worker's copy of the shared array and whether it is
+    writeable there."""
+
+    def run_shard(self, lo, hi):
+        return self.array, self.array.flags.writeable
+
+
+class MirrorKeysJob(SharedArrayJob):
+    """Reports the keys of the worker's shared-channel mirror."""
+
+    def attach_shared(self, shared):
+        super().attach_shared(shared)
+        self.mirror = sorted(shared)
+
+    def run_shard(self, lo, hi):
+        return self.mirror
+
+
+class CatalogFlagsJob:
+    """Reports, per column of a catalog table shipped on the shared
+    channel, whether the worker may write to it."""
+
+    def __init__(self, catalog, table):
+        self.key = catalog_share_key(catalog)
+        self.catalog = catalog
+        self.table = table
+
+    def shared_payload(self):
+        return {self.key: self.catalog}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["catalog"] = None
+        return state
+
+    def attach_shared(self, shared):
+        self.catalog = shared[self.key]
+
+    def run_shard(self, lo, hi):
+        table = self.catalog.table(self.table)
+        return {name: table.column(name).flags.writeable
+                for name in table.column_names}
+
+
+class FailingSharedJob(SharedArrayJob):
+    def run_shard(self, lo, hi):
+        raise ValueError("shard exploded")
+
+
+class StuckJob(SharedArrayJob):
+    """Wedges its worker: ignores SIGTERM, then blocks far past the
+    (shrunken, see test) close() join timeouts."""
+
+    def run_shard(self, lo, hi):
+        import time
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(600)
+
+
 class UnpicklableJob:
     """Pickles fine in the parent, explodes when a worker unpickles it."""
 
@@ -127,19 +199,36 @@ def _mc_executor(rows=12, options=None, det_cache=None):
 
 
 class TestShardBounds:
-    """Edge geometry of ExecutionOptions.shard_bounds."""
+    """Edge geometry of ExecutionOptions.shard_bounds, and of explicit
+    bounds handed straight to ``run_job``."""
 
     def test_fewer_repetitions_than_workers(self):
         bounds = ExecutionOptions(n_jobs=4).shard_bounds(3)
         assert bounds == [(0, 1), (1, 2), (2, 3)]
 
     def test_shard_size_larger_than_repetitions(self):
-        bounds = ExecutionOptions(n_jobs=2, shard_size=500).shard_bounds(7)
-        assert bounds == [(0, 7)]
+        """One shard spanning every repetition is the serial run."""
+        executor = _mc_executor()
+        serial = executor.run(7)
+        with _make_backend("process") as backend:
+            [whole] = backend.run_job(executor, [(0, 7)])
+        for name in ("total", "n"):
+            np.testing.assert_array_equal(
+                whole.distribution(name).samples,
+                serial.distribution(name).samples)
 
     def test_shard_size_one(self):
-        bounds = ExecutionOptions(n_jobs=2, shard_size=1).shard_bounds(4)
-        assert bounds == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        """One-repetition shards merge back to the serial samples."""
+        executor = _mc_executor()
+        serial = executor.run(4)
+        bounds = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        with _make_backend("process") as backend:
+            merged = executor._merge_shards(
+                backend.run_job(executor, bounds), 4)
+        for name in ("total", "n"):
+            np.testing.assert_array_equal(
+                merged.distribution(name).samples,
+                serial.distribution(name).samples)
 
     def test_single_repetition(self):
         assert ExecutionOptions(n_jobs=8).shard_bounds(1) == [(0, 1)]
@@ -149,10 +238,10 @@ class TestShardBounds:
             ExecutionOptions(n_jobs=2).shard_bounds(0)
 
     def test_bounds_cover_and_tile(self):
-        for n_jobs, shard_size, repetitions in [(3, None, 100), (5, 7, 23),
-                                                (2, 1, 9), (7, None, 5)]:
-            bounds = ExecutionOptions(
-                n_jobs=n_jobs, shard_size=shard_size).shard_bounds(repetitions)
+        for n_jobs, repetitions in [(3, 100), (5, 23), (2, 9), (7, 5),
+                                    (4, 4)]:
+            bounds = ExecutionOptions(n_jobs=n_jobs).shard_bounds(repetitions)
+            assert len(bounds) <= n_jobs
             assert bounds[0][0] == 0 and bounds[-1][1] == repetitions
             assert all(hi == next_lo for (_, hi), (next_lo, _)
                        in zip(bounds, bounds[1:]))
@@ -334,6 +423,32 @@ class TestProcessPoolLifecycle:
         finally:
             backend.close()
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="wedge injection relies on fork inheriting the test class")
+    def test_close_kills_sigterm_immune_workers(self, monkeypatch):
+        """A worker that shrugs off SIGTERM would survive close() as a
+        zombie; close must escalate to SIGKILL."""
+        from repro.engine import backends as backends_module
+        monkeypatch.setattr(backends_module, "_JOIN_TIMEOUT", 0.2)
+        backend = ProcessBackend(2)
+        try:
+            backend.run_job(SharedArrayJob(("t", 4), np.ones(20_000)),
+                            [(0, 1), (1, 2)])
+            # Fire-and-forget: hand worker 0 a wedging shard without
+            # waiting for the reply run_job would block on.
+            victim_conn = backend._workers[0].conn
+            victim_conn.send(("job", 99, pickle.dumps(
+                StuckJob(("t", 4), None), pickle.HIGHEST_PROTOCOL)))
+            victim_conn.send(ProcessBackend.task_message(99, 0, 0, 1))
+            victim = backend._workers[0].process
+            backend.close()
+            assert not victim.is_alive()
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+        finally:
+            backend.close()
+
     @pytest.mark.parametrize("backend_name", ["serial", "thread"])
     def test_in_process_backends_close_is_idempotent_and_reusable(
             self, backend_name):
@@ -343,6 +458,23 @@ class TestProcessPoolLifecycle:
         backend.close()
         assert backend.run_job(SpanJob(), [(0, 2), (2, 3)]) == [[0, 1], [2]]
         backend.close()
+
+
+class TestLeakOracle:
+    """``leaked_segments``, the ``/dev/shm`` oracle every lifecycle test
+    and the end-to-end benchmark assert on."""
+
+    def test_lists_only_this_packages_segments(self, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: [
+            "mcdbr-12-1", "psm_4f2a", "mcdbr-12-0", "sem.other"])
+        assert leaked_segments() == ["mcdbr-12-0", "mcdbr-12-1"]
+
+    def test_no_dev_shm_means_nothing_leaked(self, monkeypatch):
+        def missing(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", missing)
+        assert leaked_segments() == []
 
 
 class TestSharedChannel:
@@ -373,6 +505,155 @@ class TestSharedChannel:
                             [(0, 8), (8, 16)])
             assert backend.stats["shared_pickles"] == 2
             assert backend.stats["shared_sends"] == 4
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("layout, out_of_band", [
+        ("float64", True), ("int32", True), ("bool", True),
+        ("fortran", True), ("empty", True),
+        # No contiguous buffer to hand out: pickled in band, a private
+        # (writeable) copy — the shm plane also left these inline.
+        ("strided", False), ("object", False),
+    ])
+    def test_every_layout_round_trips(self, layout, out_of_band):
+        array = {
+            "float64": np.linspace(0.0, 1.0, 5_000),
+            "int32": np.arange(5_000, dtype=np.int32),
+            "bool": np.arange(5_000) % 3 == 0,
+            "fortran": np.asfortranarray(
+                np.arange(6_000.0).reshape(60, 100)),
+            "empty": np.empty(0),
+            "strided": np.arange(10_000.0)[::3],
+            "object": np.array(["a", "bb", None] * 100, dtype=object),
+        }[layout]
+        backend = ProcessBackend(2)
+        try:
+            results = backend.run_job(ArrayEchoJob(("layout", layout), array),
+                                      [(0, 1), (1, 2)])
+        finally:
+            backend.close()
+        for echoed, writeable in results:
+            assert echoed.dtype == array.dtype
+            assert echoed.shape == array.shape
+            assert echoed.tolist() == array.tolist()
+            assert writeable is not out_of_band
+
+    def test_sent_bytes_count_out_of_band_frames(self):
+        array = np.arange(50_000, dtype=np.float64)
+        backend = ProcessBackend(2)
+        try:
+            backend.run_job(SharedArrayJob(("array", 9), array),
+                            [(0, 1), (1, 2)])
+            # Each worker got the array's bytes as one raw frame beside a
+            # small in-band pickle, the job blob and its task message.
+            sent = backend.stats["sent_bytes"]
+            assert 2 * array.nbytes < sent < 2 * array.nbytes + 4_096
+        finally:
+            backend.close()
+
+    def test_new_catalog_version_supersedes_the_old_one(self):
+        """Jobs always carry the current catalog version, so shipping a
+        new one drops every older version of the same catalog from the
+        parent cache and the workers — and nothing else."""
+        backend = ProcessBackend(2)
+        array = np.arange(16, dtype=np.float64)
+        try:
+            for key in (("catalog", 7, 1), ("catalog", 8, 1),
+                        ("catalog", 7, 2)):
+                backend.run_job(SharedArrayJob(key, array),
+                                [(0, 8), (8, 16)])
+            live = {("catalog", 8, 1), ("catalog", 7, 2)}
+            assert set(backend._shared_cache) == live
+            for worker in backend._workers:
+                assert worker.shared_keys == live
+        finally:
+            backend.close()
+
+    def test_cache_limit_evicts_oldest_key_everywhere(self):
+        """Past the cache limit the oldest entry leaves the parent cache
+        and every worker's mirror, and asking for it again re-ships it."""
+        from repro.engine.backends import _SHARED_CACHE_LIMIT
+        backend = ProcessBackend(2)
+        array = np.arange(16, dtype=np.float64)
+        keys = [("array", index) for index in range(_SHARED_CACHE_LIMIT + 1)]
+        try:
+            for key in keys:
+                mirrors = backend.run_job(MirrorKeysJob(key, array),
+                                          [(0, 8), (8, 16)])
+            assert mirrors == [sorted(keys[1:])] * 2
+            assert list(backend._shared_cache) == keys[1:]
+            pickles = backend.stats["shared_pickles"]
+            assert backend.run_job(SharedArrayJob(keys[0], array),
+                                   [(0, 8), (8, 16)]) == [28.0, 92.0]
+            assert backend.stats["shared_pickles"] == pickles + 1
+        finally:
+            backend.close()
+
+    def test_catalog_columns_are_read_only_in_workers(self):
+        """The production payload: a catalog's numeric columns arrive as
+        out-of-band buffers, read-only; a string column (object dtype,
+        pickled in band) is a private copy."""
+        catalog = Catalog()
+        catalog.add_table(Table("t", {"x": np.arange(1_000.0),
+                                      "n": np.arange(1_000),
+                                      "name": ["row"] * 1_000}))
+        backend = ProcessBackend(2)
+        try:
+            flags = backend.run_job(CatalogFlagsJob(catalog, "t"),
+                                    [(0, 1), (1, 2)])
+        finally:
+            backend.close()
+        assert flags == [{"x": False, "n": False, "name": True}] * 2
+        assert catalog.table("t").column("x").flags.writeable
+
+    def test_shared_arrays_are_read_only_in_workers(self):
+        """Out-of-band buffers arrive as immutable ``bytes``; the arrays
+        rebuilt over them refuse writes, so a worker can never diverge
+        from the parent's copy of a catalog column."""
+        backend = ProcessBackend(2)
+        array = np.arange(50_000, dtype=np.float64)
+        try:
+            with pytest.raises(EngineError, match="read-only"):
+                backend.run_job(SharedWriteJob(("table", 2), array),
+                                [(0, 10), (10, 20)])
+        finally:
+            backend.close()
+        assert array[0] == 0.0 and array.flags.writeable
+
+    def test_worker_error_reset_clears_shared_channel(self):
+        backend = ProcessBackend(2)
+        array = np.ones(20_000)
+        try:
+            with pytest.raises(EngineError, match="shard exploded"):
+                backend.run_job(FailingSharedJob(("t", 2), array),
+                                [(0, 1), (1, 2)])
+            # The in-worker failure reset the pool before any close():
+            # the respawned workers get the shared payload shipped again.
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+            assert backend.run_job(SharedArrayJob(("t", 2), array),
+                                   [(0, 10), (10, 20)]) == [10.0, 10.0]
+            assert backend.stats["shared_pickles"] == 2
+            assert backend.stats["shared_sends"] == 4
+        finally:
+            backend.close()
+
+    def test_worker_kill_reset_clears_shared_channel(self):
+        backend = ProcessBackend(2)
+        array = np.ones(20_000)
+        try:
+            backend.run_job(SharedArrayJob(("t", 3), array),
+                            [(0, 1), (1, 2)])
+            backend._workers[0].process.kill()
+            backend._workers[0].process.join()
+            with pytest.raises(EngineError, match="died"):
+                backend.run_job(SharedArrayJob(("t", 3), array),
+                                [(0, 1), (1, 2)])
+            assert backend.workers_alive == 0
+            assert leaked_segments() == []
+            assert backend.run_job(SharedArrayJob(("t", 3), array),
+                                   [(0, 10), (10, 20)]) == [10.0, 10.0]
+            assert backend.stats["shared_pickles"] == 2
         finally:
             backend.close()
 
@@ -575,6 +856,17 @@ class TestSessionPoolLifecycle:
             first.distributions.distribution("loss").samples,
             second.distributions.distribution("loss").samples)
         session.close()
+
+    def test_session_close_reaps_workers(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with self._session(ExecutionOptions(n_jobs=2,
+                                            backend="process")) as session:
+            session.execute(self.MC_QUERY)
+            backend = session.backend
+            assert len(_new_children(before)) == 2
+        assert backend.workers_alive == 0
+        assert _new_children(before) == []
+        assert leaked_segments() == []
 
     def test_unsharded_session_never_builds_a_pool(self):
         session = self._session(ExecutionOptions(n_jobs=1))

@@ -8,7 +8,7 @@ for the same session seed, on randomized plans and seeds; so must its
 delta refuels and the oracle's full rebuilds (the ``replenishment``
 axis).  Likewise the sharded Monte Carlo executor must be invariant to
 ``n_jobs`` and shard geometry, and every ``backend × n_jobs × engine ×
-replenishment × shm`` combination must be bit-identical to the serial
+replenishment`` combination must be bit-identical to the serial
 reference — a tail query with ``n_jobs > 1`` included, which runs the
 serial looper in-process.  Nothing here is approximate: every comparison
 is exact.
@@ -23,6 +23,7 @@ from looper_oracles import (
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
+from repro.engine.backends import make_backend
 from repro.engine.expressions import col, lit
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
@@ -50,6 +51,12 @@ def _losses_catalog(customers):
     return catalog, spec
 
 
+def cut(repetitions, width):
+    """Explicit ``[lo, hi)`` bounds of ``width`` repetitions each."""
+    return [(lo, min(lo + width, repetitions))
+            for lo in range(0, repetitions, width)]
+
+
 def _assert_identical(a, b):
     """Exact equality of everything a LooperResult exposes."""
     assert a.quantile_estimate == b.quantile_estimate
@@ -75,8 +82,7 @@ class TestLooperEquivalence:
     def _run(self, engine, customers=20, window=250, base_seed=0,
              aggregate_kind="sum", k=1, num_samples=25, m=2, p_step=0.3,
              versions=40, predicate=None, max_proposals=100_000,
-             replenishment="delta", n_jobs=1, backend="process",
-             shard_size=None, shm="on"):
+             replenishment="delta", n_jobs=1, backend="process"):
         catalog, spec = _losses_catalog(customers)
         plan = random_table_pipeline(spec)
         if predicate is not None:
@@ -89,9 +95,7 @@ class TestLooperEquivalence:
             aggregate_kind=aggregate_kind, aggregate_expr=expr,
             window=window, base_seed=base_seed, k=k,
             max_proposals=max_proposals,
-            options=ExecutionOptions(n_jobs=n_jobs, backend=backend,
-                                     shard_size=shard_size,
-                                     shm=shm)).run()
+            options=ExecutionOptions(n_jobs=n_jobs, backend=backend)).run()
 
     @given(customers=st.integers(3, 15),
            window=st.integers(60, 300),
@@ -333,11 +337,15 @@ class TestMonteCarloSharding:
         self._assert_results_equal(serial, sharded)
 
     def test_shard_size_does_not_matter(self):
+        """Any contiguous cut of the repetition axis merges to the serial
+        bits, whatever the shard width."""
         serial = self._executor().run(100)
-        for shard_size in (1, 33, 64):
-            sharded = self._executor(ExecutionOptions(
-                n_jobs=2, shard_size=shard_size)).run(100)
-            self._assert_results_equal(serial, sharded)
+        executor = self._executor()
+        with make_backend(ExecutionOptions(n_jobs=2)) as backend:
+            for width in (1, 33, 64):
+                shards = backend.run_job(executor, cut(100, width))
+                self._assert_results_equal(
+                    serial, executor._merge_shards(shards, 100))
 
     def test_uneven_split_covers_all_repetitions(self):
         bounds = ExecutionOptions(n_jobs=3).shard_bounds(100)
@@ -346,10 +354,11 @@ class TestMonteCarloSharding:
                    in zip(bounds, bounds[1:]))
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="n_jobs"):
-            ExecutionOptions(n_jobs=0)
-        with pytest.raises(ValueError, match="shard_size"):
-            ExecutionOptions(shard_size=0)
+        # A float would yield float shard bounds and fail deep inside the
+        # query; a bool would silently count as 0 or 1 workers.
+        for n_jobs in (0, -1, 2.5, 2.0, True, False, "2", None):
+            with pytest.raises(ValueError, match="n_jobs"):
+                ExecutionOptions(n_jobs=n_jobs)
 
 
 class TestSessionLevelEquivalence:
@@ -437,7 +446,7 @@ class TestSessionLevelEquivalence:
         """
         serial = self._session().execute(query)
         sharded = self._session(ExecutionOptions(
-            n_jobs=2, shard_size=25, det_cache=det_cache)).execute(query)
+            n_jobs=4, det_cache=det_cache)).execute(query)
         np.testing.assert_array_equal(
             serial.distributions.distribution("loss").samples,
             sharded.distributions.distribution("loss").samples)
@@ -498,15 +507,28 @@ class TestBackendMatrix:
 
     @pytest.mark.parametrize("n_jobs", [2, 5])
     def test_gibbs_shard_size_geometry_invariance(self, n_jobs):
-        """``shard_size`` cuts Monte Carlo repetitions, never the tail
-        sweep: any geometry, down to one-repetition shards, must leave
-        the tail bits alone."""
+        """Shard geometry cuts Monte Carlo repetitions, never the tail
+        sweep: the tail bits ignore ``n_jobs``, and the Monte Carlo pass
+        of the same plan, cut into one- and three-repetition shards,
+        merges to the serial samples."""
         serial = self._runner._run("vectorized", **self.GIBBS)
-        for shard_size in (1, 3):
-            other = self._runner._run(
-                "vectorized", n_jobs=n_jobs, backend="serial",
-                shard_size=shard_size, **self.GIBBS)
-            _assert_identical(serial, other)
+        other = self._runner._run("vectorized", n_jobs=n_jobs,
+                                  backend="serial", **self.GIBBS)
+        _assert_identical(serial, other)
+
+        catalog, spec = _losses_catalog(self.GIBBS["customers"])
+        executor = MonteCarloExecutor(
+            random_table_pipeline(spec),
+            [AggregateSpec("total", "sum", col("val"))], catalog,
+            base_seed=self.GIBBS["base_seed"])
+        expected = executor.run(30).distribution("total").samples
+        with make_backend(ExecutionOptions(n_jobs=n_jobs,
+                                           backend="serial")) as backend:
+            for width in (1, 3):
+                merged = executor._merge_shards(
+                    backend.run_job(executor, cut(30, width)), 30)
+                np.testing.assert_array_equal(
+                    merged.distribution("total").samples, expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_multi_seed_plans_fall_back_to_serial_sweeps(self, backend):
@@ -570,36 +592,6 @@ class TestBackendMatrix:
             self._runner._run("vectorized", **kwargs),
             self._runner._run("vectorized", n_jobs=n_jobs, backend="serial",
                               **kwargs))
-
-
-class TestZeroCopyEquivalence:
-    """The ``shm`` axis: payloads delivered as shared-memory descriptors
-    must be bit-identical to pickled copies.  The data plane moves bytes
-    between transports, never values — catalog columns attach read-only.
-    A tail query takes the axis too and must come back with the serial
-    bits either way."""
-
-    _runner = TestLooperEquivalence()
-    GIBBS = TestBackendMatrix.GIBBS
-
-    @pytest.mark.parametrize("replenishment", ["delta", "full"])
-    def test_gibbs_tail_shm_on_equals_off(self, replenishment):
-        serial = self._runner._run("vectorized", backend="serial",
-                                   replenishment=replenishment, **self.GIBBS)
-        runs = [self._runner._run("vectorized", n_jobs=2, backend="process",
-                                  replenishment=replenishment, shm=shm,
-                                  **self.GIBBS)
-                for shm in ("on", "off")]
-        _assert_identical(serial, runs[0])
-        _assert_identical(runs[0], runs[1])
-
-    def test_monte_carlo_shm_on_equals_off(self):
-        serial = TestMonteCarloSharding._executor().run(120)
-        for shm in ("on", "off"):
-            sharded = TestMonteCarloSharding._executor(
-                ExecutionOptions(n_jobs=2, backend="process",
-                                 shm=shm)).run(120)
-            TestMonteCarloSharding._assert_results_equal(serial, sharded)
 
 
 class TestWindowGrowth:

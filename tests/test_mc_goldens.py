@@ -41,10 +41,8 @@ QUERIES = {
     "sharded": (JOIN_GROUP, ExecutionOptions(n_jobs=2, backend="thread")),
     "join_group_process2": (JOIN_GROUP, ExecutionOptions(
         n_jobs=2, backend="process")),
-    "join_group_process3_shard7": (JOIN_GROUP, ExecutionOptions(
-        n_jobs=3, backend="process", shard_size=7)),
-    "join_group_shm_off": (JOIN_GROUP, ExecutionOptions(
-        n_jobs=2, backend="process", shm="off")),
+    "join_group_process3": (JOIN_GROUP, ExecutionOptions(
+        n_jobs=3, backend="process")),
     "join_group_serial3": (JOIN_GROUP, ExecutionOptions(
         n_jobs=3, backend="serial")),
     "presence_process2": (PRESENCE, ExecutionOptions(
@@ -56,13 +54,12 @@ QUERIES = {
 
 
 #: Which stored query each run is compared against: a sharded run must
-#: reproduce the serial bytes — on every transport, shard geometry and
-#: data plane — so it has no arrays of its own.
+#: reproduce the serial bytes — on every transport and shard count — so
+#: it has no arrays of its own.
 STORED_AS = {
     "join_group": "join_group", "presence": "presence",
     "sharded": "join_group", "join_group_process2": "join_group",
-    "join_group_process3_shard7": "join_group",
-    "join_group_shm_off": "join_group", "join_group_serial3": "join_group",
+    "join_group_process3": "join_group", "join_group_serial3": "join_group",
     "presence_process2": "presence", "presence_thread3": "presence",
     "presence_det_cache_off": "presence",
 }

@@ -16,8 +16,9 @@ from repro.engine.options import (
     env_int)
 
 #: Knobs of the deleted seed-axis distributed Gibbs path, the kernel and
-#: refuel selectors (now oracles in tests/looper_oracles.py) and the
-#: deleted window-growth, shutdown-timeout and cache-keying knobs.
+#: refuel selectors (now oracles in tests/looper_oracles.py), the
+#: deleted window-growth, shutdown-timeout and cache-keying knobs, and
+#: the shared-memory data plane and shard-width knobs.
 REMOVED_KNOBS = {
     "gibbs_state": "MCDBR_GIBBS_STATE",
     "state_reinit": "MCDBR_STATE_REINIT",
@@ -29,9 +30,11 @@ REMOVED_KNOBS = {
     "det_cache_keying": "MCDBR_DET_CACHE_KEYING",
     "window_growth": "MCDBR_WINDOW_GROWTH",
     "join_timeout": "MCDBR_JOIN_TIMEOUT",
+    "shm": "MCDBR_SHM",
+    "shard_size": "MCDBR_SHARD_SIZE",
 }
-ALL_KNOBS = ("MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
-             "MCDBR_DET_CACHE", "MCDBR_SHM", *REMOVED_KNOBS.values())
+ALL_KNOBS = ("MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_DET_CACHE",
+             *REMOVED_KNOBS.values())
 #: Settings the removed knobs used to accept, as (field, value,
 #: environment spelling): none of them may fall back silently.
 REMOVED_SETTINGS = [
@@ -54,6 +57,10 @@ REMOVED_SETTINGS = [
     ("window_growth", 1.0, "1"),
     ("window_growth", 2.5, "2.5"),
     ("join_timeout", 2.5, "2.5"),
+    ("shm", "on", "on"),
+    ("shm", "off", "off"),
+    ("shard_size", 7, "7"),
+    ("shard_size", 1, "1"),
 ]
 
 
@@ -67,8 +74,7 @@ class TestFromEnvDefaults:
     def test_empty_environment_gives_defaults(self):
         options = ExecutionOptions.from_env()
         assert options == ExecutionOptions(
-            n_jobs=1, backend="process", shard_size=None,
-            det_cache="session", shm="on")
+            n_jobs=1, backend="process", det_cache="session")
 
     def test_overrides_win_over_environment(self, monkeypatch):
         monkeypatch.setenv("MCDBR_N_JOBS", "4")
@@ -96,7 +102,7 @@ class TestRemovedKnobs:
 
     def test_option_count(self):
         assert [field.name for field in fields(ExecutionOptions)] == [
-            "n_jobs", "backend", "shard_size", "det_cache", "shm"]
+            "n_jobs", "backend", "det_cache"]
 
     @pytest.mark.parametrize("field, value, spelling", REMOVED_SETTINGS)
     def test_constructor_rejects_removed_field(self, field, value, spelling):
@@ -133,12 +139,8 @@ class TestFromEnvValues:
         ("MCDBR_BACKEND", "serial", "backend", "serial"),
         ("MCDBR_BACKEND", "thread", "backend", "thread"),
         ("MCDBR_BACKEND", "process", "backend", "process"),
-        ("MCDBR_SHARD_SIZE", "7", "shard_size", 7),
-        ("MCDBR_SHARD_SIZE", "1", "shard_size", 1),
         ("MCDBR_DET_CACHE", "off", "det_cache", "off"),
         ("MCDBR_DET_CACHE", "session", "det_cache", "session"),
-        ("MCDBR_SHM", "off", "shm", "off"),
-        ("MCDBR_SHM", "on", "shm", "on"),
     ])
     def test_each_knob_flows_through(self, monkeypatch, name, value,
                                      field, expected):
@@ -183,13 +185,13 @@ class TestFromEnvRejections:
         with pytest.raises(EngineError, match="must be >= 1"):
             ExecutionOptions.from_env()
 
+    # The shard-size, window-growth and join-timeout knobs are removed:
+    # every value of their variables is rejected, naming the variable.
     def test_shard_size_below_minimum(self, monkeypatch):
         monkeypatch.setenv("MCDBR_SHARD_SIZE", "0")
         with pytest.raises(EngineError, match="MCDBR_SHARD_SIZE"):
             ExecutionOptions.from_env()
 
-    # The window-growth and join-timeout knobs are removed: every value of
-    # their variables is rejected, naming the variable.
     @pytest.mark.parametrize("value", ["fast", "0.5"])
     def test_invalid_window_growth(self, monkeypatch, value):
         monkeypatch.setenv("MCDBR_WINDOW_GROWTH", value)
@@ -239,8 +241,8 @@ class TestEnvHelpers:
         # misuse; EngineError is specifically the env-parsing surface.
         with pytest.raises(ValueError, match="det_cache"):
             ExecutionOptions(det_cache="disk")
-        with pytest.raises(ValueError, match="shm"):
-            ExecutionOptions(shm="auto")
+        with pytest.raises(ValueError, match="n_jobs"):
+            ExecutionOptions(n_jobs=2.5)
 
 
 SERVER_KNOBS = ("MCDBR_SERVER_CONCURRENCY", "MCDBR_SERVER_QUEUE_DEPTH",

@@ -8,8 +8,7 @@ Four classes of rot stay out:
   oracle (the CI lint job runs the same check shell-side).
 * **Example lifecycle** — every example that opens a ``Session`` must
   scope it in a ``with`` block; ``segmented_portfolio.py`` used to leak
-  its worker pool (and, with the shm data plane, would now leak
-  ``/dev/shm`` segments) on any exception before ``close()``.
+  its worker pool on any exception before ``close()``.
 * **Process + segment leaks in practice** — an example run as a real
   subprocess exits cleanly, leaves no ``mcdbr-*`` segment behind, and no
   orphaned worker process scavenging CPU after the parent is gone.

@@ -9,6 +9,8 @@ property, and the concurrent-``execute`` bit-identity contract.
 
 import http.client
 import json
+import os
+import signal
 import socket
 import struct
 import threading
@@ -24,7 +26,7 @@ from repro.engine.errors import EngineError
 from repro.engine.options import ExecutionOptions, ServerOptions
 from repro.server import RiskServer, RiskService
 from repro.server.app import _MAX_BODY_BYTES
-from repro.server.wire import ApiError
+from repro.server.wire import ApiError, output_to_wire
 from repro.sql import Session
 from repro.sql.session import StandingQuery
 
@@ -491,6 +493,135 @@ class TestAppendRacingEvict:
                               f"{standing['bystander']}?wait=30&after=1")
             assert polled["record"]["version"] == 2
             assert len(racer.journal.versions("loss")) == versions_at_evict
+        assert set(leaked_segments()) <= segments_before
+        deadline = time.monotonic() + 10
+        while set(active_children()) - children_before \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not set(active_children()) - children_before
+
+
+def _fresh_payload(means, sql, seed=11):
+    """The wire payload a fresh session computes for ``sql`` on ``means``,
+    as it reads after a JSON round trip."""
+    with Session(base_seed=seed) as session:
+        session.add_table("means", {"CID": list(range(len(means))),
+                                    "m": list(means)})
+        session.execute(CREATE_LOSSES)
+        return json.loads(json.dumps(output_to_wire(session.execute(sql))))
+
+
+def _wait_standing(base, tenant, standing_id, after):
+    """Long-poll until the standing query journals version ``after + 1``."""
+    _, polled = _call(f"{base}/tenants/{tenant}/standing/{standing_id}"
+                      f"?wait=30&after={after}")
+    return polled["record"]
+
+
+def _run_query(base, tenant, sql):
+    _, wire = _call(f"{base}/tenants/{tenant}/queries", "POST", {"sql": sql})
+    return _poll(base, wire["query_id"])
+
+
+class TestKillDuringStandingRefresh:
+    """Fault drill: a pool worker is SIGKILLed while a process-backend
+    standing Monte Carlo refresh runs.
+
+    A standing MC refresh folds its retained context in-process and never
+    dispatches to the pool, so the kill cannot tear it: the refresh
+    journals a version equal to a fresh session on the grown table and
+    counts no standing error.  The dead worker surfaces at the next
+    sharded query, as status ``"error"`` carrying the ``EngineError``
+    text; the query after it respawns the pool.  The standing drainer
+    keeps serving the other tenant, the next append + refresh has no torn
+    fold state, and no child process or ``/dev/shm`` segment outlives the
+    server."""
+
+    def test_kill_during_standing_mc_refresh(self, monkeypatch):
+        from multiprocessing import active_children
+        from repro.engine.shm import leaked_segments
+        segments_before = set(leaked_segments())
+        children_before = set(active_children())
+        means = {"victim": [1.0, 2.0, 3.0], "bystander": [1.0, 2.0, 3.0]}
+        with RiskServer(options=ExecutionOptions(n_jobs=2,
+                                                 backend="process"),
+                        server_options=ServerOptions(concurrency=2)) as live:
+            base, service = live.url, live.service
+
+            def append(tenant, m):
+                means[tenant].append(m)
+                status, _ = _call(
+                    f"{base}/tenants/{tenant}/tables/means/rows", "POST",
+                    {"columns": {"CID": [len(means[tenant]) - 1],
+                                 "m": [m]}})
+                assert status == 200
+
+            standing = {}
+            for tenant in means:
+                _load_tenant(base, tenant, means[tenant])
+                status, wire = _call(f"{base}/tenants/{tenant}/standing",
+                                     "POST", {"sql": MC_QUERY,
+                                              "analysis": "loss"})
+                assert status == 202
+                standing[tenant] = wire["standing_id"]
+                assert _wait_standing(base, tenant, wire["standing_id"],
+                                      0)["version"] == 1
+            # One sharded ad-hoc query spawns the shared pool.
+            assert _run_query(base, "victim", MC_QUERY)["status"] == "done"
+            pool = service.pool.inner
+            assert pool.workers_alive == 2
+            errors = dict(service.counters)
+
+            entered, release = threading.Event(), threading.Event()
+            refresh = StandingQuery.refresh
+
+            def parked(query):
+                entered.set()
+                assert release.wait(30)
+                return refresh(query)
+
+            monkeypatch.setattr(StandingQuery, "refresh", parked)
+            append("victim", 4.0)
+            assert entered.wait(30)
+            victim = pool._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            assert not victim.is_alive()
+            release.set()
+            record = _wait_standing(base, "victim", standing["victim"], 1)
+            monkeypatch.undo()
+            assert record["version"] == 2
+            assert record["result"] == _fresh_payload(means["victim"],
+                                                      MC_QUERY)
+            _, polled = _call(f"{base}/tenants/victim/standing/"
+                              f"{standing['victim']}")
+            assert polled["standing"]["status"] == "live"
+            assert service.counters["standing_errors"] == \
+                errors["standing_errors"]
+
+            failed = _run_query(base, "victim", MC_QUERY)
+            assert failed["status"] == "error", failed
+            assert "shard worker process died" in failed["error"]
+            assert service.counters["errors"] == errors["errors"] + 1
+            assert pool.workers_alive == 0
+            recovered = _run_query(base, "victim", MC_QUERY)
+            assert recovered["status"] == "done"
+            assert recovered["result"] == _fresh_payload(means["victim"],
+                                                         MC_QUERY)
+            assert pool.workers_alive == 2
+
+            append("bystander", 0.5)
+            record = _wait_standing(base, "bystander",
+                                    standing["bystander"], 1)
+            assert record["result"] == _fresh_payload(means["bystander"],
+                                                      MC_QUERY)
+            append("victim", 2.5)
+            record = _wait_standing(base, "victim", standing["victim"], 2)
+            assert record["version"] == 3
+            assert record["result"] == _fresh_payload(means["victim"],
+                                                      MC_QUERY)
+            assert service.counters["standing_errors"] == \
+                errors["standing_errors"]
         assert set(leaked_segments()) <= segments_before
         deadline = time.monotonic() + 10
         while set(active_children()) - children_before \

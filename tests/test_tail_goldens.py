@@ -17,8 +17,8 @@ the multi-seed salary inversion, a presence predicate and a standing
 refresh after an append.  (``refuel_growth`` was stored from a window
 that doubled at each refuel, 45 -> 90 -> 180; a fixed window of 180
 refuels as often and reproduces it.)  Runs that differ from a stored query only in an execution knob
-— sharded ``n_jobs`` on the thread, process and serial backends,
-``shard_size``, ``shm``, cache tiers — or that run on an oracle of
+— sharded ``n_jobs`` on the thread, process and serial backends, cache
+tiers — or that run on an oracle of
 ``tests/looper_oracles.py`` (``*_reference``: the scalar kernel;
 ``*_full``: full refuels) have no arrays of their own: they are compared
 against the entry named in :data:`STORED_AS`.
@@ -147,14 +147,10 @@ QUERIES = {
         PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=2, backend="thread")),
     "portfolio_process2": lambda: _query(
         PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=2, backend="process")),
-    "portfolio_process3_shard1": lambda: _query(
-        PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=3, backend="process",
-                                        shard_size=1)),
+    "portfolio_process3": lambda: _query(
+        PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=3, backend="process")),
     "portfolio_serial2": lambda: _query(
         PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=2, backend="serial")),
-    "portfolio_shm_off": lambda: _query(
-        PORTFOLIO_SQL, options=ExecutionOptions(n_jobs=2, backend="process",
-                                        shm="off")),
     "portfolio_reference": lambda: _query(PORTFOLIO_SQL, engine="reference"),
     "portfolio_full": lambda: _query(PORTFOLIO_SQL, replenishment="full"),
     "portfolio_det_cache_off": lambda: _query(
@@ -207,8 +203,7 @@ QUERIES = {
 STORED_AS = {
     "portfolio": "portfolio", "portfolio_thread2": "portfolio",
     "portfolio_process2": "portfolio",
-    "portfolio_process3_shard1": "portfolio",
-    "portfolio_serial2": "portfolio", "portfolio_shm_off": "portfolio",
+    "portfolio_process3": "portfolio", "portfolio_serial2": "portfolio",
     "portfolio_reference": "portfolio", "portfolio_full": "portfolio",
     "portfolio_det_cache_off": "portfolio",
     "refuel_delta": "refuel_delta", "refuel_full": "refuel_delta",
