@@ -3,11 +3,11 @@
 ``Session.standing_query`` registers a risk query once and keeps its
 estimate fresh as the catalog grows: after an append-only
 ``Session.append``, ``refresh()`` classifies the move
-(:func:`~repro.engine.det_cache.classify_moves`), extends the retained
-execution context's materialized stream windows to just the appended
-tuples, and folds only the new rows into the strict-order Monte Carlo
-accumulators (or re-enters the Gibbs looper over the delta).  The whole
-point is captured by three gates:
+(:func:`~repro.engine.det_cache.classify_moves`), runs the plan over the
+appended rows only, and folds that delta into the strict-order Monte
+Carlo accumulators (a tail query keeps its result when no appended row
+reaches an ``Instantiate``, and otherwise re-enters the Gibbs looper).
+The whole point is captured by three gates:
 
 * **recomputed tuples**: across an append-heavy loop, the standing
   refresh path must instantiate >= 3x fewer tuple streams than

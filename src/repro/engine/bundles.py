@@ -260,10 +260,13 @@ class BundleRelation:
 
     @classmethod
     def from_table(cls, table, positions: int, aligned: bool,
-                   prefix: str = "") -> "BundleRelation":
-        relation = cls(len(table), positions, aligned)
+                   prefix: str = "", rows: slice = slice(None)
+                   ) -> "BundleRelation":
+        """The table's ``rows`` (all of them by default) as a relation."""
+        start, stop, _ = rows.indices(len(table))
+        relation = cls(stop - start, positions, aligned)
         for name in table.column_names:
-            relation.add_det_column(prefix + name, table.column(name))
+            relation.add_det_column(prefix + name, table.column(name)[rows])
         return relation
 
     def add_det_column(self, name: str, values: Sequence) -> None:

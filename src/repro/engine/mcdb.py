@@ -275,29 +275,30 @@ class MonteCarloExecutor:
     # -- incremental (standing-query) accumulation ---------------------------
 
     def fold_states(self, relation: BundleRelation,
-                    states: dict | None = None, start_row: int = 0) -> dict:
-        """Fold rows ``[start_row:]`` into per-group accumulator states.
+                    states: dict | None = None) -> dict:
+        """Fold every row of ``relation`` into per-group accumulator states.
 
         ``states`` maps group key -> aggregate name -> the raw
         accumulator the strict-order evaluation of that group's rows so
-        far would have produced; folding appended rows in continues the
+        far would have produced; folding further rows in continues the
         exact accumulation sequence a full :meth:`aggregate` over the
-        grown relation performs, so :meth:`result_from_states` is
-        bit-identical to re-aggregating from scratch.  That holds only
-        when the pre-existing rows kept their indices and values (the
-        append-only prefix-stability the standing-query layer checks
-        before calling with ``start_row > 0``).
+        concatenated relations performs, so :meth:`result_from_states`
+        is bit-identical to re-aggregating from scratch.  A standing
+        query folds the Δ relation of an append (the rows a run over the
+        grown tables appends to its output) into the states of the rows
+        before it.  Returns new states; ``states`` itself is left as it
+        was, so a fold that fails tears nothing.
         """
         presence = relation.combined_presence()
-        states = {} if states is None else states
+        folded = {key: dict(by_name)
+                  for key, by_name in (states or {}).items()}
         for key, rows in self._group_rows(relation).items():
-            fresh = rows[rows >= start_row] if start_row else rows
-            by_name = states.setdefault(key, {})
+            by_name = folded.setdefault(key, {})
             for aggregate in self.aggregates:
                 by_name[aggregate.name] = self._fold(
-                    relation, presence, fresh, aggregate,
+                    relation, presence, rows, aggregate,
                     by_name.get(aggregate.name))
-        return states
+        return folded
 
     def result_from_states(self, states: dict,
                            repetitions: int) -> MonteCarloResult:

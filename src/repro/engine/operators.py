@@ -42,7 +42,7 @@ from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
 from repro.engine.random_table import RandomTableSpec
 from repro.engine.seeds import (
-    SeedInfo, derive_prng_seeds, label_id_of, seed_handles)
+    SeedInfo, derive_prng_seeds, handle_label_id, label_id_of, seed_handles)
 from repro.engine.table import Catalog
 from repro.vg.streams import gather_stream_points, gather_stream_windows
 
@@ -55,6 +55,7 @@ __all__ = [
     "ExecutionContext", "PlanNode", "Scan", "Seed", "Instantiate",
     "Select", "Project", "Join", "Split", "random_table_pipeline",
     "refresh_after_append", "appends_keep_prefix",
+    "appended_rows_reach_random",
 ]
 
 
@@ -141,6 +142,15 @@ class ExecutionContext:
         #: refreshes on these (bench_standing: recomputed-tuple ratio).
         self.instantiate_rows_computed = 0
         self.instantiate_rows_reused = 0
+        #: Δ-execution: lowercased table name -> the appended row range
+        #: ``(old, new)``, as :func:`~repro.engine.det_cache.classify_moves`
+        #: reports it.
+        #: A ``Scan`` of a named table reads only rows ``[old, new)``, the
+        #: ``Seed`` above it numbers handles from ``old``, and every other
+        #: operator runs unchanged on those rows; under
+        #: :func:`appends_keep_prefix` the plan then yields exactly the
+        #: rows a run over the grown tables appends to its output.
+        self.appended: dict[str, tuple[int, int]] = {}
         self._labels: dict[int, str] = {}
 
     def register_label(self, label: str) -> int:
@@ -151,6 +161,10 @@ class ExecutionContext:
                 f"seed label collision: {label!r} vs {existing!r} — rename one")
         self._labels[label_id] = label
         return label_id
+
+    def label_of(self, handle: int) -> str:
+        """The registered ``Seed`` label a handle was numbered under."""
+        return self._labels.get(handle_label_id(handle), "?")
 
     def window_base(self, handle: int) -> int:
         return self.window_bases.get(handle, 0)
@@ -196,7 +210,14 @@ class PlanNode(ABC):
         return any(child.contains_random for child in self.children)
 
     def execute(self, context: ExecutionContext) -> BundleRelation:
-        if not self.contains_random:
+        over_appended = self.reads_appended(context)
+        if over_appended and not self.contains_random:
+            # A Δ relation is not this subtree's output: it is neither
+            # served from nor stored in the det-cache.  The lookup still
+            # splices a session entry forward, so its recorded versions —
+            # the append journal's compaction floor — keep up.
+            context.det_cache.lookup(self, context)
+        elif not self.contains_random:
             cached = context.det_cache.lookup(self, context)
             if cached is not None:
                 # The hit skips the Seeds below: arm their labels' guard
@@ -215,9 +236,14 @@ class PlanNode(ABC):
                 return cached
         context.node_executions += 1
         result = self._run(context)
-        if not self.contains_random:
+        if not (self.contains_random or over_appended):
             context.det_cache.store(self, result, context)
         return result
+
+    def reads_appended(self, context: ExecutionContext) -> bool:
+        """Whether this subtree runs over Δ rows (``context.appended``)."""
+        return bool(context.appended) and not self.base_tables().isdisjoint(
+            context.appended)
 
     def fingerprint(self) -> str:
         """Structural identity of this subtree, stable across compilations.
@@ -324,8 +350,11 @@ class Scan(PlanNode):
 
     def _run(self, context):
         table = context.catalog.table(self.table_name)
+        old, new = context.appended.get(self.table_name.lower(),
+                                        (0, len(table)))
         return BundleRelation.from_table(
-            table, context.positions, context.aligned, prefix=self.prefix)
+            table, context.positions, context.aligned, prefix=self.prefix,
+            rows=slice(old, new))
 
     def _fingerprint_parts(self):
         return (self.table_name, self.prefix)
@@ -372,10 +401,27 @@ class Seed(PlanNode):
     def _run(self, context):
         relation = self.children[0].execute(context)
         label_id = context.register_label(self.label)
+        start = self._first_row(context)
         out = relation.shallow_copy()
-        out.add_det_column(self.handle_column,
-                           seed_handles(label_id, 0, relation.length))
+        out.add_det_column(self.handle_column, seed_handles(
+            label_id, start, start + relation.length))
         return out
+
+    def _first_row(self, context) -> int:
+        """Row position of the child's first row.
+
+        0, except under Δ-execution, where the child is the ``Scan`` of
+        an appended table (:func:`appends_keep_prefix` admits no other
+        seeded child) and its first row is the appended range's start.
+        """
+        child = self.children[0]
+        if not child.reads_appended(context):
+            return 0
+        if not isinstance(child, Scan):
+            raise EngineError(
+                f"Seed({self.label}) cannot number appended rows above a "
+                f"{type(child).__name__}; re-run over the whole table")
+        return context.appended[child.table_name.lower()][0]
 
     def _fingerprint_parts(self):
         return (self.label, self.handle_column)
@@ -499,10 +545,16 @@ class Instantiate(PlanNode):
             row_params = [()] * int(fresh.sum())
         base_arity = max(component for _, component in self.outputs) + 1
         arity_of = {}
-        for params in dict.fromkeys(row_params):
-            self.vg.validate_params(params)
-            arity_of[params] = max(base_arity, self.vg.block_arity(params))
         handles = handles[fresh]
+        for params in dict.fromkeys(row_params):
+            try:
+                self.vg.validate_params(params)
+            except ValueError as exc:
+                label = context.label_of(int(handles[0]))
+                raise EngineError(
+                    f"VG function {self.vg.name} rejected parameters "
+                    f"{params} of seed {label!r}: {exc}") from exc
+            arity_of[params] = max(base_arity, self.vg.block_arity(params))
         prng_seeds = derive_prng_seeds(context.base_seed, handles).tolist()
         for handle, prng_seed, params in zip(
                 handles.tolist(), prng_seeds, row_params):
@@ -1042,11 +1094,12 @@ def appends_keep_prefix(node: PlanNode, appended) -> bool:
 
     True when the grown plan's output provably keeps every old row —
     values, order, and row indices — as a prefix, with the rows the
-    appended tuples produce landing strictly after it.  That is the
-    condition a standing query needs to fold only ``rows[prev:]`` into
-    its strict-order accumulators (or re-enter the Gibbs looper over a
-    delta-extended window) and still be bit-identical to a fresh run on
-    the grown table.
+    appended tuples produce landing strictly after it, and when
+    Δ-execution (:attr:`ExecutionContext.appended`) computes exactly
+    those rows.  That is the condition a standing query needs to fold
+    only the Δ relation into its strict-order accumulators (or to keep a
+    tail result no appended row reaches) and still be bit-identical to a
+    fresh run on the grown table.
 
     Every operator here is row-local or row-ordered under growth at the
     end — Scan appends, Seed numbers handles by row position, Select
@@ -1054,12 +1107,38 @@ def appends_keep_prefix(node: PlanNode, appended) -> bool:
     functions), Project/Instantiate are row-preserving, Split fans out in
     row order — except a Join whose *right* (build) side depends on an
     appended table: old probe rows would gain interleaved matches, so
-    only a full recompute reproduces the fresh-run row order.
+    only a full recompute reproduces the fresh-run row order.  A Seed
+    over appended rows must sit on their Scan, the one child whose Δ
+    starts at a known row position.
     """
     appended = set(appended)
     if isinstance(node, Join) and node.children[1].base_tables() & appended:
         return False
+    if (isinstance(node, Seed) and not isinstance(node.children[0], Scan)
+            and node.base_tables() & appended):
+        return False
     return all(appends_keep_prefix(child, appended)
+               for child in node.children)
+
+
+def appended_rows_reach_random(node: PlanNode,
+                               context: ExecutionContext) -> bool:
+    """Whether any Δ row (``context.appended``) leaves the deterministic
+    part of the plan.
+
+    Runs the Δ of every maximal deterministic subtree that reads an
+    appended table — the input of an ``Instantiate``, of a random
+    operator, or the whole output — and stops at the first one that
+    yields a row.  When none does, a plan that
+    :func:`appends_keep_prefix` admits outputs exactly its old rows.
+    Only deterministic operators decide: a random ``Select``'s row drops
+    depend on the window a run materializes.
+    """
+    if not node.reads_appended(context):
+        return False
+    if not node.contains_random:
+        return node.execute(context).length > 0
+    return any(appended_rows_reach_random(child, context)
                for child in node.children)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from repro.vg.base import BlockStream, VGFunction
 from repro.vg.streams import RandomStream, draw_chunk
 
-__all__ = ["seed_handle", "seed_handles", "derive_prng_seed",
-           "derive_prng_seeds", "SeedInfo"]
+__all__ = ["seed_handle", "seed_handles", "handle_label_id",
+           "derive_prng_seed", "derive_prng_seeds", "SeedInfo"]
 
 # 20 label bits + 40 row bits = 60 bits, comfortably inside int64.
 _LABEL_BITS = 20
@@ -46,6 +46,11 @@ def seed_handles(label_id: int, start: int, stop: int) -> np.ndarray:
         seed_handle(label_id, start)
         seed_handle(label_id, stop - 1)
     return (label_id << _ROW_BITS) | np.arange(start, stop, dtype=np.int64)
+
+
+def handle_label_id(handle: int) -> int:
+    """The label id :func:`seed_handle` packed into ``handle``."""
+    return handle >> _ROW_BITS
 
 
 def label_id_of(label: str) -> int:

@@ -144,6 +144,7 @@ class StandingRecord:
 
     __slots__ = ("standing_id", "tenant", "sql", "analysis_name", "status",
                  "created_at", "refreshes", "versions", "last_mode",
+                 "last_rows_computed", "last_rows_reused",
                  "last_error", "query", "dirty", "queued", "running")
 
     def __init__(self, tenant: str, sql: str, analysis_name: str):
@@ -156,6 +157,8 @@ class StandingRecord:
         self.refreshes = 0             # journaled runs (initial included)
         self.versions = 0              # latest journal version
         self.last_mode = None          # initial | delta | full | noop
+        self.last_rows_computed = 0    # StandingQuery.stats() of the
+        self.last_rows_reused = 0      # last refresh that completed
         self.last_error = None
         self.query = None              # Session.standing_query handle
         self.dirty = False
@@ -554,7 +557,7 @@ class RiskService:
                 with self._qlock:
                     if self._registered(record):
                         record.status = "live"
-                        record.last_mode = "noop"
+                        self._note_refresh(record)
                 return
         wire = output_to_wire(output)
         versions = state.table_versions()
@@ -570,9 +573,17 @@ class RiskService:
             record.status = "live"
             record.refreshes += 1
             record.versions = entry.version
-            record.last_mode = record.query.last_mode
+            self._note_refresh(record)
             record.last_error = None
             self.counters["standing_refreshes"] += 1
+
+    @staticmethod
+    def _note_refresh(record: StandingRecord) -> None:
+        """Copy the handle's refresh accounting; caller holds ``_qlock``."""
+        query = record.query
+        record.last_mode = query.last_mode
+        record.last_rows_computed = query.last_rows_computed
+        record.last_rows_reused = query.last_rows_reused
 
     # -- stats -------------------------------------------------------------
 

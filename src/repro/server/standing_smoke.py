@@ -7,7 +7,8 @@ version — then replays the same catalog history in a fresh in-process
 :class:`~repro.sql.session.Session` and asserts the long-polled payload
 is byte-identical to the fresh-session run on the grown table (the
 bit-identity contract of the incremental refresh path).  A filtered tail
-standing query rides along; the append cannot move it.
+standing query rides along; the append cannot move it, and its refresh
+must compute no row (the appended rows never reach its ``Instantiate``).
 
 Run against a live server::
 
@@ -123,6 +124,11 @@ def run(base: str) -> None:
     assert tail_second["result"] == tail_first["result"] == \
         _fresh_session_payload(appended=True, sql=_FILTERED_TAIL_SQL), \
         "filtered tail moved, or != fresh-session run on the grown table"
+
+    tail_status = _call(f"{base}/tenants/{tenant}/standing/{tail_id}")
+    assert tail_status["standing"]["last_mode"] == "delta", tail_status
+    assert tail_status["standing"]["last_rows_computed"] == 0, \
+        "filtered tail refresh computed rows its filter rejects"
 
     status = _call(f"{base}/tenants/{tenant}/standing/{standing_id}")
     assert status["standing"]["status"] == "live", status

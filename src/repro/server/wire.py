@@ -138,6 +138,8 @@ def standing_to_wire(record) -> dict:
         "refreshes": int(record.refreshes),
         "journal_versions": int(record.versions),
         "last_mode": record.last_mode,
+        "last_rows_computed": int(record.last_rows_computed),
+        "last_rows_reused": int(record.last_rows_reused),
         "error": record.last_error,
         "created_at": record.created_at,
     }

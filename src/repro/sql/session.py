@@ -37,7 +37,7 @@ from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Col
 from repro.engine.mcdb import MonteCarloResult
 from repro.engine.operators import (
-    ExecutionContext, appends_keep_prefix)
+    ExecutionContext, appended_rows_reach_random, appends_keep_prefix)
 from repro.engine.options import ExecutionOptions
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
 from repro.engine.table import Catalog, Table
@@ -83,19 +83,26 @@ class StandingQuery:
     * nothing moved — a no-op;
     * every moved dependency grew append-only *and* the plan is
       prefix-stable under that growth
-      (:func:`~repro.engine.operators.appends_keep_prefix`) — an
-      incremental **delta** refresh: the retained execution context
-      extends its materialized stream windows to just the appended
-      tuples' positions, and either the Monte Carlo accumulators fold
-      only ``rows[prev:]`` in or the Gibbs looper re-enters over the
-      delta-extended windows;
+      (:func:`~repro.engine.operators.appends_keep_prefix`) — a
+      **delta** refresh that runs the plan over the appended rows only
+      (Δ-execution, see
+      :attr:`~repro.engine.operators.ExecutionContext.appended`): a
+      Monte Carlo query folds the Δ relation into its retained
+      per-group accumulators, so it keeps ``O(groups × n)`` state and no
+      execution context; a tail query keeps its result when no appended
+      row reaches an ``Instantiate`` or the output
+      (:func:`~repro.engine.operators.appended_rows_reach_random`), and
+      otherwise re-enters the Gibbs looper over its retained context,
+      whose materialized windows the initial plan run extends;
     * anything else — a full re-execution from scratch.
 
     Every mode returns a result bit-identical to a fresh session running
     the same statement against the current catalog — streams are pure
     functions of ``(base_seed, handle, position)`` and appended rows get
     the exact handles/positions a fresh run would assign them, so
-    incrementality is purely an execution-cost optimization.
+    incrementality is purely an execution-cost optimization.  A refresh
+    that raises leaves :attr:`result`, the fold state, the recorded
+    table versions and the counters at the last good refresh.
 
     Handles are not thread-safe on their own; :meth:`refresh` serializes
     on the owning session's single-flight lock like any statement.
@@ -126,22 +133,24 @@ class StandingQuery:
                 statement, session.catalog, tail_mode=self._tail_mode)
             if not self._tail_mode:
                 # Bound once for its group/aggregate folding helpers; the
-                # plan itself runs on the retained context, never through
-                # executor.run().
+                # plan itself runs on a context per refresh, never
+                # through executor.run().
                 self._executor = monte_carlo_executor(
                     self._compiled, session.catalog,
                     base_seed=session.base_seed, options=session.options)
-            #: Retained across delta refreshes: the context whose
-            #: materialized Instantiate windows the next run extends.
+            #: Monte Carlo: per-group accumulators of every row so far,
+            #: and how many Instantiate rows they cover.
+            self._states: dict = {}
+            self._rows_folded = 0
+            #: Tail: the context whose materialized Instantiate windows
+            #: the next looper re-entry extends.
             self._context: ExecutionContext | None = None
-            self._states: dict | None = None
-            self._relation_length = 0
             self._versions: dict[str, int] = {}
             self.result: QueryOutput | None = None
             self.refreshes = 0
             self.last_rows_computed = 0
             self.last_rows_reused = 0
-            self._run(delta=False)
+            self._run({})
             self.last_mode = "initial"
 
     def refresh(self) -> QueryOutput:
@@ -155,17 +164,18 @@ class StandingQuery:
                 self.last_rows_computed = 0
                 self.last_rows_reused = 0
                 return self.result
-            delta = (verdict == "appends"
-                     and appends_keep_prefix(self._compiled.plan, appends))
-            self._run(delta=delta)
+            if not (verdict == "appends"
+                    and appends_keep_prefix(self._compiled.plan, appends)):
+                appends = {}
+            self._run(appends)
             self.refreshes += 1
-            self.last_mode = "delta" if delta else "full"
+            self.last_mode = "delta" if appends else "full"
             return self.result
 
     def stats(self) -> dict:
-        """Refresh accounting: mode of the last refresh and how many
-        relation rows its Instantiates gathered from the streams vs.
-        served from retained windows."""
+        """Refresh accounting: mode of the last refresh, how many
+        relation rows its Instantiates gathered from the streams, and how
+        many rows' contributions carried over from earlier refreshes."""
         return {
             "kind": self.kind,
             "refreshes": self.refreshes,
@@ -176,71 +186,59 @@ class StandingQuery:
 
     # -- internals --------------------------------------------------------
 
-    def _run(self, delta: bool) -> None:
-        session = self._session
-        if not delta:
-            self._context = None
-            self._states = None
-            self._relation_length = 0
-        self.result = (self._run_tail() if self._tail_mode
-                       else self._run_mc())
-        catalog = session.catalog
+    def _run(self, appends: dict) -> None:
+        """Run over the ``appends`` row ranges (everything when empty).
+
+        Nothing on the handle changes until the run has succeeded.
+        """
+        result, computed, reused = (self._run_tail(appends) if self._tail_mode
+                                    else self._run_mc(appends))
+        catalog = self._session.catalog
+        self.result = result
+        self.last_rows_computed = computed
+        self.last_rows_reused = reused
         self._versions = {name: catalog.table_version(name)
                           for name in self._compiled.plan.base_tables()}
 
-    def _reset_det_cache(self, context: ExecutionContext) -> None:
-        """Re-point a retained context at the session's current det-cache
-        tier (which may have changed with ``Session.options``)."""
-        context.det_cache = self._session._det_cache_for_run()
-
-    def _run_mc(self) -> QueryOutput:
+    def _context_for(self, positions: int, aligned: bool,
+                     appends: dict) -> ExecutionContext:
         session = self._session
-        context = self._context
-        if context is None:
-            context = ExecutionContext(
-                session.catalog, positions=self._spec.montecarlo,
-                aligned=True, base_seed=session.base_seed,
-                det_cache=session._det_cache_for_run())
-            context.delta_tracking = True
-            self._context = context
-        else:
-            self._reset_det_cache(context)
-        start_row = self._relation_length
-        computed = context.instantiate_rows_computed
-        reused = context.instantiate_rows_reused
-        context.delta_mode = start_row > 0
-        try:
-            relation = self._compiled.plan.execute(context)
-        finally:
-            context.delta_mode = False
-        context.plan_runs += 1
-        if relation.length < start_row:
-            raise EngineError(
-                "standing-query delta refresh shrank the relation "
-                f"({relation.length} < {start_row}); the append "
-                "classification admitted a rewrite")
-        self.last_rows_computed = context.instantiate_rows_computed - computed
-        self.last_rows_reused = context.instantiate_rows_reused - reused
-        self._states = self._executor.fold_states(
-            relation, self._states, start_row=start_row)
-        self._relation_length = relation.length
+        context = ExecutionContext(
+            session.catalog, positions=positions, aligned=aligned,
+            base_seed=session.base_seed,
+            det_cache=session._det_cache_for_run())
+        context.appended = appends
+        return context
+
+    def _run_mc(self, appends: dict):
+        context = self._context_for(self._spec.montecarlo, True, appends)
+        relation = self._compiled.plan.execute(context)
+        carried = self._states if appends else {}
+        states = self._executor.fold_states(relation, carried)
         result = self._executor.result_from_states(
-            self._states, self._spec.montecarlo)
-        return QueryOutput(kind="montecarlo", distributions=result)
+            states, self._spec.montecarlo)
+        computed = context.instantiate_rows_computed
+        reused = self._rows_folded if appends else 0
+        self._states = states
+        self._rows_folded = reused + computed
+        return (QueryOutput(kind="montecarlo", distributions=result),
+                computed, reused)
 
-    def _run_tail(self) -> QueryOutput:
+    def _run_tail(self, appends: dict):
         session = self._session
         context = self._context
-        if context is None:
+        if appends and not appended_rows_reach_random(
+                self._compiled.plan, self._context_for(1, False, appends)):
+            # Prefix-stability: the plan's output, and so every Gibbs
+            # sweep over it, is exactly the last run's.
+            reused = sum(materialized.handles.shape[0]
+                         for materialized in context.materialized.values())
+            return self.result, 0, reused
+        if not appends:
             # positions/aligned are placeholders: the looper re-stamps the
             # injected context for its own window on entry.
-            context = ExecutionContext(
-                session.catalog, positions=1, aligned=False,
-                base_seed=session.base_seed,
-                det_cache=session._det_cache_for_run())
-            self._context = context
-        else:
-            self._reset_det_cache(context)
+            context = self._context_for(1, False, {})
+        context.det_cache = session._det_cache_for_run()
         computed = context.instantiate_rows_computed
         reused = context.instantiate_rows_reused
         looper = tail_looper(
@@ -253,9 +251,10 @@ class StandingQuery:
             det_cache=session._det_cache_for_run(),
             context=context)
         result = looper.run()
-        self.last_rows_computed = context.instantiate_rows_computed - computed
-        self.last_rows_reused = context.instantiate_rows_reused - reused
-        return QueryOutput(kind="tail", tail=result)
+        self._context = context
+        return (QueryOutput(kind="tail", tail=result),
+                context.instantiate_rows_computed - computed,
+                context.instantiate_rows_reused - reused)
 
 
 class Session:

@@ -527,10 +527,10 @@ class TestKillDuringStandingRefresh:
     """Fault drill: a pool worker is SIGKILLed while a process-backend
     standing Monte Carlo refresh runs.
 
-    A standing MC refresh folds its retained context in-process and never
-    dispatches to the pool, so the kill cannot tear it: the refresh
-    journals a version equal to a fresh session on the grown table and
-    counts no standing error.  The dead worker surfaces at the next
+    A standing MC refresh runs the plan over the appended rows and folds
+    them in-process; it never dispatches to the pool, so the kill cannot
+    tear it: the refresh journals a version equal to a fresh session on
+    the grown table and counts no standing error.  The dead worker surfaces at the next
     sharded query, as status ``"error"`` carrying the ``EngineError``
     text; the query after it respawns the pool.  The standing drainer
     keeps serving the other tenant, the next append + refresh has no torn

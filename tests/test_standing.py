@@ -8,16 +8,21 @@ append-heavy load (the unbounded-growth regression).  Server level: the
 while appends race long-polled refreshes on one tenant.
 """
 
+import gc
 import json
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.engine.operators import Join, Scan, appends_keep_prefix
+from repro.engine.errors import EngineError
+from repro.engine.expressions import BinOp, Col, Lit
+from repro.engine.operators import (
+    Join, Scan, Seed, Select, appends_keep_prefix)
 from repro.engine.options import ExecutionOptions, ServerOptions
 from repro.engine.table import Catalog, Table
 from repro.server import RiskServer
@@ -192,6 +197,282 @@ def test_appends_keep_prefix_join_build_side():
 
 
 # ---------------------------------------------------------------------------
+# Δ-execution: every refresh equals a fresh session on the grown tables
+
+
+def _means_losses(session):
+    session.add_table("means", {k: list(v) for k, v in BASE_MEANS.items()})
+    session.execute(CREATE_LOSSES)
+
+
+def _grouped_losses(session):
+    session.add_table("means", {**{k: list(v) for k, v in BASE_MEANS.items()},
+                                "grp": ["a", "b"] * 4})
+    session.execute("""
+        CREATE TABLE Losses (CID, grp, val) AS
+        FOR EACH CID IN means
+        WITH v AS Normal(VALUES(m, 1.0))
+        SELECT CID, grp, v.* FROM v""")
+
+
+def _segmented_losses(session):
+    _means_losses(session)
+    session.add_table("segments", {"CID2": list(range(12)),
+                                   "seg": ["a", "b", "c"] * 4})
+
+
+def _employees(session):
+    session.add_table("emp_means", {
+        "eid": ["Joe", "Sue", "Jim", "Ann", "Sid"],
+        "msal": [26.0, 24.0, 77.0, 45.0, 50.0]})
+    session.add_table("sup", {"boss": ["Sue", "Jim", "Sue"],
+                              "peon": ["Joe", "Ann", "Sid"]})
+    session.execute("""
+        CREATE TABLE emp (eid, sal) AS
+        FOR EACH r IN emp_means
+        WITH v AS Normal(VALUES(msal, 4.0))
+        SELECT eid, v.* FROM v""")
+
+
+def _refreshed_vs_fresh(sql, load, appends, **session_kwargs):
+    """Refresh a standing ``sql`` after each ``(table, rows)`` append;
+    return its modes, its final wire payload and a fresh session's."""
+    modes = []
+    with Session(base_seed=11, tail_budget=120, window=80,
+                 **session_kwargs) as session:
+        load(session)
+        handle = session.standing_query(sql)
+        for table, rows in appends:
+            session.append(table, rows)
+            handle.refresh()
+            modes.append(handle.last_mode)
+        got = output_to_wire(handle.result)
+    with Session(base_seed=11, tail_budget=120, window=80) as fresh:
+        load(fresh)
+        for table, rows in appends:
+            fresh.append(table, rows)
+        want = output_to_wire(fresh.execute(sql))
+    return modes, got, want
+
+
+GROUPED_QUERY = ("SELECT grp, SUM(val) AS loss, COUNT(*) AS n, "
+                 "AVG(val) AS mean, MIN(val) AS best, MAX(val) AS worst "
+                 "FROM Losses GROUP BY grp "
+                 "WITH RESULTDISTRIBUTION MONTECARLO(20)")
+
+
+@pytest.mark.parametrize("sql,load,appends,expected_modes", [
+    pytest.param(GROUPED_QUERY, _grouped_losses,
+                 [("means", {"CID": [8, 9], "m": [5.0, 5.5],
+                             "grp": ["b", "new"]})],
+                 ["delta"], id="group-first-appears-in-delta"),
+    pytest.param("SELECT SUM(val) AS loss, COUNT(*) AS n FROM Losses "
+                 "WHERE val > 4.0 WITH RESULTDISTRIBUTION MONTECARLO(20)",
+                 _means_losses, [("means", APPEND)], ["delta"],
+                 id="random-where-presence"),
+    pytest.param("SELECT seg, SUM(val) AS loss FROM Losses, segments "
+                 "WHERE CID = CID2 GROUP BY seg "
+                 "WITH RESULTDISTRIBUTION MONTECARLO(20)",
+                 _segmented_losses, [("means", APPEND)], ["delta"],
+                 id="join-probe-grew"),
+    pytest.param("SELECT seg, SUM(val) AS loss FROM Losses, segments "
+                 "WHERE CID = CID2 GROUP BY seg "
+                 "WITH RESULTDISTRIBUTION MONTECARLO(20)",
+                 _segmented_losses,
+                 [("segments", {"CID2": [3], "seg": ["d"]})], ["full"],
+                 id="join-build-grew"),
+    pytest.param("SELECT SUM(e2.sal - e1.sal) AS inv "
+                 "FROM sup, emp AS e1, emp AS e2 "
+                 "WHERE sup.boss = e1.eid AND sup.peon = e2.eid "
+                 "WITH RESULTDISTRIBUTION MONTECARLO(20)",
+                 _employees, [("sup", {"boss": ["Ann"], "peon": ["Jim"]})],
+                 ["delta"], id="self-join-shared-label-probe-grew"),
+    pytest.param("SELECT SUM(e2.sal - e1.sal) AS inv "
+                 "FROM sup, emp AS e1, emp AS e2 "
+                 "WHERE sup.boss = e1.eid AND sup.peon = e2.eid "
+                 "WITH RESULTDISTRIBUTION MONTECARLO(20)",
+                 _employees,
+                 [("emp_means", {"eid": ["Zed"], "msal": [30.0]}),
+                  ("sup", {"boss": ["Zed"], "peon": ["Sue"]})],
+                 ["full", "delta"], id="self-join-shared-label-table-grew"),
+])
+def test_delta_refresh_equals_fresh_session(sql, load, appends,
+                                            expected_modes):
+    modes, got, want = _refreshed_vs_fresh(sql, load, appends)
+    assert modes == expected_modes
+    assert got == want
+
+
+@pytest.mark.parametrize("sql", [MC_QUERY, TAIL_QUERY,
+                                 TAIL_QUERY.replace("CID < 6", "CID >= 4")])
+@pytest.mark.parametrize("options", [
+    pytest.param(ExecutionOptions(det_cache="off"), id="det-cache-off"),
+    pytest.param(ExecutionOptions(n_jobs=2, backend="process"),
+                 id="process-backend"),
+])
+def test_delta_refresh_equals_fresh_session_under_options(sql, options):
+    appends = [("means", APPEND), ("means", {"CID": [10], "m": [6.0]})]
+    modes, got, want = _refreshed_vs_fresh(sql, _means_losses, appends,
+                                           options=options)
+    assert modes == ["delta", "delta"]
+    assert got == want
+
+
+def test_200_consecutive_appends_stay_delta_and_exact():
+    rng = np.random.default_rng(34)
+    appends = [("means", {"CID": [8 + index],
+                          "m": [float(rng.uniform(1.0, 5.0))]})
+               for index in range(200)]
+    with Session(base_seed=11, tail_budget=120, window=80) as session:
+        _means_losses(session)
+        handles = [session.standing_query(sql)
+                   for sql in (MC_QUERY, GROUPED_QUERY.replace(
+                       "grp", "CID"), TAIL_QUERY)]
+        for table, rows in appends:
+            session.append(table, rows)
+            for handle in handles:
+                handle.refresh()
+                assert handle.last_mode == "delta"
+        got = [output_to_wire(handle.result) for handle in handles]
+    with Session(base_seed=11, tail_budget=120, window=80) as fresh:
+        _means_losses(fresh)
+        for table, rows in appends:
+            fresh.append(table, rows)
+        want = [output_to_wire(fresh.execute(handle.sql))
+                for handle in handles]
+    assert got == want
+
+
+def test_delta_relations_never_enter_the_det_cache():
+    # A Δ relation stored under its subtree's fingerprint would serve the
+    # appended rows alone to the next ad-hoc query over the same subtree.
+    with _session() as session:
+        mc = session.standing_query(MC_QUERY)
+        tail = session.standing_query(TAIL_QUERY)
+        for rows in (APPEND, {"CID": [10], "m": [6.0]}):
+            session.append("means", rows)
+            mc.refresh()
+            tail.refresh()
+        adhoc = [output_to_wire(session.execute(sql))
+                 for sql in (MC_QUERY, TAIL_QUERY)]
+        means_sum = session.execute(
+            "SELECT SUM(m) AS s FROM means").rows.column("s")[0]
+    with _session() as fresh:
+        fresh.append("means", APPEND)
+        fresh.append("means", {"CID": [10], "m": [6.0]})
+        want = [output_to_wire(fresh.execute(sql))
+                for sql in (MC_QUERY, TAIL_QUERY)]
+    assert adhoc == want
+    assert means_sum == sum(BASE_MEANS["m"]) + sum(APPEND["m"]) + 6.0
+
+
+def test_tail_refresh_no_appended_row_reaches_runs_no_sweep(monkeypatch):
+    from repro.core.gibbs_looper import GibbsLooper
+
+    with _session() as session:
+        handle = session.standing_query(TAIL_QUERY)
+        before = handle.result
+        runs = []
+        original = GibbsLooper.run
+
+        def counted(looper):
+            runs.append(looper)
+            return original(looper)
+
+        monkeypatch.setattr(GibbsLooper, "run", counted)
+        session.append("means", APPEND)  # CIDs 8, 9: the filter drops both
+        assert handle.refresh() is before
+        assert handle.last_mode == "delta"
+        assert handle.last_rows_computed == 0
+        assert handle.last_rows_reused == 6  # the rows CID < 6 keeps
+        assert runs == []
+        session.append("means", {"CID": [3], "m": [2.0]})  # passes
+        handle.refresh()
+        assert len(runs) == 1
+        assert handle.last_rows_computed >= 1
+        got = np.asarray(handle.result.tail.samples)
+    np.testing.assert_array_equal(got, _fresh_samples(
+        TAIL_QUERY, APPEND, {"CID": [3], "m": [2.0]}))
+
+
+def _retained_bytes(appends):
+    """Bytes a standing MC handle frees when dropped after ``appends``
+    one-row append + refresh rounds."""
+    sql = MC_QUERY.replace("MONTECARLO(20)", "MONTECARLO(50)")
+    with _session() as session:
+        tracemalloc.start()
+        try:
+            handle = session.standing_query(sql)
+            for index in range(appends):
+                session.append("means", {"CID": [100 + index], "m": [1.0]})
+                handle.refresh()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del handle
+            gc.collect()
+            return held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+
+def test_standing_mc_state_does_not_grow_with_the_table():
+    # A retained (rows x n) block would add >= 390 * 50 * 8 = 156 kB.
+    small, large = _retained_bytes(10), _retained_bytes(400)
+    assert large - small < 16 * 1024, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# Fault drill: a Δ refresh over an invalid VG parameter row
+
+
+CREATE_LOSSES_V = """
+    CREATE TABLE Losses (CID, val) AS
+    FOR EACH CID IN means
+    WITH v AS Normal(VALUES(m, v))
+    SELECT CID, v.* FROM v
+"""
+BAD_ROW = {"CID": [8], "m": [1.0], "v": [-1.0]}
+#: Its filter keeps the bad row, so the tail refresh must re-enter.
+WIDE_TAIL = TAIL_QUERY.replace("CID < 6", "CID >= 4")
+
+
+def _variance_session(**kwargs):
+    session = Session(base_seed=11, tail_budget=120, window=80, **kwargs)
+    session.add_table("means", {**{k: list(v) for k, v in BASE_MEANS.items()},
+                                "v": [1.0] * len(BASE_MEANS["CID"])})
+    session.execute(CREATE_LOSSES_V)
+    return session
+
+
+@pytest.mark.parametrize("sql", [MC_QUERY, WIDE_TAIL])
+def test_invalid_vg_parameters_raise_engine_error(sql):
+    with _variance_session() as session:
+        session.append("means", BAD_ROW)
+        with pytest.raises(EngineError, match=r"Normal .*\(1\.0, -1\.0\).*"
+                                              r"'Losses'.*variance"):
+            session.execute(sql)
+
+
+@pytest.mark.parametrize("sql", [MC_QUERY, WIDE_TAIL])
+def test_failed_delta_refresh_keeps_last_good_state(sql):
+    with _variance_session() as session:
+        handle = session.standing_query(sql)
+        session.append("means", {"CID": [9], "m": [2.0], "v": [1.0]})
+        handle.refresh()
+        good = (handle.result, dict(handle._states), dict(handle._versions),
+                handle.stats())
+        session.append("means", BAD_ROW)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(EngineError, match="variance") as caught:
+                handle.refresh()
+            errors.append(str(caught.value))
+            assert (handle.result, dict(handle._states),
+                    dict(handle._versions), handle.stats()) == good
+        assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
 # Append-journal compaction (the unbounded-growth regression)
 
 
@@ -265,13 +546,13 @@ def _call(url, method="GET", body=None):
         return exc.code, json.loads(exc.read().decode())
 
 
-def _load_tenant(base, tenant):
+def _load_tenant(base, tenant, means=BASE_MEANS, create=CREATE_LOSSES):
     assert _call(f"{base}/tenants/{tenant}", "POST",
                  {"base_seed": 11})[0] == 201
     assert _call(f"{base}/tenants/{tenant}/tables", "POST",
-                 {"name": "means", "columns": BASE_MEANS})[0] == 201
+                 {"name": "means", "columns": means})[0] == 201
     _, ddl = _call(f"{base}/tenants/{tenant}/queries", "POST",
-                   {"sql": CREATE_LOSSES})
+                   {"sql": create})
     _, record = _call(f"{base}/queries/{ddl['query_id']}?wait=30")
     assert record["status"] == "done", record
 
@@ -315,6 +596,10 @@ def test_server_standing_lifecycle():
         assert second["record"]["version"] == 2
         assert second["record"]["result"] == _fresh_payload(APPEND)
         assert second["standing"]["last_mode"] in ("delta", "full")
+        if second["standing"]["last_mode"] == "delta":
+            # Refresh accounting rides the registration payload.
+            assert second["standing"]["last_rows_computed"] == 2
+            assert second["standing"]["last_rows_reused"] == 8
 
         status, listing = _call(f"{base}/tenants/acme/standing")
         assert status == 200 and len(listing["standing"]) == 1
@@ -443,3 +728,79 @@ def test_appends_racing_refreshes_keep_journal_ordered():
     assert matched == sorted(matched), matched
     assert matched[-1] == total_appends, (
         f"final version covers only {matched[-1]}/{total_appends} appends")
+
+
+def test_server_standing_refresh_error_drill():
+    """Fault drill: an appended row with an invalid VG parameter under a
+    live standing MC and a live standing tail query.  Each registration
+    goes to ``error`` with the typed message and counts one standing
+    error, its journal keeps the last good version, the drainer still
+    serves a bystander tenant, and no child process or ``/dev/shm``
+    segment outlives the server."""
+    from multiprocessing import active_children
+    from repro.engine.shm import leaked_segments
+    segments_before = set(leaked_segments())
+    children_before = set(active_children())
+    with RiskServer(options=ExecutionOptions(n_jobs=2, backend="process")
+                    ) as server:
+        base, service = server.url, server.service
+        ids = {}
+        _load_tenant(base, "victim",
+                     {**BASE_MEANS, "v": [1.0] * len(BASE_MEANS["CID"])},
+                     CREATE_LOSSES_V)
+        _load_tenant(base, "bystander")
+        for tenant, sql in (("victim", MC_QUERY), ("victim", WIDE_TAIL),
+                            ("bystander", MC_QUERY)):
+            _, registered = _call(f"{base}/tenants/{tenant}/standing",
+                                  "POST", {"sql": sql})
+            ids[registered["standing_id"]] = tenant
+            _wait_version(base, tenant, registered["standing_id"], after=0)
+        # One sharded ad-hoc query spawns the pool the leak check guards.
+        _, adhoc = _call(f"{base}/tenants/bystander/queries", "POST",
+                         {"sql": MC_QUERY})
+        assert _call(f"{base}/queries/{adhoc['query_id']}?wait=30"
+                     )[1]["status"] == "done"
+        errors_before = service.counters["standing_errors"]
+
+        assert _call(f"{base}/tenants/victim/tables/means/rows", "POST",
+                     {"columns": BAD_ROW})[0] == 200
+        victims = [sid for sid, tenant in ids.items() if tenant == "victim"]
+        deadline = time.monotonic() + 30
+        states = {}
+        while time.monotonic() < deadline:
+            states = {sid: _call(f"{base}/tenants/victim/standing/{sid}"
+                                 )[1]["standing"] for sid in victims}
+            if all(state["status"] == "error" for state in states.values()):
+                break
+            time.sleep(0.05)
+        for state in states.values():
+            assert state["status"] == "error", state
+            assert "Normal" in state["error"] and "variance" in state["error"]
+            assert state["journal_versions"] == 1
+        assert service.counters["standing_errors"] == \
+            errors_before + len(victims)
+
+        # The drainer still serves the bystander.
+        assert _call(f"{base}/tenants/bystander/tables/means/rows", "POST",
+                     {"columns": APPEND})[0] == 200
+        bystander = next(sid for sid, tenant in ids.items()
+                         if tenant == "bystander")
+        second = _wait_version(base, "bystander", bystander, after=1)
+        assert second["record"]["result"] == _fresh_payload(APPEND)
+    assert set(leaked_segments()) <= segments_before
+    deadline = time.monotonic() + 10
+    while set(active_children()) - children_before \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not set(active_children()) - children_before
+
+
+def test_appends_keep_prefix_seed_needs_its_scan():
+    # Δ-execution numbers appended handles from the Scan's old row count;
+    # a Seed above a filter cannot know its Δ's first row position.
+    on_scan = Seed(Scan("t"), label="L")
+    on_filter = Seed(Select(Scan("t"), BinOp("<", Col("x"), Lit(3))),
+                     label="L")
+    assert appends_keep_prefix(on_scan, {"t"})
+    assert not appends_keep_prefix(on_filter, {"t"})
+    assert appends_keep_prefix(on_filter, {"other"})
