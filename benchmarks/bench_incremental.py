@@ -2,12 +2,13 @@
 
 The session det-cache keys each entry by the per-table versions of its
 plan's base tables, so unrelated mutations leave entries untouched, and
-append-only growth (``Catalog.append``) splices just the new rows through
-Scan/Seed/Select/Project/Join instead of recomputing.
+append-only growth (``Catalog.append``) extends each cached entry by what
+its subtree computes over the new rows alone (Δ-execution) instead of
+recomputing.
 
 This pins the correctness contract: MC and deep-tail samples on every
 backend — with a mid-session append on every leg that the cache must
-splice — are bit-identical to a fresh serial session built directly on
+extend — are bit-identical to a fresh serial session built directly on
 the grown table.
 
 Run:  python benchmarks/bench_incremental.py [--json]
@@ -83,11 +84,11 @@ def test_append_splice_is_bit_identical():
             np.testing.assert_array_equal(got, want,
                                           err_msg=f"backend={backend}")
         assert run_stats["append_refreshes"] >= 1, (
-            f"backend={backend} never spliced the mid-session append")
+            f"backend={backend} never extended over the mid-session append")
         identical += 1
 
     print_experiment(
-        "Append-splice bit-identity across backends",
+        "Append-refresh bit-identity across backends",
         f"{identical}/{len(legs)} legs bit-identical to a fresh serial "
         f"session on the grown table (each leg spans a mid-session append)")
     record_metric("bench_incremental", "bit_identical_legs",

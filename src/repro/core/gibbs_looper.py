@@ -406,7 +406,7 @@ class GibbsLooper:
                  k: int = 1, window: int = 1000, base_seed: int = 0,
                  max_proposals: int = 100_000,
                  options: ExecutionOptions | None = None,
-                 det_cache=None, context=None):
+                 det_cache=None):
         if aggregate_kind not in _SUPPORTED_AGGREGATES:
             raise PlanError(
                 f"GibbsLooper supports {_SUPPORTED_AGGREGATES}, got "
@@ -435,12 +435,6 @@ class GibbsLooper:
         self.max_proposals = max_proposals
         self.options = options or ExecutionOptions()
         self.det_cache = det_cache
-        #: Retained ExecutionContext injected by a standing query.  The
-        #: looper itself stays one-shot (fresh TS-seeds, fresh Gibbs
-        #: trajectory — the bit-identity contract), but the context's
-        #: materialized Instantiate windows survive across refreshes so
-        #: the initial plan execution only gathers appended rows.
-        self._injected_context = context
 
         # Run-time state (populated by run()).
         self._context: ExecutionContext | None = None
@@ -478,40 +472,12 @@ class GibbsLooper:
     def run(self) -> LooperResult:
         """Execute the full tail-sampling pipeline and return the result."""
         versions = self.params.n_steps[0]
-        injected = self._injected_context
-        if injected is None:
-            self._context = ExecutionContext(
-                self.catalog, positions=self.window, aligned=False,
-                base_seed=self.base_seed, det_cache=self.det_cache)
-            self._context.delta_tracking = True
-        else:
-            # Standing-query refresh: reuse the retained context so the
-            # initial plan run extends the previous refresh's
-            # materialized windows (delta Instantiate) instead of
-            # regathering every stream.  Everything a prior run may have
-            # left behind (replenishment position plans, window bases)
-            # is reset; streams are pure functions of (seed, handle,
-            # position), so extending old windows is bit-identical to a
-            # fresh gather.
-            self._context = injected
-            injected.positions = self.window
-            injected.aligned = False
-            injected.position_plan = {}
-            injected.window_bases = {}
-            injected.delta_tracking = True
-            injected.delta_mode = True
-            injected.refuel_handles = None
-        plan_runs_before = self._context.plan_runs
+        self._context = ExecutionContext(
+            self.catalog, positions=self.window, aligned=False,
+            base_seed=self.base_seed, det_cache=self.det_cache)
+        self._context.delta_tracking = True
         initial_relation = self.plan.execute(self._context)
         self._context.plan_runs += 1
-        initial_materialized = None
-        if injected is not None:
-            injected.delta_mode = False
-            # The initial-window materializations (full shared windows,
-            # not replenishment position plans) are the baseline the
-            # *next* refresh extends; snapshot them before replenishment
-            # overwrites the entries.
-            initial_materialized = dict(injected.materialized)
         # Not kept past ingestion: the looper re-points every tuple at
         # each refuel's windows, and a reference held here would keep the
         # initial windows alive through the whole run.
@@ -548,12 +514,10 @@ class GibbsLooper:
 
         samples = self._totals()
         assignments = self._assignment_dicts(samples.size)
-        if initial_materialized is not None:
-            self._context.materialized = initial_materialized
         return LooperResult(
             quantile_estimate=cutoff, samples=samples, trace=trace,
             params=self.params,
-            plan_runs=self._context.plan_runs - plan_runs_before,
+            plan_runs=self._context.plan_runs,
             num_seeds=len(self._seeds), num_tuples=len(self._tuples),
             assignments=assignments,
             full_replenish_runs=self._full_replenish_runs,

@@ -15,9 +15,10 @@ deterministic work.  Three cache objects implement that:
   only entries whose dependencies actually moved — queries over disjoint
   tables survive each other's DDL — and when every moved dependency grew
   *append-only* (per the catalog's append journal) the entry is
-  refreshed in place by splicing just the new rows
-  (:func:`~repro.engine.operators.refresh_after_append`) instead of
-  being recomputed.
+  refreshed in place instead of recomputed: the subtree runs over the
+  appended rows only (Δ-execution,
+  :attr:`~repro.engine.operators.ExecutionContext.appended`) and each
+  node it passes appends its Δ to its own entry (:meth:`extend`).
 * :class:`NullDetCache` (``det_cache="off"``) — caching disabled; every
   deterministic subtree re-runs on every plan execution.
 * :class:`ContextDetCache` — not selectable: the cache of an
@@ -34,6 +35,10 @@ disagrees with the requesting context it is re-stamped (copied with new
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.engine.bundles import BundleRelation
+
 __all__ = ["ContextDetCache", "SessionDetCache", "NullDetCache",
            "classify_moves"]
 
@@ -47,7 +52,7 @@ def classify_moves(catalog, versions):
     * ``("clean", {})`` — nothing moved; the consumer is current.
     * ``("appends", {name: (old_rows, new_rows)})`` — every moved
       dependency grew purely by journaled appends; the consumer can
-      refresh incrementally by splicing/extending just the new rows.
+      refresh incrementally from just the new rows.
     * ``("rebuild", {})`` — some dependency was rewritten, dropped, or
       its append chain was compacted away; only a full recompute is
       sound.
@@ -88,6 +93,9 @@ class ContextDetCache:
     def store(self, node, relation, context=None) -> None:
         self._entries[node.node_id] = relation
 
+    def extend(self, node, delta, context) -> None:
+        """Entries live for one context, which never grows its tables."""
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -114,7 +122,7 @@ class SessionDetCache:
     (operator types, tables, predicates, column lists); the recorded
     catalog versions identify what the referenced tables *contained*.
     Each entry is checked against only the per-name versions of its own
-    dependency set, and append-only growth is spliced in instead of
+    dependency set, and append-only growth is appended to it instead of
     recomputed.
     """
 
@@ -128,7 +136,8 @@ class SessionDetCache:
         #: Single entries dropped because their own dependencies moved
         #: non-append-only.
         self.partial_invalidations = 0
-        #: Entries refreshed in place by splicing appended rows.
+        #: Entries extended in place by their appended rows' Δ (one per
+        #: node, so refreshing a subtree counts each cached node in it).
         self.append_refreshes = 0
 
     def _sync_catalog(self, context) -> None:
@@ -154,47 +163,82 @@ class SessionDetCache:
         return entry.relation
 
     def _validate(self, fingerprint, entry, node, context):
-        """Dependency check for one entry: keep, splice-refresh, or drop."""
+        """Dependency check for one entry: keep, refresh, or drop."""
         verdict, appends = classify_moves(context.catalog, entry.versions)
         if verdict == "clean":
             return entry
-        refreshed = (self._refresh(node, context, appends)
-                     if verdict == "appends" else None)
-        if refreshed is None:
+        if verdict == "appends":
+            self._refresh(node, context, appends)
+            refreshed = self._entries.get(fingerprint)
+            if refreshed is not None and refreshed is not entry:
+                return refreshed
+        if self._entries.pop(fingerprint, None) is not None:
+            self.partial_invalidations += 1
+        return None
+
+    def _refresh(self, node, context, appends) -> None:
+        """Run ``node`` over the ``appends`` rows only; its
+        :meth:`extend` brings the entry current.  A plan whose output the
+        growth does not extend at its end is left for the caller to
+        drop."""
+        # Imported lazily: operators imports this module at load time.
+        from repro.engine.operators import (
+            ExecutionContext, appends_keep_prefix)
+
+        if not appends_keep_prefix(node, appends):
+            return
+        delta = ExecutionContext(context.catalog, context.positions,
+                                 context.aligned, det_cache=self)
+        delta.appended = appends
+        node.execute(delta)
+
+    def extend(self, node, delta, context) -> None:
+        """Store ``node``'s entry ⧺ its Δ relation at current versions.
+
+        Only an entry whose own appended ranges are exactly the Δ's
+        (``context.appended`` over the node's dependencies) is extended;
+        an entry at any other version is validated on its own, so it is
+        refreshed (or dropped) all the same and the append journal's
+        compaction floor keeps moving.
+        """
+        from repro.engine.operators import Scan
+
+        self._sync_catalog(context)
+        fingerprint = node.fingerprint()
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            return
+        verdict, appends = classify_moves(context.catalog, entry.versions)
+        if verdict != "appends" or appends != {
+                name: rows for name, rows in context.appended.items()
+                if name in entry.versions}:
+            self._validate(fingerprint, entry, node, context)
+            return
+        stale = entry.relation
+        if isinstance(node, Scan) and stale.length != appends[
+                node.table_name.lower()][0]:
+            # The cache and the journal disagree on the base rows.
             del self._entries[fingerprint]
             self.partial_invalidations += 1
-            return None
-        return refreshed
-
-    def _refresh(self, node, context, appends):
-        """Splice appended rows into this subtree's cached relations.
-
-        Every refreshed node (the root and any moved descendants) is
-        re-stored with current dependency versions; a ``None`` from the
-        splicer means some operator on a moved path is not splicable and
-        the caller falls back to dropping the entry.
-        """
-        # Imported lazily: operators imports this module at load time.
-        from repro.engine.operators import refresh_after_append
-
-        def stale_of(inner):
-            stale = self._entries.get(inner.fingerprint())
-            return None if stale is None else stale.relation
-
-        relation = refresh_after_append(
-            node, context, appends, stale_of,
-            lambda inner, refreshed: self.store(inner, refreshed, context))
-        if relation is None:
-            return None
+            return
+        out = BundleRelation(stale.length + delta.length, delta.positions,
+                             delta.aligned)
+        for name, old in stale.det_columns.items():
+            out.det_columns[name] = (np.concatenate(
+                [old, delta.det_columns[name]]) if delta.length else old)
+        self._entries[fingerprint] = _CacheEntry(
+            out, self._versions_of(node, context))
         self.append_refreshes += 1
-        return self._entries[node.fingerprint()]
+
+    @staticmethod
+    def _versions_of(node, context) -> dict[str, int]:
+        catalog = context.catalog
+        return {name: catalog.table_version(name)
+                for name in node.base_tables()}
 
     def store(self, node, relation, context=None) -> None:
-        versions: dict[str, int] = {}
-        if context is not None:
-            catalog = context.catalog
-            versions = {name: catalog.table_version(name)
-                        for name in node.base_tables()}
+        versions = {} if context is None else self._versions_of(node,
+                                                                 context)
         self._entries[node.fingerprint()] = _CacheEntry(relation, versions)
 
     def low_water(self, name: str):
@@ -238,6 +282,9 @@ class NullDetCache:
         return None
 
     def store(self, node, relation, context=None) -> None:
+        pass
+
+    def extend(self, node, delta, context) -> None:
         pass
 
     def __len__(self) -> int:

@@ -54,8 +54,7 @@ _FILL_BATCH = 8192
 __all__ = [
     "ExecutionContext", "PlanNode", "Scan", "Seed", "Instantiate",
     "Select", "Project", "Join", "Split", "random_table_pipeline",
-    "refresh_after_append", "appends_keep_prefix",
-    "appended_rows_reach_random",
+    "appends_keep_prefix", "appended_rows_reach_random",
 ]
 
 
@@ -137,9 +136,10 @@ class ExecutionContext:
         self.full_runs = 0
         self.delta_runs = 0
         #: Tuple-level Instantiate accounting: rows whose window touched
-        #: the streams at all vs. rows served entirely from a previous
-        #: materialization.  Standing queries gate their incremental
-        #: refreshes on these (bench_standing: recomputed-tuple ratio).
+        #: the streams at all vs. rows a delta refuel served entirely from
+        #: its previous materialization.  A standing query reports the
+        #: former as the rows its refresh computed (bench_standing:
+        #: recomputed-tuple ratio).
         self.instantiate_rows_computed = 0
         self.instantiate_rows_reused = 0
         #: Δ-execution: lowercased table name -> the appended row range
@@ -210,14 +210,9 @@ class PlanNode(ABC):
         return any(child.contains_random for child in self.children)
 
     def execute(self, context: ExecutionContext) -> BundleRelation:
+        deterministic = not self.contains_random
         over_appended = self.reads_appended(context)
-        if over_appended and not self.contains_random:
-            # A Δ relation is not this subtree's output: it is neither
-            # served from nor stored in the det-cache.  The lookup still
-            # splices a session entry forward, so its recorded versions —
-            # the append journal's compaction floor — keep up.
-            context.det_cache.lookup(self, context)
-        elif not self.contains_random:
+        if deterministic and not over_appended:
             cached = context.det_cache.lookup(self, context)
             if cached is not None:
                 # The hit skips the Seeds below: arm their labels' guard
@@ -236,7 +231,13 @@ class PlanNode(ABC):
                 return cached
         context.node_executions += 1
         result = self._run(context)
-        if not (self.contains_random or over_appended):
+        if deterministic and over_appended:
+            # A Δ relation is not this subtree's output: it is never
+            # served, only appended to the entry holding the rows before
+            # it, which keeps that entry — and the append journal's
+            # compaction floor — current.
+            context.det_cache.extend(self, result, context)
+        elif deterministic:
             context.det_cache.store(self, result, context)
         return result
 
@@ -324,12 +325,6 @@ class _Materialization:
     ascending positions ``positions[handles[t]]``.  A delta run copies
     the overlap from ``columns`` and gathers only positions outside it
     from the streams.
-
-    ``shared_positions`` is set when every row materialized one common
-    window (the no-plan full run and the append fast path): a later
-    append-only delta run whose window is still that vector can then
-    carry the whole row prefix over as one block copy and gather only
-    the appended rows — without any per-row position matching.
     """
 
     handles: np.ndarray
@@ -337,7 +332,6 @@ class _Materialization:
     columns: np.ndarray
     offsets: np.ndarray
     bases: np.ndarray
-    shared_positions: np.ndarray | None = None
 
 
 class Scan(PlanNode):
@@ -483,19 +477,14 @@ class Instantiate(PlanNode):
 
         previous = (context.materialized.get(self.node_id)
                     if context.delta_mode else None)
-        prev_rows = 0 if previous is None else previous.handles.shape[0]
-        if previous is not None and (
-                prev_rows > length or not np.array_equal(
-                    previous.handles, handles[:prev_rows])):
-            # Rows were rewritten or reordered, not appended; the delta
-            # baseline is unusable.  A pure append keeps the old rows as
-            # an identical prefix (Seed numbers handles by row position),
-            # which is what the prefix check admits.
+        if previous is not None and not np.array_equal(previous.handles,
+                                                       handles):
+            # A refuel re-runs the very rows of the baseline; any other
+            # row set leaves nothing to merge into.
             previous = None
-            prev_rows = 0
 
         if previous is not None:
-            runs = self._merge_delta(context, handles, previous, prev_rows)
+            runs = self._merge_delta(context, handles, previous)
             context.delta_runs += 1
         elif not context.position_plan and not context.window_bases:
             runs = self._gather_shared(context, handles)
@@ -586,7 +575,7 @@ class Instantiate(PlanNode):
             out=columns.reshape(len(self.outputs), count, width))
         return _Materialization(
             handles, dict.fromkeys(handle_list, shared), columns, offsets,
-            np.full(count, shared[0], dtype=np.int64), shared)
+            np.full(count, shared[0], dtype=np.int64))
 
     def _gather_per_row(self, context, handles) -> _Materialization:
         """Full run under a position plan: each row's window is its seed's
@@ -607,8 +596,7 @@ class Instantiate(PlanNode):
         return _Materialization(handles, positions_by_handle, columns,
                                 offsets, bases)
 
-    def _merge_delta(self, context, handles, previous,
-                     prev_rows) -> _Materialization:
+    def _merge_delta(self, context, handles, previous) -> _Materialization:
         """Delta replenishment: copy overlap, gather only new positions.
 
         Rows of handles outside ``context.refuel_handles`` (see
@@ -618,25 +606,18 @@ class Instantiate(PlanNode):
         (every row, when the context names no refuel set) are merged
         together by :meth:`_merge_moved`.
         """
-        if prev_rows and previous.shared_positions is not None \
-                and not context.position_plan and not context.window_bases:
-            shared = context.positions_for(int(handles[0]))
-            if np.array_equal(shared, previous.shared_positions):
-                return self._extend_shared(context, handles, previous,
-                                           prev_rows, shared)
         count = handles.shape[0]
-        moved = np.ones(count, dtype=bool)
         refuel = context.refuel_handles
-        if refuel is not None:
-            moved[:prev_rows] = np.fromiter(
-                map(refuel.__contains__, handles[:prev_rows].tolist()),
-                dtype=bool, count=prev_rows)
+        if refuel is None:
+            moved = np.ones(count, dtype=bool)
+        else:
+            moved = np.fromiter(map(refuel.__contains__, handles.tolist()),
+                                dtype=bool, count=count)
         rows = np.flatnonzero(moved)
         kept = np.flatnonzero(~moved)
         new_of = {handle: context.positions_for(handle)
                   for handle in dict.fromkeys(handles[rows].tolist())}
-        lengths = np.empty(count, dtype=np.int64)
-        lengths[:prev_rows] = np.diff(previous.offsets)
+        lengths = np.diff(previous.offsets)
         lengths[rows] = [new_of[handle].size
                          for handle in handles[rows].tolist()]
         offsets = _offsets_of(lengths)
@@ -657,58 +638,39 @@ class Instantiate(PlanNode):
             context.instantiate_rows_reused += int(kept.size)
         if rows.size:
             self._merge_moved(context, handles, rows, columns, offsets,
-                              bases, previous, prev_rows, new_of)
+                              bases, previous, new_of)
             positions_by_handle.update(new_of)
         return _Materialization(handles, positions_by_handle, columns,
                                 offsets, bases)
 
     def _merge_moved(self, context, handles, rows, columns, offsets, bases,
-                     previous, prev_rows, new_of) -> None:
+                     previous, new_of) -> None:
         """Merge every moved row's new run into ``columns``.
 
         Each row's new positions ``new_of[handle]`` are matched against
-        the positions its *source* row materialized last run — the row
-        itself for an old row, the first old row carrying the same handle
-        for an appended one (a self-join repeats handles), none for a
-        fresh handle — by :func:`_match_window`: the overlap of the two
-        windows' final contiguous runs (a refuel's fresh range) lands as
-        one slice copy, and only the positions before it are searched.
+        the positions the row materialized last run by
+        :func:`_match_window`: the overlap of the two windows' final
+        contiguous runs (a refuel's fresh range) lands as one slice copy,
+        and only the positions before it are searched.
         The positions the old runs lack come from batched stream fills
         over many rows (:meth:`_fill_missing`, every :data:`_FILL_BATCH`
         slots), one generated chunk per (seed, chunk).  A row counts as
         computed when it touched the streams at all, else as reused.
         """
-        row_handles = handles[rows].tolist()
-        source = rows.copy()
-        appended = rows >= prev_rows
-        if appended.any():
-            source[appended] = -1
-            old_handles, first_row = np.unique(previous.handles[:prev_rows],
-                                               return_index=True)
-            if old_handles.size:
-                wanted = handles[rows[appended]]
-                at = np.minimum(np.searchsorted(old_handles, wanted),
-                                old_handles.size - 1)
-                source[appended] = np.where(old_handles[at] == wanted,
-                                            first_row[at], -1)
         old_offsets = previous.offsets.tolist()
         starts = offsets.tolist()
         pending, pending_cells, computed = [], 0, 0
-        for row, handle, src in zip(rows.tolist(), row_handles,
-                                    source.tolist()):
+        for row, handle in zip(rows.tolist(), handles[rows].tolist()):
             new = new_of[handle]
             bases[row] = new[0]
             start = starts[row]
-            if src < 0:
-                missing = np.arange(new.size)
-            else:
-                (run_new, run_old), head, index, missing = _match_window(
-                    new, previous.positions[handle])
-                target = columns[:, start:start + new.size]
-                origin = previous.columns[:, old_offsets[src]:
-                                          old_offsets[src + 1]]
-                target[:, run_new] = origin[:, run_old]
-                target[:, head] = origin[:, index]
+            (run_new, run_old), head, index, missing = _match_window(
+                new, previous.positions[handle])
+            target = columns[:, start:start + new.size]
+            origin = previous.columns[:, old_offsets[row]:
+                                      old_offsets[row + 1]]
+            target[:, run_new] = origin[:, run_old]
+            target[:, head] = origin[:, index]
             if missing.size:
                 computed += 1
                 pending.append((start, handle, missing))
@@ -734,28 +696,6 @@ class Instantiate(PlanNode):
             [component for _, component in self.outputs])
         cells = np.concatenate([slots + start for start, _, slots in pending])
         columns[:, cells] = values
-
-    def _extend_shared(self, context, handles, previous, prev_rows,
-                       shared) -> _Materialization:
-        """Append fast path: same shared window, grown row prefix.
-
-        Every pre-existing row still materializes exactly the recorded
-        shared position vector, so the whole prefix carries over as one
-        block copy and only the appended rows — which carry fresh
-        handles, since :class:`Seed` numbers handles by row position —
-        touch the streams, via the same batched gather a full run would
-        use on just those rows.
-        """
-        count, width = handles.shape[0], shared.size
-        context.instantiate_rows_reused += prev_rows
-        appended = self._gather_shared(context, handles[prev_rows:])
-        columns = np.concatenate(
-            [previous.columns[:, :prev_rows * width], appended.columns],
-            axis=1)
-        return _Materialization(
-            handles, dict.fromkeys(handles.tolist(), shared), columns,
-            np.arange(0, (count + 1) * width, width, dtype=np.int64),
-            np.full(count, shared[0], dtype=np.int64), shared)
 
     def _describe_line(self):
         names = ", ".join(name for name, _ in self.outputs)
@@ -879,9 +819,7 @@ class Project(PlanNode):
         self.keep = None if keep is None else list(keep)
 
     def _run(self, context):
-        return self._project(self.children[0].execute(context))
-
-    def _project(self, relation: BundleRelation) -> BundleRelation:
+        relation = self.children[0].execute(context)
         out = BundleRelation(relation.length, relation.positions, relation.aligned)
         kept = relation.column_names if self.keep is None else self.keep
         for name in kept:
@@ -951,10 +889,10 @@ class Join(PlanNode):
               right: BundleRelation) -> BundleRelation:
         """Match + combine: left row order, then ascending right row.
 
-        Factored out of :meth:`_run` so the append-splice refresh can
-        join just the appended left rows against the unchanged right
-        side — the output rows land exactly where a full re-run would
-        put them (after every old left row's matches).
+        Output rows follow their left rows, so a Δ-execution joining just
+        the appended left rows against the unchanged right side yields
+        exactly the rows a full re-run appends (after every old left
+        row's matches).
         """
         left_rows, right_rows = self._match(
             [left.det_columns[k] for k in self.left_keys],
@@ -1061,34 +999,6 @@ class Split(PlanNode):
         return f"Split({self.column})"
 
 
-def refresh_after_append(node: PlanNode, context: ExecutionContext,
-                         appends: dict, stale_of, store_refreshed):
-    """Splice appended base-table rows into a cached deterministic subtree.
-
-    The append-only refresh path of the table-granular
-    :class:`~repro.engine.det_cache.SessionDetCache`: when every moved
-    dependency of a cached entry grew purely by appends (per the catalog's
-    append journal), the new output equals the stale cached relation plus
-    the rows the appended tuples produce — deterministic operators are
-    row-local (Scan/Seed/Select/Project) or left-row-ordered (Join), so
-    the fresh rows land exactly at the end.  This mirrors how the delta
-    ``Instantiate`` merges only never-materialized stream positions: only
-    the delta touches the operators, everything else is reused.
-
-    ``appends`` maps lowercased table names to their journaled
-    ``(old_rows, new_rows)`` growth; ``stale_of(node)`` returns the stale
-    cached relation for a subtree (or ``None``); ``store_refreshed(node,
-    relation)`` re-stores each refreshed node bottom-up so inner cache
-    entries update alongside the root.  Returns the refreshed full
-    relation, or ``None`` when any operator on a moved path is not
-    splicable (a join whose right side also moved, a missing stale child,
-    an unsupported operator) — the caller then falls back to a full
-    recompute, which is always correct.
-    """
-    spliced = _splice(node, context, appends, stale_of, store_refreshed)
-    return None if spliced is None else spliced[0]
-
-
 def appends_keep_prefix(node: PlanNode, appended) -> bool:
     """Whether append-only growth of ``appended`` tables extends this plan.
 
@@ -1140,95 +1050,6 @@ def appended_rows_reach_random(node: PlanNode,
         return node.execute(context).length > 0
     return any(appended_rows_reach_random(child, context)
                for child in node.children)
-
-
-def _splice(node, context, appends, stale_of, store_refreshed):
-    """Recursive splice for a subtree with >= 1 moved dependency.
-
-    Returns ``(full, delta)`` — the refreshed full relation and the
-    appended-rows-only delta relation — or ``None`` if not splicable.
-    """
-    stale = stale_of(node)
-    if stale is None or stale.rand_columns or stale.presence:
-        return None
-    if isinstance(node, Scan):
-        table = context.catalog.table(node.table_name)
-        old_rows, new_rows = appends[node.table_name.lower()]
-        if stale.length != old_rows or len(table) != new_rows:
-            return None  # cache and journal disagree on the base rows
-        delta = BundleRelation(new_rows - old_rows, context.positions,
-                               context.aligned)
-        for name in table.column_names:
-            delta.det_columns[node.prefix + name] = \
-                table.column(name)[old_rows:new_rows]
-    elif isinstance(node, Seed):
-        child = _splice(node.children[0], context, appends, stale_of,
-                        store_refreshed)
-        if child is None:
-            return None
-        child_full, child_delta = child
-        offset = child_full.length - child_delta.length
-        if stale.length != offset:
-            return None
-        label_id = context.register_label(node.label)
-        # A full run numbers handles by row position; the appended rows
-        # sit after the stale prefix, so their handles start at its end.
-        delta = child_delta.shallow_copy()
-        delta.add_det_column(node.handle_column, seed_handles(
-            label_id, offset, offset + child_delta.length))
-    elif isinstance(node, Select):
-        child = _splice(node.children[0], context, appends, stale_of,
-                        store_refreshed)
-        if child is None:
-            return None
-        child_delta = child[1]
-        if child_delta.random_columns_in(node.predicate):
-            return None  # presence semantics: never in a det subtree
-        mask = np.asarray(child_delta.evaluate_scalar(node.predicate),
-                          dtype=bool)
-        delta = child_delta.filter_rows(mask)
-    elif isinstance(node, Project):
-        child = _splice(node.children[0], context, appends, stale_of,
-                        store_refreshed)
-        if child is None:
-            return None
-        delta = node._project(child[1])
-        if delta.rand_columns or delta.presence:
-            return None
-    elif isinstance(node, Join):
-        left, right = node.children
-        if right.base_tables() & set(appends):
-            # The build side moved too: appended left rows against a
-            # grown right side would not reproduce full-run row order.
-            return None
-        child = _splice(left, context, appends, stale_of, store_refreshed)
-        if child is None:
-            return None
-        left_delta = child[1]
-        right_full = right.execute(context)  # unchanged: cache serves it
-        delta = node._join(left_delta, right_full)
-    else:
-        # Aggregates, Split re-partitions, random operators: recompute.
-        return None
-    full = _concat_det(stale, delta, context.positions, context.aligned)
-    if full is None:
-        return None
-    store_refreshed(node, full)
-    return full, delta
-
-
-def _concat_det(stale, delta, positions: int, aligned: bool):
-    """Stale det relation + delta rows, stamped for the current context."""
-    if set(stale.det_columns) != set(delta.det_columns):
-        return None
-    out = BundleRelation(stale.length + delta.length, positions, aligned)
-    for name, old in stale.det_columns.items():
-        if delta.length:
-            out.det_columns[name] = np.concatenate(
-                [old, delta.det_columns[name]])
-        else:
-            out.det_columns[name] = old
-    return out
 
 
 def random_table_pipeline(spec: RandomTableSpec, prefix: str = "",

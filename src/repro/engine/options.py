@@ -137,8 +137,8 @@ class ExecutionOptions:
         (the default) or ``"off"``.  Under :class:`repro.sql.Session`,
         ``"session"`` is the session's cross-query cache, whose entries
         a mutation invalidates only when it touches a table they scan,
-        and an append (``Catalog.append``) refreshes by splicing in the
-        new rows.  Executors used directly scope their cache to one plan
+        and an append (``Catalog.append``) refreshes by running their
+        subtree over the new rows only.  Executors used directly scope their cache to one plan
         execution unless a session cache object is handed to them.
         Bit-identical either way — only recomputation differs.
     """

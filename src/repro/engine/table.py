@@ -24,6 +24,11 @@ __all__ = ["Table", "Catalog"]
 _catalog_uids = itertools.count(1)
 
 
+#: dtype kinds of numeric columns (bool, signed/unsigned int, float,
+#: complex); an append may not move a column into or out of them.
+_NUMERIC = "biufc"
+
+
 def _as_column(values: Sequence) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind in ("U", "S"):
@@ -89,8 +94,9 @@ class Table:
 
         ``rows`` is either a column mapping (``{name: values}``, like the
         constructor) or an iterable of row dicts.  The column set must
-        match exactly — appending is a *growth* of the relation, never a
-        schema change.  Any mismatch raises
+        match exactly, and no column may move between a numeric and a
+        non-numeric kind — appending is a *growth* of the relation, never
+        a schema change.  Any mismatch raises
         :class:`~repro.engine.errors.CatalogError` naming the table and
         the offending column, *before* anything is mutated: a rejected
         append leaves the relation byte-for-byte untouched.
@@ -143,6 +149,15 @@ class Table:
         if not added:
             return old, old
         for name, array in columns.items():
+            current = self._columns[name].dtype
+            if (array.dtype.kind in _NUMERIC) != (current.kind in _NUMERIC):
+                # A numeric column turned object (or back) would break
+                # every later comparison over it.
+                raise CatalogError(
+                    f"appended column {name!r} of table {self.name!r} is "
+                    f"{array.dtype}, which does not fit its {current} "
+                    "values")
+        for name, array in columns.items():
             self._columns[name] = np.concatenate(
                 [self._columns[name], array])
         self._length = old + added
@@ -172,10 +187,10 @@ class Catalog:
     Append-only growth is first-class: :meth:`append` extends a base
     table in place and records ``(old_row_count, new_row_count)`` in an
     append journal keyed by the table's pre-append version.  Consumers
-    can then distinguish "grew by K rows" (splice the new rows into a
-    cached relation) from "arbitrarily rewritten" (recompute): a rewrite
-    (``add_table`` over an existing name) or ``drop`` truncates the
-    journal, breaking the version chain.
+    can then distinguish "grew by K rows" (extend a cached relation by
+    what the new rows produce) from "arbitrarily rewritten" (recompute):
+    a rewrite (``add_table`` over an existing name) or ``drop`` truncates
+    the journal, breaking the version chain.
 
     ``uid`` is a process-unique monotone identity for keyed transports
     (the process backend's shared catalog channel) — unlike ``id()`` it
@@ -311,7 +326,7 @@ class Catalog:
         key = name.lower()
         current = self.table_version(key)
         if current == since_version:
-            return None  # nothing moved; nothing to splice
+            return None  # nothing moved; nothing to extend
         journal = self._append_journal.get(key, {})
         version = since_version
         old_rows = new_rows = None

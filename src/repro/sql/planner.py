@@ -339,8 +339,8 @@ def monte_carlo_executor(compiled: CompiledSelect, catalog: Catalog, *,
 
 def tail_looper(compiled: CompiledSelect, catalog: Catalog, spec, *,
                 tail_budget: int, window: int, gibbs_steps: int = 1,
-                base_seed: int = 0, options=None, det_cache=None,
-                context=None) -> GibbsLooper:
+                base_seed: int = 0, options=None,
+                det_cache=None) -> GibbsLooper:
     """Bind a compiled tail SELECT to a GibbsLooper.
 
     Validates the tail-mode shape, runs the Appendix C parameter chooser
@@ -360,8 +360,7 @@ def tail_looper(compiled: CompiledSelect, catalog: Catalog, spec, *,
         final_predicate=compiled.pulled_up_predicate,
         k=gibbs_steps,
         window=max(window, max(params.n_steps)),
-        base_seed=base_seed, options=options, det_cache=det_cache,
-        context=context)
+        base_seed=base_seed, options=options, det_cache=det_cache)
 
 
 def describe_compiled(compiled: CompiledSelect, tail_mode: bool,

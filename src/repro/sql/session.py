@@ -92,8 +92,7 @@ class StandingQuery:
       execution context; a tail query keeps its result when no appended
       row reaches an ``Instantiate`` or the output
       (:func:`~repro.engine.operators.appended_rows_reach_random`), and
-      otherwise re-enters the Gibbs looper over its retained context,
-      whose materialized windows the initial plan run extends;
+      otherwise runs a fresh Gibbs looper over the grown tables;
     * anything else — a full re-execution from scratch.
 
     Every mode returns a result bit-identical to a fresh session running
@@ -142,9 +141,6 @@ class StandingQuery:
             #: and how many Instantiate rows they cover.
             self._states: dict = {}
             self._rows_folded = 0
-            #: Tail: the context whose materialized Instantiate windows
-            #: the next looper re-entry extends.
-            self._context: ExecutionContext | None = None
             self._versions: dict[str, int] = {}
             self.result: QueryOutput | None = None
             self.refreshes = 0
@@ -175,7 +171,10 @@ class StandingQuery:
     def stats(self) -> dict:
         """Refresh accounting: mode of the last refresh, how many
         relation rows its Instantiates gathered from the streams, and how
-        many rows' contributions carried over from earlier refreshes."""
+        many rows' contributions carried over from earlier refreshes —
+        for Monte Carlo the rows folded before, for a kept tail result
+        its Gibbs tuples (``result.tail.num_tuples``), for a tail looper
+        run the rows its delta refuels served without the streams."""
         return {
             "kind": self.kind,
             "refreshes": self.refreshes,
@@ -226,21 +225,11 @@ class StandingQuery:
 
     def _run_tail(self, appends: dict):
         session = self._session
-        context = self._context
         if appends and not appended_rows_reach_random(
                 self._compiled.plan, self._context_for(1, False, appends)):
             # Prefix-stability: the plan's output, and so every Gibbs
             # sweep over it, is exactly the last run's.
-            reused = sum(materialized.handles.shape[0]
-                         for materialized in context.materialized.values())
-            return self.result, 0, reused
-        if not appends:
-            # positions/aligned are placeholders: the looper re-stamps the
-            # injected context for its own window on entry.
-            context = self._context_for(1, False, {})
-        context.det_cache = session._det_cache_for_run()
-        computed = context.instantiate_rows_computed
-        reused = context.instantiate_rows_reused
+            return self.result, 0, self.result.tail.num_tuples
         looper = tail_looper(
             self._compiled, session.catalog, self._spec,
             tail_budget=session.tail_budget,
@@ -248,13 +237,12 @@ class StandingQuery:
             gibbs_steps=session.gibbs_steps,
             base_seed=session.base_seed,
             options=session.options,
-            det_cache=session._det_cache_for_run(),
-            context=context)
+            det_cache=session._det_cache_for_run())
         result = looper.run()
-        self._context = context
+        context = looper._context
         return (QueryOutput(kind="tail", tail=result),
-                context.instantiate_rows_computed - computed,
-                context.instantiate_rows_reused - reused)
+                context.instantiate_rows_computed,
+                context.instantiate_rows_reused)
 
 
 class Session:
@@ -320,8 +308,8 @@ class Session:
         #: the default): materialized deterministic relations keyed by
         #: structural plan fingerprint and by the per-name catalog versions
         #: of the tables their subtree scans — a mutation invalidates only
-        #: dependent entries, and :meth:`append` refreshes them by splicing
-        #: the new rows in.
+        #: dependent entries, and after :meth:`append` they are refreshed
+        #: by running their subtree over the new rows only.
         self.det_cache = SessionDetCache()
         #: Persistent shard backend (``n_jobs > 1``).  Session-owned by
         #: default (built lazily on the first sharded query, kept until
@@ -458,9 +446,9 @@ class Session:
         """Append rows to a base table (column mapping or row dicts).
 
         The append is journaled in the catalog, so cached deterministic
-        subtrees over the table are *refreshed* — the new rows spliced
-        into the cached relations — rather than recomputed, and entries
-        over other tables are untouched.  Returns
+        subtrees over the table are *refreshed* — each extended by what
+        it computes over the new rows alone (Δ-execution) — rather than
+        recomputed, and entries over other tables are untouched.  Returns
         ``(old_row_count, new_row_count)``.  Rejections are typed and
         transactional (:class:`~repro.engine.errors.CatalogError`,
         nothing mutated); like :meth:`add_table`, the append serializes
@@ -483,7 +471,7 @@ class Session:
         Consumers are det-cache entries depending on ``name`` and live
         standing queries; each records the per-name version it last
         refreshed at, and ``min`` of those is the oldest version any
-        delta path may still splice forward from.  With no consumers the
+        delta path may still refresh forward from.  With no consumers the
         whole journal for the name is droppable — nothing will ever walk
         it, and a future consumer records the current version.
         """
@@ -572,8 +560,8 @@ class Session:
         """Session det-cache counters: ``entries``, ``hits``, ``misses``,
         ``invalidations`` (whole-cache drops on a catalog swap),
         ``partial_invalidations`` (single entries whose dependencies moved
-        non-append-only) and ``append_refreshes`` (entries refreshed in
-        place by splicing appended rows)."""
+        non-append-only) and ``append_refreshes`` (entries extended in
+        place by their appended rows, one per cached node)."""
         return self.det_cache.stats()
 
     def _execute_create(self, statement: CreateRandomTable) -> QueryOutput:

@@ -19,7 +19,7 @@ from repro.engine.operators import Instantiate, _Materialization
 class PerRowMergeInstantiate(Instantiate):
     """``Instantiate`` merging a delta refuel one row at a time."""
 
-    def _merge_delta(self, context, handles, previous, prev_rows):
+    def _merge_delta(self, context, handles, previous):
         """Delta replenishment: copy overlap, gather only new positions.
 
         A row of a handle outside ``context.refuel_handles`` copies the
@@ -27,24 +27,14 @@ class PerRowMergeInstantiate(Instantiate):
         row, when the context names no refuel set) matches its new
         positions against the previously materialized ones with one
         ``searchsorted``; matched values are copied from the recorded
-        runs and only the rest touch the streams.  Rows past
-        ``prev_rows`` were appended since the baseline run: an appended
-        row repeating an old handle (a self-join) matches against that
-        handle's first old row, a fresh handle's row reads its stream.
+        runs and only the rest touch the streams.
         """
-        if prev_rows and previous.shared_positions is not None \
-                and not context.position_plan and not context.window_bases:
-            shared = context.positions_for(int(handles[0]))
-            if np.array_equal(shared, previous.shared_positions):
-                return self._extend_shared(context, handles, previous,
-                                           prev_rows, shared)
         refuel = context.refuel_handles
         old = previous.offsets
         runs, bases = [], []
         positions_by_handle: dict[int, np.ndarray] = {}
         for row, handle in enumerate(handles.tolist()):
-            if row < prev_rows and refuel is not None \
-                    and handle not in refuel:
+            if refuel is not None and handle not in refuel:
                 runs.append(previous.columns[:, old[row]:old[row + 1]])
                 bases.append(previous.bases[row])
                 positions_by_handle[handle] = previous.positions[handle]
@@ -56,16 +46,6 @@ class PerRowMergeInstantiate(Instantiate):
             info = context.seeds[handle]
             values = np.empty((len(self.outputs), new_positions.size))
             runs.append(values)
-            sources = np.flatnonzero(previous.handles[:prev_rows] == handle)
-            if row < prev_rows:
-                source = row
-            elif sources.size:
-                source = int(sources[0])
-            else:
-                context.instantiate_rows_computed += 1
-                for slot, (_, component) in enumerate(self.outputs):
-                    values[slot] = info.values_at(new_positions, component)
-                continue
             old_positions = previous.positions[handle]
             index = np.searchsorted(old_positions, new_positions)
             index[index == old_positions.size] = 0  # clamp; masked below
@@ -75,7 +55,7 @@ class PerRowMergeInstantiate(Instantiate):
                 context.instantiate_rows_computed += 1
             else:
                 context.instantiate_rows_reused += 1
-            origin = previous.columns[:, old[source]:old[source + 1]]
+            origin = previous.columns[:, old[row]:old[row + 1]]
             values[:, found] = origin[:, index[found]]
             for slot, (_, component) in enumerate(self.outputs):
                 if missing.size:

@@ -8,6 +8,9 @@ Covers the incremental materialization pipeline's engine-level contracts:
 * :class:`SessionDetCache` — cross-query hits keyed by structural plan
   fingerprint, invalidation on catalog mutation, the ``det_cache``
   option knob end to end through ``Session``;
+* the append refresh by Δ-execution — subtrees shared by several
+  queries, entries lagging the Δ, a fault midway, and random
+  interleavings held equal to a ``det_cache="off"`` session;
 * ``positions_for`` — ``position_offset`` and an explicit
   ``position_plan`` are mutually exclusive;
 * signature-batched ``Instantiate`` — one ``validate_params`` call per
@@ -17,6 +20,8 @@ Covers the incremental materialization pipeline's engine-level contracts:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import operators
 from repro.engine.det_cache import ContextDetCache, SessionDetCache
@@ -383,13 +388,80 @@ class TestAppendSpliceRefresh:
         plan.execute(self._context(catalog, cache))
         catalog.append("accounts", {"acct2": [7], "region": [0]})
         served = plan.execute(self._context(catalog, cache))
-        # The join is not splicable when its build side moved; dependent
-        # entries drop and recompute (the accounts Scan itself splices).
+        # A join whose build side moved cannot be extended; dependent
+        # entries drop and recompute (the accounts Scan itself extends).
         assert cache.partial_invalidations >= 1
         fresh = self._pipeline().execute(self._context(catalog))
         for name in ("acct", "amount", "double"):
             np.testing.assert_array_equal(served.det_columns[name],
                                           fresh.det_columns[name])
+
+    def test_shared_subtree_refreshes_in_place_for_both_queries(self):
+        """Two cached queries over one Scan: after an append the first
+        lookup extends the shared Scan, and the second query's refresh
+        must extend its own entry over it, not drop it."""
+        catalog = self._catalog()
+        cache = SessionDetCache()
+
+        def plans():
+            return (Select(Scan("ledger"), col("acct") < lit(1)),
+                    Select(Scan("ledger"), col("acct") >= lit(1)))
+
+        for plan in plans():
+            plan.execute(self._context(catalog, cache))
+        misses = cache.misses
+        catalog.append("ledger", {"acct": [0, 2], "amount": [9.0, 8.0]})
+        served = [plan.execute(self._context(catalog, cache))
+                  for plan in plans()]
+        assert cache.partial_invalidations == 0
+        assert cache.misses == misses
+        assert cache.append_refreshes == 3  # the Scan and both Selects
+        for got, plan in zip(served, plans()):
+            want = plan.execute(self._context(catalog))
+            for name in ("acct", "amount"):
+                np.testing.assert_array_equal(got.det_columns[name],
+                                              want.det_columns[name])
+
+    def test_entry_lagging_the_delta_start_is_brought_current(self):
+        """A Δ run from version v1 meets a Select entry still at v0 over
+        a Scan entry at v1: the Select is refreshed from its own version,
+        and the journal's compaction floor reaches the current version."""
+        catalog = self._catalog()
+        cache = SessionDetCache()
+        plan = Select(Scan("ledger"), col("acct") < lit(2))
+        plan.execute(self._context(catalog, cache))
+        catalog.append("ledger", {"acct": [1], "amount": [5.0]})
+        Scan("ledger").execute(self._context(catalog, cache))
+        start = catalog.table_version("ledger")
+        catalog.append("ledger", {"acct": [0, 2], "amount": [9.0, 8.0]})
+        delta = self._context(catalog, cache)
+        delta.appended = {"ledger": catalog.appended_range("ledger", start)}
+        assert plan.execute(delta).length == 1  # the Δ's acct-0 row
+        assert cache.partial_invalidations == 0
+        assert cache.low_water("ledger") == catalog.table_version("ledger")
+        misses = cache.misses
+        served = plan.execute(self._context(catalog, cache))
+        assert cache.misses == misses
+        want = Select(Scan("ledger"), col("acct") < lit(2)).execute(
+            self._context(catalog))
+        for name in ("acct", "amount"):
+            np.testing.assert_array_equal(served.det_columns[name],
+                                          want.det_columns[name])
+
+    def test_scan_entry_disagreeing_with_the_journal_is_dropped(self):
+        catalog = self._catalog()
+        cache = SessionDetCache()
+        scan = Scan("ledger")
+        scan.execute(self._context(catalog, cache))
+        entry = cache._entries[scan.fingerprint()]
+        entry.relation = entry.relation.take(np.arange(4))  # not 6 rows
+        catalog.append("ledger", {"acct": [7], "amount": [9.0]})
+        served = scan.execute(self._context(catalog, cache))
+        assert cache.partial_invalidations == 1
+        assert cache.append_refreshes == 0
+        fresh = Scan("ledger").execute(self._context(catalog))
+        np.testing.assert_array_equal(served.det_columns["amount"],
+                                      fresh.det_columns["amount"])
 
     def test_rewrite_after_append_recomputes(self):
         catalog = self._catalog()
@@ -669,3 +741,165 @@ class TestDeltaMergeEquivalence:
             rebuilt_context)
         np.testing.assert_array_equal(merged.rand_columns["val"].values,
                                       rebuilt.rand_columns["val"].values)
+
+
+def _nodes(plan):
+    yield plan
+    for child in plan.children:
+        yield from _nodes(child)
+
+
+class _InjectedFault(Exception):
+    pass
+
+
+class TestDeltaRefreshFault:
+    """A Δ refresh that raises midway leaves no torn entry behind."""
+
+    SQL = ("SELECT acct, amount FROM ledger, accounts "
+           "WHERE acct = acct2 AND region < 1")
+    LEDGER = {"acct": np.arange(6) % 3, "amount": np.linspace(1.0, 2.0, 6)}
+    ACCOUNTS = {"acct2": np.arange(3), "region": np.array([0, 1, 0])}
+    APPEND = {"acct": [0, 1, 2], "amount": [9.0, 8.0, 7.0]}
+
+    def _session(self, ledger):
+        session = Session(base_seed=3)
+        session.add_table("ledger", ledger)
+        session.add_table("accounts", self.ACCOUNTS)
+        return session
+
+    def test_fault_in_delta_join(self, monkeypatch):
+        session = self._session(self.LEDGER)
+        catalog = session.catalog
+        session.execute(self.SQL)
+        old = catalog.table_version("ledger")
+        session.append("ledger", self.APPEND)
+        rows_at = {old: len(self.LEDGER["acct"]),
+                   catalog.table_version("ledger"): len(
+                       catalog.table("ledger"))}
+        join, calls = Join._join, []
+
+        def failing(self, left, right):
+            calls.append(left.length)
+            if len(calls) == 1:
+                raise _InjectedFault("first Δ join")
+            return join(self, left, right)
+
+        monkeypatch.setattr(Join, "_join", failing)
+        with pytest.raises(_InjectedFault):
+            session.execute(self.SQL)
+        assert calls == [len(self.APPEND["acct"])]  # it was the Δ's join
+
+        # Every entry holds exactly the rows of its recorded versions.
+        plan = compile_select(parse(self.SQL), catalog,
+                              tail_mode=False).plan
+        recorded = set()
+        for node in _nodes(plan):
+            entry = session.det_cache._entries.get(node.fingerprint())
+            if entry is None:
+                continue
+            version = entry.versions.get("ledger")
+            recorded.add(version)
+            at = Catalog()
+            rows = rows_at.get(version, len(catalog.table("ledger")))
+            at.add_table(Table("ledger", {
+                name: catalog.table("ledger").column(name)[:rows]
+                for name in self.LEDGER}))
+            at.add_table(Table("accounts", self.ACCOUNTS))
+            want = node.execute(ExecutionContext(at, positions=1,
+                                                 aligned=True))
+            got = entry.relation
+            assert got.length == want.length
+            assert got.det_columns.keys() == want.det_columns.keys()
+            for name, values in want.det_columns.items():
+                np.testing.assert_array_equal(got.det_columns[name], values)
+        # Midway: the ledger Scan was extended, the entries above the
+        # failed join still hold the old rows.
+        assert recorded >= {old, catalog.table_version("ledger")}
+
+        monkeypatch.undo()
+        got = session.execute(self.SQL).rows
+        grown = {name: np.concatenate([self.LEDGER[name], self.APPEND[name]])
+                 for name in self.LEDGER}
+        want = self._session(grown).execute(self.SQL).rows
+        for name in want.column_names:
+            np.testing.assert_array_equal(got.column(name),
+                                          want.column(name))
+
+
+_POOL_CREATE = """
+    CREATE TABLE Losses (CID, val) AS
+    FOR EACH CID IN means
+    WITH v AS Normal(VALUES(m, 1.0))
+    SELECT CID, v.* FROM v
+"""
+#: Ad-hoc queries sharing subtrees: the means Scan (and its CID filter)
+#: with each other, the seeded Losses pipeline with the standing ones,
+#: and a join whose build side (segments) is never appended.
+_POOL_QUERIES = [
+    "SELECT CID, m FROM means WHERE CID < 6",
+    "SELECT SUM(m) AS s, COUNT(*) AS n FROM means WHERE CID < 6",
+    "SELECT seg, SUM(m) AS s FROM means, segments WHERE CID = CID2 "
+    "GROUP BY seg",
+    "SELECT SUM(val) AS loss FROM Losses WHERE CID < 6 "
+    "WITH RESULTDISTRIBUTION MONTECARLO(10)",
+    "SELECT seg, SUM(val) AS loss FROM Losses, segments "
+    "WHERE CID = CID2 GROUP BY seg WITH RESULTDISTRIBUTION MONTECARLO(10)",
+]
+_POOL_STANDING = [
+    "SELECT SUM(val) AS loss FROM Losses "
+    "WITH RESULTDISTRIBUTION MONTECARLO(10)",
+    "SELECT SUM(val) AS loss FROM Losses WHERE CID < 6 "
+    "WITH RESULTDISTRIBUTION MONTECARLO(10) DOMAIN loss >= QUANTILE(0.8)",
+]
+_POOL_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.lists(
+        st.tuples(st.integers(0, 14), st.integers(2, 16)),
+        min_size=1, max_size=3)),
+    st.tuples(st.just("query"), st.integers(0, len(_POOL_QUERIES) - 1)),
+    st.tuples(st.just("refresh"), st.integers(0, len(_POOL_STANDING) - 1)),
+), min_size=1, max_size=8)
+
+
+class TestDeltaRefreshProperty:
+    """Random interleavings of appends, ad-hoc queries and standing
+    refreshes: the session det-cache never changes a result."""
+
+    @staticmethod
+    def _session(det_cache):
+        session = Session(base_seed=5, tail_budget=120, window=80,
+                          options=ExecutionOptions(det_cache=det_cache))
+        session.add_table("means", {"CID": np.arange(8),
+                                    "m": np.linspace(1.0, 3.0, 8)})
+        session.add_table("segments", {"CID2": np.arange(12),
+                                       "seg": np.arange(12) % 3})
+        session.execute(_POOL_CREATE)
+        return session
+
+    @given(steps=_POOL_STEPS)
+    @example(steps=[  # two queries over one Scan, refreshed after an append
+        ("query", 0), ("query", 2), ("append", [(3, 8), (13, 4)]),
+        ("query", 0), ("query", 2), ("refresh", 0), ("refresh", 1)])
+    @settings(max_examples=40, deadline=None)
+    def test_every_step_equals_a_cacheless_session(self, steps):
+        from repro.server.wire import output_to_wire
+
+        with self._session("session") as cached, \
+                self._session("off") as plain:
+            handles = [[session.standing_query(sql)
+                        for sql in _POOL_STANDING]
+                       for session in (cached, plain)]
+            for kind, arg in steps:
+                if kind == "append":
+                    rows = {"CID": [cid for cid, _ in arg],
+                            "m": [quarter / 4 for _, quarter in arg]}
+                    got = [session.append("means", rows)
+                           for session in (cached, plain)]
+                elif kind == "query":
+                    got = [output_to_wire(session.execute(
+                        _POOL_QUERIES[arg])) for session in (cached, plain)]
+                else:
+                    got = [output_to_wire(pool[arg].refresh())
+                           for pool in handles]
+                assert got[0] == got[1], (kind, arg)
+            assert cached.cache_stats()["partial_invalidations"] == 0

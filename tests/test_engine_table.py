@@ -129,6 +129,13 @@ class TestTableAppend:
             table.append_rows([{"a": 3}])
         with pytest.raises(CatalogError, match="1-D"):
             table.append_rows({"a": np.zeros((1, 1)), "b": [1]})
+        with pytest.raises(CatalogError, match="'a'.*'t'.*object"):
+            table.append_rows({"a": ["x"], "b": [1]})
+        names = Table("n", {"who": ["Joe"]})
+        with pytest.raises(CatalogError, match="'who'.*'n'.*int"):
+            names.append_rows([{"who": 5}])
+        assert len(table) == 1 and table.column("a").dtype.kind == "i"
+        assert names.column("who").tolist() == ["Joe"]
 
     def test_rejected_append_mutates_nothing(self):
         table = Table("t", {"a": [1], "b": [2]})

@@ -13,11 +13,11 @@ positions and the computed/reused row counters.
 
 Cases are ragged: every handle's window has its own length, in the
 baseline and in the refuel.  They mix carried-over and re-planned rows
-(or no refuel set at all: every row matched), rows appended since the
-baseline (fresh handles or repeats of old ones), handles repeated within
-a run (a self-join), a one- and a two-output VG, and refuel-shaped plans
+(or no refuel set at all: every row matched), handles repeated within a
+run (a self-join), a one- and a two-output VG, and refuel-shaped plans
 (assigned positions plus a contiguous fresh run) as well as arbitrary
-ones.
+ones.  A refuel re-runs the baseline's rows: a row set that differs
+leaves ``Instantiate`` nothing to merge into.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ _MVN_PARAMS = [col("m"), lit(0.0) - col("m"), lit(1.0), lit(0.5), lit(0.5),
 
 class _Rows(PlanNode):
     """A fixed relation: handle column ``h`` and VG mean ``m``.  Counts as
-    random so no det cache holds it across runs (the test grows it)."""
+    random so no det cache holds it across runs."""
 
     def __init__(self):
         super().__init__([])
@@ -76,15 +76,14 @@ def _positions(draw, width, low=0):
 @st.composite
 def _merge_cases(draw):
     old_handles = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
-    appended = draw(st.lists(st.integers(1, 8), max_size=3))
     old_width = draw(st.integers(2, 9))
     baseline = None
     if draw(st.booleans()):  # else one shared window: arange(old_width)
         baseline = {handle: _positions(draw, draw(st.integers(2, 9)))
                     for handle in set(old_handles)}
     refuel, replanned = {}, set()
-    for handle in sorted(set(old_handles + appended)):
-        if handle in old_handles and draw(st.booleans()):
+    for handle in sorted(set(old_handles)):
+        if draw(st.booleans()):
             # Carried over: the plan entry the baseline run used.
             if baseline is not None:
                 refuel[handle] = baseline[handle]
@@ -94,14 +93,13 @@ def _merge_cases(draw):
             refuel[handle] = _positions(draw, draw(st.integers(2, 12)),
                                         low=draw(st.integers(0, 20)))
     refuel_handles = frozenset(replanned) if draw(st.booleans()) else None
-    return (old_handles, appended, old_width, baseline, refuel,
-            refuel_handles, draw(st.booleans()))
+    return (old_handles, old_width, baseline, refuel, refuel_handles,
+            draw(st.booleans()))
 
 
 def _merge(node_class, case):
     """Baseline run, then the delta refuel; what the refuel produced."""
-    (old_handles, appended, old_width, baseline, refuel, refuel_handles,
-     two_outputs) = case
+    handles, old_width, baseline, refuel, refuel_handles, two_outputs = case
     rows = _Rows()
     if two_outputs:
         node = node_class(rows, MULTIVARIATE_NORMAL, _MVN_PARAMS,
@@ -112,11 +110,10 @@ def _merge(node_class, case):
     context = ExecutionContext(Catalog(), positions=old_width,
                                aligned=False, base_seed=7)
     context.delta_tracking = True
-    rows.handles = list(old_handles)
+    rows.handles = list(handles)
     if baseline is not None:
         context.position_plan = dict(baseline)
     node.execute(context)
-    rows.handles = list(old_handles) + list(appended)
     context.position_plan = dict(refuel)
     context.refuel_handles = refuel_handles
     context.delta_mode = True
@@ -171,13 +168,11 @@ class TestBatchedMergeAgainstPerRow:
         monkeypatch.setattr(SeedInfo, "values_at", per_row)
         # Baseline: one shared window 0..3 (a batched full fill).  Handle
         # 1 carries over; 2 and 3 refuel to windows of their own depths.
-        case = ([1, 2, 3], [4], 4, None,
-                {2: np.array([1, 3, 4, 5]), 3: np.array([0, 4, 5, 6, 7]),
-                 4: np.arange(4)},
-                frozenset({2, 3, 4}), False)
+        case = ([1, 2, 3], 4, None,
+                {2: np.array([1, 3, 4, 5]), 3: np.array([0, 4, 5, 6, 7])},
+                frozenset({2, 3}), False)
         got = _merge(Instantiate, case)
-        # Row 2 lacks 4 and 5, row 3 lacks 4-7, appended row 4 all four.
-        assert fills == [10]
-        assert got["counters"] == (3, 1, 1)
-        np.testing.assert_array_equal(got["runs"]["v"][1],
-                                      [0, 4, 8, 13, 17])
+        # Row 2 lacks 4 and 5, row 3 lacks 4-7.
+        assert fills == [6]
+        assert got["counters"] == (2, 1, 1)
+        np.testing.assert_array_equal(got["runs"]["v"][1], [0, 4, 8, 13])

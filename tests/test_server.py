@@ -150,6 +150,22 @@ class TestEndpoints:
             {"columns": {"CID": [9], "m": [9.0]}})
         assert status == 200 and payload["rows"] == 2
 
+    def test_append_changing_a_column_kind_is_400(self, base):
+        _load_tenant(base, "t-kind", [1.0, 2.0])
+        status, payload = _call(
+            f"{base}/tenants/t-kind/tables/means/rows", "POST",
+            {"columns": {"CID": ["x"], "m": [2.0]}})
+        assert status == 400
+        assert "means" in payload["error"] and "CID" in payload["error"]
+        # The table is unchanged: a numeric filter over CID still runs
+        # and sees only the loaded rows.
+        record = _poll(base, _call(
+            f"{base}/tenants/t-kind/queries", "POST",
+            {"sql": "SELECT CID, m FROM means WHERE CID < 10"}
+        )[1]["query_id"])
+        assert record["status"] == "done", record
+        assert record["result"]["rows"]["rows"] == [[0, 1.0], [1, 2.0]]
+
     def test_append_to_unknown_table_is_404(self, base):
         status, _ = _call(f"{base}/tenants/t-tab/tables/nope/rows", "POST",
                           {"columns": {"x": [1]}})
