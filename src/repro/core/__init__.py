@@ -3,6 +3,8 @@
 This package holds everything Sections 3-9 and Appendices A-C of the paper
 add on top of MCDB:
 
+* :mod:`repro.core.model` — the block-independent vector model of
+  Sec. 3.1 the samplers below run on.
 * :mod:`repro.core.gibbs` — Algorithms 1 and 2 (systematic Gibbs sampler
   with rejection-based conditional generation).
 * :mod:`repro.core.cloner` — Algorithm 3 (the cloning/bootstrapping tail
@@ -14,7 +16,6 @@ add on top of MCDB:
 * :mod:`repro.core.gibbs_looper` — the GibbsLooper operator (Sec. 7,
   Appendix A) with cloning, replenishment (Sec. 9) and Split-based joins on
   random attributes (Sec. 8).
-* :mod:`repro.core.diagnostics` — Appendix B applicability diagnostics.
 """
 
 from repro.core.params import (

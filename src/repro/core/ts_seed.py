@@ -164,10 +164,6 @@ class TSSeed:
                 f"position {position} not materialized for seed {self.handle}")
         return index
 
-    def value_at(self, position: int, component: int = 0) -> float:
-        """Stream value at an absolute position (via the deterministic PRNG)."""
-        return self.info.value(position, component)
-
 
 def plan_refuel(seeds: Mapping[int, TSSeed], dry: int, sweep: int,
                 sweeps: int, floor: int) -> dict[int, np.ndarray]:

@@ -103,7 +103,6 @@ class ExecutionContext:
         self.base_seed = base_seed
         self.position_offset = position_offset
         self.seeds: dict[int, SeedInfo] = {}
-        self.window_bases: dict[int, int] = {}
         #: Explicit per-seed stream positions to materialize (replenishment:
         #: "only adds new or currently assigned values", Sec. 9).  When a
         #: handle is absent, the contiguous default window is used.
@@ -166,9 +165,6 @@ class ExecutionContext:
         """The registered ``Seed`` label a handle was numbered under."""
         return self._labels.get(handle_label_id(handle), "?")
 
-    def window_base(self, handle: int) -> int:
-        return self.window_bases.get(handle, 0)
-
     def positions_for(self, handle: int) -> np.ndarray:
         """The stream positions a random column materializes for ``handle``."""
         if self.position_plan and self.position_offset:
@@ -184,8 +180,9 @@ class ExecutionContext:
                     f"position plan for seed {handle} has shape "
                     f"{explicit.shape}, expected a non-empty vector")
             return explicit
-        base = self.window_base(handle) + self.position_offset
-        return np.arange(base, base + self.positions, dtype=np.int64)
+        return np.arange(self.position_offset,
+                         self.position_offset + self.positions,
+                         dtype=np.int64)
 
     def seed_info(self, handle: int) -> SeedInfo:
         try:
@@ -436,10 +433,10 @@ class Instantiate(PlanNode):
     matching :class:`Seed` supplies lineage.
 
     Each distinct parameter tuple is validated once, however many rows
-    share it, and — whenever all rows share one position window (every
-    non-replenishment run) — the whole output is filled by a single
-    batched call (:func:`repro.vg.streams.gather_stream_windows`) instead
-    of one ``values_at`` call per row.
+    share it, and the whole output is filled by a single batched stream
+    read: :func:`repro.vg.streams.gather_stream_windows` when all rows
+    share one position window (every non-replenishment run), else
+    :func:`repro.vg.streams.gather_stream_points` over each row's own.
 
     Under delta replenishment (``context.delta_mode``) the operator does
     not rebuild its output: it gathers from the streams only positions
@@ -486,7 +483,7 @@ class Instantiate(PlanNode):
         if previous is not None:
             runs = self._merge_delta(context, handles, previous)
             context.delta_runs += 1
-        elif not context.position_plan and not context.window_bases:
+        elif not context.position_plan:
             runs = self._gather_shared(context, handles)
             context.full_runs += 1
         else:
@@ -515,7 +512,7 @@ class Instantiate(PlanNode):
 
         Only rows with an unregistered handle are evaluated (an append
         validates just the appended rows; a replenishment, nothing), and
-        ``validate_params``/``block_arity`` run once per *distinct*
+        ``validate_params`` runs once per *distinct*
         parameter tuple among them, with all PRNG keys from one
         vectorized pass.
         """
@@ -532,8 +529,6 @@ class Instantiate(PlanNode):
                 tuple, np.column_stack(param_columns).tolist()))
         else:
             row_params = [()] * int(fresh.sum())
-        base_arity = max(component for _, component in self.outputs) + 1
-        arity_of = {}
         handles = handles[fresh]
         for params in dict.fromkeys(row_params):
             try:
@@ -543,13 +538,11 @@ class Instantiate(PlanNode):
                 raise EngineError(
                     f"VG function {self.vg.name} rejected parameters "
                     f"{params} of seed {label!r}: {exc}") from exc
-            arity_of[params] = max(base_arity, self.vg.block_arity(params))
         prng_seeds = derive_prng_seeds(context.base_seed, handles).tolist()
         for handle, prng_seed, params in zip(
                 handles.tolist(), prng_seeds, row_params):
             if handle not in seeds:
-                seeds[handle] = SeedInfo(
-                    handle, prng_seed, self.vg, params, arity_of[params])
+                seeds[handle] = SeedInfo(handle, prng_seed, self.vg, params)
 
     def _gather_shared(self, context, handles) -> _Materialization:
         """Full run, no position plan: all seeds share one window.
@@ -579,22 +572,22 @@ class Instantiate(PlanNode):
 
     def _gather_per_row(self, context, handles) -> _Materialization:
         """Full run under a position plan: each row's window is its seed's
-        own, drawn with one stream call per row and output."""
+        own, and one batched read over the seeds' ``chunk_blocks`` fills
+        them all."""
         context.instantiate_rows_computed += handles.shape[0]
         handle_list = handles.tolist()
         positions_by_handle = {handle: context.positions_for(handle)
                                for handle in dict.fromkeys(handle_list)}
         windows = [positions_by_handle[handle] for handle in handle_list]
-        offsets = _offsets_of([window.size for window in windows])
-        columns = np.empty((len(self.outputs), int(offsets[-1])))
+        sizes = [window.size for window in windows]
+        columns = gather_stream_points(
+            [context.seeds[handle].chunk_blocks for handle in handle_list],
+            np.repeat(np.arange(len(windows)), sizes),
+            np.concatenate(windows) if windows else [],
+            [component for _, component in self.outputs])
         bases = np.array([window[0] for window in windows], dtype=np.int64)
-        for row, (handle, window) in enumerate(zip(handle_list, windows)):
-            info = context.seeds[handle]
-            target = columns[:, offsets[row]:offsets[row + 1]]
-            for slot, (_, component) in enumerate(self.outputs):
-                target[slot] = info.values_at(window, component)
         return _Materialization(handles, positions_by_handle, columns,
-                                offsets, bases)
+                                _offsets_of(sizes), bases)
 
     def _merge_delta(self, context, handles, previous) -> _Materialization:
         """Delta replenishment: copy overlap, gather only new positions.

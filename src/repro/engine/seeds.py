@@ -8,20 +8,19 @@ re-running a plan during replenishment (Sec. 9) reproduces the same handles
 and therefore the same streams.
 
 :class:`SeedInfo` is the execution-time registry entry for a handle: it
-owns the (lazily built) deterministic stream and answers point and range
-value lookups for any component of the VG output block.
+names the handle's deterministic stream and reads it a chunk at a time
+(:meth:`SeedInfo.chunk_blocks`).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from repro.vg.base import BlockStream, VGFunction
-from repro.vg.streams import RandomStream, draw_chunk
+from repro.vg.base import VGFunction
+from repro.vg.streams import draw_chunk
 
 __all__ = ["seed_handle", "seed_handles", "handle_label_id",
            "derive_prng_seed", "derive_prng_seeds", "SeedInfo"]
@@ -98,32 +97,12 @@ class SeedInfo:
     prng_seed: int
     vg: VGFunction
     params: tuple[float, ...]
-    arity: int = 1
-    _scalar_stream: RandomStream | None = field(default=None, repr=False)
-    _block_stream: BlockStream | None = field(default=None, repr=False)
     _chunk_memo: tuple[int, np.ndarray] | None = field(default=None,
                                                        repr=False)
 
-    def value(self, position: int, component: int = 0) -> float:
-        if self.arity == 1:
-            return self._scalar().value_at(position)
-        return self._block().component_value_at(position, component)
-
-    def values_range(self, start: int, stop: int, component: int = 0) -> np.ndarray:
-        """Contiguous stream values ``[start, stop)`` for one component."""
-        if self.arity == 1:
-            return self._scalar().range_values(start, stop)
-        return self._block().component_values_at(
-            np.arange(start, stop, dtype=np.int64), component)
-
-    def values_at(self, positions: Sequence[int], component: int = 0) -> np.ndarray:
-        if self.arity == 1:
-            return self._scalar().values_at(np.asarray(positions, dtype=np.int64))
-        return self._block().component_values_at(
-            np.asarray(positions, dtype=np.int64), component)
-
     def chunk_blocks(self, chunk_index: int) -> np.ndarray:
-        """One stream chunk as a ``(chunk, arity)`` block matrix.
+        """One stream chunk as a ``(DEFAULT_CHUNK, arity)`` block matrix
+        (:func:`~repro.vg.streams.draw_chunk`).
 
         The chunk drawn last is kept: a refuel's missing positions start
         in the chunk the previous refuel's window ended in, which that
@@ -136,17 +115,3 @@ class SeedInfo:
                             chunk_index)
         self._chunk_memo = (chunk_index, blocks)
         return blocks
-
-    def _scalar(self) -> RandomStream:
-        if self._scalar_stream is None:
-            # Params were validated when this SeedInfo was registered
-            # (once per distinct signature), so the stream skips it.
-            self._scalar_stream = self.vg.make_stream(
-                self.prng_seed, self.params, validate=False)
-        return self._scalar_stream
-
-    def _block(self) -> BlockStream:
-        if self._block_stream is None:
-            self._block_stream = self.vg.make_block_stream(
-                self.prng_seed, self.params, validate=False)
-        return self._block_stream

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import choose_parameters
-from repro.engine.errors import PlanError
+from repro.engine.errors import CatalogError, PlanError
 from repro.engine.expressions import BinOp, Col, Expr, Lit, Not, and_all
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
@@ -142,7 +142,10 @@ def _build_sources(from_items, catalog: Catalog) -> list[_Source]:
                 prefix + column.name for column in spec.random_columns}
         else:
             spec = None
-            table = catalog.table(item.table)
+            try:
+                table = catalog.table(item.table)
+            except KeyError as exc:
+                raise CatalogError(f"FROM: {exc.args[0]}") from None
             columns = [prefix + name for name in table.column_names]
             random_columns = set()
         sources.append(_Source(item=item, spec=spec, columns=columns,

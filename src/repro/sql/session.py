@@ -33,7 +33,7 @@ from repro.core.gibbs_looper import LooperResult
 from repro.engine.backends import make_backend
 from repro.engine.det_cache import (
     NullDetCache, SessionDetCache, classify_moves)
-from repro.engine.errors import EngineError, PlanError
+from repro.engine.errors import CatalogError, EngineError, PlanError
 from repro.engine.expressions import Col
 from repro.engine.mcdb import MonteCarloResult
 from repro.engine.operators import (
@@ -565,8 +565,14 @@ class Session:
         return self.det_cache.stats()
 
     def _execute_create(self, statement: CreateRandomTable) -> QueryOutput:
-        vg = self.registry.lookup(statement.vg_name)
-        parameter_table = self.catalog.table(statement.parameter_table)
+        try:
+            vg = self.registry.lookup(statement.vg_name)
+        except KeyError as exc:
+            raise PlanError(exc.args[0]) from None
+        try:
+            parameter_table = self.catalog.table(statement.parameter_table)
+        except KeyError as exc:
+            raise CatalogError(f"FOR EACH: {exc.args[0]}") from None
         passthrough: list[str] = []
         random_names: list[str] = []
         star = f"{statement.vg_alias}.*"
@@ -611,6 +617,12 @@ class Session:
         spec = statement.result_spec
         tail_mode = spec is not None and spec.domain is not None
         compiled = compile_select(statement, self.catalog, tail_mode=tail_mode)
+        if spec is not None and spec.frequency_table:
+            names = [aggregate.name for aggregate in compiled.aggregates]
+            if spec.frequency_table not in names or compiled.group_by:
+                raise PlanError(
+                    f"FREQUENCYTABLE {spec.frequency_table!r} must name an "
+                    f"aggregate of an ungrouped SELECT; aggregates: {names}")
 
         if spec is None:
             if compiled.has_random_input:

@@ -8,6 +8,10 @@ with a fixed PRNG seed yields a deterministic *stream* of value blocks; the
 i-th element of the stream is the instantiation used by the i-th Monte Carlo
 repetition (MCDB) or by whichever database version the Gibbs sampler has
 assigned position i to (MCDB-R, Sec. 4.1).
+
+:mod:`repro.vg.streams` holds the one definition of a stream,
+:func:`~repro.vg.streams.draw_chunk`, and the two batched readers built on
+it; the engine reads every stream value through them.
 """
 
 from repro.vg.base import VGFunction, VGRegistry, default_registry, register
@@ -25,15 +29,12 @@ from repro.vg.builtin import (
     Poisson,
     Uniform,
 )
-from repro.vg.streams import RandomStream, StreamWindow
 
 __all__ = [
     "VGFunction",
     "VGRegistry",
     "default_registry",
     "register",
-    "RandomStream",
-    "StreamWindow",
     "Normal",
     "Uniform",
     "Gamma",

@@ -5,13 +5,14 @@ against.
 :class:`PerRowMergeInstantiate` is ``Instantiate`` with a row-at-a-time
 ``_merge_delta``: every row outside the refuel set copies its previous
 run, and every other row is matched against its previous window with its
-own ``searchsorted`` and filled from its seed's stream with its own
-``values_at`` call.  Streams are pure functions of position, so both must
+own ``searchsorted`` and filled from its seed's stream by the stream
+oracle (``stream_oracle.stream_values``).  Streams are pure functions of position, so both must
 produce the same runs, offsets, bases, per-handle positions and
 ``instantiate_rows_computed``/``_reused`` counts.
 """
 
 import numpy as np
+from stream_oracle import stream_values
 
 from repro.engine.operators import Instantiate, _Materialization
 
@@ -59,7 +60,8 @@ class PerRowMergeInstantiate(Instantiate):
             values[:, found] = origin[:, index[found]]
             for slot, (_, component) in enumerate(self.outputs):
                 if missing.size:
-                    values[slot, missing] = info.values_at(
+                    values[slot, missing] = stream_values(
+                        info.prng_seed, info.vg, info.params,
                         new_positions[missing], component)
         offsets = np.zeros(len(runs) + 1, dtype=np.int64)
         np.cumsum([run.shape[1] for run in runs], out=offsets[1:])

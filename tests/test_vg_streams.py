@@ -8,84 +8,123 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stream_oracle import DETERMINISM_PARAMS, stream_values
+
+from repro.core.ts_seed import TSSeed
+from repro.engine.errors import EngineError
+from repro.engine.seeds import SeedInfo
+from repro.vg.base import VGFunction, default_registry
 from repro.vg.builtin import (
     DISCRETE_CHOICE, MIXTURE, MULTIVARIATE_NORMAL, NORMAL, UNIFORM)
 from repro.vg.streams import (
-    RandomStream, StreamWindow, borrowed_generator, draw_chunk,
-    gather_stream_points, gather_stream_windows, generator_for_chunk)
+    DEFAULT_CHUNK, borrowed_generator, draw_chunk, gather_stream_points,
+    gather_stream_windows, generator_for_chunk)
 
 
-def _unit_normal_stream(seed=7, chunk=256):
-    return NORMAL.make_stream(seed, (0.0, 1.0), chunk=chunk)
+_UNIT = (0.0, 1.0)
+
+
+def _values(seed, positions, vg=NORMAL, params=_UNIT):
+    """Stream values read one ``draw_chunk`` per position, in the order
+    given."""
+    return np.array([
+        draw_chunk(seed, vg, params, position // DEFAULT_CHUNK)[
+            position % DEFAULT_CHUNK, 0] for position in map(int, positions)])
+
+
+def _points(seed, positions):
+    """One stream's values at chunk-ascending ``positions``."""
+    return gather_stream_points(
+        [lambda chunk_index: draw_chunk(seed, NORMAL, _UNIT, chunk_index)],
+        np.zeros(len(positions), dtype=np.int64), positions, [0])[0]
 
 
 class TestRandomStream:
+    """Position access is pure, whichever reader asks.  (The class keeps
+    the name of the retired scalar-stream reader so its test ids stay
+    stable.)"""
+
     def test_value_at_is_deterministic_across_instances(self):
-        a = _unit_normal_stream(seed=11)
-        b = _unit_normal_stream(seed=11)
         positions = [0, 1, 5, 255, 256, 1000, 10_000]
-        assert [a.value_at(p) for p in positions] == [b.value_at(p) for p in positions]
+        first = _values(11, positions)
+        np.testing.assert_array_equal(first, _values(11, positions))
+        np.testing.assert_array_equal(
+            first, stream_values(11, NORMAL, _UNIT, positions))
 
     def test_different_seeds_give_different_streams(self):
-        a = _unit_normal_stream(seed=1)
-        b = _unit_normal_stream(seed=2)
-        assert not np.allclose(a.range_values(0, 64), b.range_values(0, 64))
+        out = gather_stream_windows(
+            np.arange(64), [(1, NORMAL, _UNIT), (2, NORMAL, _UNIT)], [0])
+        assert not np.allclose(out[0, 0], out[0, 1])
 
     def test_access_order_does_not_matter(self):
-        a = _unit_normal_stream(seed=3)
-        b = _unit_normal_stream(seed=3)
-        forward = [a.value_at(p) for p in range(600)]
-        backward = [b.value_at(p) for p in reversed(range(600))]
-        assert forward == backward[::-1]
+        forward = _values(3, range(600))
+        backward = _values(3, reversed(range(600)))
+        np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_values_at_matches_value_at(self):
-        s = _unit_normal_stream(seed=5)
-        positions = np.array([512, 0, 3, 255, 256, 257, 9999])
-        vec = s.values_at(positions)
-        scalar = np.array([s.value_at(int(p)) for p in positions])
-        np.testing.assert_allclose(vec, scalar)
+        positions = np.array([0, 3, 255, 256, 257, 512, 9999])
+        np.testing.assert_array_equal(_points(5, positions),
+                                      _values(5, positions))
 
     def test_range_values(self):
-        s = _unit_normal_stream(seed=5)
-        np.testing.assert_allclose(
-            s.range_values(250, 260),
-            [s.value_at(p) for p in range(250, 260)])
+        out = gather_stream_windows(np.arange(250, 260), [(5, NORMAL, _UNIT)],
+                                    [0])
+        np.testing.assert_array_equal(out[0, 0], _values(5, range(250, 260)))
 
     def test_empty_inputs(self):
-        s = _unit_normal_stream()
-        assert s.values_at([]).shape == (0,)
-        assert s.range_values(10, 10).shape == (0,)
+        assert _points(7, []).shape == (0,)
+        assert gather_stream_windows([], [(7, NORMAL, _UNIT)],
+                                     [0]).shape == (1, 1, 0)
 
     def test_negative_position_rejected(self):
-        s = _unit_normal_stream()
         with pytest.raises(IndexError):
-            s.value_at(-1)
+            _points(7, [0, -3])
         with pytest.raises(IndexError):
-            s.values_at([0, -3])
+            gather_stream_windows([-1], [(7, NORMAL, _UNIT)], [0])
 
     def test_invalid_range_rejected(self):
-        s = _unit_normal_stream()
-        with pytest.raises(ValueError):
-            s.range_values(10, 5)
-
-    def test_invalid_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            RandomStream(1, lambda rng, size: rng.normal(size=size), chunk=0)
+        with pytest.raises(ValueError, match="ascending"):
+            gather_stream_windows([300, 10], [(7, NORMAL, _UNIT)], [0])
 
     def test_sampler_shape_validated(self):
-        bad = RandomStream(1, lambda rng, size: rng.normal(size=size + 1))
-        with pytest.raises(ValueError, match="sampler returned shape"):
-            bad.value_at(0)
+        """A ``sample_blocks`` result is ``DEFAULT_CHUNK`` blocks or an
+        error naming the VG — ``2 * chunk`` scalars are not re-blocked
+        into ``(chunk, 2)``."""
+        class Misshapen(VGFunction):
+            name = "Misshapen"
+
+            def __init__(self, shape):
+                self.shape = shape
+
+            def sample_blocks(self, rng, params, size):
+                return rng.normal(size=self.shape)
+
+        for shape in [(2 * DEFAULT_CHUNK,), (2 * DEFAULT_CHUNK, 1),
+                      (DEFAULT_CHUNK + 1,), (DEFAULT_CHUNK, 1, 1)]:
+            with pytest.raises(EngineError, match="Misshapen"):
+                draw_chunk(1, Misshapen(shape), (), 0)
+
+    def test_invalid_chunk_rejected(self):
+        """A chunk index below zero names no chunk of the stream."""
+        with pytest.raises(IndexError, match="chunk"):
+            draw_chunk(1, NORMAL, _UNIT, -1)
 
     def test_drop_cache_below_frees_chunks_without_changing_values(self):
-        s = _unit_normal_stream(seed=9, chunk=64)
-        wanted = s.value_at(130)
-        for p in (0, 64, 128):
-            s.value_at(p)
-        assert s.cached_chunks == 3
-        s.drop_cache_below(128)
-        assert s.cached_chunks == 1
-        assert s.value_at(130) == wanted  # regenerated identically
+        """``SeedInfo.chunk_blocks`` keeps only the chunk it drew last: an
+        earlier chunk is let go and, asked for again, regenerated
+        identically."""
+        info = SeedInfo(handle=1, prng_seed=9, vg=NORMAL, params=_UNIT)
+        first = info.chunk_blocks(0)
+        wanted = first.copy()
+        for chunk_index in (1, 2):
+            info.chunk_blocks(chunk_index)
+        assert info.chunk_blocks(2) is info.chunk_blocks(2)  # the one kept
+        again = info.chunk_blocks(0)
+        assert again is not first
+        np.testing.assert_array_equal(again, wanted)
+        np.testing.assert_array_equal(
+            again[:, 0], stream_values(9, NORMAL, _UNIT,
+                                       np.arange(DEFAULT_CHUNK)))
 
     def test_chunks_are_independent_of_generation_order(self):
         rng_a = generator_for_chunk(99, 0)
@@ -101,79 +140,166 @@ class TestRandomStream:
            position=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=40, deadline=None)
     def test_property_position_access_is_pure(self, seed, position):
-        a = UNIFORM.make_stream(seed, (0.0, 1.0))
-        b = UNIFORM.make_stream(seed, (0.0, 1.0))
-        assert a.value_at(position) == b.value_at(position)
-        assert 0.0 <= a.value_at(position) <= 1.0
+        value = _values(seed, [position], UNIFORM)[0]
+        assert value == _values(seed, [position], UNIFORM)[0]
+        assert value == stream_values(seed, UNIFORM, _UNIT, [position])[0]
+        assert 0.0 <= value <= 1.0
+
+
+def _window_seed(seed, positions, versions=1):
+    """A TS-seed over ``seed``'s unit-normal stream whose window is
+    ``positions``."""
+    info = SeedInfo(handle=seed, prng_seed=seed, vg=NORMAL, params=_UNIT)
+    return TSSeed.initial(info, np.asarray(positions), versions)
+
+
+def _window_values(ts, positions):
+    """``ts``'s stream at chunk-ascending ``positions``, read the way a
+    refuel reads a window: through ``SeedInfo.chunk_blocks``."""
+    return gather_stream_points(
+        [ts.info.chunk_blocks], np.zeros(len(positions), dtype=np.int64),
+        positions, [0])[0]
+
+
+def _advance(ts, fresh):
+    """Re-plan ``ts``'s window as a refuel does: the assigned (pinned)
+    positions plus ``fresh`` new ones after ``max_used``."""
+    ts.positions = ts.replenish_plan(fresh)
 
 
 class TestStreamWindow:
+    """A seed's window over its stream: a fresh range plus the positions
+    pinned by version assignments, read through ``SeedInfo.chunk_blocks``
+    and advanced by ``TSSeed.replenish_plan``.  (The class keeps the name
+    of the retired window reader so its test ids stay stable.)"""
+
     def test_window_covers_initial_range(self):
-        s = _unit_normal_stream(seed=21)
-        w = StreamWindow(s, start=0, length=10)
-        assert w.window_range == (0, 10)
-        assert w.covers(0) and w.covers(9) and not w.covers(10)
+        ts = _window_seed(21, np.arange(10), versions=4)
+        assert ts.fresh_index_range() == (4, 10)
+        assert ts.index_of_position(0) == 0 and ts.index_of_position(9) == 9
+        with pytest.raises(KeyError):
+            ts.index_of_position(10)
 
     def test_values_match_stream(self):
-        s = _unit_normal_stream(seed=21)
-        w = StreamWindow(s, start=5, length=10)
-        for p in range(5, 15):
-            assert w.value_at(p) == s.value_at(p)
-        np.testing.assert_allclose(w.window_values(6, 12), s.range_values(6, 12))
+        ts = _window_seed(21, np.arange(5, 15))
+        np.testing.assert_array_equal(
+            _window_values(ts, ts.positions),
+            stream_values(21, NORMAL, _UNIT, np.arange(5, 15)))
+        np.testing.assert_array_equal(_window_values(ts, np.arange(6, 12)),
+                                      _values(21, range(6, 12)))
 
     def test_pin_survives_advance(self):
-        s = _unit_normal_stream(seed=22)
-        w = StreamWindow(s, start=0, length=8)
-        pinned_value = w.value_at(3)
-        w.pin(3)
-        w.advance(100, length=8)
-        assert w.window_range == (100, 108)
-        assert w.covers(3)
-        assert w.value_at(3) == pinned_value
-        assert not w.covers(4)
+        ts = _window_seed(22, np.arange(8))
+        pinned_value = _window_values(ts, [3])[0]
+        ts.assign(0, 3)
+        ts.consume_through(99)
+        _advance(ts, 8)
+        np.testing.assert_array_equal(ts.positions, [3, *range(100, 108)])
+        assert ts.index_of_position(3) == 0
+        assert _window_values(ts, [3])[0] == pinned_value
+        with pytest.raises(KeyError):
+            ts.index_of_position(4)
 
     def test_unpin_releases(self):
-        s = _unit_normal_stream(seed=22)
-        w = StreamWindow(s, start=0, length=8)
-        w.pin(2)
-        w.advance(50)
-        w.unpin(2)
+        ts = _window_seed(22, np.arange(8))
+        ts.assign(0, 2)
+        ts.consume_through(49)
+        _advance(ts, 8)
+        ts.assign(0, 50)  # the version moves off position 2
+        ts.consume_through(50)
+        _advance(ts, 8)
         with pytest.raises(KeyError):
-            w.value_at(2)
+            ts.index_of_position(2)
+        assert ts.positions[0] == 50
 
     def test_advance_backwards_rejected(self):
-        s = _unit_normal_stream(seed=22)
-        w = StreamWindow(s, start=10, length=4)
-        with pytest.raises(ValueError):
-            w.advance(5)
+        ts = _window_seed(22, np.arange(10, 14))
+        with pytest.raises(ValueError, match="already consumed"):
+            ts.consume_through(5)
+        assert ts.max_used == 10
 
     def test_out_of_window_access_raises(self):
-        s = _unit_normal_stream(seed=23)
-        w = StreamWindow(s, start=0, length=4)
+        ts = _window_seed(23, np.arange(4))
         with pytest.raises(KeyError):
-            w.value_at(99)
+            ts.index_of_position(99)
         with pytest.raises(KeyError):
-            w.window_values(0, 99)
+            ts.index_of_position(4)  # the first position past the window
 
     def test_advanced_window_values_are_stream_values(self):
-        s = _unit_normal_stream(seed=24)
-        w = StreamWindow(s, start=0, length=6)
-        w.advance(6, length=6)
-        np.testing.assert_allclose(w.window_values(6, 12), s.range_values(6, 12))
+        """Positions a refuel adds read the stream's values, also where
+        the window crosses into a chunk past the one read last."""
+        ts = _window_seed(24, np.arange(DEFAULT_CHUNK - 6, DEFAULT_CHUNK))
+        before = _window_values(ts, ts.positions)
+        ts.consume_through(DEFAULT_CHUNK - 1)
+        _advance(ts, 12)
+        np.testing.assert_array_equal(
+            _window_values(ts, ts.positions),
+            stream_values(24, NORMAL, _UNIT, ts.positions))
+        np.testing.assert_array_equal(
+            before, _values(24, range(DEFAULT_CHUNK - 6, DEFAULT_CHUNK)))
 
     def test_invalid_length_rejected(self):
-        s = _unit_normal_stream(seed=25)
-        with pytest.raises(ValueError):
-            StreamWindow(s, start=0, length=0)
+        ts = _window_seed(25, np.arange(4))
+        with pytest.raises(ValueError, match="fresh count"):
+            _advance(ts, 0)
+        with pytest.raises(ValueError, match="cannot seed"):
+            _window_seed(25, np.arange(0), versions=1)
 
     def test_values_at_mixed_window_and_pinned(self):
-        s = _unit_normal_stream(seed=26)
-        w = StreamWindow(s, start=0, length=4)
-        w.pin(1)
-        w.advance(10, length=4)
-        np.testing.assert_allclose(
-            w.values_at([1, 10, 12]),
-            [s.value_at(1), s.value_at(10), s.value_at(12)])
+        ts = _window_seed(26, np.arange(4))
+        ts.assign(0, 1)
+        ts.consume_through(9)
+        _advance(ts, 4)
+        np.testing.assert_array_equal(ts.positions, [1, 10, 11, 12, 13])
+        np.testing.assert_array_equal(
+            _window_values(ts, [1, 10, 12]),
+            stream_values(26, NORMAL, _UNIT, [1, 10, 12]))
+
+
+class TestStreamOracle:
+    """Every stream reader against the independent oracle."""
+
+    @given(name=st.sampled_from(sorted(DETERMINISM_PARAMS)),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           positions=st.lists(
+               st.one_of(
+                   st.integers(0, 4 * DEFAULT_CHUNK),
+                   # chunk boundaries, and chunk 2**24: the counter carry
+                   st.sampled_from([DEFAULT_CHUNK - 1, DEFAULT_CHUNK,
+                                    2 * DEFAULT_CHUNK - 1, 2 * DEFAULT_CHUNK,
+                                    2**24 * DEFAULT_CHUNK - 1,
+                                    2**24 * DEFAULT_CHUNK]),
+                   st.integers(0, 2**34)),
+               min_size=1, max_size=12),
+           run=st.tuples(st.integers(0, 3 * DEFAULT_CHUNK),
+                         st.integers(0, 300)))
+    @settings(max_examples=80, deadline=None)
+    def test_every_reader_equals_the_oracle(self, name, seed, positions, run):
+        positions = positions + list(range(run[0], run[0] + run[1]))
+        vg = default_registry.lookup(name)
+        params = DETERMINISM_PARAMS[name]
+        components = list(range(vg.block_arity(params)))
+        want = np.array([stream_values(seed, vg, params, positions, component)
+                         for component in components])
+        for position, column in zip(positions, want.T):
+            chunk_index, offset = divmod(position, DEFAULT_CHUNK)
+            np.testing.assert_array_equal(
+                draw_chunk(seed, vg, params, chunk_index)[offset], column)
+        order = np.argsort(positions, kind="stable")
+        ascending = np.asarray(positions)[order]
+        other = seed ^ 1
+        points = gather_stream_points(
+            [lambda c: draw_chunk(seed, vg, params, c),
+             lambda c: draw_chunk(other, vg, params, c)],
+            np.repeat([0, 1], ascending.size),
+            np.concatenate([ascending, ascending]), components)
+        np.testing.assert_array_equal(points[:, :ascending.size],
+                                      want[:, order])
+        windows = gather_stream_windows(
+            ascending, [(other, vg, params), (seed, vg, params)], components)
+        np.testing.assert_array_equal(windows[:, 1], want[:, order])
+        np.testing.assert_array_equal(windows[:, 0],
+                                      points[:, ascending.size:])
 
 
 # (vg, params) the seek is pinned on: continuous, bounded, discrete, and
@@ -247,7 +373,7 @@ class TestBorrowedGenerator:
             rows = [(seed, NORMAL, (0.0, 1.0)) for seed in range(200)]
             gather_stream_windows(positions, rows, [0])
             for seed in range(200):  # and the per-stream path
-                NORMAL.make_stream(seed, (0.0, 1.0)).values_at(positions)
+                _points(seed, positions)
 
         _run_threads([fill, fill])
         # 2 threads x 200 streams x 3 chunks x 2 paths = 2400 chunks drawn.
@@ -298,11 +424,11 @@ class TestGatherStreamPoints:
             np.concatenate(wanted), [1, 0])
         assert out.shape == (2, 8)
         for row, seed in enumerate(seeds):
-            stream = MULTIVARIATE_NORMAL.make_block_stream(seed, params)
             for slot, component in enumerate([1, 0]):
                 np.testing.assert_array_equal(
                     out[slot, 4 * row:4 * row + 4],
-                    stream.component_values_at(wanted[row], component))
+                    stream_values(seed, MULTIVARIATE_NORMAL, params,
+                                  wanted[row], component))
         assert drawn == [(3, 0), (3, 1), (3, 3), (2**63 + 5, 0),
                          (2**63 + 5, 1), (2**63 + 5, 2)]
 
@@ -319,9 +445,8 @@ class TestGatherStreamPoints:
         def chunk_blocks(chunk_index):
             return draw_chunk(4, NORMAL, params, chunk_index)
         out = gather_stream_points([chunk_blocks], [0, 0, 0], positions, [0])
-        stream = NORMAL.make_block_stream(4, params)
         np.testing.assert_array_equal(
-            out[0], stream.component_values_at(np.array(positions), 0))
+            out[0], stream_values(4, NORMAL, params, positions))
 
     @pytest.mark.parametrize("row_of, positions", [
         ([0, 0], [300, 10]),   # chunk order reversed within a row
@@ -342,11 +467,10 @@ class TestGatherStreamWindows:
         out = gather_stream_windows(positions, rows, [1, 0])
         assert out.shape == (2, 2, positions.size)
         for row, (seed, vg, _) in enumerate(rows):
-            stream = vg.make_block_stream(seed, params)
             for slot, component in enumerate([1, 0]):
                 np.testing.assert_array_equal(
                     out[slot, row],
-                    stream.component_values_at(positions, component))
+                    stream_values(seed, vg, params, positions, component))
 
     def test_writes_into_the_given_rows(self):
         positions = np.arange(10)
@@ -356,7 +480,7 @@ class TestGatherStreamWindows:
         assert returned.base is out
         assert np.isnan(out[0, 0]).all() and np.isnan(out[0, 2]).all()
         np.testing.assert_array_equal(
-            out[0, 1], UNIFORM.make_stream(5, (0.0, 1.0)).values_at(positions))
+            out[0, 1], stream_values(5, UNIFORM, _UNIT, positions))
 
     def test_empty_inputs(self):
         assert gather_stream_windows(np.arange(4), [], [0]).shape == (1, 0, 4)
