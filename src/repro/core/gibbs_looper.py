@@ -21,18 +21,20 @@ Key fidelity points, each mapped to the paper:
   Fig. 3 are skipped permanently).
 * **Cloning as a single pass** — elite-to-version overwriting copies one
   assignment column onto another in every TS-seed (Appendix A, Fig. 4b).
-* **Replenishment** — when a seed's window runs dry mid-perturbation, all
-  Gibbs tuples are discarded and the plan re-runs, materializing only new
-  or currently assigned positions; deterministic sub-plans come from cache
-  (Sec. 9).  Each seed's window is as deep as its own demand
-  (:func:`~repro.core.ts_seed.plan_refuel`), and a refuel re-plans only
-  the seeds about to run low.
+* **Replenishment** — when a seed's window runs dry mid-perturbation, the
+  plan re-runs, materializing only new or currently assigned positions;
+  deterministic sub-plans come from cache (Sec. 9).  Each seed's window
+  is as deep as its own demand (:func:`~repro.core.ts_seed.plan_refuel`),
+  a refuel re-plans only the seeds about to run low, and the re-run
+  covers only those seeds' Gibbs tuples, spliced into the rest — unless
+  a tuple reads several seeds, when every tuple is discarded and rebuilt.
 
 One deliberate implementation difference: per-version *current* attribute
 values and presence bits are cached in dense arrays instead of being looked
 up through (position -> window index) indirection on every delta
-evaluation.  The cache is rebuilt from TS-seed assignments on every
-replenishment, so it is behaviorally identical to the paper's scheme and is
+evaluation.  A refuel that rebuilds the tuples re-derives the cache from
+TS-seed assignments, and one that splices checks it against the new
+windows, so it is behaviorally identical to the paper's scheme and is
 validated against it in the test suite.
 """
 
@@ -151,23 +153,24 @@ class _TupleState:
 
 @dataclass
 class WindowCandidates:
-    """One refuel's candidates for the single-seed Gibbs tuples.
+    """A refuel's candidates for the single-seed Gibbs tuples, one run
+    per tuple.
 
-    Run ``i`` (``[offsets[i], offsets[i + 1])`` of the flat arrays)
-    belongs to the ``i``-th single-seed tuple, its element ``b`` to window
-    slot ``b`` of the tuple's seed: what that tuple would add to the
-    accumulators (``contribution``, ``presence_count``) if its seed moved
-    to slot ``b``.  Such a tuple reads no other seed, so a candidate is
-    the same for every DB version — these are computed once per refuel,
-    not once per window.  ``always_present`` says no presence field or
-    final predicate can drop a row: then ``contribution`` is the
-    aggregate argument itself and every count is 1.
+    Run ``i`` (``contribution[i]``, ``presence_count[i]``) belongs to the
+    ``i``-th single-seed tuple, its element ``b`` to window slot ``b`` of
+    the tuple's seed: what that tuple would add to the accumulators if
+    its seed moved to slot ``b``.  Such a tuple reads no other seed, so a
+    candidate is the same for every DB version — these are computed once
+    per refuel, not once per window, and a refuel replaces the runs of
+    the tuples it re-planned one at a time.  ``always_present`` says no
+    presence field or final predicate can drop a row: then
+    ``contribution`` is the aggregate argument itself and every count is
+    1.
     """
 
-    contribution: np.ndarray
-    presence_count: np.ndarray
+    contribution: list[np.ndarray]
+    presence_count: list[np.ndarray]
     always_present: bool
-    offsets: np.ndarray
 
 
 def _row_seeds(relation: BundleRelation) -> np.ndarray:
@@ -200,7 +203,24 @@ def single_seed_rows(relation: BundleRelation) -> np.ndarray:
 def window_candidates(relation: BundleRelation, rows: np.ndarray,
                       aggregate_expr: Expr | None,
                       final_predicate: Expr | None) -> WindowCandidates:
-    """Every candidate of the single-seed tuples ``rows``, in one pass.
+    """Every candidate of the single-seed tuples ``rows``, in one pass
+    (:func:`_candidate_cells`), one run per tuple."""
+    contribution, presence_count, always_present, offsets = \
+        _candidate_cells(relation, rows, aggregate_expr, final_predicate)
+    bounds = offsets.tolist()
+
+    def runs(cells):
+        return [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    return WindowCandidates(runs(contribution), runs(presence_count),
+                            always_present)
+
+
+def _candidate_cells(relation: BundleRelation, rows: np.ndarray,
+                     aggregate_expr: Expr | None,
+                     final_predicate: Expr | None):
+    """Every candidate of the single-seed tuples ``rows`` as flat runs:
+    ``(contribution, presence_count, always_present, offsets)``.
 
     The aggregate expression and predicates are evaluated once over the
     runs of ``rows``, each as long as its row's seed's window.  A random
@@ -275,13 +295,11 @@ def window_candidates(relation: BundleRelation, rows: np.ndarray,
         cells = np.asarray(final_predicate.evaluate(context), dtype=bool)
         present = cells if present is None else present & cells
     if present is None:
-        return WindowCandidates(np.broadcast_to(value, shape),
-                                np.broadcast_to(1.0, shape),
-                                always_present=True, offsets=offsets)
-    return WindowCandidates(
-        np.broadcast_to(np.where(present, value, 0.0), shape),
-        np.broadcast_to(present.astype(np.float64), shape),
-        always_present=False, offsets=offsets)
+        return (np.broadcast_to(value, shape), np.broadcast_to(1.0, shape),
+                True, offsets)
+    return (np.broadcast_to(np.where(present, value, 0.0), shape),
+            np.broadcast_to(present.astype(np.float64), shape), False,
+            offsets)
 
 
 def candidate_window_matrices(tuples: list[GibbsTuple],
@@ -391,8 +409,9 @@ class GibbsLooper:
         moved), so there is no independent work to shard.
 
     The perturbation kernel is the batched one (:meth:`_perturb_seed`)
-    and every refuel is a delta refuel of the seeds running low
-    (:meth:`_replenish`).  The scalar
+    and every refuel is a delta refuel of the seeds running low, run
+    over their rows only when the plan allows (:meth:`_replenish`).  The
+    scalar
     per-version kernel and the full-rebuild refuel it replaced are kept
     in ``tests/looper_oracles.py`` as subclasses, and
     ``tests/test_engine_equivalence.py`` holds this class bit-identical
@@ -449,8 +468,10 @@ class GibbsLooper:
         # presence_count rows.
         self._contribution_matrix: np.ndarray | None = None
         self._count_matrix: np.ndarray | None = None
-        #: Relation rows of the single-seed tuples, and their candidates
-        #: over the current windows (rebuilt on every refuel).
+        #: Per relation row, the one seed its tuple reads (else -1); the
+        #: rows of the single-seed tuples, and their candidates over the
+        #: current windows (renewed, row by row, on every refuel).
+        self._row_seeds: np.ndarray | None = None
         self._single_rows: np.ndarray | None = None
         self._candidates: WindowCandidates | None = None
         #: Gibbs sweeps completed in this run, out of ``_sweeps`` — the
@@ -466,6 +487,8 @@ class GibbsLooper:
         self._delta_replenish_runs = 0
         self._replenish_seconds = 0.0
         self._window_signature: tuple | None = None
+        #: Window positions spliced since the last run over every row.
+        self._spliced = 0
 
     # -- public entry ---------------------------------------------------------
 
@@ -538,21 +561,13 @@ class GibbsLooper:
 
     def _ingest(self, relation: BundleRelation, versions: int,
                 initial: bool) -> None:
-        """(Re)build tuples, TS-seeds and per-version caches from a plan run.
-
-        A replenishment re-run whose output has the same tuple structure
-        (rows, lineage, presence pattern) as the last one takes a fast
-        path: the per-version value/presence caches and the
-        accumulators are *kept* — replenishment never changes any
-        version's assigned values, only widens the windows — and only the
-        window views inside the Gibbs tuples are swapped for the merged
-        ones.
+        """(Re)build tuples, TS-seeds and per-version caches from a plan
+        run over every row: the initial run, or a refuel that could not
+        splice (:meth:`_refuel_all`).  Seeds persist across a refuel, and
+        every cache is re-derived from their assignments.  The output's
+        row-by-row signature is kept: it is what a Δ refuel's rows are
+        matched against (:meth:`_signatures_match`).
         """
-        signature = self._relation_signature(relation)
-        if not initial and self._signatures_match(signature):
-            self._refresh_windows(relation)
-            self._window_signature = signature
-            return
         self._versions = versions
         self._tuples = tuples_from_relation(relation)
         self._validate_columns(relation)
@@ -583,54 +598,41 @@ class GibbsLooper:
         self._visit_order = sorted(self._tuples_of_seed)
 
         self._rebuild_states(relation)
-        self._window_signature = signature
+        self._window_signature = self._relation_signature(relation)
+        self._spliced = 0
 
     @staticmethod
     def _relation_signature(relation: BundleRelation) -> tuple:
-        """Structural identity of a plan output: rows, lineage, presence.
+        """Structural identity of a plan output, row by row: the seed
+        handles of every random column, the non-vacuous presence pattern
+        and the deterministic values.
 
-        Two runs with equal signatures produced the same Gibbs tuples in
-        the same order (same surviving rows, same seed handles per random
-        column, same non-vacuous presence pattern) — only their window
-        contents may differ, which is exactly what the delta fast path
-        swaps in place.
+        ``(length, names, arrays)``: ``names`` the column layout,
+        ``arrays`` one entry per row each.  Rows with equal signatures
+        are the same Gibbs tuples — only their window contents may
+        differ, which is exactly what a refuel swaps in place.
         """
-        rand = tuple((name, column.seed_handles)
-                     for name, column in relation.rand_columns.items())
-        presence = tuple((presence.seed_handles, presence.vacuous())
-                         for presence in relation.presence)
-        return (relation.length, rand, presence)
+        names = (tuple(relation.rand_columns), len(relation.presence),
+                 tuple(relation.det_columns))
+        arrays = [column.seed_handles
+                  for column in relation.rand_columns.values()]
+        for presence in relation.presence:
+            arrays += [presence.seed_handles, presence.vacuous()]
+        arrays += relation.det_columns.values()
+        return relation.length, names, arrays
 
-    def _signatures_match(self, signature: tuple) -> bool:
+    def _signatures_match(self, signature: tuple, rows: np.ndarray) -> bool:
+        """Whether ``signature``'s rows are the Gibbs tuples ``rows``, in
+        order."""
         previous = self._window_signature
-        if previous is None or previous[0] != signature[0]:
-            return False
-        if len(previous[1]) != len(signature[1]) or \
-                len(previous[2]) != len(signature[2]):
-            return False
-        for (old_name, old_handles), (name, handles) in zip(
-                previous[1], signature[1]):
-            if old_name != name or not np.array_equal(old_handles, handles):
-                return False
-        for (old_handles, old_vacuous), (handles, vacuous) in zip(
-                previous[2], signature[2]):
-            if not (np.array_equal(old_handles, handles)
-                    and np.array_equal(old_vacuous, vacuous)):
-                return False
-        return True
+        return signature[1] == previous[1] and signature[0] == rows.size \
+            and all(np.array_equal(new, old[rows])
+                    for new, old in zip(signature[2], previous[2]))
 
-    def _refresh_windows(self, relation: BundleRelation) -> None:
-        """Swap merged window views into the existing tuples and seeds.
-
-        Values at every assigned position are unchanged (streams are pure
-        functions of position), so the per-version caches, accumulators,
-        states and the tuple/seed index structures all carry over; only
-        the materialized window arrays — consulted by future candidate
-        evaluations — each re-planned seed's position list and the
-        single-seed tuples' :class:`WindowCandidates` over the new windows
-        are new.  Every tuple is re-pointed, re-planned seed or not: a
-        view left on the previous run's arrays would keep them alive.
-        """
+    def _point_windows(self, relation: BundleRelation,
+                       rows: np.ndarray) -> None:
+        """Re-point the Gibbs tuples ``rows`` at the runs of
+        ``relation``'s rows, in order."""
         def runs(column):
             elements, offsets = column.runs()
             return elements, offsets.tolist()
@@ -639,32 +641,18 @@ class GibbsLooper:
                      for name, column in relation.rand_columns.items()]
         presence_runs = [(*runs(presence), presence.vacuous().tolist())
                          for presence in relation.presence]
-        for row, gibbs_tuple in enumerate(self._tuples):
+        for at, row in enumerate(rows.tolist()):
+            gibbs_tuple = self._tuples[row]
             for name, values, offsets in rand_runs:
                 gibbs_tuple.rand[name].values = \
-                    values[offsets[row]:offsets[row + 1]]
+                    values[offsets[at]:offsets[at + 1]]
             slot = 0
             for flags, offsets, vacuous in presence_runs:
-                if vacuous[row]:
+                if vacuous[at]:
                     continue
                 gibbs_tuple.presences[slot].flags = \
-                    flags[offsets[row]:offsets[row + 1]]
+                    flags[offsets[at]:offsets[at + 1]]
                 slot += 1
-        refueled = self._context.refuel_handles
-        for handle in self._seeds if refueled is None else refueled:
-            self._seeds[handle].positions = self._context.positions_for(
-                handle)
-        self._candidates = window_candidates(
-            relation, self._single_rows, self.aggregate_expr,
-            self.final_predicate)
-        if self._states:
-            # Re-derived from the caches for _replenish's invariant check
-            # against the running accumulators, which it restores
-            # afterwards (the refuel schedule must not leave a rounding
-            # fingerprint on the accumulator trajectory).  The check
-            # compares within a tolerance, so any summation order does.
-            self._sums = self._contribution_matrix.sum(axis=0)
-            self._counts = self._count_matrix.sum(axis=0)
 
     def _validate_columns(self, relation: BundleRelation) -> None:
         known = set(relation.det_columns) | set(relation.rand_columns)
@@ -696,7 +684,8 @@ class GibbsLooper:
             handle: np.searchsorted(ts.positions, ts.assignment)
             for handle, ts in self._seeds.items()}
         self._states = []
-        self._single_rows = single_seed_rows(relation)
+        self._row_seeds = _row_seeds(relation)
+        self._single_rows = np.flatnonzero(self._row_seeds >= 0)
         self._candidates = window_candidates(
             relation, self._single_rows, self.aggregate_expr,
             self.final_predicate)
@@ -953,8 +942,7 @@ class GibbsLooper:
         ``[start, stop)`` of the fresh range.
         """
         candidates = self._candidates
-        base = int(candidates.offsets[state.candidate])
-        new_sum = candidates.contribution[base + start:base + stop].tolist()
+        new_sum = candidates.contribution[state.candidate][start:stop].tolist()
         old_sum = state.contribution.tolist()
         sums = self._sums.tolist()
         kind = self.aggregate_kind
@@ -967,8 +955,8 @@ class GibbsLooper:
                     hit += 1
                 return -1
         else:
-            new_count = candidates.presence_count[
-                base + start:base + stop].tolist()
+            new_count = candidates.presence_count[state.candidate][
+                start:stop].tolist()
             old_count = state.presence_count.tolist()
             counts = self._counts.tolist()
 
@@ -1062,15 +1050,14 @@ class GibbsLooper:
             state = self._states[tuple_index]
             row = state.candidate
             if row is not None:
-                cells = index_list + candidates.offsets[row]
-                new_contribution = candidates.contribution[cells]
+                new_contribution = candidates.contribution[row][index_list]
                 if candidates.always_present:
                     # Present before and after: the count cannot move.
                     self._sums[version_list] += (
                         new_contribution - state.contribution[version_list])
                     state.contribution[version_list] = new_contribution
                     continue
-                new_count = candidates.presence_count[cells]
+                new_count = candidates.presence_count[row][index_list]
             else:
                 rows = version_list - first_version
                 new_present = cand_present[list_pos][rows, cols]
@@ -1154,24 +1141,26 @@ class GibbsLooper:
         """Sec. 9: re-run the plan to refuel the seeds running low.
 
         Seed ``dry`` ran out of fresh positions; :func:`plan_refuel`
-        picks the seeds the run re-plans and how deep, and every other
-        seed's window carries over untouched.  The run executes in
-        incremental mode: ``Instantiate`` merges never-before-materialized
-        positions into its previous output instead of regenerating every
-        window (the context tracks which refuels were full vs. delta).
+        picks the refuel set — the seeds the run re-plans, and how deep —
+        and every other seed's window carries over untouched.  The run is
+        a Δ-execution over the refuel set's rows when it can be
+        (:meth:`_refuel_rows`), else a re-run over every row
+        (:meth:`_refuel_all`); either way ``Instantiate`` merges: it
+        copies what it materialized before and draws from the streams
+        only positions it never did (the context tracks which refuels
+        were full vs. delta).
         """
         started = time.perf_counter()
-        seeds, context = self._seeds, self._context
-        plans = plan_refuel(seeds, dry, self._sweep, self._sweeps,
+        context = self._context
+        plans = plan_refuel(self._seeds, dry, self._sweep, self._sweeps,
                             self.window)
-        context.position_plan = {handle: ts.positions
-                                 for handle, ts in seeds.items()}
-        context.position_plan.update(plans)
-        context.refuel_handles = frozenset(plans)
         context.delta_mode = context.delta_tracking
         delta_before, full_before = context.delta_runs, context.full_runs
-        relation = self.plan.execute(context)
-        context.delta_mode = False
+        try:
+            if not self._refuel_rows(plans):
+                self._refuel_all(plans)
+        finally:
+            context.delta_mode = False
         if context.full_runs > full_before:
             self._full_replenish_runs += 1
         elif context.delta_runs > delta_before:
@@ -1179,10 +1168,116 @@ class GibbsLooper:
         context.plan_runs += 1
         self._replenish_runs += 1
         self._replenished_flag = True
-        versions = self._version_count()
+        self._replenish_seconds += time.perf_counter() - started
+
+    def _refuel_rows(self, plans: dict[int, np.ndarray]) -> bool:
+        """Refuel by Δ-execution: run the plan over the rows of the
+        refuel set's seeds only and splice them into the Gibbs tuples.
+
+        ``plans`` maps the refuel set's seeds to their new windows.
+        Needs every tuple to read one seed: the output is then exactly
+        the refuel set's tuples, in order (see
+        :class:`~repro.engine.operators.Instantiate`) — unless a random
+        ``Select`` or ``Split`` dropped or surfaced a row, which
+        :meth:`_signatures_match` catches.  Returns whether it spliced.
+        An attempt whose rows did not match has cost a plan run and left
+        the context's ``position_plan``, chunk memos and
+        ``node_executions`` moved, but its baseline and row and run
+        counters are restored: the re-run over every row merges into,
+        and counts, what it would have without the attempt.
+        """
+        # Spliced rows view the Δ run's arrays, which live on while any
+        # one of its rows is not refueled again.  Once the windows spliced
+        # since the last run over every row outweigh the live ones 4:1,
+        # this refuel re-runs every row instead: that re-points them all
+        # at one fresh run, so no refuel pattern makes window memory grow
+        # past a constant factor of the live windows.
+        planned = sum(window.size for window in plans.values())
+        if self._single_rows.size != len(self._tuples) or (
+                self._spliced + planned > 4 * sum(
+                    ts.positions.size for ts in self._seeds.values())):
+            return False
+        rows = np.flatnonzero(np.isin(self._row_seeds, np.fromiter(
+            plans, dtype=np.int64, count=len(plans))))
+        context = self._context
+        before = (dict(context.materialized), context.full_runs,
+                  context.delta_runs, context.instantiate_rows_computed,
+                  context.instantiate_rows_reused)
+        context.position_plan = plans
+        context.handle_filter = frozenset(plans)
+        try:
+            relation = self.plan.execute(context)
+        finally:
+            context.handle_filter = None
+        if not self._signatures_match(self._relation_signature(relation),
+                                      rows):
+            (context.materialized, context.full_runs, context.delta_runs,
+             context.instantiate_rows_computed,
+             context.instantiate_rows_reused) = before
+            return False
+        contribution, presence_count, always_present, offsets = \
+            _candidate_cells(relation, np.arange(relation.length),
+                             self.aggregate_expr, self.final_predicate)
+        self._check_rows(rows, plans, contribution,
+                         None if always_present else presence_count)
+        self._point_windows(relation, rows)
+        for handle, positions in plans.items():
+            self._seeds[handle].positions = positions
+        store = self._candidates
+        bounds = offsets.tolist()
+        for at, row in enumerate(rows.tolist()):
+            index = self._states[row].candidate
+            cells = slice(bounds[at], bounds[at + 1])
+            store.contribution[index] = contribution[cells]
+            store.presence_count[index] = presence_count[cells]
+        self._spliced += planned
+        store.always_present &= always_present
+        return True
+
+    def _check_rows(self, rows: np.ndarray, plans: dict[int, np.ndarray],
+                    contribution: np.ndarray,
+                    presence_count: np.ndarray | None) -> None:
+        """Invariant of a splice: at every version's assigned position,
+        the tuples ``rows``' new candidates — runs of ``contribution`` and
+        ``presence_count`` over the windows ``plans`` — reproduce their
+        cached contribution and count, bit for bit (both come from the
+        same elementwise arithmetic; a NaN matches a NaN): the caches and
+        the streams cannot disagree.  ``presence_count`` is ``None`` for
+        always-present candidates: every count is 1.
+        """
+        if not rows.size:
+            return
+        seeds = self._row_seeds[rows].tolist()
+        windows = [plans[handle] for handle in seeds]
+        cells = np.stack([window.searchsorted(self._seeds[handle].assignment)
+                          for window, handle in zip(windows, seeds)])
+        cells += np.cumsum([0] + [window.size for window in windows[:-1]])[
+            :, None]  # each run's start
+        np.minimum(cells, contribution.size - 1, out=cells)
+        got, cached = contribution[cells], self._contribution_matrix[rows]
+        counts = self._count_matrix[rows]
+        if not ((np.array_equal(got, cached)
+                 or np.array_equal(got, cached, equal_nan=True))
+                and (np.all(counts == 1.0) if presence_count is None
+                     else np.array_equal(presence_count[cells], counts))):
+            raise EngineError(
+                "replenishment changed query results; stream/cache "
+                "inconsistency (this is a bug)")
+
+    def _refuel_all(self, plans: dict[int, np.ndarray]) -> None:
+        """Refuel by re-running the plan over every row and re-deriving
+        the windows (:meth:`_ingest`) — a multi-seed tuple, rows that
+        moved under the refuel, or spliced windows outweighing the live
+        ones (see :meth:`_refuel_rows`).
+        ``plans`` maps the refuel set's seeds to their new windows; every
+        other seed keeps its own."""
+        context = self._context
+        context.position_plan = {handle: ts.positions
+                                 for handle, ts in self._seeds.items()}
+        context.position_plan.update(plans)
+        relation = self.plan.execute(context)
         old_sums, old_counts = self._sums, self._counts
-        self._ingest(relation, versions, initial=False)
-        context.refuel_handles = None
+        self._ingest(relation, self._version_count(), initial=False)
         # Invariant: rebuilding from assignments must reproduce the same
         # query results — the caches and the streams cannot disagree.
         if not (np.allclose(old_sums, self._sums, atol=1e-9)
@@ -1196,4 +1291,3 @@ class GibbsLooper:
         # schedule is exactly what the window size changes.  Restoring
         # makes every downstream bit independent of it.
         self._sums, self._counts = old_sums, old_counts
-        self._replenish_seconds += time.perf_counter() - started

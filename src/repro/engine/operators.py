@@ -46,11 +46,6 @@ from repro.engine.seeds import (
 from repro.engine.table import Catalog
 from repro.vg.streams import gather_stream_points, gather_stream_windows
 
-#: Missing window slots a delta merge gathers per batched stream fill:
-#: large enough to amortize the fill's set-up over many rows, small
-#: enough that its index temporaries stay a fraction of the runs filled.
-_FILL_BATCH = 8192
-
 __all__ = [
     "ExecutionContext", "PlanNode", "Scan", "Seed", "Instantiate",
     "Select", "Project", "Join", "Split", "random_table_pipeline",
@@ -117,15 +112,12 @@ class ExecutionContext:
         #: windows.
         self.delta_tracking = False
         self.delta_mode = False
-        #: Delta-run hint from whoever installed ``position_plan``: the
-        #: refuel set, i.e. the handles whose plan entry changed since the
-        #: previous plan run on this context.  Every other handle's window
-        #: is exactly what that run materialized, so a delta
-        #: ``Instantiate`` carries those rows over without looking at
-        #: them.  ``None`` (the default) means any handle may have moved:
-        #: every row is matched position by position.  The setter must
+        #: Refuel Δ-execution: the seed handles whose rows a run computes.
+        #: When set, every ``Instantiate`` keeps only the input rows of
+        #: these handles, so the plan yields just the rows of a refuel's
+        #: re-planned seeds (see :class:`Instantiate`).  The setter must
         #: reset it once it has consumed the run.
-        self.refuel_handles: frozenset[int] | None = None
+        self.handle_filter: frozenset[int] | None = None
         self.materialized: dict[int, "_Materialization"] = {}
         self.plan_runs = 0
         self.node_executions = 0
@@ -313,22 +305,49 @@ def _restamp(relation: BundleRelation, positions: int,
 
 
 @dataclass
-class _Materialization:
-    """What an Instantiate produced (and, under delta tracking, the
-    baseline the next delta run merges into).
+class _Runs:
+    """One Instantiate run's output: ``columns[i]`` holds output ``i``'s
+    values as runs — row ``t`` is ``columns[i, offsets[t]:offsets[t +
+    1]]``, the stream values at the ascending positions
+    ``positions[handle of t]``, the first of which is ``bases[t]`` and
+    whose last contiguous run starts at slot ``finals[t]``."""
 
-    ``columns[i]`` holds output ``i``'s values as runs: row ``t`` is
-    ``columns[i, offsets[t]:offsets[t + 1]]``, the stream values at the
-    ascending positions ``positions[handles[t]]``.  A delta run copies
-    the overlap from ``columns`` and gathers only positions outside it
-    from the streams.
-    """
-
-    handles: np.ndarray
     positions: dict[int, np.ndarray]
     columns: np.ndarray
     offsets: np.ndarray
     bases: np.ndarray
+    finals: np.ndarray
+
+
+@dataclass
+class _Materialization:
+    """What an Instantiate materialized, per seed handle: the baseline a
+    delta run merges into.
+
+    ``positions[h]`` is the ascending window seed ``h`` materialized
+    last, ``values[h]`` the ``(outputs, len)`` values there and
+    ``finals[h]`` the slot where the window's last contiguous run
+    starts.  A delta run over some handles updates their entries.
+    """
+
+    positions: dict[int, np.ndarray]
+    values: dict[int, np.ndarray]
+    finals: dict[int, int]
+
+    @classmethod
+    def record(cls, handles: np.ndarray, runs: _Runs,
+               previous: "_Materialization | None") -> "_Materialization":
+        """The baseline after ``runs`` over rows ``handles``, merged
+        into ``previous`` when the run was a delta run."""
+        handle_list, bounds = handles.tolist(), runs.offsets.tolist()
+        values = {handle: runs.columns[:, lo:hi] for handle, lo, hi in zip(
+            handle_list, bounds[:-1], bounds[1:])}
+        finals = dict(zip(handle_list, runs.finals.tolist()))
+        if previous is None:
+            return cls(runs.positions, values, finals)
+        return cls({**previous.positions, **runs.positions},
+                   {**previous.values, **values},
+                   {**previous.finals, **finals})
 
 
 class Scan(PlanNode):
@@ -434,18 +453,28 @@ class Instantiate(PlanNode):
 
     Each distinct parameter tuple is validated once, however many rows
     share it, and the whole output is filled by a single batched stream
-    read: :func:`repro.vg.streams.gather_stream_windows` when all rows
-    share one position window (every non-replenishment run), else
+    read: when all rows share the default window, by
+    :func:`repro.vg.streams.gather_stream_windows`, else by
     :func:`repro.vg.streams.gather_stream_points` over each row's own.
 
-    Under delta replenishment (``context.delta_mode``) the operator does
-    not rebuild its output: it gathers from the streams only positions
-    that were never materialized before (those past each seed's
-    ``max_used``) and copies every other value from the recorded previous
-    windows — "materialize only what's new", cf. the LCG MCDB's reuse of
-    already-produced Monte Carlo samples (PAPERS.md).  Streams are pure
-    functions of position, so the merged bundle is bit-identical to a full
-    rebuild.
+    A refuel runs the plan as a Δ-execution over its refuel set
+    (``context.handle_filter``): the operator keeps only the input rows
+    of those seeds — the rows its child, a ``Seed`` under deterministic
+    filters, numbered for them — so it and every operator above it see
+    nothing else, and the cached deterministic input is served whole.
+    Every operator is row-local (an output row derives from its own
+    input rows alone, in their order), so the plan then yields exactly
+    the output rows whose random fields come from those seeds — though a
+    random ``Select`` or a ``Split`` may drop or surface a row when its
+    window changes.
+    Under delta replenishment (``context.delta_mode``) the operator then
+    does not rebuild those rows: it copies every value its baseline (the
+    windows each handle materialized last) already holds and gathers
+    from the streams only positions never materialized before — "only
+    adds new or currently assigned values" (Sec. 9), cf. the LCG MCDB's
+    reuse of already-produced Monte Carlo samples (PAPERS.md).  Streams
+    are pure functions of position, so the merged runs are bit-identical
+    to a full rebuild.
     """
 
     def __init__(self, child: PlanNode, vg, param_exprs: Sequence[Expr],
@@ -468,16 +497,21 @@ class Instantiate(PlanNode):
 
     def _run(self, context):
         relation = self.children[0].execute(context)
+        refuel = context.handle_filter
+        if refuel is not None:
+            relation = relation.filter_rows(np.isin(
+                relation.det_columns[self.handle_column],
+                np.fromiter(refuel, dtype=np.int64, count=len(refuel))))
         length = relation.length
         handles = relation.det_columns[self.handle_column].astype(np.int64)
         self._register_seeds(context, relation, handles)
 
         previous = (context.materialized.get(self.node_id)
                     if context.delta_mode else None)
-        if previous is not None and not np.array_equal(previous.handles,
-                                                       handles):
-            # A refuel re-runs the very rows of the baseline; any other
-            # row set leaves nothing to merge into.
+        if previous is not None and not all(
+                map(previous.positions.__contains__, handles.tolist())):
+            # A delta run merges rows whose seeds the baseline holds;
+            # any other row set leaves nothing to merge into.
             previous = None
 
         if previous is not None:
@@ -504,7 +538,8 @@ class Instantiate(PlanNode):
                     bases=runs.bases.copy(), offsets=runs.offsets)
             out.add_rand_column(name, column)
         if context.delta_tracking:
-            context.materialized[self.node_id] = runs
+            context.materialized[self.node_id] = _Materialization.record(
+                handles, runs, previous)
         return out
 
     def _register_seeds(self, context, relation, handles) -> None:
@@ -544,151 +579,118 @@ class Instantiate(PlanNode):
             if handle not in seeds:
                 seeds[handle] = SeedInfo(handle, prng_seed, self.vg, params)
 
-    def _gather_shared(self, context, handles) -> _Materialization:
-        """Full run, no position plan: all seeds share one window.
-
-        Every handle materializes the same ascending position vector, so
-        the whole relation is filled by one batched call that generates
-        each (seed, chunk) once and writes every output's slice of it
-        straight into the block behind the runs.
-        """
+    def _gather_shared(self, context, handles) -> _Runs:
+        """Full run, no position plan: every row's window is the
+        contiguous default range, and one batched range read fills them
+        all.  A tail run reads through each seed's ``chunk_blocks``,
+        which keeps the chunk the window ends in for the seed's first
+        refuel; Monte Carlo, which never refuels, keeps no chunk."""
         count, width = handles.shape[0], context.positions
-        columns = np.empty((len(self.outputs), count * width))
-        offsets = np.arange(0, (count + 1) * width, width, dtype=np.int64)
-        if not count:
-            return _Materialization(handles, {}, columns, offsets,
-                                    np.empty(0, dtype=np.int64))
+        first = context.position_offset
         handle_list = handles.tolist()
         context.instantiate_rows_computed += count
-        shared = context.positions_for(handle_list[0])
-        gather_stream_windows(
-            shared, [(info.prng_seed, info.vg, info.params)
-                     for info in map(context.seeds.__getitem__, handle_list)],
-            [component for _, component in self.outputs],
-            out=columns.reshape(len(self.outputs), count, width))
-        return _Materialization(
-            handles, dict.fromkeys(handle_list, shared), columns, offsets,
-            np.full(count, shared[0], dtype=np.int64))
+        columns = gather_stream_windows(
+            SeedInfo.draw if context.aligned else SeedInfo.chunk_blocks,
+            list(map(context.seeds.__getitem__, handle_list)),
+            np.full(count, first), np.full(count, first + width),
+            [component for _, component in self.outputs])
+        return _Runs(
+            dict.fromkeys(handle_list, np.arange(first, first + width)),
+            columns, np.arange(0, (count + 1) * width, width),
+            np.full(count, first, dtype=np.int64),
+            np.zeros(count, dtype=np.int64))
 
-    def _gather_per_row(self, context, handles) -> _Materialization:
-        """Full run under a position plan: each row's window is its seed's
-        own, and one batched read over the seeds' ``chunk_blocks`` fills
-        them all."""
-        context.instantiate_rows_computed += handles.shape[0]
+    def _windows(self, context, handles):
+        """Each row's planned window: ``(positions by handle, the rows'
+        positions concatenated, their run offsets)``."""
         handle_list = handles.tolist()
         positions_by_handle = {handle: context.positions_for(handle)
                                for handle in dict.fromkeys(handle_list)}
         windows = [positions_by_handle[handle] for handle in handle_list]
-        sizes = [window.size for window in windows]
-        columns = gather_stream_points(
-            [context.seeds[handle].chunk_blocks for handle in handle_list],
-            np.repeat(np.arange(len(windows)), sizes),
-            np.concatenate(windows) if windows else [],
-            [component for _, component in self.outputs])
-        bases = np.array([window[0] for window in windows], dtype=np.int64)
-        return _Materialization(handles, positions_by_handle, columns,
-                                _offsets_of(sizes), bases)
+        offsets = _offsets_of([window.size for window in windows])
+        flat = (np.concatenate(windows) if windows
+                else np.empty(0, dtype=np.int64))
+        return positions_by_handle, flat, offsets
 
-    def _merge_delta(self, context, handles, previous) -> _Materialization:
-        """Delta replenishment: copy overlap, gather only new positions.
+    def _fill(self, context, handles, row_of, positions) -> np.ndarray:
+        """One batched stream read: request ``i`` is row ``row_of[i]``'s
+        stream at ``positions[i]`` (grouped by row, ascending)."""
+        return gather_stream_points(
+            [context.seeds[handle].chunk_blocks
+             for handle in handles.tolist()],
+            row_of, positions, [component for _, component in self.outputs])
 
-        Rows of handles outside ``context.refuel_handles`` (see
-        :class:`ExecutionContext`) materialize exactly the run the
-        previous run recorded, so they carry over untouched: each stretch
-        of consecutive such rows is one slice copy.  The remaining rows
-        (every row, when the context names no refuel set) are merged
-        together by :meth:`_merge_moved`.
-        """
-        count = handles.shape[0]
-        refuel = context.refuel_handles
-        if refuel is None:
-            moved = np.ones(count, dtype=bool)
-        else:
-            moved = np.fromiter(map(refuel.__contains__, handles.tolist()),
-                                dtype=bool, count=count)
-        rows = np.flatnonzero(moved)
-        kept = np.flatnonzero(~moved)
-        new_of = {handle: context.positions_for(handle)
-                  for handle in dict.fromkeys(handles[rows].tolist())}
-        lengths = np.diff(previous.offsets)
-        lengths[rows] = [new_of[handle].size
-                         for handle in handles[rows].tolist()]
-        offsets = _offsets_of(lengths)
-        columns = np.empty((len(self.outputs), int(offsets[-1])))
-        bases = np.empty(count, dtype=np.int64)
-        positions_by_handle: dict[int, np.ndarray] = {}
-        if kept.size:
-            breaks = np.flatnonzero(np.diff(kept) != 1) + 1
-            firsts = kept[np.concatenate(([0], breaks))].tolist()
-            lasts = (kept[np.concatenate((breaks - 1, [kept.size - 1]))]
-                     + 1).tolist()
-            old = previous.offsets
-            for first, last in zip(firsts, lasts):
-                columns[:, offsets[first]:offsets[last]] = \
-                    previous.columns[:, old[first]:old[last]]
-            bases[kept] = previous.bases[kept]
-            positions_by_handle.update(previous.positions)
-            context.instantiate_rows_reused += int(kept.size)
-        if rows.size:
-            self._merge_moved(context, handles, rows, columns, offsets,
-                              bases, previous, new_of)
-            positions_by_handle.update(new_of)
-        return _Materialization(handles, positions_by_handle, columns,
-                                offsets, bases)
+    def _gather_per_row(self, context, handles) -> _Runs:
+        """Full run under a position plan: each row's window is its seed's
+        own, and one batched read over the seeds' ``chunk_blocks`` fills
+        them all."""
+        context.instantiate_rows_computed += handles.shape[0]
+        positions_by_handle, flat, offsets = self._windows(context, handles)
+        columns = self._fill(context, handles, np.repeat(
+            np.arange(handles.shape[0]), np.diff(offsets)), flat)
+        return _Runs(positions_by_handle, columns, offsets,
+                     flat[offsets[:-1]],
+                     _final_runs(flat, offsets) - offsets[:-1])
 
-    def _merge_moved(self, context, handles, rows, columns, offsets, bases,
-                     previous, new_of) -> None:
-        """Merge every moved row's new run into ``columns``.
+    def _merge_delta(self, context, handles, previous) -> _Runs:
+        """Delta replenishment: copy what the baseline holds, gather only
+        new positions.
 
-        Each row's new positions ``new_of[handle]`` are matched against
-        the positions the row materialized last run by
-        :func:`_match_window`: the overlap of the two windows' final
-        contiguous runs (a refuel's fresh range) lands as one slice copy,
-        and only the positions before it are searched.
-        The positions the old runs lack come from batched stream fills
-        over many rows (:meth:`_fill_missing`, every :data:`_FILL_BATCH`
-        slots), one generated chunk per (seed, chunk).  A row counts as
+        Every row's planned window is matched against the one its handle
+        materialized last by :func:`_match_windows`, one pass over all
+        rows.  A refueled row is three pieces: its head (the assigned
+        positions) gathered from the baseline, the overlap of the two
+        final runs sliced from it, and its tail — the fresh positions past
+        the old window, contiguous — drawn by one batched range fill over
+        all rows, one generated chunk per (seed, chunk); the output is
+        one concatenation of all pieces.  A row whose head the baseline
+        lacks, or whose tail is not one run (never, for a refuel's plan),
+        is drawn whole by one batched point fill.  A row counts as
         computed when it touched the streams at all, else as reused.
         """
-        old_offsets = previous.offsets.tolist()
-        starts = offsets.tolist()
-        pending, pending_cells, computed = [], 0, 0
-        for row, handle in zip(rows.tolist(), handles[rows].tolist()):
-            new = new_of[handle]
-            bases[row] = new[0]
-            start = starts[row]
-            (run_new, run_old), head, index, missing = _match_window(
-                new, previous.positions[handle])
-            target = columns[:, start:start + new.size]
-            origin = previous.columns[:, old_offsets[row]:
-                                      old_offsets[row + 1]]
-            target[:, run_new] = origin[:, run_old]
-            target[:, head] = origin[:, index]
-            if missing.size:
-                computed += 1
-                pending.append((start, handle, missing))
-                pending_cells += missing.size
-                if pending_cells >= _FILL_BATCH:
-                    self._fill_missing(context, columns, new_of, pending)
-                    pending, pending_cells = [], 0
-        if pending:
-            self._fill_missing(context, columns, new_of, pending)
-        context.instantiate_rows_computed += computed
-        context.instantiate_rows_reused += rows.size - computed
-
-    def _fill_missing(self, context, columns, new_of, pending) -> None:
-        """One batched stream fill of the ``(start, handle, slots)`` in
-        ``pending``: slots of the run starting at ``start`` that the
-        previous run never materialized."""
-        sizes = [slots.size for _, _, slots in pending]
-        values = gather_stream_points(
-            [context.seeds[handle].chunk_blocks for _, handle, _ in pending],
-            np.repeat(np.arange(len(pending)), sizes),
-            np.concatenate([new_of[handle][slots]
-                            for _, handle, slots in pending]),
+        positions_by_handle, flat, offsets = self._windows(context, handles)
+        handle_list = handles.tolist()
+        if not handle_list:
+            return _Runs({}, np.empty((len(self.outputs), 0)), offsets, flat,
+                         flat)
+        finals, first, stop, origin, head, held = _match_windows(
+            flat, offsets, [previous.positions[handle]
+                            for handle in handle_list],
+            [previous.finals[handle] for handle in handle_list])
+        lengths = np.diff(offsets)
+        pieced = held & (stop >= finals)
+        tails = np.where(pieced, lengths - stop, 0)
+        ranged = np.flatnonzero(tails)
+        drawn = gather_stream_windows(
+            SeedInfo.chunk_blocks,
+            [context.seeds[handle_list[row]] for row in ranged.tolist()],
+            flat[offsets[ranged] + stop[ranged]],
+            flat[offsets[ranged + 1] - 1] + 1,
             [component for _, component in self.outputs])
-        cells = np.concatenate([slots + start for start, _, slots in pending])
-        columns[:, cells] = values
+        whole = np.flatnonzero(~pieced)
+        if whole.size:
+            cells, rows = _spans(offsets[whole], offsets[whole + 1])
+            redrawn = self._fill(context, handles[whole], rows, flat[cells])
+        pieces, head_at, drawn_at, redrawn_at = [], 0, 0, 0
+        for handle, pieceable, size, run_start, run_stop, at, tail in zip(
+                handle_list, pieced.tolist(), lengths.tolist(),
+                first.tolist(), stop.tolist(), origin.tolist(),
+                tails.tolist()):
+            head_at += run_start
+            if not pieceable:
+                pieces.append(redrawn[:, redrawn_at:redrawn_at + size])
+                redrawn_at += size
+                continue
+            values = previous.values[handle]
+            pieces.append(values[:, head[head_at - run_start:head_at]])
+            pieces.append(values[:, at:at + run_stop - run_start])
+            pieces.append(drawn[:, drawn_at:drawn_at + tail])
+            drawn_at += tail
+        computed = ranged.size + whole.size
+        context.instantiate_rows_computed += computed
+        context.instantiate_rows_reused += len(handle_list) - computed
+        return _Runs(positions_by_handle, np.concatenate(pieces, axis=1),
+                     offsets, flat[offsets[:-1]], finals)
 
     def _describe_line(self):
         names = ", ".join(name for name, _ in self.outputs)
@@ -702,57 +704,111 @@ def _offsets_of(lengths) -> np.ndarray:
     return offsets
 
 
-def _final_run(positions: np.ndarray) -> int:
-    """Index where the ascending, duplicate-free ``positions`` start
-    their last contiguous run: ``positions[j] - j`` is non-decreasing and
-    constant exactly along a run, so a bisection finds where it reaches
-    its last value (a refuel window is its assigned positions, then one
-    long fresh run)."""
-    last = int(positions[-1]) - (positions.size - 1)
-    low, high = 0, positions.size - 1
-    while low < high:
-        mid = (low + high) // 2
-        if int(positions[mid]) - mid == last:
-            high = mid
-        else:
-            low = mid + 1
+def _spans(starts: np.ndarray, stops: np.ndarray):
+    """Every row's ``arange(starts[r], stops[r])``, concatenated, and
+    the row of each element."""
+    lengths = stops - starts
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    cells = np.arange(rows.size) + (starts - _offsets_of(lengths)[:-1])[rows]
+    return cells, rows
+
+
+def _bisect_rows(low: np.ndarray, high: np.ndarray, hit) -> np.ndarray:
+    """Per row ``r``, the least index in ``[low[r], high[r]]`` at which
+    ``hit(index)`` holds — one bisection over every row at once, for a
+    ``hit`` that is monotone (false, then true) along each row and holds
+    at ``high``.  ``hit`` maps an array of indices, one per row, to
+    bools."""
+    low, high = low.copy(), high.copy()
+    while (high - low).any():
+        mid = (low + high) >> 1
+        ok = hit(mid)
+        np.copyto(high, mid, where=ok)
+        np.copyto(low, mid + 1, where=~ok)
     return low
 
 
-def _match_window(new: np.ndarray, old: np.ndarray):
-    """Where a refueled window's positions sit in the previous window.
+def _final_runs(positions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per row of ascending, duplicate-free, non-empty runs: the index
+    where its last contiguous run starts.  ``positions[j] - j`` is
+    non-decreasing along a row and constant exactly along a run, so a
+    bisection finds where it reaches its last value (a refuel window is
+    its assigned positions, then one long fresh run)."""
+    last = offsets[1:] - 1
+    key = positions[last] - last
+    return _bisect_rows(offsets[:-1], last,
+                        lambda at: positions[at] - at == key)
 
-    Both are ascending and duplicate-free.  Returns ``((run_new,
-    run_old), head, index, missing)``: slot slice ``run_new`` of the new
-    window is slice ``run_old`` of the old one (the overlap of their
-    final contiguous runs — a refuel keeps most of its fresh range);
-    slots ``head`` are old slots ``index``; slots ``missing`` were never
-    materialized.  Only the slots before the run overlap — a refuel's
-    assigned positions — are searched; slots after it lie past the old
-    window's last position.
+
+def _match_windows(new: np.ndarray, new_offsets: np.ndarray,
+                   old: list[np.ndarray], old_finals: list[int]):
+    """Where every refueled window's positions sit in its row's previous
+    window, for all rows in one pass.
+
+    Row ``r`` of the runs ``new``/``new_offsets`` is its planned window,
+    ``old[r]`` the one it materialized last, whose last contiguous run
+    starts at slot ``old_finals[r]``; both ascending, duplicate-free and
+    non-empty.  Per row, the overlap of the two windows' final
+    contiguous runs (a refuel keeps most of its fresh range) maps by
+    offset, and the slots after it lie past the old window's last
+    position; only the slots before it — the head, a refuel's assigned
+    positions — are looked up, every row's in one ``searchsorted`` over
+    the old windows' heads.
+
+    Returns per-row arrays ``(finals, first, stop, origin, head, held)``,
+    slots counted from each row's start: ``finals`` where each new
+    window's last contiguous run starts; new slots ``[first, stop)`` are
+    old slots ``[origin, origin + stop - first)``; new slots from
+    ``stop`` on were never materialized; new slot ``j < first`` is old
+    slot ``head[j]`` of the row's run of ``head`` (runs of lengths
+    ``first``), ``-1`` when the old window lacks it; ``held`` says the
+    old window has every head slot.
     """
-    width = new.size
-    run_start, old_start = _final_run(new), _final_run(old)
-    low = max(int(new[run_start]), int(old[old_start]))
-    high = min(int(new[-1]), int(old[-1]))
-    if low <= high:
-        first = run_start + low - int(new[run_start])
-        stop = first + high - low + 1
-        origin = old_start + low - int(old[old_start])
-        run_new, run_old = slice(first, stop), slice(origin,
-                                                     origin + stop - first)
-    else:
-        first = stop = int(np.searchsorted(new, old[-1], side="right"))
-        run_new = run_old = slice(0, 0)
-    missing = np.arange(stop, width)
-    index = np.searchsorted(old, new[:first])
-    np.minimum(index, old.size - 1, out=index)
-    found = old[index] == new[:first]
-    if found.all():  # the usual refuel: every assigned position was held
-        return (run_new, run_old), slice(0, first), index, missing
-    head = np.flatnonzero(found)
-    missing = np.concatenate([np.flatnonzero(~found), missing])
-    return (run_new, run_old), head, index[head], missing
+    new_lo, new_hi = new_offsets[:-1], new_offsets[1:]
+    new_run = _final_runs(new, new_offsets)
+    old_run = np.array(old_finals, dtype=np.int64)
+    old_first = np.array([window[at] for window, at in zip(old, old_finals)])
+    old_last = np.array([window[-1] for window in old])
+    new_first = new[new_run]
+    low = np.maximum(new_first, old_first)
+    high = np.minimum(new[new_hi - 1], old_last)
+    overlap = low <= high
+    first = new_run + low - new_first
+    # No overlap, new final run past the old window: the head ends at
+    # the first position past it.  New final run below the old one: the
+    # whole new window is head.
+    above = np.flatnonzero(new_first > old_last)
+    if above.size:
+        first[above] = _bisect_rows(
+            new_lo[above], new_run[above],
+            lambda at: new[at] > old_last[above])
+    first = np.where(overlap | (new_first > old_last), first, new_hi)
+    stop = np.where(overlap, first + high - low + 1, first)
+
+    cells, rows = _spans(new_lo, first)
+    wanted = new[cells]
+    # A head position in the old final run maps by offset; one below it
+    # is looked up among the old positions before that run.
+    head = np.where(
+        (wanted >= old_first[rows]) & (wanted <= old_last[rows]),
+        wanted - old_first[rows] + old_run[rows], -1)
+    below = np.flatnonzero(wanted < old_first[rows])
+    if below.size and old_run.any():
+        hay_rows = np.repeat(np.arange(old_run.size), old_run)
+        # One sorted key per (row, position): rows never interleave.
+        span = int(max(new[new_hi - 1].max(), old_last.max())) + 1
+        if span * old_run.size >= 1 << 62:
+            raise EngineError("stream positions too large to match")
+        hay = np.concatenate([window[:at] for window, at in zip(
+            old, old_finals)]) + hay_rows * span
+        needles = wanted[below] + rows[below] * span
+        at = np.minimum(np.searchsorted(hay, needles), hay.size - 1)
+        found = hay[at] == needles
+        hits = at[found]  # a hay cell's slot: its index past its row's start
+        head[below[found]] = hits - _offsets_of(old_run)[hay_rows[hits]]
+    held = np.bincount(rows[head < 0], minlength=new_lo.size) == 0
+    return new_run - new_lo, first - new_lo, stop - new_lo, \
+        old_run + low - old_first, head, held
 
 
 class Select(PlanNode):

@@ -111,7 +111,11 @@ class SeedInfo:
         memo = self._chunk_memo
         if memo is not None and memo[0] == chunk_index:
             return memo[1]
-        blocks = draw_chunk(self.prng_seed, self.vg, self.params,
-                            chunk_index)
+        blocks = self.draw(chunk_index)
         self._chunk_memo = (chunk_index, blocks)
         return blocks
+
+    def draw(self, chunk_index: int) -> np.ndarray:
+        """:meth:`chunk_blocks` keeping nothing: the read of a Monte Carlo
+        run, which never refuels."""
+        return draw_chunk(self.prng_seed, self.vg, self.params, chunk_index)

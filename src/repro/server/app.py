@@ -60,6 +60,9 @@ from .wire import (ApiError, columns_from_wire, output_to_wire,
 __all__ = ["QueryRecord", "StandingRecord", "RiskService", "RiskServer"]
 
 _STOP = object()  # admission-queue sentinel: one per runner at shutdown
+#: Failures that are the request's, not the server's: a 400 whether they
+#: surface in a handler or in a query that runs after the reply.
+_CLIENT_ERRORS = (SqlSyntaxError, CatalogError, EngineError)
 
 
 def _default_analysis_name(sql: str) -> str:
@@ -82,7 +85,7 @@ class QueryRecord:
     __slots__ = ("query_id", "tenant", "sql", "analysis_name", "timeout",
                  "status", "submitted_at", "_submitted_mono",
                  "queue_seconds", "run_seconds", "total_seconds",
-                 "result", "error", "analysis", "settled")
+                 "result", "error", "error_status", "analysis", "settled")
 
     def __init__(self, tenant: str, sql: str, analysis_name: str,
                  timeout: float | None):
@@ -99,6 +102,9 @@ class QueryRecord:
         self.total_seconds = None
         self.result = None
         self.error = None
+        #: The HTTP status the error maps to (400 for a typed client
+        #: error, 500 otherwise), as the handlers map a synchronous one.
+        self.error_status = None
         self.analysis = None  # {"name": ..., "version": ...} once journaled
         #: Set exactly once, when status leaves queued/running — lets
         #: ``GET /queries/{id}?wait=s`` long-poll instead of spinning.
@@ -126,6 +132,8 @@ class QueryRecord:
             payload["result"] = self.result
         if self.error is not None:
             payload["error"] = self.error
+        if self.error_status is not None:
+            payload["error_status"] = self.error_status
         return payload
 
 
@@ -293,11 +301,12 @@ class RiskService:
             try:
                 self._run_one(state, record)
             except Exception as exc:  # defensive: a runner must not die
-                self._transition(record, "error", error=repr(exc))
+                self._transition(record, "error", error=repr(exc),
+                                 error_status=500)
 
     def _transition(self, record: QueryRecord, status: str, *,
-                    result=None, error=None, analysis=None,
-                    started_mono=None) -> bool:
+                    result=None, error=None, error_status=None,
+                    analysis=None, started_mono=None) -> bool:
         """CAS a record out of its in-flight state; False if it lost."""
         now = time.monotonic()
         with self._qlock:
@@ -306,6 +315,7 @@ class RiskService:
             record.status = status
             record.result = result
             record.error = error
+            record.error_status = error_status
             record.analysis = analysis
             if started_mono is not None:
                 record.run_seconds = now - started_mono
@@ -358,8 +368,10 @@ class RiskService:
                 wire = output_to_wire(output)
                 versions = state.table_versions()
             except Exception as exc:
-                self._transition(record, "error", error=f"{exc}",
-                                 started_mono=started)
+                self._transition(
+                    record, "error", error=f"{exc}", started_mono=started,
+                    error_status=400 if isinstance(exc, _CLIENT_ERRORS)
+                    else 500)
             else:
                 self._complete(state, record, output.kind, wire, versions,
                                started)
@@ -755,7 +767,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = exc.status, exc.to_wire()
         except UnknownAnalysisError as exc:
             status, payload = 404, {"error": str(exc.args[0]), "status": 404}
-        except (SqlSyntaxError, CatalogError, EngineError) as exc:
+        except _CLIENT_ERRORS as exc:
             status, payload = 400, {"error": str(exc), "status": 400}
         except Exception as exc:  # don't leak tracebacks onto the wire
             status, payload = 500, {"error": f"internal error: {exc!r}",

@@ -601,6 +601,16 @@ class Session:
             raise PlanError(
                 f"CREATE TABLE header lists {len(header)} columns but the "
                 f"SELECT produces {consumed}")
+        try:
+            arity = vg.block_arity((0.0,) * len(statement.vg_args))
+        except ValueError as exc:
+            raise PlanError(f"{vg.name}: {exc}") from None
+        if len(random_names) > arity:
+            raise PlanError(
+                f"CREATE TABLE {statement.name} names {len(random_names)} "
+                f"outputs of {vg.name} ({', '.join(random_names)}), but "
+                f"{len(statement.vg_args)} parameters give blocks of "
+                f"{arity} value(s)")
         spec = RandomTableSpec(
             name=statement.name,
             parameter_table=statement.parameter_table,

@@ -34,7 +34,14 @@ class VGFunction(ABC):
     arity: int = 1
 
     def block_arity(self, params: Sequence[float]) -> int:
-        """Values per block for this parameterization."""
+        """Values per block for this parameterization.
+
+        It may depend on the number of parameters only, never on their
+        values: ``CREATE TABLE`` checks the outputs it names against the
+        arity of the ``VALUES(...)`` it was written with, before any
+        parameter row is read.  Raise ``ValueError`` for a parameter count
+        no block fits.
+        """
         return self.arity
 
     @abstractmethod

@@ -5,9 +5,9 @@ data" (Sec. 4.1): the sequence of value blocks produced by repeatedly
 executing one VG function with one PRNG seed.  :func:`draw_chunk` is its
 one definition — position ``i`` is row ``i % DEFAULT_CHUNK`` of chunk
 ``i // DEFAULT_CHUNK`` — and every reader draws through it: the batched
-fills :func:`gather_stream_windows` (many streams over one shared
-position vector) and :func:`gather_stream_points` (per-stream positions,
-the replenishment case).  One property matters for MCDB-R:
+fills :func:`gather_stream_windows` (per-stream position ranges) and
+:func:`gather_stream_points` (per-stream scattered positions).  One
+property matters for MCDB-R:
 
 * **Determinism** — position ``i`` of the stream is a pure function of
   ``(seed, i)``, so a stream can be discarded and regenerated at any time.
@@ -40,6 +40,7 @@ that need an object of their own.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -53,51 +54,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # enough that they can never overlap regardless of how many variates one
 # element consumes.
 _CHUNK_SHIFT = 40
-
-
-def gather_stream_windows(positions, rows, components,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Fill many streams' windows over one shared position vector.
-
-    ``rows[r]`` is ``(prng_seed, vg, params)`` — the stream of ``vg`` with
-    that parameter tuple fueled by that seed — and ``out[i, r]`` receives
-    component ``components[i]`` of its blocks at ``positions``.  ``out``
-    is the ``(len(components), len(rows), len(positions))`` float64 matrix
-    to write into — ``Instantiate``'s output rows — allocated when
-    ``None``, and is returned either way.  This is the one batched fill of
-    the full-run path: the chunk segmentation of ``positions`` is computed
-    *once*, and each (seed, chunk) pair costs a re-seek of the borrowed
-    generator (:func:`borrowed_generator`), one ``sample_blocks`` call and
-    one sliced copy per component — no stream object, closure or chunk
-    cache per seed.  Positions must be chunk-ascending (ascending chunk
-    indices; any order within a chunk) — the Instantiate window case;
-    :func:`gather_stream_points` reads per-stream positions.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if out is None:
-        out = np.empty((len(components), len(rows), positions.size))
-    if positions.size == 0 or not len(rows):
-        return out
-    if np.any(positions < 0):
-        raise IndexError("stream positions must be >= 0")
-    chunk_ids, offsets = np.divmod(positions, DEFAULT_CHUNK)
-    if np.any(chunk_ids[1:] < chunk_ids[:-1]):
-        raise ValueError("gather_stream_windows requires ascending positions")
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(chunk_ids)) + 1, [chunk_ids.size]))
-    segments = []
-    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        index = offsets[lo:hi]
-        if np.all(np.diff(index) == 1):  # a contiguous run: copy by slice
-            index = slice(int(index[0]), int(index[-1]) + 1)
-        segments.append((lo, hi, int(chunk_ids[lo]), index))
-    targets = list(enumerate(components))
-    for row, (seed, vg, params) in enumerate(rows):
-        for lo, hi, chunk_index, index in segments:
-            blocks = draw_chunk(seed, vg, params, chunk_index)
-            for slot, component in targets:
-                out[slot, row, lo:hi] = blocks[index, component]
-    return out
 
 
 def draw_chunk(seed: int, vg, params, chunk_index: int) -> np.ndarray:
@@ -165,6 +121,51 @@ def gather_stream_points(chunk_blocks, row_of, positions,
     return out
 
 
+def gather_stream_windows(draw, streams, starts, stops,
+                          components) -> np.ndarray:
+    """Fill many streams' windows, each a range of positions.
+
+    Window ``i`` is positions ``[starts[i], stops[i])`` of the stream
+    whose chunk ``chunk_index`` is ``draw(streams[i], chunk_index)``, a
+    ``(DEFAULT_CHUNK, arity)`` block matrix — e.g.
+    :meth:`repro.engine.seeds.SeedInfo.chunk_blocks`, which keeps the
+    chunk it drew last, or :meth:`~repro.engine.seeds.SeedInfo.draw`,
+    which keeps nothing, over ``SeedInfo`` streams.  ``out[c]`` (returned)
+    holds component ``components[c]`` of every window's blocks, the
+    windows concatenated in order, so equal-width windows read as a
+    ``(windows, width)`` block.  Each (window, chunk) pair costs one
+    ``draw`` call and one sliced copy per component, and nothing is
+    computed per position: the fill of a Monte Carlo run, of a tail
+    run's initial windows, and of the fresh positions a refuel adds to
+    each window; :func:`gather_stream_points` reads scattered positions.
+    """
+    bounds = list(zip(np.asarray(starts, dtype=np.int64).tolist(),
+                      np.asarray(stops, dtype=np.int64).tolist()))
+    if any(lo < 0 for lo, _ in bounds):
+        raise IndexError("stream positions must be >= 0")
+    if any(hi < lo for lo, hi in bounds):
+        raise ValueError("gather_stream_windows requires ascending ranges")
+    out = np.empty((len(components), sum(hi - lo for lo, hi in bounds)))
+    targets = list(enumerate(components))
+    at, last = 0, None
+    for stream, bound in zip(streams, bounds):
+        start, stop = bound
+        if bound != last:  # cut the range at chunk edges, once per range
+            last, pieces, lo = bound, [], start
+            while lo < stop:
+                chunk_index, first = divmod(lo, DEFAULT_CHUNK)
+                count = min(stop - lo, DEFAULT_CHUNK - first)
+                pieces.append((chunk_index, slice(first, first + count),
+                               lo - start, lo - start + count))
+                lo += count
+        for chunk_index, index, begin, end in pieces:
+            blocks = draw(stream, chunk_index)
+            for slot, component in targets:
+                out[slot, at + begin:at + end] = blocks[index, component]
+        at += stop - start
+    return out
+
+
 def generator_for_chunk(seed: int, chunk_index: int) -> np.random.Generator:
     """Return a *fresh* Generator positioned deterministically for one chunk.
 
@@ -198,7 +199,8 @@ def borrowed_generator(seed: int, chunk_index: int) -> np.random.Generator:
             bitgen, np.random.Generator(bitgen), state,
             state["state"]["counter"], state["state"]["key"])
     bitgen, generator, state, counter, key = entry
-    shifted = chunk_index << _CHUNK_SHIFT
+    # A NumPy integer index would overflow the shift at 64 bits.
+    shifted = operator.index(chunk_index) << _CHUNK_SHIFT
     key[0] = seed & _MASK64
     counter[0] = shifted & _MASK64
     counter[1] = shifted >> 64  # the carry: chunk_index >= 2**24

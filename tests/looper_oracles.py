@@ -2,10 +2,11 @@
 
 ``GibbsLooper`` runs one perturbation kernel — the batched one, which
 evaluates a whole window of candidates for every remaining DB version in
-one NumPy pass — and refuels by delta: ``Instantiate`` merges only
-never-materialized stream positions and the looper keeps its
-per-version caches when the tuple structure did not move (Sec. 9: the
-refuel "only adds new or currently assigned values").  The two paths they
+one NumPy pass — and refuels by Δ-execution: the plan runs over the
+refuel set's rows only, ``Instantiate`` merges only never-materialized
+stream positions into them, and the looper splices those rows into its
+tuples, keeping every per-version cache (Sec. 9: the refuel "only adds
+new or currently assigned values").  The two paths they
 replaced live here, as subclasses, so every equivalence test and golden
 can still compare against them:
 
@@ -209,17 +210,18 @@ class ScalarKernelLooper(GibbsLooper):
 class FullRefuelLooper(GibbsLooper):
     """Sec. 9 read literally: a refuel regenerates every window.
 
-    With ``delta_tracking`` off, ``Instantiate`` records no baseline to
-    merge into, so each refuel gathers every planned position from the
-    streams; never matching the previous tuple structure makes
-    ``_ingest`` rebuild every per-version cache from the assignments.
+    No refuel is a Δ-execution over the refuel set's rows: the plan
+    re-runs over every row and ``_ingest`` rebuilds every per-version
+    cache from the assignments.  With ``delta_tracking`` off,
+    ``Instantiate`` records no baseline to merge into, so each refuel
+    gathers every planned position from the streams.
     """
 
     def _replenish(self, dry: int) -> None:
         self._context.delta_tracking = False
         super()._replenish(dry)
 
-    def _signatures_match(self, signature: tuple) -> bool:
+    def _refuel_rows(self, plans) -> bool:
         return False
 
 

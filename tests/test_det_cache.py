@@ -38,7 +38,12 @@ from repro.sql import Session
 from repro.sql.parser import parse
 from repro.sql.planner import compile_select
 from repro.vg.builtin import NORMAL
-from repro.vg.streams import gather_stream_windows
+from repro.vg.streams import draw_chunk, gather_stream_windows
+
+
+def _draw(row, chunk_index):
+    """The window fill's ``draw`` over ``(seed, vg, params)`` rows."""
+    return draw_chunk(*row, chunk_index)
 
 
 def _catalog(rows=6):
@@ -621,14 +626,17 @@ class TestSignatureBatchedInstantiate:
     def test_gather_stream_windows_rejects_descending_chunks(self):
         with pytest.raises(ValueError, match="ascending"):
             gather_stream_windows(
-                np.array([300, 1]), [(7, NORMAL, (0.0, 1.0))], [0])
+                _draw, [(7, NORMAL, (0.0, 1.0))], [300], [1], [0])
 
     def test_gather_stream_windows_within_chunk_disorder_ok(self):
+        """Windows need no order among themselves: three one-position
+        windows of one chunk, out of order, read their positions."""
         out = gather_stream_windows(
-            np.array([3, 1, 2]), [(7, NORMAL, (0.0, 1.0))], [0])
-        assert out.shape == (1, 1, 3)
+            _draw, [(7, NORMAL, (0.0, 1.0))] * 3, [3, 1, 2],
+            [4, 2, 3], [0])
+        assert out.shape == (1, 3)
         np.testing.assert_array_equal(
-            out[0, 0], stream_values(7, NORMAL, (0.0, 1.0), [3, 1, 2]))
+            out[0], stream_values(7, NORMAL, (0.0, 1.0), [3, 1, 2]))
 
 
 class TestDeltaMergeEquivalence:
@@ -674,65 +682,68 @@ class TestDeltaMergeEquivalence:
                                       rebuilt.rand_columns["val"].bases)
 
     def test_stable_handles_are_carried_over_unvisited(self, monkeypatch):
-        """A delta re-run in which one handle's plan moved gathers stream
-        values for that handle only; every stable row comes back exactly
-        as the previous run materialized it."""
+        """A refuel's Δ-execution in which one handle's plan moved runs
+        ``Instantiate`` over that handle's row only (the context's
+        handle filter): it gathers stream values for that handle only,
+        and every stable handle's baseline entry is carried over
+        untouched, never visited."""
         catalog, plan, context = self._prepare()
         context.delta_mode = True
         before = plan.execute(context)
         handles = [int(h) for h in
                    before.rand_columns["val"].seed_handles]
-        moved, moved_row = handles[2], 2
+        moved = handles[2]
         old_plan = context.position_plan[moved]
         # The moved seed drops one assigned position and refuels past
         # its old window; everyone else re-serves the same plan object.
         new_plan = np.concatenate([
             old_plan[1:], np.arange(old_plan[-1] + 1, old_plan[-1] + 2)])
         context.position_plan = {**context.position_plan, moved: new_plan}
-        context.refuel_handles = frozenset({moved})
+        context.handle_filter = frozenset({moved})
+        baseline = next(iter(context.materialized.values()))
         gathered = []
-        gather_points = operators.gather_stream_points
-        handle_of = {info.chunk_blocks: handle
-                     for handle, info in context.seeds.items()}
+        gather_ranges = operators.gather_stream_windows
 
-        def windows_spy(*args, **kwargs):
-            raise AssertionError("shared-window stream fill in a refuel")
+        def point_fill(*args, **kwargs):
+            raise AssertionError("a point fill in a refuel")
 
-        def points_spy(rows, row_of, positions, components, **kwargs):
-            for row, count in zip(*np.unique(row_of, return_counts=True)):
-                gathered.append((handle_of[rows[row]], int(count)))
-            return gather_points(rows, row_of, positions, components,
-                                 **kwargs)
+        def ranges_spy(draw, streams, starts, stops, components):
+            for info, lo, hi in zip(streams, starts, stops):
+                gathered.append((info.handle, int(hi - lo)))
+            return gather_ranges(draw, streams, starts, stops, components)
 
-        monkeypatch.setattr(operators, "gather_stream_windows", windows_spy)
-        monkeypatch.setattr(operators, "gather_stream_points", points_spy)
-        reused = context.instantiate_rows_reused
+        monkeypatch.setattr(operators, "gather_stream_points", point_fill)
+        monkeypatch.setattr(operators, "gather_stream_windows", ranges_spy)
+        computed, reused = (context.instantiate_rows_computed,
+                            context.instantiate_rows_reused)
         after = plan.execute(context)
+        context.handle_filter = None
         assert gathered == [(moved, 1)]  # just the never-seen position
-        assert context.instantiate_rows_reused == reused + len(handles) - 1
-        stable_rows = [row for row in range(len(handles))
-                       if row != moved_row]
-        for row in stable_rows:
-            np.testing.assert_array_equal(
-                after.rand_columns["val"].row(row),
-                before.rand_columns["val"].row(row))
-        np.testing.assert_array_equal(
-            after.rand_columns["val"].bases[stable_rows],
-            before.rand_columns["val"].bases[stable_rows])
-        # The moved row equals a from-scratch materialization of its plan.
+        assert (context.instantiate_rows_computed,
+                context.instantiate_rows_reused) == (computed + 1, reused)
+        # The Δ output is the moved row alone, equal to a from-scratch
+        # materialization of its plan.
+        assert after.rand_columns["val"].seed_handles.tolist() == [moved]
         info = context.seeds[moved]
         np.testing.assert_array_equal(
-            after.rand_columns["val"].row(moved_row),
+            after.rand_columns["val"].row(0),
             stream_values(info.prng_seed, info.vg, info.params, new_plan))
-        assert after.rand_columns["val"].bases[moved_row] == new_plan[0]
+        assert after.rand_columns["val"].bases[0] == new_plan[0]
+        # Every stable handle's baseline entry is the very one before.
+        merged = next(iter(context.materialized.values()))
+        for handle in handles:
+            if handle != moved:
+                assert merged.positions[handle] is baseline.positions[handle]
+                assert merged.values[handle] is baseline.values[handle]
+        np.testing.assert_array_equal(merged.positions[moved], new_plan)
 
     def test_delta_rejected_when_rows_change(self):
-        """A merge baseline with a different row set must be discarded."""
+        """A merge baseline that lacks a row's handle must be discarded."""
         catalog, plan, context = self._prepare()
         context.delta_mode = True
-        # Tamper with the recorded baseline: wrong handle order.
+        # Tamper with the recorded baseline: one handle never recorded.
         for materialization in context.materialized.values():
-            materialization.handles = materialization.handles[::-1].copy()
+            del materialization.positions[min(materialization.positions)]
         merged = plan.execute(context)
         assert context.delta_runs == 0  # fell back to a full gather
         rebuilt_context = ExecutionContext(

@@ -265,15 +265,14 @@ class TestWindowCandidates:
             _, _, (value,), (present,) = _dense_reference(
                 [tuples[row]], [states[row]], OWN, aggregate, predicate,
                 0, 1, start, stop)
-            base = int(candidates.offsets[index])
-            window = slice(base + start, base + stop)
-            _same_bits(candidates.contribution[window],
+            window = slice(start, stop)
+            _same_bits(candidates.contribution[index][window],
                        np.where(present[0], value[0], 0.0))
-            _same_bits(candidates.presence_count[window],
+            _same_bits(candidates.presence_count[index][window],
                        present[0].astype(np.float64))
             if candidates.always_present:
                 assert present.all()
-                _same_bits(candidates.contribution[window], value[0])
+                _same_bits(candidates.contribution[index][window], value[0])
 
     @given(data=st.data(), rows=st.integers(1, 4),
            aggregate=st.sampled_from(_AGGREGATES),
@@ -293,17 +292,15 @@ class TestWindowCandidates:
         candidates = window_candidates(relation, single, aggregate,
                                        predicate)
         states = _states(data.draw, tuples, None)
-        assert candidates.offsets.tolist() == [
-            own_depth * index for index in range(single.size + 1)]
+        assert [run.size for run in candidates.contribution] == [
+            own_depth] * single.size
         for index, row in enumerate(single.tolist()):
             _, _, (value,), (present,) = _dense_reference(
                 [tuples[row]], [states[row]], OWN, aggregate, predicate,
                 0, 1, 0, own_depth)
-            run = slice(int(candidates.offsets[index]),
-                        int(candidates.offsets[index + 1]))
-            _same_bits(candidates.contribution[run],
+            _same_bits(candidates.contribution[index],
                        np.where(present[0], value[0], 0.0))
-            _same_bits(candidates.presence_count[run],
+            _same_bits(candidates.presence_count[index],
                        present[0].astype(np.float64))
 
     def test_bare_column_sum_is_a_view(self):
@@ -313,7 +310,8 @@ class TestWindowCandidates:
         candidates = window_candidates(relation, np.arange(2), col("x"),
                                        None)
         assert candidates.always_present
-        assert np.shares_memory(candidates.contribution, values)
+        assert all(np.shares_memory(run, values)
+                   for run in candidates.contribution)
 
 
 def _walk_looper(relation, aggregate, kind, predicate, max_proposals,

@@ -1,23 +1,26 @@
 """The batched delta merge against the per-row one it replaced.
 
 A delta refuel re-runs ``Instantiate`` with a new position plan and
-merges: rows of handles outside the refuel set carry their previous run
-over, every other row copies the positions its previous window already
-held and draws the rest from its stream.  ``Instantiate._merge_delta``
-does the moved rows together — run overlap by slice, the rest by search,
-one batched stream fill; ``PerRowMergeInstantiate``
-(``tests/instantiate_oracles.py``) is the row-at-a-time loop.  Both run
-the same baseline and refuel on their own context, and must agree on the
-runs (bit for bit), the offsets, the bases, the recorded per-handle
-positions and the computed/reused row counters.
+merges: every row it keeps copies the positions its handle's previous
+window already held and draws the rest from its stream.  Under a
+refuel's handle filter (``ExecutionContext.handle_filter``) it keeps
+only the re-planned seeds' rows; without one, every row.
+``Instantiate._merge_delta`` matches all rows in one vectorized pass —
+run overlap by offset, the head by one search, one batched stream fill;
+``PerRowMergeInstantiate`` (``tests/instantiate_oracles.py``) is the
+row-at-a-time loop.  Both run the same baseline and refuel on their own
+context, and must agree on the runs (bit for bit), the offsets, the
+bases, the recorded per-handle baseline (positions, values and where
+each window's last contiguous run starts) and the computed/reused row
+counters.
 
 Cases are ragged: every handle's window has its own length, in the
 baseline and in the refuel.  They mix carried-over and re-planned rows
-(or no refuel set at all: every row matched), handles repeated within a
-run (a self-join), a one- and a two-output VG, and refuel-shaped plans
+(with or without the handle filter), handles repeated within a run (a
+self-join), a one- and a two-output VG, and refuel-shaped plans
 (assigned positions plus a contiguous fresh run) as well as arbitrary
-ones.  A refuel re-runs the baseline's rows: a row set that differs
-leaves ``Instantiate`` nothing to merge into.
+ones.  A delta run merges rows whose handles the baseline holds: any
+other row set leaves ``Instantiate`` nothing to merge into.
 """
 
 import numpy as np
@@ -92,14 +95,14 @@ def _merge_cases(draw):
         if draw(st.integers(0, 4)):  # else the default window
             refuel[handle] = _positions(draw, draw(st.integers(2, 12)),
                                         low=draw(st.integers(0, 20)))
-    refuel_handles = frozenset(replanned) if draw(st.booleans()) else None
-    return (old_handles, old_width, baseline, refuel, refuel_handles,
+    handle_filter = frozenset(replanned) if draw(st.booleans()) else None
+    return (old_handles, old_width, baseline, refuel, handle_filter,
             draw(st.booleans()))
 
 
 def _merge(node_class, case):
     """Baseline run, then the delta refuel; what the refuel produced."""
-    handles, old_width, baseline, refuel, refuel_handles, two_outputs = case
+    handles, old_width, baseline, refuel, handle_filter, two_outputs = case
     rows = _Rows()
     if two_outputs:
         node = node_class(rows, MULTIVARIATE_NORMAL, _MVN_PARAMS,
@@ -115,7 +118,7 @@ def _merge(node_class, case):
         context.position_plan = dict(baseline)
     node.execute(context)
     context.position_plan = dict(refuel)
-    context.refuel_handles = refuel_handles
+    context.handle_filter = handle_filter
     context.delta_mode = True
     computed, reused = (context.instantiate_rows_computed,
                         context.instantiate_rows_reused)
@@ -125,6 +128,8 @@ def _merge(node_class, case):
         "runs": {name: (column.values, column.offsets, column.bases)
                  for name, column in relation.rand_columns.items()},
         "positions": materialized.positions,
+        "values": materialized.values,
+        "finals": materialized.finals,
         "counters": (context.instantiate_rows_computed - computed,
                      context.instantiate_rows_reused - reused,
                      context.delta_runs),
@@ -148,26 +153,41 @@ class TestBatchedMergeAgainstPerRow:
         for handle, positions in want["positions"].items():
             np.testing.assert_array_equal(got["positions"][handle],
                                           positions)
+            assert got["values"][handle].tobytes() == \
+                want["values"][handle].tobytes()
+        assert got["finals"] == want["finals"]
 
     def test_refuel_merges_moved_rows_in_one_stream_fill(self, monkeypatch):
         """Every position a refuel lacks, across all moved rows, comes
-        from one batched fill — never from a per-row stream call."""
+        from one batched range fill — never from a per-row stream call,
+        nor from the point fill."""
         from repro.engine import operators
         fills = []
-        batched = operators.gather_stream_points
+        batched = operators.gather_stream_windows
 
-        def spy(*args, **kwargs):
-            fills.append(len(args[2]))
-            return batched(*args, **kwargs)
+        def spy(draw, streams, starts, stops, components):
+            fills.append(int(np.sum(np.subtract(stops, starts))))
+            return batched(draw, streams, starts, stops, components)
 
-        monkeypatch.setattr(operators, "gather_stream_points", spy)
+        def points(*args, **kwargs):
+            raise AssertionError("point fill in a refuel")
+
+        monkeypatch.setattr(operators, "gather_stream_windows", spy)
+        monkeypatch.setattr(operators, "gather_stream_points", points)
         # Baseline: one shared window 0..3 (a batched full fill).  Handle
-        # 1 carries over; 2 and 3 refuel to windows of their own depths.
-        case = ([1, 2, 3], 4, None,
-                {2: np.array([1, 3, 4, 5]), 3: np.array([0, 4, 5, 6, 7])},
-                frozenset({2, 3}), False)
-        got = _merge(Instantiate, case)
-        # Row 2 lacks 4 and 5, row 3 lacks 4-7.
-        assert fills == [6]
+        # 1 keeps its window; 2 and 3 refuel to windows of their own
+        # depths.
+        plans = {2: np.array([1, 3, 4, 5]), 3: np.array([0, 4, 5, 6, 7])}
+        got = _merge(Instantiate, ([1, 2, 3], 4, None, plans, None, False))
+        # The baseline's three windows, then the refuel: row 2 lacks 4
+        # and 5, row 3 lacks 4-7.
+        assert fills == [12, 6]
         assert got["counters"] == (2, 1, 1)
         np.testing.assert_array_equal(got["runs"]["v"][1], [0, 4, 8, 13])
+        # Under the refuel's handle filter, row 1 is not computed at all.
+        fills.clear()
+        got = _merge(Instantiate, ([1, 2, 3], 4, None, plans,
+                                   frozenset({2, 3}), False))
+        assert fills == [12, 6]
+        assert got["counters"] == (2, 0, 1)
+        np.testing.assert_array_equal(got["runs"]["v"][1], [0, 4, 9])

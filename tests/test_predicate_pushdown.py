@@ -284,8 +284,8 @@ class TestMaterialization:
         instantiate = compiled.plan.children[0]
         assert isinstance(instantiate, Instantiate)
         surviving = seed_handles(label_id_of("Losses"), 0, cutoff)
-        np.testing.assert_array_equal(
-            context.materialized[instantiate.node_id].handles, surviving)
+        assert sorted(context.materialized[instantiate.node_id].positions) \
+            == surviving.tolist()
         assert sorted(context.seeds) == surviving.tolist()
         assert context.instantiate_rows_computed == cutoff
 

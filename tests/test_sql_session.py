@@ -66,19 +66,46 @@ class TestCreate:
         assert _catalog_state(session) == before
 
     def test_create_header_mismatch_rejected(self, session):
+        """A header naming more VG outputs than the VG's blocks hold is a
+        PlanError at CREATE time — not an IndexError at the first query —
+        and leaves the catalog as it was."""
+        before = _with_ftable(session)
         bad = """
             CREATE TABLE L3 (CID, val, extra) AS
             FOR EACH CID IN means
             WITH v AS Normal(VALUES(m, 1.0))
             SELECT CID, v.* FROM v
         """
-        # Header has 3 columns; SELECT produces CID + one VG output... the
-        # star consumes the remaining two header names, but Normal is
-        # scalar, so instantiation would fail later; the immediate contract
-        # is that names map positionally.
-        session.execute(bad)
-        spec = session.catalog.random_table("L3")
-        assert [c.name for c in spec.random_columns] == ["val", "extra"]
+        with pytest.raises(PlanError, match="names 2 outputs of Normal"):
+            session.execute(bad)
+        assert _catalog_state(session) == before
+        assert not session.catalog.has("L3")
+
+    def test_create_checks_arity_of_written_parameters(self, session):
+        """A VG whose arity follows its parameter count: two outputs fit
+        a bivariate normal's six parameters, three do not, and a count
+        no block fits is rejected too — all before any row is read."""
+        create = """
+            CREATE TABLE {name} (CID, {outputs}) AS
+            FOR EACH CID IN means
+            WITH v AS MultivariateNormal(VALUES({params}))
+            SELECT CID, v.* FROM v
+        """
+        bivariate = "m, m, 1.0, 0.5, 0.5, 2.0"
+        session.execute(create.format(name="Pair", outputs="a, b",
+                                      params=bivariate))
+        assert session.execute("""
+            SELECT SUM(b) AS t FROM Pair
+            WITH RESULTDISTRIBUTION MONTECARLO(10)
+        """).kind == "montecarlo"
+        before = _with_ftable(session)
+        with pytest.raises(PlanError, match="blocks of 2 value"):
+            session.execute(create.format(name="Triple", outputs="a, b, c",
+                                          params=bivariate))
+        with pytest.raises(PlanError, match="MultivariateNormal"):
+            session.execute(create.format(name="Odd", outputs="a",
+                                          params="m, 1.0, 2.0"))
+        assert _catalog_state(session) == before
 
     def test_create_bad_passthrough_rejected(self, session):
         with pytest.raises(PlanError, match="neither a parameter column"):

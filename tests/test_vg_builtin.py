@@ -12,7 +12,25 @@ from stream_oracle import DETERMINISM_PARAMS, stream_values
 
 from repro.vg import base, builtin
 from repro.vg.base import VGRegistry, default_registry
-from repro.vg.streams import gather_stream_windows
+from repro.vg.streams import draw_chunk, gather_stream_windows
+
+
+def _draw(row, chunk_index):
+    """The window fill's ``draw`` over ``(seed, vg, params)`` rows."""
+    return draw_chunk(*row, chunk_index)
+
+
+def _gather(positions, rows, components):
+    """``out[c, r, i]``: component ``components[c]`` of row ``r``'s
+    stream — ``(seed, vg, params)`` — at ``positions[i]``, each read
+    through :func:`gather_stream_windows` as a one-position window."""
+    positions = np.asarray(positions, dtype=np.int64)
+    out = gather_stream_windows(
+        _draw, [row for row in rows for _ in positions],
+        np.tile(positions, len(rows)), np.tile(positions + 1, len(rows)),
+        components)
+    return out.reshape(len(components), len(rows), positions.size)
+
 
 RNG_SEED = 20100913  # VLDB 2010 conference start date
 
@@ -162,7 +180,7 @@ class TestMultivariateNormal:
 
     def test_block_stream_correlated_within_block(self):
         params = (0.0, 0.0, 1.0, 0.95, 0.95, 1.0)
-        blocks = gather_stream_windows(
+        blocks = _gather(
             np.arange(2000), [(3, builtin.MULTIVARIATE_NORMAL, params)],
             [0, 1])[:, 0]
         correlation = np.corrcoef(blocks)[0, 1]
@@ -172,8 +190,7 @@ class TestMultivariateNormal:
         vg = builtin.MULTIVARIATE_NORMAL
         for component in (0, 1):
             a = stream_values(5, vg, self.PARAMS, [77], component)
-            b = gather_stream_windows([77], [(5, vg, self.PARAMS)],
-                                      [component])[0, 0]
+            b = _gather([77], [(5, vg, self.PARAMS)], [component])[0, 0]
             np.testing.assert_array_equal(a, b)
 
 
@@ -225,7 +242,7 @@ class TestUserDefinedVG:
         registry = VGRegistry()
         registry.register(Triangular())
         vg = registry.lookup("triangular")
-        values = gather_stream_windows(
+        values = _gather(
             np.arange(5000), [(17, vg, (0.0, 1.0, 2.0))], [0])[0, 0]
         assert np.all((values >= 0.0) & (values <= 2.0))
         assert abs(values.mean() - 1.0) < 0.05
@@ -236,7 +253,7 @@ class TestUserDefinedVG:
 @settings(max_examples=30, deadline=None)
 def test_property_normal_stream_deterministic_and_finite(mean, variance, seed):
     rows = [(seed, builtin.NORMAL, (mean, variance))]
-    values = gather_stream_windows(np.arange(32), rows, [0])[0, 0]
+    values = _gather(np.arange(32), rows, [0])[0, 0]
     assert np.all(np.isfinite(values))
     np.testing.assert_array_equal(
         values, stream_values(seed, builtin.NORMAL, (mean, variance),
@@ -256,8 +273,7 @@ class TestSeedDeterminism:
         params = DETERMINISM_PARAMS[name]
         last = vg.block_arity(params) - 1
         positions = np.array([0, 1, 7, 255, 256, 1000, 5003])
-        first = gather_stream_windows(positions, [(99, vg, params)],
-                                      [last])[0, 0]
+        first = _gather(positions, [(99, vg, params)], [last])[0, 0]
         second = stream_values(99, vg, params, positions, last)
         np.testing.assert_array_equal(first, second)
         assert np.all(np.isfinite(first))
@@ -268,8 +284,7 @@ class TestSeedDeterminism:
         vg = default_registry.lookup(name)
         params = DETERMINISM_PARAMS[name]
         backwards = stream_values(7, vg, params, [600, 300, 3, 0])
-        forwards = gather_stream_windows([0, 3, 300, 600], [(7, vg, params)],
-                                         [0])[0, 0]
+        forwards = _gather([0, 3, 300, 600], [(7, vg, params)], [0])[0, 0]
         np.testing.assert_array_equal(backwards, forwards[::-1])
 
     # "deterministic" is excluded: constant streams are seed-independent
@@ -279,6 +294,6 @@ class TestSeedDeterminism:
     def test_different_seeds_differ(self, name):
         vg = default_registry.lookup(name)
         params = DETERMINISM_PARAMS[name]
-        out = gather_stream_windows(
+        out = _gather(
             np.arange(64), [(1, vg, params), (2, vg, params)], [0])
         assert not np.array_equal(out[0, 0], out[0, 1])

@@ -32,6 +32,19 @@ def _values(seed, positions, vg=NORMAL, params=_UNIT):
             position % DEFAULT_CHUNK, 0] for position in map(int, positions)])
 
 
+def _draw(row, chunk_index):
+    """The window fill's ``draw`` over ``(seed, vg, params)`` rows."""
+    return draw_chunk(*row, chunk_index)
+
+
+def _windows(rows, lo, hi, components=(0,)):
+    """``out[c, r]``: component ``components[c]`` of row ``r``'s stream —
+    ``(seed, vg, params)`` — over positions ``[lo, hi)``."""
+    out = gather_stream_windows(_draw, rows, [lo] * len(rows),
+                                [hi] * len(rows), list(components))
+    return out.reshape(len(components), len(rows), hi - lo)
+
+
 def _points(seed, positions):
     """One stream's values at chunk-ascending ``positions``."""
     return gather_stream_points(
@@ -52,8 +65,7 @@ class TestRandomStream:
             first, stream_values(11, NORMAL, _UNIT, positions))
 
     def test_different_seeds_give_different_streams(self):
-        out = gather_stream_windows(
-            np.arange(64), [(1, NORMAL, _UNIT), (2, NORMAL, _UNIT)], [0])
+        out = _windows([(1, NORMAL, _UNIT), (2, NORMAL, _UNIT)], 0, 64)
         assert not np.allclose(out[0, 0], out[0, 1])
 
     def test_access_order_does_not_matter(self):
@@ -67,24 +79,22 @@ class TestRandomStream:
                                       _values(5, positions))
 
     def test_range_values(self):
-        out = gather_stream_windows(np.arange(250, 260), [(5, NORMAL, _UNIT)],
-                                    [0])
+        out = _windows([(5, NORMAL, _UNIT)], 250, 260)
         np.testing.assert_array_equal(out[0, 0], _values(5, range(250, 260)))
 
     def test_empty_inputs(self):
         assert _points(7, []).shape == (0,)
-        assert gather_stream_windows([], [(7, NORMAL, _UNIT)],
-                                     [0]).shape == (1, 1, 0)
+        assert _windows([(7, NORMAL, _UNIT)], 9, 9).shape == (1, 1, 0)
 
     def test_negative_position_rejected(self):
         with pytest.raises(IndexError):
             _points(7, [0, -3])
         with pytest.raises(IndexError):
-            gather_stream_windows([-1], [(7, NORMAL, _UNIT)], [0])
+            _windows([(7, NORMAL, _UNIT)], -1, 3)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
-            gather_stream_windows([300, 10], [(7, NORMAL, _UNIT)], [0])
+            _windows([(7, NORMAL, _UNIT)], 300, 10)
 
     def test_sampler_shape_validated(self):
         """A ``sample_blocks`` result is ``DEFAULT_CHUNK`` blocks or an
@@ -295,11 +305,16 @@ class TestStreamOracle:
             np.concatenate([ascending, ascending]), components)
         np.testing.assert_array_equal(points[:, :ascending.size],
                                       want[:, order])
+        # One one-position window per request, in any order.
         windows = gather_stream_windows(
-            ascending, [(other, vg, params), (seed, vg, params)], components)
-        np.testing.assert_array_equal(windows[:, 1], want[:, order])
-        np.testing.assert_array_equal(windows[:, 0],
-                                      points[:, ascending.size:])
+            _draw, [(seed, vg, params)] * len(positions), positions,
+            np.add(positions, 1), components)
+        np.testing.assert_array_equal(windows, want)
+        ranges = gather_stream_windows(
+            _draw, [(seed, vg, params)], [run[0]], [run[0] + run[1]],
+            components)
+        np.testing.assert_array_equal(
+            ranges, want[:, len(positions) - run[1]:])
 
 
 # (vg, params) the seek is pinned on: continuous, bounded, discrete, and
@@ -341,6 +356,17 @@ class TestBorrowedGenerator:
         pooled = vg.sample_blocks(borrowed_generator(seed, chunk), params, 64)
         assert np.asarray(pooled).tobytes() == np.asarray(fresh).tobytes()
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32])
+    def test_numpy_integer_chunk_index_is_the_int_one(self, kind):
+        """A NumPy integer chunk index seeks where the ``int`` does, bit
+        for bit (it used to overflow the 64-bit shift)."""
+        for chunk in (0, 3, 2**24 + 1):
+            want = borrowed_generator(123, chunk).random(4)
+            assert borrowed_generator(123, kind(chunk)).random(4).tobytes() \
+                == want.tobytes()
+            assert draw_chunk(123, NORMAL, _UNIT, kind(chunk)).tobytes() \
+                == draw_chunk(123, NORMAL, _UNIT, chunk).tobytes()
+
     def test_generator_for_chunk_returns_independent_objects(self):
         first = generator_for_chunk(99, 0)
         second = generator_for_chunk(99, 1)
@@ -371,7 +397,7 @@ class TestBorrowedGenerator:
 
         def fill():
             rows = [(seed, NORMAL, (0.0, 1.0)) for seed in range(200)]
-            gather_stream_windows(positions, rows, [0])
+            _windows(rows, 0, positions.size)
             for seed in range(200):  # and the per-stream path
                 _points(seed, positions)
 
@@ -380,17 +406,14 @@ class TestBorrowedGenerator:
         assert len(built) <= 2
 
     def test_concurrent_fills_equal_the_serial_fill(self):
-        positions = np.arange(100, 700)
         blocks = [[(seed, NORMAL, (float(seed), 2.0))
                    for seed in range(lo, lo + 60)] for lo in (0, 60, 120)]
-        serial = [gather_stream_windows(positions, rows, [0])
-                  for rows in blocks]
+        serial = [_windows(rows, 100, 700) for rows in blocks]
         results = [None] * len(blocks)
 
         def fill(index):
             for _ in range(5):
-                results[index] = gather_stream_windows(
-                    positions, blocks[index], [0])
+                results[index] = _windows(blocks[index], 100, 700)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -460,31 +483,46 @@ class TestGatherStreamPoints:
 
 
 class TestGatherStreamWindows:
+    """The window fill: per-stream position ranges, one draw per
+    (window, chunk), nothing computed per position."""
+
     def test_matches_per_stream_values_for_every_component(self):
         params = (1.0, -1.0, 2.0, 0.6, 0.6, 1.0)  # mean(2), cov(2x2)
-        positions = np.array([250, 251, 255, 254, 256, 300, 511, 512])
-        rows = [(seed, MULTIVARIATE_NORMAL, params) for seed in (3, 2**63 + 5)]
-        out = gather_stream_windows(positions, rows, [1, 0])
-        assert out.shape == (2, 2, positions.size)
-        for row, (seed, vg, _) in enumerate(rows):
-            for slot, component in enumerate([1, 0]):
-                np.testing.assert_array_equal(
-                    out[slot, row],
-                    stream_values(seed, vg, params, positions, component))
+        seeds = (3, 2**63 + 5, 8)
+        bounds = [(250, 513), (0, 1), (700, 700)]  # the last one is empty
+        drawn = []
+
+        def draw(seed, chunk_index):
+            drawn.append((seed, chunk_index))
+            return draw_chunk(seed, MULTIVARIATE_NORMAL, params, chunk_index)
+
+        out = gather_stream_windows(
+            draw, seeds, [lo for lo, _ in bounds],
+            [hi for _, hi in bounds], [1, 0])
+        assert out.shape == (2, 264)
+        for slot, component in enumerate([1, 0]):
+            np.testing.assert_array_equal(out[slot], np.concatenate([
+                stream_values(seed, MULTIVARIATE_NORMAL, params,
+                              np.arange(lo, hi), component)
+                for seed, (lo, hi) in zip(seeds, bounds)]))
+        assert drawn == [(3, 0), (3, 1), (3, 2), (2**63 + 5, 0)]
 
     def test_writes_into_the_given_rows(self):
-        positions = np.arange(10)
-        out = np.full((1, 3, 10), np.nan)
-        returned = gather_stream_windows(
-            positions, [(5, UNIFORM, (0.0, 1.0))], [0], out=out[:, 1:2])
-        assert returned.base is out
-        assert np.isnan(out[0, 0]).all() and np.isnan(out[0, 2]).all()
-        np.testing.assert_array_equal(
-            out[0, 1], stream_values(5, UNIFORM, _UNIT, positions))
+        """Equal-width windows land row after row: the fill reads as a
+        ``(windows, width)`` block, each row its own stream's window."""
+        rows = [(5, UNIFORM, _UNIT), (6, NORMAL, _UNIT), (5, UNIFORM, _UNIT)]
+        starts = [0, 250, 3]
+        out = gather_stream_windows(_draw, rows, starts, np.add(starts, 10),
+                                    [0])
+        block = out.reshape(1, 3, 10)
+        assert block.base is out
+        for row, ((seed, vg, params), lo) in enumerate(zip(rows, starts)):
+            np.testing.assert_array_equal(
+                block[0, row],
+                stream_values(seed, vg, params, np.arange(lo, lo + 10)))
 
     def test_empty_inputs(self):
-        assert gather_stream_windows(np.arange(4), [], [0]).shape == (1, 0, 4)
-        assert gather_stream_windows(
-            [], [(1, NORMAL, (0.0, 1.0))], [0]).shape == (1, 1, 0)
+        assert gather_stream_windows(_draw, [], [], [], [0]).shape == (1, 0)
         with pytest.raises(IndexError):
-            gather_stream_windows([0, -1], [(1, NORMAL, (0.0, 1.0))], [0])
+            gather_stream_windows(_draw, [(1, NORMAL, _UNIT)], [-1], [3],
+                                  [0])
