@@ -51,7 +51,7 @@ from repro.core.gibbs import GibbsStats
 from repro.core.gibbs_tuple import GibbsTuple, tuples_from_relation
 from repro.core.params import TailParams
 from repro.core.ts_seed import TSSeed, plan_refuel
-from repro.engine.bundles import BundleRelation, take_runs
+from repro.engine.bundles import BundleRelation, ordered_column_sum, take_runs
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import DictContext, Expr
 from repro.engine.operators import ExecutionContext, PlanNode
@@ -673,10 +673,10 @@ class GibbsLooper:
         Fully vectorized over the tuple axis: every random column's
         per-version values are gathered with one ``take_along_axis``, the
         aggregate expression and predicates are evaluated once over
-        ``(tuples, versions)`` matrices, and the accumulators use
-        strict-row-order ``cumsum`` summation — elementwise identical to
-        the per-tuple reference loop, whose accumulation order it
-        reproduces exactly.
+        ``(tuples, versions)`` matrices, and the accumulators are
+        strict-row-order column sums (:func:`ordered_column_sum`) —
+        elementwise identical to the per-tuple reference loop, whose
+        accumulation order they reproduce exactly.
         """
         versions = self._versions
         count = len(self._tuples)
@@ -757,11 +757,11 @@ class GibbsLooper:
 
     def _accumulate_states(self) -> None:
         """Accumulators from the contribution caches, in strict row order
-        (cf. MonteCarloExecutor._ordered_sum): cumsum is sequential, so
+        (:func:`ordered_column_sum`, as the Monte Carlo fold sums), so
         inserting the tuples one at a time — the reference behavior —
         rounds identically."""
-        self._sums = np.cumsum(self._contribution_matrix, axis=0)[-1]
-        self._counts = np.cumsum(self._count_matrix, axis=0)[-1]
+        self._sums = ordered_column_sum(self._contribution_matrix)
+        self._counts = ordered_column_sum(self._count_matrix)
 
     def _version_count(self) -> int:
         return self._versions

@@ -47,7 +47,7 @@ from repro.engine.errors import AlignmentError, EngineError
 from repro.engine.expressions import DictContext, Expr
 
 __all__ = ["RandomColumn", "PresenceColumn", "BundleRelation",
-           "row_key_codes", "run_counts", "take_runs"]
+           "ordered_column_sum", "row_key_codes", "run_counts", "take_runs"]
 
 
 def row_key_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -101,6 +101,31 @@ def run_counts(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     ends = np.zeros(flags.size + 1, dtype=np.int64)
     np.cumsum(flags, out=ends[1:])
     return ends[offsets[1:]] - ends[offsets[:-1]]
+
+
+def ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-D float array in strict row order.
+
+    Bit-identical to ``np.cumsum(matrix, axis=0)[-1]`` without writing
+    the prefix-sum matrix: NumPy reduces axis 0 of a C-contiguous array
+    by adding one row after another, element by element (pairwise
+    summation runs only along the contiguous axis), and ``-0.0`` is the
+    exact additive identity, so signed zeros survive.  A single column
+    *is* the contiguous axis, and a NaN's sign bit depends on which
+    operand the add loop names first, so both go through ``cumsum``.
+
+    ``matrix.sum(axis=0)`` would round by array geometry instead: a shard
+    that dropped a nowhere-present row would differ from the serial run
+    (which adds that row's zeros).  In strict order an added zero row is
+    an exact no-op, which keeps sharded and incremental sums
+    bit-identical to serial ones.
+    """
+    if matrix.shape[1] > 1:
+        sums = np.add.reduce(np.ascontiguousarray(matrix), axis=0,
+                             initial=-0.0)
+        if not np.isnan(sums).any():
+            return sums
+    return np.cumsum(matrix, axis=0)[-1]
 
 
 def _check_layout(what: str, array: np.ndarray, offsets) -> int:

@@ -31,7 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.engine.backends import catalog_share_key, make_backend
-from repro.engine.bundles import BundleRelation, row_key_codes
+from repro.engine.bundles import (
+    BundleRelation, ordered_column_sum, row_key_codes)
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
 from repro.engine.operators import ExecutionContext, PlanNode
@@ -238,17 +239,7 @@ class MonteCarloExecutor:
 
     def aggregate(self, relation: BundleRelation, repetitions: int
                   ) -> MonteCarloResult:
-        presence = relation.combined_presence()
-        group_rows = self._group_rows(relation)
-        groups: dict[tuple, dict[str, ResultDistribution]] = {}
-        for key, rows in group_rows.items():
-            by_name: dict[str, ResultDistribution] = {}
-            for aggregate in self.aggregates:
-                by_name[aggregate.name] = ResultDistribution(self._finalize(
-                    self._fold(relation, presence, rows, aggregate, None),
-                    aggregate, relation.positions))
-            groups[key] = by_name
-        return MonteCarloResult(self.group_by, groups, repetitions)
+        return self.result_from_states(self.fold_states(relation), repetitions)
 
     def _group_rows(self, relation: BundleRelation) -> dict[tuple, np.ndarray]:
         if not self.group_by:
@@ -292,11 +283,13 @@ class MonteCarloExecutor:
         presence = relation.combined_presence()
         folded = {key: dict(by_name)
                   for key, by_name in (states or {}).items()}
-        for key, rows in self._group_rows(relation).items():
-            by_name = folded.setdefault(key, {})
-            for aggregate in self.aggregates:
+        group_rows = self._group_rows(relation)
+        for aggregate in self.aggregates:
+            terms = self._terms(relation, aggregate)
+            for key, rows in group_rows.items():
+                by_name = folded.setdefault(key, {})
                 by_name[aggregate.name] = self._fold(
-                    relation, presence, rows, aggregate,
+                    relation, presence, rows, aggregate, terms,
                     by_name.get(aggregate.name))
         return folded
 
@@ -311,11 +304,24 @@ class MonteCarloExecutor:
                 for aggregate in self.aggregates}
         return MonteCarloResult(self.group_by, groups, repetitions)
 
-    def _fold(self, relation, presence, rows, aggregate, state):
+    @staticmethod
+    def _terms(relation: BundleRelation,
+               aggregate: AggregateSpec) -> np.ndarray | None:
+        """The ``(rows, repetitions)`` inputs of a value aggregate: its
+        expression evaluated once over the whole relation, from which
+        every group gathers its rows (``None`` for COUNT)."""
+        if aggregate.kind == "count":
+            return None
+        return np.broadcast_to(
+            np.asarray(relation.evaluate_positional(aggregate.expr),
+                       dtype=np.float64),
+            (relation.length, relation.positions))
+
+    def _fold(self, relation, presence, rows, aggregate, terms, state):
         """Continue one (group, aggregate) accumulator over new rows.
 
         A one-shot :meth:`aggregate` is this fold from an empty state, so
-        the two cannot drift: sums continue the sequential cumsum from
+        the two cannot drift: sums continue the strict-row-order sum from
         the recorded fold (bit-identical — the next add starts from the
         exact float the full run would hold), counts stay exact integers,
         and min/max fold through ±inf masking (order-independent, so
@@ -331,10 +337,7 @@ class MonteCarloExecutor:
                                 else state["counts"] + counts)
         if kind == "count":
             return folded
-        values = np.broadcast_to(
-            np.asarray(relation.evaluate_positional(aggregate.expr),
-                       dtype=np.float64),
-            (relation.length, relation.positions))[rows]
+        values = terms[rows]
         if presence is not None:
             # Without a presence column every tuple is present everywhere
             # and the gathered rows are the terms as they stand — no
@@ -352,13 +355,14 @@ class MonteCarloExecutor:
                                 else merge(state["masked"], masked))
         return folded
 
-    @classmethod
-    def _continue_sum(cls, fold: np.ndarray | None,
+    @staticmethod
+    def _continue_sum(fold: np.ndarray | None,
                       terms: np.ndarray) -> np.ndarray:
-        """Strict-order column sums continuing from a previous fold."""
+        """Strict-row-order column sums (:func:`ordered_column_sum`) of
+        ``terms``, continuing from a previous fold as its first row."""
         if fold is None:
-            return cls._ordered_sum(terms)
-        return cls._ordered_sum(np.vstack([fold[None, :], terms]))
+            return ordered_column_sum(terms)
+        return ordered_column_sum(np.vstack([fold[None, :], terms]))
 
     @staticmethod
     def _finalize(state, aggregate: AggregateSpec, width: int) -> np.ndarray:
@@ -375,16 +379,3 @@ class MonteCarloExecutor:
                 return np.where(counts > 0,
                                 state["fold"] / np.maximum(counts, 1), np.nan)
         return np.where(np.isfinite(state["masked"]), state["masked"], np.nan)
-
-    @staticmethod
-    def _ordered_sum(matrix: np.ndarray) -> np.ndarray:
-        """Strict row-order column sums.
-
-        ``matrix.sum(axis=0)`` uses pairwise summation whose grouping
-        depends on the array geometry, so a shard that dropped a
-        nowhere-present row would round differently from the serial run
-        (which sums that row's zeros).  Sequential accumulation makes
-        inserting zero rows an exact no-op, which is what keeps sharded
-        results bit-identical to serial ones.
-        """
-        return np.cumsum(matrix, axis=0)[-1]
