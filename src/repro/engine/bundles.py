@@ -27,6 +27,23 @@ sampler, so any cross-seed combination must be deferred to the
 GibbsLooper; ``Instantiate`` emits runs there, because a refuel gives
 each seed a window of its own depth (Sec. 9).
 
+A block taken by row — by a join, a filter, a random ``Select``'s row
+drop — is not copied: the new column keeps a *row map* (``rows``, int64,
+one entry per output row) into the block it came from (``stored``), and
+a take of a mapped block composes the maps as ``rows[indices]``.  So a
+join above ``Instantiate`` keeps each random value once, as MCDB's
+tuple bundles do, whatever the fan-out; only the (T,) lineage is
+gathered.  ``values`` and ``flags`` still read as the column's own
+``(T, W)`` block, resolved through the map on every read and never
+cached, so every reader sees the rows it always saw (``row`` reads its
+one row through the map).  The (stored, map) pair itself is read by
+``take``, by the shape checks (which must not resolve it) and by the
+Monte Carlo fold (:meth:`repro.engine.mcdb.MonteCarloExecutor._terms`),
+which evaluates a random-only aggregate over the shared block and
+gathers each group through the map.  Runs stay eagerly gathered: the
+looper points each Gibbs tuple at its own run, and each run is as long
+as its own window.
+
 These arrays are exactly the bulk the process backend ships out of band
 when relations cross to workers on the catalog channel (protocol-5
 pickling, :mod:`repro.engine.backends`): a column arriving in a worker
@@ -38,7 +55,7 @@ is what makes that safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -157,17 +174,37 @@ def _check_lineage(column, count: int, what: str) -> None:
 
 class _Elements:
     """What random and presence columns share: a block or runs of
-    per-position elements, with per-row lineage."""
+    per-position elements, with per-row lineage.
 
-    def _elements(self) -> np.ndarray:
-        raise NotImplementedError
+    ``stored`` holds the elements as they were made; a block taken by
+    row also keeps ``rows``, its row map into ``stored`` (``None``: row
+    ``t`` is stored row ``t``; see the module docstring).
+    """
 
-    def _rebuilt(self, elements, seed_handles, bases, offsets):
-        raise NotImplementedError
+    rows: np.ndarray | None = None
+
+    def _store(self, what: str, elements, seed_handles, bases,
+               offsets) -> int:
+        self.stored = elements
+        self.seed_handles, self.bases = seed_handles, bases
+        self.offsets = (None if offsets is None
+                        else np.asarray(offsets, dtype=np.int64))
+        return _check_layout(what, elements, self.offsets)
+
+    def _resolved(self) -> np.ndarray:
+        """The column's own elements, gathered through the row map."""
+        return self.stored if self.rows is None else self.stored[self.rows]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the resolved elements, read without resolving."""
+        if self.rows is None:
+            return self.stored.shape
+        return (self.rows.size,) + self.stored.shape[1:]
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(flat elements, offsets)``; a block reads as equal runs."""
-        elements = self._elements()
+        elements = self._resolved()
         if self.offsets is not None:
             return elements, self.offsets
         rows, width = elements.shape
@@ -176,24 +213,29 @@ class _Elements:
 
     def row(self, index: int) -> np.ndarray:
         """Row ``index``'s elements, as a view."""
-        elements = self._elements()
         if self.offsets is None:
-            return elements[index]
-        return elements[self.offsets[index]:self.offsets[index + 1]]
+            return self.stored[index if self.rows is None
+                               else self.rows[index]]
+        return self.stored[self.offsets[index]:self.offsets[index + 1]]
 
     def take(self, indices: np.ndarray):
-        elements, offsets = self._elements(), self.offsets
-        if offsets is None:
-            elements = elements[indices]
+        """Rows ``indices``: a block composes its row map (``rows[indices]``,
+        the identity when it has none), runs are gathered; the lineage is
+        gathered either way."""
+        out = copy.copy(self)
+        if self.offsets is None:
+            out.rows = (np.arange(self.stored.shape[0]) if self.rows is None
+                        else self.rows)[indices]
         else:
-            elements, offsets = take_runs(elements, offsets, indices)
-        return self._rebuilt(
-            elements,
-            None if self.seed_handles is None else self.seed_handles[indices],
-            None if self.bases is None else self.bases[indices], offsets)
+            out.stored, out.offsets = take_runs(self.stored, self.offsets,
+                                                indices)
+        if self.seed_handles is not None:
+            out.seed_handles = self.seed_handles[indices]
+        if self.bases is not None:
+            out.bases = self.bases[indices]
+        return out
 
 
-@dataclass
 class RandomColumn(_Elements):
     """An uncertain column: a block or runs of values, with per-tuple
     stream lineage (see the module docstring for the two layouts).
@@ -205,33 +247,25 @@ class RandomColumn(_Elements):
     ``sal2 - sal1``) that mixes seeds and is only meaningful when aligned.
     """
 
-    values: np.ndarray
-    seed_handles: np.ndarray | None
-    bases: np.ndarray | None = None
-    offsets: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.offsets is not None:
-            self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        count = _check_layout("random column values", self.values,
-                              self.offsets)
-        if self.seed_handles is None and self.bases is not None:
+    def __init__(self, values, seed_handles: np.ndarray | None,
+                 bases: np.ndarray | None = None,
+                 offsets: np.ndarray | None = None):
+        count = self._store("random column values", np.asarray(values),
+                            seed_handles, bases, offsets)
+        if seed_handles is None and bases is not None:
             raise EngineError("derived columns cannot carry window bases")
         _check_lineage(self, count, "")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The column's own block or runs, resolved on every read."""
+        return self._resolved()
 
     @property
     def is_derived(self) -> bool:
         return self.seed_handles is None
 
-    def _elements(self):
-        return self.values
 
-    def _rebuilt(self, elements, seed_handles, bases, offsets):
-        return RandomColumn(elements, seed_handles, bases, offsets)
-
-
-@dataclass
 class PresenceColumn(_Elements):
     """An ``isPres`` array: per-position tuple-presence flags.
 
@@ -241,25 +275,20 @@ class PresenceColumn(_Elements):
     marks an aligned (multi-seed) presence usable only in MC mode.
     """
 
-    flags: np.ndarray
-    seed_handles: np.ndarray | None
-    bases: np.ndarray | None = None
-    offsets: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=bool)
-        if self.offsets is not None:
-            self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        count = _check_layout("presence flags", self.flags, self.offsets)
-        if self.seed_handles is None and self.bases is not None:
+    def __init__(self, flags, seed_handles: np.ndarray | None,
+                 bases: np.ndarray | None = None,
+                 offsets: np.ndarray | None = None):
+        count = self._store("presence flags", np.asarray(flags, dtype=bool),
+                            seed_handles, bases, offsets)
+        if seed_handles is None and bases is not None:
             raise EngineError("aligned presence cannot carry window bases")
         _check_lineage(self, count, "presence ")
 
-    def _elements(self):
-        return self.flags
-
-    def _rebuilt(self, elements, seed_handles, bases, offsets):
-        return PresenceColumn(elements, seed_handles, bases, offsets)
+    @property
+    def flags(self) -> np.ndarray:
+        """The column's own block or runs of flags, resolved on every
+        read."""
+        return self._resolved()
 
     def vacuous(self) -> np.ndarray:
         """Per row: present at every materialized position."""
@@ -306,19 +335,20 @@ class BundleRelation:
 
     def add_rand_column(self, name: str, column: RandomColumn) -> None:
         self._check_new_name(name)
-        self._check_elements(f"column {name!r}", column.values, column.offsets)
+        self._check_elements(f"column {name!r}", column)
         self.rand_columns[name] = column
 
     def add_presence(self, presence: PresenceColumn) -> None:
-        self._check_elements("presence", presence.flags, presence.offsets)
+        self._check_elements("presence", presence)
         self.presence.append(presence)
 
-    def _check_elements(self, what: str, elements, offsets) -> None:
+    def _check_elements(self, what: str, column: "_Elements") -> None:
+        offsets = column.offsets
         if offsets is None:
-            if elements.shape != (self.length, self.positions):
+            if column.shape != (self.length, self.positions):
                 raise EngineError(
                     f"{what}: expected shape ({self.length}, "
-                    f"{self.positions}), got {elements.shape}")
+                    f"{self.positions}), got {column.shape}")
         elif offsets.shape != (self.length + 1,):
             raise EngineError(
                 f"{what}: expected {self.length + 1} run offsets, got "
@@ -401,8 +431,8 @@ class BundleRelation:
         columns: dict[str, np.ndarray] = {}
         for name, values in self.det_columns.items():
             columns[name] = values.reshape(self.length, 1)
-        for name, column in self.rand_columns.items():
-            columns[name] = column.values
+        for name in rand_names:
+            columns[name] = self.rand_columns[name].values
         result = np.asarray(expr.evaluate(DictContext(columns)))
         return np.broadcast_to(result, (self.length, self.positions))
 

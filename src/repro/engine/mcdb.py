@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.engine.backends import catalog_share_key, make_backend
 from repro.engine.bundles import (
-    BundleRelation, ordered_column_sum, row_key_codes)
+    BundleRelation, RandomColumn, ordered_column_sum, row_key_codes)
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
 from repro.engine.operators import ExecutionContext, PlanNode
@@ -43,6 +43,12 @@ from repro.engine.table import Catalog
 __all__ = ["AggregateSpec", "MonteCarloExecutor", "MonteCarloResult"]
 
 _AGGREGATE_KINDS = ("sum", "count", "avg", "min", "max")
+
+
+def _same_map(rows: np.ndarray | None, other: np.ndarray | None) -> bool:
+    """Whether two block row maps (``None``: the identity) are equal."""
+    return rows is other or (rows is not None and other is not None
+                             and np.array_equal(rows, other))
 
 
 @dataclass(frozen=True)
@@ -305,17 +311,43 @@ class MonteCarloExecutor:
         return MonteCarloResult(self.group_by, groups, repetitions)
 
     @staticmethod
-    def _terms(relation: BundleRelation,
-               aggregate: AggregateSpec) -> np.ndarray | None:
-        """The ``(rows, repetitions)`` inputs of a value aggregate: its
-        expression evaluated once over the whole relation, from which
-        every group gathers its rows (``None`` for COUNT)."""
+    def _terms(relation: BundleRelation, aggregate: AggregateSpec
+               ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(terms, row map)`` of a value aggregate (``(None, None)``
+        for COUNT): its expression evaluated once, from which every group
+        gathers its rows.
+
+        When every column the expression reads is random (a block: the
+        fold runs in Monte Carlo mode) and all share one row map into
+        equally shaped stored blocks (a join or a filter above
+        ``Instantiate``; no map is the identity), the expression runs
+        over the stored blocks and the map comes back with it, so no
+        (joined rows x n) block is ever made: an elementwise expression
+        gathered through the map equals the expression of the gathered
+        rows.  Any other expression runs over the relation itself and
+        comes back with no map.
+        """
         if aggregate.kind == "count":
-            return None
-        return np.broadcast_to(
-            np.asarray(relation.evaluate_positional(aggregate.expr),
+            return None, None
+        names = list(aggregate.expr.columns())
+        columns = [relation.rand_columns.get(name) for name in names]
+        source, row_map = relation, None
+        if columns and None not in columns:
+            first = columns[0]
+            if all(column.stored.shape == first.stored.shape
+                   and _same_map(column.rows, first.rows)
+                   for column in columns[1:]):
+                source = BundleRelation(first.stored.shape[0],
+                                        relation.positions, relation.aligned)
+                for name, column in zip(names, columns):
+                    source.rand_columns[name] = RandomColumn(
+                        column.stored, None)
+                row_map = first.rows
+        terms = np.broadcast_to(
+            np.asarray(source.evaluate_positional(aggregate.expr),
                        dtype=np.float64),
-            (relation.length, relation.positions))
+            (source.length, source.positions))
+        return terms, row_map
 
     def _fold(self, relation, presence, rows, aggregate, terms, state):
         """Continue one (group, aggregate) accumulator over new rows.
@@ -325,7 +357,10 @@ class MonteCarloExecutor:
         the recorded fold (bit-identical — the next add starts from the
         exact float the full run would hold), counts stay exact integers,
         and min/max fold through ±inf masking (order-independent, so
-        partition order cannot change the value).
+        partition order cannot change the value).  ``terms`` is
+        :meth:`_terms`' pair: the group's rows are ``block[rows]``, or
+        ``block[row_map[rows]]`` when the expression ran over a shared
+        block, which reads each row's own element either way.
         """
         if rows.size == 0:
             return state
@@ -337,7 +372,8 @@ class MonteCarloExecutor:
                                 else state["counts"] + counts)
         if kind == "count":
             return folded
-        values = terms[rows]
+        block, row_map = terms
+        values = block[rows if row_map is None else row_map[rows]]
         if presence is not None:
             # Without a presence column every tuple is present everywhere
             # and the gathered rows are the terms as they stand — no

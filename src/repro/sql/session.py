@@ -592,10 +592,13 @@ class Session:
                     raise PlanError(
                         f"{item!r} is neither a parameter column of "
                         f"{statement.parameter_table!r} nor a VG output")
-                if header[consumed] != item and header[consumed] not in item:
-                    # Header name wins; SELECT order defines the mapping.
-                    pass
-                passthrough.append(header[consumed])
+                if consumed < len(header) and header[consumed] != item:
+                    raise PlanError(
+                        f"CREATE TABLE {statement.name} header names "
+                        f"{header[consumed]!r} where the SELECT passes "
+                        f"{item!r} through; a passthrough column keeps "
+                        "its name")
+                passthrough.append(item)
                 consumed += 1
         if consumed != len(header):
             raise PlanError(

@@ -116,6 +116,31 @@ class TestCreate:
                 SELECT zz, v.* FROM v
             """)
 
+    def test_create_renaming_a_passthrough_column_rejected(self, session):
+        """A header may name VG outputs as it likes, but a passthrough
+        column keeps its parameter-table name: renaming it is a PlanError
+        at CREATE time, not a Project failure at every later query."""
+        before = _with_ftable(session)
+        with pytest.raises(PlanError, match="'CID2' where the SELECT "
+                                            "passes 'CID' through"):
+            session.execute("""
+                CREATE TABLE L2 (CID2, val2) AS
+                FOR EACH c IN means
+                WITH v AS Normal(VALUES(m, 1.0))
+                SELECT CID, v.* FROM v
+            """)
+        assert _catalog_state(session) == before
+        assert not session.catalog.has("L2")
+        session.execute("""
+            CREATE TABLE L2 (CID, val2) AS
+            FOR EACH c IN means
+            WITH v AS Normal(VALUES(m, 1.0))
+            SELECT CID, v.* FROM v
+        """)
+        out = session.execute("SELECT SUM(val2) AS t FROM L2 "
+                              "WITH RESULTDISTRIBUTION MONTECARLO(4)")
+        assert out.distributions.distribution("t").samples.shape == (4,)
+
 
 class TestDeterministicSelect:
     def test_projection(self, session):
