@@ -44,7 +44,8 @@ from repro.engine.random_table import RandomTableSpec
 from repro.engine.seeds import (
     SeedInfo, derive_prng_seeds, handle_label_id, label_id_of, seed_handles)
 from repro.engine.table import Catalog
-from repro.vg.streams import gather_stream_points, gather_stream_windows
+from repro.vg.streams import (
+    gather_aligned_windows, gather_stream_points, gather_stream_windows)
 
 __all__ = [
     "ExecutionContext", "PlanNode", "Scan", "Seed", "Instantiate",
@@ -310,13 +311,15 @@ class _Runs:
     values as runs — row ``t`` is ``columns[i, offsets[t]:offsets[t +
     1]]``, the stream values at the ascending positions
     ``positions[handle of t]``, the first of which is ``bases[t]`` and
-    whose last contiguous run starts at slot ``finals[t]``."""
+    whose last contiguous run starts at slot ``finals[t]``.  A Monte
+    Carlo run's ``columns[i]`` is a ``(T, W)`` block instead, with no
+    ``offsets``, ``finals`` or ``positions`` (it is never recorded)."""
 
     positions: dict[int, np.ndarray]
-    columns: np.ndarray
-    offsets: np.ndarray
+    columns: np.ndarray | list[np.ndarray]
+    offsets: np.ndarray | None
     bases: np.ndarray
-    finals: np.ndarray
+    finals: np.ndarray | None
 
 
 @dataclass
@@ -453,9 +456,13 @@ class Instantiate(PlanNode):
 
     Each distinct parameter tuple is validated once, however many rows
     share it, and the whole output is filled by a single batched stream
-    read: when all rows share the default window, by
-    :func:`repro.vg.streams.gather_stream_windows`, else by
-    :func:`repro.vg.streams.gather_stream_points` over each row's own.
+    read: in Monte Carlo mode by
+    :func:`repro.vg.streams.gather_aligned_windows`, from the rows' PRNG
+    keys and parameter matrix; in tail mode, over each seed's
+    :class:`~repro.engine.seeds.SeedInfo`, by
+    :func:`repro.vg.streams.gather_stream_windows` when all rows share the
+    default window, else by :func:`repro.vg.streams.gather_stream_points`
+    over each row's own.
 
     A refuel runs the plan as a Δ-execution over its refuel set
     (``context.handle_filter``): the operator keeps only the input rows
@@ -502,9 +509,9 @@ class Instantiate(PlanNode):
             relation = relation.filter_rows(np.isin(
                 relation.det_columns[self.handle_column],
                 np.fromiter(refuel, dtype=np.int64, count=len(refuel))))
-        length = relation.length
         handles = relation.det_columns[self.handle_column].astype(np.int64)
-        self._register_seeds(context, relation, handles)
+        if not context.aligned:
+            self._register_seeds(context, relation, handles)
 
         previous = (context.materialized.get(self.node_id)
                     if context.delta_mode else None)
@@ -517,55 +524,43 @@ class Instantiate(PlanNode):
         if previous is not None:
             runs = self._merge_delta(context, handles, previous)
             context.delta_runs += 1
-        elif not context.position_plan:
-            runs = self._gather_shared(context, handles)
-            context.full_runs += 1
         else:
-            runs = self._gather_per_row(context, handles)
             context.full_runs += 1
+            if context.aligned:
+                runs = self._gather_aligned(context, relation, handles)
+            elif not context.position_plan:
+                runs = self._gather_shared(context, handles)
+            else:
+                runs = self._gather_per_row(context, handles)
 
         # Monte Carlo reads every output as a (T, W) block, tail mode as
         # runs (see repro.engine.bundles).
         out = relation.shallow_copy()
         for (name, _), values in zip(self.outputs, runs.columns):
-            if context.aligned:
-                column = RandomColumn(
-                    values.reshape(length, context.positions),
-                    seed_handles=handles.copy(), bases=runs.bases.copy())
-            else:
-                column = RandomColumn(
-                    values, seed_handles=handles.copy(),
-                    bases=runs.bases.copy(), offsets=runs.offsets)
-            out.add_rand_column(name, column)
+            out.add_rand_column(name, RandomColumn(
+                values, seed_handles=handles.copy(), bases=runs.bases.copy(),
+                offsets=runs.offsets))
         if context.delta_tracking:
             context.materialized[self.node_id] = _Materialization.record(
                 handles, runs, previous)
         return out
 
-    def _register_seeds(self, context, relation, handles) -> None:
-        """Create SeedInfo entries, validating once per parameter signature.
+    def _params(self, context, relation, handles, rows=slice(None)):
+        """``(PRNG keys, parameters)`` of the relation's ``rows`` (a mask
+        or slice), whose seed handles are ``handles``: the keys as a list
+        of ints, the VG parameters as a ``(rows, parameters)`` float64
+        matrix.
 
-        Only rows with an unregistered handle are evaluated (an append
-        validates just the appended rows; a replenishment, nothing), and
-        ``validate_params`` runs once per *distinct*
-        parameter tuple among them, with all PRNG keys from one
-        vectorized pass.
+        ``validate_params`` runs once per *distinct* parameter tuple, in
+        row order, before any stream is drawn; a rejection is an
+        :class:`EngineError` naming the seed label.
         """
-        seeds = context.seeds
-        fresh = ~np.fromiter(map(seeds.__contains__, handles.tolist()),
-                             dtype=bool, count=handles.shape[0])
-        if not fresh.any():
-            return
-        param_columns = [
-            np.asarray(relation.evaluate_scalar(expr), dtype=np.float64)[fresh]
-            for expr in self.param_exprs]
-        if param_columns:
-            row_params = list(map(
-                tuple, np.column_stack(param_columns).tolist()))
-        else:
-            row_params = [()] * int(fresh.sum())
-        handles = handles[fresh]
-        for params in dict.fromkeys(row_params):
+        columns = [np.asarray(relation.evaluate_scalar(expr),
+                              dtype=np.float64)[rows]
+                   for expr in self.param_exprs]
+        matrix = (np.column_stack(columns) if columns
+                  else np.empty((handles.shape[0], 0)))
+        for params in dict.fromkeys(map(tuple, matrix.tolist())):
             try:
                 self.vg.validate_params(params)
             except ValueError as exc:
@@ -573,24 +568,56 @@ class Instantiate(PlanNode):
                 raise EngineError(
                     f"VG function {self.vg.name} rejected parameters "
                     f"{params} of seed {label!r}: {exc}") from exc
-        prng_seeds = derive_prng_seeds(context.base_seed, handles).tolist()
-        for handle, prng_seed, params in zip(
-                handles.tolist(), prng_seeds, row_params):
+        return derive_prng_seeds(context.base_seed, handles).tolist(), matrix
+
+    def _register_seeds(self, context, relation, handles) -> None:
+        """Create a tail run's SeedInfo entries.
+
+        Only rows with an unregistered handle are evaluated (an append
+        validates just the appended rows; a replenishment, nothing), with
+        all PRNG keys from one vectorized pass.
+        """
+        seeds = context.seeds
+        fresh = ~np.fromiter(map(seeds.__contains__, handles.tolist()),
+                             dtype=bool, count=handles.shape[0])
+        if not fresh.any():
+            return
+        handles = handles[fresh]
+        keys, params = self._params(context, relation, handles, fresh)
+        for handle, key, row in zip(handles.tolist(), keys, params.tolist()):
             if handle not in seeds:
-                seeds[handle] = SeedInfo(handle, prng_seed, self.vg, params)
+                seeds[handle] = SeedInfo(handle, key, self.vg, tuple(row))
+
+    def _gather_aligned(self, context, relation, handles) -> _Runs:
+        """Monte Carlo run: every row's window is positions
+        ``[position_offset, position_offset + positions)``, one ``(T, W)``
+        block per output (runs without ``offsets``) filled by
+        :func:`repro.vg.streams.gather_aligned_windows` from the rows'
+        PRNG keys and parameter matrix.  A Monte Carlo run never refuels,
+        so it registers no SeedInfo, and a position plan (a refuel's)
+        is refused."""
+        if context.position_plan:
+            raise EngineError("a position plan needs a tail (aligned=False) "
+                              "context")
+        keys, params = self._params(context, relation, handles)
+        context.instantiate_rows_computed += handles.shape[0]
+        blocks = gather_aligned_windows(
+            self.vg, keys, params, context.position_offset,
+            context.positions, [component for _, component in self.outputs])
+        return _Runs({}, blocks, None, np.full_like(
+            handles, context.position_offset), None)
 
     def _gather_shared(self, context, handles) -> _Runs:
-        """Full run, no position plan: every row's window is the
-        contiguous default range, and one batched range read fills them
-        all.  A tail run reads through each seed's ``chunk_blocks``,
-        which keeps the chunk the window ends in for the seed's first
-        refuel; Monte Carlo, which never refuels, keeps no chunk."""
+        """Full tail run, no position plan: every row's window is the
+        contiguous default range, and one batched range read over the
+        seeds' ``chunk_blocks`` fills them all, keeping the chunk each
+        window ends in for the seed's first refuel."""
         count, width = handles.shape[0], context.positions
         first = context.position_offset
         handle_list = handles.tolist()
         context.instantiate_rows_computed += count
         columns = gather_stream_windows(
-            SeedInfo.draw if context.aligned else SeedInfo.chunk_blocks,
+            SeedInfo.chunk_blocks,
             list(map(context.seeds.__getitem__, handle_list)),
             np.full(count, first), np.full(count, first + width),
             [component for _, component in self.outputs])

@@ -7,9 +7,11 @@ plan and the data — ``(seed-node label, parameter-row index)`` — so
 re-running a plan during replenishment (Sec. 9) reproduces the same handles
 and therefore the same streams.
 
-:class:`SeedInfo` is the execution-time registry entry for a handle: it
-names the handle's deterministic stream and reads it a chunk at a time
-(:meth:`SeedInfo.chunk_blocks`).
+:class:`SeedInfo` is a tail run's registry entry for a handle: it names
+the handle's deterministic stream and reads it a chunk at a time
+(:meth:`SeedInfo.chunk_blocks`).  A Monte Carlo run registers none: its
+fill reads the rows' PRNG keys (:func:`derive_prng_seeds`) and parameter
+matrix directly.
 """
 
 from __future__ import annotations
@@ -111,11 +113,7 @@ class SeedInfo:
         memo = self._chunk_memo
         if memo is not None and memo[0] == chunk_index:
             return memo[1]
-        blocks = self.draw(chunk_index)
+        blocks = draw_chunk(self.prng_seed, self.vg, self.params,
+                            chunk_index)
         self._chunk_memo = (chunk_index, blocks)
         return blocks
-
-    def draw(self, chunk_index: int) -> np.ndarray:
-        """:meth:`chunk_blocks` keeping nothing: the read of a Monte Carlo
-        run, which never refuels."""
-        return draw_chunk(self.prng_seed, self.vg, self.params, chunk_index)

@@ -579,20 +579,23 @@ class Session:
         header = list(statement.columns)
         consumed = 0
         for item in statement.select_items:
-            if item == star or item.startswith(f"{statement.vg_alias}."):
-                remaining = header[consumed:]
-                if item == star:
-                    random_names.extend(remaining)
-                    consumed = len(header)
-                else:
-                    random_names.append(header[consumed])
-                    consumed += 1
+            if consumed == len(header):  # every SELECT item needs a name
+                raise PlanError(
+                    f"CREATE TABLE {statement.name} header "
+                    f"({', '.join(header)}) is shorter than its SELECT list "
+                    f"({', '.join(statement.select_items)})")
+            if item == star:
+                random_names.extend(header[consumed:])
+                consumed = len(header)
+            elif item.startswith(f"{statement.vg_alias}."):
+                random_names.append(header[consumed])
+                consumed += 1
             else:
                 if item not in parameter_table:
                     raise PlanError(
                         f"{item!r} is neither a parameter column of "
                         f"{statement.parameter_table!r} nor a VG output")
-                if consumed < len(header) and header[consumed] != item:
+                if header[consumed] != item:
                     raise PlanError(
                         f"CREATE TABLE {statement.name} header names "
                         f"{header[consumed]!r} where the SELECT passes "

@@ -24,7 +24,33 @@ class VGFunction(ABC):
     and the analytic moments are optional.  ``params`` is a tuple of
     scalars taken from one row of a parameter table, in the order written in
     the SQL ``VALUES(...)`` clause.
+
+    **The standard form** is an optional pair of methods that lets a Monte
+    Carlo run fill its block without a ``sample_blocks`` call per stream
+    (:func:`repro.vg.streams.gather_aligned_windows`); the base class
+    declares none (both ``None``).  A VG whose blocks are one value each
+    and a fixed transform of one variate each may declare both:
+
+    * ``standard_fill(rng, out)`` draws ``len(out)`` *standard* variates
+      from the borrowed ``rng`` into the float64 vector ``out``;
+    * ``from_standard(params, z)`` turns a ``(rows, width)`` block of them
+      into the VG's values, row ``r`` under parameter row ``params[r]`` of
+      a ``(rows, parameters)`` float64 matrix, *in place*, and returns
+      ``z``.
+
+    The obligation is bit identity: for every valid parameter row, every
+    ``k`` and every generator state, ``from_standard`` over the first
+    ``k`` values ``standard_fill`` draws must equal, bit for bit, the
+    first ``k`` blocks of ``sample_blocks(rng, params, DEFAULT_CHUNK)``
+    from the same state — so the draw must consume the bit stream in
+    order, one variate after another, and the transform must repeat
+    ``sample_blocks``'s floating-point operations exactly.  The
+    stream-identity property of ``tests/test_vg_streams.py`` holds every
+    declaring builtin to it.
     """
+
+    #: The standard form (see above): both set, or neither.
+    standard_fill = from_standard = None
 
     #: Name used by the SQL frontend (``WITH v AS Normal(VALUES(m, 1.0))``).
     name: str = ""

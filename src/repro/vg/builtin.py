@@ -42,6 +42,17 @@ class Normal(VGFunction):
         mean, variance = params
         return rng.normal(mean, math.sqrt(variance), size=size).reshape(size, 1)
 
+    # The standard form: NumPy's ``normal`` draws ``loc + scale * z`` for
+    # each standard normal ``z`` of ``standard_normal``'s ziggurat, which
+    # consumes the bit stream one variate at a time.
+    def standard_fill(self, rng, out):
+        rng.standard_normal(out=out)
+
+    def from_standard(self, params, z):
+        z *= np.sqrt(params[:, 1:2])
+        z += params[:, 0:1]
+        return z
+
     def mean(self, params):
         return float(params[0])
 

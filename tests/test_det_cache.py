@@ -33,6 +33,7 @@ from repro.engine.operators import (
     random_table_pipeline)
 from repro.engine.options import ExecutionOptions
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
+from repro.engine.seeds import derive_prng_seed
 from repro.engine.table import Catalog, Table
 from repro.sql import Session
 from repro.sql.parser import parse
@@ -573,15 +574,16 @@ class TestSignatureBatchedInstantiate:
         assert vg.validate_calls == 3
 
     def test_rerun_validates_only_unregistered_handles(self):
-        """An append-only re-run on a retained context (a standing
-        refresh) validates the appended rows' parameters, not every
-        row's again."""
+        """An append-only re-run on a retained context validates the
+        appended rows' parameters, not every row's again.  Only a tail
+        context keeps a seed registry across runs (a Monte Carlo context
+        registers no SeedInfo and is never re-run)."""
         catalog = _catalog(rows=6)
         vg = _CountingNormal()
         seed = Seed(Scan("means"), label="L")
         node = Instantiate(seed, vg, [col("m"), lit(1.0)], [("val", 0)],
                            seed.handle_column)
-        context = ExecutionContext(catalog, positions=4, aligned=True)
+        context = ExecutionContext(catalog, positions=4, aligned=False)
         node.execute(context)
         assert vg.validate_calls == 6
         catalog.append("means", {"CID": [6, 7], "m": [7.0, 8.0]})
@@ -598,16 +600,18 @@ class TestSignatureBatchedInstantiate:
         batched_context = ExecutionContext(catalog, positions=32,
                                            aligned=True)
         batched = plan.execute(batched_context)
-        # Force the per-row path: a position plan naming the default
-        # window for every seed (so the same positions materialize)
-        # routes _run through _gather_per_row — the batched gather is
-        # purely an execution strategy and must give the same matrix.
-        ctx2 = ExecutionContext(catalog, positions=32, aligned=True)
-        ctx2.position_plan = dict.fromkeys(batched_context.seeds,
-                                           np.arange(32))
+        # Force the per-row path: a tail context's position plan naming
+        # the default window for every seed (so the same positions
+        # materialize) routes _run through _gather_per_row — the Monte
+        # Carlo fill is purely an execution strategy and must give the
+        # same matrix.
+        ctx2 = ExecutionContext(catalog, positions=32, aligned=False)
+        ctx2.position_plan = dict.fromkeys(
+            batched.rand_columns["val"].seed_handles.tolist(), np.arange(32))
         probe = random_table_pipeline(_losses_spec()).execute(ctx2)
-        np.testing.assert_array_equal(batched.rand_columns["val"].values,
-                                      probe.rand_columns["val"].values)
+        np.testing.assert_array_equal(
+            batched.rand_columns["val"].values,
+            probe.rand_columns["val"].values.reshape(8, 32))
 
     def test_gather_stream_windows_matches_values_at(self):
         catalog = _catalog(rows=5)
@@ -615,13 +619,13 @@ class TestSignatureBatchedInstantiate:
         context = ExecutionContext(catalog, positions=16, aligned=True)
         relation = plan.execute(context)
         positions = np.arange(16, dtype=np.int64)
+        means = catalog.table("means").column("m")
         for row, handle in enumerate(
                 relation.rand_columns["val"].seed_handles):
-            info = context.seeds[int(handle)]
             np.testing.assert_array_equal(
                 relation.rand_columns["val"].values[row],
-                stream_values(info.prng_seed, info.vg, info.params,
-                              positions))
+                stream_values(derive_prng_seed(0, int(handle)), NORMAL,
+                              (float(means[row]), 1.0), positions))
 
     def test_gather_stream_windows_rejects_descending_chunks(self):
         with pytest.raises(ValueError, match="ascending"):

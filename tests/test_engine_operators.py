@@ -94,13 +94,16 @@ class TestScanSeedInstantiate:
         """Replenishment contract: materializing from a later base yields
         the same values the full stream would have at those positions."""
         plan = random_table_pipeline(_losses_spec())
-        ctx0 = _ctx(catalog, positions=16)
-        full = plan.execute(ctx0)
-        ctx1 = _ctx(catalog, positions=8)
-        ctx1.position_plan = dict.fromkeys(ctx0.seeds, np.arange(8, 16))
+        full = plan.execute(_ctx(catalog, positions=16))
+        # Replenishment is a tail run's (a Monte Carlo context refuses a
+        # position plan), which reads its windows as runs.
+        ctx1 = _ctx(catalog, positions=8, aligned=False)
+        ctx1.position_plan = dict.fromkeys(
+            full.rand_columns["val"].seed_handles.tolist(), np.arange(8, 16))
         shifted = plan.execute(ctx1)
-        np.testing.assert_allclose(shifted.rand_columns["val"].values,
-                                   full.rand_columns["val"].values[:, 8:])
+        np.testing.assert_allclose(
+            shifted.rand_columns["val"].values.reshape(-1, 8),
+            full.rand_columns["val"].values[:, 8:])
         np.testing.assert_array_equal(shifted.rand_columns["val"].bases, 8)
 
     def test_block_vg_instantiate_shares_seed(self, catalog):

@@ -137,6 +137,20 @@ class TestEndpoints:
         assert status == 200
         assert payload["appended"] == 1 and payload["rows"] == 3
 
+    @pytest.mark.parametrize("tenant, select", [
+        ("t-short1", "CID, v.val"), ("t-short2", "CID, m, v.*")])
+    def test_create_header_shorter_than_select_is_400(self, base, tenant,
+                                                      select):
+        """A CREATE TABLE header shorter than its SELECT list is the
+        client's error: 400, named, not a 500."""
+        _load_tenant(base, tenant, [1.0, 2.0])
+        sql = (f"CREATE TABLE L5 (CID) AS FOR EACH c IN means WITH v AS "
+               f"Normal(VALUES(m, 1.0)) SELECT {select} FROM v")
+        record = _poll(base, _call(f"{base}/tenants/{tenant}/queries",
+                                   "POST", {"sql": sql})[1]["query_id"])
+        assert (record["status"], record["error_status"]) == ("error", 400)
+        assert "shorter than its SELECT list" in record["error"]
+
     def test_append_schema_mismatch_is_400_named(self, base):
         _load_tenant(base, "t-bad", [1.0])
         status, payload = _call(

@@ -1,5 +1,7 @@
 """End-to-end tests of the SQL surface (repro.sql.session + planner)."""
 
+import re
+
 import numpy as np
 import pytest
 from looper_oracles import ScalarKernelLooper, planner_looper
@@ -106,6 +108,28 @@ class TestCreate:
             session.execute(create.format(name="Odd", outputs="a",
                                           params="m, 1.0, 2.0"))
         assert _catalog_state(session) == before
+
+    @pytest.mark.parametrize("name, select", [
+        ("L5", "CID, v.val"),
+        ("L6", "CID, m, v.*"),
+    ])
+    def test_create_header_shorter_than_select_rejected(self, session, name,
+                                                        select):
+        """A header naming fewer columns than the SELECT produces is a
+        PlanError naming both lists — not a bare IndexError or a
+        ValueError from the catalog — and leaves the catalog as it was."""
+        before = _with_ftable(session)
+        with pytest.raises(PlanError, match=rf"header \(CID\) is shorter "
+                                            rf"than its SELECT list "
+                                            rf"\({re.escape(select)}\)"):
+            session.execute(f"""
+                CREATE TABLE {name} (CID) AS
+                FOR EACH c IN means
+                WITH v AS Normal(VALUES(m, 1.0))
+                SELECT {select} FROM v
+            """)
+        assert _catalog_state(session) == before
+        assert not session.catalog.has(name)
 
     def test_create_bad_passthrough_rejected(self, session):
         with pytest.raises(PlanError, match="neither a parameter column"):

@@ -17,8 +17,8 @@ from repro.vg.base import VGFunction, default_registry
 from repro.vg.builtin import (
     DISCRETE_CHOICE, MIXTURE, MULTIVARIATE_NORMAL, NORMAL, UNIFORM)
 from repro.vg.streams import (
-    DEFAULT_CHUNK, borrowed_generator, draw_chunk, gather_stream_points,
-    gather_stream_windows, generator_for_chunk)
+    DEFAULT_CHUNK, borrowed_generator, draw_chunk, gather_aligned_windows,
+    gather_stream_points, gather_stream_windows, generator_for_chunk)
 
 
 _UNIT = (0.0, 1.0)
@@ -315,6 +315,12 @@ class TestStreamOracle:
             components)
         np.testing.assert_array_equal(
             ranges, want[:, len(positions) - run[1]:])
+        # The Monte Carlo fill: one row's window, one block per component.
+        aligned = gather_aligned_windows(
+            vg, [seed], np.array([params], dtype=np.float64), run[0], run[1],
+            components)
+        np.testing.assert_array_equal(
+            np.concatenate(aligned), want[:, len(positions) - run[1]:])
 
 
 # (vg, params) the seek is pinned on: continuous, bounded, discrete, and
