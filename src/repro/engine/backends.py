@@ -4,8 +4,12 @@ Sec. 1's observation that Monte Carlo repetitions are embarrassingly
 parallel fixes *what* can run concurrently; this module fixes *where*.
 The Monte Carlo executor (:class:`~repro.engine.mcdb.MonteCarloExecutor`)
 describes its parallel work as a **shard job** — an object with a
-``run_shard(lo, hi)`` method — plus a list of contiguous ``[lo, hi)``
-bounds, and hands the pair to a backend's ``run_job``:
+``run_shard(lo, hi)`` method — plus a list of integer ``[lo, hi)``
+bounds, and hands the pair to a backend's ``run_job``.  What a bound
+indexes is the job's business: the executor's own bounds are repetition
+slices, a group-part job's (a per-query copy of the executor) ranges of
+parts — each a set of whole groups run over every repetition.  The
+backend only moves the integers:
 
 * :class:`SerialBackend` — runs every shard in-process, in order.  Useful
   to exercise the exact sharded code paths (splitting, merging) without
@@ -31,7 +35,9 @@ bounds, and hands the pair to a backend's ``run_job``:
 
 Shard-job transport contract (only :class:`ProcessBackend` exercises it):
 
-* ``job.run_shard(lo, hi)`` returns the shard result (any picklable).
+* ``job.run_shard(lo, hi)`` returns the shard result (any picklable);
+  ``lo`` and ``hi`` are the integers of one bound, never a payload —
+  whatever a task needs beyond them rides the job broadcast.
 * ``job.shared_payload()`` (optional) returns ``{key: object}`` for the
   keyed shared channel; the job's ``__getstate__`` must then *exclude*
   those objects and ``job.attach_shared(mapping)`` must re-bind them on

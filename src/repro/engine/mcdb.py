@@ -7,13 +7,24 @@ model the paper starts from: great for central moments, hopeless for deep
 tails (Sec. 1's motivating arithmetic), which is what MCDB-R fixes.
 
 Because repetitions are independent and streams are position-addressed
-pure functions of ``(base_seed, handle)``, the repetition axis shards
-trivially: a worker handling repetitions ``[lo, hi)`` executes the same
-plan with ``position_offset=lo`` and reproduces exactly the slice a serial
-run would compute — every worker re-derives the same per-seed PRNG keys
-via :func:`repro.engine.seeds.derive_prng_seed`, so the merged result is
-bit-identical for every ``n_jobs`` (cf. the service-level scaling of Monte
-Carlo production in the LCG MCDB, PAPERS.md).
+pure functions of ``(base_seed, handle)``, a run shards in one of two
+layouts, each bit-identical to the serial run for every ``n_jobs`` (cf.
+the service-level scaling of Monte Carlo production in the LCG MCDB,
+PAPERS.md):
+
+* **repetition slices** — a worker handling repetitions ``[lo, hi)``
+  executes the same plan with ``position_offset=lo`` and reproduces
+  exactly the slice a serial run would compute (every worker re-derives
+  the same per-seed PRNG keys via
+  :func:`repro.engine.seeds.derive_prng_seed`); the slices concatenate;
+* **group parts** — when the GROUP BY keys are fixed by the random
+  table's own rows (:meth:`MonteCarloExecutor._group_source`), whole
+  groups are dealt to workers and each runs every repetition over its
+  groups' seeds only (``ExecutionContext.handle_filter``); no sum is
+  split, so the parts' groups merge without arithmetic.
+
+A pure draw count picks the layout: the one whose busiest worker draws
+fewer stream values (:meth:`MonteCarloExecutor._group_parts`).
 
 *Where* the shards run is the backend's business
 (:mod:`repro.engine.backends`): the executor is itself the shard job —
@@ -25,7 +36,9 @@ only a ``(job_id, lo, hi)`` task message.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,10 +48,12 @@ from repro.engine.bundles import (
     BundleRelation, RandomColumn, ordered_column_sum, row_key_codes)
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import Expr
-from repro.engine.operators import ExecutionContext, PlanNode
+from repro.engine.operators import (
+    ExecutionContext, Instantiate, Join, PlanNode, Project, Select, Split)
 from repro.engine.options import ExecutionOptions
 from repro.engine.result import ResultDistribution
 from repro.engine.table import Catalog
+from repro.vg.streams import aligned_draws
 
 __all__ = ["AggregateSpec", "MonteCarloExecutor", "MonteCarloResult"]
 
@@ -49,6 +64,23 @@ def _same_map(rows: np.ndarray | None, other: np.ndarray | None) -> bool:
     """Whether two block row maps (``None``: the identity) are equal."""
     return rows is other or (rows is not None and other is not None
                              and np.array_equal(rows, other))
+
+
+def _plan_nodes(node: PlanNode):
+    yield node
+    for child in node.children:
+        yield from _plan_nodes(child)
+
+
+@dataclass(frozen=True)
+class _GroupParts:
+    """A group-part job's layout: every part runs ``repetitions`` over
+    the rows of its seeds ``handles[part]``; ``handle_column`` is the
+    seed column that reaches the plan's root."""
+
+    repetitions: int
+    handle_column: str
+    handles: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -69,6 +101,11 @@ class AggregateSpec:
 
 class MonteCarloResult:
     """Per-group result distributions for each requested aggregate."""
+
+    #: A group part's result only (:meth:`MonteCarloExecutor.run_shard`
+    #: on a group-part job): each group key's lead, the seed handle of
+    #: its first output row, by which the parts' groups merge.
+    _leads: dict[tuple, int] | None = None
 
     def __init__(self, group_by: Sequence[str],
                  groups: Mapping[tuple, Mapping[str, ResultDistribution]],
@@ -150,6 +187,9 @@ class MonteCarloExecutor:
         #: executor build an ephemeral one per sharded run.
         self.backend = backend
         self._shared_catalog_key = None
+        #: The layout of a group-part job copy (:meth:`_run_parts`);
+        #: ``None`` on the executor itself, whose shards are repetitions.
+        self._parts: _GroupParts | None = None
 
     # -- shard-job transport contract (ProcessBackend) -----------------------
 
@@ -177,41 +217,187 @@ class MonteCarloExecutor:
         if self.options.sharded and repetitions > 1:
             bounds = self.options.shard_bounds(repetitions)
             if len(bounds) > 1:
-                return self._run_sharded(bounds, repetitions)
+                layout = self._group_parts(bounds, repetitions)
+                if layout is not None:
+                    return self._run_parts(*layout)
+                return self._merge_shards(
+                    self._run_job(self, bounds), repetitions)
         return self.run_shard(0, repetitions)
 
     def run_shard(self, lo: int, hi: int) -> MonteCarloResult:
-        """Execute repetitions ``[lo, hi)`` — the whole run when lo=0."""
+        """Execute repetitions ``[lo, hi)`` — the whole run when lo=0.
+
+        On a group-part job (:meth:`_run_parts`) ``[lo, hi)`` are parts
+        instead, each run over every repetition; the result carries each
+        group's lead (``MonteCarloResult._leads``).
+        """
         if self.catalog is None:
             raise EngineError(
                 "executor has no catalog bound; a broadcast copy must be "
                 "re-bound via attach_shared before running shards")
+        parts = self._parts
+        positions, offset = ((hi - lo, lo) if parts is None
+                             else (parts.repetitions, 0))
         context = ExecutionContext(
-            self.catalog, positions=hi - lo, aligned=True,
-            base_seed=self.base_seed, position_offset=lo,
+            self.catalog, positions=positions, aligned=True,
+            base_seed=self.base_seed, position_offset=offset,
             det_cache=self.det_cache)
+        if parts is not None:
+            context.handle_filter = frozenset(
+                np.concatenate(parts.handles[lo:hi]).tolist())
         relation = self.plan.execute(context)
         context.plan_runs += 1
-        return self.aggregate(relation, hi - lo)
+        result = self.aggregate(relation, positions)
+        if parts is not None:
+            seeds = relation.det_columns[parts.handle_column]
+            result._leads = {key: int(seeds[rows[0]]) for key, rows
+                             in self._group_rows(relation).items()}
+        return result
 
-    def _run_sharded(self, bounds: Sequence[tuple[int, int]],
-                     repetitions: int) -> MonteCarloResult:
-        """Partition the repetition axis across backend workers (Sec. 1's
-        "embarrassingly parallel" observation made executable).
-
-        Shard results are merged in slice order, so the sample vector of
-        every (group, aggregate) pair equals the serial run's exactly.
-        """
+    def _run_job(self, job, bounds: Sequence[tuple[int, int]]) -> list:
+        """``run_job`` on the session's backend, or on one built for this
+        run and closed after it."""
         backend = self.backend
         owned = backend is None
         if owned:
             backend = make_backend(self.options)
         try:
-            shards = backend.run_job(self, bounds)
+            return backend.run_job(job, bounds)
         finally:
             if owned:
                 backend.close()
-        return self._merge_shards(shards, repetitions)
+
+    # -- group parts ---------------------------------------------------------
+
+    def _group_source(self) -> Instantiate | None:
+        """The ``Instantiate`` whose input rows fix every output row's
+        group and place, or ``None``.
+
+        The plan must hold exactly one ``Instantiate``, reached from the
+        root through unary operators and the *left* input of each
+        ``Join``; every GROUP BY column, and the seed column, must pass
+        that path unchanged (no ``Project`` drops or redefines them, no
+        ``Split`` makes them).  Every operator on it is row-local and
+        emits rows in input order — ``Join._join`` "left row order, then
+        ascending right row" — so an output row's group and its place in
+        the output order are those of its ``Instantiate`` row.  Whether
+        the GROUP BY columns are columns of that input is the data's to
+        say (:meth:`_group_parts`).
+        """
+        instantiates = [node for node in _plan_nodes(self.plan)
+                        if isinstance(node, Instantiate)]
+        if len(instantiates) != 1 or not self.group_by:
+            return None
+        source = instantiates[0]
+        carried = {*self.group_by, source.handle_column}
+        node = self.plan
+        while node is not source:
+            if isinstance(node, Project):
+                if carried & {name for name, _ in node.outputs} or (
+                        node.keep is not None
+                        and not carried <= set(node.keep)):
+                    return None
+            elif isinstance(node, Split):
+                if node.column in carried:
+                    return None
+            elif not isinstance(node, (Select, Join)):
+                return None
+            node = node.children[0]
+        return source
+
+    def _group_parts(self, bounds: Sequence[tuple[int, int]],
+                     repetitions: int
+                     ) -> tuple[_GroupParts, dict[tuple, int]] | None:
+        """Deal whole groups to workers when that draws less, else ``None``.
+
+        Reads the ``Instantiate`` input of :meth:`_group_source` (a
+        deterministic sub-plan: a det-cache hit after the first query),
+        counts its seeds per GROUP BY key and deals the keys, largest
+        first (ties in first-appearance order), each to the least-loaded
+        of ``min(n_jobs, keys)`` parts (ties to the lowest index).  The
+        layout whose busiest worker draws fewer stream values wins, ties
+        keeping repetition slices: a part draws its seeds' positions
+        ``[0, repetitions)``, a slice ``[lo, hi)`` every seed's, each as
+        the Monte Carlo fill reads them
+        (:func:`repro.vg.streams.aligned_draws`: a mid-chunk slice draws
+        its chunk's prefix too).  Keys must be
+        columns of that input, at least two, and NaN-free (a NaN key
+        equals nothing, so no part could own it); the input's seed
+        handles must rise strictly, one per row — what ``Seed`` makes,
+        and what a deal by handle and a merge by lead rely on (a join
+        below the ``Instantiate`` can repeat or reorder them).
+
+        Returns the layout and the part each key tuple was dealt to.
+        """
+        source = self._group_source()
+        if source is None:
+            return None
+        context = ExecutionContext(
+            self.catalog, positions=repetitions, aligned=True,
+            base_seed=self.base_seed, det_cache=self.det_cache)
+        relation = source.children[0].execute(context)
+        handles = relation.det_columns[source.handle_column]
+        if not (all(name in relation.det_columns for name in self.group_by)
+                and np.all(np.diff(handles) > 0)):
+            return None
+        key_columns = [relation.det_columns[name] for name in self.group_by]
+        if any(column.dtype.kind == "f" and np.isnan(column).any()
+               for column in key_columns):
+            return None
+        _, first, inverse, counts = np.unique(
+            row_key_codes(key_columns), return_index=True,
+            return_inverse=True, return_counts=True)
+        parts = min(self.options.n_jobs, first.size)
+        if parts < 2:
+            return None
+        loads = [(0, part) for part in range(parts)]
+        part_of = np.empty(first.size, dtype=np.int64)
+        for key in np.lexsort((first, -counts)).tolist():
+            load, part = heapq.heappop(loads)
+            part_of[key] = part
+            heapq.heappush(loads, (load + int(counts[key]), part))
+        draws = partial(aligned_draws, source.vg)
+        if (max(load for load, _ in loads) * draws(0, repetitions)
+                >= relation.length * max(draws(lo, hi) for lo, hi in bounds)):
+            return None
+        row_part = part_of[inverse.reshape(-1)]
+        owner = {tuple(column[row] for column in key_columns): part
+                 for row, part in zip(first.tolist(), part_of.tolist())}
+        return _GroupParts(repetitions, source.handle_column, tuple(
+            handles[row_part == part] for part in range(parts))), owner
+
+    def _run_parts(self, layout: _GroupParts,
+                   owner: dict[tuple, int]) -> MonteCarloResult:
+        """Run each part's seeds over every repetition and union the
+        parts' groups.
+
+        The part layout rides a copy of this executor — the once-per-query
+        broadcast — and each task is a part range ``(part, part + 1)``.
+        Under :meth:`_group_source` the serial run orders its groups by
+        first appearance (:meth:`_group_rows`), that is by the seed of
+        each group's first output row: the merge sorts by those leads.
+        A group from two parts, or from a part it was not dealt to, is a
+        bug and raises :class:`EngineError`.
+        """
+        # The per-query job: this executor with the layout set.  Not
+        # copy.copy, which goes through __getstate__ and so drops the
+        # catalog and the backend.
+        job = object.__new__(type(self))
+        job.__dict__.update(self.__dict__, _parts=layout)
+        led = []
+        for part, result in enumerate(self._run_job(
+                job, [(part, part + 1)
+                      for part in range(len(layout.handles))])):
+            for key, lead in result._leads.items():
+                if owner.pop(key, None) != part:
+                    raise EngineError(
+                        f"group {key!r} came back from part {part}, which "
+                        "it was not dealt to (or from two parts)")
+                led.append((lead, key, result._groups[key]))
+        led.sort(key=lambda item: item[0])
+        return MonteCarloResult(
+            self.group_by, {key: by_name for _, key, by_name in led},
+            layout.repetitions)
 
     def _merge_shards(self, shards: Sequence[MonteCarloResult],
                       repetitions: int) -> MonteCarloResult:

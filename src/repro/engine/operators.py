@@ -455,8 +455,9 @@ class Instantiate(PlanNode):
     matching :class:`Seed` supplies lineage.
 
     Each distinct parameter tuple is validated once, however many rows
-    share it, and the whole output is filled by a single batched stream
-    read: in Monte Carlo mode by
+    share it (a VG with a matrix check validates the whole parameter
+    matrix at once), and the whole output is filled by a single batched
+    stream read: in Monte Carlo mode by
     :func:`repro.vg.streams.gather_aligned_windows`, from the rows' PRNG
     keys and parameter matrix; in tail mode, over each seed's
     :class:`~repro.engine.seeds.SeedInfo`, by
@@ -552,15 +553,23 @@ class Instantiate(PlanNode):
         matrix.
 
         ``validate_params`` runs once per *distinct* parameter tuple, in
-        row order, before any stream is drawn; a rejection is an
-        :class:`EngineError` naming the seed label.
+        row order, before any stream is drawn — or, when the VG declares
+        a matrix check (``VGFunction.matrix_check``), on the first row
+        it names; a rejection is an :class:`EngineError` naming the seed
+        label.
         """
         columns = [np.asarray(relation.evaluate_scalar(expr),
                               dtype=np.float64)[rows]
                    for expr in self.param_exprs]
         matrix = (np.column_stack(columns) if columns
                   else np.empty((handles.shape[0], 0)))
-        for params in dict.fromkeys(map(tuple, matrix.tolist())):
+        check = self.vg.matrix_check()
+        if check is None:
+            suspects = dict.fromkeys(map(tuple, matrix.tolist()))
+        else:
+            row = check(matrix)
+            suspects = () if row is None else [tuple(matrix[row].tolist())]
+        for params in suspects:
             try:
                 self.vg.validate_params(params)
             except ValueError as exc:

@@ -9,10 +9,13 @@ seed — the contract ``tests/test_engine_equivalence.py`` enforces and the
 MC/tail goldens pin across commits.
 
 ``n_jobs`` and ``backend`` shape the stateless ``run_job`` sharding of
-the Monte Carlo repetition axis (:mod:`repro.engine.backends`): the
-repetitions split evenly over ``n_jobs`` contiguous slices, every worker
-re-derives the same per-seed PRNG keys and materializes disjoint windows
-of the same streams, so merging shards in order reproduces the serial
+a Monte Carlo run (:mod:`repro.engine.backends`): the repetitions split
+evenly over ``n_jobs`` contiguous slices, every worker re-deriving the
+same per-seed PRNG keys and materializing disjoint windows of the same
+streams, or — for a query grouped by its random table's own columns,
+when that draws less — whole groups are dealt to up to ``n_jobs``
+workers, each running every repetition over its groups' seeds
+(:mod:`repro.engine.mcdb`).  Either way the merge reproduces the serial
 run.  Tail (``DOMAIN``) queries ignore them: the Gibbs sweep is
 Gauss–Seidel over TS-seeds and always runs in-process, with one kernel
 and delta refuels.  ``det_cache`` decides whether deterministic sub-plan
@@ -126,9 +129,13 @@ class ExecutionOptions:
     Parameters
     ----------
     n_jobs:
-        Workers for Monte Carlo repetition slices; ``1`` runs serially
-        in-process.  Results are independent of ``n_jobs``.  Tail
-        queries always run in-process, whatever ``n_jobs`` is.
+        Workers for a Monte Carlo run; ``1`` runs serially in-process.
+        The run shards into repetition slices, or into parts of whole
+        groups when the GROUP BY keys are the random table's own columns
+        and the busiest part draws fewer stream values than the widest
+        slice — a choice made from the plan and the data, with no knob.
+        Results are independent of ``n_jobs``.  Tail queries always run
+        in-process, whatever ``n_jobs`` is.
     backend:
         Shard transport (see :data:`BACKENDS`): ``"process"``,
         ``"thread"`` or ``"serial"``.  Inert while ``n_jobs == 1``.

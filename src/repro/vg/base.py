@@ -52,6 +52,14 @@ class VGFunction(ABC):
     #: The standard form (see above): both set, or neither.
     standard_fill = from_standard = None
 
+    #: Optional matrix check: ``first_invalid_row(params)`` over a
+    #: ``(rows, parameters)`` float64 matrix returns the index of the
+    #: first row :meth:`validate_params` would reject, or ``None``.
+    #: ``Instantiate`` then calls :meth:`validate_params` on that row alone
+    #: (for its message) instead of once per distinct parameter tuple —
+    #: see :meth:`matrix_check` for when it counts.
+    first_invalid_row = None
+
     #: Name used by the SQL frontend (``WITH v AS Normal(VALUES(m, 1.0))``).
     name: str = ""
 
@@ -86,8 +94,19 @@ class VGFunction(ABC):
         """Raise ``ValueError`` for an invalid parameterization.
 
         ``Instantiate`` calls it once per distinct parameter tuple, before
-        any stream of that tuple is drawn.
+        any stream of that tuple is drawn — or, for a VG that declares
+        :attr:`first_invalid_row`, on the first row that check names.
         """
+
+    def matrix_check(self):
+        """The bound :attr:`first_invalid_row` when the class that
+        defines this VG's :meth:`validate_params` declares it too, else
+        ``None``: a subclass overriding ``validate_params`` alone keeps
+        the per-tuple loop, so an inherited check never skips its rules."""
+        for klass in type(self).__mro__:
+            if "validate_params" in vars(klass):
+                check = vars(klass).get("first_invalid_row")
+                return None if check is None else check.__get__(self)
 
     # -- analytic hooks (used by tests and the analytic baselines) ---------
 

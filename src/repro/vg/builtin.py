@@ -38,6 +38,12 @@ class Normal(VGFunction):
         if params[1] < 0:
             raise ValueError(f"Normal variance must be >= 0, got {params[1]}")
 
+    def first_invalid_row(self, params):
+        if params.shape[1] != 2:
+            return 0 if params.shape[0] else None
+        bad = np.flatnonzero(params[:, 1] < 0)
+        return int(bad[0]) if bad.size else None
+
     def sample_blocks(self, rng, params, size):
         mean, variance = params
         return rng.normal(mean, math.sqrt(variance), size=size).reshape(size, 1)

@@ -245,6 +245,16 @@ def gather_aligned_windows(vg, keys, params, start: int, width: int,
     return [values] + [values.copy() for _ in components[1:]]
 
 
+def aligned_draws(vg, start: int, stop: int) -> int:
+    """How many values of each row's stream :func:`gather_aligned_windows`
+    draws to fill positions ``[start, stop)`` of ``vg``: a VG with a
+    standard form from the start of ``start``'s chunk (a mid-chunk start
+    draws the chunk's prefix too), any other VG whole chunks."""
+    if vg.from_standard is None:
+        stop = -(-stop // DEFAULT_CHUNK) * DEFAULT_CHUNK
+    return stop - start // DEFAULT_CHUNK * DEFAULT_CHUNK
+
+
 def generator_for_chunk(seed: int, chunk_index: int) -> np.random.Generator:
     """Return a *fresh* Generator positioned deterministically for one chunk.
 

@@ -16,6 +16,9 @@ seek it stands on.
 * **Registration** — a Monte Carlo run builds no ``SeedInfo``, validates
   each distinct parameter tuple once before any stream is drawn, and
   fills a zero-row ``Instantiate`` with an empty block.
+* **The matrix check** — ``Normal`` validates its whole parameter matrix
+  at once, naming the first bad row with the per-tuple message; a VG
+  without one keeps the per-tuple loop.
 """
 
 import os
@@ -115,6 +118,38 @@ class TestStreamIdentity:
                 np.testing.assert_array_equal(
                     blocks[slot][r],
                     stream_values(key, mvn, row, positions, component))
+
+    @pytest.mark.parametrize("start, stop", [
+        (0, 200), (100, 200), (200, 400), (DEFAULT_CHUNK, 2 * DEFAULT_CHUNK),
+        (DEFAULT_CHUNK - 1, DEFAULT_CHUNK + 1), (1024, 2048)])
+    def test_aligned_draws_counts_what_the_fill_draws(self, monkeypatch,
+                                                       start, stop):
+        """``aligned_draws`` is the number of values the fill draws per
+        row: from the chunk's start for a standard form, whole chunks
+        for any other VG."""
+        drawn = []
+
+        class Counted(Normal):
+            def standard_fill(self, rng, out):
+                drawn.append(out.size)
+                super().standard_fill(rng, out)
+
+        gather_aligned_windows(Counted(), [3], np.array([[0.0, 1.0]]),
+                               start, stop - start, [0])
+        assert sum(drawn) == streams.aligned_draws(NORMAL, start, stop)
+
+        uniform = default_registry.lookup("uniform")
+        drawn.clear()
+        draw_chunk = streams.draw_chunk
+
+        def counted(*args):
+            drawn.append(DEFAULT_CHUNK)
+            return draw_chunk(*args)
+
+        monkeypatch.setattr(streams, "draw_chunk", counted)
+        gather_aligned_windows(uniform, [3], np.array([[0.0, 1.0]]),
+                               start, stop - start, [0])
+        assert sum(drawn) == streams.aligned_draws(uniform, start, stop)
 
     def test_from_standard_shape_is_checked(self):
         class Clipped(Normal):
@@ -265,3 +300,82 @@ class TestRegistration:
         context.position_plan = {0: np.arange(4)}
         with pytest.raises(EngineError, match="position plan"):
             random_table_pipeline(_spec()).execute(context)
+
+
+def _validate_spy(monkeypatch, cls):
+    """Record every ``validate_params`` call of a VG class."""
+    calls = []
+    validate = cls.validate_params
+
+    def spy(self, params):
+        calls.append(tuple(params))
+        return validate(self, params)
+
+    monkeypatch.setattr(cls, "validate_params", spy)
+    return calls
+
+
+def _instantiate_params(vg, columns, param_exprs):
+    catalog = Catalog()
+    catalog.add_table(Table("params", {"CID": np.arange(8), **columns}))
+    seed = Seed(Scan("params"), label="L")
+    node = Instantiate(seed, vg, param_exprs, [("val", 0)],
+                       seed.handle_column)
+    return node.execute(ExecutionContext(catalog, positions=5, aligned=True))
+
+
+class TestMatrixCheck:
+    """A VG with a matrix check (``Normal``) validates the whole parameter
+    matrix at once and calls ``validate_params`` only on the first row it
+    names, for the message; any other VG loops over distinct tuples."""
+
+    MEANS = np.linspace(0.0, 1.0, 8)
+
+    def _normal(self, variances):
+        return _instantiate_params(
+            NORMAL, {"m": self.MEANS, "v": variances},
+            [col("m"), col("v")])
+
+    def test_negative_variance_names_the_first_bad_row(self, monkeypatch):
+        calls = _validate_spy(monkeypatch, Normal)
+        variances = np.ones(8)
+        variances[5], variances[7] = -1.0, -2.0
+        with pytest.raises(EngineError) as failure:
+            self._normal(variances)
+        bad = (float(self.MEANS[5]), -1.0)
+        assert str(failure.value) == (
+            f"VG function Normal rejected parameters {bad} of seed 'L': "
+            "Normal variance must be >= 0, got -1.0")
+        assert calls == [bad]
+
+    def test_nan_variance_passes(self, monkeypatch):
+        calls = _validate_spy(monkeypatch, Normal)
+        variances = np.ones(8)
+        variances[3] = np.nan
+        assert self._normal(variances).length == 8
+        assert calls == []
+
+    def test_valid_matrix_makes_no_validate_calls(self, monkeypatch):
+        calls = _validate_spy(monkeypatch, Normal)
+        assert self._normal(np.ones(8)).length == 8
+        assert calls == []
+
+    def test_wrong_arity_names_row_zero(self):
+        with pytest.raises(EngineError, match="expects .mean, variance., "
+                                              "got 3 params"):
+            _instantiate_params(NORMAL, {"m": self.MEANS},
+                                [col("m"), lit(1.0), lit(2.0)])
+
+    def test_uniform_still_loops(self, monkeypatch):
+        uniform = default_registry.lookup("uniform")
+        calls = _validate_spy(monkeypatch, type(uniform))
+        _instantiate_params(uniform, {"m": np.repeat([0.0, 1.0], 4)},
+                            [col("m"), col("m") + lit(1.0)])
+        assert calls == [(0.0, 1.0), (1.0, 2.0)]
+
+    def test_subclass_overriding_validate_params_loops(self):
+        """An inherited matrix check never stands in for a subclass's own
+        ``validate_params``: it may check more."""
+        vg = _CountingNormal()
+        assert vg.matrix_check() is None
+        assert NORMAL.matrix_check() is not None
