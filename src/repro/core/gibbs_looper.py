@@ -8,7 +8,10 @@ Key fidelity points, each mapped to the paper:
 * **Loop inversion** — "it switches the inner and outer for loops of
   Algorithm 3 ... perturbs data values one at a time, looping through the
   DB versions, thereby amortizing expensive data scans" (Sec. 7).  The
-  outer loop here runs over TS-seed handles in ascending order.
+  outer loop here runs over TS-seed handles in ascending order — or, when
+  every seed is read by one single-seed tuple, over the anti-diagonals of
+  the (seed, version) grid (:mod:`repro.core.wavefront`), the same cells
+  in an order with the same results.
 * **Priority queue** — Appendix A.2 (Fig. 3) keeps the Gibbs tuples in a
   priority queue keyed by their smallest unprocessed TS-seed handle and
   reinserts a processed tuple under its next-largest handle.  That queue
@@ -25,7 +28,7 @@ Key fidelity points, each mapped to the paper:
   plan re-runs, materializing only new or currently assigned positions;
   deterministic sub-plans come from cache (Sec. 9).  Each seed's window
   is as deep as its own demand (:func:`~repro.core.ts_seed.plan_refuel`),
-  a refuel re-plans only the seeds about to run low, and the re-run
+  a refuel re-plans only the seeds that would run dry, and the re-run
   covers only those seeds' Gibbs tuples, spliced into the rest — unless
   a tuple reads several seeds, when every tuple is discarded and rebuilt.
 
@@ -51,6 +54,7 @@ from repro.core.gibbs import GibbsStats
 from repro.core.gibbs_tuple import GibbsTuple, tuples_from_relation
 from repro.core.params import TailParams
 from repro.core.ts_seed import TSSeed, plan_refuel
+from repro.core.wavefront import Wavefront
 from repro.engine.bundles import BundleRelation, ordered_column_sum, take_runs
 from repro.engine.errors import EngineError, PlanError
 from repro.engine.expressions import DictContext, Expr
@@ -404,14 +408,18 @@ class GibbsLooper:
     options:
         :class:`~repro.engine.options.ExecutionOptions`.  None of its
         knobs reaches the sweep: it always runs in this process, whatever
-        ``n_jobs`` is, because it is Gauss–Seidel over the seeds (each
-        acceptance test reads the running totals every earlier commit
-        moved), so there is no independent work to shard.
+        ``n_jobs`` is.  A sweep is Gauss–Seidel over the seeds — cell
+        (seed, version) reads the running total the previous seed's cell
+        moved and the pointer the previous version's cell moved — so its
+        independent work lies along anti-diagonals, one NumPy pass each
+        (:class:`~repro.core.wavefront.Wavefront`), not across processes.
 
-    The perturbation kernel is the batched one (:meth:`_perturb_seed`)
-    and every refuel is a delta refuel of the seeds running low, run
-    over their rows only when the plan allows (:meth:`_replenish`).  The
-    scalar
+    When every seed is read by exactly one single-seed tuple the sweep
+    runs by anti-diagonals; any other query — a multi-seed tuple, or a
+    seed read by several tuples — runs seed-major, each seed through the
+    batched window kernel (:meth:`_perturb_seed`).  Every refuel is a
+    delta refuel of the seeds that would run dry, run over their rows
+    only when the plan allows (:meth:`_replenish`).  The scalar
     per-version kernel and the full-rebuild refuel it replaced are kept
     in ``tests/looper_oracles.py`` as subclasses, and
     ``tests/test_engine_equivalence.py`` holds this class bit-identical
@@ -474,10 +482,12 @@ class GibbsLooper:
         self._row_seeds: np.ndarray | None = None
         self._single_rows: np.ndarray | None = None
         self._candidates: WindowCandidates | None = None
-        #: Gibbs sweeps completed in this run, out of ``_sweeps`` — the
-        #: refuel policy's clock.
+        #: Gibbs sweeps completed in this run, and the versions of every
+        #: sweep of it — the refuel policy's clock.
         self._sweep = 0
-        self._sweeps = len(params.p_steps) * k
+        self._sweep_versions = [
+            versions for versions in (*params.n_steps[1:], num_samples)
+            for _ in range(k)]
         self._sums: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._versions = 0
@@ -525,10 +535,12 @@ class GibbsLooper:
             self._clone(sources)
             stats = GibbsStats()
             for _ in range(self.k):
+                last = self._sweep_versions[self._sweep - 1] \
+                    if self._sweep else 0
+                for ts in self._seeds.values():
+                    ts.begin_sweep(last)
                 self._perturb_all_seeds(cutoff, stats)
                 self._sweep += 1
-                for ts in self._seeds.values():
-                    ts.visit_used = ts.max_used
             trace.append(LooperStepTrace(
                 step=step, cutoff=cutoff, elite_count=int(keep.size),
                 cloned_to=next_n, stats=stats,
@@ -799,24 +811,40 @@ class GibbsLooper:
 
     # -- perturbation ------------------------------------------------------------
 
+    def _wavefront_ready(self) -> bool:
+        """Whether every seed is read by exactly one single-seed tuple:
+        then a sweep runs by anti-diagonals."""
+        return 0 < self._single_rows.size == len(self._tuples) \
+            == len(self._visit_order)
+
     def _perturb_all_seeds(self, cutoff: float, stats: GibbsStats) -> None:
-        """One systematic Gibbs step over every seed, seed-major (Sec. 7).
+        """One systematic Gibbs step over every seed (Sec. 7).
 
         Appendix A keeps the Gibbs tuples in a priority queue keyed by
         their smallest unprocessed handle and reinserts each processed
         tuple under its next-largest one.  Every tuple's key is then
         always its smallest handle above the last seed processed, so the
         queue pops exactly the ascending union of all tuples' handles —
-        ``_visit_order``, fixed between ingests.  A replenishment may
-        rebuild the tuples mid-sweep (Sec. 9); the sweep then resumes in
+        ``_visit_order``, fixed between ingests.  The sweep runs by
+        anti-diagonals when it can (:class:`Wavefront`); it runs
+        seed-major otherwise, and also for the rest of a sweep whose
+        refuel changed which seeds the tuples read, each seed resuming
+        where the anti-diagonals left it.  A replenishment may rebuild
+        the tuples mid-sweep (Sec. 9); a seed-major sweep then resumes in
         the new order past the seed it was on.
         """
+        progress = {}
+        if self._wavefront_ready():
+            progress = Wavefront(self, cutoff, stats).run()
+            if progress is None:
+                return
         order = self._visit_order
         at = 0
         while at < len(order):
             handle = order[at]
             self._replenished_flag = False
-            self._perturb_seed(handle, cutoff, stats)
+            self._perturb_seed(handle, cutoff, stats,
+                               *progress.get(handle, (0, 0)))
             if self._replenished_flag:
                 order = self._visit_order
                 at = bisect.bisect_right(order, handle)
@@ -843,8 +871,10 @@ class GibbsLooper:
         return width, max_rows
 
     def _perturb_seed(self, handle: int, cutoff: float,
-                      stats: GibbsStats) -> None:
-        """Batched rejection sampling over the whole version axis of a seed.
+                      stats: GibbsStats, version: int = 0,
+                      proposals_used: int = 0) -> None:
+        """Batched rejection sampling over the version axis of a seed,
+        from ``version`` on (``proposals_used`` of its budget spent).
 
         Semantically identical to the reference path: stream positions are
         consumed strictly left-to-right by the versions in ascending order
@@ -856,8 +886,6 @@ class GibbsLooper:
         pair, amortizing expression evaluation across all DB versions.
         """
         versions = self._version_count()
-        version = 0
-        proposals_used = 0  # rejection budget of the *current* version
         consumed_total = 0  # adaptive window sizing: candidates consumed...
         served_total = 0    # ...and versions completed so far in this call
         while version < versions:
@@ -867,7 +895,7 @@ class GibbsLooper:
                 return
             start, stop = ts.fresh_index_range()
             if start >= stop:
-                self._replenish(handle)
+                self._refuel_dry(handle, version)
                 ts = self._seeds[handle]
                 affected = self._tuples_of_seed.get(handle, ())
                 if not affected:
@@ -877,27 +905,14 @@ class GibbsLooper:
                     raise EngineError(
                         f"replenishment produced no fresh values for seed "
                         f"{ts.handle}")
-            state = self._states[affected[0]]
-            if len(affected) == 1 and state.candidate is not None:
-                # One single-seed tuple: walk its candidates directly;
-                # the commit reads them from the WindowCandidates.  A
-                # deep window is walked in slices of at most
-                # _WINDOW_MAX_WIDTH candidates, each unpacked to floats.
-                stop = min(stop, start + _WINDOW_MAX_WIDTH)
-                window = (start, stop, None, None, None, None)
-                accepted, consumed, version, proposals_used = \
-                    self._scan_candidates(ts, state, version,
-                                          proposals_used, start, stop,
-                                          cutoff, stats)
-            else:
-                width, max_rows = self._window_geometry(
-                    stop - start, consumed_total, served_total)
-                window = self._build_window(
-                    ts, affected, version, cutoff, start, start + width,
-                    max_rows)
-                accepted, consumed, version, proposals_used = \
-                    self._scan_window(ts, window, version, proposals_used,
-                                      stats)
+            width, max_rows = self._window_geometry(
+                stop - start, consumed_total, served_total)
+            window = self._build_window(
+                ts, affected, version, cutoff, start, start + width,
+                max_rows)
+            accepted, consumed, version, proposals_used = \
+                self._scan_window(ts, window, version, proposals_used,
+                                  stats)
             consumed_total += consumed
             served_total += len(accepted[0])
             if accepted[0]:
@@ -922,62 +937,6 @@ class GibbsLooper:
 
         return self._walk(ts, lo, width, version,
                           min(self._versions, first_version + rows),
-                          proposals_used, find, stats)
-
-    def _scan_candidates(self, ts: TSSeed, state: _TupleState, version: int,
-                         proposals_used: int, start: int, stop: int,
-                         cutoff: float, stats: GibbsStats):
-        """:meth:`_walk` for a seed read by one single-seed tuple.
-
-        Such a seed's candidates are a row of the refuel's
-        :class:`WindowCandidates`, the same for every version, so there
-        is no matrix to build: the walk evaluates each candidate as the
-        consumption pointer reaches it — about ``proposals / versions``
-        cells per version instead of a ``(rows, width)`` matrix of them.
-        The arithmetic is the matrix kernel's, cell for cell: Python
-        floats are IEEE binary64 like NumPy's, and each verdict applies
-        the same operations in the same order (``sums[v] + ((c + 0.0) -
-        old[v])``, then the aggregate's combine), so every acceptance is
-        the matrix path's bit for bit.  The window is the slice
-        ``[start, stop)`` of the fresh range.
-        """
-        candidates = self._candidates
-        new_sum = candidates.contribution[state.candidate][start:stop].tolist()
-        old_sum = state.contribution.tolist()
-        sums = self._sums.tolist()
-        kind = self.aggregate_kind
-        if kind == "sum":
-            def find(version: int, hit: int, limit: int) -> int:
-                total, old = sums[version], old_sum[version]
-                while hit < limit:
-                    if total + ((new_sum[hit] + 0.0) - old) >= cutoff:
-                        return hit
-                    hit += 1
-                return -1
-        else:
-            new_count = candidates.presence_count[state.candidate][
-                start:stop].tolist()
-            old_count = state.presence_count.tolist()
-            counts = self._counts.tolist()
-
-            def find(version: int, hit: int, limit: int) -> int:
-                total, old = sums[version], old_sum[version]
-                count, old_n = counts[version], old_count[version]
-                while hit < limit:  # _combine, cell by cell
-                    n = count + (new_count[hit] - old_n)
-                    if kind == "count":
-                        candidate = n
-                    elif n > 0:
-                        candidate = (total + ((new_sum[hit] + 0.0) - old)) \
-                            / (n if n >= 1.0 else 1.0)
-                    else:
-                        candidate = -np.inf
-                    if candidate >= cutoff:
-                        return hit
-                    hit += 1
-                return -1
-
-        return self._walk(ts, start, stop - start, version, self._versions,
                           proposals_used, find, stats)
 
     def _walk(self, ts: TSSeed, lo: int, width: int, version: int,
@@ -1137,12 +1096,34 @@ class GibbsLooper:
 
     # -- replenishment ------------------------------------------------------------
 
-    def _replenish(self, dry: int) -> None:
-        """Sec. 9: re-run the plan to refuel the seeds running low.
+    def _plan_refuel(self, seeds: list[TSSeed], done: np.ndarray,
+                     dry: int | None) -> dict[int, np.ndarray]:
+        """:func:`plan_refuel` for ``seeds``, ``seeds[i]`` having finished
+        ``done[i]`` versions of the current sweep (``dry``: the index of
+        the seed that ran dry, if one did)."""
+        sweeps, sweep = self._sweep_versions, self._sweep
+        return plan_refuel(seeds, sum(sweeps[:sweep]) + done, done,
+                           sweeps[sweep] - done + sum(sweeps[sweep + 1:]),
+                           dry, self.window)
 
-        Seed ``dry`` ran out of fresh positions; :func:`plan_refuel`
-        picks the refuel set — the seeds the run re-plans, and how deep —
-        and every other seed's window carries over untouched.  The run is
+    def _refuel_dry(self, dry: int, version: int) -> None:
+        """A seed-major sweep's refuel: seed ``dry`` ran out of fresh
+        positions at ``version``; the seeds before it in the sweep have
+        finished it, the seeds after it have not begun."""
+        order = self._visit_order
+        at = bisect.bisect_left(order, dry)
+        done = np.zeros(len(order), dtype=np.int64)
+        done[:at] = self._version_count()
+        done[at] = version
+        self._replenish(self._plan_refuel(
+            [self._seeds[handle] for handle in order], done, at))
+
+    def _replenish(self, plans: dict[int, np.ndarray]) -> None:
+        """Sec. 9: re-run the plan to refuel the seeds of ``plans``.
+
+        ``plans`` — from :func:`plan_refuel` — maps the refuel set, the
+        seeds the run re-plans, to their new windows; every other seed's
+        window carries over untouched.  The run is
         a Δ-execution over the refuel set's rows when it can be
         (:meth:`_refuel_rows`), else a re-run over every row
         (:meth:`_refuel_all`); either way ``Instantiate`` merges: it
@@ -1152,8 +1133,6 @@ class GibbsLooper:
         """
         started = time.perf_counter()
         context = self._context
-        plans = plan_refuel(self._seeds, dry, self._sweep, self._sweeps,
-                            self.window)
         context.delta_mode = context.delta_tracking
         delta_before, full_before = context.delta_runs, context.full_runs
         try:

@@ -15,37 +15,31 @@ consumption pointer that rejection sampling advances (rejected candidates
 are consumed and never reconsidered, cf. the Fig. 1/Fig. 3 walk-throughs) —
 and (5) the per-version ``assignment`` array.
 
-:func:`plan_refuel` decides, when a seed's window runs dry, which seeds
-the refuel re-plans and how deep (Sec. 9).
+:func:`plan_refuel` decides, when a seed's window runs dry or is about
+to, which seeds the refuel re-plans and how deep (Sec. 9).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
 from repro.engine.seeds import SeedInfo
 
-__all__ = ["TSSeed", "plan_refuel"]
+__all__ = ["TSSeed", "consumption_rates", "plan_refuel"]
 
-#: A seed joins a refuel when its fresh range would not last this many
-#: of its expected next visits: a refuel costs as much as drawing a few
-#: thousand stream values, so it is cheaper to refuel a seed early, with
-#: one that runs dry anyway, than to let it run dry on its own.
-_HEADROOM = 2
-#: The rest of a visit is projected at most this many times what the
-#: visit consumed so far: a version stuck on an extreme value can reject
-#: thousands of candidates, and extrapolating from it alone would
-#: materialize millions.  Repeated refuels still grow the window
-#: geometrically.
-_PROJECTION_CAP = 4
-#: A re-planned window holds ``floor // _SLACK`` fresh positions beyond
-#: the demand it expects, so a seed whose estimate falls just short does
-#: not refuel again for its last few positions.
+#: A re-planned seed gets this many times the fresh positions its
+#: consumption per version predicts for the rest of the run: a sweep at
+#: a higher cutoff rejects more, so the rate seen so far runs low.
+_MARGIN = 1.25
+#: ... plus ``floor // _SLACK`` more, so a seed whose estimate falls just
+#: short does not refuel again for its last few positions.
 _SLACK = 4
+#: A seed's rate in the current sweep counts once it has finished this
+#: many versions of it.
+_RECENT = 8
 
 
 @dataclass
@@ -64,21 +58,19 @@ class TSSeed:
     #: ``assignment[v]`` = stream position currently held by DB version v.
     assignment: np.ndarray
     #: Refuel-policy state (:func:`plan_refuel`): ``max_used`` when the
-    #: looper took the seed up and when its current or next visit began
-    #: (the looper snapshots it after every sweep), the fresh depth of the
-    #: seed's last window, the visit that window was planned for, and
-    #: whether it was guessed before the seed's first visit.
+    #: looper took the seed up and when the current sweep began, the
+    #: positions it consumed per version in the last sweep, and the fresh
+    #: depth of its last window.
     first_used: int | None = None
-    visit_used: int | None = None
+    sweep_used: int | None = None
+    sweep_rate: float = 0.0
     depth: int = 0
-    planned_for: int = -1
-    guessed: bool = False
 
     def __post_init__(self):
         if self.first_used is None:
             self.first_used = self.max_used
-        if self.visit_used is None:
-            self.visit_used = self.max_used
+        if self.sweep_used is None:
+            self.sweep_used = self.max_used
 
     @property
     def handle(self) -> int:
@@ -97,6 +89,13 @@ class TSSeed:
                    max_used=int(positions[versions - 1]),
                    assignment=positions[:versions].copy(),
                    depth=len(positions) - versions)
+
+    def begin_sweep(self, versions: int) -> None:
+        """A sweep begins; the last one had ``versions`` versions (0:
+        none yet)."""
+        if versions:
+            self.sweep_rate = (self.max_used - self.sweep_used) / versions
+        self.sweep_used = self.max_used
 
     # -- proposals ----------------------------------------------------------
 
@@ -165,84 +164,65 @@ class TSSeed:
         return index
 
 
-def plan_refuel(seeds: Mapping[int, TSSeed], dry: int, sweep: int,
-                sweeps: int, floor: int) -> dict[int, np.ndarray]:
+def consumption_rates(used: np.ndarray, done: np.ndarray) -> np.ndarray:
+    """Stream positions a seed consumed per version it finished, with one
+    position and one version of prior: it consumed ``used`` positions
+    over ``done`` versions."""
+    return (used + 1.0) / (done + 1.0)
+
+
+def plan_refuel(seeds: Sequence[TSSeed], done: np.ndarray,
+                current: np.ndarray, left: np.ndarray, dry: int | None,
+                floor: int) -> dict[int, np.ndarray]:
     """Which seeds a refuel re-plans, and each one's new window.
 
-    Seed ``dry`` ran out of fresh positions during sweep ``sweep``
-    (0-based) of ``sweeps``.  A sweep visits the seeds in ascending handle
-    order, so each seed below ``dry`` has made ``sweep + 1`` visits and
-    each seed above it ``sweep``.  A seed's demand is how far its
-    consumption pointer advances; it is expected to demand, per visit,
-    what it demanded per visit so far.  ``dry``'s unfinished visit is
-    projected from the versions it has moved in it (those now assigned
-    past where the visit began): the rest of the visit costs what those
-    versions cost each, counting one more position and one more version
-    than seen, and at most :data:`_PROJECTION_CAP` times what the visit
-    consumed so far.
+    ``seeds[i]`` has finished ``done[i]`` versions of the run (versions
+    of every sweep count, each once), ``current[i]`` of them in the
+    current sweep, and has ``left[i]`` to go; ``dry`` is the index of
+    the seed that ran out of fresh positions, or ``None`` for a refuel
+    planned ahead of need.  A seed is expected to consume, per version,
+    the most it consumed per version (:func:`consumption_rates`) over
+    the run, over the last sweep, or over the current one once that has
+    :data:`_RECENT` versions: a later step's cutoff is higher, so its
+    sweeps reject more.
 
-    The refuel set is ``dry`` plus every seed whose fresh range would not
-    last :data:`_HEADROOM` of its expected next visits (or all the visits
-    it has left, when fewer); every other seed's window carries over
-    untouched.  A re-planned seed keeps its assigned positions and gets
-    ``depth`` fresh ones: its expected demand for the rest of the run plus
-    ``floor // _SLACK``, and at least ``floor``.  ``dry`` gets at least twice
-    its last depth when it ran dry during the visit that depth was planned
-    for.  A seed that has made no visit yet is expected to demand the
-    median rate of those that have; if its fresh range falls short of
-    that, its depth is a guess: ``floor`` — or, once a guessed seed has run
-    dry, that seed's projected first visit plus ``floor // _SLACK``.
+    The refuel set is ``dry`` plus every seed whose fresh range falls
+    short of :data:`_MARGIN` times its expected demand for the rest of
+    its run; every other seed's window carries over untouched.  A
+    re-planned seed keeps its assigned positions and gets ``depth``
+    fresh ones: that much plus ``floor // _SLACK``, and at least
+    ``floor``.  ``dry`` gets at least twice its last depth: a seed that
+    outruns its estimate once tends to again.
 
-    Reads only TS-seed state and the sweep position, so every looper
-    refuels at the same moments; the results do not depend on it, since
-    the consumption pointer resumes wherever a refuel leaves it.  Returns
-    ``{handle: new positions}`` and records each re-planned seed's depth.
+    Reads only TS-seed state and version counts, which the looper keys
+    on the versions its sweep order has finished; the results do not
+    depend on it, since the consumption pointer resumes wherever a
+    refuel leaves it.  Returns ``{handle: new positions}`` and records
+    each re-planned seed's depth.
     """
-    states = list(seeds.values())
-    count = len(states)
-    handles = np.fromiter(seeds, dtype=np.int64, count=count)
-    used = np.fromiter((ts.max_used for ts in states), dtype=np.float64,
-                       count=count)
-    first = np.fromiter((ts.first_used for ts in states), dtype=np.float64,
-                        count=count)
+    count = len(seeds)
+    run, last, now = (np.fromiter(values, dtype=np.float64, count=count)
+                      for values in (
+                          (ts.max_used - ts.first_used for ts in seeds),
+                          (ts.sweep_rate for ts in seeds),
+                          (ts.max_used - ts.sweep_used for ts in seeds)))
+    rates = np.maximum(consumption_rates(run, done), last)
+    rates = np.maximum(rates, np.where(
+        current >= _RECENT, consumption_rates(now, current), 0.0))
     # Past ``max_used`` a window holds one contiguous fresh run.
-    fresh = np.fromiter((ts.positions[-1] for ts in states),
-                        dtype=np.float64, count=count) - used
-    visits = sweep + (handles < dry)  # made, or (dry) being made
-    rates = np.full(count, np.nan)
-    made = visits > 0
-    rates[made] = (used[made] - first[made]) / visits[made]
-    at = int(np.flatnonzero(handles == dry)[0])
-    ts = states[at]
-    spent = ts.max_used - ts.visit_used + 1
-    moved = int(np.count_nonzero(ts.assignment > ts.visit_used))
-    rest = min(spent * (ts.assignment.size - moved) / (moved + 1),
-               spent * _PROJECTION_CAP)
-    rates[at] = (used[at] - first[at] + 1 + rest) / (visits[at] + 1)
-    known = ~np.isnan(rates)
-    expected = np.where(known, rates, np.median(rates[known]))
-    ahead = sweeps - visits - 1  # visits left after the current or next
-    join = (ahead >= 0) & (
-        fresh < np.minimum(_HEADROOM, ahead + 1) * expected)
-    join[at] = True
-    slack = floor // _SLACK
-    # A guessed window ran dry: the other guesses were short too.
-    guess = max(floor, slack + math.ceil(rates[at])) if ts.guessed \
-        else floor
+    fresh = np.fromiter((ts.positions[-1] - ts.max_used for ts in seeds),
+                        dtype=np.float64, count=count)
+    join = fresh < _MARGIN * rates * left
+    if dry is not None:
+        join[dry] = True
+    depths = np.maximum(floor, np.ceil(_MARGIN * rates * left)
+                        + floor // _SLACK).astype(np.int64)
     plans = {}
     for index in np.flatnonzero(join).tolist():
-        ts, handle = states[index], int(handles[index])
-        if index == at:
-            depth = max(floor, slack + math.ceil(
-                rest + rates[at] * ahead[at]))
-            if ts.planned_for == visits[at]:
-                depth = max(depth, 2 * ts.depth)
-        elif known[index]:
-            depth = max(floor, slack + math.ceil(
-                rates[index] * (ahead[index] + 1)))
-        else:
-            depth = guess
-        ts.depth, ts.planned_for = depth, int(visits[index])
-        ts.guessed = not known[index]
-        plans[handle] = ts.replenish_plan(depth)
+        ts = seeds[index]
+        depth = int(depths[index])
+        if index == dry:
+            depth = max(depth, 2 * ts.depth)
+        ts.depth = depth
+        plans[ts.handle] = ts.replenish_plan(depth)
     return plans

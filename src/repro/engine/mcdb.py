@@ -102,9 +102,10 @@ class AggregateSpec:
 class MonteCarloResult:
     """Per-group result distributions for each requested aggregate."""
 
-    #: A group part's result only (:meth:`MonteCarloExecutor.run_shard`
-    #: on a group-part job): each group key's lead, the seed handle of
-    #: its first output row, by which the parts' groups merge.
+    #: A shard's result (:meth:`MonteCarloExecutor.run_shard`): each
+    #: group key's lead, the least seed handle among its output rows, by
+    #: which the shards' groups merge; ``None`` when no seed column
+    #: reaches the output.
     _leads: dict[tuple, int] | None = None
 
     def __init__(self, group_by: Sequence[str],
@@ -247,11 +248,15 @@ class MonteCarloExecutor:
                 np.concatenate(parts.handles[lo:hi]).tolist())
         relation = self.plan.execute(context)
         context.plan_runs += 1
-        result = self.aggregate(relation, positions)
-        if parts is not None:
-            seeds = relation.det_columns[parts.handle_column]
-            result._leads = {key: int(seeds[rows[0]]) for key, rows
-                             in self._group_rows(relation).items()}
+        group_rows = self._group_rows(relation)
+        leads = self._leads(relation, group_rows)
+        if leads is not None:  # the order every layout shares
+            group_rows = dict(sorted(
+                group_rows.items(),
+                key=lambda item: (leads[item[0]], repr(item[0]))))
+        result = self.result_from_states(
+            self.fold_states(relation, group_rows=group_rows), positions)
+        result._leads = leads
         return result
 
     def _run_job(self, job, bounds: Sequence[tuple[int, int]]) -> list:
@@ -373,9 +378,9 @@ class MonteCarloExecutor:
 
         The part layout rides a copy of this executor — the once-per-query
         broadcast — and each task is a part range ``(part, part + 1)``.
-        Under :meth:`_group_source` the serial run orders its groups by
-        first appearance (:meth:`_group_rows`), that is by the seed of
-        each group's first output row: the merge sorts by those leads.
+        The serial run orders its groups by lead (:meth:`_leads`), and
+        under :meth:`_group_source` a group's rows are all of its part:
+        the merge sorts by the parts' leads.
         A group from two parts, or from a part it was not dealt to, is a
         bug and raises :class:`EngineError`.
         """
@@ -394,7 +399,7 @@ class MonteCarloExecutor:
                         f"group {key!r} came back from part {part}, which "
                         "it was not dealt to (or from two parts)")
                 led.append((lead, key, result._groups[key]))
-        led.sort(key=lambda item: item[0])
+        led.sort(key=lambda item: (item[0], repr(item[1])))
         return MonteCarloResult(
             self.group_by, {key: by_name for _, key, by_name in led},
             layout.repetitions)
@@ -409,9 +414,21 @@ class MonteCarloExecutor:
         per-position aggregation over an all-false presence mask yields
         exactly the empty-input value — so filling with that value
         reproduces the serial semantics.
+
+        The groups keep the serial run's order (:meth:`_leads`): by the
+        least lead any shard reports, the least seed handle among the
+        group's rows of all of them.  Without a seed column the groups
+        keep their first appearance, shard by shard.
         """
-        keys = dict.fromkeys(
-            key for shard in shards for key in shard.group_keys)
+        leads: dict[tuple, int | None] = {}
+        for shard in shards:
+            for key in shard._groups:
+                lead = None if shard._leads is None else shard._leads[key]
+                leads[key] = lead if leads.get(key) is None \
+                    else min(leads[key], lead)
+        keys = list(leads)
+        if None not in leads.values():
+            keys.sort(key=lambda key: (leads[key], repr(key)))
         groups: dict[tuple, dict[str, ResultDistribution]] = {}
         for key in keys:
             by_name: dict[str, ResultDistribution] = {}
@@ -432,6 +449,21 @@ class MonteCarloExecutor:
     def aggregate(self, relation: BundleRelation, repetitions: int
                   ) -> MonteCarloResult:
         return self.result_from_states(self.fold_states(relation), repetitions)
+
+    def _leads(self, relation: BundleRelation,
+               group_rows: dict[tuple, np.ndarray]) -> dict[tuple, int] | None:
+        """Each group's lead: its least seed handle, of the plan's first
+        ``Instantiate`` whose seed column reaches ``relation`` — or
+        ``None`` when none does.  A run orders its groups by lead, ties
+        by key (:meth:`run_shard`): the same order on every layout, since
+        the serial run's rows of a group are the union of its shards'."""
+        for node in _plan_nodes(self.plan):
+            if isinstance(node, Instantiate) \
+                    and node.handle_column in relation.det_columns:
+                seeds = relation.det_columns[node.handle_column]
+                return {key: int(seeds[rows].min())
+                        for key, rows in group_rows.items()}
+        return None
 
     def _group_rows(self, relation: BundleRelation) -> dict[tuple, np.ndarray]:
         if not self.group_by:
@@ -458,7 +490,9 @@ class MonteCarloExecutor:
     # -- incremental (standing-query) accumulation ---------------------------
 
     def fold_states(self, relation: BundleRelation,
-                    states: dict | None = None) -> dict:
+                    states: dict | None = None,
+                    group_rows: dict[tuple, np.ndarray] | None = None
+                    ) -> dict:
         """Fold every row of ``relation`` into per-group accumulator states.
 
         ``states`` maps group key -> aggregate name -> the raw
@@ -470,12 +504,15 @@ class MonteCarloExecutor:
         query folds the Δ relation of an append (the rows a run over the
         grown tables appends to its output) into the states of the rows
         before it.  Returns new states; ``states`` itself is left as it
-        was, so a fold that fails tears nothing.
+        was, so a fold that fails tears nothing.  ``group_rows`` are
+        ``relation``'s groups (default :meth:`_group_rows`), in the order
+        new groups take.
         """
         presence = relation.combined_presence()
         folded = {key: dict(by_name)
                   for key, by_name in (states or {}).items()}
-        group_rows = self._group_rows(relation)
+        if group_rows is None:
+            group_rows = self._group_rows(relation)
         for aggregate in self.aggregates:
             terms = self._terms(relation, aggregate)
             for key, rows in group_rows.items():

@@ -973,7 +973,21 @@ class RiskServer:
                                    base_seed=base_seed)
         handler = type("BoundHandler", (_Handler,),
                        {"service": self.service, "quiet": quiet})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = ThreadingHTTPServer((host, port), handler,
+                                          bind_and_activate=False)
+        # The stdlib listen backlog is 5: a burst of fresh connections
+        # beyond it loses its SYNs and waits out TCP's 1 s retry.  Room
+        # for every query the server admits at once, running or queued.
+        admitted = self.service.server_options
+        self._httpd.request_queue_size = max(
+            self._httpd.request_queue_size,
+            admitted.queue_depth + admitted.concurrency)
+        try:
+            self._httpd.server_bind()
+            self._httpd.server_activate()
+        except BaseException:
+            self._httpd.server_close()
+            raise
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self.host, self.port = self._httpd.server_address[:2]

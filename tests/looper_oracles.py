@@ -100,7 +100,7 @@ class ScalarKernelLooper(GibbsLooper):
         while proposals_used < self.max_proposals:
             start, stop = ts.fresh_index_range()
             if start >= stop:
-                self._replenish(ts.handle)
+                self._refuel_dry(ts.handle, version)
                 affected = self._tuples_of_seed.get(ts.handle, ())
                 if not affected:
                     return
@@ -217,9 +217,9 @@ class FullRefuelLooper(GibbsLooper):
     gathers every planned position from the streams.
     """
 
-    def _replenish(self, dry: int) -> None:
+    def _replenish(self, plans) -> None:
         self._context.delta_tracking = False
-        super()._replenish(dry)
+        super()._replenish(plans)
 
     def _refuel_rows(self, plans) -> bool:
         return False

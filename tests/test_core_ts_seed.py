@@ -121,32 +121,50 @@ class TestTSSeed:
             self._seed().replenish_plan(0)
 
     def test_plan_refuel(self):
-        """Sweep 1 of 3, seed 2 ran dry: it and seed 1, whose fresh range
-        would not last two of its visits, are re-planned to their demand
-        for the rest of the run plus a quarter window; seed 3 carries
-        over.  A seed dry again within the visit its window was planned
-        for gets at least twice that window."""
+        """Seed 2 ran dry: it and seed 1, whose fresh range falls short
+        of 1.25 times its demand for the rest of the run at its
+        consumption per version so far, are re-planned to that much plus
+        a quarter floor; seed 3 carries over.  A seed dry again gets at
+        least twice its last depth."""
         def seed(handle, positions, max_used, assignment):
             return TSSeed(info=_info(handle), positions=np.arange(positions),
                           max_used=max_used, assignment=np.array(assignment),
-                          first_used=3, visit_used=13)
+                          first_used=3)
 
-        seeds = {1: seed(1, 31, 23, [0, 21, 2, 23]),   # 10 per visit, 7 fresh
-                 2: seed(2, 21, 20, [15, 1, 2, 3]),    # dry, 1 version moved
-                 3: seed(3, 41, 8, [0, 1, 8, 3])}      # 5 per visit, 32 fresh
-        plans = plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
+        seeds = [seed(1, 31, 23, [0, 21, 2, 23]),   # 21/11 a version, 7 fresh
+                 seed(2, 21, 20, [15, 1, 2, 3]),    # dry, 18/11 a version
+                 seed(3, 41, 8, [0, 1, 8, 3])]      # 6/11 a version, 32 fresh
+        done = left = np.array([10, 10, 10])
+        plans = plan_refuel(seeds, done, done, left, dry=1, floor=4)
         assert sorted(plans) == [1, 2]
-        # Seed 1: its last visit, 10 positions, plus a quarter window.
+        # Seed 1: ceil(1.25 * 21/11 * 10) = 24, plus a quarter floor.
         np.testing.assert_array_equal(
-            plans[1], [0, 2, 21, 23, *range(24, 35)])
-        # Seed 2: 8 positions moved 1 of 4 versions, so the visit's rest
-        # is 12; it consumed 18 (+12) over its 2 visits, 15 per visit.
-        assert seeds[2].depth == 1 + 12 + 15
-        assert plans[2][-1] == 20 + 28
-        seeds[2].positions = plans[2]
-        seeds[2].max_used = int(plans[2][-1])
-        plan_refuel(seeds, dry=2, sweep=1, sweeps=3, floor=4)
-        assert seeds[2].depth >= 2 * 28
+            plans[1], [0, 2, 21, 23, *range(24, 49)])
+        # Seed 2: ceil(1.25 * 18/11 * 10) = 21, plus a quarter floor.
+        assert seeds[1].depth == 22
+        assert plans[2][-1] == 20 + 22
+        seeds[1].positions = plans[2]
+        seeds[1].max_used = int(plans[2][-1])
+        plan_refuel(seeds, done, done, left, dry=1, floor=4)
+        assert seeds[1].depth >= 2 * 22
+
+    def test_plan_refuel_reads_the_sweep_rates(self):
+        """A later sweep rejects more: the expected rate is the most of
+        the run's, the last sweep's and — once it has 8 versions — the
+        current sweep's."""
+        def planned(sweep_used, sweep_rate, current):
+            ts = TSSeed(info=_info(1), positions=np.arange(31), max_used=23,
+                        assignment=np.array([0, 23]), first_used=3,
+                        sweep_used=sweep_used, sweep_rate=sweep_rate)
+            plan_refuel([ts], np.array([10]), np.array([current]),
+                        np.array([10]), dry=0, floor=4)
+            return ts.depth
+
+        run = planned(23, 0.0, 0)          # 21/11 a version over the run
+        assert run == 25
+        assert planned(23, 4.0, 0) == 50 + 1      # the last sweep's 4
+        assert planned(3, 0.0, 7) == run          # 7 versions: not yet
+        assert planned(5, 0.0, 8) == 27 + 1       # 19/9 over 8 versions
 
     def test_index_of_position(self):
         ts = TSSeed.initial(_info(), np.array([2, 5, 9, 11]), 2)

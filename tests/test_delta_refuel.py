@@ -20,7 +20,8 @@ drops or surfaces — re-runs over every row instead.
   splice that falls back leaves no counts behind.
 * :class:`TestSpliceFaultDrill`: a VG that breaks only past the initial
   window fails the query typed, over the SQL surface and over HTTP,
-  with nothing half-spliced left behind.
+  with nothing half-spliced left behind; :class:`TestBarrierFaultDrill`:
+  the same for a refuel the anti-diagonal sweep plans at a barrier.
 """
 
 import json
@@ -39,6 +40,7 @@ from stream_oracle import stream_values
 from repro.core import gibbs_looper
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
+from repro.core.wavefront import Wavefront
 from repro.engine.errors import EngineError
 from repro.engine.expressions import col, lit
 from repro.engine.operators import (
@@ -143,8 +145,13 @@ def _fingerprint(result):
     stats = result.total_stats
     return (result.samples.tobytes(), result.quantile_estimate,
             result.assignments, stats.proposals, stats.acceptances,
-            stats.stalls, result.plan_runs,
-            [step.replenish_runs for step in result.trace])
+            stats.stalls)
+
+
+def _schedule(result):
+    """When a run refueled: the same for two loopers that sweep the same
+    way, whatever their refuels do."""
+    return result.plan_runs, [step.replenish_runs for step in result.trace]
 
 
 class TestDeltaRefuelEquivalence:
@@ -160,8 +167,10 @@ class TestDeltaRefuelEquivalence:
         _RecordingLooper.spliced = _RecordingLooper.fell_back = 0
         got = _run(_RecordingLooper, *args)
         for oracle in (FullRefuelLooper, ScalarKernelLooper):
-            assert _fingerprint(_run(oracle, *args)) == _fingerprint(got), \
-                oracle.__name__
+            want = _run(oracle, *args)
+            assert _fingerprint(want) == _fingerprint(got), oracle.__name__
+            if oracle is FullRefuelLooper:
+                assert _schedule(want) == _schedule(got)
         refuels = got.plan_runs - 1
         if shape == "multi_seed":
             assert _RecordingLooper.spliced == 0
@@ -176,9 +185,10 @@ class TestDeltaRefuelEquivalence:
         args = (shape, 6, "sum", 26, 17, 24)
         _RecordingLooper.spliced = 0
         got = _run(_RecordingLooper, *args)
-        assert got.plan_runs > 5
-        assert _fingerprint(_run(FullRefuelLooper, *args)) == \
-            _fingerprint(got)
+        assert got.plan_runs > 3
+        want = _run(FullRefuelLooper, *args)
+        assert _fingerprint(want) == _fingerprint(got)
+        assert _schedule(want) == _schedule(got)
         assert (_RecordingLooper.spliced > 0) == (shape != "multi_seed")
 
 
@@ -258,11 +268,9 @@ class TestSplicedMemory:
             def _perturb_all_seeds(self, cutoff, stats):
                 handles = sorted(self._seeds)
                 for k in range(len(handles) if not ratios else 0):
-                    plans = {handle: self._seeds[handle].replenish_plan(26)
-                             for handle in handles[k:]}
-                    monkeypatch.setattr(gibbs_looper, "plan_refuel",
-                                        lambda *args: plans)
-                    self._replenish(handles[k])
+                    self._replenish(
+                        {handle: self._seeds[handle].replenish_plan(26)
+                         for handle in handles[k:]})
                     kept, live = _blocks(self)
                     ratios.append(kept / live)
 
@@ -301,14 +309,16 @@ class TestFallbackCounters:
                 full, delta, computed, reused, _ = self.before
                 super()._refuel_all(plans)
                 after = self._counters()
-                fallbacks.append(after[2] - computed)
+                fallbacks.append((after[2] - computed, len(plans)))
                 assert after[:2] == (full, delta + 1)
                 assert after[2] + after[3] == computed + reused + 6
 
         got = _run(Pinned, "where", 6, "sum", 26, 3, 24)
         assert fallbacks and got.plan_runs > len(fallbacks) + 1
-        # The re-run computes the refuel set's rows, and reuses the rest.
-        assert all(0 < computed < 6 for computed in fallbacks), fallbacks
+        # The re-run computes the refuel set's rows (one per seed here),
+        # and reuses the rest.
+        assert all(computed == planned for computed, planned in fallbacks), \
+            fallbacks
         assert _fingerprint(_run(FullRefuelLooper, "where", 6, "sum", 26,
                                  3, 24)) == _fingerprint(got)
 
@@ -434,6 +444,60 @@ class TestSpliceFaultDrill:
         with _drill_session() as fresh:
             want = output_to_wire(fresh.execute(_TAIL.format(name="Losses")))
         assert record["result"] == json.loads(json.dumps(want))
+
+
+class _ArmedNormal(VGFunction):
+    """A user VG whose blocks come out misshapen while ``armed``."""
+
+    name = "ArmedNormal"
+    armed = False
+
+    def sample_blocks(self, rng, params, size):
+        blocks = NORMAL.sample_blocks(rng, params, size)
+        return blocks[1:] if _ArmedNormal.armed else blocks
+
+
+class TestBarrierFaultDrill:
+    def test_barrier_refuel_fails_typed_and_leaves_session_usable(
+            self, flaky_vg, monkeypatch):
+        """The splice drill at the anti-diagonal sweep's refuel barrier:
+        a Δ refuel planned there, ahead of need, raises inside its plan
+        run.  The query fails with a typed error, and the session's next
+        tail query is a fresh session's, bit for bit."""
+        vg = _ArmedNormal()
+        monkeypatch.setitem(default_registry._functions, vg.name.lower(), vg)
+        failed, refuels = [], []
+        barrier, refuel = Wavefront._barrier, Wavefront._refuel
+
+        def armed_barrier(self, d):
+            _ArmedNormal.armed = True
+            try:
+                barrier(self, d)
+            except EngineError:
+                failed.append(d)
+                raise
+            finally:
+                _ArmedNormal.armed = False
+
+        def counted_refuel(self, d, dry=None, **kwargs):
+            refuels.append(dry)
+            refuel(self, d, dry, **kwargs)
+
+        monkeypatch.setattr(Wavefront, "_barrier", armed_barrier)
+        monkeypatch.setattr(Wavefront, "_refuel", counted_refuel)
+        with _drill_session() as session:
+            session.execute(_CREATE.format(name="Armed", vg="ArmedNormal"))
+            with pytest.raises(EngineError,
+                               match=r"ArmedNormal returned shape"):
+                session.execute(_TAIL.format(name="Armed"))
+            # It failed in the last refuel, planned at a barrier.
+            assert failed and refuels[-1] is None
+            got = session.execute(_TAIL.format(name="Losses")).tail
+        with _drill_session() as fresh:
+            want = fresh.execute(_TAIL.format(name="Losses")).tail
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.quantile_estimate == want.quantile_estimate
+        assert got.assignments == want.assignments
 
 
 def _call(url, method="GET", body=None):

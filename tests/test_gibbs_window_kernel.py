@@ -8,9 +8,10 @@ zeros included).  The refuel's ``WindowCandidates``, from which the
 commit takes single-seed tuples' new state, are pinned against the same
 per-window evaluation.  ``_scan_window`` walks the acceptability matrix on
 plain ints; ``_scalar_scan`` is the one-candidate-at-a-time walk it must
-reproduce, and ``_scan_candidates`` — the matrix-free walk for a seed read
-by one single-seed tuple — must reproduce the matrix path.  The
-references live only here.
+reproduce, and the anti-diagonal sweep's scalar finder
+(``Wavefront._find``) — the matrix-free walk of one cell of a seed read by
+one single-seed tuple — must reproduce the matrix path.  The references
+live only here.
 """
 
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from repro.core.gibbs_looper import (
     window_candidates)
 from repro.core.gibbs_tuple import tuples_from_relation
 from repro.core.ts_seed import TSSeed
+from repro.core.wavefront import Wavefront
 from repro.engine.bundles import BundleRelation, PresenceColumn, RandomColumn
 from repro.engine.expressions import DictContext, col, lit
 
@@ -336,11 +338,47 @@ def _walk_looper(relation, aggregate, kind, predicate, max_proposals,
     return looper
 
 
+class _Exhausted(Exception):
+    def __init__(self, used):
+        super().__init__()
+        self.used = used
+
+
+def _finder(looper, cutoff, positions, start, cuts):
+    """A :class:`Wavefront` over ``looper``'s one seed whose fresh run is
+    window slots ``[start, ...)``: it holds the slots up to ``cuts[0]``,
+    and each refuel hands it the slots up to the next cut — or, past the
+    last, ends the walk with the proposals its cell had used."""
+    state = looper._states[0]
+    wave = object.__new__(Wavefront)
+    wave.looper, wave.cutoff, wave.stalls = looper, cutoff, 0
+    wave.read_counts = looper.aggregate_kind != "sum"
+    wave.counted = not looper._candidates.always_present
+    wave.old = state.contribution[None, :].copy()
+    wave.old_n = state.presence_count[None, :].copy()
+    wave.runs = [state.candidate]
+    wave.run_key = np.array([-int(positions[0])])
+    wave.ptr = np.array([int(positions[start])])
+    wave.assignment = np.zeros((1, VERSIONS), dtype=np.int64)
+    cuts = list(cuts)
+    wave.stop = np.array([int(positions[0]) + cuts.pop(0)])
+
+    def refuel(d, dry, pending, used):
+        if not cuts:
+            raise _Exhausted(used)
+        wave.stop[0] = int(positions[0]) + cuts.pop(0)
+
+    wave._refuel = refuel
+    return wave
+
+
 class TestCandidateWalkAgainstMatrixScan:
-    """``_scan_candidates`` evaluates a single-seed tuple's candidates as
-    the pointer passes them; the matrix path (``_build_window`` then
-    ``_scan_window``) evaluates the whole window first.  Same verdicts,
-    same walk."""
+    """The anti-diagonal sweep's scalar finder (``Wavefront._find``)
+    evaluates a single-seed tuple's candidates in chunks as the pointer
+    passes them, one cell at a time; the matrix path (``_build_window``
+    then ``_scan_window``) evaluates the whole window first.  Same
+    verdicts, same walk — also when refuels hand the finder the window
+    in pieces, its cell resuming with the proposals it has used."""
 
     @given(data=st.data(), kind=st.sampled_from(["sum", "count", "avg"]),
            predicate=st.sampled_from([None, col("x") > lit(0.0),
@@ -358,28 +396,42 @@ class TestCandidateWalkAgainstMatrixScan:
         aggregate = None if kind == "count" else col("x")
         start = data.draw(st.integers(0, WINDOW - 1))
         stop = data.draw(st.integers(start + 1, WINDOW))
+        cuts = sorted(data.draw(st.sets(st.integers(start, stop - 1)))) \
+            + [stop]
         version = data.draw(st.integers(0, VERSIONS - 1))
-        used = data.draw(st.integers(0, max_proposals - 1))
         looper = _walk_looper(relation, aggregate, kind, predicate,
                               max_proposals, data.draw)
+        if looper._candidates.always_present:
+            # As in a looper (its splices check it): an always-present
+            # tuple counts 1 in every version.
+            looper._states[0].presence_count[:] = 1.0
         positions = np.arange(100, 100 + WINDOW, dtype=np.int64)
-        outcomes = []
-        for walk in ("matrix", "candidates"):
-            ts = TSSeed(info=SimpleNamespace(handle=OWN), positions=positions,
-                        max_used=int(positions[start]) - 1,
-                        assignment=positions[:VERSIONS].copy())
-            stats = GibbsStats()
-            if walk == "matrix":
-                window = looper._build_window(
-                    ts, [0], version, cutoff, start, stop, WINDOW)
-                got = looper._scan_window(ts, window, version, used, stats)
-            else:
-                got = looper._scan_candidates(
-                    ts, looper._states[0], version, used, start, stop,
-                    cutoff, stats)
-            outcomes.append((got, ts.max_used, stats.proposals,
-                             stats.acceptances, stats.stalls))
-        assert outcomes[0] == outcomes[1]
+        ts = TSSeed(info=SimpleNamespace(handle=OWN), positions=positions,
+                    max_used=int(positions[start]) - 1,
+                    assignment=positions[:VERSIONS].copy())
+        stats = GibbsStats()
+        window = looper._build_window(
+            ts, [0], version, cutoff, start, stop, WINDOW)
+        (versions, columns), _, last, used = looper._scan_window(
+            ts, window, version, 0, stats)
+        want = ([(v, int(positions[start + column]))
+                 for v, column in zip(versions, columns)], last, used,
+                ts.max_used, stats.proposals, stats.stalls)
+
+        wave = _finder(looper, cutoff, positions, start, cuts)
+        accepted, at, used = [], version, 0
+        try:
+            while at < VERSIONS:
+                stalls = wave.stalls
+                wave._find([0], at)
+                if wave.stalls == stalls:
+                    accepted.append((at, int(wave.assignment[0, at])))
+                at += 1
+        except _Exhausted as exhausted:
+            used = exhausted.used
+        got = (accepted, at, used, int(wave.ptr[0]) - 1,
+               int(wave.ptr[0] - positions[start]), wave.stalls)
+        assert got == want
 
 
 def _scalar_scan(acceptable, first_version, version, proposals_used,

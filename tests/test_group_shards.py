@@ -201,13 +201,11 @@ def _bits(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype=np.float64).tobytes()
 
 
-def assert_same_result(got, want, first_appearance=True):
-    """Same groups, every sample's bytes equal.  A group-part merge also
-    keeps the serial run's group order (first appearance in its output),
-    which a repetition-slice merge does not promise."""
+def assert_same_result(got, want):
+    """Same groups in the serial run's order (by lead), every sample's
+    bytes equal."""
     assert got.group_keys == want.group_keys
-    if first_appearance:
-        assert list(got._groups) == list(want._groups)
+    assert list(got._groups) == list(want._groups)
     assert got.repetitions == want.repetitions
     for key in want.group_keys:
         for name, distribution in want.aggregates(key).items():
@@ -236,7 +234,7 @@ class TestGroupPartsEqualSerial:
             sharded = _executor(case, options, backend).run(case["n"])
         assert taken == ([] if case["n"] == 1
                          else [_expected_layout(case)])
-        assert_same_result(sharded, serial, taken != ["slices"])
+        assert_same_result(sharded, serial)
 
 
 def _count_instantiated(monkeypatch):
@@ -358,7 +356,7 @@ class TestHandBuiltPlans:
         with make_backend(options) as pool, layout_spy() as taken:
             sharded = executor(options, pool).run(200)
         assert taken == ["slices"]
-        assert_same_result(sharded, serial, first_appearance=False)
+        assert_same_result(sharded, serial)
 
 
 CREATE = """

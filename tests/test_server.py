@@ -333,6 +333,47 @@ class TestAdmission:
             service.stop()
 
 
+class TestListenBacklog:
+    """A burst of fresh connections while the server's accept loop is
+    busy — here, before it runs at all — waits in the listen backlog.
+    Past the backlog a SYN is dropped, and its client waits out TCP's
+    1 s retry; the stdlib backlog is 5."""
+
+    CLIENTS = 16
+
+    def test_burst_of_fresh_connections_never_waits_a_retry(self):
+        server = RiskServer(options=ExecutionOptions())
+        seconds, errors = [0.0] * self.CLIENTS, []
+        ready = threading.Barrier(self.CLIENTS + 1)
+
+        def client(index):
+            ready.wait()
+            started = time.perf_counter()
+            try:
+                connection = http.client.HTTPConnection(
+                    server.host, server.port, timeout=10)
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().status == 200
+                connection.close()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+            seconds[index] = time.perf_counter() - started
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(self.CLIENTS)]
+        for thread in threads:
+            thread.start()
+        try:
+            ready.wait()
+            time.sleep(0.3)  # every handshake arrives before an accept
+        finally:
+            with server:
+                for thread in threads:
+                    thread.join(timeout=15)
+        assert not errors
+        assert max(seconds) < 0.9, sorted(seconds)
+
+
 class TestTenantIsolation:
     def test_same_sql_same_names_different_data(self, base):
         """Two tenants run byte-identical statements over same-named

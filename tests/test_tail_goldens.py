@@ -4,11 +4,16 @@
 handful of queries *before* seed-axis distributed Gibbs was deleted
 (commit 4ed01eb): the ``LooperResult`` samples, the per-version
 (handle -> stream position) assignments as a matrix, the quantile
-estimate, the plan-run count and the per-step (proposals, acceptances,
-stalls).  The sweep is Gauss–Seidel over TS-seeds with one consumption
-pointer per seed, so every one of those numbers is a deterministic
-function of the session seed — any later change to the looper, the
-replenishment path or the plan operators must reproduce every byte.
+estimate and the per-step (proposals, acceptances, stalls).  The sweep
+is Gauss–Seidel over TS-seeds with one consumption pointer per seed, so
+every one of those numbers is a deterministic function of the session
+seed — any later change to the looper, the replenishment path or the
+plan operators must reproduce every byte.  The plan-run count is the
+refuel schedule of the looper's own sweep order — by anti-diagonals
+when every seed is read by one single-seed tuple, else seed-major — and
+was re-frozen when the anti-diagonal sweep and its refuel barriers
+replaced the seed-major sweep for such queries; the samples did not
+move.
 
 The queries cover the ``tail_*`` portfolio shape, refuel-heavy looper
 runs (SUM, COUNT and AVG, one to three bootstrap steps, multi-sweep,
@@ -21,7 +26,9 @@ refuels as often and reproduces it.)  Runs that differ from a stored query only 
 tiers — or that run on an oracle of
 ``tests/looper_oracles.py`` (``*_reference``: the scalar kernel;
 ``*_full``: full refuels) have no arrays of their own: they are compared
-against the entry named in :data:`STORED_AS`.
+against the entry named in :data:`STORED_AS` — a ``*_reference`` run but
+for its plan-run count, since the scalar kernel sweeps seed-major and so
+refuels on its own schedule.
 
 Regenerate (only when a change of values is intended and explained)::
 
@@ -263,6 +270,8 @@ def test_tail_result_equals_parent_commit_bytes(name):
                     if key.startswith(STORED_AS[name] + "/")}
     actual = compute(name)
     assert sorted(actual) == sorted(expected)
+    if name.endswith("_reference"):
+        del actual[f"{STORED_AS[name]}/plan_runs"]
     for key, array in actual.items():
         assert array.dtype == expected[key].dtype, key
         assert array.shape == expected[key].shape, key
@@ -273,8 +282,8 @@ def test_refuel_schedule_changes_nothing_but_plan_runs():
     """The window size decides only *when* refuels happen.  The
     consumption pointer resumes across refuels and ``_replenish`` keeps
     the pre-refuel accumulators, so a wider window reproduces every
-    ``refuel_delta`` array byte for byte except ``plan_runs``, which must
-    fall as the window grows."""
+    ``refuel_delta`` array byte for byte except ``plan_runs``: no wider
+    window refuels more often than the narrowest, and the widest less."""
     with np.load(GOLDENS) as goldens:
         expected = {key.split("/")[1]: goldens[key] for key in goldens.files
                     if key.startswith("refuel_delta/")}
@@ -289,8 +298,8 @@ def test_refuel_schedule_changes_nothing_but_plan_runs():
             assert array.tobytes() == expected[field].tobytes(), \
                 (window, field)
     assert plan_runs[0] == int(expected["plan_runs"])
-    assert all(wide < narrow
-               for narrow, wide in zip(plan_runs, plan_runs[1:])), plan_runs
+    assert max(plan_runs[1:]) <= plan_runs[0] and \
+        plan_runs[-1] < plan_runs[0], plan_runs
 
 
 def test_goldens_exercise_what_they_claim():
