@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.engine.seeds import SeedInfo
 
-__all__ = ["TSSeed", "consumption_rates", "plan_refuel"]
+__all__ = ["TSSeed", "consumption_rates", "plan_refuel", "replenish_plans"]
 
 #: A re-planned seed gets this many times the fresh positions its
 #: consumption per version predicts for the rest of the run: a sweep at
@@ -140,20 +140,7 @@ class TSSeed:
         ``fresh`` new ones after ``max_used`` — Sec. 9's "new or currently
         assigned values".
         """
-        if fresh < 1:
-            raise ValueError(f"fresh count must be >= 1, got {fresh}")
-        # np.unique, by sort and neighbour compare: NumPy's hash-based
-        # unique costs ~5x more on a few hundred positions.
-        assigned = np.sort(self.assignment)
-        keep = np.empty(assigned.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(assigned[1:], assigned[:-1], out=keep[1:])
-        assigned = assigned[keep]
-        new = np.arange(self.max_used + 1, self.max_used + 1 + fresh,
-                        dtype=np.int64)
-        # Assigned positions are all <= max_used < new[0] and both parts are
-        # sorted and duplicate-free, so the concatenation already is too.
-        return np.concatenate([assigned, new])
+        return replenish_plans([self], [fresh])[0]
 
     def index_of_position(self, position: int) -> int:
         """Index of ``position`` within the materialized list (or raise)."""
@@ -162,6 +149,35 @@ class TSSeed:
             raise KeyError(
                 f"position {position} not materialized for seed {self.handle}")
         return index
+
+
+def replenish_plans(seeds: Sequence[TSSeed],
+                    fresh: Sequence[int]) -> list[np.ndarray]:
+    """:meth:`TSSeed.replenish_plan` for every seed of ``seeds`` (each
+    with as many versions), ``fresh[i]`` new positions for
+    ``seeds[i]``, the assigned positions of all of them sorted at
+    once."""
+    if min(fresh, default=1) < 1:
+        raise ValueError(f"fresh count must be >= 1, got {min(fresh)}")
+    if not seeds:
+        return []
+    # np.unique, by sort and neighbour compare: NumPy's hash-based
+    # unique costs ~5x more on a few hundred positions.
+    assigned = np.sort(np.stack([ts.assignment for ts in seeds]), axis=1)
+    keep = np.ones(assigned.shape, dtype=bool)
+    np.not_equal(assigned[:, 1:], assigned[:, :-1], out=keep[:, 1:])
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    assigned = assigned[keep]
+    plans, start = [], 0
+    for ts, count, end in zip(seeds, fresh, ends):
+        # Assigned positions are all <= max_used < the new ones, and both
+        # parts are sorted and duplicate-free, so the plan already is.
+        plans.append(np.concatenate([
+            assigned[start:end],
+            np.arange(ts.max_used + 1, ts.max_used + 1 + count,
+                      dtype=np.int64)]))
+        start = end
+    return plans
 
 
 def consumption_rates(used: np.ndarray, done: np.ndarray) -> np.ndarray:
@@ -217,12 +233,11 @@ def plan_refuel(seeds: Sequence[TSSeed], done: np.ndarray,
         join[dry] = True
     depths = np.maximum(floor, np.ceil(_MARGIN * rates * left)
                         + floor // _SLACK).astype(np.int64)
-    plans = {}
+    planned = []
     for index in np.flatnonzero(join).tolist():
         ts = seeds[index]
         depth = int(depths[index])
-        if index == dry:
-            depth = max(depth, 2 * ts.depth)
-        ts.depth = depth
-        plans[ts.handle] = ts.replenish_plan(depth)
-    return plans
+        ts.depth = depth if index != dry else max(depth, 2 * ts.depth)
+        planned.append(ts)
+    return {ts.handle: plan for ts, plan in zip(
+        planned, replenish_plans(planned, [ts.depth for ts in planned]))}

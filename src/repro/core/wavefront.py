@@ -294,24 +294,32 @@ class Wavefront:
                     where=hits)
         if hits is True:
             return
-        pending = (np.flatnonzero(~ok) + lo).tolist()
-        while pending:
+        missed = np.flatnonzero(~ok)
+        # A miss rejected every real candidate of its look-ahead.
+        rejected = np.minimum(self.width, self.end[lo:hi] - ptr)[missed]
+        pending = (missed + lo).tolist()
+        for skip in rejected.tolist():
             i = pending[0]
-            self._find(pending, d)
+            self._find(pending, d, skip)
             if self.ptr[i] + _LOOKAHEAD > self.end[i]:
                 # The finder walks the run itself, past the look-ahead.
                 self._fill([i])
             pending.pop(0)
 
-    def _find(self, pending: list[int], d: int) -> None:
+    def _find(self, pending: list[int], d: int, used: int = 0) -> None:
         """The scalar finder: seed ``pending[0]``'s cell on diagonal
-        ``d``, in chunks from its pointer — ``max_proposals`` rejections
-        make a stall, and an exhausted window a refuel, after which the
-        walk resumes with the proposals it has used."""
+        ``d``, whose first ``used`` candidates were rejected already, in
+        chunks from there — ``max_proposals`` rejections make a stall,
+        and an exhausted window a refuel, after which the walk resumes
+        with the proposals it has used."""
         looper = self.looper
         i = pending[0]
         v = d - i
-        used, chunk = 0, 2 * _LOOKAHEAD
+        self.ptr[i] += used
+        if used >= looper.max_proposals:
+            self.stalls += 1  # keep the current (valid) value
+            return
+        chunk = 2 * _LOOKAHEAD
         while True:
             first = int(self.ptr[i])
             available = int(self.stop[i]) - first
