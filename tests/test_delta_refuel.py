@@ -182,10 +182,10 @@ class TestDeltaRefuelEquivalence:
     def test_many_refuels(self, shape):
         """A window barely above the population: every shape refuels
         again and again, and the row-local ones splice."""
-        args = (shape, 6, "sum", 26, 17, 24)
+        args = (shape, 10, "sum", 26, 17, 24)
         _RecordingLooper.spliced = 0
         got = _run(_RecordingLooper, *args)
-        assert got.plan_runs > 3
+        assert got.plan_runs > 5
         want = _run(FullRefuelLooper, *args)
         assert _fingerprint(want) == _fingerprint(got)
         assert _schedule(want) == _schedule(got)
@@ -309,18 +309,16 @@ class TestFallbackCounters:
                 full, delta, computed, reused, _ = self.before
                 super()._refuel_all(plans)
                 after = self._counters()
-                fallbacks.append((after[2] - computed, len(plans)))
+                fallbacks.append(after[2] - computed)
                 assert after[:2] == (full, delta + 1)
                 assert after[2] + after[3] == computed + reused + 6
 
-        got = _run(Pinned, "where", 6, "sum", 26, 3, 24)
+        got = _run(Pinned, "where", 6, "sum", 26, 21, 24)
         assert fallbacks and got.plan_runs > len(fallbacks) + 1
-        # The re-run computes the refuel set's rows (one per seed here),
-        # and reuses the rest.
-        assert all(computed == planned for computed, planned in fallbacks), \
-            fallbacks
+        # The re-run computes the refuel set's rows, and reuses the rest.
+        assert all(0 < computed < 6 for computed in fallbacks), fallbacks
         assert _fingerprint(_run(FullRefuelLooper, "where", 6, "sum", 26,
-                                 3, 24)) == _fingerprint(got)
+                                 21, 24)) == _fingerprint(got)
 
 
 #: Chunks of a stream the flaky VG draws well: the initial window (60
