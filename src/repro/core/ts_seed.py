@@ -38,8 +38,14 @@ _MARGIN = 1.25
 #: short does not refuel again for its last few positions.
 _SLACK = 4
 #: A seed's rate in the current sweep counts once it has finished this
-#: many versions of it.
+#: many versions of it ...
 _RECENT = 8
+#: ... and at most this many times its rate over the run or the last
+#: sweep: one version stuck on an extreme value can reject thousands of
+#: candidates, and projecting that over every version left would
+#: materialize millions.  A seed that outruns its estimate still grows
+#: geometrically, by running dry.
+_SURGE = 4
 
 
 @dataclass
@@ -199,8 +205,8 @@ def plan_refuel(seeds: Sequence[TSSeed], done: np.ndarray,
     planned ahead of need.  A seed is expected to consume, per version,
     the most it consumed per version (:func:`consumption_rates`) over
     the run, over the last sweep, or over the current one once that has
-    :data:`_RECENT` versions: a later step's cutoff is higher, so its
-    sweeps reject more.
+    :data:`_RECENT` versions — at most :data:`_SURGE` times the other
+    two: a later step's cutoff is higher, so its sweeps reject more.
 
     The refuel set is ``dry`` plus every seed whose fresh range falls
     short of :data:`_MARGIN` times its expected demand for the rest of
@@ -223,8 +229,8 @@ def plan_refuel(seeds: Sequence[TSSeed], done: np.ndarray,
                           (ts.sweep_rate for ts in seeds),
                           (ts.max_used - ts.sweep_used for ts in seeds)))
     rates = np.maximum(consumption_rates(run, done), last)
-    rates = np.maximum(rates, np.where(
-        current >= _RECENT, consumption_rates(now, current), 0.0))
+    rates = np.where(current >= _RECENT, np.clip(
+        consumption_rates(now, current), rates, _SURGE * rates), rates)
     # Past ``max_used`` a window holds one contiguous fresh run.
     fresh = np.fromiter((ts.positions[-1] - ts.max_used for ts in seeds),
                         dtype=np.float64, count=count)

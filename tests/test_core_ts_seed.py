@@ -166,6 +166,25 @@ class TestTSSeed:
         assert planned(3, 0.0, 7) == run          # 7 versions: not yet
         assert planned(5, 0.0, 8) == 27 + 1       # 19/9 over 8 versions
 
+    def test_plan_refuel_bounds_a_stuck_version(self):
+        """One version of the current sweep's 8 stuck on an extreme value
+        and rejected 14 767 candidates: the current sweep's rate counts
+        at most 4 times the run's, not over every version left."""
+        # Two sweeps of 333 versions took 2 positions a version; the
+        # current one took 2 for each of 7 versions, 14 767 for one.
+        ts = TSSeed(info=_info(1), positions=np.arange(16_130),
+                    max_used=16_120, assignment=np.array([0, 16_120]),
+                    first_used=3, sweep_used=1_339, sweep_rate=2.0)
+        plans = plan_refuel([ts], np.array([674]), np.array([8]),
+                            np.array([658]), dry=None, floor=4)
+        assert list(plans) == [1]
+        # The run's rate is 16 118 / 675 a version, the current sweep's
+        # 14 782 / 9, capped at 4 times the run's:
+        # ceil(1.25 * 4 * 16 118 / 675 * 658) = 78 561, plus a quarter
+        # floor; uncapped, the depth would be 1 350 912.
+        assert ts.depth == 78_562
+        assert plans[1][-1] == 16_120 + 78_562
+
     def test_index_of_position(self):
         ts = TSSeed.initial(_info(), np.array([2, 5, 9, 11]), 2)
         assert ts.index_of_position(9) == 2
