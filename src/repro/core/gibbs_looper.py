@@ -1102,9 +1102,46 @@ class GibbsLooper:
         ``done[i]`` versions of the current sweep (``dry``: the index of
         the seed that ran dry, if one did)."""
         sweeps, sweep = self._sweep_versions, self._sweep
-        return plan_refuel(seeds, sum(sweeps[:sweep]) + done, done,
-                           sweeps[sweep] - done + sum(sweeps[sweep + 1:]),
-                           dry, self.window)
+        return self._keep_rows(plan_refuel(
+            seeds, sum(sweeps[:sweep]) + done, done,
+            sweeps[sweep] - done + sum(sweeps[sweep + 1:]), dry,
+            self.window))
+
+    def _keep_rows(self, plans: dict[int, np.ndarray]
+                   ) -> dict[int, np.ndarray]:
+        """``plans``, each re-planned seed's window also holding, for
+        every single-seed tuple of it that is absent at all its assigned
+        positions, the first position where that tuple is present.
+
+        A random ``WHERE`` drops a row absent at every position of its
+        window.  Without the kept position, a refuel could drop such a
+        tuple, and whether it did would depend on the positions its seed
+        holds when it refuels — which the sweep order decides.  Kept, no
+        refuel drops a tuple.  The position is consumed already, so it is
+        never proposed again.
+        """
+        if self._candidates.always_present:
+            return plans  # no single-seed tuple is absent anywhere
+        for handle, plan in plans.items():
+            ts = self._seeds[handle]
+            slots = None
+            for row in self._tuples_of_seed.get(handle, ()):
+                gibbs_tuple = self._tuples[row]
+                if not gibbs_tuple.presences or \
+                        gibbs_tuple.handles != [handle]:
+                    continue
+                present = np.logical_and.reduce(
+                    [field.flags for field in gibbs_tuple.presences])
+                if slots is None:
+                    slots = ts.positions.searchsorted(ts.assignment)
+                if present[slots].any() or not present.any():
+                    continue
+                keep = ts.positions[present.argmax()]
+                at = plan.searchsorted(keep)
+                if at == plan.size or plan[at] != keep:
+                    plan = np.insert(plan, at, keep)
+            plans[handle] = plan
+        return plans
 
     def _refuel_dry(self, dry: int, version: int) -> None:
         """A seed-major sweep's refuel: seed ``dry`` ran out of fresh
