@@ -248,14 +248,12 @@ class MonteCarloExecutor:
                 np.concatenate(parts.handles[lo:hi]).tolist())
         relation = self.plan.execute(context)
         context.plan_runs += 1
-        group_rows = self._group_rows(relation)
-        leads = self._leads(relation, group_rows)
+        result = self.aggregate(relation, positions)
+        leads = self._leads(relation)
         if leads is not None:  # the order every layout shares
-            group_rows = dict(sorted(
-                group_rows.items(),
+            result._groups = dict(sorted(
+                result._groups.items(),
                 key=lambda item: (leads[item[0]], repr(item[0]))))
-        result = self.result_from_states(
-            self.fold_states(relation, group_rows=group_rows), positions)
         result._leads = leads
         return result
 
@@ -450,8 +448,7 @@ class MonteCarloExecutor:
                   ) -> MonteCarloResult:
         return self.result_from_states(self.fold_states(relation), repetitions)
 
-    def _leads(self, relation: BundleRelation,
-               group_rows: dict[tuple, np.ndarray]) -> dict[tuple, int] | None:
+    def _leads(self, relation: BundleRelation) -> dict[tuple, int] | None:
         """Each group's lead: its least seed handle, of the plan's first
         ``Instantiate`` whose seed column reaches ``relation`` — or
         ``None`` when none does.  A run orders its groups by lead, ties
@@ -462,7 +459,7 @@ class MonteCarloExecutor:
                     and node.handle_column in relation.det_columns:
                 seeds = relation.det_columns[node.handle_column]
                 return {key: int(seeds[rows].min())
-                        for key, rows in group_rows.items()}
+                        for key, rows in self._group_rows(relation).items()}
         return None
 
     def _group_rows(self, relation: BundleRelation) -> dict[tuple, np.ndarray]:
@@ -490,9 +487,7 @@ class MonteCarloExecutor:
     # -- incremental (standing-query) accumulation ---------------------------
 
     def fold_states(self, relation: BundleRelation,
-                    states: dict | None = None,
-                    group_rows: dict[tuple, np.ndarray] | None = None
-                    ) -> dict:
+                    states: dict | None = None) -> dict:
         """Fold every row of ``relation`` into per-group accumulator states.
 
         ``states`` maps group key -> aggregate name -> the raw
@@ -504,15 +499,12 @@ class MonteCarloExecutor:
         query folds the Δ relation of an append (the rows a run over the
         grown tables appends to its output) into the states of the rows
         before it.  Returns new states; ``states`` itself is left as it
-        was, so a fold that fails tears nothing.  ``group_rows`` are
-        ``relation``'s groups (default :meth:`_group_rows`), in the order
-        new groups take.
+        was, so a fold that fails tears nothing.
         """
         presence = relation.combined_presence()
         folded = {key: dict(by_name)
                   for key, by_name in (states or {}).items()}
-        if group_rows is None:
-            group_rows = self._group_rows(relation)
+        group_rows = self._group_rows(relation)
         for aggregate in self.aggregates:
             terms = self._terms(relation, aggregate)
             for key, rows in group_rows.items():
