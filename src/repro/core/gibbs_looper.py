@@ -706,11 +706,15 @@ class GibbsLooper:
             self._counts = np.zeros(versions)
             return
 
+        first = np.zeros(versions, dtype=np.intp)
+
         def gather(column):
-            """Each row's elements at its seed's assigned positions."""
+            """Each row's elements at its seed's assigned positions (an
+            untracked seed's rows are vacuous presence: all true)."""
             elements, offsets = column.runs()
             index_matrix = np.stack(
-                [index_of[int(handle)] for handle in column.seed_handles])
+                [index_of.get(int(handle), first)
+                 for handle in column.seed_handles])
             index_matrix += offsets[:-1, None]
             return elements[index_matrix]
 

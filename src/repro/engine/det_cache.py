@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.bundles import BundleRelation
+from repro.engine.table import grow_column
 
 __all__ = ["ContextDetCache", "SessionDetCache", "NullDetCache",
            "classify_moves"]
@@ -106,13 +107,26 @@ class _CacheEntry:
     ``versions`` maps each dependency name (lowercased, from
     ``PlanNode.base_tables()``) to the catalog's per-name version when
     the entry was stored — the granularity lookups validate against.
+    ``owned`` names the columns it grew in buffers of its own, the only
+    ones it may extend in place.
     """
 
-    __slots__ = ("relation", "versions")
+    __slots__ = ("relation", "versions", "owned")
 
-    def __init__(self, relation, versions: dict[str, int]):
+    def __init__(self, relation, versions: dict[str, int],
+                 owned: frozenset[str] = frozenset()):
         self.relation = relation
         self.versions = versions
+        self.owned = owned
+
+
+def _holds(column: np.ndarray, start: int, delta: np.ndarray) -> bool:
+    """Whether ``column[start:]`` is ``delta``: the same memory, or else
+    the same dtype and bits (an O(Δ) compare)."""
+    tail = column[start:]
+    return tail.__array_interface__ == delta.__array_interface__ or (
+        tail.dtype == delta.dtype and tail.shape == delta.shape
+        and tail.tobytes() == delta.tobytes())
 
 
 class SessionDetCache:
@@ -199,7 +213,8 @@ class SessionDetCache:
         (``context.appended`` over the node's dependencies) is extended;
         an entry at any other version is validated on its own, so it is
         refreshed (or dropped) all the same and the append journal's
-        compaction floor keeps moving.
+        compaction floor keeps moving.  The extension costs O(Δ): see
+        :meth:`_grow`.
         """
         from repro.engine.operators import Scan
 
@@ -214,21 +229,52 @@ class SessionDetCache:
                 if name in entry.versions}:
             self._validate(fingerprint, entry, node, context)
             return
-        stale = entry.relation
-        if isinstance(node, Scan) and stale.length != appends[
-                node.table_name.lower()][0]:
-            # The cache and the journal disagree on the base rows.
-            del self._entries[fingerprint]
-            self.partial_invalidations += 1
-            return
+        stale, taken = entry.relation, {}
+        if isinstance(node, Scan):
+            if stale.length != appends[node.table_name.lower()][0]:
+                # The cache and the journal disagree on the base rows.
+                del self._entries[fingerprint]
+                self.partial_invalidations += 1
+                return
+            table = context.catalog.table(node.table_name)
+            taken = {node.prefix + name: table.column(name)
+                     for name in table.column_names}
         out = BundleRelation(stale.length + delta.length, delta.positions,
                              delta.aligned)
-        for name, old in stale.det_columns.items():
-            out.det_columns[name] = (np.concatenate(
-                [old, delta.det_columns[name]]) if delta.length else old)
+        if delta.length:
+            out.det_columns, owned = self._grow(entry, delta, context, taken)
+        else:  # still np.concatenate's dtype: ints that met floats turn float
+            out.det_columns = {name: old.astype(np.result_type(
+                old, delta.det_columns[name]), copy=False)
+                for name, old in stale.det_columns.items()}
+            owned = entry.owned
         self._entries[fingerprint] = _CacheEntry(
-            out, self._versions_of(node, context))
+            out, self._versions_of(node, context), owned)
         self.append_refreshes += 1
+
+    @staticmethod
+    def _grow(entry, delta, context, taken):
+        """``entry``'s columns ⧺ ``delta``'s, and the names it now owns.
+
+        A column is taken from ``taken`` (a ``Scan`` entry's table, whose
+        journal vouches for the old rows) or else from this pass's memo
+        of columns grown from the same stale array (``context.grown``: a
+        ``Seed`` or ``Project`` pass-through), but only if it holds this
+        Δ past the old rows (:func:`_holds`).  The rest — seed handles,
+        filtered rows, a Δ that differs — grow in buffers of the entry's
+        own (:func:`~repro.engine.table.grow_column`).
+        """
+        columns, owned = {}, set()
+        for name, old in entry.relation.det_columns.items():
+            new = delta.det_columns[name]
+            grown_from, grown = context.grown.get(id(old), (None, None))
+            column = taken.get(name, grown if grown_from is old else None)
+            if column is None or not _holds(column, len(old), new):
+                column = grow_column(old, new, name in entry.owned)
+                owned.add(name)
+            columns[name] = column
+            context.grown[id(old)] = old, column
+        return columns, frozenset(owned)
 
     @staticmethod
     def _versions_of(node, context) -> dict[str, int]:

@@ -143,6 +143,10 @@ class ExecutionContext:
         #: :func:`appends_keep_prefix` the plan then yields exactly the
         #: rows a run over the grown tables appends to its output.
         self.appended: dict[str, tuple[int, int]] = {}
+        #: Δ-execution: ``id(stale) -> (stale, grown)`` for each det-cache
+        #: column this pass extended, so every cached holder of the same
+        #: rows takes one grown array (``SessionDetCache.extend``).
+        self.grown: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._labels: dict[int, str] = {}
 
     def register_label(self, label: str) -> int:

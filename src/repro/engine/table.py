@@ -4,7 +4,8 @@ Base tables are ordinary, deterministic relations — in MCDB these hold the
 *parameter tables* that drive VG functions (e.g. ``means(CID, m)`` in
 Sec. 2) as well as regular joined relations (``lineitem``, ``sup``).
 Columns are stored as numpy arrays (``object`` dtype for strings) so that
-the bundle operators can work vectorized.
+the bundle operators can work vectorized.  An append extends a base table
+in place, in O(Δ): columns are prefix views of capacity buffers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.engine.errors import CatalogError
 
-__all__ = ["Table", "Catalog"]
+__all__ = ["GROWTH", "Table", "Catalog", "grow_column"]
 
 #: Process-unique catalog ids.  ``id(catalog)`` is NOT a stable identity —
 #: CPython recycles addresses after garbage collection, so two catalogs
@@ -29,6 +30,33 @@ _catalog_uids = itertools.count(1)
 _NUMERIC = "biufc"
 
 
+#: A reallocated column buffer holds this many times its new length, so
+#: appends reallocate geometrically rarely and cost O(Δ) amortized.
+GROWTH = 2
+
+
+def grow_column(column: np.ndarray, delta: np.ndarray,
+                owned: bool) -> np.ndarray:
+    """``np.concatenate([column, delta])`` as a prefix view of a buffer.
+
+    ``owned`` promises that ``column`` came from this function and that
+    the caller alone writes its buffer, so no view anyone holds reaches
+    past ``len(column)``: ``delta`` is then written there in place when
+    the buffer has room and the result's dtype.  Otherwise both go into
+    a new buffer ``GROWTH`` times the new length.  Nothing below the
+    frontier, and no buffer this function did not allocate, is written.
+    """
+    size = len(column) + len(delta)
+    dtype = np.result_type(column, delta)
+    buffer = column.base
+    if not (owned and isinstance(buffer, np.ndarray) and buffer.dtype == dtype
+            and len(buffer) >= size):
+        buffer = np.empty(GROWTH * size, dtype)
+        buffer[:len(column)] = column
+    buffer[len(column):size] = delta
+    return buffer[:size]
+
+
 def _as_column(values: Sequence) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind in ("U", "S"):
@@ -37,7 +65,12 @@ def _as_column(values: Sequence) -> np.ndarray:
 
 
 class Table:
-    """A named, deterministic relation with column-oriented storage."""
+    """A named, deterministic relation with column-oriented storage.
+
+    Caller arrays are taken by reference and never written;
+    :meth:`append_rows` extends a base table in place, in buffers it
+    allocated itself (:func:`grow_column`).
+    """
 
     def __init__(self, name: str, columns: Mapping[str, Sequence]):
         if not columns:
@@ -58,6 +91,8 @@ class Table:
                     f"expected {length}")
             self._columns[column_name] = array
         self._length = length or 0
+        #: Columns that are prefix views of buffers this table allocated.
+        self._owned: set[str] = set()
 
     @classmethod
     def from_rows(cls, name: str, column_names: Sequence[str],
@@ -90,7 +125,8 @@ class Table:
         return column_name in self._columns
 
     def append_rows(self, rows) -> tuple[int, int]:
-        """Append rows in place; returns ``(old_row_count, new_row_count)``.
+        """Extend the table in place; returns ``(old_row_count,
+        new_row_count)``.
 
         ``rows`` is either a column mapping (``{name: values}``, like the
         constructor) or an iterable of row dicts.  The column set must
@@ -99,7 +135,10 @@ class Table:
         a schema change.  Any mismatch raises
         :class:`~repro.engine.errors.CatalogError` naming the table and
         the offending column, *before* anything is mutated: a rejected
-        append leaves the relation byte-for-byte untouched.
+        append leaves the relation byte-for-byte untouched, and so does
+        a failed write (also a ``CatalogError``): each column grows by
+        :func:`grow_column`, and the grown ones replace the old only
+        once all are written.
         """
         if isinstance(rows, Mapping):
             columns = {name: _as_column(values)
@@ -157,9 +196,17 @@ class Table:
                     f"appended column {name!r} of table {self.name!r} is "
                     f"{array.dtype}, which does not fit its {current} "
                     "values")
+        grown = {}
         for name, array in columns.items():
-            self._columns[name] = np.concatenate(
-                [self._columns[name], array])
+            try:
+                grown[name] = grow_column(self._columns[name], array,
+                                          name in self._owned)
+            except Exception as exc:
+                raise CatalogError(
+                    f"append to table {self.name!r} failed writing column "
+                    f"{name!r}: {exc}") from exc
+        self._columns.update(grown)
+        self._owned.update(grown)
         self._length = old + added
         return old, self._length
 
@@ -185,7 +232,7 @@ class Catalog:
     version, so stale entries can never alias the new contents.
 
     Append-only growth is first-class: :meth:`append` extends a base
-    table in place and records ``(old_row_count, new_row_count)`` in an
+    table in place (O(Δ), see :meth:`Table.append_rows`) and records ``(old_row_count, new_row_count)`` in an
     append journal keyed by the table's pre-append version.  Consumers
     can then distinguish "grew by K rows" (extend a cached relation by
     what the new rows produce) from "arbitrarily rewritten" (recompute):

@@ -357,6 +357,40 @@ class TestJoinOnRandomAttribute:
         assert result.quantile_estimate == pytest.approx(530.0, abs=90.0)
         assert np.all(result.samples >= result.quantile_estimate)
 
+    @pytest.mark.parametrize("base_seed", [0, 4])
+    def test_vacuous_presence_row(self, base_seed):
+        """A customer whose 4-position window draws age 20 throughout
+        yields a Split row whose only random dependency is vacuous
+        presence: its Gibbs tuple has no seed.  The ingest must run, equal
+        the scalar oracle, and count that row in every version."""
+        def run(cls):
+            catalog = Catalog()
+            catalog.add_table(Table("means", {"CID": np.arange(3)}))
+            catalog.add_table(Table("bonus", {
+                "bage": [20.0, 21.0, 22.0], "amount": [10.0, 100.0, 40.0]}))
+            spec = RandomTableSpec(
+                name="Ages", parameter_table="means", vg=DISCRETE_CHOICE,
+                vg_params=(lit(20.0), lit(0.9), lit(21.0), lit(0.07),
+                           lit(22.0), lit(0.03)),
+                random_columns=(RandomColumnSpec("age"),),
+                passthrough_columns=("CID",))
+            plan = Join(Split(random_table_pipeline(spec), "age"),
+                        Scan("bonus"), ["age"], ["bage"])
+            params = TailParams(p=0.3 ** 2, m=2, n_steps=(3, 3),
+                                p_steps=(0.3, 0.3))
+            looper = cls(plan, catalog, params, 12, aggregate_kind="sum",
+                         aggregate_expr=col("amount"), window=4,
+                         base_seed=base_seed)
+            return looper, looper.run()
+
+        looper, result = run(GibbsLooper)
+        _, oracle = run(ScalarKernelLooper)
+        assert np.array_equal(result.samples, oracle.samples)
+        assert result.assignments == oracle.assignments
+        untracked = looper._row_seeds < 0
+        assert untracked.any()
+        assert np.all(looper._contribution_matrix[untracked] == 10.0)
+
 
 class TestValidation:
     def test_unsupported_aggregate_rejected(self):

@@ -19,16 +19,18 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.engine.errors import EngineError
+from repro.engine import table as table_module
+from repro.engine.errors import CatalogError, EngineError
 from repro.engine.expressions import BinOp, Col, Lit
 from repro.engine.operators import (
     Join, Scan, Seed, Select, appends_keep_prefix)
 from repro.engine.options import ExecutionOptions, ServerOptions
-from repro.engine.table import Catalog, Table
+from repro.engine.table import GROWTH, Catalog, Table, grow_column
 from repro.server import RiskServer
 from repro.server.wire import output_to_wire
 from repro.sql import Session
 from repro.sql.planner import PlanError
+from repro.workloads import PortfolioWorkload
 
 CREATE_LOSSES = """
     CREATE TABLE Losses (CID, val) AS
@@ -421,6 +423,74 @@ def test_standing_mc_state_does_not_grow_with_the_table():
     assert large - small < 16 * 1024, (small, large)
 
 
+def test_append_costs_its_delta_and_shares_one_buffer():
+    """The ``standing_append`` shape: a 2 000-row ``means``, a standing
+    MC and a standing tail, 20-row appends.  Every holder of ``CID`` and
+    ``m`` (table, ``Scan`` entry, ``Seed`` entry) shares one buffer, the
+    session keeps at most three capacity-doubled 8-byte columns per row
+    (``CID``, ``m``, seed handles), and an append allocates as much at
+    2 000 appends as at 200."""
+    portfolio = PortfolioWorkload(customers=2000, seed=3)
+    rng = np.random.default_rng(3)
+    with portfolio.build_session(base_seed=2010) as session:
+        mc = session.standing_query(
+            "SELECT SUM(val) AS t FROM Losses "
+            "WITH RESULTDISTRIBUTION MONTECARLO(500)")
+        tail = session.standing_query(
+            "SELECT SUM(val) AS t FROM Losses WHERE CID < 100 "
+            "WITH RESULTDISTRIBUTION MONTECARLO(50) "
+            "DOMAIN t >= QUANTILE(0.9)")
+        rows = [2000]
+
+        def append():
+            session.append("means", {
+                "CID": np.arange(rows[0], rows[0] + 20),
+                "m": rng.uniform(1.0, 2.0, 20)})
+            rows[0] += 20
+            mc.refresh()
+            tail.refresh()
+
+        def allocated():
+            """Median traced peak of five appends: one that happens to
+            reallocate a buffer does not decide it."""
+            peaks = []
+            for _ in range(5):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                append()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return sorted(peaks)[2]
+
+        tracemalloc.start()
+        try:
+            for _ in range(195):
+                append()
+            early = allocated()
+            gc.collect()
+            held, appended = tracemalloc.get_traced_memory()[0], rows[0]
+            for _ in range(1795):
+                append()
+            late = allocated()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - held
+            appended = rows[0] - appended
+        finally:
+            tracemalloc.stop()
+
+        assert mc.last_mode == "delta"
+        table = session.catalog.table("means")
+        entries = {fingerprint.split("[")[0]: entry.relation
+                   for fingerprint, entry in session.det_cache._entries.items()
+                   if not fingerprint.startswith("Select")}
+        assert set(entries) == {"Scan", "Seed"}
+        for name in ("CID", "m"):
+            for relation in entries.values():
+                assert np.shares_memory(relation.det_columns["Losses." + name],
+                                        table.column(name))
+        assert retained / appended <= 3 * 8 * GROWTH, retained / appended
+        assert late <= 1.5 * early, (early, late)
+
+
 # ---------------------------------------------------------------------------
 # Fault drill: a Δ refresh over an invalid VG parameter row
 
@@ -470,6 +540,55 @@ def test_failed_delta_refresh_keeps_last_good_state(sql):
             assert (handle.result, dict(handle._states),
                     dict(handle._versions), handle.stats()) == good
         assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("sql", [MC_QUERY, TAIL_QUERY])
+def test_append_whose_write_fails_changes_nothing(sql, monkeypatch):
+    """Fault drill for the in-place write path: the second column's write
+    of an append fails after the first wrote past its frontier.  The
+    append raises ``CatalogError`` and leaves every column (length,
+    buffer, bytes), the table version and the append journal as they
+    were; the next refresh still equals a fresh session's."""
+    extra = {"CID": [10, 11], "m": [6.0, 6.5]}
+    with _session() as session:
+        handle = session.standing_query(sql)
+        session.append("means", APPEND)  # the table now owns its buffers
+        handle.refresh()
+        catalog = session.catalog
+        table = catalog.table("means")
+        columns = {name: table.column(name) for name in table.column_names}
+        contents = {name: column.tobytes()
+                    for name, column in columns.items()}
+        state = (len(table), catalog.version, catalog.table_version("means"),
+                 {key: dict(links) for key, links
+                  in catalog._append_journal.items()})
+        calls = []
+
+        def failing(column, delta, owned):
+            calls.append(owned)
+            if len(calls) == 2:
+                raise MemoryError("injected")
+            return grow_column(column, delta, owned)
+
+        monkeypatch.setattr(table_module, "grow_column", failing)
+        with pytest.raises(CatalogError, match="'means'.*injected"):
+            session.append("means", extra)
+        monkeypatch.undo()
+        assert calls == [True, True]  # the first write went in place
+        for name, column in columns.items():
+            # The same view: same length, same buffer, same bytes.
+            assert table.column(name) is column
+            assert column.tobytes() == contents[name]
+        assert (len(table), catalog.version, catalog.table_version("means"),
+                {key: dict(links) for key, links
+                 in catalog._append_journal.items()}) == state
+        assert handle.refresh() is handle.result  # nothing moved: a noop
+        session.append("means", extra)
+        handle.refresh()
+        assert handle.last_mode == "delta"
+        got = (handle.result.distributions.distribution("loss").samples
+               if handle.kind == "montecarlo" else handle.result.tail.samples)
+    np.testing.assert_array_equal(got, _fresh_samples(sql, APPEND, extra))
 
 
 # ---------------------------------------------------------------------------
