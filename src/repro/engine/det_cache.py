@@ -113,8 +113,7 @@ class _CacheEntry:
 
     __slots__ = ("relation", "versions", "owned")
 
-    def __init__(self, relation, versions: dict[str, int],
-                 owned: frozenset[str] = frozenset()):
+    def __init__(self, relation, versions, owned=frozenset()):
         self.relation = relation
         self.versions = versions
         self.owned = owned
@@ -213,8 +212,7 @@ class SessionDetCache:
         (``context.appended`` over the node's dependencies) is extended;
         an entry at any other version is validated on its own, so it is
         refreshed (or dropped) all the same and the append journal's
-        compaction floor keeps moving.  The extension costs O(Δ): see
-        :meth:`_grow`.
+        compaction floor keeps moving.  It costs O(Δ) (:meth:`_grow`).
         """
         from repro.engine.operators import Scan
 

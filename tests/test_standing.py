@@ -461,18 +461,23 @@ def test_append_costs_its_delta_and_shares_one_buffer():
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return sorted(peaks)[2]
 
+        def array_bytes():
+            """Traced bytes of live array data (NumPy's own domain)."""
+            gc.collect()
+            return sum(stat.size for stat in tracemalloc.take_snapshot(
+            ).filter_traces([tracemalloc.DomainFilter(
+                True, np.lib.tracemalloc_domain)]).statistics("filename"))
+
         tracemalloc.start()
         try:
             for _ in range(195):
                 append()
             early = allocated()
-            gc.collect()
-            held, appended = tracemalloc.get_traced_memory()[0], rows[0]
+            held, appended = array_bytes(), rows[0]
             for _ in range(1795):
                 append()
             late = allocated()
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - held
+            retained = array_bytes() - held
             appended = rows[0] - appended
         finally:
             tracemalloc.stop()
